@@ -59,6 +59,10 @@ class TrialConfig:
     jobs: int = 1
     keep_trials: bool = False
 
+    def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise DomainError("jobs must be >= 1")
+
 
 @dataclass(frozen=True)
 class TrialResult:
@@ -254,6 +258,9 @@ def certify(
     mixed norm over the fixed index, bound ||T|| (exact sign enumeration for
     real p = inf, alternating ascent + coefficient mass otherwise), classify.
     Inconclusive alternating trials are retried once with 4x restarts.
+    The ascent runs all restarts of a trial as one batch, so a serial run
+    (jobs=1) is fast; jobs > 1 spreads trials over worker processes and is
+    optional.  jobs < 1 raises DomainError.
     """
     cfg = config or TrialConfig()
     if cfg.trials < 1:
@@ -311,7 +318,9 @@ def search_extremal(
 
     Coordinate-wise Gaussian perturbations with step-halving on rejection
     streaks and fresh random restarts when the step collapses; budget counts
-    candidate evaluations (budget 0 reports the seed tensor's ratio).  With a
+    candidate evaluations, a restart's fresh tensor included, and
+    `evaluations` reports how many ran.  The seed tensor is evaluated outside
+    the budget (budget 0 reports its ratio).  With a
     nonzero budget the first evaluation goes to the single-coefficient
     tensor, the known ratio-1 witness, so the result is at least 1.  The
     resulting ratio is an empirical lower bound on the best constant and can
@@ -345,7 +354,7 @@ def search_extremal(
         spent = 1
         if baseline_ratio > best_ratio:
             best, best_ratio = baseline, baseline_ratio
-    for _ in range(budget - spent):
+    while spent < budget:
         coeffs = np.array(current.coeffs)
         flat_index = int(rng.integers(0, coeffs.size))
         bump = step * rng.standard_normal()
@@ -354,6 +363,7 @@ def search_extremal(
         coeffs.flat[flat_index] += bump
         candidate = FormTensor(m=m, n=n, field=field, coeffs=coeffs)
         candidate_ratio = ratio_of(candidate)
+        spent += 1
         if candidate_ratio > current_ratio:
             current, current_ratio = candidate, candidate_ratio
             rejects = 0
@@ -365,13 +375,14 @@ def search_extremal(
             if rejects >= 20:
                 rejects = 0
                 step *= 0.5
-                if step < 1e-3:
+                if step < 1e-3 and spent < budget:
                     restarts += 1
                     current = generate(
                         "gaussian", m, n, field,
                         np.random.SeedSequence([seed, 3, restarts]),
                     )
                     current_ratio = ratio_of(current)
+                    spent += 1
                     step = 1.0
     if best_ratio > exps.constant + RATIO_TOL:
         raise ViolationError(
@@ -381,7 +392,7 @@ def search_extremal(
     return SearchResult(
         tensor=best,
         ratio_conservative=best_ratio,
-        evaluations=budget,
+        evaluations=spent,
         accepted_steps=accepted,
     )
 

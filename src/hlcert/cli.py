@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None,
                            help="omit to draw one randomly (printed in the header)")
         p.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help="worker count (env HLCERT_JOBS overrides the default)")
+                       help="worker processes, >= 1 (env HLCERT_JOBS overrides the "
+                            "default 1); optional, serial runs are fast")
 
     c = sub.add_parser("constants", help="Khinchin constant A_q and the crossover q0")
     c.add_argument("--q", type=float, required=True)
@@ -450,6 +451,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.jobs < 1:
+            parser.error("--jobs must be >= 1")
         return _COMMANDS[args.command](args)
     except ViolationError as exc:
         print(f"VIOLATION: {exc}", file=sys.stderr)

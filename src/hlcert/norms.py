@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -80,39 +80,55 @@ def _phase(c: np.ndarray) -> np.ndarray:
         nz = mags > 0.0
         out[nz] = np.conj(c[nz]) / mags[nz]
         return out
-    out = np.ones_like(c)
-    out[c < 0.0] = -1.0
-    return out
+    return np.where(c < 0.0, -1.0, 1.0)
 
 
-def dual_norm_linear(c: np.ndarray, p: float) -> Tuple[float, np.ndarray]:
+def dual_norm_linear(c: np.ndarray, p: float) -> Tuple[Union[float, np.ndarray], np.ndarray]:
     """Exact norm of x -> <c, x> on l_p^n, with a unit maximizer.
 
-    Returns (||c||_{p'}, x) where p' = p/(p-1) and <c, x> = ||c||_{p'} with
-    ||x||_p = 1.  c = 0 returns value 0 and the first basis vector.
+    Acts on the last axis.  A 1-D c returns (||c||_{p'}, x) where
+    p' = p/(p-1) and <c, x> = ||c||_{p'} with ||x||_p = 1.  A stack of shape
+    (..., n) returns the array of values and the stack of maximizers, each
+    row exactly as the 1-D call on that row gives it.  A zero c (or zero
+    row) gives value 0 and the first basis vector.
     """
     if p < 1.0:
         raise DomainError(f"p must be >= 1 or inf, got {p}")
     c = np.asarray(c)
+    single = c.ndim == 1
+    if single:
+        # a 1-row stack, so that every call runs the same array arithmetic
+        # (numpy scalars take other code paths that round differently)
+        c = c[None]
     mags = np.abs(c)
-    if not mags.any():
-        x = np.zeros_like(c)
-        x[0] = 1.0
-        return 0.0, x
     if math.isinf(p):
-        return float(mags.sum()), _phase(c)
-    if p == 1.0:
-        j = int(np.argmax(mags))
+        values = mags.sum(axis=-1)
+        x = _phase(c)
+        zero = values == 0.0
+    elif p == 1.0:
+        j = np.argmax(mags, axis=-1)[..., None]
+        values = np.take_along_axis(mags, j, axis=-1)[..., 0]
         x = np.zeros_like(c)
-        x[j] = _phase(c[j : j + 1])[0]
-        return float(mags[j]), x
-    pp = p / (p - 1.0)
-    scale = mags.max()
-    value = float(scale * ((mags / scale) ** pp).sum() ** (1.0 / pp))
-    u = (mags / scale) ** (pp - 1.0)
-    x = _phase(c) * u
-    x /= ((np.abs(x) ** p).sum()) ** (1.0 / p)
-    return value, x
+        np.put_along_axis(x, j, _phase(np.take_along_axis(c, j, axis=-1)), axis=-1)
+        zero = values == 0.0
+    else:
+        pp = p / (p - 1.0)
+        scale = mags.max(axis=-1, keepdims=True)
+        zero = scale[..., 0] == 0.0
+        if zero.any():
+            scale[zero] = 1.0
+        ratio = mags / scale
+        values = scale[..., 0] * (ratio**pp).sum(axis=-1) ** (1.0 / pp)
+        x = _phase(c) * ratio ** (pp - 1.0)
+        norm = (np.abs(x) ** p).sum(axis=-1, keepdims=True) ** (1.0 / p)
+        if zero.any():
+            norm[zero] = 1.0
+        x /= norm
+    if zero.any():
+        x[zero] = np.eye(1, c.shape[-1], dtype=x.dtype)[0]
+    if single:
+        return float(values[0]), x[0]
+    return values, x
 
 
 def crude_upper(T: FormTensor, p: float = 1.0) -> float:
@@ -120,16 +136,6 @@ def crude_upper(T: FormTensor, p: float = 1.0) -> float:
     if p < 1.0:
         raise DomainError(f"p must be >= 1 or inf, got {p}")
     return float(np.abs(T.coeffs).sum())
-
-
-def _contract_all_but(coeffs: np.ndarray, vectors: List[np.ndarray], k: int) -> np.ndarray:
-    # coefficient vector of the linear functional in slot k, other slots fixed
-    acc = np.moveaxis(coeffs, k, 0)
-    for i in range(len(vectors) - 1, -1, -1):
-        if i == k:
-            continue
-        acc = np.tensordot(acc, vectors[i], axes=([acc.ndim - 1], [0]))
-    return acc
 
 
 def _random_unit(rng: np.random.Generator, n: int, p: float, complex_field: bool) -> np.ndarray:
@@ -146,32 +152,80 @@ def _random_unit(rng: np.random.Generator, n: int, p: float, complex_field: bool
     return x / norm
 
 
+def _random_starts(
+    seed, restarts: int, m: int, n: int, p: float, complex_field: bool
+) -> List[np.ndarray]:
+    """Starting vectors of every restart, one (restarts, n) array per slot.
+
+    Restart r draws its m unit vectors, slot by slot, from child r of
+    `seed`'s SeedSequence, so the first R restarts of a larger run are the
+    R restarts of a smaller one.
+    """
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    starts = []
+    for child in ss.spawn(restarts):
+        rng = np.random.default_rng(child)
+        starts.append([_random_unit(rng, n, p, complex_field) for _ in range(m)])
+    return [np.array([start[k] for start in starts]) for k in range(m)]
+
+
 def _ascend(
     coeffs: np.ndarray,
     vectors: List[np.ndarray],
     p: float,
     max_iters: int,
     tol: float,
-) -> Tuple[float, List[np.ndarray], List[float], bool]:
-    """One block-coordinate ascent run; returns (value, vectors, sweep values, converged).
+) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray, np.ndarray]:
+    """Block-coordinate ascent of R restarts at once.
 
-    Each slot update replaces that argument with the exact maximizer of the
-    induced linear functional, so the value sequence is nondecreasing.
+    vectors[k] is an (R, n) array whose row r is restart r's argument in
+    slot k.  Each slot update replaces every active row with the exact
+    maximizer of its induced linear functional, so each restart's value
+    sequence is nondecreasing.  A restart freezes after the first sweep with
+    value - previous <= tol * value.  Returns (values (R,), vectors,
+    trace (sweeps, R), converged (R,)); a frozen restart repeats its last
+    value in the later rows of the trace.
     """
     m = len(vectors)
-    value = 0.0
-    trace: List[float] = []
-    converged = False
+    n = coeffs.shape[0]
+    R = vectors[0].shape[0]
+    # slot k contracts the other slots from the last one down, as one stack
+    # of matrix-vector products per slot: row r's arithmetic is the same
+    # whatever the other rows hold, so a restart's result does not depend on
+    # the batch it runs in
+    plans = []
+    for k in range(m):
+        others = [i for i in range(m - 1, -1, -1) if i != k]
+        plans.append((others, np.moveaxis(coeffs, k, 0).reshape(-1, n)))
+    out = [np.array(v) for v in vectors]
+    current = list(out)
+    values = np.zeros(R)
+    previous = np.zeros(R)
+    converged = np.zeros(R, dtype=bool)
+    active = np.arange(R)
+    trace = []
     for _ in range(max_iters):
+        for k, (others, matrix) in enumerate(plans):
+            acc = np.matmul(matrix, current[others[0]][:, :, None])[..., 0]
+            for i in others[1:]:
+                acc = np.matmul(acc.reshape(len(acc), -1, n), current[i][:, :, None])[..., 0]
+            value, current[k] = dual_norm_linear(acc, p)
+        values[active] = value
+        trace.append(values.copy())
+        done = value - previous <= tol * np.maximum(value, 1e-300)
+        if done.any():
+            finished, keep = active[done], ~done
+            converged[finished] = True
+            for k in range(m):
+                out[k][finished] = current[k][done]
+                current[k] = current[k][keep]
+            active, value = active[keep], value[keep]
+            if active.size == 0:
+                break
         previous = value
-        for k in range(m):
-            c = _contract_all_but(coeffs, vectors, k)
-            value, vectors[k] = dual_norm_linear(c, p)
-        trace.append(value)
-        if value - previous <= tol * max(value, 1e-300):
-            converged = True
-            break
-    return value, vectors, trace, converged
+    for k in range(m):
+        out[k][active] = current[k]
+    return values, out, np.array(trace), converged
 
 
 def alternating_max(
@@ -187,8 +241,10 @@ def alternating_max(
     Fixing all arguments but one reduces the problem to an exact linear dual
     norm, so each sweep is monotone.  The upper bound is the crude
     coefficient mass.  Restarts draw independent unit starting tuples from
-    seeds spawned off `seed`; the result is their max, so it is deterministic
-    and order-independent.
+    seeds spawned off `seed` and ascend together as one batch; the result
+    is their max (the first restart attaining it), so it is deterministic.
+    The batch makes a single serial call fast: parallel workers in
+    `certify` are optional.
     """
     if not (p > 1.0):
         raise DomainError(f"alternating_max needs p > 1 (or inf), got {p}")
@@ -206,25 +262,16 @@ def alternating_max(
             converged=True,
             witness=(x,),
         )
-    best_value = -1.0
-    best_witness: Tuple[np.ndarray, ...] = ()
-    best_converged = False
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for child in ss.spawn(restarts):
-        rng = np.random.default_rng(child)
-        vectors = [_random_unit(rng, T.n, p, complex_field) for _ in range(T.m)]
-        value, vectors, _, converged = _ascend(T.coeffs, vectors, p, max_iters, tol)
-        if value > best_value:
-            best_value = value
-            best_witness = tuple(vectors)
-            best_converged = converged
+    starts = _random_starts(seed, restarts, T.m, T.n, p, complex_field)
+    values, vectors, _, converged = _ascend(T.coeffs, starts, p, max_iters, tol)
+    best = int(np.argmax(values))
     return NormEstimate(
-        lower=min(best_value, upper),
+        lower=min(float(values[best]), upper),
         upper=upper,
         method=NormMethod.ALTERNATING_MAX,
         restarts=restarts,
-        converged=best_converged,
-        witness=best_witness,
+        converged=bool(converged[best]),
+        witness=tuple(v[best] for v in vectors),
     )
 
 

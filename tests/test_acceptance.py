@@ -165,7 +165,7 @@ SEED_E2E = 20240601
 
 
 def test_criterion_8_end_to_end():
-    with criterion(8, "end-to-end certification", 300.0):
+    with criterion(8, "end-to-end certification", 30.0):
         cfg = TrialConfig(trials=1000, restarts=8)
         for lam in (1.0, 1.2):
             for n in (2, 3):

@@ -1,5 +1,6 @@
 """End-to-end certification, extremal search, and sweeps."""
 
+import importlib
 import math
 
 import numpy as np
@@ -101,6 +102,12 @@ def test_certify_jobs_invariant():
     assert seq.max_ratio_empirical == par.max_ratio_empirical
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_certify_rejects_jobs_below_one(jobs):
+    with pytest.raises(DomainError, match="jobs must be >= 1"):
+        certify(3, 2, 4.0, 1.0, REAL, config=TrialConfig(trials=2, jobs=jobs), seed=1)
+
+
 def test_trial_csv_layout():
     cfg = TrialConfig(trials=4, restarts=2, keep_trials=True)
     report = certify(3, 2, 4.0, 1.0, REAL, config=cfg, seed=2)
@@ -148,6 +155,23 @@ def test_search_improves_and_respects_bound():
     assert r1.ratio_conservative >= r0.ratio_conservative - 1e-15
     e = exponents(3, 4.0, 1.0, REAL)
     assert r1.ratio_conservative <= e.constant + 1e-9
+
+
+def test_search_evaluations_count_scored_candidates(monkeypatch):
+    # every scoring at finite p calls crude_upper once; restarts re-score a
+    # fresh tensor, and those evaluations come out of the budget too
+    certify_module = importlib.import_module("hlcert.certify")
+    calls = []
+    original = certify_module.crude_upper
+
+    def counting(T, p=1.0):
+        calls.append(1)
+        return original(T, p)
+
+    monkeypatch.setattr(certify_module, "crude_upper", counting)
+    result = search_extremal(3, 2, 4.0, 1.0, REAL, budget=5000, seed=7)
+    assert result.evaluations == 5000
+    assert len(calls) == result.evaluations + 1  # the seed tensor is outside the budget
 
 
 def test_search_exact_path():

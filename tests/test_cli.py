@@ -227,6 +227,17 @@ def test_unknown_flag_exits_one(capsys):
     assert excinfo.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
+            "--trials", "2", "--seed", "1", "--jobs", jobs,
+        ])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_domain_error_exits_one(capsys):
     code, _, err = run(capsys, "constants", "--q", "0.5")
     assert code == EXIT_USAGE

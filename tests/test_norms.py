@@ -19,7 +19,7 @@ from hlcert import (
     exact_linf_enum,
     generate,
 )
-from hlcert.norms import _ascend
+from hlcert.norms import _ascend, _random_starts
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
@@ -80,6 +80,27 @@ def test_dual_norm_maximizer_properties(p):
         assert abs(attained) <= value + 1e-12
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
+@pytest.mark.parametrize("complex_case", [False, True])
+def test_dual_norm_stack_matches_rows(p, complex_case):
+    rng = np.random.default_rng(37)
+    for n in (1, 3, 12):
+        c = rng.standard_normal((7, n))
+        if complex_case:
+            c = c + 1j * rng.standard_normal((7, n))
+        c[[1, 4]] = 0.0  # zero rows mixed with nonzero ones
+        values, x = dual_norm_linear(c, p)
+        assert values.shape == (7,) and x.shape == c.shape
+        for r in range(7):
+            value_r, x_r = dual_norm_linear(c[r], p)
+            assert isinstance(value_r, float)
+            assert values[r] == value_r
+            assert np.array_equal(x[r], x_r)
+        for r in (1, 4):
+            assert values[r] == 0.0
+            assert np.array_equal(x[r], np.eye(1, n)[0])
+
+
 def test_alternating_sparse_unit_exact():
     for p in (1.5, 2.0, math.inf):
         T = generate("sparse_unit", 2, 3, REAL, 11)
@@ -118,9 +139,9 @@ def test_rank_one_closed_form_oracle():
 
 def test_witness_validity():
     rng = np.random.default_rng(41)
-    for p in (2.0, 3.0, math.inf):
+    for field, p in itertools.product((REAL, COMPLEX), (1.5, 2.0, 3.0, 4.0, math.inf)):
         for _ in range(5):
-            T = generate("gaussian", 3, 3, REAL, int(rng.integers(2**32)))
+            T = generate("gaussian", 3, 3, field, int(rng.integers(2**32)))
             est = alternating_max(T, p, restarts=4, seed=int(rng.integers(2**32)))
             assert len(est.witness) == 3
             for x in est.witness:
@@ -141,16 +162,39 @@ def test_witness_validity_exact_enum():
         assert np.abs(x).max() == 1.0
 
 
+def test_restart_prefix():
+    # restart r depends only on (seed, r): the starts of a smaller run are a
+    # prefix of a larger run's, and each restart ascends to the same value
+    # whatever batch it runs in, so more restarts never lower the bound
+    rng = np.random.default_rng(47)
+    for field in (REAL, COMPLEX):
+        for p in (4.0, math.inf):
+            for _ in range(4):
+                T = generate("gaussian", 3, 3, field, int(rng.integers(2**32)))
+                seed = int(rng.integers(2**32))
+                cx = field is COMPLEX
+                few = _random_starts(seed, 8, 3, 3, p, cx)
+                many = _random_starts(seed, 32, 3, 3, p, cx)
+                for a, b in zip(few, many):
+                    assert np.array_equal(a, b[:8])
+                v_few = _ascend(T.coeffs, few, p, 500, 1e-10)[0]
+                v_many = _ascend(T.coeffs, many, p, 500, 1e-10)[0]
+                assert np.array_equal(v_few, v_many[:8])
+                lower8 = alternating_max(T, p, restarts=8, seed=seed).lower
+                lower32 = alternating_max(T, p, restarts=32, seed=seed).lower
+                assert lower32 >= lower8
+
+
 def test_monotone_ascent_trace():
     rng = np.random.default_rng(53)
     for _ in range(10):
         T = generate("gaussian", 2, 4, REAL, int(rng.integers(2**32)))
-        vectors = [
-            x / np.linalg.norm(x) for x in rng.standard_normal((2, 4))
-        ]
+        starts = rng.standard_normal((2, 6, 4))
+        vectors = list(starts / np.linalg.norm(starts, axis=-1, keepdims=True))
         _, _, trace, _ = _ascend(np.asarray(T.coeffs), vectors, 2.0, 50, 1e-12)
+        assert trace.shape[1] == 6
         for earlier, later in zip(trace, trace[1:]):
-            assert later >= earlier - 1e-12
+            assert np.all(later >= earlier - 1e-12)
 
 
 def test_exact_enum_matches_brute_force():
