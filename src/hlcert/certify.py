@@ -184,6 +184,13 @@ def _lhs_mixed(T: FormTensor, s: float, eta1: float) -> float:
 
 
 def _classify(lhs: float, c_lower: float, c_upper: float, tol: float) -> str:
+    # an overflowed or NaN side proves nothing either way: fail loudly rather
+    # than report it as a violation or as inconclusive
+    if not all(math.isfinite(x) for x in (lhs, c_lower, c_upper)):
+        raise DomainError(
+            f"cannot classify non-finite values: lhs={lhs!r}, "
+            f"c_lower={c_lower!r}, c_upper={c_upper!r}"
+        )
     if c_upper <= 0.0:
         return "pass" if lhs <= tol else "violation"
     if lhs / c_upper > 1.0 + tol:

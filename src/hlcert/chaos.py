@@ -10,13 +10,14 @@ errors; checks on those are 3-sigma soft checks, never hard asserts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import BudgetError, DomainError, ViolationError
-from .norms import alternating_max, crude_upper, exact_linf_enum
+# exact_linf_enum stays a module attribute: bench/tracer.py wraps it here
+from .norms import alternating_max, crude_upper, exact_linf_enum  # noqa: F401
 from .special import ScalarField, khinchin_A
 from .tensor import (
     DEFAULT_BLOCK,
@@ -24,6 +25,7 @@ from .tensor import (
     FormTensor,
     contract_trailing_signs,
     iter_sign_blocks,
+    sign_slices,
 )
 
 __all__ = [
@@ -262,15 +264,12 @@ def check_contraction(a, t: float, pattern_budget: int = PATTERN_BUDGET) -> Cont
         raise DomainError(f"coefficient tensor must be cubical, got shape {arr.shape}")
     m = arr.ndim
     N = arr.shape[0]
-    nbits = N * m
     total = 0.0
     count = 0
-    for signs_flat in iter_sign_blocks(nbits, pattern_budget=pattern_budget):
-        K = signs_flat.shape[0]
-        signs = signs_flat.reshape(K, m, N)
-        chaos = contract_trailing_signs(arr, signs)  # (K,)
+    # a free axis of length 1 in front makes slot 1 the core's lowest bits
+    for chaos in sign_slices(arr[None], pattern_budget=pattern_budget):
         total += float((np.abs(chaos) ** t).sum())
-        count += K
+        count += len(chaos)
     moment = (total / count) ** (1.0 / t)
     max_coeff = float(np.abs(arr).max())
     passed = max_coeff <= moment + EXACT_SLACK
@@ -307,30 +306,32 @@ def _slice_chaos_stats(
     lambda0: float,
     pattern_budget: int,
     block: int,
-) -> Tuple[np.ndarray, float, float]:
+) -> Tuple[np.ndarray, float, float, float]:
     """Exact per-slice chaos statistics for a real tensor with axis 0 free.
 
     Returns (mean of |V|^lambda0 per first index, mean over patterns of
-    sum_j |V_j|^lambda0, max over patterns of the same sum), where
-    V[k, j] = chaos of slice j under sign pattern k on the trailing axes.
+    sum_j |V_j|^lambda0, max over patterns of the same sum, max over
+    patterns of sum_j |V_j|), where V[k, j] = chaos of slice j under sign
+    pattern k on the trailing axes.  The last value is the exact norm on
+    l_inf^n (sign vectors are the ball's extreme points, the l_1 dual
+    closes the free slot), whichever axis of the form is free, so one
+    enumeration serves both.
     """
-    m = coeffs.ndim
-    n = coeffs.shape[0]
-    nbits = n * (m - 1)
-    col_total = np.zeros(n)
+    col_total = np.zeros(coeffs.shape[0])
     sum_total = 0.0
     sup_value = -math.inf
+    linf = 0.0
     count = 0
-    for signs_flat in iter_sign_blocks(nbits, block=block, pattern_budget=pattern_budget):
-        K = signs_flat.shape[0]
-        signs = signs_flat.reshape(K, m - 1, n)
-        V = np.abs(contract_trailing_signs(coeffs, signs)) ** lambda0  # (K, n)
+    for slices in sign_slices(coeffs, block=block, pattern_budget=pattern_budget):
+        mags = np.abs(slices)
+        linf = max(linf, float(mags.sum(axis=1).max()))
+        V = mags**lambda0
         col_total += V.sum(axis=0)
         row_sums = V.sum(axis=1)
         sum_total += float(row_sums.sum())
         sup_value = max(sup_value, float(row_sums.max()))
-        count += K
-    return col_total / count, sum_total / count, sup_value
+        count += len(slices)
+    return col_total / count, sum_total / count, sup_value, linf
 
 
 def check_multiple_khinchin(
@@ -354,7 +355,7 @@ def check_multiple_khinchin(
         raise DomainError(f"lambda0 must lie in [1, 2], got {lambda0}")
     A = khinchin_A(lambda0, ScalarField.REAL).value
     constant = A ** (-(T.m - 1))
-    col_means, _, _ = _slice_chaos_stats(T.coeffs, lambda0, pattern_budget, block)
+    col_means, _, _, _ = _slice_chaos_stats(T.coeffs, lambda0, pattern_budget, block)
     R = col_means ** (1.0 / lambda0)
     flat = T.coeffs.reshape(T.n, -1)
     l2 = np.sqrt((flat**2).sum(axis=1))
@@ -455,10 +456,13 @@ def verify_proof_chain(
       4. sup_domination: that integral is at most ||S|| on l_inf.
 
     The final link `overall_bound` composes them.  Real field: everything by
-    exact enumeration, ||S|| by exact sign enumeration, failures raise
-    ViolationError naming the link (unless raise_on_failure=False).  Complex
-    field: Steinhaus Monte Carlo with 3-sigma soft checks against the
-    alternating-ascent/crude norm sandwich; nothing raises on noise.
+    exact enumeration, the chaos statistics and ||S|| from one pass over the
+    sign patterns; failures raise ViolationError naming the link (unless
+    raise_on_failure=False).  Complex field: Steinhaus Monte Carlo with
+    3-sigma soft checks against the alternating-ascent/crude norm sandwich;
+    nothing raises on noise.  The links are checked on S scaled by a power
+    of two to max|coeff| about 1, so the absolute slacks are relative to the
+    largest coefficient; reported values are in the units of S.
     """
     if S.m < 2:
         raise DomainError("need an m-linear form with m >= 2")
@@ -469,6 +473,12 @@ def verify_proof_chain(
     if not (1.0 <= lambda0 <= 2.0):
         raise DomainError(f"lambda0 must lie in [1, 2], got {lambda0}")
 
+    # every chain quantity is 1-homogeneous in S: run the chain on S divided
+    # by the power of two nearest max|coeff| (an exact scaling), so |S|^s
+    # neither overflows nor underflows and the absolute slacks are relative
+    # to the largest coefficient, then scale the reported values back
+    unit = _nearest_power_of_two(float(np.abs(S.coeffs).max()))
+    S = FormTensor(m=S.m, n=S.n, field=S.field, coeffs=S.coeffs / unit)
     coeffs = np.moveaxis(S.coeffs, index - 1, 0)
     m, n = S.m, S.n
     theta = 2.0 / s
@@ -486,11 +496,10 @@ def verify_proof_chain(
     stderr = None
     if S.field is ScalarField.REAL:
         mode = "exact"
-        col_means, int_mean, sup_raw = _slice_chaos_stats(
+        col_means, int_mean, sup_raw, norm_lower = _slice_chaos_stats(
             coeffs, lambda0, pattern_budget, block
         )
-        est = exact_linf_enum(S, pattern_budget=pattern_budget, block=block)
-        norm_lower = norm_upper = est.lower
+        norm_upper = norm_lower
         ineq_slack = EXACT_SLACK
     else:
         mode = "mc"
@@ -522,6 +531,10 @@ def verify_proof_chain(
         _ineq_link("overall_bound", lhs_chain, q4, ineq_slack),
     ]
     first_failure = next((link.name for link in links if not link.passed), None)
+    links = [
+        replace(link, lhs=unit * link.lhs, rhs=unit * link.rhs, slack=unit * link.slack)
+        for link in links
+    ]
     report = ChainReport(
         lambda0=lambda0,
         s=s,
@@ -530,12 +543,12 @@ def verify_proof_chain(
         mode=mode,
         links=tuple(links),
         constant_factor=factor,
-        norm_lower=norm_lower,
-        norm_upper=norm_upper,
-        sup_value=sup_value,
+        norm_lower=unit * norm_lower,
+        norm_upper=unit * norm_upper,
+        sup_value=unit * sup_value,
         passed=first_failure is None,
         first_failure=first_failure,
-        mc_stderr=stderr,
+        mc_stderr=None if stderr is None else unit * stderr,
     )
     if first_failure is not None and raise_on_failure and mode == "exact":
         link = next(l for l in links if l.name == first_failure)
@@ -544,6 +557,16 @@ def verify_proof_chain(
             f"lhs {link.lhs!r} vs rhs {link.rhs!r} (slack {link.slack:.3e})"
         )
     return report
+
+
+def _nearest_power_of_two(x: float) -> float:
+    """The power of two nearest x > 0 on a log scale (at most 2^1023); 1.0 for x = 0."""
+    if x == 0.0:
+        return 1.0
+    mantissa, exponent = math.frexp(x)   # x = mantissa * 2^exponent, mantissa in [0.5, 1)
+    if mantissa < math.sqrt(0.5):
+        exponent -= 1
+    return math.ldexp(1.0, min(exponent, 1023))
 
 
 def _ineq_link(name: str, lhs: float, rhs: float, slack_tol: float) -> ChainLink:

@@ -3,8 +3,8 @@
 Lower bounds come with an explicit witness tuple of unit vectors; upper
 bounds are either the crude coefficient-mass bound (valid for every p >= 1)
 or, for real forms on l_inf, the exact value from enumerating the extreme
-points of the unit ball (sign vectors) in all slots but one, the last slot
-being optimized in closed form.
+points of the unit ball (sign vectors) in all slots but the first, which
+is optimized in closed form.
 """
 
 from __future__ import annotations
@@ -16,14 +16,15 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import DomainError
 from .special import ScalarField
 from .tensor import (
     DEFAULT_BLOCK,
     PATTERN_BUDGET,
     FormTensor,
     contract_trailing_signs,
-    iter_sign_blocks,
+    iter_sign_blocks,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
+    sign_slices,
 )
 
 __all__ = [
@@ -283,30 +284,25 @@ def exact_linf_enum(
     """Exact ||T|| on (l_inf^n)^m for real scalars, by sign enumeration.
 
     The l_inf ball's extreme points are sign vectors; slots 2..m are
-    enumerated (2^(n(m-1)) patterns) and the first slot is closed in l_1-dual
-    form: value = max over patterns of sum_j1 |T(e_j1, eps2, ..., epsm)|.
+    enumerated (2^(n(m-1)) patterns, by `sign_slices`) and the first slot is
+    closed in l_1-dual form: value = max over patterns of
+    sum_j1 |T(e_j1, eps2, ..., epsm)|.  Over `pattern_budget` patterns it
+    raises BudgetError before any work.
     """
     if T.field is not ScalarField.REAL:
         raise DomainError("exact l_inf enumeration supports the real field only")
     r = T.m - 1
     nbits = T.n * r
-    if (1 << nbits) > pattern_budget:
-        raise BudgetError(
-            f"2^{nbits} sign patterns exceed the budget {pattern_budget}"
-        )
     best = -1.0
     best_index = 0
     start = 0
-    for signs_flat in iter_sign_blocks(nbits, block=block, pattern_budget=pattern_budget):
-        K = signs_flat.shape[0]
-        signs = signs_flat.reshape(K, r, T.n)
-        slices = contract_trailing_signs(T.coeffs, signs)  # (K, n)
+    for slices in sign_slices(T.coeffs, block=block, pattern_budget=pattern_budget):
         values = np.abs(slices).sum(axis=1)
         k = int(np.argmax(values))
         if values[k] > best:
             best = float(values[k])
             best_index = start + k
-        start += K
+        start += len(slices)
     # rebuild the witness from the best pattern index
     shifts = np.arange(nbits, dtype=np.uint64)
     bits = (np.uint64(best_index) >> shifts) & np.uint64(1)

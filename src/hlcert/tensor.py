@@ -4,10 +4,18 @@ A form T on the n-dimensional l_p space (m arguments) is stored as the dense
 array coeff[j1, ..., jm] = T(e_j1, ..., e_jm), row-major with j1 slowest.
 Desk scale: n <= 32, m <= 4 keeps n^m small, so everything is plain numpy.
 
-This module also hosts the sign-pattern enumeration primitives shared by the
-exact norm and chaos-moment code: a block iterator over {-1,+1}^nbits and a
-batched contraction of trailing tensor slots against per-pattern sign
-vectors.
+This module also hosts the sign-pattern enumeration shared by the exact norm
+and the chaos-moment code.  `sign_slices` is the one enumeration core: for a
+tensor with a free first axis it yields the slices T(., eps_2, ..., eps_m)
+for every sign pattern, in pattern-index order (slot 2 holds the lowest
+bits).  It factorizes the work: slots 3..m are contracted once per batch of
+outer patterns by one matrix product against their Kronecker sign rows, and
+slot 2 is closed by one matmul against a precomputed table of its 2^n sign
+vectors (split by linearity into a table part and a per-batch offset when
+2^n exceeds the block).  `iter_sign_blocks` enumerates raw patterns in
+blocks and `contract_trailing_signs` contracts per-pattern vectors; the
+latter serves the complex Monte-Carlo estimates and single-pattern
+witnesses.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ __all__ = [
     "tensor_to_json",
     "tensor_from_json",
     "iter_sign_blocks",
+    "sign_slices",
     "contract_trailing_signs",
 ]
 
@@ -219,6 +228,64 @@ def iter_sign_blocks(
         idx = np.arange(start, min(start + block, total), dtype=np.uint64)
         bits = (idx[:, None] >> shifts[None, :]) & 1
         yield bits.astype(np.float64) * 2.0 - 1.0
+
+
+def sign_slices(
+    coeffs: np.ndarray,
+    block: int = DEFAULT_BLOCK,
+    pattern_budget: int = PATTERN_BUDGET,
+) -> Iterator[np.ndarray]:
+    """Yield V[k, j] = T(e_j, eps_2, ..., eps_m) for every sign pattern k.
+
+    coeffs has shape (f, n, ..., n): axis 0 (any length f) stays free and
+    the m - 1 trailing axes are enumerated over {-1,+1}^n each, 2^(n(m-1))
+    patterns.  Bit b of the pattern index k is the sign of entry b % n of
+    slot 2 + b // n, so slot 2 holds the lowest bits, exactly as
+    `contract_trailing_signs` over the rows of `iter_sign_blocks` (same
+    values up to rounding, same order).  Blocks of shape (K, f) with
+    K <= block come in index order; a tensor with only the free axis yields
+    coeffs itself as its single empty pattern.
+
+    Raises BudgetError when the call is made, before any work, if the
+    pattern count exceeds `pattern_budget`.
+    """
+    coeffs = np.asarray(coeffs)
+    r = coeffs.ndim - 1
+    n = coeffs.shape[1] if r else 0
+    nbits = n * r
+    if (1 << nbits) > pattern_budget:
+        raise BudgetError(f"2^{nbits} sign patterns exceed the budget {pattern_budget}")
+    if block < 1:
+        raise DomainError(f"block must be >= 1, got {block}")
+    return _sign_slices(coeffs, r, n, block)
+
+
+def _sign_slices(coeffs: np.ndarray, r: int, n: int, block: int) -> Iterator[np.ndarray]:
+    if r == 0:
+        yield coeffs[None]
+        return
+    f = coeffs.shape[0]
+    # slot 2 splits into `low` bits closed by the table and n - low bits that
+    # join the outer patterns (slots 3..m) and enter as an offset
+    low = min(n, block.bit_length() - 1)
+    table = next(iter_sign_blocks(low, block=1 << low))        # (2^low, low)
+    # row J (a product of trailing indices) holds C[j1, j2, J] at column
+    # (j2, j1), so weights @ trailing gives slab[b, j2, j1]
+    trailing = coeffs.reshape(f, n, -1).transpose(2, 1, 0).reshape(-1, n * f)
+    outer_bits = n * r - low
+    per_batch = max(1, block >> low)
+    for outer in iter_sign_blocks(outer_bits, block=per_batch, pattern_budget=1 << outer_bits):
+        B = outer.shape[0]
+        high = outer[:, : n - low]
+        weights = np.ones((B, 1))
+        for i in range(r - 1):
+            start = n - low + i * n
+            weights = (weights[:, :, None] * outer[:, None, start : start + n]).reshape(B, -1)
+        slab = (weights @ trailing).reshape(B, n, f)
+        V = np.matmul(table, slab[:, :low])                    # (B, 2^low, f)
+        if low < n:
+            V += np.matmul(high[:, None, :], slab[:, low:])
+        yield V.reshape(-1, f)
 
 
 def contract_trailing_signs(coeffs: np.ndarray, signs: np.ndarray) -> np.ndarray:

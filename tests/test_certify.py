@@ -36,6 +36,22 @@ def test_classify_thresholds():
     assert _classify(1.0, 0.0, 0.0, 1e-9) == "violation"
 
 
+@pytest.mark.parametrize(
+    "lhs, c_lower, c_upper",
+    [
+        (math.nan, 2.0, 3.0),
+        (math.inf, 2.0, 3.0),
+        (1.0, math.nan, 3.0),
+        (1.0, -math.inf, 3.0),
+        (1.0, 2.0, math.inf),
+        (1.0, 2.0, math.nan),
+    ],
+)
+def test_classify_rejects_non_finite(lhs, c_lower, c_upper):
+    with pytest.raises(DomainError, match="non-finite"):
+        _classify(lhs, c_lower, c_upper, 1e-9)
+
+
 def test_certify_sparse_unit_ratio_exactly_one():
     cfg = TrialConfig(trials=10, kinds=("sparse_unit",), restarts=2, keep_trials=True)
     report = certify(3, 2, 4.0, 1.0, REAL, config=cfg, seed=5)

@@ -24,6 +24,8 @@ from hlcert import (
     steinhaus_moment,
     verify_proof_chain,
 )
+from hlcert import chaos as chaos_module
+from hlcert.norms import exact_linf_enum
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
@@ -316,6 +318,56 @@ def test_chain_random_corpus():
             S = generate("gaussian", m, n, REAL, int(rng.integers(2**32)))
             rep = verify_proof_chain(S, lam, 2.0)
             assert rep.passed
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 2)])
+def test_chain_norm_is_exact_enum_in_one_pass(monkeypatch, m, n):
+    S = generate("gaussian", m, n, REAL, 40 + m)
+    expected = exact_linf_enum(S).lower
+    calls = []
+    core = chaos_module.sign_slices
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return core(*args, **kwargs)
+
+    def second_pass(*args, **kwargs):
+        raise AssertionError("the real chain must not enumerate a second time")
+
+    monkeypatch.setattr(chaos_module, "sign_slices", counting)
+    monkeypatch.setattr(chaos_module, "exact_linf_enum", second_pass)
+    for index in range(1, m + 1):
+        calls.clear()
+        rep = verify_proof_chain(S, 1.5, 2.5, index=index)
+        assert len(calls) == 1
+        assert rep.norm_lower == rep.norm_upper
+        assert rep.norm_lower == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e160, -1e160, 1e-200, 3.0, 2.0**-700])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_chain_scales_with_the_tensor(c, field):
+    # every chain quantity is 1-homogeneous: far from 1, the chain must
+    # neither overflow (|S|^s = inf) nor underflow into a false result
+    base = np.array([[1.0, 1.0], [1.0, -1.0]])
+    if field is COMPLEX:
+        base = base * np.exp(0.3j)
+    unit = verify_proof_chain(_tensor(base, field), 1.5, 2.5, mc_samples=2_000, seed=5)
+    rep = verify_proof_chain(_tensor(c * base, field), 1.5, 2.5, mc_samples=2_000, seed=5)
+    assert rep.passed and rep.first_failure is None
+    for a, b in zip(rep.links, unit.links):
+        assert a.passed == b.passed
+        assert a.lhs == pytest.approx(abs(c) * b.lhs, rel=1e-12)
+        assert a.rhs == pytest.approx(abs(c) * b.rhs, rel=1e-12)
+    assert rep.norm_lower == pytest.approx(abs(c) * unit.norm_lower, rel=1e-12)
+    assert rep.norm_upper == pytest.approx(abs(c) * unit.norm_upper, rel=1e-12)
+
+
+def test_chain_passes_at_the_largest_doubles():
+    # the nearest power of two to 1.7e308 is 2^1024, which is not a double;
+    # reported values may overflow, the checked (scaled) ones must not
+    rep = verify_proof_chain(_tensor(np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]])), 1.5, 2.5)
+    assert rep.passed
 
 
 def test_chain_domain_guards():

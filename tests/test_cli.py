@@ -212,6 +212,22 @@ def test_chain_check_command(capsys):
     assert len(payload["links"]) == 5
 
 
+def test_chain_check_huge_tensor_passes(capsys, tmp_path):
+    # |S|^s overflows at these entries unless the chain runs on a scaled copy
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"m": 2, "n": 2, "field": "real", "coeffs": [1e160, 1e160, 1e160, -1e160]}
+    ))
+    code, out, _ = run(
+        capsys, "chain-check", "--tensor", str(path), "--lambda0", "1", "--s", "2",
+        "--format", "json",
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert payload["norm_lower"] == 2e160
+
+
 def test_chain_check_s_below_two_usage_error(capsys):
     code, _, err = run(
         capsys, "chain-check", "--m", "2", "--n", "2", "--lambda0", "1", "--s", "1.5",

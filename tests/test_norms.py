@@ -162,6 +162,17 @@ def test_witness_validity_exact_enum():
         assert np.abs(x).max() == 1.0
 
 
+@pytest.mark.parametrize("m, n", [(2, 5), (3, 3), (4, 2)])
+@pytest.mark.parametrize("block", [3, 4096])
+def test_exact_enum_witness_attains_value(m, n, block):
+    # block 3 splits slot 2 into a 2-row sign table and per-batch offsets
+    T = generate("gaussian", m, n, REAL, 10 * m + n)
+    est = exact_linf_enum(T, block=block)
+    assert est.lower == pytest.approx(_brute_force_linf(T), rel=1e-12)
+    assert abs(evaluate(T, list(est.witness))) == pytest.approx(est.lower, rel=1e-12)
+    assert all(np.abs(x).max() == 1.0 for x in est.witness)
+
+
 def test_restart_prefix():
     # restart r depends only on (seed, r): the starts of a smaller run are a
     # prefix of a larger run's, and each restart ascends to the same value

@@ -21,6 +21,7 @@ from hlcert import (
     tensor_from_json,
     tensor_to_json,
 )
+from hlcert.tensor import contract_trailing_signs, iter_sign_blocks, sign_slices
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
@@ -202,3 +203,46 @@ def test_form_tensor_immutable():
     T = generate("gaussian", 2, 2, REAL, 1)
     with pytest.raises(ValueError):
         np.asarray(T.coeffs)[0, 0] = 5.0
+
+
+def _slices_by_patterns(coeffs):
+    # reference: one contraction per enumerated sign pattern, in index order
+    r = coeffs.ndim - 1
+    n = coeffs.shape[1]
+    return np.concatenate([
+        contract_trailing_signs(coeffs, signs.reshape(len(signs), r, n))
+        for signs in iter_sign_blocks(n * r)
+    ])
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 3), (2, 6), (3, 2), (3, 4), (4, 2), (4, 3)])
+@pytest.mark.parametrize("block", [1, 5, 16, 4096])
+@pytest.mark.parametrize("free", ["n", "1"])
+def test_sign_slices_match_per_pattern_contraction(m, n, block, free):
+    rng = np.random.default_rng(1000 * m + n)
+    f = n if free == "n" else 1
+    coeffs = rng.standard_normal((f,) + (n,) * (m - 1))
+    blocks = list(sign_slices(coeffs, block=block))
+    assert all(len(b) <= block for b in blocks)
+    got = np.concatenate(blocks)
+    ref = _slices_by_patterns(coeffs)
+    assert got.shape == ref.shape == (2 ** (n * (m - 1)), f)
+    scale = np.abs(ref).max()
+    assert np.abs(got - ref).max() <= 1e-12 * scale
+
+
+def test_sign_slices_free_axis_only():
+    coeffs = np.array([1.0, -2.0, 3.0])
+    (only,) = list(sign_slices(coeffs))
+    assert only.shape == (1, 3)
+    assert np.array_equal(only[0], coeffs)
+
+
+def test_sign_slices_budget_raises_before_work():
+    # 2^(30*2) patterns: the check must fire at the call, before any block
+    with pytest.raises(BudgetError):
+        sign_slices(np.zeros((30, 30, 30)))
+    with pytest.raises(BudgetError):
+        sign_slices(np.zeros((3, 3, 3)), pattern_budget=2**6 - 1)
+    with pytest.raises(DomainError):
+        sign_slices(np.zeros((3, 3)), block=0)
