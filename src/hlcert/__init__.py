@@ -64,7 +64,6 @@ from .special import (
 )
 from .tensor import (
     FormTensor,
-    MixedNormSpec,
     evaluate,
     generate,
     mixed_norm,

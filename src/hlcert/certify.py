@@ -27,7 +27,7 @@ from .errors import DomainError, ViolationError
 from .exponents import ExponentSet, exponents
 from .norms import alternating_max, crude_upper, exact_linf_enum
 from .special import ScalarField
-from .tensor import FormTensor, MixedNormSpec, generate, mixed_norm
+from .tensor import FormTensor, generate, mixed_norm
 
 __all__ = [
     "TrialConfig",
@@ -177,10 +177,7 @@ def _admissible_exponents(
 
 def _lhs_mixed(T: FormTensor, s: float, eta1: float) -> float:
     # strictest reading: maximum over the fixed index
-    return max(
-        mixed_norm(T, MixedNormSpec(fixed_index=i, inner_exponent=s, outer_exponent=eta1))
-        for i in range(1, T.m + 1)
-    )
+    return max(mixed_norm(T, i, s, eta1) for i in range(1, T.m + 1))
 
 
 def _classify(lhs: float, c_lower: float, c_upper: float, tol: float) -> str:

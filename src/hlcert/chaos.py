@@ -2,9 +2,22 @@
 
 Integrals of Rademacher chaoses over [0,1]^k are uniform averages over sign
 patterns, so every real-field quantity here is computed exactly by
-enumeration (budgets permitting).  Steinhaus quantities have no finite
-extreme-point set and are estimated by Monte Carlo with reported standard
-errors; checks on those are 3-sigma soft checks, never hard asserts.
+enumeration through `sign_slices` (budgets permitting).  Steinhaus
+quantities have no finite extreme-point set and are estimated by one
+Monte-Carlo routine, `_steinhaus_stats`, with reported standard errors;
+checks on those are 3-sigma soft checks, never hard asserts.
+
+Seeds follow one rule at every entry point (`steinhaus_moment`,
+`check_khinchin`, `verify_proof_chain`): a seed is a non-negative integer,
+anything else raises DomainError.  The Monte-Carlo samples come from
+SeedSequence([seed, 0]) and the complex chain's ascent from
+SeedSequence([seed, 1]), so results are reproducible per (parameters, seed).
+
+Both sides of every inequality checked here are 1-homogeneous in the
+coefficients, so the checks run on the input divided by the power of two
+nearest its largest coefficient (an exact scaling) and scale the reported
+values back: nothing overflows or underflows, and the absolute slacks are
+relative to the largest coefficient.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, ViolationError
+from .errors import DomainError, ViolationError
 # exact_linf_enum stays a module attribute: bench/tracer.py wraps it here
 from .norms import alternating_max, crude_upper, exact_linf_enum  # noqa: F401
 from .special import ScalarField, khinchin_A
@@ -24,7 +37,7 @@ from .tensor import (
     PATTERN_BUDGET,
     FormTensor,
     contract_trailing_signs,
-    iter_sign_blocks,
+    iter_sign_blocks,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
     sign_slices,
 )
 
@@ -46,113 +59,107 @@ __all__ = [
 EXACT_SLACK = 1e-12       # absolute slack on exactly-enumerated inequalities
 EQUALITY_RTOL = 1e-10     # relative tolerance on chain equality links
 MC_SLACK = 1e-9           # absolute widening added to 3-sigma soft checks
-MAX_EXACT_N = 24          # exact single-vector enumeration budget, in bits
+MC_BLOCK = 8192           # Monte-Carlo samples drawn per numpy batch
 
 
 @dataclass(frozen=True)
 class ChaosMoment:
-    """L_q norm of a chaos: exact enumeration or seeded Monte Carlo."""
+    """L_q norm of a one-vector chaos: exact enumeration or seeded Monte Carlo."""
 
-    order: int                    # number of independent sign/phase vectors
     q: float
     value: float
     mode: str                     # "exact" | "mc"
     samples: Optional[int] = None
     seed: Optional[int] = None
-    jobs: int = 1
     stderr: Optional[float] = None
 
 
-def rademacher_moment(
-    a,
-    q: float,
-    mode: str = "exact",
-    samples: int = 100_000,
-    seed=0,
-    jobs: int = 1,
-) -> ChaosMoment:
-    """(average of |sum_j eps_j a_j|^q over sign vectors)^(1/q).
+def rademacher_moment(a, q: float) -> ChaosMoment:
+    """(average of |sum_j eps_j a_j|^q over sign vectors)^(1/q), exactly.
 
-    Exact mode enumerates all 2^n patterns (n <= 24).  Monte Carlo splits
-    `samples` across `jobs` derived streams and merges them in stream order,
-    so the value is deterministic for a fixed (seed, jobs) pair.
+    Enumerates all 2^n sign patterns; over the default pattern budget
+    (2^24, so n <= 24) it raises BudgetError before any work.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = _coefficient_vector(a, q, np.float64)
+    return ChaosMoment(q=q, value=_exact_moment(a, q), mode="exact")
+
+
+def steinhaus_moment(a, q: float, samples: int = 100_000, seed: int = 0) -> ChaosMoment:
+    """Monte-Carlo L_q norm of sum_j z_j a_j with independent unimodular z_j.
+
+    The one-column case of `_steinhaus_stats`, so its samples are the
+    stream of SeedSequence([seed, 0]).
+    """
+    seed = _check_seed(seed)
+    a = _coefficient_vector(a, q, np.complex128)
+    _, mean, _, stderr = _steinhaus_stats(a[None], q, samples, seed)
+    value, value_err = _power_mean(mean, stderr, q)
+    return ChaosMoment(
+        q=q, value=value, mode="mc", samples=samples, seed=seed, stderr=value_err,
+    )
+
+
+def _coefficient_vector(a, q: float, dtype) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
     if a.ndim != 1 or a.size == 0:
         raise DomainError("coefficient vector must be one-dimensional and nonempty")
     if q < 1.0:
         raise DomainError(f"q must be >= 1, got {q}")
-    n = a.size
-    if mode == "exact":
-        if n > MAX_EXACT_N:
-            raise BudgetError(f"exact enumeration supports n <= {MAX_EXACT_N}, got {n}")
-        total = 0.0
-        count = 0
-        for signs in iter_sign_blocks(n):
-            vals = np.abs(signs @ a) ** q
-            total += float(vals.sum())
-            count += vals.size
-        return ChaosMoment(order=1, q=q, value=(total / count) ** (1.0 / q), mode="exact")
-    if mode != "mc":
-        raise DomainError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    mean, stderr = _mc_mean(
-        lambda rng, k: np.abs((rng.integers(0, 2, size=(k, n)) * 2.0 - 1.0) @ a) ** q,
-        samples,
-        seed,
-        jobs,
-    )
-    value, value_err = _power_mean(mean, stderr, q)
-    return ChaosMoment(
-        order=1, q=q, value=value, mode="mc",
-        samples=samples, seed=seed, jobs=jobs, stderr=value_err,
-    )
+    return a
 
 
-def steinhaus_moment(a, q: float, samples: int = 100_000, seed=0, jobs: int = 1) -> ChaosMoment:
-    """Monte-Carlo L_q norm of sum_j z_j a_j with independent unimodular z_j."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 1 or a.size == 0:
-        raise DomainError("coefficient vector must be one-dimensional and nonempty")
-    if q < 1.0:
-        raise DomainError(f"q must be >= 1, got {q}")
-    n = a.size
-    mean, stderr = _mc_mean(
-        lambda rng, k: np.abs(np.exp(2j * math.pi * rng.random((k, n))) @ a) ** q,
-        samples,
-        seed,
-        jobs,
-    )
-    value, value_err = _power_mean(mean, stderr, q)
-    return ChaosMoment(
-        order=1, q=q, value=value, mode="mc",
-        samples=samples, seed=seed, jobs=jobs, stderr=value_err,
-    )
+def _check_seed(seed) -> int:
+    """The chaos checks' seed rule: a non-negative integer, else DomainError."""
+    if isinstance(seed, (int, np.integer)) and seed >= 0:
+        return int(seed)
+    raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _mc_mean(draw, samples: int, seed, jobs: int) -> Tuple[float, float]:
-    """Mean and standard error of a per-sample statistic over derived streams.
+def _exact_moment(coeffs: np.ndarray, q: float, pattern_budget: int = PATTERN_BUDGET) -> float:
+    """Exact L_q norm of the full chaos sum_J coeffs[J] eps_1[j1] ... eps_m[jm]."""
+    total = 0.0
+    count = 0
+    # a free axis of length 1 in front makes slot 1 the core's lowest bits
+    for chaos in sign_slices(coeffs[None], pattern_budget=pattern_budget):
+        total += float((np.abs(chaos) ** q).sum())
+        count += len(chaos)
+    return (total / count) ** (1.0 / q)
 
-    Streams get fixed sample allocations and are merged in stream order, so
-    the result depends only on (seed, jobs), not on scheduling.
+
+def _steinhaus_stats(
+    coeffs: np.ndarray,
+    q: float,
+    samples: int,
+    seed: int,
+) -> Tuple[np.ndarray, float, float, float]:
+    """Monte-Carlo statistics of V[k, j] = |T(e_j, z_2, ..., z_m)|^q.
+
+    coeffs has shape (f, n, ..., n) with axis 0 free; sample k draws
+    independent Steinhaus (uniform unimodular) vectors z_2..z_m from
+    default_rng(SeedSequence([seed, 0])), MC_BLOCK samples per batch.
+    Returns (mean of V per column, and the mean, max and standard error of
+    the mean of the row sums sum_j V[k, j]).
     """
     if samples < 2:
         raise DomainError("need at least 2 samples")
-    if jobs < 1:
-        raise DomainError("jobs must be >= 1")
-    per = [samples // jobs] * jobs
-    for i in range(samples % jobs):
-        per[i] += 1
-    total = 0.0
-    total_sq = 0.0
-    for child, k in zip(np.random.SeedSequence(seed).spawn(jobs), per):
-        if k == 0:
-            continue
-        vals = draw(np.random.default_rng(child), k)
-        total += float(vals.sum())
-        total_sq += float((vals**2).sum())
-    mean = total / samples
-    var = max(total_sq / samples - mean**2, 0.0)
-    return mean, math.sqrt(var / samples)
+    r = coeffs.ndim - 1
+    n = coeffs.shape[-1]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    col_total = np.zeros(coeffs.shape[0])
+    row_total = 0.0
+    row_sq = 0.0
+    row_max = -math.inf
+    for start in range(0, samples, MC_BLOCK):
+        phases = np.exp(2j * math.pi * rng.random((min(MC_BLOCK, samples - start), r, n)))
+        V = np.abs(contract_trailing_signs(coeffs, phases)) ** q
+        col_total += V.sum(axis=0)
+        row_sums = V.sum(axis=1)
+        row_total += float(row_sums.sum())
+        row_sq += float((row_sums**2).sum())
+        row_max = max(row_max, float(row_sums.max()))
+    mean = row_total / samples
+    var = max(row_sq / samples - mean**2, 0.0)
+    return col_total / samples, mean, row_max, math.sqrt(var / samples)
 
 
 def _power_mean(mean: float, stderr: float, q: float) -> Tuple[float, float]:
@@ -194,34 +201,37 @@ def check_khinchin(
     q: float,
     field: ScalarField = ScalarField.REAL,
     samples: int = 100_000,
-    seed=0,
-    jobs: int = 1,
+    seed: int = 0,
 ) -> KhinchinReport:
     """Check A_q * (sum |a_j|^2)^(1/2) <= chaos L_q norm.
 
     Real field: exact Rademacher enumeration, violation beyond 1e-12 slack
-    raises ViolationError (the constant is optimal, so a violation is a bug).
-    Complex field: Steinhaus Monte Carlo, 3-sigma soft check.
+    (relative to max|a_j|) raises ViolationError (the constant is optimal,
+    so a violation is a bug).  Complex field: Steinhaus Monte Carlo, 3-sigma
+    soft check.
     """
+    seed = _check_seed(seed)
     A = khinchin_A(q, field).value
+    arr = np.asarray(a, dtype=np.float64 if field is ScalarField.REAL else np.complex128)
+    unit = _nearest_power_of_two(float(np.abs(arr).max(initial=0.0)))
+    arr = arr / unit
     if field is ScalarField.REAL:
-        arr = np.asarray(a, dtype=np.float64)
-        moment = rademacher_moment(arr, q, mode="exact")
+        moment = rademacher_moment(arr, q)
     else:
-        arr = np.asarray(a, dtype=np.complex128)
-        moment = steinhaus_moment(arr, q, samples=samples, seed=seed, jobs=jobs)
+        moment = steinhaus_moment(arr, q, samples=samples, seed=seed)
     lhs = A * float(np.sqrt((np.abs(arr) ** 2).sum()))
     mid = moment.value
     slack = EXACT_SLACK if moment.mode == "exact" else 3.0 * (moment.stderr or 0.0) + MC_SLACK
     passed = mid >= lhs - slack
     if not passed:
         raise ViolationError(
-            f"Khinchin check failed: A_q*l2 = {lhs!r} > moment = {mid!r} (q={q}, {field.value})"
+            f"Khinchin check failed: A_q*l2 = {unit * lhs!r} > moment = {unit * mid!r} "
+            f"(q={q}, {field.value})"
         )
     ratio = mid / lhs if lhs > 0.0 else 1.0
     return KhinchinReport(
-        q=q, field=field, lhs=lhs, mid=mid, ratio=ratio,
-        mode=moment.mode, passed=passed, stderr=moment.stderr,
+        q=q, field=field, lhs=unit * lhs, mid=unit * mid, ratio=ratio, mode=moment.mode,
+        passed=passed, stderr=None if moment.stderr is None else unit * moment.stderr,
     )
 
 
@@ -252,7 +262,8 @@ class ContractionReport:
 def check_contraction(a, t: float, pattern_budget: int = PATTERN_BUDGET) -> ContractionReport:
     """Check max_J |a_J| <= L_t norm of the full m-fold Rademacher chaos.
 
-    Exact enumeration over all 2^(N*m) sign patterns; real coefficients.
+    Exact enumeration over all 2^(N*m) sign patterns, with 1e-12 slack
+    relative to the largest coefficient; real coefficients.
     """
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim < 1:
@@ -262,24 +273,20 @@ def check_contraction(a, t: float, pattern_budget: int = PATTERN_BUDGET) -> Cont
     sizes = set(arr.shape)
     if len(sizes) != 1:
         raise DomainError(f"coefficient tensor must be cubical, got shape {arr.shape}")
-    m = arr.ndim
-    N = arr.shape[0]
-    total = 0.0
-    count = 0
-    # a free axis of length 1 in front makes slot 1 the core's lowest bits
-    for chaos in sign_slices(arr[None], pattern_budget=pattern_budget):
-        total += float((np.abs(chaos) ** t).sum())
-        count += len(chaos)
-    moment = (total / count) ** (1.0 / t)
+    unit = _nearest_power_of_two(float(np.abs(arr).max()))
+    arr = arr / unit
+    moment = _exact_moment(arr, t, pattern_budget)
     max_coeff = float(np.abs(arr).max())
     passed = max_coeff <= moment + EXACT_SLACK
     if not passed:
         raise ViolationError(
-            f"contraction check failed: max coefficient {max_coeff!r} > L_{t} norm {moment!r}"
+            f"contraction check failed: max coefficient {unit * max_coeff!r} > "
+            f"L_{t} norm {unit * moment!r}"
         )
     ratio = moment / max_coeff if max_coeff > 0.0 else 1.0
     return ContractionReport(
-        m=m, N=N, t=t, max_coeff=max_coeff, moment=moment, ratio=ratio, passed=passed,
+        m=arr.ndim, N=arr.shape[0], t=t, max_coeff=unit * max_coeff, moment=unit * moment,
+        ratio=ratio, passed=passed,
     )
 
 
@@ -439,7 +446,7 @@ def verify_proof_chain(
     pattern_budget: int = PATTERN_BUDGET,
     block: int = DEFAULT_BLOCK,
     mc_samples: int = 100_000,
-    seed=0,
+    seed: int = 0,
     raise_on_failure: bool = True,
 ) -> ChainReport:
     """Verify every step of the mixed-sum chain for a form on l_inf^n.
@@ -460,9 +467,11 @@ def verify_proof_chain(
     sign patterns; failures raise ViolationError naming the link (unless
     raise_on_failure=False).  Complex field: Steinhaus Monte Carlo with
     3-sigma soft checks against the alternating-ascent/crude norm sandwich;
-    nothing raises on noise.  The links are checked on S scaled by a power
-    of two to max|coeff| about 1, so the absolute slacks are relative to the
-    largest coefficient; reported values are in the units of S.
+    nothing raises on noise; the samples and the ascent come from
+    SeedSequence([seed, 0]) and SeedSequence([seed, 1]).  The links are
+    checked on S scaled by a power of two to max|coeff| about 1, so the
+    absolute slacks are relative to the largest coefficient; reported values
+    are in the units of S.
     """
     if S.m < 2:
         raise DomainError("need an m-linear form with m >= 2")
@@ -472,6 +481,7 @@ def verify_proof_chain(
         raise DomainError(f"the interpolation step needs s >= 2, got {s}")
     if not (1.0 <= lambda0 <= 2.0):
         raise DomainError(f"lambda0 must lie in [1, 2], got {lambda0}")
+    seed = _check_seed(seed)
 
     # every chain quantity is 1-homogeneous in S: run the chain on S divided
     # by the power of two nearest max|coeff| (an exact scaling), so |S|^s
@@ -503,10 +513,10 @@ def verify_proof_chain(
         ineq_slack = EXACT_SLACK
     else:
         mode = "mc"
-        col_means, int_mean, sup_raw, total_stderr = _slice_chaos_stats_mc(
+        col_means, int_mean, sup_raw, total_stderr = _steinhaus_stats(
             coeffs, lambda0, mc_samples, seed
         )
-        est = alternating_max(S, math.inf, seed=np.random.SeedSequence([_seed_int(seed), 1]))
+        est = alternating_max(S, math.inf, seed=np.random.SeedSequence([seed, 1]))
         norm_lower, norm_upper = est.lower, crude_upper(S)
         total = float(col_means.sum())
         stderr = (
@@ -582,42 +592,3 @@ def _eq_link(name: str, lhs: float, rhs: float) -> ChainLink:
         passed=abs(slack) <= EQUALITY_RTOL * scale, kind="equality",
     )
 
-
-def _slice_chaos_stats_mc(
-    coeffs: np.ndarray,
-    lambda0: float,
-    samples: int,
-    seed,
-) -> Tuple[np.ndarray, float, float, float]:
-    """Steinhaus Monte-Carlo analogue of _slice_chaos_stats (complex field)."""
-    m = coeffs.ndim
-    n = coeffs.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence([_seed_int(seed), 0]))
-    col_total = np.zeros(n)
-    sum_total = 0.0
-    sum_sq = 0.0
-    sup_value = -math.inf
-    block = 8192
-    remaining = samples
-    while remaining > 0:
-        K = min(block, remaining)
-        phases = np.exp(2j * math.pi * rng.random((K, m - 1, n)))
-        V = np.abs(contract_trailing_signs(coeffs, phases)) ** lambda0
-        col_total += V.sum(axis=0)
-        row_sums = V.sum(axis=1)
-        sum_total += float(row_sums.sum())
-        sum_sq += float((row_sums**2).sum())
-        sup_value = max(sup_value, float(row_sums.max()))
-        remaining -= K
-    col_means = col_total / samples
-    int_mean = sum_total / samples
-    var = max(sum_sq / samples - int_mean**2, 0.0)
-    return col_means, int_mean, sup_value, math.sqrt(var / samples)
-
-
-def _seed_int(seed) -> int:
-    if seed is None:
-        return 0
-    if isinstance(seed, (int, np.integer)):
-        return int(seed) & 0xFFFFFFFF
-    raise DomainError(f"seeds must be integers (or None), got {type(seed).__name__}")

@@ -124,9 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="omit to draw one randomly (printed in the header)")
-        p.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help="worker processes, >= 1 (env HLCERT_JOBS overrides the "
-                            "default 1); optional, serial runs are fast")
 
     c = sub.add_parser("constants", help="Khinchin constant A_q and the crossover q0")
     c.add_argument("--q", type=float, required=True)
@@ -191,6 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--trials", type=int, default=0,
                    help="per-row certification trials (0 = table only)")
     common(w)
+
+    # only the certification runs spread trials over worker processes
+    for p in (v, w):
+        p.add_argument("--jobs", type=int, default=_default_jobs(),
+                       help="worker processes, >= 1 (env HLCERT_JOBS overrides the "
+                            "default 1); optional, serial runs are fast")
 
     k = sub.add_parser("khinchin-check", help="check A_q*l2(a) <= chaos L_q norm")
     k.add_argument("--a", type=str, required=True, help="comma list of coefficients")
@@ -375,9 +378,7 @@ def _cmd_khinchin_check(args) -> int:
         a = [complex(part) for part in args.a.split(",") if part.strip()]
     else:
         a = _parse_floats(args.a)
-    report = check_khinchin(
-        a, args.q, field, samples=args.samples, seed=seed, jobs=args.jobs,
-    )
+    report = check_khinchin(a, args.q, field, samples=args.samples, seed=seed)
     _emit(report.to_jsonable(), args.format, header=f"# seed: {seed}" if drawn else None)
     return EXIT_OK
 
@@ -451,8 +452,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.jobs < 1:
-            parser.error("--jobs must be >= 1")
         return _COMMANDS[args.command](args)
     except ViolationError as exc:
         print(f"VIOLATION: {exc}", file=sys.stderr)

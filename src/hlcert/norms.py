@@ -40,7 +40,6 @@ __all__ = [
 class NormMethod(enum.Enum):
     ALTERNATING_MAX = "alternating_max"
     EXACT_SIGN_ENUM = "exact_sign_enum"
-    DUAL_CLOSED_FORM = "dual_closed_form"
     CRUDE_UPPER = "crude_upper"
 
 
@@ -245,25 +244,17 @@ def alternating_max(
     seeds spawned off `seed` and ascend together as one batch; the result
     is their max (the first restart attaining it), so it is deterministic.
     The batch makes a single serial call fast: parallel workers in
-    `certify` are optional.
+    `certify` are optional.  Needs m >= 2 (a form with m = 1 is a linear
+    functional, whose norm `dual_norm_linear` gives exactly).
     """
+    if T.m < 2:
+        raise DomainError("need an m-linear form with m >= 2")
     if not (p > 1.0):
         raise DomainError(f"alternating_max needs p > 1 (or inf), got {p}")
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
     upper = crude_upper(T, p)
-    complex_field = T.field is ScalarField.COMPLEX
-    if T.m == 1:
-        value, x = dual_norm_linear(T.coeffs, p)
-        return NormEstimate(
-            lower=min(value, upper),
-            upper=upper,
-            method=NormMethod.DUAL_CLOSED_FORM,
-            restarts=0,
-            converged=True,
-            witness=(x,),
-        )
-    starts = _random_starts(seed, restarts, T.m, T.n, p, complex_field)
+    starts = _random_starts(seed, restarts, T.m, T.n, p, T.field is ScalarField.COMPLEX)
     values, vectors, _, converged = _ascend(T.coeffs, starts, p, max_iters, tol)
     best = int(np.argmax(values))
     return NormEstimate(

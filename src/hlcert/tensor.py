@@ -32,7 +32,6 @@ from .special import ScalarField
 
 __all__ = [
     "FormTensor",
-    "MixedNormSpec",
     "GENERATE_KINDS",
     "MAX_ENTRIES",
     "PATTERN_BUDGET",
@@ -82,24 +81,6 @@ class FormTensor:
         return self.coeffs.size
 
 
-@dataclass(frozen=True)
-class MixedNormSpec:
-    """Outer l_alpha sum over index i of inner l_s sums over the other indices.
-
-    fixed_index is 1-based, mirroring the j_i subscript convention.
-    """
-
-    fixed_index: int
-    inner_exponent: float   # s
-    outer_exponent: float   # alpha
-
-    def __post_init__(self) -> None:
-        if self.inner_exponent < 1.0 or self.outer_exponent < 1.0:
-            raise DomainError("mixed-norm exponents must be finite and >= 1")
-        if not (math.isfinite(self.inner_exponent) and math.isfinite(self.outer_exponent)):
-            raise DomainError("mixed-norm exponents must be finite and >= 1")
-
-
 def evaluate(T: FormTensor, vectors: Sequence[np.ndarray]):
     """Evaluate the form: sum_J coeff[J] * x1[j1] * ... * xm[jm].
 
@@ -120,19 +101,21 @@ def evaluate(T: FormTensor, vectors: Sequence[np.ndarray]):
     return float(value)
 
 
-def mixed_norm(T: FormTensor, spec: MixedNormSpec) -> float:
+def mixed_norm(T: FormTensor, fixed_index: int, s: float, alpha: float) -> float:
     """(sum_{j_i} (sum_{other indices} |coeff|^s)^(alpha/s))^(1/alpha).
 
-    Stride-based: the fixed axis is moved to the front, no transposed copy of
-    the data is materialized beyond the (n, n^(m-1)) view.  Collapses to the
-    flat l_s norm when alpha = s.
+    An outer l_alpha sum over the index i = fixed_index (1-based, mirroring
+    the j_i subscript convention) of inner l_s sums over the other indices;
+    s and alpha must be finite and >= 1.  Stride-based: the fixed axis is
+    moved to the front, no transposed copy of the data is materialized
+    beyond the (n, n^(m-1)) view.  Collapses to the flat l_s norm when
+    alpha = s.
     """
-    i = spec.fixed_index
-    if not (1 <= i <= T.m):
-        raise DomainError(f"fixed_index must lie in [1, {T.m}], got {i}")
-    s = spec.inner_exponent
-    alpha = spec.outer_exponent
-    flat = np.moveaxis(T.coeffs, i - 1, 0).reshape(T.n, -1)
+    if not (1.0 <= s < math.inf and 1.0 <= alpha < math.inf):
+        raise DomainError("mixed-norm exponents must be finite and >= 1")
+    if not (1 <= fixed_index <= T.m):
+        raise DomainError(f"fixed_index must lie in [1, {T.m}], got {fixed_index}")
+    flat = np.moveaxis(T.coeffs, fixed_index - 1, 0).reshape(T.n, -1)
     inner = np.abs(flat) ** s
     per_row = inner.sum(axis=1) ** (1.0 / s)
     return float((per_row**alpha).sum() ** (1.0 / alpha))

@@ -9,7 +9,6 @@ import pytest
 from hlcert import (
     DomainError,
     FormTensor,
-    MixedNormSpec,
     ScalarField,
     TrialConfig,
     certify,
@@ -148,9 +147,7 @@ def test_rank_one_ratio_within_constant():
         norm = float(
             (np.abs(u) ** pp).sum() ** (1 / pp) * (np.abs(v) ** pp).sum() ** (1 / pp)
         )
-        lhs = max(
-            mixed_norm(T, MixedNormSpec(i, e.s, e.eta1)) for i in (1, 2)
-        )
+        lhs = max(mixed_norm(T, i, e.s, e.eta1) for i in (1, 2))
         assert lhs <= e.constant * norm + 1e-9
 
 

@@ -83,29 +83,29 @@ def test_moment_monotone_in_q():
             assert hi >= lo - 1e-12
 
 
-def test_monte_carlo_agrees_with_exact():
-    # 100-case grid at 1e6 samples: at least 95 within 3 standard errors
-    rng = np.random.default_rng(21)
-    within = 0
-    cases = 100
-    for i in range(cases):
-        a = rng.standard_normal(int(rng.integers(2, 9)))
-        q = float(rng.choice([1.0, 1.3, 1.7, 2.0]))
-        exact = rademacher_moment(a, q).value
-        mc = rademacher_moment(a, q, mode="mc", samples=1_000_000, seed=i)
-        assert mc.stderr is not None
-        if abs(mc.value - exact) <= 3.0 * mc.stderr + 1e-9:
-            within += 1
-    assert within >= 95
-
-
-def test_monte_carlo_deterministic_per_seed_and_jobs():
-    a = [1.0, -0.5, 2.0]
-    m1 = rademacher_moment(a, 1.5, mode="mc", samples=5000, seed=3, jobs=2)
-    m2 = rademacher_moment(a, 1.5, mode="mc", samples=5000, seed=3, jobs=2)
-    m3 = rademacher_moment(a, 1.5, mode="mc", samples=5000, seed=4, jobs=2)
+def test_monte_carlo_deterministic_per_seed():
+    a = [1.0, -0.5j, 2.0]
+    m1 = steinhaus_moment(a, 1.5, samples=5000, seed=3)
+    m2 = steinhaus_moment(a, 1.5, samples=5000, seed=3)
+    m3 = steinhaus_moment(a, 1.5, samples=5000, seed=4)
     assert m1.value == m2.value
     assert m1.value != m3.value
+
+
+def test_steinhaus_moment_is_one_stream_drawn_in_blocks():
+    # two full blocks of 8192 samples and a tail of 5, against one draw of
+    # the whole stream of SeedSequence([seed, 0])
+    a = np.array([1.0 + 1.0j, -2.0, 0.5j, 0.25])
+    q, samples, seed = 1.3, 2 * 8192 + 5, 11
+    mom = steinhaus_moment(a, q, samples=samples, seed=seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    vals = np.abs(np.exp(2j * math.pi * rng.random((samples, a.size))) @ a) ** q
+    mean = vals.mean()
+    stderr = math.sqrt(max((vals**2).mean() - mean**2, 0.0) / samples)
+    value = mean ** (1.0 / q)
+    assert mom.value == pytest.approx(value, rel=1e-12)
+    assert mom.stderr == pytest.approx(stderr * value / (q * mean), rel=1e-12)
+    assert mom.samples == samples and mom.seed == seed
 
 
 def test_steinhaus_moment_q2_orthogonality():
@@ -146,6 +146,19 @@ def test_check_khinchin_random_corpus_no_violation():
             rep = check_khinchin(a, q, REAL)
             assert rep.passed
             assert rep.ratio >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("c", [1e160, 1e-200])
+def test_check_khinchin_scales_with_the_vector(c):
+    # both sides are 1-homogeneous: no overflow into a false violation, no
+    # underflow into a vacuous pass
+    base = np.array([1.0, 1.0, -0.5])
+    unit = check_khinchin(base, 1.5, REAL)
+    rep = check_khinchin(c * base, 1.5, REAL)
+    assert rep.passed
+    assert rep.lhs == pytest.approx(abs(c) * unit.lhs, rel=1e-12)
+    assert rep.mid == pytest.approx(abs(c) * unit.mid, rel=1e-12)
+    assert rep.ratio == pytest.approx(unit.ratio, rel=1e-12)
 
 
 def test_check_khinchin_complex_soft():
@@ -194,6 +207,19 @@ def test_contraction_random_corpus():
             arr = rng.standard_normal((N,) * m)
             for t in (1.0, 2.0, 3.0):
                 assert check_contraction(arr, t).passed
+
+
+@pytest.mark.parametrize("c, t", [(1e-200, 2.0), (1e160, 3.0)])
+def test_contraction_scales_with_the_tensor(c, t):
+    # the moment must neither underflow to 0 (a vacuous pass) nor overflow
+    base = np.array([[1.0, -1.0], [-1.0, -1.0]])
+    unit = check_contraction(base, t)
+    rep = check_contraction(c * base, t)
+    assert rep.passed
+    assert rep.max_coeff == c
+    assert rep.moment == pytest.approx(abs(c) * unit.moment, rel=1e-12)
+    assert rep.ratio == pytest.approx(unit.ratio, rel=1e-12)
+    assert rep.ratio > 1.0
 
 
 def test_contraction_guards():
@@ -378,6 +404,30 @@ def test_chain_domain_guards():
         verify_proof_chain(S, 0.5, 2.0)
     with pytest.raises(DomainError):
         verify_proof_chain(S, 1.0, 2.0, index=3)
+
+
+def test_chain_complex_seeds_are_not_truncated():
+    # seeds are whole integers: 5 and 5 + 2^32 are different streams
+    S = generate("steinhaus", 2, 3, COMPLEX, 27)
+    a = verify_proof_chain(S, 1.5, 2.0, mc_samples=2_000, seed=5)
+    b = verify_proof_chain(S, 1.5, 2.0, mc_samples=2_000, seed=5 + 2**32)
+    assert a.to_jsonable() != b.to_jsonable()
+
+
+@pytest.mark.parametrize("seed", [-1, None, 1.5])
+def test_chaos_entry_points_share_one_seed_rule(seed):
+    real = generate("gaussian", 2, 2, REAL, 1)
+    cplx = generate("steinhaus", 2, 2, COMPLEX, 1)
+    with pytest.raises(DomainError, match="seed"):
+        verify_proof_chain(real, 1.5, 2.0, seed=seed)
+    with pytest.raises(DomainError, match="seed"):
+        verify_proof_chain(cplx, 1.5, 2.0, mc_samples=100, seed=seed)
+    with pytest.raises(DomainError, match="seed"):
+        steinhaus_moment([1.0, 1.0j], 1.5, samples=100, seed=seed)
+    with pytest.raises(DomainError, match="seed"):
+        check_khinchin([1.0, 1.0], 1.5, REAL, seed=seed)
+    with pytest.raises(DomainError, match="seed"):
+        check_khinchin([1.0, 1.0j], 1.5, COMPLEX, samples=100, seed=seed)
 
 
 def test_chain_complex_monte_carlo_soft():

@@ -167,6 +167,18 @@ def test_sweep_grid_spec(capsys):
     assert [row["lambda0"] for row in payload] == [1.0, 1.25, 1.5, 1.75, 2.0]
 
 
+def test_khinchin_check_huge_coefficients_pass(capsys):
+    # A_q * l2 overflows at these entries unless the check runs on a scaled copy
+    code, out, _ = run(
+        capsys, "khinchin-check", "--a", "1e160,1e160", "--q", "1.5", "--seed", "1",
+        "--format", "json",
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert payload["lhs"] == pytest.approx(2.0**0.5 * 1e160 * 2.0 ** (0.5 - 1.0 / 1.5))
+
+
 def test_khinchin_check_command(capsys):
     code, out, _ = run(
         capsys, "khinchin-check", "--a", "1,1", "--q", "1", "--seed", "1",
@@ -228,6 +240,17 @@ def test_chain_check_huge_tensor_passes(capsys, tmp_path):
     assert payload["norm_lower"] == 2e160
 
 
+def test_chain_check_negative_seed_is_usage_error(capsys, tmp_path):
+    # a real chain draws nothing, but the seed rule holds for every chain
+    path = tmp_path / "signs.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "field": "real", "coeffs": [1, 1, 1, -1]}))
+    code, _, err = run(
+        capsys, "chain-check", "--tensor", str(path), "--lambda0", "1", "--seed", "-1",
+    )
+    assert code == EXIT_USAGE
+    assert "seed must be a non-negative integer" in err
+
+
 def test_chain_check_s_below_two_usage_error(capsys):
     code, _, err = run(
         capsys, "chain-check", "--m", "2", "--n", "2", "--lambda0", "1", "--s", "1.5",
@@ -245,13 +268,28 @@ def test_unknown_flag_exits_one(capsys):
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_usage_error(capsys, jobs):
+    # the run's TrialConfig rejects it, for both subcommands that take --jobs
+    for argv in (
+        ["verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
+         "--trials", "2", "--seed", "1"],
+        ["sweep", "--m", "2", "--p", "4", "--grid", "1.0,1.5"],
+    ):
+        code, _, err = run(capsys, *argv, "--jobs", jobs)
+        assert code == EXIT_USAGE
+        assert "jobs must be >= 1" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["constants", "--q", "1.5"],
+    ["search", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1", "--budget", "2"],
+    ["khinchin-check", "--a", "1,1", "--q", "1"],
+    ["chain-check", "--lambda0", "1"],
+])
+def test_jobs_only_where_workers_run(capsys, command):
     with pytest.raises(SystemExit) as excinfo:
-        main([
-            "verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
-            "--trials", "2", "--seed", "1", "--jobs", jobs,
-        ])
+        main(command + ["--jobs", "2"])
     assert excinfo.value.code == EXIT_USAGE
-    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_domain_error_exits_one(capsys):

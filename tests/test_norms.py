@@ -271,9 +271,9 @@ def test_norms_nondecreasing_in_p():
 
 def test_m1_dual_closed_form():
     T = FormTensor(m=1, n=4, field=REAL, coeffs=np.array([3.0, -4.0, 0.0, 0.0]))
-    est = alternating_max(T, 2.0, restarts=1, seed=0)
-    assert est.method is NormMethod.DUAL_CLOSED_FORM
-    assert est.lower == pytest.approx(5.0, rel=1e-14)
+    # a linear functional: its norm is the closed-form dual norm, not an ascent
+    with pytest.raises(DomainError, match="m >= 2"):
+        alternating_max(T, 2.0, restarts=1, seed=0)
     enum = exact_linf_enum(T)
     assert enum.lower == pytest.approx(7.0, rel=1e-14)  # l1 mass on l_inf
 

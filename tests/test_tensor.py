@@ -13,7 +13,6 @@ from hlcert import (
     BudgetError,
     DomainError,
     FormTensor,
-    MixedNormSpec,
     ScalarField,
     evaluate,
     generate,
@@ -78,7 +77,7 @@ def test_mixed_norm_all_ones_oracle():
         outer += inner**alpha
     oracle = outer ** (1.0 / alpha)
     assert oracle == pytest.approx(8.0**0.25, rel=1e-14)
-    got = mixed_norm(T, MixedNormSpec(fixed_index=1, inner_exponent=s, outer_exponent=alpha))
+    got = mixed_norm(T, 1, s, alpha)
     assert got == pytest.approx(oracle, rel=1e-13)
 
 
@@ -91,7 +90,7 @@ def test_mixed_norm_collapse_to_flat_norm():
         s = float(rng.uniform(1.0, 4.0))
         flat = float((np.abs(T.coeffs) ** s).sum() ** (1.0 / s))
         for i in range(1, m + 1):
-            got = mixed_norm(T, MixedNormSpec(i, s, s))
+            got = mixed_norm(T, i, s, s)
             assert got == pytest.approx(flat, rel=1e-12)
 
 
@@ -101,7 +100,7 @@ def test_mixed_norm_single_nonzero():
     T = _tensor(coeffs)
     for i in (1, 2, 3):
         for s, alpha in [(1.0, 1.0), (2.0, 4.0), (3.0, 1.5)]:
-            assert mixed_norm(T, MixedNormSpec(i, s, alpha)) == pytest.approx(2.5, rel=1e-14)
+            assert mixed_norm(T, i, s, alpha) == pytest.approx(2.5, rel=1e-14)
 
 
 @given(c=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
@@ -109,9 +108,8 @@ def test_mixed_norm_single_nonzero():
 def test_mixed_norm_homogeneous(c):
     T = generate("gaussian", 2, 3, REAL, 42)
     scaled = FormTensor(m=2, n=3, field=REAL, coeffs=c * np.asarray(T.coeffs))
-    spec = MixedNormSpec(1, 2.0, 3.0)
-    assert mixed_norm(scaled, spec) == pytest.approx(
-        abs(c) * mixed_norm(T, spec), rel=1e-12, abs=1e-12
+    assert mixed_norm(scaled, 1, 2.0, 3.0) == pytest.approx(
+        abs(c) * mixed_norm(T, 1, 2.0, 3.0), rel=1e-12, abs=1e-12
     )
 
 
@@ -124,19 +122,19 @@ def test_mixed_norm_permutation_consistency():
         spec_i = int(rng.integers(2, m + 1))
         swapped = np.swapaxes(np.asarray(T.coeffs), 0, spec_i - 1)
         T_swapped = FormTensor(m=m, n=n, field=REAL, coeffs=swapped)
-        a = mixed_norm(T, MixedNormSpec(spec_i, 2.0, 3.0))
-        b = mixed_norm(T_swapped, MixedNormSpec(1, 2.0, 3.0))
+        a = mixed_norm(T, spec_i, 2.0, 3.0)
+        b = mixed_norm(T_swapped, 1, 2.0, 3.0)
         assert a == pytest.approx(b, rel=1e-13)
 
 
 def test_mixed_norm_spec_validation():
-    with pytest.raises(DomainError):
-        MixedNormSpec(1, 0.5, 2.0)
-    with pytest.raises(DomainError):
-        MixedNormSpec(1, 2.0, math.inf)
     T = _tensor(np.ones((2, 2)))
     with pytest.raises(DomainError):
-        mixed_norm(T, MixedNormSpec(3, 2.0, 2.0))
+        mixed_norm(T, 1, 0.5, 2.0)
+    with pytest.raises(DomainError):
+        mixed_norm(T, 1, 2.0, math.inf)
+    with pytest.raises(DomainError):
+        mixed_norm(T, 3, 2.0, 2.0)
 
 
 def test_generate_sparse_unit():
