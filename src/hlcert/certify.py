@@ -17,7 +17,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,9 +24,19 @@ import numpy as np
 
 from .errors import DomainError, ViolationError
 from .exponents import ExponentSet, exponents
-from .norms import alternating_max, crude_upper, exact_linf_enum
+from .norms import (
+    _alternating_max_batch,
+    alternating_max,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
+    crude_upper,
+    exact_linf_enum,
+)
 from .special import ScalarField
-from .tensor import FormTensor, generate, mixed_norm
+from .tensor import (
+    FormTensor,
+    generate,
+    mixed_norm,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
+    mixed_norms,
+)
 
 __all__ = [
     "TrialConfig",
@@ -44,6 +53,7 @@ __all__ = [
 ]
 
 RATIO_TOL = 1e-9  # absolute tolerance on ratio comparisons against 1
+BATCH_ELEMENTS = 2**16  # cap on restarts * n^m per ascent batch of trials
 
 
 @dataclass(frozen=True)
@@ -177,7 +187,7 @@ def _admissible_exponents(
 
 def _lhs_mixed(T: FormTensor, s: float, eta1: float) -> float:
     # strictest reading: maximum over the fixed index
-    return max(mixed_norm(T, i, s, eta1) for i in range(1, T.m + 1))
+    return max(mixed_norms(T, s, eta1))
 
 
 def _classify(lhs: float, c_lower: float, c_upper: float, tol: float) -> str:
@@ -199,52 +209,74 @@ def _classify(lhs: float, c_lower: float, c_upper: float, tol: float) -> str:
     return "inconclusive"
 
 
-def _run_trial(args) -> TrialResult:
-    setup, t = args
+def _ratio(lhs: float, bound: float) -> float:
+    return lhs / bound if bound > 0.0 else (1.0 if lhs == 0.0 else math.inf)
+
+
+def _run_batch(args) -> List[TrialResult]:
+    """Trials start..stop-1 of a run: generate, lhs, one ascent, classify, one retry."""
+    setup, start, stop = args
     cfg = setup.config
-    ss = np.random.SeedSequence([setup.seed, t])
-    gen_ss, norm_ss, retry_ss = ss.spawn(3)
-    kind = cfg.kinds[t % len(cfg.kinds)]
-    T = generate(kind, setup.m, setup.n, setup.field, gen_ss)
-    lhs = _lhs_mixed(T, setup.s, setup.eta1)
+    C = setup.constant
+    trials = range(start, stop)
+    streams = [np.random.SeedSequence([setup.seed, t]) for t in trials]
+    spawned = [ss.spawn(3) for ss in streams]        # generate, norm, retry
+    kinds = [cfg.kinds[t % len(cfg.kinds)] for t in trials]
+    tensors = [
+        generate(kind, setup.m, setup.n, setup.field, gen_ss)
+        for kind, (gen_ss, _, _) in zip(kinds, spawned)
+    ]
+    lhs = [_lhs_mixed(T, setup.s, setup.eta1) for T in tensors]
 
     exact = math.isinf(setup.p) and setup.field is ScalarField.REAL
     if exact:
-        est = exact_linf_enum(T)
-        lower = upper = est.lower
+        lower = [exact_linf_enum(T).lower for T in tensors]
+        upper = list(lower)
     else:
-        est = alternating_max(
-            T, setup.p, restarts=cfg.restarts, max_iters=cfg.max_iters, tol=cfg.tol,
-            seed=norm_ss,
+        estimates = _alternating_max_batch(
+            tensors, setup.p, cfg.restarts, cfg.max_iters, cfg.tol,
+            [norm_ss for _, norm_ss, _ in spawned],
         )
-        lower, upper = est.lower, est.upper
+        lower = [est.lower for est in estimates]
+        upper = [est.upper for est in estimates]
+    classes = [
+        _classify(lhs[b], C * lower[b], C * upper[b], cfg.ratio_tol) for b in range(len(tensors))
+    ]
 
-    C = setup.constant
-    classification = _classify(lhs, C * lower, C * upper, cfg.ratio_tol)
-    retried = False
-    if classification == "inconclusive" and not exact:
-        retry = alternating_max(
-            T, setup.p, restarts=4 * cfg.restarts, max_iters=cfg.max_iters, tol=cfg.tol,
-            seed=retry_ss,
+    retried = [False] * len(tensors)
+    redo = [b for b, c in enumerate(classes) if c == "inconclusive" and not exact]
+    per_batch = _batch_trials(4 * cfg.restarts, setup.n, setup.m)
+    for i in range(0, len(redo), per_batch):
+        part = redo[i : i + per_batch]
+        retries = _alternating_max_batch(
+            [tensors[b] for b in part], setup.p, 4 * cfg.restarts, cfg.max_iters, cfg.tol,
+            [spawned[b][2] for b in part],
         )
-        lower = max(lower, retry.lower)
-        classification = _classify(lhs, C * lower, C * upper, cfg.ratio_tol)
-        retried = True
+        for b, retry in zip(part, retries):
+            lower[b] = max(lower[b], retry.lower)
+            classes[b] = _classify(lhs[b], C * lower[b], C * upper[b], cfg.ratio_tol)
+            retried[b] = True
 
-    ratio_conservative = lhs / upper if upper > 0.0 else (1.0 if lhs == 0.0 else math.inf)
-    ratio_empirical = lhs / lower if lower > 0.0 else (1.0 if lhs == 0.0 else math.inf)
-    return TrialResult(
-        index=t,
-        kind=kind,
-        seed_entropy=int(ss.generate_state(1)[0]),
-        lhs=lhs,
-        lower=lower,
-        upper=upper,
-        ratio_conservative=ratio_conservative,
-        ratio_empirical=ratio_empirical,
-        classification=classification,
-        retried=retried,
-    )
+    return [
+        TrialResult(
+            index=t,
+            kind=kinds[b],
+            seed_entropy=int(streams[b].generate_state(1)[0]),
+            lhs=lhs[b],
+            lower=lower[b],
+            upper=upper[b],
+            ratio_conservative=_ratio(lhs[b], upper[b]),
+            ratio_empirical=_ratio(lhs[b], lower[b]),
+            classification=classes[b],
+            retried=retried[b],
+        )
+        for b, t in enumerate(trials)
+    ]
+
+
+def _batch_trials(rows: int, n: int, m: int) -> int:
+    """Trials per ascent batch: as many as keep rows * n^m <= BATCH_ELEMENTS, at least one."""
+    return max(1, BATCH_ELEMENTS // (rows * n**m))
 
 
 def certify(
@@ -262,9 +294,16 @@ def certify(
     mixed norm over the fixed index, bound ||T|| (exact sign enumeration for
     real p = inf, alternating ascent + coefficient mass otherwise), classify.
     Inconclusive alternating trials are retried once with 4x restarts.
-    The ascent runs all restarts of a trial as one batch, so a serial run
-    (jobs=1) is fast; jobs > 1 spreads trials over worker processes and is
-    optional.  jobs < 1 raises DomainError.
+
+    Trials run in batches of consecutive indices: the restarts of every
+    trial in a batch ascend together as one `_ascend` stack, and the
+    batch's inconclusive trials are retried as one more.  A batch holds as
+    many trials as keep restarts * n^m <= 2^16 coefficients gathered per
+    slot product (at least one trial; fewer when jobs > 1, so that every
+    worker gets a batch).  Each restart's arithmetic does not depend on its
+    batch, so the trial rows are the same for any batching and any jobs.
+    A serial run (jobs=1) is fast; jobs > 1 hands whole batches to worker
+    processes and is optional.  jobs < 1 raises DomainError.
     """
     cfg = config or TrialConfig()
     if cfg.trials < 1:
@@ -275,12 +314,18 @@ def certify(
         s=exps.s, eta1=exps.eta1, constant=exps.constant, seed=seed, config=cfg,
     )
     start = time.perf_counter()
-    tasks = [(setup, t) for t in range(cfg.trials)]
+    size = min(_batch_trials(cfg.restarts, n, m), math.ceil(cfg.trials / cfg.jobs))
+    tasks = [(setup, b, min(b + size, cfg.trials)) for b in range(0, cfg.trials, size)]
     if cfg.jobs > 1:
+        # imported here: the process-pool machinery costs about 2 MB and
+        # 15 ms at import, which serial runs never need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_run_trial, tasks, chunksize=64))
+            batches = list(pool.map(_run_batch, tasks))
     else:
-        results = [_run_trial(task) for task in tasks]
+        batches = [_run_batch(task) for task in tasks]
+    results = [row for batch in batches for row in batch]
     elapsed = time.perf_counter() - start
 
     violations = sum(1 for r in results if r.classification == "violation")

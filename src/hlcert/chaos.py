@@ -263,9 +263,13 @@ def check_contraction(a, t: float, pattern_budget: int = PATTERN_BUDGET) -> Cont
     """Check max_J |a_J| <= L_t norm of the full m-fold Rademacher chaos.
 
     Exact enumeration over all 2^(N*m) sign patterns, with 1e-12 slack
-    relative to the largest coefficient; real coefficients.
+    relative to the largest coefficient; real coefficients only (complex
+    input raises DomainError rather than losing its imaginary parts).
     """
-    arr = np.asarray(a, dtype=np.float64)
+    arr = np.asarray(a)
+    if np.iscomplexobj(arr):
+        raise DomainError("contraction check supports real coefficients only")
+    arr = arr.astype(np.float64)
     if arr.ndim < 1:
         raise DomainError("coefficient tensor must have at least one axis")
     if t < 1.0:

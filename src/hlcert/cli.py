@@ -81,12 +81,10 @@ def _parse_grid(text: str) -> List[float]:
     return _parse_floats(text)
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("HLCERT_JOBS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+def _default_jobs() -> str:
+    # a string default goes through --jobs' own int parsing when the flag is
+    # absent, so a bad HLCERT_JOBS fails exactly like the same --jobs value
+    return os.environ.get("HLCERT_JOBS") or "1"
 
 
 def _resolve_seed(args) -> tuple[int, bool]:

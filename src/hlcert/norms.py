@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -138,35 +138,34 @@ def crude_upper(T: FormTensor, p: float = 1.0) -> float:
     return float(np.abs(T.coeffs).sum())
 
 
-def _random_unit(rng: np.random.Generator, n: int, p: float, complex_field: bool) -> np.ndarray:
-    x = rng.standard_normal(n)
-    if complex_field:
-        x = x + 1j * rng.standard_normal(n)
-    if math.isinf(p):
-        return _phase(np.conj(x))
-    norm = float((np.abs(x) ** p).sum() ** (1.0 / p))
-    if norm == 0.0:
-        out = np.zeros_like(x)
-        out[0] = 1.0
-        return out
-    return x / norm
-
-
 def _random_starts(
     seed, restarts: int, m: int, n: int, p: float, complex_field: bool
 ) -> List[np.ndarray]:
-    """Starting vectors of every restart, one (restarts, n) array per slot.
+    """Unit starting vectors of every restart, one (restarts, n) array per slot.
 
-    Restart r draws its m unit vectors, slot by slot, from child r of
-    `seed`'s SeedSequence, so the first R restarts of a larger run are the
-    R restarts of a smaller one.
+    One Generator, `default_rng(seed)`, draws every restart's standard
+    normals in one call, restart-major: shape (restarts, m, n), or
+    (restarts, 2, m, n) for complex forms, whose real and imaginary parts
+    come from the same restart's block.  So the first R restarts of a larger
+    run are the R restarts of a smaller one.  Each vector is then scaled to
+    the unit l_p sphere (p = inf: the phases of its entries).
     """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    starts = []
-    for child in ss.spawn(restarts):
-        rng = np.random.default_rng(child)
-        starts.append([_random_unit(rng, n, p, complex_field) for _ in range(m)])
-    return [np.array([start[k] for start in starts]) for k in range(m)]
+    rng = np.random.default_rng(seed)
+    if complex_field:
+        z = rng.standard_normal((restarts, 2, m, n))
+        x = z[:, 0] + 1j * z[:, 1]
+    else:
+        x = rng.standard_normal((restarts, m, n))
+    if math.isinf(p):
+        x = _phase(np.conj(x))
+    else:
+        norm = (np.abs(x) ** p).sum(axis=-1, keepdims=True) ** (1.0 / p)
+        zero = norm[..., 0] == 0.0
+        if zero.any():
+            norm[zero] = 1.0
+            x[zero] = np.eye(1, n, dtype=x.dtype)[0]
+        x = x / norm
+    return [x[:, k] for k in range(m)]
 
 
 def _ascend(
@@ -175,43 +174,51 @@ def _ascend(
     p: float,
     max_iters: int,
     tol: float,
-) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray, np.ndarray]:
-    """Block-coordinate ascent of R restarts at once.
+    owner: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
+    """Block-coordinate ascent of R rows at once.
 
-    vectors[k] is an (R, n) array whose row r is restart r's argument in
-    slot k.  Each slot update replaces every active row with the exact
-    maximizer of its induced linear functional, so each restart's value
-    sequence is nondecreasing.  A restart freezes after the first sweep with
-    value - previous <= tol * value.  Returns (values (R,), vectors,
-    trace (sweeps, R), converged (R,)); a frozen restart repeats its last
-    value in the later rows of the trace.
+    vectors[k] is an (R, n) array whose row r is row r's argument in slot k.
+    With `owner` None, coeffs is one tensor of shape (n,)*m and every row is
+    a restart on it; otherwise coeffs is a stack of shape (B,) + (n,)*m and
+    row r ascends on tensor owner[r].  Each slot update replaces every
+    active row with the exact maximizer of its induced linear functional,
+    so each row's value sequence is nondecreasing.  A row freezes after the
+    first sweep with value - previous <= tol * value.  Returns (values (R,),
+    vectors, converged (R,)).  A run with max_iters = k stops where a longer
+    run is after its k-th sweep, so the values of k = 1, 2, ... trace the
+    ascent (a frozen row keeps its last value).
     """
     m = len(vectors)
-    n = coeffs.shape[0]
+    n = vectors[0].shape[1]
     R = vectors[0].shape[0]
+    lead = 0 if owner is None else 1
     # slot k contracts the other slots from the last one down, as one stack
     # of matrix-vector products per slot: row r's arithmetic is the same
-    # whatever the other rows hold, so a restart's result does not depend on
-    # the batch it runs in
+    # whatever the other rows hold, so a row's result does not depend on
+    # the batch it runs in.  Only the first product reads the tensor; in a
+    # stack of tensors each row gathers its own tensor's matrix for it.
     plans = []
     for k in range(m):
         others = [i for i in range(m - 1, -1, -1) if i != k]
-        plans.append((others, np.moveaxis(coeffs, k, 0).reshape(-1, n)))
+        matrix = np.moveaxis(coeffs, lead + k, lead)
+        plans.append((others, matrix.reshape(coeffs.shape[:lead] + (-1, n))))
     out = [np.array(v) for v in vectors]
     current = list(out)
     values = np.zeros(R)
     previous = np.zeros(R)
     converged = np.zeros(R, dtype=bool)
     active = np.arange(R)
-    trace = []
+    rows_owner = owner
     for _ in range(max_iters):
         for k, (others, matrix) in enumerate(plans):
+            if rows_owner is not None:
+                matrix = matrix[rows_owner]
             acc = np.matmul(matrix, current[others[0]][:, :, None])[..., 0]
             for i in others[1:]:
                 acc = np.matmul(acc.reshape(len(acc), -1, n), current[i][:, :, None])[..., 0]
             value, current[k] = dual_norm_linear(acc, p)
         values[active] = value
-        trace.append(values.copy())
         done = value - previous <= tol * np.maximum(value, 1e-300)
         if done.any():
             finished, keep = active[done], ~done
@@ -220,12 +227,14 @@ def _ascend(
                 out[k][finished] = current[k][done]
                 current[k] = current[k][keep]
             active, value = active[keep], value[keep]
+            if owner is not None:
+                rows_owner = owner[active]
             if active.size == 0:
                 break
         previous = value
     for k in range(m):
         out[k][active] = current[k]
-    return values, out, np.array(trace), converged
+    return values, out, converged
 
 
 def alternating_max(
@@ -240,31 +249,63 @@ def alternating_max(
 
     Fixing all arguments but one reduces the problem to an exact linear dual
     norm, so each sweep is monotone.  The upper bound is the crude
-    coefficient mass.  Restarts draw independent unit starting tuples from
-    seeds spawned off `seed` and ascend together as one batch; the result
-    is their max (the first restart attaining it), so it is deterministic.
-    The batch makes a single serial call fast: parallel workers in
-    `certify` are optional.  Needs m >= 2 (a form with m = 1 is a linear
-    functional, whose norm `dual_norm_linear` gives exactly).
+    coefficient mass.  The restarts' unit starting tuples come from one
+    stream of `seed` (`_random_starts`) and ascend together as one batch;
+    the result is their max (the first restart attaining it), so it is
+    deterministic.  This is the one-tensor case of the batch that `certify`
+    runs over many trials at once (`_alternating_max_batch`): every restart
+    gives the same value bit for bit in either.  Needs m >= 2 (a form with
+    m = 1 is a linear functional, whose norm `dual_norm_linear` gives
+    exactly).
     """
-    if T.m < 2:
+    return _alternating_max_batch([T], p, restarts, max_iters, tol, [seed])[0]
+
+
+def _alternating_max_batch(
+    tensors: Sequence[FormTensor],
+    p: float,
+    restarts: int,
+    max_iters: int,
+    tol: float,
+    seeds: Sequence,
+) -> List[NormEstimate]:
+    """`alternating_max(tensors[b], ..., seed=seeds[b])` for every b, as one ascent.
+
+    The tensors share (m, n, field).  Their restarts run as the rows of one
+    `_ascend` batch, trial-major, and each row's arithmetic does not depend
+    on the batch, so every estimate is the same whatever the batch holds.
+    A single tensor takes the direct path, with no gathered matrices.
+    """
+    first = tensors[0]
+    if first.m < 2:
         raise DomainError("need an m-linear form with m >= 2")
     if not (p > 1.0):
         raise DomainError(f"alternating_max needs p > 1 (or inf), got {p}")
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
-    upper = crude_upper(T, p)
-    starts = _random_starts(seed, restarts, T.m, T.n, p, T.field is ScalarField.COMPLEX)
-    values, vectors, _, converged = _ascend(T.coeffs, starts, p, max_iters, tol)
-    best = int(np.argmax(values))
-    return NormEstimate(
-        lower=min(float(values[best]), upper),
-        upper=upper,
-        method=NormMethod.ALTERNATING_MAX,
-        restarts=restarts,
-        converged=bool(converged[best]),
-        witness=tuple(v[best] for v in vectors),
-    )
+    cx = first.field is ScalarField.COMPLEX
+    starts = [_random_starts(seed, restarts, first.m, first.n, p, cx) for seed in seeds]
+    if len(tensors) == 1:
+        coeffs, owner = first.coeffs, None
+    else:
+        coeffs = np.stack([T.coeffs for T in tensors])
+        owner = np.repeat(np.arange(len(tensors)), restarts)
+    vectors = [np.concatenate([s[k] for s in starts]) for k in range(first.m)]
+    values, vectors, converged = _ascend(coeffs, vectors, p, max_iters, tol, owner)
+    estimates = []
+    for b, T in enumerate(tensors):
+        # the best restart (the first attaining the max), capped by the mass
+        upper = crude_upper(T, p)
+        best = b * restarts + int(np.argmax(values[b * restarts : (b + 1) * restarts]))
+        estimates.append(NormEstimate(
+            lower=min(float(values[best]), upper),
+            upper=upper,
+            method=NormMethod.ALTERNATING_MAX,
+            restarts=restarts,
+            converged=bool(converged[best]),
+            witness=tuple(v[best] for v in vectors),
+        ))
+    return estimates
 
 
 def exact_linf_enum(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "PATTERN_BUDGET",
     "evaluate",
     "mixed_norm",
+    "mixed_norms",
     "generate",
     "tensor_to_json",
     "tensor_from_json",
@@ -111,13 +112,27 @@ def mixed_norm(T: FormTensor, fixed_index: int, s: float, alpha: float) -> float
     beyond the (n, n^(m-1)) view.  Collapses to the flat l_s norm when
     alpha = s.
     """
-    if not (1.0 <= s < math.inf and 1.0 <= alpha < math.inf):
-        raise DomainError("mixed-norm exponents must be finite and >= 1")
+    _check_mixed_exponents(s, alpha)
     if not (1 <= fixed_index <= T.m):
         raise DomainError(f"fixed_index must lie in [1, {T.m}], got {fixed_index}")
-    flat = np.moveaxis(T.coeffs, fixed_index - 1, 0).reshape(T.n, -1)
-    inner = np.abs(flat) ** s
-    per_row = inner.sum(axis=1) ** (1.0 / s)
+    return _mixed_norm_of_powers(np.abs(T.coeffs) ** s, fixed_index - 1, s, alpha)
+
+
+def mixed_norms(T: FormTensor, s: float, alpha: float) -> List[float]:
+    """[mixed_norm(T, i, s, alpha) for i = 1..m], bit for bit, from one |coeff|^s."""
+    _check_mixed_exponents(s, alpha)
+    powered = np.abs(T.coeffs) ** s
+    return [_mixed_norm_of_powers(powered, axis, s, alpha) for axis in range(T.m)]
+
+
+def _check_mixed_exponents(s: float, alpha: float) -> None:
+    if not (1.0 <= s < math.inf and 1.0 <= alpha < math.inf):
+        raise DomainError("mixed-norm exponents must be finite and >= 1")
+
+
+def _mixed_norm_of_powers(powered: np.ndarray, axis: int, s: float, alpha: float) -> float:
+    flat = np.moveaxis(powered, axis, 0).reshape(powered.shape[axis], -1)
+    per_row = flat.sum(axis=1) ** (1.0 / s)
     return float((per_row**alpha).sum() ** (1.0 / alpha))
 
 

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,14 +12,17 @@ from hlcert import (
     FormTensor,
     ScalarField,
     TrialConfig,
+    alternating_max,
     certify,
     exponents,
+    generate,
     mixed_norm,
     search_extremal,
     sweep_lambda0,
 )
 from hlcert.certify import (
     _classify,
+    _lhs_mixed,
     report_to_json,
     sweep_to_csv,
     trials_to_csv,
@@ -115,6 +119,66 @@ def test_certify_jobs_invariant():
     assert seq.inconclusive == par.inconclusive
     assert seq.max_ratio_conservative == par.max_ratio_conservative
     assert seq.max_ratio_empirical == par.max_ratio_empirical
+
+
+def _per_trial_rows(m, n, p, lambda0, cfg, seed):
+    # reference: the certify pipeline one trial at a time through the public
+    # alternating_max, with the same streams (generate, norm, retry)
+    exps = exponents(m, p, lambda0, REAL)
+    C = exps.constant
+    rows = []
+    for t in range(cfg.trials):
+        ss = np.random.SeedSequence([seed, t])
+        gen_ss, norm_ss, retry_ss = ss.spawn(3)
+        T = generate(cfg.kinds[t % len(cfg.kinds)], m, n, REAL, gen_ss)
+        lhs = _lhs_mixed(T, exps.s, exps.eta1)
+        est = alternating_max(
+            T, p, restarts=cfg.restarts, max_iters=cfg.max_iters, tol=cfg.tol, seed=norm_ss
+        )
+        lower = est.lower
+        classification = _classify(lhs, C * lower, C * est.upper, cfg.ratio_tol)
+        retried = classification == "inconclusive"
+        if retried:
+            retry = alternating_max(
+                T, p, restarts=4 * cfg.restarts, max_iters=cfg.max_iters, tol=cfg.tol,
+                seed=retry_ss,
+            )
+            lower = max(lower, retry.lower)
+            classification = _classify(lhs, C * lower, C * est.upper, cfg.ratio_tol)
+        rows.append((t, int(ss.generate_state(1)[0]), lhs, lower, est.upper,
+                     classification, retried))
+    return rows
+
+
+def _row_tuples(report):
+    return [
+        (r.index, r.seed_entropy, r.lhs, r.lower, r.upper, r.classification, r.retried)
+        for r in report.trial_rows
+    ]
+
+
+def test_certify_batches_match_serial_and_jobs():
+    # 100 trials at (3, 3) with 32 restarts run as batches of 75 + 25 serially
+    # and 50 + 50 on two workers; every row must be the per-trial result
+    cfg = TrialConfig(trials=100, keep_trials=True)
+    seq = certify(3, 3, 4.0, 1.0, REAL, config=cfg, seed=31)
+    par = certify(3, 3, 4.0, 1.0, REAL, config=replace(cfg, jobs=2), seed=31)
+    assert report_to_json(seq) == report_to_json(par).replace('"jobs": 2', '"jobs": 1')
+    assert seq.trial_rows == par.trial_rows
+    assert trials_to_csv(seq.trial_rows) == trials_to_csv(par.trial_rows)
+    assert _row_tuples(seq) == _per_trial_rows(3, 3, 4.0, 1.0, cfg, 31)
+
+
+def test_certify_batched_retry_matches_per_trial_retry():
+    # two sweeps of two restarts and a shifted pass threshold leave many
+    # trials inconclusive, so their 4x retries run as one batch
+    cfg = TrialConfig(trials=60, restarts=2, max_iters=2, ratio_tol=-0.5, keep_trials=True)
+    report = certify(3, 2, 4.0, 1.2, REAL, config=cfg, seed=3)
+    rows = _row_tuples(report)
+    retried = [r for r in rows if r[-1]]
+    assert len(retried) >= 10
+    assert any(r[5] != "inconclusive" for r in retried)   # some retries resolve
+    assert rows == _per_trial_rows(3, 2, 4.0, 1.2, cfg, 3)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

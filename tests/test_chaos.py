@@ -231,6 +231,13 @@ def test_contraction_guards():
         check_contraction(np.ones((5, 5, 5, 5, 5, 5)), 2.0)
 
 
+def test_contraction_rejects_complex_coefficients():
+    # casting to real would drop the imaginary part and check the real part
+    arr = np.array([[1.0 + 5.0j, 0.0], [0.0, 1.0]])
+    with pytest.raises(DomainError, match="real coefficients only"):
+        check_contraction(arr, 2.0)
+
+
 def test_multiple_khinchin_m2_reduces_to_khinchin():
     rng = np.random.default_rng(71)
     T = generate("gaussian", 2, 4, REAL, int(rng.integers(2**32)))

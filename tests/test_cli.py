@@ -190,6 +190,17 @@ def test_khinchin_check_command(capsys):
     assert payload["ratio"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_contraction_check_complex_tensor_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(
+        {"m": 2, "n": 2, "field": "complex", "coeffs": [[1, 5], [0, 0], [0, 0], [1, 0]]}
+    ))
+    code, out, err = run(capsys, "contraction-check", "--t", "2", "--tensor", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "real coefficients only" in err
+
+
 def test_contraction_check_command(capsys):
     code, out, _ = run(
         capsys, "contraction-check", "--m", "2", "--N", "3", "--t", "2", "--seed", "5",
@@ -277,6 +288,40 @@ def test_jobs_below_one_is_usage_error(capsys, jobs):
         code, _, err = run(capsys, *argv, "--jobs", jobs)
         assert code == EXIT_USAGE
         assert "jobs must be >= 1" in err
+
+
+def test_hlcert_jobs_zero_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("HLCERT_JOBS", "0")
+    for argv in (
+        ["verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
+         "--trials", "2", "--seed", "1"],
+        ["sweep", "--m", "2", "--p", "4", "--grid", "1.0,1.5"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "jobs must be >= 1" in err
+
+
+def test_hlcert_jobs_non_integer_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("HLCERT_JOBS", "abc")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
+              "--trials", "2", "--seed", "1"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "argument --jobs: invalid int value: 'abc'" in capsys.readouterr().err
+    # subcommands without --jobs do not read it
+    code, _, _ = run(capsys, "constants", "--q", "2")
+    assert code == EXIT_OK
+
+
+def test_hlcert_jobs_sets_the_default(capsys, monkeypatch):
+    monkeypatch.setenv("HLCERT_JOBS", "2")
+    code, out, _ = run(
+        capsys, "verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
+        "--trials", "2", "--seed", "1", "--format", "json",
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["jobs"] == 2
 
 
 @pytest.mark.parametrize("command", [

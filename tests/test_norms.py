@@ -19,7 +19,7 @@ from hlcert import (
     exact_linf_enum,
     generate,
 )
-from hlcert.norms import _ascend, _random_starts
+from hlcert.norms import _alternating_max_batch, _ascend, _random_starts
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
@@ -196,14 +196,79 @@ def test_restart_prefix():
                 assert lower32 >= lower8
 
 
+def test_random_starts_are_one_stream():
+    # pins the stream: one default_rng(seed) draw of every restart's normals,
+    # restart-major, real and imaginary parts in the restart's own block
+    for seed in (5, np.random.SeedSequence([3, 4])):
+        for cx in (False, True):
+            for p in (1.5, 4.0, math.inf):
+                rng = np.random.default_rng(seed)
+                if cx:
+                    z = rng.standard_normal((6, 2, 3, 4))
+                    x = z[:, 0] + 1j * z[:, 1]
+                else:
+                    x = rng.standard_normal((6, 3, 4))
+                if math.isinf(p):
+                    expected = x / np.abs(x)
+                else:
+                    expected = x / ((np.abs(x) ** p).sum(axis=-1, keepdims=True) ** (1.0 / p))
+                starts = _random_starts(seed, 6, 3, 4, p, cx)
+                assert len(starts) == 3
+                for k in range(3):
+                    assert np.array_equal(starts[k], expected[:, k])
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("p", [1.5, 4.0, math.inf])
+def test_batched_ascent_matches_single_tensor_calls(m, n, field, p):
+    # B tensors ascend as one stack, row r on tensor owner[r]; every row must
+    # match the one-tensor call bit for bit (values, vectors, convergence),
+    # also when rows freeze at different sweeps or run out of sweeps
+    rng = np.random.default_rng(1000 * m + n)
+    cx = field is COMPLEX
+    B, R = 3, 5
+    tensors = [generate("gaussian", m, n, field, int(rng.integers(2**32))) for _ in range(B)]
+    starts = [_random_starts(int(rng.integers(2**32)), R, m, n, p, cx) for _ in range(B)]
+    stack = np.stack([T.coeffs for T in tensors])
+    owner = np.repeat(np.arange(B), R)
+    for max_iters in (500, 3):
+        batched = _ascend(
+            stack, [np.concatenate([s[k] for s in starts]) for k in range(m)],
+            p, max_iters, 1e-10, owner,
+        )
+        for b, T in enumerate(tensors):
+            rows = slice(b * R, (b + 1) * R)
+            values, vectors, converged = _ascend(T.coeffs, starts[b], p, max_iters, 1e-10)
+            assert np.array_equal(batched[0][rows], values)
+            assert np.array_equal(batched[2][rows], converged)
+            for k in range(m):
+                assert np.array_equal(batched[1][k][rows], vectors[k])
+
+
+def test_batch_entry_matches_alternating_max():
+    rng = np.random.default_rng(67)
+    for field in (REAL, COMPLEX):
+        for p in (4.0, math.inf):
+            tensors = [generate("gaussian", 3, 3, field, int(rng.integers(2**32))) for _ in range(4)]
+            seeds = [np.random.SeedSequence([9, b]) for b in range(4)]
+            batch = _alternating_max_batch(tensors, p, 6, 500, 1e-10, seeds)
+            for T, seed, est in zip(tensors, seeds, batch):
+                single = alternating_max(T, p, restarts=6, seed=seed)
+                assert est.to_jsonable() == single.to_jsonable()
+                for a, b in zip(est.witness, single.witness):
+                    assert np.array_equal(a, b)
+
+
 def test_monotone_ascent_trace():
     rng = np.random.default_rng(53)
     for _ in range(10):
         T = generate("gaussian", 2, 4, REAL, int(rng.integers(2**32)))
         starts = rng.standard_normal((2, 6, 4))
         vectors = list(starts / np.linalg.norm(starts, axis=-1, keepdims=True))
-        _, _, trace, _ = _ascend(np.asarray(T.coeffs), vectors, 2.0, 50, 1e-12)
-        assert trace.shape[1] == 6
+        # a run of k sweeps stops where a longer run is after its k-th sweep
+        trace = [_ascend(np.asarray(T.coeffs), vectors, 2.0, k, 1e-12)[0] for k in range(1, 51)]
+        assert trace[0].shape == (6,)
         for earlier, later in zip(trace, trace[1:]):
             assert np.all(later >= earlier - 1e-12)
 

@@ -20,7 +20,7 @@ from hlcert import (
     tensor_from_json,
     tensor_to_json,
 )
-from hlcert.tensor import contract_trailing_signs, iter_sign_blocks, sign_slices
+from hlcert.tensor import contract_trailing_signs, iter_sign_blocks, mixed_norms, sign_slices
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
@@ -125,6 +125,25 @@ def test_mixed_norm_permutation_consistency():
         a = mixed_norm(T, spec_i, 2.0, 3.0)
         b = mixed_norm(T_swapped, 1, 2.0, 3.0)
         assert a == pytest.approx(b, rel=1e-13)
+
+
+def test_mixed_norms_share_one_power_bit_for_bit():
+    # one |coeff|^s for all m fixed indices gives, bit for bit, what raising
+    # each index's own (n, n^(m-1)) layout to the s-th power gives
+    rng = np.random.default_rng(17)
+    for m, n in [(1, 5), (2, 4), (3, 3), (4, 2)]:
+        for field in (REAL, ScalarField.COMPLEX):
+            T = generate("gaussian", m, n, field, int(rng.integers(2**32)))
+            for s, alpha in [(2.0, 4.0), (1.3, 2.7), (3.0, 1.0)]:
+                expected = []
+                for i in range(m):
+                    flat = np.moveaxis(T.coeffs, i, 0).reshape(n, -1)
+                    per_row = (np.abs(flat) ** s).sum(axis=1) ** (1.0 / s)
+                    expected.append(float((per_row**alpha).sum() ** (1.0 / alpha)))
+                assert mixed_norms(T, s, alpha) == expected
+                assert expected == [mixed_norm(T, i, s, alpha) for i in range(1, m + 1)]
+    with pytest.raises(DomainError):
+        mixed_norms(T, 0.5, 2.0)
 
 
 def test_mixed_norm_spec_validation():
