@@ -8,7 +8,8 @@ implementation bug; the suite treats them as its primary self-diagnostic.
 
 Trials are independent: each derives its own seed from (base seed, trial
 index), so reports are byte-identical for a fixed (params, seed, jobs)
-triple regardless of scheduling.
+triple regardless of scheduling.  Every entry point here checks its seed by
+the one rule of `hlcert.chaos`: an integer in [0, 2^32), else DomainError.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .chaos import _check_seed
 from .errors import DomainError, ViolationError
 from .exponents import ExponentSet, exponents
 from .norms import (
@@ -305,6 +307,7 @@ def certify(
     A serial run (jobs=1) is fast; jobs > 1 hands whole batches to worker
     processes and is optional.  jobs < 1 raises DomainError.
     """
+    seed = _check_seed(seed)
     cfg = config or TrialConfig()
     if cfg.trials < 1:
         raise DomainError("need at least one trial")
@@ -375,6 +378,7 @@ def search_extremal(
     resulting ratio is an empirical lower bound on the best constant and can
     never exceed the certified constant (else ViolationError: a bug).
     """
+    seed = _check_seed(seed)
     exps = _admissible_exponents(m, n, p, lambda0, field)
     exact = math.isinf(p) and field is ScalarField.REAL
 
@@ -488,6 +492,7 @@ def sweep_lambda0(
     NaN).  With trials > 0 each admissible row also gets a small
     certification run and reports its conservative max ratio.
     """
+    seed = _check_seed(seed)
     rows: List[SweepRow] = []
     for lam in grid:
         exp = exponents(m, p, lam, field, strict=False)

@@ -7,11 +7,13 @@ quantities have no finite extreme-point set and are estimated by one
 Monte-Carlo routine, `_steinhaus_stats`, with reported standard errors;
 checks on those are 3-sigma soft checks, never hard asserts.
 
-Seeds follow one rule at every entry point (`steinhaus_moment`,
-`check_khinchin`, `verify_proof_chain`): a seed is a non-negative integer,
-anything else raises DomainError.  The Monte-Carlo samples come from
-SeedSequence([seed, 0]) and the complex chain's ascent from
-SeedSequence([seed, 1]), so results are reproducible per (parameters, seed).
+Seeds follow one rule, `_check_seed`, at every entry point (here
+`steinhaus_moment`, `check_khinchin` and `verify_proof_chain`; in
+`hlcert.certify` `certify`, `search_extremal` and `sweep_lambda0`): a seed
+is an integer in [0, 2^32), anything else raises DomainError.  The
+Monte-Carlo samples come from SeedSequence([seed, 0]) and the complex
+chain's ascent from SeedSequence([seed, 1]), so results are reproducible
+per (parameters, seed).
 
 Both sides of every inequality checked here are 1-homogeneous in the
 coefficients, so the checks run on the input divided by the power of two
@@ -109,10 +111,14 @@ def _coefficient_vector(a, q: float, dtype) -> np.ndarray:
 
 
 def _check_seed(seed) -> int:
-    """The chaos checks' seed rule: a non-negative integer, else DomainError."""
-    if isinstance(seed, (int, np.integer)) and seed >= 0:
+    """The one seed rule: an integer in [0, 2^32), else DomainError.
+
+    SeedSequence hashes an integer as 32-bit words, so [seed + 2^32, k]
+    would hash like [seed, k + 1] and streams of different seeds collide.
+    """
+    if isinstance(seed, (int, np.integer)) and 0 <= seed < 2**32:
         return int(seed)
-    raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    raise DomainError(f"seed must be a non-negative integer below 2**32, got {seed!r}")
 
 
 def _exact_moment(coeffs: np.ndarray, q: float, pattern_budget: int = PATTERN_BUDGET) -> float:

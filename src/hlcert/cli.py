@@ -23,7 +23,7 @@ from .certify import (
     sweep_to_csv,
     trials_to_csv,
 )
-from .chaos import check_contraction, check_khinchin, verify_proof_chain
+from .chaos import _check_seed, check_contraction, check_khinchin, verify_proof_chain
 from .errors import (
     BudgetError,
     DomainError,
@@ -89,7 +89,9 @@ def _default_jobs() -> str:
 
 def _resolve_seed(args) -> tuple[int, bool]:
     if getattr(args, "seed", None) is not None:
-        return args.seed, False
+        # the library's one seed rule, also for contraction-check, whose
+        # seed goes to `generate` unchecked
+        return _check_seed(args.seed), False
     return random.SystemRandom().randrange(2**32), True
 
 

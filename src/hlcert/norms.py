@@ -78,7 +78,11 @@ def _phase(c: np.ndarray) -> np.ndarray:
         mags = np.abs(c)
         out = np.ones_like(c)
         nz = mags > 0.0
-        out[nz] = np.conj(c[nz]) / mags[nz]
+        # the parts are divided separately: complex / real would multiply
+        # by 1/|c|, which overflows for subnormal |c|
+        c, mags = c[nz], mags[nz]
+        out.real[nz] = c.real / mags
+        out.imag[nz] = -(c.imag / mags)
         return out
     return np.where(c < 0.0, -1.0, 1.0)
 
@@ -91,6 +95,12 @@ def dual_norm_linear(c: np.ndarray, p: float) -> Tuple[Union[float, np.ndarray],
     (..., n) returns the array of values and the stack of maximizers, each
     row exactly as the 1-D call on that row gives it.  A zero c (or zero
     row) gives value 0 and the first basis vector.
+
+    For finite p > 1 each row is scaled by its largest magnitude, r = |c| /
+    max|c| (so nothing overflows), and x is proportional to
+    phase(c) * r^(p'-1).  Since (p'-1) p = p', |x|^p = r^(p'-1) * r = r^p':
+    the one power r^(p'-1) gives both the value's sum S = sum r^p', with
+    value = max|c| * S^(1/p'), and the witness's norm S^(1/p).
     """
     if p < 1.0:
         raise DomainError(f"p must be >= 1 or inf, got {p}")
@@ -101,30 +111,31 @@ def dual_norm_linear(c: np.ndarray, p: float) -> Tuple[Union[float, np.ndarray],
         # (numpy scalars take other code paths that round differently)
         c = c[None]
     mags = np.abs(c)
+    top = mags.max(axis=-1)
+    zero = top == 0.0
+    has_zero = zero.any()
     if math.isinf(p):
         values = mags.sum(axis=-1)
         x = _phase(c)
-        zero = values == 0.0
     elif p == 1.0:
         j = np.argmax(mags, axis=-1)[..., None]
-        values = np.take_along_axis(mags, j, axis=-1)[..., 0]
+        values = top
         x = np.zeros_like(c)
         np.put_along_axis(x, j, _phase(np.take_along_axis(c, j, axis=-1)), axis=-1)
-        zero = values == 0.0
     else:
         pp = p / (p - 1.0)
-        scale = mags.max(axis=-1, keepdims=True)
-        zero = scale[..., 0] == 0.0
-        if zero.any():
-            scale[zero] = 1.0
-        ratio = mags / scale
-        values = scale[..., 0] * (ratio**pp).sum(axis=-1) ** (1.0 / pp)
-        x = _phase(c) * ratio ** (pp - 1.0)
-        norm = (np.abs(x) ** p).sum(axis=-1, keepdims=True) ** (1.0 / p)
-        if zero.any():
+        if has_zero:
+            top[zero] = 1.0
+        ratio = mags / top[..., None]
+        weight = ratio ** (pp - 1.0)
+        total = (weight * ratio).sum(axis=-1)  # >= 1 on a nonzero row, 0 on a zero row
+        values = top * total ** (1.0 / pp)
+        norm = total ** (1.0 / p)
+        if has_zero:
             norm[zero] = 1.0
-        x /= norm
-    if zero.any():
+        x = _phase(c) * weight if np.iscomplexobj(c) else np.copysign(weight, c)
+        x /= norm[..., None]
+    if has_zero:
         x[zero] = np.eye(1, c.shape[-1], dtype=x.dtype)[0]
     if single:
         return float(values[0]), x[0]
@@ -157,7 +168,13 @@ def _random_starts(
     else:
         x = rng.standard_normal((restarts, m, n))
     if math.isinf(p):
-        x = _phase(np.conj(x))
+        # x / |x| entrywise, a zero entry gets +1; a nonzero normal draw is
+        # far above the subnormal moduli whose reciprocal would overflow
+        mags = np.abs(x)
+        zero = mags == 0.0
+        if zero.any():
+            x[zero], mags[zero] = 1.0, 1.0
+        x = x / mags
     else:
         norm = (np.abs(x) ** p).sum(axis=-1, keepdims=True) ** (1.0 / p)
         zero = norm[..., 0] == 0.0

@@ -13,6 +13,8 @@ from hlcert import (
     DomainError,
     FormTensor,
     ScalarField,
+    TrialConfig,
+    certify,
     check_contraction,
     check_khinchin,
     check_multiple_khinchin,
@@ -20,8 +22,10 @@ from hlcert import (
     generate,
     khinchin_A,
     rademacher_moment,
+    search_extremal,
     solve_q0,
     steinhaus_moment,
+    sweep_lambda0,
     verify_proof_chain,
 )
 from hlcert import chaos as chaos_module
@@ -414,17 +418,25 @@ def test_chain_domain_guards():
 
 
 def test_chain_complex_seeds_are_not_truncated():
-    # seeds are whole integers: 5 and 5 + 2^32 are different streams
+    # SeedSequence([5 + 2^32, 0]) would hash like [5, 1], the ascent stream of
+    # seed 5: a seed of 2^32 or more is refused rather than wrapped
     S = generate("steinhaus", 2, 3, COMPLEX, 27)
-    a = verify_proof_chain(S, 1.5, 2.0, mc_samples=2_000, seed=5)
-    b = verify_proof_chain(S, 1.5, 2.0, mc_samples=2_000, seed=5 + 2**32)
-    assert a.to_jsonable() != b.to_jsonable()
+    with pytest.raises(DomainError, match="seed"):
+        verify_proof_chain(S, 1.5, 2.0, mc_samples=2_000, seed=5 + 2**32)
+    top = verify_proof_chain(S, 1.5, 2.0, mc_samples=2_000, seed=2**32 - 1)
+    assert top.mode == "mc" and top.passed
 
 
-@pytest.mark.parametrize("seed", [-1, None, 1.5])
+@pytest.mark.parametrize("seed", [-1, None, 1.5, 2**32])
 def test_chaos_entry_points_share_one_seed_rule(seed):
     real = generate("gaussian", 2, 2, REAL, 1)
     cplx = generate("steinhaus", 2, 2, COMPLEX, 1)
+    with pytest.raises(DomainError, match="seed"):
+        certify(3, 2, 4.0, 1.0, config=TrialConfig(trials=1), seed=seed)
+    with pytest.raises(DomainError, match="seed"):
+        search_extremal(3, 2, 4.0, 1.0, budget=1, seed=seed)
+    with pytest.raises(DomainError, match="seed"):
+        sweep_lambda0(3, 4.0, 2, grid=(1.0,), seed=seed)
     with pytest.raises(DomainError, match="seed"):
         verify_proof_chain(real, 1.5, 2.0, seed=seed)
     with pytest.raises(DomainError, match="seed"):

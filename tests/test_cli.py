@@ -117,6 +117,20 @@ def test_verify_draws_and_prints_seed(capsys):
     assert out.startswith("# seed: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1", "--trials", "2"),
+    ("search", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1", "--budget", "2"),
+    ("sweep", "--m", "3", "--p", "4", "--grid", "1"),
+    ("contraction-check", "--m", "2", "--N", "3", "--t", "2"),
+])
+def test_seed_of_2_32_or_more_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", str(2**32 + 5))
+    assert code == EXIT_USAGE
+    assert out == "" and "seed" in err
+    code, _, _ = run(capsys, *argv, "--seed", str(2**32 - 1))
+    assert code == EXIT_OK
+
+
 def test_verify_inadmissible_is_usage_error(capsys):
     code, _, err = run(
         capsys, "verify", "--m", "2", "--n", "2", "--p", "4", "--lambda0", "1",

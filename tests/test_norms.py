@@ -18,6 +18,7 @@ from hlcert import (
     evaluate,
     exact_linf_enum,
     generate,
+    verify_proof_chain,
 )
 from hlcert.norms import _alternating_max_batch, _ascend, _random_starts
 
@@ -99,6 +100,59 @@ def test_dual_norm_stack_matches_rows(p, complex_case):
         for r in (1, 4):
             assert values[r] == 0.0
             assert np.array_equal(x[r], np.eye(1, n)[0])
+
+
+def _dual_norm_reference(row, p):
+    # ||row||_{p'} in Python floats, scaled by the largest modulus, summed by fsum
+    pp = p / (p - 1.0)
+    mags = [abs(complex(v)) for v in row]
+    top = max(mags)
+    return top * math.fsum((v / top) ** pp for v in mags) ** (1.0 / pp)
+
+
+@pytest.mark.parametrize("p", [1.0 + 1e-9, 1.001, 1.5, 4.0, 64.0, 1e6])
+@pytest.mark.parametrize("complex_case", [False, True])
+def test_dual_norm_one_power_step(p, complex_case):
+    # the finite-p step takes one power: |x|^p = r^(p'-1) * r = r^p' gives
+    # both the value and the witness's norm; checked per row against
+    # <c, x>, ||x||_p = 1 and an fsum reference, over 600 orders of magnitude
+    rng = np.random.default_rng(43)
+    base = [rng.standard_normal(4) for _ in range(3)]
+    base += [np.array([3.0, -3.0, 1.0, 0.0]), np.array([2.0, 2.0, 2.0, 2.0])]  # tied maxima
+    if complex_case:
+        base = [b + 1j * rng.standard_normal(4) for b in base[:3]]
+        base += [np.array([3.0, -3.0j, 2.0 + 2.0j, 0.0]), np.array([1.0, 1j, -1.0, -1j])]
+    rows = [scale * b for scale in (1e-300, 1.0, 1e300) for b in base]
+    rows.insert(4, np.zeros(4, dtype=rows[0].dtype))  # a zero row among the others
+    c = np.array(rows)
+    values, x = dual_norm_linear(c, p)
+    for r, row in enumerate(c):
+        if not row.any():
+            assert values[r] == 0.0 and np.array_equal(x[r], np.eye(1, 4)[0])
+            continue
+        attained = complex(np.sum(row * x[r]))
+        assert abs(attained - values[r]) <= 1e-13 * values[r]
+        pnorm = math.fsum(abs(complex(v)) ** p for v in x[r]) ** (1.0 / p)
+        assert abs(pnorm - 1.0) <= 1e-13
+        reference = _dual_norm_reference(row, p)
+        assert abs(values[r] - reference) <= 1e-14 * reference
+
+
+def test_subnormal_complex_entries_give_finite_bounds():
+    # conj(c) / |c| as complex / real multiplies by 1/|c|, which overflows
+    # for subnormal |c| and would turn the whole ascent into NaN
+    coeffs = np.ones((2, 2, 2), dtype=complex)
+    coeffs[1] = 1e-310 * (1 + 1j)
+    T = _tensor(coeffs, COMPLEX)
+    for p in (4.0, math.inf):
+        est = alternating_max(T, p, restarts=4, seed=0)
+        assert math.isfinite(est.lower) and 0.0 < est.lower <= est.upper
+    D = _tensor(np.array([[1.0, 0.0], [0.0, 1e-310j]]), COMPLEX)
+    est = alternating_max(D, 4.0, restarts=4, seed=0)
+    assert math.isfinite(est.lower) and est.lower <= est.upper
+    chain = verify_proof_chain(T, 1.5, 2.0, mc_samples=2_000, seed=3)
+    assert chain.passed and math.isfinite(chain.norm_lower)
+    assert chain.norm_lower <= chain.norm_upper
 
 
 def test_alternating_sparse_unit_exact():
