@@ -30,6 +30,7 @@ from hlcert import (
 )
 from hlcert import chaos as chaos_module
 from hlcert.norms import exact_linf_enum
+from hlcert.tensor import contract_trailing_signs, iter_sign_blocks
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
@@ -97,8 +98,8 @@ def test_monte_carlo_deterministic_per_seed():
 
 
 def test_steinhaus_moment_is_one_stream_drawn_in_blocks():
-    # two full blocks of 8192 samples and a tail of 5, against one draw of
-    # the whole stream of SeedSequence([seed, 0])
+    # four full blocks of MC_BLOCK = 4096 samples and a tail of 5, against
+    # one draw of the whole stream of SeedSequence([seed, 0])
     a = np.array([1.0 + 1.0j, -2.0, 0.5j, 0.25])
     q, samples, seed = 1.3, 2 * 8192 + 5, 11
     mom = steinhaus_moment(a, q, samples=samples, seed=seed)
@@ -110,6 +111,105 @@ def test_steinhaus_moment_is_one_stream_drawn_in_blocks():
     assert mom.value == pytest.approx(value, rel=1e-12)
     assert mom.stderr == pytest.approx(stderr * value / (q * mean), rel=1e-12)
     assert mom.samples == samples and mom.seed == seed
+
+
+@pytest.mark.parametrize("k", [-700, 0, 660])
+def test_moments_scale_by_powers_of_two_bit_for_bit(k):
+    # both moments run on a / (power of two nearest max|a|), so scaling a by
+    # 2^k scales the value (and the standard error) by exactly 2^k
+    a = np.array([1.0, -0.75, 0.3, 2.5])
+    c = np.array([1.0 + 1.0j, -2.0, 0.5j, 0.25])
+    scale = 2.0**k
+    assert rademacher_moment(a * scale, 1.7).value == scale * rademacher_moment(a, 1.7).value
+    base = steinhaus_moment(c, 1.3, samples=3000, seed=5)
+    scaled = steinhaus_moment(c * scale, 1.3, samples=3000, seed=5)
+    assert scaled.value == scale * base.value
+    assert scaled.stderr == scale * base.stderr
+
+
+def test_moments_neither_overflow_nor_underflow():
+    big = steinhaus_moment([1e200, 1e200], 2.0, samples=1000, seed=1)
+    assert math.isfinite(big.value) and math.isfinite(big.stderr)
+    assert big.value == pytest.approx(math.sqrt(2.0) * 1e200, rel=0.05)
+    assert rademacher_moment([1e200, 1e200], 2.0).value == pytest.approx(
+        math.sqrt(2.0) * 1e200, rel=1e-14
+    )
+    assert steinhaus_moment([1e-200] * 2, 2.0, samples=1000, seed=1).value > 0.0
+    assert rademacher_moment([3e-170] * 2, 2.5).value > 0.0
+
+
+@pytest.mark.parametrize("samples", [1e5, 2.5, 1])
+def test_monte_carlo_sample_count_is_an_integer_of_at_least_two(samples):
+    S = generate("steinhaus", 2, 2, COMPLEX, 3)
+    with pytest.raises(DomainError, match="samples"):
+        steinhaus_moment([1.0, 1.0j], 1.5, samples=samples)
+    with pytest.raises(DomainError, match="samples"):
+        check_khinchin([1.0, 1.0j], 1.5, COMPLEX, samples=samples)
+    with pytest.raises(DomainError, match="samples"):
+        verify_proof_chain(S, 1.5, 2.0, mc_samples=samples)
+
+
+_PHASE_EDGES = [0.0, 2.0**-53, 0.25, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 0.75, 1.0 - 2.0**-53]
+
+
+def test_steinhaus_phases_match_the_complex_exponential():
+    u = np.concatenate([np.random.default_rng(13).random(1_000_000), _PHASE_EDGES])
+    z = chaos_module._steinhaus_phases(u.copy())
+    assert z.dtype == np.complex128 and z.shape == u.shape
+    assert np.abs(z - np.exp(2j * math.pi * u)).max() <= 1e-15
+    assert np.abs(np.abs(z) - 1.0).max() <= 1e-15
+    assert z[-4].real == -1.0    # u = 1/2: t^2 about 2.6e32, far from overflow
+
+
+def _steinhaus_stats_by_samples(coeffs, q, samples, seed):
+    # per-sample reference: one draw of the whole stream, phases by the
+    # complex exponential, the contraction slot by slot
+    r, n = coeffs.ndim - 1, coeffs.shape[-1]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    phases = np.exp(2j * math.pi * rng.random((samples, r, n)))
+    V = np.abs(contract_trailing_signs(coeffs, phases)) ** q
+    rows = V.sum(axis=1)
+    mean = rows.mean()
+    stderr = math.sqrt(max((rows**2).mean() - mean**2, 0.0) / samples)
+    return V.mean(axis=0), mean, rows.max(), stderr
+
+
+def _assert_stats_close(got, want):
+    # (column means, and three scalars): all within 1e-12 relative
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0)
+    for g, w in zip(got[1:], want[1:]):
+        assert g == pytest.approx(w, rel=1e-12)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3), (4, 2)])
+@pytest.mark.parametrize("free", ["one", "n"])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_steinhaus_stats_match_a_per_sample_reference(m, n, free, field):
+    rng = np.random.default_rng(100 * m + n)
+    f = 1 if free == "one" else n
+    coeffs = rng.standard_normal((f,) + (n,) * (m - 1))
+    if field is COMPLEX:
+        coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
+    q, seed = 1.4, 17
+    samples = 2 * chaos_module.MC_BLOCK + 5
+    got = chaos_module._steinhaus_stats(coeffs, q, samples, seed)
+    want = _steinhaus_stats_by_samples(coeffs, q, samples, seed)
+    _assert_stats_close(got, want)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_complex_chain_statistics_at_every_index(m):
+    # the chain contracts a moved-axis view of the tensor: the reshape of
+    # the matrix-product operand must follow the view, at every index
+    S = generate("gaussian", m, 2 if m == 4 else 3, COMPLEX, 60 + m)
+    samples = 2 * chaos_module.MC_BLOCK + 5
+    for index in range(1, m + 1):
+        view = np.moveaxis(S.coeffs, index - 1, 0)
+        got = chaos_module._steinhaus_stats(view, 1.5, samples, 9)
+        want = _steinhaus_stats_by_samples(view, 1.5, samples, 9)
+        _assert_stats_close(got, want)
+        rep = verify_proof_chain(S, 1.5, 2.5, index=index, mc_samples=samples, seed=9)
+        assert rep.mode == "mc" and rep.passed
 
 
 def test_steinhaus_moment_q2_orthogonality():
@@ -240,6 +340,35 @@ def test_contraction_rejects_complex_coefficients():
     arr = np.array([[1.0 + 5.0j, 0.0], [0.0, 1.0]])
     with pytest.raises(DomainError, match="real coefficients only"):
         check_contraction(arr, 2.0)
+
+
+def _slice_chaos_stats_by_patterns(coeffs, lambda0):
+    # per-pattern reference: every sign pattern contracted slot by slot
+    r, n = coeffs.ndim - 1, coeffs.shape[-1]
+    signs = next(iter_sign_blocks(n * r, block=1 << (n * r))).reshape(-1, r, n)
+    mags = np.abs(contract_trailing_signs(coeffs, signs))
+    rows = (mags**lambda0).sum(axis=1)
+    return (mags**lambda0).mean(axis=0), rows.mean(), rows.max(), mags.sum(axis=1).max()
+
+
+@pytest.mark.parametrize(
+    "m, n", [(2, 1), (2, 6), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3)]
+)
+@pytest.mark.parametrize("block", [1, 5, 12, 16, 4096])
+def test_slice_chaos_stats_match_a_per_pattern_reference(m, n, block):
+    S = generate("gaussian", m, n, REAL, 10 * m + n)
+    got = chaos_module._slice_chaos_stats(S.coeffs, 1.3, 2**24, block)
+    want = _slice_chaos_stats_by_patterns(S.coeffs, 1.3)
+    _assert_stats_close(got, want)
+    assert got[3] == pytest.approx(exact_linf_enum(S).lower, rel=1e-12)
+
+
+def test_slice_chaos_stats_cover_a_partial_last_block():
+    # (m, n, block) = (3, 2, 12) yields blocks of 12 and 4 patterns, so the
+    # per-pattern reference above checks the column totals of a short block
+    S = generate("gaussian", 3, 2, REAL, 32)
+    sizes = [len(V) for V in chaos_module.sign_slices(S.coeffs, block=12)]
+    assert sizes == [12, 4]
 
 
 def test_multiple_khinchin_m2_reduces_to_khinchin():
