@@ -28,13 +28,15 @@ from .errors import DomainError, ViolationError
 from .exponents import ExponentSet, exponents
 from .norms import (
     _alternating_max_batch,
+    _exact_linf_stack,
     alternating_max,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
-    crude_upper,
+    crude_upper,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
     exact_linf_enum,
 )
 from .special import ScalarField
 from .tensor import (
     FormTensor,
+    _mixed_norms_stack,
     generate,
     mixed_norm,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
     mixed_norms,
@@ -56,6 +58,8 @@ __all__ = [
 
 RATIO_TOL = 1e-9  # absolute tolerance on ratio comparisons against 1
 BATCH_ELEMENTS = 2**16  # cap on restarts * n^m per ascent batch of trials
+SEARCH_BLOCK = 32  # search candidates scored per vectorized pass
+SEARCH_CHUNK = 1024  # search climb steps per chunk of random draws
 
 
 @dataclass(frozen=True)
@@ -368,86 +372,160 @@ def search_extremal(
 ) -> SearchResult:
     """Hill-climb tensors to maximize LHS / upper(||T||).
 
-    Coordinate-wise Gaussian perturbations with step-halving on rejection
-    streaks and fresh random restarts when the step collapses; budget counts
-    candidate evaluations, a restart's fresh tensor included, and
-    `evaluations` reports how many ran.  The seed tensor is evaluated outside
-    the budget (budget 0 reports its ratio).  With a
-    nonzero budget the first evaluation goes to the single-coefficient
-    tensor, the known ratio-1 witness, so the result is at least 1.  The
-    resulting ratio is an empirical lower bound on the best constant and can
-    never exceed the certified constant (else ViolationError: a bug).
+    Each climb step adds step * (a standard normal) to one random
+    coefficient of the current tensor and keeps the candidate if its ratio
+    is higher.  20 rejections in a row halve the step; when the step falls
+    below 1e-3 the climb restarts from a fresh Gaussian tensor with step 1.
+    `budget` counts the tensors scored for the climb: climb steps and
+    restart tensors.  The seed tensor is scored outside the budget (budget
+    0 reports its ratio).  With a nonzero budget the first evaluation goes
+    to the single-coefficient tensor, the known ratio-1 witness, so the
+    result is at least 1.  `evaluations` reports how many of the budget ran.
+
+    Climb step t draws a flat index and a normal (two when complex, for the
+    real and imaginary parts) from SeedSequence([seed, 1]), in chunks of
+    SEARCH_CHUNK steps, so its draws depend only on (seed, t).  The climb
+    scores its candidates in speculative blocks of up to SEARCH_BLOCK:
+    candidate i of a block is the one the climb would build if the i before
+    it were rejected, all are scored in one `_search_ratios` pass, the first
+    one with a higher ratio is kept and the ones after it are discarded
+    (they are not counted in `evaluations`).  So the result is the one a
+    climb scoring one candidate at a time gives, for any block size (at
+    real p = inf, wherever `_exact_linf_stack` matches `exact_linf_enum`
+    bit for bit).
+
+    The resulting ratio is an empirical lower bound on the best constant and
+    can never exceed the certified constant (else ViolationError: a bug).
     """
     seed = _check_seed(seed)
     exps = _admissible_exponents(m, n, p, lambda0, field)
     exact = math.isinf(p) and field is ScalarField.REAL
 
-    def ratio_of(T: FormTensor) -> float:
-        upper = exact_linf_enum(T).lower if exact else crude_upper(T, p)
-        if upper <= 0.0:
-            return 0.0
-        return _lhs_mixed(T, exps.s, exps.eta1) / upper
+    def ratios(stack: np.ndarray) -> np.ndarray:
+        return _search_ratios(stack, exps.s, exps.eta1, exact)
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     start_kind = "signs" if field is ScalarField.REAL else "steinhaus"
-    current = generate(start_kind, m, n, field, np.random.SeedSequence([seed, 2]))
-    current_ratio = ratio_of(current)
+    current = generate(start_kind, m, n, field, np.random.SeedSequence([seed, 2])).coeffs
+    current_ratio = float(ratios(current[None])[0])
     best, best_ratio = current, current_ratio
 
+    draws = _ClimbDraws(seed, n**m, field is ScalarField.COMPLEX)
     step = 1.0
     rejects = 0
     accepted = 0
     restarts = 0
     spent = 0
+    taken = 0   # climb steps so far: the next step's draws are draws.take(taken, ...)
     if budget > 0:
-        unit = np.zeros((n,) * m)
+        unit = np.zeros((n,) * m, dtype=current.dtype)
         unit.flat[0] = 1.0
-        baseline = FormTensor(m=m, n=n, field=field, coeffs=unit)
-        baseline_ratio = ratio_of(baseline)
+        baseline_ratio = float(ratios(unit[None])[0])
         spent = 1
         if baseline_ratio > best_ratio:
-            best, best_ratio = baseline, baseline_ratio
+            best, best_ratio = unit, baseline_ratio
     while spent < budget:
-        coeffs = np.array(current.coeffs)
-        flat_index = int(rng.integers(0, coeffs.size))
-        bump = step * rng.standard_normal()
-        if field is ScalarField.COMPLEX:
-            bump = bump + 1j * step * rng.standard_normal()
-        coeffs.flat[flat_index] += bump
-        candidate = FormTensor(m=m, n=n, field=field, coeffs=coeffs)
-        candidate_ratio = ratio_of(candidate)
-        spent += 1
-        if candidate_ratio > current_ratio:
-            current, current_ratio = candidate, candidate_ratio
-            rejects = 0
+        # candidates up to the one whose rejection would collapse the step
+        halvings = 1
+        while step * 0.5**halvings >= 1e-3:
+            halvings += 1
+        K = min(SEARCH_BLOCK, budget - spent, 20 * halvings - rejects)
+        index, normal = draws.take(taken, K)
+        steps = step * 0.5 ** ((rejects + np.arange(K)) // 20)
+        stack = np.repeat(current[None], K, axis=0)
+        stack.reshape(K, -1)[np.arange(K), index] += steps * normal
+        block_ratios = ratios(stack)
+        higher = np.flatnonzero(block_ratios > current_ratio)
+        used = int(higher[0]) + 1 if higher.size else K
+        spent += used
+        taken += used
+        if higher.size:
+            # keep the first higher candidate; the ones after it are discarded
+            i = used - 1
+            step, rejects = float(steps[i]), 0
             accepted += 1
+            current, current_ratio = stack[i], float(block_ratios[i])
             if current_ratio > best_ratio:
                 best, best_ratio = current, current_ratio
-        else:
-            rejects += 1
-            if rejects >= 20:
-                rejects = 0
-                step *= 0.5
-                if step < 1e-3 and spent < budget:
-                    restarts += 1
-                    current = generate(
-                        "gaussian", m, n, field,
-                        np.random.SeedSequence([seed, 3, restarts]),
-                    )
-                    current_ratio = ratio_of(current)
-                    spent += 1
-                    step = 1.0
+            continue
+        # K rejections; the last one may collapse the step
+        step *= 0.5 ** ((rejects + K) // 20)
+        rejects = (rejects + K) % 20
+        if step < 1e-3 and spent < budget:
+            restarts += 1
+            current = generate(
+                "gaussian", m, n, field, np.random.SeedSequence([seed, 3, restarts])
+            ).coeffs
+            current_ratio = float(ratios(current[None])[0])
+            spent += 1
+            step = 1.0
     if best_ratio > exps.constant + RATIO_TOL:
         raise ViolationError(
             f"extremal search found ratio {best_ratio!r} above the certified "
             f"constant {exps.constant!r}: implementation bug"
         )
     return SearchResult(
-        tensor=best,
+        tensor=FormTensor(m=m, n=n, field=field, coeffs=best),
         ratio_conservative=best_ratio,
         evaluations=spent,
         accepted_steps=accepted,
     )
+
+
+def _search_ratios(stack: np.ndarray, s: float, eta1: float, exact: bool) -> np.ndarray:
+    """LHS / upper(||T||) of every tensor of a stack (K,) + (n,)*m, as a (K,) array.
+
+    The LHS is the largest mixed norm over the fixed index (`_lhs_mixed`);
+    the upper bound is the exact l_inf norm for real p = inf, from one
+    sign enumeration of the whole stack, and otherwise the coefficient mass
+    (`crude_upper`).  A zero upper bound gives ratio 0.  Coefficients must
+    be finite (DomainError, as for `FormTensor`).
+    """
+    if not np.isfinite(stack).all():
+        raise DomainError("coefficients must all be finite")
+    K = stack.shape[0]
+    lhs = _mixed_norms_stack(stack, s, eta1).max(axis=1)
+    if exact:
+        upper = _exact_linf_stack(stack)[0]
+    else:
+        upper = np.abs(stack).reshape(K, -1).sum(axis=1)
+    out = np.zeros(K)
+    np.divide(lhs, upper, out=out, where=upper > 0.0)
+    return out
+
+
+class _ClimbDraws:
+    """The random draws of every climb step of `search_extremal`.
+
+    Step t draws a flat coefficient index and a standard normal (complex
+    fields: a pair, the real and imaginary parts).  They come from
+    default_rng(SeedSequence([seed, 1])) in chunks of SEARCH_CHUNK steps,
+    each chunk's indices first and then its normals, so step t's draws
+    depend only on (seed, t).
+    """
+
+    def __init__(self, seed: int, size: int, complex_field: bool) -> None:
+        self.rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+        self.size = size
+        self.complex_field = complex_field
+        self.start = 0                       # step of index[0] and normal[0]
+        self.index = np.empty(0, dtype=np.int64)
+        self.normal = np.empty(0, dtype=np.complex128 if complex_field else np.float64)
+
+    def take(self, t: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(flat indices, normals) of steps t .. t + count - 1; t never decreases."""
+        while self.start + len(self.index) < t + count:
+            index = self.rng.integers(0, self.size, SEARCH_CHUNK)
+            if self.complex_field:
+                z = self.rng.standard_normal((SEARCH_CHUNK, 2))
+                normal = z[:, 0] + 1j * z[:, 1]
+            else:
+                normal = self.rng.standard_normal(SEARCH_CHUNK)
+            keep = t - self.start
+            self.index = np.concatenate([self.index[keep:], index])
+            self.normal = np.concatenate([self.normal[keep:], normal])
+            self.start = t
+        lo = t - self.start
+        return self.index[lo : lo + count], self.normal[lo : lo + count]
 
 
 @dataclass(frozen=True)

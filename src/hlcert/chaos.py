@@ -43,6 +43,7 @@ from .tensor import (
     DEFAULT_BLOCK,
     PATTERN_BUDGET,
     FormTensor,
+    _unit_scaled,
     # kept as module attributes: bench/tracer.py wraps them here
     contract_trailing_signs,  # noqa: F401
     iter_sign_blocks,  # noqa: F401
@@ -273,7 +274,8 @@ def check_khinchin(
     Real field: exact Rademacher enumeration, violation beyond 1e-12 slack
     (relative to max|a_j|) raises ViolationError (the constant is optimal,
     so a violation is a bug).  Complex field: Steinhaus Monte Carlo, 3-sigma
-    soft check.
+    soft check: a miss is sampling noise as often as a bug, so it returns
+    the report with passed=False instead of raising.
     """
     seed = _check_seed(seed)
     A = khinchin_A(q, field).value
@@ -287,7 +289,7 @@ def check_khinchin(
     mid = moment.value
     slack = EXACT_SLACK if moment.mode == "exact" else 3.0 * (moment.stderr or 0.0) + MC_SLACK
     passed = mid >= lhs - slack
-    if not passed:
+    if not passed and field is ScalarField.REAL:
         raise ViolationError(
             f"Khinchin check failed: A_q*l2 = {unit * lhs!r} > moment = {unit * mid!r} "
             f"(q={q}, {field.value})"
@@ -635,22 +637,6 @@ def verify_proof_chain(
             f"lhs {link.lhs!r} vs rhs {link.rhs!r} (slack {link.slack:.3e})"
         )
     return report
-
-
-def _unit_scaled(arr: np.ndarray) -> Tuple[np.ndarray, float]:
-    """arr divided by the power of two nearest max|arr| (an exact scaling), and that power."""
-    unit = _nearest_power_of_two(float(np.abs(arr).max(initial=0.0)))
-    return arr / unit, unit
-
-
-def _nearest_power_of_two(x: float) -> float:
-    """The power of two nearest x > 0 on a log scale (at most 2^1023); 1.0 for x = 0."""
-    if x == 0.0:
-        return 1.0
-    mantissa, exponent = math.frexp(x)   # x = mantissa * 2^exponent, mantissa in [0.5, 1)
-    if mantissa < math.sqrt(0.5):
-        exponent -= 1
-    return math.ldexp(1.0, min(exponent, 1023))
 
 
 def _ineq_link(name: str, lhs: float, rhs: float, slack_tol: float) -> ChainLink:

@@ -1,7 +1,9 @@
 """Command-line surface: every computation with reproducible seeds.
 
 Exit codes: 0 success (all checked inequalities hold), 1 usage or domain
-error, 2 inequality violation (a bug signal, never a disproof).
+error, 2 inequality violation (a bug signal, never a disproof) or a failed
+Monte-Carlo soft check (`khinchin-check` and `chain-check` on complex
+input, which sampling noise can also fail).
 """
 
 from __future__ import annotations
@@ -380,7 +382,7 @@ def _cmd_khinchin_check(args) -> int:
         a = _parse_floats(args.a)
     report = check_khinchin(a, args.q, field, samples=args.samples, seed=seed)
     _emit(report.to_jsonable(), args.format, header=f"# seed: {seed}" if drawn else None)
-    return EXIT_OK
+    return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
 def _cmd_contraction_check(args) -> int:

@@ -3,6 +3,10 @@
 A form T on the n-dimensional l_p space (m arguments) is stored as the dense
 array coeff[j1, ..., jm] = T(e_j1, ..., e_jm), row-major with j1 slowest.
 Desk scale: n <= 32, m <= 4 keeps n^m small, so everything is plain numpy.
+The mixed norms have one kernel, `_mixed_norms_stack`, over a stack of
+tensors; `mixed_norm` and `mixed_norms` are its one-tensor case.  It works on
+each tensor divided by the power of two nearest its largest magnitude, the
+scaling rule the chaos checks share (`_unit_scaled`).
 
 This module also hosts the sign-pattern enumeration shared by the exact norm
 and the chaos-moment code.  `sign_slices` is the one enumeration core: for a
@@ -23,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -107,33 +111,60 @@ def mixed_norm(T: FormTensor, fixed_index: int, s: float, alpha: float) -> float
 
     An outer l_alpha sum over the index i = fixed_index (1-based, mirroring
     the j_i subscript convention) of inner l_s sums over the other indices;
-    s and alpha must be finite and >= 1.  Stride-based: the fixed axis is
-    moved to the front, no transposed copy of the data is materialized
-    beyond the (n, n^(m-1)) view.  Collapses to the flat l_s norm when
-    alpha = s.
+    s and alpha must be finite and >= 1.  Collapses to the flat l_s norm
+    when alpha = s.  Entry i - 1 of `mixed_norms`, bit for bit.
     """
-    _check_mixed_exponents(s, alpha)
     if not (1 <= fixed_index <= T.m):
         raise DomainError(f"fixed_index must lie in [1, {T.m}], got {fixed_index}")
-    return _mixed_norm_of_powers(np.abs(T.coeffs) ** s, fixed_index - 1, s, alpha)
+    return mixed_norms(T, s, alpha)[fixed_index - 1]
 
 
 def mixed_norms(T: FormTensor, s: float, alpha: float) -> List[float]:
-    """[mixed_norm(T, i, s, alpha) for i = 1..m], bit for bit, from one |coeff|^s."""
-    _check_mixed_exponents(s, alpha)
-    powered = np.abs(T.coeffs) ** s
-    return [_mixed_norm_of_powers(powered, axis, s, alpha) for axis in range(T.m)]
+    """[mixed_norm(T, i, s, alpha) for i = 1..m]: the one-tensor case of `_mixed_norms_stack`."""
+    return _mixed_norms_stack(T.coeffs[None], s, alpha)[0].tolist()
 
 
-def _check_mixed_exponents(s: float, alpha: float) -> None:
+def _mixed_norms_stack(stack: np.ndarray, s: float, alpha: float) -> np.ndarray:
+    """Mixed norms of every tensor of a stack (K,) + (n,)*m, as a (K, m) array.
+
+    Row k, column i is `mixed_norm` of stack[k] at fixed index i + 1.  Each
+    tensor is divided by the power of two nearest its largest magnitude (an
+    exact scaling; the norm is 1-homogeneous) and its norms are scaled back,
+    so entries near the floating point limits neither overflow nor
+    underflow, and scaling a tensor by 2^k scales its norms by 2^k bit for
+    bit.  Every sum runs over one tensor's own row, in an order that does
+    not depend on the rest of the stack, so a tensor's norms are the same
+    in any stack.
+    """
     if not (1.0 <= s < math.inf and 1.0 <= alpha < math.inf):
         raise DomainError("mixed-norm exponents must be finite and >= 1")
+    K, m = stack.shape[0], stack.ndim - 1
+    n = stack.shape[1]
+    mags = np.abs(stack).reshape(K, -1)
+    unit = _nearest_powers_of_two(mags.max(axis=1))
+    powered = ((mags / unit[:, None]) ** s).reshape(stack.shape)
+    norms = np.empty((K, m))
+    others = list(range(1, m + 1))
+    for axis in range(1, m + 1):
+        # the fixed axis moved next to the stack axis and the others merged
+        # into rows of n^(m-1): a copy, or a view where the merge allows it
+        rows = powered.transpose([0, axis] + others[: axis - 1] + others[axis:])
+        per_row = np.add.reduce(rows.reshape(K, n, -1), axis=2) ** (1.0 / s)
+        norms[:, axis - 1] = np.add.reduce(per_row**alpha, axis=1) ** (1.0 / alpha)
+    return norms * unit[:, None]
 
 
-def _mixed_norm_of_powers(powered: np.ndarray, axis: int, s: float, alpha: float) -> float:
-    flat = np.moveaxis(powered, axis, 0).reshape(powered.shape[axis], -1)
-    per_row = flat.sum(axis=1) ** (1.0 / s)
-    return float((per_row**alpha).sum() ** (1.0 / alpha))
+def _nearest_powers_of_two(x):
+    """The power of two nearest each x >= 0 on a log scale (at most 2^1023); 1.0 where x = 0."""
+    mantissa, exponent = np.frexp(x)   # x = mantissa * 2^exponent, mantissa in [0.5, 1)
+    exponent = np.minimum(exponent - (mantissa < math.sqrt(0.5)), 1023)
+    return np.where(x == 0.0, 1.0, np.ldexp(1.0, exponent))
+
+
+def _unit_scaled(arr: np.ndarray) -> Tuple[np.ndarray, float]:
+    """arr divided by the power of two nearest max|arr| (an exact scaling), and that power."""
+    unit = float(_nearest_powers_of_two(np.abs(arr).max(initial=0.0)))
+    return arr / unit, unit
 
 
 def generate(

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlcert import (
     DomainError,
@@ -14,6 +16,8 @@ from hlcert import (
     TrialConfig,
     alternating_max,
     certify,
+    crude_upper,
+    exact_linf_enum,
     exponents,
     generate,
     mixed_norm,
@@ -21,14 +25,19 @@ from hlcert import (
     sweep_lambda0,
 )
 from hlcert.certify import (
+    SEARCH_CHUNK,
     _classify,
     _lhs_mixed,
+    _search_ratios,
     report_to_json,
     sweep_to_csv,
     trials_to_csv,
 )
+from hlcert.norms import _exact_linf_stack
+from hlcert.tensor import mixed_norms
 
 REAL = ScalarField.REAL
+COMPLEX = ScalarField.COMPLEX
 
 
 def test_classify_thresholds():
@@ -234,21 +243,166 @@ def test_search_improves_and_respects_bound():
     assert r1.ratio_conservative <= e.constant + 1e-9
 
 
-def test_search_evaluations_count_scored_candidates(monkeypatch):
-    # every scoring at finite p calls crude_upper once; restarts re-score a
-    # fresh tensor, and those evaluations come out of the budget too
+def _reference_climb(m, n, p, lambda0, field, budget, seed):
+    """The climb `search_extremal` documents, scoring one candidate at a time.
+
+    Each tensor is scored with the public one-tensor functions (`mixed_norms`
+    and `crude_upper`, or `exact_linf_enum` at real p = inf); climb step t
+    reads the t-th draws of the chunked stream of SeedSequence([seed, 1]).
+    Returns (SearchResult fields, the evaluations spent at each step collapse).
+    """
+    exps = exponents(m, p, lambda0, field)
+    exact = math.isinf(p) and field is REAL
+
+    def ratio_of(coeffs):
+        T = FormTensor(m=m, n=n, field=field, coeffs=coeffs)
+        upper = exact_linf_enum(T).lower if exact else crude_upper(T, p)
+        return max(mixed_norms(T, exps.s, exps.eta1)) / upper if upper > 0.0 else 0.0
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    index, normal = [], []
+
+    def draw(t):
+        while len(index) <= t:
+            index.extend(rng.integers(0, n**m, SEARCH_CHUNK).tolist())
+            if field is COMPLEX:
+                z = rng.standard_normal((SEARCH_CHUNK, 2))
+                normal.extend(complex(a, b) for a, b in z.tolist())
+            else:
+                normal.extend(rng.standard_normal(SEARCH_CHUNK).tolist())
+        return index[t], normal[t]
+
+    kind = "signs" if field is REAL else "steinhaus"
+    current = generate(kind, m, n, field, np.random.SeedSequence([seed, 2])).coeffs
+    current_ratio = ratio_of(current)
+    best, best_ratio = current, current_ratio
+    step, rejects, accepted, restarts, spent, t = 1.0, 0, 0, 0, 0, 0
+    collapses = []
+    if budget > 0:
+        unit = np.zeros((n,) * m)
+        unit.flat[0] = 1.0
+        spent = 1
+        if ratio_of(unit) > best_ratio:
+            best, best_ratio = unit, ratio_of(unit)
+    while spent < budget:
+        candidate = np.array(current)
+        i, z = draw(t)
+        t += 1
+        candidate.flat[i] += step * z
+        candidate_ratio = ratio_of(candidate)
+        spent += 1
+        if candidate_ratio > current_ratio:
+            current, current_ratio = candidate, candidate_ratio
+            rejects = 0
+            accepted += 1
+            if current_ratio > best_ratio:
+                best, best_ratio = current, current_ratio
+        else:
+            rejects += 1
+            if rejects >= 20:
+                rejects = 0
+                step *= 0.5
+                if step < 1e-3:
+                    collapses.append(spent)
+                if step < 1e-3 and spent < budget:
+                    restarts += 1
+                    current = generate(
+                        "gaussian", m, n, field, np.random.SeedSequence([seed, 3, restarts])
+                    ).coeffs
+                    current_ratio = ratio_of(current)
+                    spent += 1
+                    step = 1.0
+    best = FormTensor(m=m, n=n, field=field, coeffs=best).coeffs
+    return (best.tobytes(), best_ratio, spent, accepted), collapses
+
+
+def _fields(result):
+    return (result.tensor.coeffs.tobytes(), result.ratio_conservative,
+            result.evaluations, result.accepted_steps)
+
+
+SEARCH_CASES = [
+    (3, 2, 4.0, 1.0, REAL),
+    (3, 3, 4.0, 1.0, REAL),
+    (2, 3, 4.0, 1.5, REAL),
+    (4, 2, 5.0, 1.0, REAL),
+    (3, 2, 4.0, 1.0, COMPLEX),
+    (2, 2, math.inf, 2.0, REAL),
+]
+
+
+def test_search_matches_sequential_reference_climb():
+    # the speculative blocks follow the one-candidate-at-a-time climb bit for
+    # bit: the same tensor bytes, ratio, evaluations == budget and accepted
+    # steps.  The budget-2500 climb of every case restarts at least once, and
+    # a budget that runs out exactly at a step collapse leaves no room for
+    # the restart.
+    def check(case, seed, budget):
+        expected, collapses = _reference_climb(*case, budget, seed)
+        result = search_extremal(*case, budget=budget, seed=seed)
+        assert _fields(result) == expected, (case, seed, budget)
+        assert result.evaluations == budget
+        return collapses
+
+    for case in SEARCH_CASES:
+        for seed, budget in [(3, 0), (3, 1), (5, 2), (11, 60)]:
+            check(case, seed, budget)
+        collapses = check(case, 7, 2500)
+        assert collapses, case
+        check(case, 7, collapses[0])
+
+
+def test_search_result_does_not_depend_on_the_block_size(monkeypatch):
     certify_module = importlib.import_module("hlcert.certify")
-    calls = []
-    original = certify_module.crude_upper
+    for m, n, p, lambda0, field in SEARCH_CASES:
+        results = []
+        for block in (1, 7, certify_module.SEARCH_BLOCK):
+            monkeypatch.setattr(certify_module, "SEARCH_BLOCK", block)
+            results.append(_fields(search_extremal(m, n, p, lambda0, field, budget=700, seed=19)))
+        assert results[0] == results[1] == results[2], (m, n, p, field)
 
-    def counting(T, p=1.0):
-        calls.append(1)
-        return original(T, p)
 
-    monkeypatch.setattr(certify_module, "crude_upper", counting)
-    result = search_extremal(3, 2, 4.0, 1.0, REAL, budget=5000, seed=7)
-    assert result.evaluations == 5000
-    assert len(calls) == result.evaluations + 1  # the seed tensor is outside the budget
+def test_search_block_scores_match_one_tensor_scores():
+    # the batched scorer gives each tensor the ratio it gets alone, bit for
+    # bit; at real p = inf its upper bound is exact_linf_enum's value
+    rng = np.random.default_rng(23)
+    for m, n in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (4, 2)]:
+        exps = exponents(m, math.inf, 2.0 if m == 2 else 1.5, REAL)
+        for K in (1, 3, 32):
+            stack = rng.standard_normal((K,) + (n,) * m)
+            for exact in (True, False):
+                ratios = _search_ratios(stack, exps.s, exps.eta1, exact)
+                for k in range(K):
+                    assert ratios[k] == _search_ratios(stack[k : k + 1], exps.s, exps.eta1, exact)[0]
+            values, _ = _exact_linf_stack(stack)
+            for k in range(K):
+                T = FormTensor(m=m, n=n, field=REAL, coeffs=stack[k])
+                assert values[k] == exact_linf_enum(T).lower
+
+
+@given(
+    c=st.floats(min_value=1e-6, max_value=1e6),
+    negative=st.booleans(),
+    shape=st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 2)]),
+    exact=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_search_ratio_is_scale_invariant(c, negative, shape, exact, seed):
+    m, n = shape
+    stack = np.random.default_rng(seed).standard_normal((4,) + (n,) * m)
+    c = -c if negative else c
+    base = _search_ratios(stack, 2.0, 4.0, exact)
+    np.testing.assert_allclose(_search_ratios(c * stack, 2.0, 4.0, exact), base, rtol=1e-12)
+    # a power of two scales every mixed norm and bound exactly
+    assert np.array_equal(_search_ratios(stack * 2.0**-600, 2.0, 4.0, exact), base)
+
+
+def test_search_scorer_rejects_non_finite_candidates():
+    stack = np.ones((3, 2, 2, 2))
+    stack[1, 0, 1, 1] = np.inf
+    with pytest.raises(DomainError, match="finite"):
+        _search_ratios(stack, 2.0, 4.0, False)
 
 
 def test_search_exact_path():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hlcert import (
     FormTensor,
     ScalarField,
     TrialConfig,
+    ViolationError,
     certify,
     check_contraction,
     check_khinchin,
@@ -271,6 +273,32 @@ def test_check_khinchin_complex_soft():
     rep = check_khinchin(a, 1.5, COMPLEX, samples=50_000, seed=2)
     assert rep.mode == "mc"
     assert rep.passed
+
+
+# a 5-entry complex vector near equality (ratio about 1) whose 6,243-sample
+# Monte-Carlo check misses its 3-sigma band at this seed
+SOFT_MISS = dict(a=np.exp(2j * np.pi * np.arange(5) / 5), q=1.924, samples=6243, seed=172)
+
+
+def test_check_khinchin_complex_miss_is_soft():
+    rep = check_khinchin(SOFT_MISS["a"], SOFT_MISS["q"], COMPLEX,
+                         samples=SOFT_MISS["samples"], seed=SOFT_MISS["seed"])
+    assert rep.mode == "mc" and not rep.passed
+    assert rep.mid < rep.lhs - 3.0 * rep.stderr
+
+
+def test_check_khinchin_real_miss_still_raises(monkeypatch):
+    # a constant too large by 10% fails both fields: the exact real check
+    # raises, the complex Monte-Carlo check reports passed=False
+    original = chaos_module.khinchin_A
+
+    def inflated(q, field):
+        return replace(original(q, field), value=1.1 * original(q, field).value)
+
+    monkeypatch.setattr(chaos_module, "khinchin_A", inflated)
+    with pytest.raises(ViolationError, match="Khinchin"):
+        check_khinchin([1.0, 1.0, 1.0], 1.5)
+    assert not check_khinchin([1.0, 1.0j, 1.0], 1.5, COMPLEX, samples=2000, seed=1).passed
 
 
 def test_contraction_single_coefficient():

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from hlcert.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
@@ -191,6 +192,19 @@ def test_khinchin_check_huge_coefficients_pass(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["lhs"] == pytest.approx(2.0**0.5 * 1e160 * 2.0 ** (0.5 - 1.0 / 1.5))
+
+
+def test_khinchin_check_soft_miss_prints_report_and_exits_2(capsys):
+    # a complex Monte-Carlo miss (sampling noise at this seed) is reported,
+    # not raised, and fails the command like a failed chain-check
+    a = ",".join(repr(complex(z)) for z in np.exp(2j * np.pi * np.arange(5) / 5))
+    code, out, err = run(
+        capsys, "khinchin-check", "--a", a, "--q", "1.924", "--field", "complex",
+        "--samples", "6243", "--seed", "172", "--format", "json",
+    )
+    assert code == EXIT_VIOLATION
+    assert json.loads(out)["passed"] is False
+    assert "VIOLATION" not in err
 
 
 def test_khinchin_check_command(capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlcert import (
     BudgetError,
@@ -409,3 +411,19 @@ def test_estimates_jsonable():
     est = exact_linf_enum(_tensor(np.eye(2)))
     payload = est.to_jsonable()
     assert set(payload) == {"lower", "upper", "method", "restarts", "converged"}
+
+
+@given(
+    shape=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]),
+    kind=st.sampled_from(["gaussian", "signs"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_linf_sandwich_ascent_exact_mass(shape, kind, seed):
+    # at real p = inf: ascent lower bound <= exact norm <= coefficient mass
+    m, n = shape
+    T = generate(kind, m, n, REAL, seed)
+    lower = alternating_max(T, math.inf, restarts=4, seed=seed).lower
+    exact = exact_linf_enum(T).lower
+    assert lower <= exact * (1.0 + 1e-12)
+    assert exact <= crude_upper(T) * (1.0 + 1e-12)

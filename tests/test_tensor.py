@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,47 +104,90 @@ def test_mixed_norm_single_nonzero():
             assert mixed_norm(T, i, s, alpha) == pytest.approx(2.5, rel=1e-14)
 
 
-@given(c=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
+@given(
+    c=st.floats(min_value=-1e6, max_value=1e6),
+    shape=st.sampled_from([(1, 5), (2, 3), (3, 2), (3, 3), (4, 2)]),
+    complex_field=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
 @settings(max_examples=100, deadline=None)
-def test_mixed_norm_homogeneous(c):
-    T = generate("gaussian", 2, 3, REAL, 42)
-    scaled = FormTensor(m=2, n=3, field=REAL, coeffs=c * np.asarray(T.coeffs))
-    assert mixed_norm(scaled, 1, 2.0, 3.0) == pytest.approx(
-        abs(c) * mixed_norm(T, 1, 2.0, 3.0), rel=1e-12, abs=1e-12
-    )
+def test_mixed_norm_homogeneous(c, shape, complex_field, seed):
+    # mixed_norms(cT) = |c| mixed_norms(T); a subnormal c*T keeps too few
+    # bits for a relative comparison, hence the tiny absolute tolerance
+    m, n = shape
+    field = COMPLEX if complex_field else REAL
+    T = generate("gaussian", m, n, field, seed)
+    cT = FormTensor(m=m, n=n, field=field, coeffs=c * T.coeffs)
+    for got, base in zip(mixed_norms(cT, 2.0, 3.0), mixed_norms(T, 2.0, 3.0)):
+        assert got == pytest.approx(abs(c) * base, rel=1e-12, abs=1e-300)
 
 
-def test_mixed_norm_permutation_consistency():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        m = int(rng.integers(2, 5))
-        n = int(rng.integers(2, 4))
-        T = generate("gaussian", m, n, REAL, int(rng.integers(2**32)))
-        spec_i = int(rng.integers(2, m + 1))
-        swapped = np.swapaxes(np.asarray(T.coeffs), 0, spec_i - 1)
-        T_swapped = FormTensor(m=m, n=n, field=REAL, coeffs=swapped)
-        a = mixed_norm(T, spec_i, 2.0, 3.0)
-        b = mixed_norm(T_swapped, 1, 2.0, 3.0)
-        assert a == pytest.approx(b, rel=1e-13)
+@given(
+    perm=st.sampled_from([2, 3, 4]).flatmap(lambda m: st.permutations(range(m))),
+    n=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+    s=st.floats(min_value=1.0, max_value=4.0),
+    alpha=st.floats(min_value=1.0, max_value=6.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_mixed_norm_permutation_consistency(perm, n, seed, s, alpha):
+    # permuting the slots permutes the mixed norms: fixed index i of the
+    # permuted tensor is slot perm[i] of the original
+    m = len(perm)
+    T = generate("gaussian", m, n, REAL, seed)
+    P = FormTensor(m=m, n=n, field=REAL, coeffs=np.transpose(T.coeffs, perm))
+    base = mixed_norms(T, s, alpha)
+    for i, got in enumerate(mixed_norms(P, s, alpha)):
+        assert got == pytest.approx(base[perm[i]], rel=1e-13)
 
 
 def test_mixed_norms_share_one_power_bit_for_bit():
     # one |coeff|^s for all m fixed indices gives, bit for bit, what raising
-    # each index's own (n, n^(m-1)) layout to the s-th power gives
+    # each index's own (n, n^(m-1)) layout to the s-th power gives, both on
+    # the tensor divided by the power of two nearest its largest magnitude
     rng = np.random.default_rng(17)
     for m, n in [(1, 5), (2, 4), (3, 3), (4, 2)]:
         for field in (REAL, ScalarField.COMPLEX):
             T = generate("gaussian", m, n, field, int(rng.integers(2**32)))
+            mantissa, exponent = math.frexp(float(np.abs(T.coeffs).max()))
+            unit = 2.0 ** (exponent - (mantissa < math.sqrt(0.5)))
             for s, alpha in [(2.0, 4.0), (1.3, 2.7), (3.0, 1.0)]:
                 expected = []
                 for i in range(m):
                     flat = np.moveaxis(T.coeffs, i, 0).reshape(n, -1)
-                    per_row = (np.abs(flat) ** s).sum(axis=1) ** (1.0 / s)
-                    expected.append(float((per_row**alpha).sum() ** (1.0 / alpha)))
+                    per_row = ((np.abs(flat) / unit) ** s).sum(axis=1) ** (1.0 / s)
+                    # the outer root of a 1-element array: numpy's array power,
+                    # which can differ in the last digit from a scalar's
+                    total = (per_row**alpha).sum(keepdims=True)
+                    expected.append(unit * float((total ** (1.0 / alpha))[0]))
                 assert mixed_norms(T, s, alpha) == expected
                 assert expected == [mixed_norm(T, i, s, alpha) for i in range(1, m + 1)]
     with pytest.raises(DomainError):
         mixed_norms(T, 0.5, 2.0)
+
+
+def test_mixed_norm_huge_entries_finite_without_warning():
+    # |coeff|^s of 1e160 overflows unless the tensor is scaled first
+    T = _tensor(np.array([[1e160, -1e160], [-1e160, 1e160]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mixed_norm(T, 1, 2.0, 4.0)
+    assert math.isfinite(got)
+    assert got == pytest.approx(1e160 * 2.0 ** 0.5 * 2.0 ** 0.25, rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [-700, 0, 660])
+def test_mixed_norm_scales_by_powers_of_two_bit_for_bit(k):
+    rng = np.random.default_rng(29)
+    for m, n in [(1, 4), (2, 3), (3, 3), (4, 2)]:
+        for field in (REAL, COMPLEX):
+            T = generate("gaussian", m, n, field, int(rng.integers(2**32)))
+            scaled = FormTensor(m=m, n=n, field=field, coeffs=T.coeffs * 2.0**k)
+            for s, alpha in [(2.0, 4.0), (1.3, 2.7), (3.0, 1.0)]:
+                for i in range(1, m + 1):
+                    assert mixed_norm(scaled, i, s, alpha) == math.ldexp(
+                        mixed_norm(T, i, s, alpha), k
+                    )
 
 
 def test_mixed_norm_spec_validation():
