@@ -64,18 +64,29 @@ SEARCH_CHUNK = 1024  # search climb steps per chunk of random draws
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Knobs of a certification run; defaults match the CLI."""
+    """Knobs of a certification run; defaults match the CLI.
+
+    Every `certify` and `sweep_lambda0` run passes through this check, so a
+    bad setting raises DomainError before any work.
+    """
 
     trials: int = 1000
     kinds: Tuple[str, ...] = ("gaussian", "signs")  # cycled per trial index
     restarts: int = 32
     max_iters: int = 500
     tol: float = 1e-10
-    ratio_tol: float = RATIO_TOL
     jobs: int = 1
     keep_trials: bool = False
 
     def __post_init__(self) -> None:
+        if not self.kinds:
+            raise DomainError("kinds must name at least one generator kind")
+        if self.restarts < 1:
+            raise DomainError("restarts must be >= 1")
+        if self.max_iters < 1:
+            raise DomainError("max_iters must be >= 1")
+        if not self.tol >= 0.0:   # written so that NaN fails too
+            raise DomainError(f"tol must be >= 0, got {self.tol!r}")
         if self.jobs < 1:
             raise DomainError("jobs must be >= 1")
 
@@ -246,7 +257,7 @@ def _run_batch(args) -> List[TrialResult]:
         lower = [est.lower for est in estimates]
         upper = [est.upper for est in estimates]
     classes = [
-        _classify(lhs[b], C * lower[b], C * upper[b], cfg.ratio_tol) for b in range(len(tensors))
+        _classify(lhs[b], C * lower[b], C * upper[b], RATIO_TOL) for b in range(len(tensors))
     ]
 
     retried = [False] * len(tensors)
@@ -260,7 +271,7 @@ def _run_batch(args) -> List[TrialResult]:
         )
         for b, retry in zip(part, retries):
             lower[b] = max(lower[b], retry.lower)
-            classes[b] = _classify(lhs[b], C * lower[b], C * upper[b], cfg.ratio_tol)
+            classes[b] = _classify(lhs[b], C * lower[b], C * upper[b], RATIO_TOL)
             retried[b] = True
 
     return [
@@ -398,6 +409,8 @@ def search_extremal(
     can never exceed the certified constant (else ViolationError: a bug).
     """
     seed = _check_seed(seed)
+    if budget < 0:
+        raise DomainError(f"budget must be >= 0, got {budget}")
     exps = _admissible_exponents(m, n, p, lambda0, field)
     exact = math.isinf(p) and field is ScalarField.REAL
 

@@ -40,8 +40,6 @@ from .errors import DomainError, ViolationError
 from .norms import alternating_max, crude_upper, exact_linf_enum  # noqa: F401
 from .special import ScalarField, khinchin_A
 from .tensor import (
-    DEFAULT_BLOCK,
-    PATTERN_BUDGET,
     FormTensor,
     _unit_scaled,
     # kept as module attributes: bench/tracer.py wraps them here
@@ -86,7 +84,7 @@ class ChaosMoment:
 def rademacher_moment(a, q: float) -> ChaosMoment:
     """(average of |sum_j eps_j a_j|^q over sign vectors)^(1/q), exactly.
 
-    Enumerates all 2^n sign patterns; over the default pattern budget
+    Enumerates all 2^n sign patterns; over `hlcert.tensor.PATTERN_BUDGET`
     (2^24, so n <= 24) it raises BudgetError before any work.  Runs on a
     divided by the power of two nearest max|a_j| and scales the value back,
     so entries near the floating point limits neither overflow nor underflow.
@@ -132,12 +130,12 @@ def _check_seed(seed) -> int:
     raise DomainError(f"seed must be a non-negative integer below 2**32, got {seed!r}")
 
 
-def _exact_moment(coeffs: np.ndarray, q: float, pattern_budget: int = PATTERN_BUDGET) -> float:
+def _exact_moment(coeffs: np.ndarray, q: float) -> float:
     """Exact L_q norm of the full chaos sum_J coeffs[J] eps_1[j1] ... eps_m[jm]."""
     total = 0.0
     count = 0
     # a free axis of length 1 in front makes slot 1 the core's lowest bits
-    for chaos in sign_slices(coeffs[None], pattern_budget=pattern_budget):
+    for chaos in sign_slices(coeffs[None]):
         total += float((np.abs(chaos) ** q).sum())
         count += len(chaos)
     return (total / count) ** (1.0 / q)
@@ -325,7 +323,7 @@ class ContractionReport:
         }
 
 
-def check_contraction(a, t: float, pattern_budget: int = PATTERN_BUDGET) -> ContractionReport:
+def check_contraction(a, t: float) -> ContractionReport:
     """Check max_J |a_J| <= L_t norm of the full m-fold Rademacher chaos.
 
     Exact enumeration over all 2^(N*m) sign patterns, with 1e-12 slack
@@ -344,7 +342,7 @@ def check_contraction(a, t: float, pattern_budget: int = PATTERN_BUDGET) -> Cont
     if len(sizes) != 1:
         raise DomainError(f"coefficient tensor must be cubical, got shape {arr.shape}")
     arr, unit = _unit_scaled(arr)
-    moment = _exact_moment(arr, t, pattern_budget)
+    moment = _exact_moment(arr, t)
     max_coeff = float(np.abs(arr).max())
     passed = max_coeff <= moment + EXACT_SLACK
     if not passed:
@@ -378,10 +376,7 @@ class MultipleKhinchinReport:
 
 
 def _slice_chaos_stats(
-    coeffs: np.ndarray,
-    lambda0: float,
-    pattern_budget: int,
-    block: int,
+    coeffs: np.ndarray, lambda0: float
 ) -> Tuple[np.ndarray, float, float, float]:
     """Exact per-slice chaos statistics for a real tensor with axis 0 free.
 
@@ -399,7 +394,7 @@ def _slice_chaos_stats(
     sup_value = -math.inf
     linf = 0.0
     count = 0
-    for slices in sign_slices(coeffs, block=block, pattern_budget=pattern_budget):
+    for slices in sign_slices(coeffs):
         mags = np.abs(slices)
         linf = max(linf, float((mags @ ones_f).max()))
         V = mags**lambda0
@@ -412,11 +407,7 @@ def _slice_chaos_stats(
 
 
 def check_multiple_khinchin(
-    T: FormTensor,
-    lambda0: float,
-    j1: Optional[int] = None,
-    pattern_budget: int = PATTERN_BUDGET,
-    block: int = DEFAULT_BLOCK,
+    T: FormTensor, lambda0: float, j1: Optional[int] = None
 ) -> MultipleKhinchinReport:
     """Check (sum_{other indices} |T|^2)^(1/2) <= A^{-(m-1)} R per first-index slice.
 
@@ -432,7 +423,7 @@ def check_multiple_khinchin(
         raise DomainError(f"lambda0 must lie in [1, 2], got {lambda0}")
     A = khinchin_A(lambda0, ScalarField.REAL).value
     constant = A ** (-(T.m - 1))
-    col_means, _, _, _ = _slice_chaos_stats(T.coeffs, lambda0, pattern_budget, block)
+    col_means, _, _, _ = _slice_chaos_stats(T.coeffs, lambda0)
     R = col_means ** (1.0 / lambda0)
     flat = T.coeffs.reshape(T.n, -1)
     l2 = np.sqrt((flat**2).sum(axis=1))
@@ -513,8 +504,6 @@ def verify_proof_chain(
     lambda0: float,
     s: float,
     index: int = 1,
-    pattern_budget: int = PATTERN_BUDGET,
-    block: int = DEFAULT_BLOCK,
     mc_samples: int = 100_000,
     seed: int = 0,
     raise_on_failure: bool = True,
@@ -576,9 +565,7 @@ def verify_proof_chain(
     stderr = None
     if S.field is ScalarField.REAL:
         mode = "exact"
-        col_means, int_mean, sup_raw, norm_lower = _slice_chaos_stats(
-            coeffs, lambda0, pattern_budget, block
-        )
+        col_means, int_mean, sup_raw, norm_lower = _slice_chaos_stats(coeffs, lambda0)
         norm_upper = norm_lower
         ineq_slack = EXACT_SLACK
     else:

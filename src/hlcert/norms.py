@@ -12,15 +12,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DomainError
 from .special import ScalarField
 from .tensor import (
-    DEFAULT_BLOCK,
-    PATTERN_BUDGET,
     FormTensor,
     contract_trailing_signs,
     iter_sign_blocks,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
@@ -186,51 +184,49 @@ def _random_starts(
 
 
 def _ascend(
-    coeffs: np.ndarray,
+    stack: np.ndarray,
     vectors: List[np.ndarray],
     p: float,
     max_iters: int,
     tol: float,
-    owner: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
-    """Block-coordinate ascent of R rows at once.
+    """Block-coordinate ascent of R rows at once on a stack of B tensors.
 
-    vectors[k] is an (R, n) array whose row r is row r's argument in slot k.
-    With `owner` None, coeffs is one tensor of shape (n,)*m and every row is
-    a restart on it; otherwise coeffs is a stack of shape (B,) + (n,)*m and
-    row r ascends on tensor owner[r].  Each slot update replaces every
-    active row with the exact maximizer of its induced linear functional,
-    so each row's value sequence is nondecreasing.  A row freezes after the
-    first sweep with value - previous <= tol * value.  Returns (values (R,),
-    vectors, converged (R,)).  A run with max_iters = k stops where a longer
-    run is after its k-th sweep, so the values of k = 1, 2, ... trace the
-    ascent (a frozen row keeps its last value).
+    stack has shape (B,) + (n,)*m, and vectors[k] is an (R, n) array whose
+    row r is row r's argument in slot k.  The rows are B runs of R/B
+    restarts, one run per tensor in stack order: row r ascends on tensor
+    r // (R/B).  Each slot update replaces every active row with the exact
+    maximizer of its induced linear functional, so each row's value
+    sequence is nondecreasing.  A row freezes after the first sweep with
+    value - previous <= tol * value.  Returns (values (R,), vectors,
+    converged (R,)).  A run with max_iters = k stops where a longer run is
+    after its k-th sweep, so the values of k = 1, 2, ... trace the ascent
+    (a frozen row keeps its last value).
     """
-    m = len(vectors)
-    n = vectors[0].shape[1]
-    R = vectors[0].shape[0]
-    lead = 0 if owner is None else 1
+    B, m = stack.shape[0], stack.ndim - 1
+    R, n = vectors[0].shape
     # slot k contracts the other slots from the last one down, as one stack
     # of matrix-vector products per slot: row r's arithmetic is the same
     # whatever the other rows hold, so a row's result does not depend on
-    # the batch it runs in.  Only the first product reads the tensor; in a
-    # stack of tensors each row gathers its own tensor's matrix for it.
+    # the batch it runs in.  Only the first product reads the tensor: with
+    # B > 1 each row gathers its own tensor's matrix for it, and with B = 1
+    # the one matrix broadcasts over the rows.
     plans = []
     for k in range(m):
         others = [i for i in range(m - 1, -1, -1) if i != k]
-        matrix = np.moveaxis(coeffs, lead + k, lead)
-        plans.append((others, matrix.reshape(coeffs.shape[:lead] + (-1, n))))
+        matrix = np.moveaxis(stack, 1 + k, 1).reshape(B, -1, n)
+        plans.append((others, matrix if B > 1 else matrix[0]))
+    owner = np.repeat(np.arange(B), R // B)   # the tensor of each active row
     out = [np.array(v) for v in vectors]
     current = list(out)
     values = np.zeros(R)
     previous = np.zeros(R)
     converged = np.zeros(R, dtype=bool)
     active = np.arange(R)
-    rows_owner = owner
     for _ in range(max_iters):
         for k, (others, matrix) in enumerate(plans):
-            if rows_owner is not None:
-                matrix = matrix[rows_owner]
+            if B > 1:
+                matrix = matrix[owner]
             acc = np.matmul(matrix, current[others[0]][:, :, None])[..., 0]
             for i in others[1:]:
                 acc = np.matmul(acc.reshape(len(acc), -1, n), current[i][:, :, None])[..., 0]
@@ -243,9 +239,7 @@ def _ascend(
             for k in range(m):
                 out[k][finished] = current[k][done]
                 current[k] = current[k][keep]
-            active, value = active[keep], value[keep]
-            if owner is not None:
-                rows_owner = owner[active]
+            active, value, owner = active[keep], value[keep], owner[keep]
             if active.size == 0:
                 break
         previous = value
@@ -291,7 +285,6 @@ def _alternating_max_batch(
     The tensors share (m, n, field).  Their restarts run as the rows of one
     `_ascend` batch, trial-major, and each row's arithmetic does not depend
     on the batch, so every estimate is the same whatever the batch holds.
-    A single tensor takes the direct path, with no gathered matrices.
     """
     first = tensors[0]
     if first.m < 2:
@@ -302,13 +295,9 @@ def _alternating_max_batch(
         raise DomainError("restarts must be >= 1")
     cx = first.field is ScalarField.COMPLEX
     starts = [_random_starts(seed, restarts, first.m, first.n, p, cx) for seed in seeds]
-    if len(tensors) == 1:
-        coeffs, owner = first.coeffs, None
-    else:
-        coeffs = np.stack([T.coeffs for T in tensors])
-        owner = np.repeat(np.arange(len(tensors)), restarts)
+    stack = np.stack([T.coeffs for T in tensors])
     vectors = [np.concatenate([s[k] for s in starts]) for k in range(first.m)]
-    values, vectors, converged = _ascend(coeffs, vectors, p, max_iters, tol, owner)
+    values, vectors, converged = _ascend(stack, vectors, p, max_iters, tol)
     estimates = []
     for b, T in enumerate(tensors):
         # the best restart (the first attaining the max), capped by the mass
@@ -325,24 +314,20 @@ def _alternating_max_batch(
     return estimates
 
 
-def exact_linf_enum(
-    T: FormTensor,
-    pattern_budget: int = PATTERN_BUDGET,
-    block: int = DEFAULT_BLOCK,
-) -> NormEstimate:
+def exact_linf_enum(T: FormTensor) -> NormEstimate:
     """Exact ||T|| on (l_inf^n)^m for real scalars, by sign enumeration.
 
     The l_inf ball's extreme points are sign vectors; slots 2..m are
     enumerated (2^(n(m-1)) patterns, by `sign_slices`) and the first slot is
     closed in l_1-dual form: value = max over patterns of
-    sum_j1 |T(e_j1, eps2, ..., epsm)|.  Over `pattern_budget` patterns it
-    raises BudgetError before any work.
+    sum_j1 |T(e_j1, eps2, ..., epsm)|.  Over `hlcert.tensor.PATTERN_BUDGET`
+    patterns it raises BudgetError before any work.
     """
     if T.field is not ScalarField.REAL:
         raise DomainError("exact l_inf enumeration supports the real field only")
     r = T.m - 1
     nbits = T.n * r
-    values, indices = _exact_linf_stack(T.coeffs[None], pattern_budget, block)
+    values, indices = _exact_linf_stack(T.coeffs[None])
     best, best_index = float(values[0]), int(indices[0])
     # rebuild the witness from the best pattern index
     shifts = np.arange(nbits, dtype=np.uint64)
@@ -360,11 +345,7 @@ def exact_linf_enum(
     )
 
 
-def _exact_linf_stack(
-    stack: np.ndarray,
-    pattern_budget: int = PATTERN_BUDGET,
-    block: int = DEFAULT_BLOCK,
-) -> Tuple[np.ndarray, np.ndarray]:
+def _exact_linf_stack(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Exact l_inf norms of a stack (K,) + (n,)*m of real tensors, with their best patterns.
 
     One `sign_slices` pass enumerates every tensor at once: the stack axis
@@ -382,7 +363,7 @@ def _exact_linf_stack(
     columns = np.arange(K)
     start = 0
     free = stack.reshape((K * n,) + stack.shape[2:])
-    for slices in sign_slices(free, block=block, pattern_budget=pattern_budget):
+    for slices in sign_slices(free):
         values = np.abs(slices).reshape(len(slices), K, n).sum(axis=2)
         k = np.argmax(values, axis=0)
         top = values[k, columns]

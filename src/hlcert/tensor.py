@@ -50,8 +50,8 @@ __all__ = [
     "contract_trailing_signs",
 ]
 
-MAX_ENTRIES = 10**7       # default memory budget for generation, in coefficients
-PATTERN_BUDGET = 2**24    # default enumeration budget, in sign patterns
+MAX_ENTRIES = 10**7       # memory budget for generation, in coefficients
+PATTERN_BUDGET = 2**24    # enumeration budget, in sign patterns
 DEFAULT_BLOCK = 4096      # sign patterns contracted per numpy batch
 
 GENERATE_KINDS = ("gaussian", "signs", "sparse_unit", "steinhaus")
@@ -167,25 +167,19 @@ def _unit_scaled(arr: np.ndarray) -> Tuple[np.ndarray, float]:
     return arr / unit, unit
 
 
-def generate(
-    kind: str,
-    m: int,
-    n: int,
-    field: ScalarField,
-    seed,
-    max_entries: int = MAX_ENTRIES,
-) -> FormTensor:
+def generate(kind: str, m: int, n: int, field: ScalarField, seed) -> FormTensor:
     """Draw a trial tensor, deterministically for a given seed.
 
     kinds: 'gaussian' (standard normals, independent re/im when complex),
     'signs' (+-1 entries), 'sparse_unit' (a single 1 at a random position),
-    'steinhaus' (unimodular complex entries; complex field only).
+    'steinhaus' (unimodular complex entries; complex field only).  More
+    than MAX_ENTRIES coefficients raise BudgetError.
     """
     if kind not in GENERATE_KINDS:
         raise DomainError(f"unknown generator kind {kind!r}; choose from {GENERATE_KINDS}")
     size = n**m
-    if size > max_entries:
-        raise BudgetError(f"n^m = {size} exceeds the entry budget {max_entries}")
+    if size > MAX_ENTRIES:
+        raise BudgetError(f"n^m = {size} exceeds the entry budget {MAX_ENTRIES}")
     rng = np.random.default_rng(seed)
     shape = (n,) * m
     if kind == "gaussian":
@@ -237,21 +231,18 @@ def tensor_from_json(text: str) -> FormTensor:
     return FormTensor(m=int(obj["m"]), n=int(obj["n"]), field=field, coeffs=flat)
 
 
-def iter_sign_blocks(
-    nbits: int,
-    block: int = DEFAULT_BLOCK,
-    pattern_budget: int = PATTERN_BUDGET,
-) -> Iterator[np.ndarray]:
+def iter_sign_blocks(nbits: int, block: int = DEFAULT_BLOCK) -> Iterator[np.ndarray]:
     """Yield the 2^nbits sign patterns in blocks of float64 {-1,+1} rows.
 
     Bit b of the pattern index maps to column b.  nbits = 0 yields a single
     empty pattern, which makes the degenerate enumerations below uniform.
+    More than PATTERN_BUDGET patterns raise BudgetError at the first block.
     """
     if nbits < 0:
         raise DomainError("nbits must be nonnegative")
     total = 1 << nbits
-    if total > pattern_budget:
-        raise BudgetError(f"2^{nbits} patterns exceed the budget {pattern_budget}")
+    if total > PATTERN_BUDGET:
+        raise BudgetError(f"2^{nbits} patterns exceed the budget {PATTERN_BUDGET}")
     shifts = np.arange(nbits, dtype=np.uint64)
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total), dtype=np.uint64)
@@ -259,11 +250,7 @@ def iter_sign_blocks(
         yield bits.astype(np.float64) * 2.0 - 1.0
 
 
-def sign_slices(
-    coeffs: np.ndarray,
-    block: int = DEFAULT_BLOCK,
-    pattern_budget: int = PATTERN_BUDGET,
-) -> Iterator[np.ndarray]:
+def sign_slices(coeffs: np.ndarray) -> Iterator[np.ndarray]:
     """Yield V[k, j] = T(e_j, eps_2, ..., eps_m) for every sign pattern k.
 
     coeffs has shape (f, n, ..., n): axis 0 (any length f) stays free and
@@ -272,21 +259,20 @@ def sign_slices(
     slot 2 + b // n, so slot 2 holds the lowest bits, exactly as
     `contract_trailing_signs` over the rows of `iter_sign_blocks` (same
     values up to rounding, same order).  Blocks of shape (K, f) with
-    K <= block come in index order; a tensor with only the free axis yields
-    coeffs itself as its single empty pattern.
+    K <= DEFAULT_BLOCK come in index order; a tensor with only the free axis
+    yields coeffs itself as its single empty pattern.
 
     Raises BudgetError when the call is made, before any work, if the
-    pattern count exceeds `pattern_budget`.
+    pattern count exceeds PATTERN_BUDGET.  Both constants are read at call
+    time.
     """
     coeffs = np.asarray(coeffs)
     r = coeffs.ndim - 1
     n = coeffs.shape[1] if r else 0
     nbits = n * r
-    if (1 << nbits) > pattern_budget:
-        raise BudgetError(f"2^{nbits} sign patterns exceed the budget {pattern_budget}")
-    if block < 1:
-        raise DomainError(f"block must be >= 1, got {block}")
-    return _sign_slices(coeffs, r, n, block)
+    if (1 << nbits) > PATTERN_BUDGET:
+        raise BudgetError(f"2^{nbits} sign patterns exceed the budget {PATTERN_BUDGET}")
+    return _sign_slices(coeffs, r, n, DEFAULT_BLOCK)
 
 
 def _sign_slices(coeffs: np.ndarray, r: int, n: int, block: int) -> Iterator[np.ndarray]:
@@ -303,7 +289,7 @@ def _sign_slices(coeffs: np.ndarray, r: int, n: int, block: int) -> Iterator[np.
     trailing = coeffs.reshape(f, n, -1).transpose(2, 1, 0).reshape(-1, n * f)
     outer_bits = n * r - low
     per_batch = max(1, block >> low)
-    for outer in iter_sign_blocks(outer_bits, block=per_batch, pattern_budget=1 << outer_bits):
+    for outer in iter_sign_blocks(outer_bits, block=per_batch):
         B = outer.shape[0]
         high = outer[:, : n - low]
         weights = np.ones((B, 1))

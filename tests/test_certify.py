@@ -36,6 +36,8 @@ from hlcert.certify import (
 from hlcert.norms import _exact_linf_stack
 from hlcert.tensor import mixed_norms
 
+certify_module = importlib.import_module("hlcert.certify")
+
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
 
@@ -145,7 +147,7 @@ def _per_trial_rows(m, n, p, lambda0, cfg, seed):
             T, p, restarts=cfg.restarts, max_iters=cfg.max_iters, tol=cfg.tol, seed=norm_ss
         )
         lower = est.lower
-        classification = _classify(lhs, C * lower, C * est.upper, cfg.ratio_tol)
+        classification = _classify(lhs, C * lower, C * est.upper, certify_module.RATIO_TOL)
         retried = classification == "inconclusive"
         if retried:
             retry = alternating_max(
@@ -153,7 +155,7 @@ def _per_trial_rows(m, n, p, lambda0, cfg, seed):
                 seed=retry_ss,
             )
             lower = max(lower, retry.lower)
-            classification = _classify(lhs, C * lower, C * est.upper, cfg.ratio_tol)
+            classification = _classify(lhs, C * lower, C * est.upper, certify_module.RATIO_TOL)
         rows.append((t, int(ss.generate_state(1)[0]), lhs, lower, est.upper,
                      classification, retried))
     return rows
@@ -178,10 +180,11 @@ def test_certify_batches_match_serial_and_jobs():
     assert _row_tuples(seq) == _per_trial_rows(3, 3, 4.0, 1.0, cfg, 31)
 
 
-def test_certify_batched_retry_matches_per_trial_retry():
+def test_certify_batched_retry_matches_per_trial_retry(monkeypatch):
     # two sweeps of two restarts and a shifted pass threshold leave many
     # trials inconclusive, so their 4x retries run as one batch
-    cfg = TrialConfig(trials=60, restarts=2, max_iters=2, ratio_tol=-0.5, keep_trials=True)
+    monkeypatch.setattr(certify_module, "RATIO_TOL", -0.5)
+    cfg = TrialConfig(trials=60, restarts=2, max_iters=2, keep_trials=True)
     report = certify(3, 2, 4.0, 1.2, REAL, config=cfg, seed=3)
     rows = _row_tuples(report)
     retried = [r for r in rows if r[-1]]
@@ -194,6 +197,27 @@ def test_certify_batched_retry_matches_per_trial_retry():
 def test_certify_rejects_jobs_below_one(jobs):
     with pytest.raises(DomainError, match="jobs must be >= 1"):
         certify(3, 2, 4.0, 1.0, REAL, config=TrialConfig(trials=2, jobs=jobs), seed=1)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"kinds": ()}, "kinds must name at least one"),       # was ZeroDivisionError
+    ({"restarts": 0}, "restarts must be >= 1"),            # was ZeroDivisionError
+    ({"max_iters": 0}, "max_iters must be >= 1"),          # was all inconclusive, ratio inf
+    ({"tol": math.nan}, "tol must be >= 0"),
+    ({"tol": -1e-10}, "tol must be >= 0"),
+])
+def test_trial_config_rejects_bad_run_settings(setting, message):
+    # every certify and sweep_lambda0 run builds its TrialConfig, directly
+    # or by `replace`, so the check fires before any work
+    with pytest.raises(DomainError, match=message):
+        certify(3, 2, 4.0, 1.0, REAL, config=TrialConfig(trials=2, **setting), seed=1)
+    with pytest.raises(DomainError, match=message):
+        replace(TrialConfig(), **setting)
+
+
+def test_search_rejects_a_negative_budget():
+    with pytest.raises(DomainError, match="budget must be >= 0"):
+        search_extremal(3, 2, 4.0, 1.0, REAL, budget=-5, seed=1)
 
 
 def test_trial_csv_layout():
@@ -353,7 +377,6 @@ def test_search_matches_sequential_reference_climb():
 
 
 def test_search_result_does_not_depend_on_the_block_size(monkeypatch):
-    certify_module = importlib.import_module("hlcert.certify")
     for m, n, p, lambda0, field in SEARCH_CASES:
         results = []
         for block in (1, 7, certify_module.SEARCH_BLOCK):

@@ -31,6 +31,7 @@ from hlcert import (
     verify_proof_chain,
 )
 from hlcert import chaos as chaos_module
+from hlcert import tensor as tensor_module
 from hlcert.norms import exact_linf_enum
 from hlcert.tensor import contract_trailing_signs, iter_sign_blocks
 
@@ -383,19 +384,21 @@ def _slice_chaos_stats_by_patterns(coeffs, lambda0):
     "m, n", [(2, 1), (2, 6), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3)]
 )
 @pytest.mark.parametrize("block", [1, 5, 12, 16, 4096])
-def test_slice_chaos_stats_match_a_per_pattern_reference(m, n, block):
+def test_slice_chaos_stats_match_a_per_pattern_reference(m, n, block, monkeypatch):
+    monkeypatch.setattr(tensor_module, "DEFAULT_BLOCK", block)
     S = generate("gaussian", m, n, REAL, 10 * m + n)
-    got = chaos_module._slice_chaos_stats(S.coeffs, 1.3, 2**24, block)
+    got = chaos_module._slice_chaos_stats(S.coeffs, 1.3)
     want = _slice_chaos_stats_by_patterns(S.coeffs, 1.3)
     _assert_stats_close(got, want)
     assert got[3] == pytest.approx(exact_linf_enum(S).lower, rel=1e-12)
 
 
-def test_slice_chaos_stats_cover_a_partial_last_block():
+def test_slice_chaos_stats_cover_a_partial_last_block(monkeypatch):
     # (m, n, block) = (3, 2, 12) yields blocks of 12 and 4 patterns, so the
     # per-pattern reference above checks the column totals of a short block
+    monkeypatch.setattr(tensor_module, "DEFAULT_BLOCK", 12)
     S = generate("gaussian", 3, 2, REAL, 32)
-    sizes = [len(V) for V in chaos_module.sign_slices(S.coeffs, block=12)]
+    sizes = [len(V) for V in chaos_module.sign_slices(S.coeffs)]
     assert sizes == [12, 4]
 
 

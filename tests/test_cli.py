@@ -318,6 +318,33 @@ def test_jobs_below_one_is_usage_error(capsys, jobs):
         assert "jobs must be >= 1" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--kinds", ","], "kinds must name at least one"),
+    (["--restarts", "0"], "restarts must be >= 1"),
+    (["--max-iters", "0"], "max_iters must be >= 1"),
+    (["--tol", "nan"], "tol must be >= 0"),
+    (["--tol=-1e-10"], "tol must be >= 0"),
+])
+def test_verify_bad_run_settings_are_usage_errors(capsys, flags, message):
+    code, out, err = run(
+        capsys, "verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
+        "--trials", "2", "--seed", "1", "--format", "json", *flags,
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_search_negative_budget_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "search", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
+        "--budget", "-5", "--seed", "1",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: budget must be >= 0")
+
+
 def test_hlcert_jobs_zero_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("HLCERT_JOBS", "0")
     for argv in (

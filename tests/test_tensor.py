@@ -21,6 +21,7 @@ from hlcert import (
     tensor_from_json,
     tensor_to_json,
 )
+from hlcert import tensor as tensor_module
 from hlcert.tensor import contract_trailing_signs, iter_sign_blocks, mixed_norms, sign_slices
 
 REAL = ScalarField.REAL
@@ -227,9 +228,10 @@ def test_generate_steinhaus_unimodular():
         generate("steinhaus", 2, 3, REAL, 5)
 
 
-def test_generate_budget_and_kind_errors():
+def test_generate_budget_and_kind_errors(monkeypatch):
+    monkeypatch.setattr(tensor_module, "MAX_ENTRIES", 8)
     with pytest.raises(BudgetError):
-        generate("gaussian", 2, 3, REAL, 1, max_entries=8)
+        generate("gaussian", 2, 3, REAL, 1)
     with pytest.raises(DomainError):
         generate("uniform", 2, 3, REAL, 1)
 
@@ -279,11 +281,12 @@ def _slices_by_patterns(coeffs):
 @pytest.mark.parametrize("m, n", [(2, 1), (2, 3), (2, 6), (3, 2), (3, 4), (4, 2), (4, 3)])
 @pytest.mark.parametrize("block", [1, 5, 16, 4096])
 @pytest.mark.parametrize("free", ["n", "1"])
-def test_sign_slices_match_per_pattern_contraction(m, n, block, free):
+def test_sign_slices_match_per_pattern_contraction(m, n, block, free, monkeypatch):
+    monkeypatch.setattr(tensor_module, "DEFAULT_BLOCK", block)
     rng = np.random.default_rng(1000 * m + n)
     f = n if free == "n" else 1
     coeffs = rng.standard_normal((f,) + (n,) * (m - 1))
-    blocks = list(sign_slices(coeffs, block=block))
+    blocks = list(sign_slices(coeffs))
     assert all(len(b) <= block for b in blocks)
     got = np.concatenate(blocks)
     ref = _slices_by_patterns(coeffs)
@@ -299,11 +302,10 @@ def test_sign_slices_free_axis_only():
     assert np.array_equal(only[0], coeffs)
 
 
-def test_sign_slices_budget_raises_before_work():
+def test_sign_slices_budget_raises_before_work(monkeypatch):
     # 2^(30*2) patterns: the check must fire at the call, before any block
     with pytest.raises(BudgetError):
         sign_slices(np.zeros((30, 30, 30)))
+    monkeypatch.setattr(tensor_module, "PATTERN_BUDGET", 2**6 - 1)
     with pytest.raises(BudgetError):
-        sign_slices(np.zeros((3, 3, 3)), pattern_budget=2**6 - 1)
-    with pytest.raises(DomainError):
-        sign_slices(np.zeros((3, 3)), block=0)
+        sign_slices(np.zeros((3, 3, 3)))
