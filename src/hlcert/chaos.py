@@ -3,13 +3,15 @@
 Integrals of Rademacher chaoses over [0,1]^k are uniform averages over sign
 patterns, so every real-field quantity here is computed exactly by
 enumeration through `sign_slices` (budgets permitting).  Steinhaus
-quantities have no finite extreme-point set and are estimated by one
-Monte-Carlo routine, `_steinhaus_stats`, with reported standard errors;
-checks on those are 3-sigma soft checks, never hard asserts.  It draws
+quantities have no finite extreme-point set and are estimated by Monte
+Carlo with reported standard errors; checks on those are 3-sigma soft
+checks, never hard asserts.  Both feed one accumulation loop,
+`_chaos_stats`, and differ only in where its blocks of chaos slices come
+from: `sign_slices` yields every sign pattern, `_steinhaus_slices` draws
 MC_BLOCK = 4096 samples of uniforms per block, makes each a phase by the
 half-angle form z = ((1 - t^2) + 2i*t) / (1 + t^2) with t = tan(pi*u)
-(within 2.7e-16 of exp(2*pi*i*u)), closes the last slot of a block with
-one GEMM and takes row and column sums as products with ones vectors.
+(within 2.7e-16 of exp(2*pi*i*u)) and closes the last slot of a block with
+one GEMM.  The loop takes row and column sums as products with ones vectors.
 
 Seeds follow one rule, `_check_seed`, at every entry point (here
 `steinhaus_moment`, `check_khinchin` and `verify_proof_chain`; in
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,20 +92,22 @@ def rademacher_moment(a, q: float) -> ChaosMoment:
     so entries near the floating point limits neither overflow nor underflow.
     """
     a, unit = _unit_scaled(_coefficient_vector(a, q, np.float64))
-    return ChaosMoment(q=q, value=unit * _exact_moment(a, q), mode="exact")
+    # a free axis of length 1 in front makes slot 1 the core's lowest bits
+    _, mean, _, _ = _chaos_stats(sign_slices(a[None]), 1, q)
+    return ChaosMoment(q=q, value=unit * mean ** (1.0 / q), mode="exact")
 
 
 def steinhaus_moment(a, q: float, samples: int = 100_000, seed: int = 0) -> ChaosMoment:
     """Monte-Carlo L_q norm of sum_j z_j a_j with independent unimodular z_j.
 
-    The one-column case of `_steinhaus_stats`, so its samples are the
+    The one-column case of `_steinhaus_slices`, so its samples are the
     stream of SeedSequence([seed, 0]).  Like `rademacher_moment` it runs on
     a divided by the power of two nearest max|a_j| and scales the value and
     its standard error back.
     """
     seed = _check_seed(seed)
     a, unit = _unit_scaled(_coefficient_vector(a, q, np.complex128))
-    _, mean, _, stderr = _steinhaus_stats(a[None], q, samples, seed)
+    _, mean, stderr, _ = _chaos_stats(_steinhaus_slices(a[None], samples, seed), 1, q)
     value, value_err = _power_mean(mean, stderr, q)
     return ChaosMoment(
         q=q, value=unit * value, mode="mc", samples=samples, seed=seed, stderr=unit * value_err,
@@ -114,8 +118,8 @@ def _coefficient_vector(a, q: float, dtype) -> np.ndarray:
     a = np.asarray(a, dtype=dtype)
     if a.ndim != 1 or a.size == 0:
         raise DomainError("coefficient vector must be one-dimensional and nonempty")
-    if q < 1.0:
-        raise DomainError(f"q must be >= 1, got {q}")
+    if not (1.0 <= q < math.inf):
+        raise DomainError(f"q must be finite and >= 1, got {q}")
     return a
 
 
@@ -130,46 +134,60 @@ def _check_seed(seed) -> int:
     raise DomainError(f"seed must be a non-negative integer below 2**32, got {seed!r}")
 
 
-def _exact_moment(coeffs: np.ndarray, q: float) -> float:
-    """Exact L_q norm of the full chaos sum_J coeffs[J] eps_1[j1] ... eps_m[jm]."""
-    total = 0.0
+def _chaos_stats(
+    blocks: Iterable[np.ndarray], f: int, q: float, linf: bool = False
+) -> Tuple[np.ndarray, float, float, Optional[float]]:
+    """Statistics of W[k, j] = |V[k, j]|^q over blocks V (K, f) of chaos slices.
+
+    The one accumulation loop of this module.  Row k of a block is one sign
+    pattern (from `sign_slices`) or one Monte-Carlo sample (from
+    `_steinhaus_slices`); column j is the chaos with the coefficients of
+    slice j.  Returns the mean of W per column, the mean of the row sums
+    sum_j W[k, j], the standard error of that mean, and, when linf is set,
+    max_k sum_j |V[k, j]| (else None).  Over all sign patterns the last is
+    the exact norm on l_inf^n (sign vectors are the ball's extreme points,
+    the l_1 dual closes the free slot), whichever axis of the form is free.
+    Column and row sums are products with ones vectors.
+    """
+    ones_f = np.ones(f)
+    col_total = np.zeros(f)
+    row_total = 0.0
+    row_sq = 0.0
+    sup = 0.0
     count = 0
-    # a free axis of length 1 in front makes slot 1 the core's lowest bits
-    for chaos in sign_slices(coeffs[None]):
-        total += float((np.abs(chaos) ** q).sum())
-        count += len(chaos)
-    return (total / count) ** (1.0 / q)
+    for V in blocks:
+        W = np.abs(V)
+        if linf:
+            sup = max(sup, float((W @ ones_f).max()))
+        W **= q
+        col_total += np.ones(len(W)) @ W
+        row_sums = W @ ones_f
+        row_total += float(row_sums.sum())
+        row_sq += float(row_sums @ row_sums)
+        count += len(W)
+    mean = row_total / count
+    var = max(row_sq / count - mean**2, 0.0)
+    return col_total / count, mean, math.sqrt(var / count), sup if linf else None
 
 
-def _steinhaus_stats(
-    coeffs: np.ndarray,
-    q: float,
-    samples: int,
-    seed: int,
-) -> Tuple[np.ndarray, float, float, float]:
-    """Monte-Carlo statistics of V[k, j] = |T(e_j, z_2, ..., z_m)|^q.
+def _steinhaus_slices(coeffs: np.ndarray, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """Yield V[k, j] = T(e_j, z_2, ..., z_m) for `samples` Steinhaus draws.
 
     coeffs has shape (f, n, ..., n) with axis 0 free; sample k draws
     independent Steinhaus (uniform unimodular) vectors z_2..z_m from the
     uniforms of default_rng(SeedSequence([seed, 0])), MC_BLOCK samples per
-    batch, turned into phases by `_steinhaus_phases`.  Slot m of a batch is
-    closed by one matrix product against coeffs.reshape(-1, n).T, carried
-    out as a real GEMM on the interleaved real and imaginary parts
-    (`_complex_gemm_operand`); the slots before it by a per-sample einsum.
-    Row and column sums are products with ones vectors.  samples must be an
-    integer >= 2.  Returns (mean of V per column, and the mean, max and
-    standard error of the mean of the row sums sum_j V[k, j]).
+    block of shape (K, f), turned into phases by `_steinhaus_phases`.  Slot
+    m of a block is closed by one matrix product against
+    coeffs.reshape(-1, n).T, carried out as a real GEMM on the interleaved
+    real and imaginary parts (`_complex_gemm_operand`); the slots before it
+    by a per-sample einsum.  samples must be an integer >= 2 (DomainError
+    at the first block).
     """
     if not isinstance(samples, (int, np.integer)) or samples < 2:
         raise DomainError(f"samples must be an integer >= 2, got {samples!r}")
     f, r, n = coeffs.shape[0], coeffs.ndim - 1, coeffs.shape[-1]
     last = _complex_gemm_operand(coeffs.reshape(-1, n).T)
-    ones_f = np.ones(f)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    col_total = np.zeros(f)
-    row_total = 0.0
-    row_sq = 0.0
-    row_max = -math.inf
     for start in range(0, samples, MC_BLOCK):
         b = min(MC_BLOCK, samples - start)
         z = _steinhaus_phases(rng.random((b, r, n)))
@@ -177,15 +195,7 @@ def _steinhaus_stats(
         acc = acc.reshape((b, f) + (n,) * (r - 1))
         for i in range(r - 2, -1, -1):
             acc = np.einsum("k...a,ka->k...", acc, z[:, i])
-        V = np.abs(acc) ** q
-        col_total += np.ones(b) @ V
-        row_sums = V @ ones_f
-        row_total += float(row_sums.sum())
-        row_sq += float(row_sums @ row_sums)
-        row_max = max(row_max, float(row_sums.max()))
-    mean = row_total / samples
-    var = max(row_sq / samples - mean**2, 0.0)
-    return col_total / samples, mean, row_max, math.sqrt(var / samples)
+        yield acc
 
 
 def _steinhaus_phases(u: np.ndarray) -> np.ndarray:
@@ -336,13 +346,14 @@ def check_contraction(a, t: float) -> ContractionReport:
     arr = arr.astype(np.float64)
     if arr.ndim < 1:
         raise DomainError("coefficient tensor must have at least one axis")
-    if t < 1.0:
-        raise DomainError(f"t must be >= 1, got {t}")
+    if not (1.0 <= t < math.inf):
+        raise DomainError(f"t must be finite and >= 1, got {t}")
     sizes = set(arr.shape)
     if len(sizes) != 1:
         raise DomainError(f"coefficient tensor must be cubical, got shape {arr.shape}")
     arr, unit = _unit_scaled(arr)
-    moment = _exact_moment(arr, t)
+    _, mean, _, _ = _chaos_stats(sign_slices(arr[None]), 1, t)
+    moment = mean ** (1.0 / t)
     max_coeff = float(np.abs(arr).max())
     passed = max_coeff <= moment + EXACT_SLACK
     if not passed:
@@ -375,45 +386,15 @@ class MultipleKhinchinReport:
         }
 
 
-def _slice_chaos_stats(
-    coeffs: np.ndarray, lambda0: float
-) -> Tuple[np.ndarray, float, float, float]:
-    """Exact per-slice chaos statistics for a real tensor with axis 0 free.
-
-    Returns (mean of |V|^lambda0 per first index, mean over patterns of
-    sum_j |V_j|^lambda0, max over patterns of the same sum, max over
-    patterns of sum_j |V_j|), where V[k, j] = chaos of slice j under sign
-    pattern k on the trailing axes.  The last value is the exact norm on
-    l_inf^n (sign vectors are the ball's extreme points, the l_1 dual
-    closes the free slot), whichever axis of the form is free, so one
-    enumeration serves both.
-    """
-    ones_f = np.ones(coeffs.shape[0])
-    col_total = np.zeros(coeffs.shape[0])
-    sum_total = 0.0
-    sup_value = -math.inf
-    linf = 0.0
-    count = 0
-    for slices in sign_slices(coeffs):
-        mags = np.abs(slices)
-        linf = max(linf, float((mags @ ones_f).max()))
-        V = mags**lambda0
-        col_total += np.ones(len(V)) @ V
-        row_sums = V @ ones_f
-        sum_total += float(row_sums.sum())
-        sup_value = max(sup_value, float(row_sums.max()))
-        count += len(slices)
-    return col_total / count, sum_total / count, sup_value, linf
-
-
 def check_multiple_khinchin(
     T: FormTensor, lambda0: float, j1: Optional[int] = None
 ) -> MultipleKhinchinReport:
     """Check (sum_{other indices} |T|^2)^(1/2) <= A^{-(m-1)} R per first-index slice.
 
     R is the exact L_{lambda0} norm of the (m-1)-fold Rademacher chaos with
-    the slice's coefficients.  j1 restricts the check to one slice (1-based);
-    by default every slice is checked.  Real field only.
+    the slice's coefficients.  j1 restricts the check to one slice (an
+    integer in [1, n], checked before any work); by default every slice is
+    checked.  Real field only.
     """
     if T.field is not ScalarField.REAL:
         raise DomainError("exact multiple-Khinchin check supports the real field only")
@@ -421,17 +402,17 @@ def check_multiple_khinchin(
         raise DomainError("need an m-linear form with m >= 2")
     if not (1.0 <= lambda0 <= 2.0):
         raise DomainError(f"lambda0 must lie in [1, 2], got {lambda0}")
+    if j1 is not None and not (isinstance(j1, (int, np.integer)) and 1 <= j1 <= T.n):
+        raise DomainError(f"j1 must be an integer in [1, {T.n}], got {j1!r}")
     A = khinchin_A(lambda0, ScalarField.REAL).value
     constant = A ** (-(T.m - 1))
-    col_means, _, _, _ = _slice_chaos_stats(T.coeffs, lambda0)
+    col_means, _, _, _ = _chaos_stats(sign_slices(T.coeffs), T.n, lambda0)
     R = col_means ** (1.0 / lambda0)
     flat = T.coeffs.reshape(T.n, -1)
     l2 = np.sqrt((flat**2).sum(axis=1))
     indices = range(1, T.n + 1) if j1 is None else [j1]
     rows: List[dict] = []
     for j in indices:
-        if not (1 <= j <= T.n):
-            raise DomainError(f"j1 must lie in [1, {T.n}], got {j}")
         lhs = float(l2[j - 1])
         rhs = float(constant * R[j - 1])
         slack = rhs - lhs
@@ -478,7 +459,6 @@ class ChainReport:
     constant_factor: float       # A_{lambda0}^{-2(m-1)/s}
     norm_lower: float
     norm_upper: float
-    sup_value: float             # enumerated/sampled sup quantity, diagnostic
     passed: bool
     first_failure: Optional[str] = None
     mc_stderr: Optional[float] = None
@@ -536,8 +516,8 @@ def verify_proof_chain(
         raise DomainError("need an m-linear form with m >= 2")
     if not (1 <= index <= S.m):
         raise DomainError(f"index must lie in [1, {S.m}], got {index}")
-    if s < 2.0:
-        raise DomainError(f"the interpolation step needs s >= 2, got {s}")
+    if not (2.0 <= s < math.inf):
+        raise DomainError(f"the interpolation step needs a finite s >= 2, got {s}")
     if not (1.0 <= lambda0 <= 2.0):
         raise DomainError(f"lambda0 must lie in [1, 2], got {lambda0}")
     seed = _check_seed(seed)
@@ -565,13 +545,15 @@ def verify_proof_chain(
     stderr = None
     if S.field is ScalarField.REAL:
         mode = "exact"
-        col_means, int_mean, sup_raw, norm_lower = _slice_chaos_stats(coeffs, lambda0)
+        col_means, int_mean, _, norm_lower = _chaos_stats(
+            sign_slices(coeffs), n, lambda0, linf=True
+        )
         norm_upper = norm_lower
         ineq_slack = EXACT_SLACK
     else:
         mode = "mc"
-        col_means, int_mean, sup_raw, total_stderr = _steinhaus_stats(
-            coeffs, lambda0, mc_samples, seed
+        col_means, int_mean, total_stderr, _ = _chaos_stats(
+            _steinhaus_slices(coeffs, mc_samples, seed), n, lambda0
         )
         est = alternating_max(S, math.inf, seed=np.random.SeedSequence([seed, 1]))
         norm_lower, norm_upper = est.lower, crude_upper(S)
@@ -583,7 +565,6 @@ def verify_proof_chain(
 
     r_sum = float(col_means.sum() ** (1.0 / lambda0))          # (sum_j R_j^l0)^(1/l0)
     integral = float(int_mean ** (1.0 / lambda0))
-    sup_value = factor * float(sup_raw ** (1.0 / lambda0))
 
     q1 = holder_mid
     q2 = factor * r_sum
@@ -612,7 +593,6 @@ def verify_proof_chain(
         constant_factor=factor,
         norm_lower=unit * norm_lower,
         norm_upper=unit * norm_upper,
-        sup_value=unit * sup_value,
         passed=first_failure is None,
         first_failure=first_failure,
         mc_stderr=None if stderr is None else unit * stderr,

@@ -41,10 +41,13 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
 _CSV_HELP = """\
-CSV column orders:
-  verify : trial,kind,seed,ratio_conservative,ratio_empirical,classification,retried
-  sweep  : lambda0,s,eta1,constant,admissible,extrapolated,max_ratio_conservative
-  others : key,value rows
+What --format csv writes:
+  verify      : trial,kind,seed,ratio_conservative,ratio_empirical,classification,retried
+  sweep       : lambda0,s,eta1,constant,admissible,extrapolated,max_ratio_conservative
+  chain-check : the text report (one line per link, then norm_lower,
+                norm_upper, passed and any first_failure)
+  others      : key,value rows
+Where a report prints a drawn seed (--seed omitted), its "# seed: N" line comes first.
 """
 
 

@@ -18,8 +18,8 @@ slot 2 is closed by one matmul against a precomputed table of its 2^n sign
 vectors (split by linearity into a table part and a per-batch offset when
 2^n exceeds the block).  `iter_sign_blocks` enumerates raw patterns in
 blocks and `contract_trailing_signs` contracts per-pattern vectors; the
-latter serves the complex Monte-Carlo estimates and single-pattern
-witnesses.
+latter closes the exact norm's witness slice and serves the tests'
+per-pattern references.
 """
 
 from __future__ import annotations

@@ -82,6 +82,16 @@ def test_rademacher_moment_budget_and_domain():
         rademacher_moment([[1.0]], 2.0)
 
 
+@pytest.mark.parametrize("q", [math.inf, math.nan])
+def test_moments_reject_non_finite_exponents(q):
+    # |x|^inf is 0 or inf, not a limit: the L_inf norm of [1, 2] is 3, where
+    # the power mean gave 2.0; NaN used to give a silent NaN moment
+    with pytest.raises(DomainError, match="finite"):
+        rademacher_moment([1.0, 2.0], q)
+    with pytest.raises(DomainError, match="finite"):
+        steinhaus_moment([1.0, 1.0j], q, samples=100)
+
+
 def test_moment_monotone_in_q():
     rng = np.random.default_rng(9)
     for _ in range(5):
@@ -164,6 +174,12 @@ def test_steinhaus_phases_match_the_complex_exponential():
     assert z[-4].real == -1.0    # u = 1/2: t^2 about 2.6e32, far from overflow
 
 
+def _steinhaus_stats(coeffs, q, samples, seed):
+    # the one statistics loop over the Monte-Carlo block source
+    blocks = chaos_module._steinhaus_slices(coeffs, samples, seed)
+    return chaos_module._chaos_stats(blocks, coeffs.shape[0], q)
+
+
 def _steinhaus_stats_by_samples(coeffs, q, samples, seed):
     # per-sample reference: one draw of the whole stream, phases by the
     # complex exponential, the contraction slot by slot
@@ -174,14 +190,15 @@ def _steinhaus_stats_by_samples(coeffs, q, samples, seed):
     rows = V.sum(axis=1)
     mean = rows.mean()
     stderr = math.sqrt(max((rows**2).mean() - mean**2, 0.0) / samples)
-    return V.mean(axis=0), mean, rows.max(), stderr
+    return V.mean(axis=0), mean, stderr, None
 
 
 def _assert_stats_close(got, want):
-    # (column means, and three scalars): all within 1e-12 relative
+    # column means, then scalars (row-sum mean, standard error, l_inf norm
+    # or None): all within 1e-12 relative
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0)
     for g, w in zip(got[1:], want[1:]):
-        assert g == pytest.approx(w, rel=1e-12)
+        assert g is None if w is None else g == pytest.approx(w, rel=1e-12)
 
 
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 3), (4, 2)])
@@ -195,7 +212,7 @@ def test_steinhaus_stats_match_a_per_sample_reference(m, n, free, field):
         coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
     q, seed = 1.4, 17
     samples = 2 * chaos_module.MC_BLOCK + 5
-    got = chaos_module._steinhaus_stats(coeffs, q, samples, seed)
+    got = _steinhaus_stats(coeffs, q, samples, seed)
     want = _steinhaus_stats_by_samples(coeffs, q, samples, seed)
     _assert_stats_close(got, want)
 
@@ -208,7 +225,7 @@ def test_complex_chain_statistics_at_every_index(m):
     samples = 2 * chaos_module.MC_BLOCK + 5
     for index in range(1, m + 1):
         view = np.moveaxis(S.coeffs, index - 1, 0)
-        got = chaos_module._steinhaus_stats(view, 1.5, samples, 9)
+        got = _steinhaus_stats(view, 1.5, samples, 9)
         want = _steinhaus_stats_by_samples(view, 1.5, samples, 9)
         _assert_stats_close(got, want)
         rep = verify_proof_chain(S, 1.5, 2.5, index=index, mc_samples=samples, seed=9)
@@ -364,11 +381,26 @@ def test_contraction_guards():
         check_contraction(np.ones((5, 5, 5, 5, 5, 5)), 2.0)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_contraction_rejects_non_finite_t(t):
+    # t = inf gave a false violation (the power mean at t = inf is no L_inf
+    # norm), t = NaN a comparison that always fails
+    arr = np.random.default_rng(1).standard_normal((3, 3))
+    with pytest.raises(DomainError, match="finite"):
+        check_contraction(arr, t)
+
+
 def test_contraction_rejects_complex_coefficients():
     # casting to real would drop the imaginary part and check the real part
     arr = np.array([[1.0 + 5.0j, 0.0], [0.0, 1.0]])
     with pytest.raises(DomainError, match="real coefficients only"):
         check_contraction(arr, 2.0)
+
+
+def _slice_chaos_stats(coeffs, lambda0):
+    # the one statistics loop over the sign-pattern block source
+    blocks = chaos_module.sign_slices(coeffs)
+    return chaos_module._chaos_stats(blocks, coeffs.shape[0], lambda0, linf=True)
 
 
 def _slice_chaos_stats_by_patterns(coeffs, lambda0):
@@ -377,7 +409,7 @@ def _slice_chaos_stats_by_patterns(coeffs, lambda0):
     signs = next(iter_sign_blocks(n * r, block=1 << (n * r))).reshape(-1, r, n)
     mags = np.abs(contract_trailing_signs(coeffs, signs))
     rows = (mags**lambda0).sum(axis=1)
-    return (mags**lambda0).mean(axis=0), rows.mean(), rows.max(), mags.sum(axis=1).max()
+    return (mags**lambda0).mean(axis=0), rows.mean(), mags.sum(axis=1).max()
 
 
 @pytest.mark.parametrize(
@@ -387,10 +419,11 @@ def _slice_chaos_stats_by_patterns(coeffs, lambda0):
 def test_slice_chaos_stats_match_a_per_pattern_reference(m, n, block, monkeypatch):
     monkeypatch.setattr(tensor_module, "DEFAULT_BLOCK", block)
     S = generate("gaussian", m, n, REAL, 10 * m + n)
-    got = chaos_module._slice_chaos_stats(S.coeffs, 1.3)
+    col_means, mean, _, linf = _slice_chaos_stats(S.coeffs, 1.3)
     want = _slice_chaos_stats_by_patterns(S.coeffs, 1.3)
-    _assert_stats_close(got, want)
-    assert got[3] == pytest.approx(exact_linf_enum(S).lower, rel=1e-12)
+    # an enumeration has no sampling error: its standard error is not compared
+    _assert_stats_close((col_means, mean, linf), want)
+    assert linf == pytest.approx(exact_linf_enum(S).lower, rel=1e-12)
 
 
 def test_slice_chaos_stats_cover_a_partial_last_block(monkeypatch):
@@ -400,6 +433,20 @@ def test_slice_chaos_stats_cover_a_partial_last_block(monkeypatch):
     S = generate("gaussian", 3, 2, REAL, 32)
     sizes = [len(V) for V in chaos_module.sign_slices(S.coeffs)]
     assert sizes == [12, 4]
+
+
+@pytest.mark.parametrize("f, m, n", [(1, 2, 5), (3, 2, 4), (4, 3, 3), (2, 4, 2)])
+@pytest.mark.parametrize("q", [1.0, 1.3, 2.0])
+def test_slice_column_is_the_full_chaos_moment_of_its_slice(f, m, n, q):
+    # column j of the slice statistics, to the power 1/q, is the L_q norm of
+    # the full chaos with slice j's coefficients: multiple-Khinchin's R_j
+    # and the contraction check's moment are one quantity
+    coeffs = np.random.default_rng(7 * m + n).standard_normal((f,) + (n,) * (m - 1))
+    col_means = _slice_chaos_stats(coeffs, q)[0]
+    for j in range(f):
+        assert col_means[j] ** (1.0 / q) == pytest.approx(
+            check_contraction(coeffs[j], q).moment, rel=1e-12
+        )
 
 
 def test_multiple_khinchin_m2_reduces_to_khinchin():
@@ -449,6 +496,15 @@ def test_multiple_khinchin_single_slice():
     T = generate("gaussian", 2, 3, REAL, 13)
     rep = check_multiple_khinchin(T, 1.0, j1=2)
     assert len(rep.rows) == 1 and rep.rows[0]["j1"] == 2
+
+
+@pytest.mark.parametrize("j1", [99, 0, -1, 2.0, "2"])
+def test_multiple_khinchin_checks_j1_before_enumerating(j1):
+    # 2^26 sign patterns exceed the budget: a bad j1 must be reported as
+    # such, not as a BudgetError from the enumeration it never needed
+    T = generate("gaussian", 3, 13, REAL, 1)
+    with pytest.raises(DomainError, match="j1"):
+        check_multiple_khinchin(T, 1.3, j1=j1)
 
 
 def test_chain_sparse_unit_all_links():
@@ -575,6 +631,16 @@ def test_chain_domain_guards():
         verify_proof_chain(S, 0.5, 2.0)
     with pytest.raises(DomainError):
         verify_proof_chain(S, 1.0, 2.0, index=3)
+
+
+@pytest.mark.parametrize("s", [math.inf, math.nan])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_chain_rejects_non_finite_s(s, field):
+    # s = NaN raised ViolationError on the Holder link; s = inf is outside
+    # the interpolation step
+    S = generate("gaussian", 2, 3, field, 2)
+    with pytest.raises(DomainError, match="finite s >= 2"):
+        verify_proof_chain(S, 1.5, s, mc_samples=100)
 
 
 def test_chain_complex_seeds_are_not_truncated():

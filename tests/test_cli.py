@@ -299,6 +299,26 @@ def test_chain_check_s_below_two_usage_error(capsys):
     assert "s >= 2" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["contraction-check", "--m", "2", "--N", "3", "--seed", "1", "--t"],
+        ["chain-check", "--m", "2", "--n", "2", "--lambda0", "1.5", "--seed", "1", "--s"],
+        ["chain-check", "--m", "2", "--n", "2", "--lambda0", "1.5", "--field", "complex",
+         "--samples", "100", "--seed", "1", "--s"],
+        ["khinchin-check", "--a", "1,2", "--seed", "1", "--q"],
+    ],
+)
+def test_non_finite_exponent_is_usage_error(capsys, argv, value):
+    # contraction-check --t inf used to report a false VIOLATION (exit 2),
+    # chain-check --s nan a failed Holder link with NaN in its report
+    code, out, err = run(capsys, *argv, value)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_unknown_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["region", "--m", "2", "--lambda0", "1", "--bogus"])
