@@ -2,12 +2,14 @@
 
 Integrals of Rademacher chaoses over [0,1]^k are uniform averages over sign
 patterns, so every real-field quantity here is computed exactly by
-enumeration through `sign_slices` (budgets permitting).  Steinhaus
-quantities have no finite extreme-point set and are estimated by Monte
-Carlo with reported standard errors; checks on those are 3-sigma soft
-checks, never hard asserts.  Both feed one accumulation loop,
-`_chaos_stats`, and differ only in where its blocks of chaos slices come
-from: `sign_slices` yields every sign pattern, `_steinhaus_slices` draws
+enumeration through `sign_slices` (budgets permitting), over the patterns
+whose first sign in each slot is +1: flipping a whole slot negates the
+chaos, so the rest repeat their |chaos|.  Steinhaus quantities have no
+finite extreme-point set and are estimated by Monte Carlo with reported
+standard errors; checks on those are 3-sigma soft checks, never hard
+asserts.  Both feed one accumulation loop, `_chaos_stats`, and differ only
+in where its blocks of chaos slices come from: `sign_slices` yields the
+sign patterns, `_steinhaus_slices` draws
 MC_BLOCK = 4096 samples of uniforms per block, makes each a phase by the
 half-angle form z = ((1 - t^2) + 2i*t) / (1 + t^2) with t = tan(pi*u)
 (within 2.7e-16 of exp(2*pi*i*u)) and closes the last slot of a block with
@@ -17,9 +19,11 @@ Seeds follow one rule, `_check_seed`, at every entry point (here
 `steinhaus_moment`, `check_khinchin` and `verify_proof_chain`; in
 `hlcert.certify` `certify`, `search_extremal` and `sweep_lambda0`): a seed
 is an integer in [0, 2^32), anything else raises DomainError.  The
-Monte-Carlo samples come from SeedSequence([seed, 0]) and the complex
-chain's ascent from SeedSequence([seed, 1]), so results are reproducible
-per (parameters, seed).
+Monte-Carlo samples come from SeedSequence([seed, 0]), so results are
+reproducible per (parameters, seed).  The complex chain bounds ||S|| on
+l_inf by the root-of-unity enumeration `_linf_root_bounds`; only over the
+pattern budget does it fall back to an ascent, from SeedSequence([seed, 1]),
+and the coefficient mass.
 
 Both sides of every inequality checked here are 1-homogeneous in the
 coefficients, so the checks run on the input divided by the power of two
@@ -37,9 +41,9 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ViolationError
+from .errors import BudgetError, DomainError, ViolationError
 # exact_linf_enum stays a module attribute: bench/tracer.py wraps it here
-from .norms import alternating_max, crude_upper, exact_linf_enum  # noqa: F401
+from .norms import _linf_root_bounds, alternating_max, crude_upper, exact_linf_enum  # noqa: F401
 from .special import ScalarField, khinchin_A
 from .tensor import (
     FormTensor,
@@ -86,8 +90,9 @@ class ChaosMoment:
 def rademacher_moment(a, q: float) -> ChaosMoment:
     """(average of |sum_j eps_j a_j|^q over sign vectors)^(1/q), exactly.
 
-    Enumerates all 2^n sign patterns; over `hlcert.tensor.PATTERN_BUDGET`
-    (2^24, so n <= 24) it raises BudgetError before any work.  Runs on a
+    Enumerates the 2^(n-1) sign patterns with eps_1 = +1 (the others give
+    the same |chaos|); over `hlcert.tensor.PATTERN_BUDGET` (2^24, so
+    n <= 25) it raises BudgetError before any work.  Runs on a
     divided by the power of two nearest max|a_j| and scales the value back,
     so entries near the floating point limits neither overflow nor underflow.
     """
@@ -144,10 +149,12 @@ def _chaos_stats(
     `_steinhaus_slices`); column j is the chaos with the coefficients of
     slice j.  Returns the mean of W per column, the mean of the row sums
     sum_j W[k, j], the standard error of that mean, and, when linf is set,
-    max_k sum_j |V[k, j]| (else None).  Over all sign patterns the last is
+    max_k sum_j |V[k, j]| (else None).  Over the sign patterns the last is
     the exact norm on l_inf^n (sign vectors are the ball's extreme points,
     the l_1 dual closes the free slot), whichever axis of the form is free.
-    Column and row sums are products with ones vectors.
+    Column and row sums are products with ones vectors.  Raises DomainError
+    naming q when |V|^q or the square of a row sum overflows: the moments
+    would be inf, and a check would compare against an infinite bound.
     """
     ones_f = np.ones(f)
     col_total = np.zeros(f)
@@ -155,16 +162,23 @@ def _chaos_stats(
     row_sq = 0.0
     sup = 0.0
     count = 0
-    for V in blocks:
-        W = np.abs(V)
-        if linf:
-            sup = max(sup, float((W @ ones_f).max()))
-        W **= q
-        col_total += np.ones(len(W)) @ W
-        row_sums = W @ ones_f
-        row_total += float(row_sums.sum())
-        row_sq += float(row_sums @ row_sums)
-        count += len(W)
+    # an overflow is reported once, after the loop: the sums of nonnegative
+    # terms then hold inf
+    with np.errstate(over="ignore"):
+        for V in blocks:
+            W = np.abs(V)
+            if linf:
+                sup = max(sup, float((W @ ones_f).max()))
+            W **= q
+            col_total += np.ones(len(W)) @ W
+            row_sums = W @ ones_f
+            row_total += float(row_sums.sum())
+            row_sq += float(row_sums @ row_sums)
+            count += len(W)
+    if not math.isfinite(row_sq):
+        raise DomainError(
+            f"|chaos|^q overflows at q={q!r}: the moment statistics are not finite"
+        )
     mean = row_total / count
     var = max(row_sq / count - mean**2, 0.0)
     return col_total / count, mean, math.sqrt(var / count), sup if linf else None
@@ -214,7 +228,8 @@ def _steinhaus_phases(u: np.ndarray) -> np.ndarray:
     np.subtract(1.0, t2, out=parts[..., 0])
     np.multiply(t, 2.0, out=parts[..., 1])
     t2 += 1.0
-    parts /= t2[..., None]
+    for i in range(2):
+        np.divide(parts[..., i], t2, out=parts[..., i])
     return parts.view(np.complex128)[..., 0]
 
 
@@ -336,7 +351,8 @@ class ContractionReport:
 def check_contraction(a, t: float) -> ContractionReport:
     """Check max_J |a_J| <= L_t norm of the full m-fold Rademacher chaos.
 
-    Exact enumeration over all 2^(N*m) sign patterns, with 1e-12 slack
+    Exact enumeration over the 2^((N-1)*m) sign patterns whose first sign
+    in each slot is +1 (the others repeat their |chaos|), with 1e-12 slack
     relative to the largest coefficient; real coefficients only (complex
     input raises DomainError rather than losing its imaginary parts).
     """
@@ -504,10 +520,12 @@ def verify_proof_chain(
     The final link `overall_bound` composes them.  Real field: everything by
     exact enumeration, the chaos statistics and ||S|| from one pass over the
     sign patterns; failures raise ViolationError naming the link (unless
-    raise_on_failure=False).  Complex field: Steinhaus Monte Carlo with
-    3-sigma soft checks against the alternating-ascent/crude norm sandwich;
-    nothing raises on noise; the samples and the ascent come from
-    SeedSequence([seed, 0]) and SeedSequence([seed, 1]).  The links are
+    raise_on_failure=False).  Complex field: Steinhaus Monte Carlo from
+    SeedSequence([seed, 0]) with 3-sigma soft checks; nothing raises on
+    noise.  ||S|| is bounded by `_linf_root_bounds` (a sandwich within
+    cos(pi/12)^-(m-1)), and sup_domination compares against its upper end;
+    over the pattern budget, by an alternating ascent from
+    SeedSequence([seed, 1]) and the coefficient mass.  The links are
     checked on S scaled by a power of two to max|coeff| about 1, so the
     absolute slacks are relative to the largest coefficient; reported values
     are in the units of S.
@@ -555,8 +573,12 @@ def verify_proof_chain(
         col_means, int_mean, total_stderr, _ = _chaos_stats(
             _steinhaus_slices(coeffs, mc_samples, seed), n, lambda0
         )
-        est = alternating_max(S, math.inf, seed=np.random.SeedSequence([seed, 1]))
-        norm_lower, norm_upper = est.lower, crude_upper(S)
+        try:
+            norm_lower, norm_upper = _linf_root_bounds(S.coeffs)
+        except BudgetError:
+            # too many root patterns: the ascent and the coefficient mass
+            est = alternating_max(S, math.inf, seed=np.random.SeedSequence([seed, 1]))
+            norm_lower, norm_upper = est.lower, crude_upper(S)
         total = float(col_means.sum())
         stderr = (
             total_stderr * total ** (1.0 / lambda0 - 1.0) / lambda0 if total > 0.0 else 0.0

@@ -1,10 +1,12 @@
 """Lower and upper bounds on the operator norm of an m-linear form over l_p balls.
 
 Lower bounds come with an explicit witness tuple of unit vectors; upper
-bounds are either the crude coefficient-mass bound (valid for every p >= 1)
-or, for real forms on l_inf, the exact value from enumerating the extreme
-points of the unit ball (sign vectors) in all slots but the first, which
-is optimized in closed form.
+bounds are the crude coefficient-mass bound (valid for every p >= 1) or,
+on l_inf, the vertex enumeration of `hlcert.tensor._vertex_slices` in all
+slots but the first, which is closed in l_1-dual form: exact over the sign
+vectors for real forms (`exact_linf_enum`), and within cos(pi/K)^-(m-1)
+over the K = UNIT_ROOTS roots of unity for complex ones
+(`_linf_root_bounds`).
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ import numpy as np
 from .errors import DomainError
 from .special import ScalarField
 from .tensor import (
+    _SIGNS,
     FormTensor,
+    _unit_roots,
+    _vertex_rows,
+    _vertex_slices,
     contract_trailing_signs,
     iter_sign_blocks,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
-    sign_slices,
 )
 
 __all__ = [
@@ -33,6 +38,9 @@ __all__ = [
     "alternating_max",
     "exact_linf_enum",
 ]
+
+UNIT_ROOTS = 12              # K: complex l_inf slots are enumerated over the K-th roots of unity
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class NormMethod(enum.Enum):
@@ -317,22 +325,22 @@ def _alternating_max_batch(
 def exact_linf_enum(T: FormTensor) -> NormEstimate:
     """Exact ||T|| on (l_inf^n)^m for real scalars, by sign enumeration.
 
-    The l_inf ball's extreme points are sign vectors; slots 2..m are
-    enumerated (2^(n(m-1)) patterns, by `sign_slices`) and the first slot is
-    closed in l_1-dual form: value = max over patterns of
-    sum_j1 |T(e_j1, eps2, ..., epsm)|.  Over `hlcert.tensor.PATTERN_BUDGET`
-    patterns it raises BudgetError before any work.
+    The l_inf ball's extreme points are sign vectors, and flipping one
+    slot's signs only flips the sign of T, so slots 2..m are enumerated over
+    the sign vectors with first entry +1 (2^((n-1)(m-1)) patterns, by
+    `sign_slices`) and the first slot is closed in l_1-dual form: value =
+    max over patterns of sum_j1 |T(e_j1, eps2, ..., epsm)|.  Over
+    `hlcert.tensor.PATTERN_BUDGET` patterns it raises BudgetError before any
+    work.
     """
     if T.field is not ScalarField.REAL:
         raise DomainError("exact l_inf enumeration supports the real field only")
-    r = T.m - 1
-    nbits = T.n * r
+    r, free = T.m - 1, T.n - 1
     values, indices = _exact_linf_stack(T.coeffs[None])
     best, best_index = float(values[0]), int(indices[0])
     # rebuild the witness from the best pattern index
-    shifts = np.arange(nbits, dtype=np.uint64)
-    bits = (np.uint64(best_index) >> shifts) & np.uint64(1)
-    signs = (bits.astype(np.float64) * 2.0 - 1.0).reshape(1, r, T.n)
+    signs = np.ones((1, r, T.n))
+    signs[0, :, 1:] = _vertex_rows(_SIGNS, free * r, best_index, best_index + 1).reshape(r, free)
     slice_best = contract_trailing_signs(T.coeffs, signs)[0]
     witness = (_phase(slice_best),) + tuple(signs[0])
     return NormEstimate(
@@ -345,17 +353,23 @@ def exact_linf_enum(T: FormTensor) -> NormEstimate:
     )
 
 
-def _exact_linf_stack(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact l_inf norms of a stack (K,) + (n,)*m of real tensors, with their best patterns.
+def _exact_linf_stack(
+    stack: np.ndarray, roots: np.ndarray = _SIGNS
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Vertex maxima on l_inf of a stack (K,) + (n,)*m of tensors, with their best patterns.
 
-    One `sign_slices` pass enumerates every tensor at once: the stack axis
-    and the first slot merge into one free axis of length K*n, and tensor k
-    owns columns k*n .. k*n + n - 1 of every block.  Returns (values (K,),
-    pattern indices (K,)), each index the first pattern attaining its
-    tensor's maximum.  Each tensor's value is the one `exact_linf_enum`
-    gives on it alone wherever the BLAS products round every column alike:
-    bit for bit at every shape tested except m = 2 with n >= 9, where about
-    one value in 500 differs in the last bit.
+    For each tensor, the max over the vertex patterns of `_vertex_slices`
+    (slots 2..m over `roots`, first entries 1) of sum_j1 |T(e_j1, z_2, ...,
+    z_m)|: with the signs, the exact l_inf norm of a real tensor; with the
+    roots of unity, the lower end of `_linf_root_bounds`.  One pass
+    enumerates every tensor at once: the stack axis and the first slot
+    merge into one free axis of length K*n, and tensor k owns columns k*n ..
+    k*n + n - 1 of every block.  Returns (values (K,), pattern indices
+    (K,)), each index the first pattern attaining its tensor's maximum.
+    Each tensor's value is the one `exact_linf_enum` gives on it alone
+    wherever the BLAS products round every column alike: bit for bit at
+    every shape tested except m = 2 with n >= 9, where about one value in
+    500 differs in the last bit.
     """
     K, n = stack.shape[0], stack.shape[1]
     best = np.full(K, -1.0)
@@ -363,7 +377,7 @@ def _exact_linf_stack(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     columns = np.arange(K)
     start = 0
     free = stack.reshape((K * n,) + stack.shape[2:])
-    for slices in sign_slices(free):
+    for slices in _vertex_slices(free, roots):
         values = np.abs(slices).reshape(len(slices), K, n).sum(axis=2)
         k = np.argmax(values, axis=0)
         top = values[k, columns]
@@ -372,3 +386,31 @@ def _exact_linf_stack(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         best_index[better] = start + k[better]
         start += len(slices)
     return best, best_index
+
+
+def _linf_root_bounds(coeffs: np.ndarray) -> Tuple[float, float]:
+    """Certified lower <= ||T|| <= upper on (l_inf^n)^m for complex coefficients.
+
+    Slots 2..m are enumerated over the UNIT_ROOTS-th roots of unity, first
+    entries 1 (`_exact_linf_stack`, K^((n-1)(m-1)) patterns, BudgetError
+    before any work over PATTERN_BUDGET), and slot 1 is closed by the l_1
+    sum: the best value `enum` is attained on the ball, so it is the lower
+    bound (capped by the mass, like the ascent's).  The convex hull of the
+    K-th roots contains the disc of radius cos(pi/K), and with the other
+    slots fixed, z_i -> ||T(., ..., z_i, ...)||_1 is convex and
+    1-homogeneous; slot by slot, ||T|| <= enum / cos(pi/K)^(m-1).  Rotating
+    a slot by a root maps the grid onto itself and leaves the value alone,
+    so fixing first entries loses nothing.  The upper bound adds
+    gamma * mass to enum for the rounding of the computed roots, their
+    products and the sums, gamma = k*u / (1 - k*u) with u = 2^-53 and k =
+    n^(m-1) + n + 8m (the terms of an entry, of its row sum, and eight
+    roundings per slot), divides by cos(pi/K)^(m-1) rounded down, and is
+    capped by the mass.
+    """
+    m, n = coeffs.ndim, coeffs.shape[0]
+    enum = float(_exact_linf_stack(coeffs[None], _unit_roots(UNIT_ROOTS))[0][0])
+    mass = float(np.abs(coeffs).sum())
+    k = n ** (m - 1) + n + 8 * m
+    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    divisor = math.cos(math.pi / UNIT_ROOTS) ** (m - 1) * (1.0 - 2 * (m + 3) * _UNIT_ROUNDOFF)
+    return min(enum, mass), min(mass, (enum + gamma * mass) / divisor)

@@ -8,18 +8,24 @@ tensors; `mixed_norm` and `mixed_norms` are its one-tensor case.  It works on
 each tensor divided by the power of two nearest its largest magnitude, the
 scaling rule the chaos checks share (`_unit_scaled`).
 
-This module also hosts the sign-pattern enumeration shared by the exact norm
-and the chaos-moment code.  `sign_slices` is the one enumeration core: for a
-tensor with a free first axis it yields the slices T(., eps_2, ..., eps_m)
-for every sign pattern, in pattern-index order (slot 2 holds the lowest
-bits).  It factorizes the work: slots 3..m are contracted once per batch of
-outer patterns by one matrix product against their Kronecker sign rows, and
-slot 2 is closed by one matmul against a precomputed table of its 2^n sign
-vectors (split by linearity into a table part and a per-batch offset when
-2^n exceeds the block).  `iter_sign_blocks` enumerates raw patterns in
-blocks and `contract_trailing_signs` contracts per-pattern vectors; the
-latter closes the exact norm's witness slice and serves the tests'
-per-pattern references.
+This module also hosts the vertex enumeration shared by the exact norms
+and the chaos-moment code.  `_vertex_slices` is the one enumeration core:
+for a tensor with a free first axis it yields the slices T(., z_2, ...,
+z_m) for every vertex pattern, in pattern-index order (slot 2 holds the
+lowest digits).  Each slot's vector has first entry 1 and its other n - 1
+entries range over a set of unimodular values: the signs for real forms
+(`sign_slices`), the K-th roots of unity for complex ones
+(`_unit_roots`).  Multiplying a whole slot by a unimodular scalar does the
+same to T, so these patterns give every Rademacher moment and l_inf norm of
+the full set.  The core factorizes the work: slots 3..m are contracted once
+per batch of outer patterns by one matrix product against their Kronecker
+vertex rows, and slot 2 is closed by one matmul against a precomputed
+table of its vertex vectors (split by linearity into a table part and a
+per-batch offset when the table would exceed the block).
+`iter_sign_blocks` enumerates raw sign patterns in blocks and
+`contract_trailing_signs` contracts per-pattern vectors; the latter closes
+the exact norm's witness slice and serves the tests' per-pattern
+references.
 """
 
 from __future__ import annotations
@@ -51,8 +57,10 @@ __all__ = [
 ]
 
 MAX_ENTRIES = 10**7       # memory budget for generation, in coefficients
-PATTERN_BUDGET = 2**24    # enumeration budget, in sign patterns
-DEFAULT_BLOCK = 4096      # sign patterns contracted per numpy batch
+PATTERN_BUDGET = 2**24    # enumeration budget, in vertex patterns
+DEFAULT_BLOCK = 4096      # vertex patterns contracted per numpy batch
+
+_SIGNS = np.array([-1.0, 1.0])   # the vertex values of a real l_inf slot
 
 GENERATE_KINDS = ("gaussian", "signs", "sparse_unit", "steinhaus")
 
@@ -243,64 +251,106 @@ def iter_sign_blocks(nbits: int, block: int = DEFAULT_BLOCK) -> Iterator[np.ndar
     total = 1 << nbits
     if total > PATTERN_BUDGET:
         raise BudgetError(f"2^{nbits} patterns exceed the budget {PATTERN_BUDGET}")
-    shifts = np.arange(nbits, dtype=np.uint64)
     for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.uint64)
-        bits = (idx[:, None] >> shifts[None, :]) & 1
-        yield bits.astype(np.float64) * 2.0 - 1.0
+        yield _vertex_rows(_SIGNS, nbits, start, min(start + block, total))
 
 
 def sign_slices(coeffs: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield V[k, j] = T(e_j, eps_2, ..., eps_m) for every sign pattern k.
+    """Yield V[k, j] = T(e_j, eps_2, ..., eps_m) for every sign pattern k with eps_i[0] = +1.
 
     coeffs has shape (f, n, ..., n): axis 0 (any length f) stays free and
-    the m - 1 trailing axes are enumerated over {-1,+1}^n each, 2^(n(m-1))
-    patterns.  Bit b of the pattern index k is the sign of entry b % n of
-    slot 2 + b // n, so slot 2 holds the lowest bits, exactly as
-    `contract_trailing_signs` over the rows of `iter_sign_blocks` (same
-    values up to rounding, same order).  Blocks of shape (K, f) with
+    the m - 1 trailing axes are enumerated over the sign vectors whose first
+    entry is +1, 2^((n-1)(m-1)) patterns.  Flipping every sign of one slot
+    negates V, so these patterns give every Rademacher chaos moment and the
+    l_inf norm of the full enumeration.  Bit b of the pattern index k is the
+    sign of entry 1 + b % (n-1) of slot 2 + b // (n-1) (bit 0 is -1, bit 1
+    is +1), so slot 2 holds the lowest bits.  Blocks of shape (K, f) with
     K <= DEFAULT_BLOCK come in index order; a tensor with only the free axis
-    yields coeffs itself as its single empty pattern.
+    yields coeffs itself as its single empty pattern.  The sign case of
+    `_vertex_slices`.
 
     Raises BudgetError when the call is made, before any work, if the
     pattern count exceeds PATTERN_BUDGET.  Both constants are read at call
     time.
     """
+    return _vertex_slices(coeffs, _SIGNS)
+
+
+def _unit_roots(K: int) -> np.ndarray:
+    """The K-th roots of unity exp(2*pi*i*k/K), k = 0..K-1, for even K.
+
+    The second half is the exact negative of the first, so 1 and -1 are
+    exact; every other root is within a few units of roundoff of its value.
+    """
+    half = np.exp(2j * math.pi * np.arange(K // 2) / K)
+    return np.concatenate([half, -half])
+
+
+def _vertex_slices(coeffs: np.ndarray, roots: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield V[k, j] = T(e_j, z_2, ..., z_m) for every vertex pattern k.
+
+    The one enumeration core.  Each enumerated slot's vector z_i has first
+    entry 1 and its other n - 1 entries range over `roots` (K values): the
+    signs (-1, +1) for real forms, `_unit_roots(K)` for complex ones, so
+    K^((n-1)(m-1)) patterns.  Digit b (base K) of the pattern index k picks
+    roots[digit] for entry 1 + b % (n-1) of slot 2 + b // (n-1); the layout
+    of coeffs and of the blocks is that of `sign_slices`.  Raises
+    BudgetError, before any work, over PATTERN_BUDGET patterns.
+    """
     coeffs = np.asarray(coeffs)
     r = coeffs.ndim - 1
-    n = coeffs.shape[1] if r else 0
-    nbits = n * r
-    if (1 << nbits) > PATTERN_BUDGET:
-        raise BudgetError(f"2^{nbits} sign patterns exceed the budget {PATTERN_BUDGET}")
-    return _sign_slices(coeffs, r, n, DEFAULT_BLOCK)
+    digits = (coeffs.shape[1] - 1) * r if r else 0
+    if len(roots) ** digits > PATTERN_BUDGET:
+        raise BudgetError(
+            f"{len(roots)}^{digits} vertex patterns exceed the budget {PATTERN_BUDGET}"
+        )
+    return _vertex_blocks(coeffs, roots, DEFAULT_BLOCK)
 
 
-def _sign_slices(coeffs: np.ndarray, r: int, n: int, block: int) -> Iterator[np.ndarray]:
+def _vertex_blocks(coeffs: np.ndarray, roots: np.ndarray, block: int) -> Iterator[np.ndarray]:
+    r = coeffs.ndim - 1
     if r == 0:
         yield coeffs[None]
         return
-    f = coeffs.shape[0]
-    # slot 2 splits into `low` bits closed by the table and n - low bits that
-    # join the outer patterns (slots 3..m) and enter as an offset
-    low = min(n, block.bit_length() - 1)
-    table = next(iter_sign_blocks(low, block=1 << low))        # (2^low, low)
+    f, n, K = coeffs.shape[0], coeffs.shape[1], len(roots)
+    free = n - 1
+    # slot 2 splits into its first entry and `low` free entries, closed by
+    # one table of vertex rows, and free - low entries that join the outer
+    # patterns (slots 3..m) and enter as a per-batch offset
+    low = 0
+    while low < free and K ** (low + 1) <= block:
+        low += 1
+    rows = K**low
+    table = np.ones((rows, 1 + low), dtype=roots.dtype)
+    table[:, 1:] = _vertex_rows(roots, low, 0, rows)
     # row J (a product of trailing indices) holds C[j1, j2, J] at column
     # (j2, j1), so weights @ trailing gives slab[b, j2, j1]
     trailing = coeffs.reshape(f, n, -1).transpose(2, 1, 0).reshape(-1, n * f)
-    outer_bits = n * r - low
-    per_batch = max(1, block >> low)
-    for outer in iter_sign_blocks(outer_bits, block=per_batch):
-        B = outer.shape[0]
-        high = outer[:, : n - low]
-        weights = np.ones((B, 1))
+    outer_digits = free * r - low
+    total = K**outer_digits
+    per_batch = max(1, block // rows)
+    for start in range(0, total, per_batch):
+        outer = _vertex_rows(roots, outer_digits, start, min(start + per_batch, total))
+        B = len(outer)
+        ones = np.ones((B, 1), dtype=roots.dtype)
+        weights = ones
         for i in range(r - 1):
-            start = n - low + i * n
-            weights = (weights[:, :, None] * outer[:, None, start : start + n]).reshape(B, -1)
+            a = free - low + i * free
+            slot = np.concatenate((ones, outer[:, a : a + free]), axis=1)
+            weights = (weights[:, :, None] * slot[:, None, :]).reshape(B, -1)
         slab = (weights @ trailing).reshape(B, n, f)
-        V = np.matmul(table, slab[:, :low])                    # (B, 2^low, f)
-        if low < n:
-            V += np.matmul(high[:, None, :], slab[:, low:])
+        V = np.matmul(table, slab[:, : 1 + low])               # (B, rows, f)
+        if low < free:
+            V += np.matmul(outer[:, None, : free - low], slab[:, 1 + low :])
         yield V.reshape(-1, f)
+
+
+def _vertex_rows(roots: np.ndarray, digits: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the vertex patterns: row k, column b holds roots[digit b of k]."""
+    K = len(roots)
+    idx = np.arange(start, stop, dtype=np.int64)
+    place = K ** np.arange(digits, dtype=np.int64)
+    return roots[idx[:, None] // place % K]
 
 
 def contract_trailing_signs(coeffs: np.ndarray, signs: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from hlcert import (
 )
 from hlcert import chaos as chaos_module
 from hlcert import tensor as tensor_module
-from hlcert.norms import exact_linf_enum
+from hlcert.norms import _linf_root_bounds, alternating_max, crude_upper, exact_linf_enum
 from hlcert.tensor import contract_trailing_signs, iter_sign_blocks
 
 REAL = ScalarField.REAL
@@ -74,8 +74,9 @@ def test_rademacher_moment_matches_loop_oracle():
 
 
 def test_rademacher_moment_budget_and_domain():
+    # the first sign is fixed to +1: ones(26) needs 2^25 patterns, one step over the budget
     with pytest.raises(BudgetError):
-        rademacher_moment(np.ones(25), 2.0)
+        rademacher_moment(np.ones(26), 2.0)
     with pytest.raises(DomainError):
         rademacher_moment([1.0], 0.5)
     with pytest.raises(DomainError):
@@ -377,8 +378,9 @@ def test_contraction_guards():
         check_contraction(np.ones((2, 3)), 2.0)  # not cubical
     with pytest.raises(DomainError):
         check_contraction(np.ones((2, 2)), 0.5)
+    # 2^(5*5) patterns, one step over the budget ((5,)*6 needs exactly 2^24)
     with pytest.raises(BudgetError):
-        check_contraction(np.ones((5, 5, 5, 5, 5, 5)), 2.0)
+        check_contraction(np.ones((6, 6, 6, 6, 6)), 2.0)
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan])
@@ -426,11 +428,43 @@ def test_slice_chaos_stats_match_a_per_pattern_reference(m, n, block, monkeypatc
     assert linf == pytest.approx(exact_linf_enum(S).lower, rel=1e-12)
 
 
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 3), (2, 6), (3, 2), (3, 4), (4, 2), (4, 3)])
+@pytest.mark.parametrize("block", [1, 5, 16, 4096])
+@pytest.mark.parametrize("free", ["n", "1"])
+def test_reduced_enumeration_matches_the_full_one(m, n, block, free, monkeypatch):
+    # the reduced patterns (first sign of each slot +1) give the moments, the
+    # multiple-Khinchin R_j and the l_inf norm of all 2^(n(m-1)) patterns
+    monkeypatch.setattr(tensor_module, "DEFAULT_BLOCK", block)
+    f = n if free == "n" else 1
+    coeffs = np.random.default_rng(1000 * m + n).standard_normal((f,) + (n,) * (m - 1))
+    q = 1.3
+    col_means, mean, _, linf = _slice_chaos_stats(coeffs, q)
+    r = m - 1
+    signs = next(iter_sign_blocks(n * r, block=1 << (n * r))).reshape(-1, r, n)
+    mags = np.abs(contract_trailing_signs(coeffs, signs))
+    np.testing.assert_allclose(col_means, (mags**q).mean(axis=0), rtol=1e-13, atol=0)
+    assert mean == pytest.approx((mags**q).sum(axis=1).mean(), rel=1e-13)
+    assert linf == pytest.approx(mags.sum(axis=1).max(), rel=1e-13)
+    if free == "n":
+        T = _tensor(coeffs)
+        assert exact_linf_enum(T).lower == pytest.approx(mags.sum(axis=1).max(), rel=1e-13)
+        A = khinchin_A(q, REAL).value
+        R = (mags**q).mean(axis=0) ** (1.0 / q)
+        rows = check_multiple_khinchin(T, q).rows
+        np.testing.assert_allclose([row["rhs"] for row in rows], A ** (1 - m) * R, rtol=1e-13)
+    else:
+        moment = (mags[:, 0] ** q).mean() ** (1.0 / q)
+        got = rademacher_moment(coeffs[0], q) if m == 2 else check_contraction(coeffs[0], q)
+        value = got.value if m == 2 else got.moment
+        assert value == pytest.approx(moment, rel=1e-13)
+
+
 def test_slice_chaos_stats_cover_a_partial_last_block(monkeypatch):
-    # (m, n, block) = (3, 2, 12) yields blocks of 12 and 4 patterns, so the
-    # per-pattern reference above checks the column totals of a short block
+    # (m, n, block) = (3, 3, 12) yields blocks of 12 and 4 of its 2^4
+    # patterns, so the per-pattern reference above checks the column totals
+    # of a short block
     monkeypatch.setattr(tensor_module, "DEFAULT_BLOCK", 12)
-    S = generate("gaussian", 3, 2, REAL, 32)
+    S = generate("gaussian", 3, 3, REAL, 32)
     sizes = [len(V) for V in chaos_module.sign_slices(S.coeffs)]
     assert sizes == [12, 4]
 
@@ -500,9 +534,9 @@ def test_multiple_khinchin_single_slice():
 
 @pytest.mark.parametrize("j1", [99, 0, -1, 2.0, "2"])
 def test_multiple_khinchin_checks_j1_before_enumerating(j1):
-    # 2^26 sign patterns exceed the budget: a bad j1 must be reported as
+    # 2^(13*2) sign patterns exceed the budget: a bad j1 must be reported as
     # such, not as a BudgetError from the enumeration it never needed
-    T = generate("gaussian", 3, 13, REAL, 1)
+    T = generate("gaussian", 3, 14, REAL, 1)
     with pytest.raises(DomainError, match="j1"):
         check_multiple_khinchin(T, 1.3, j1=j1)
 
@@ -673,6 +707,49 @@ def test_chaos_entry_points_share_one_seed_rule(seed):
         check_khinchin([1.0, 1.0], 1.5, REAL, seed=seed)
     with pytest.raises(DomainError, match="seed"):
         check_khinchin([1.0, 1.0j], 1.5, COMPLEX, samples=100, seed=seed)
+
+
+@pytest.mark.parametrize("q", [700.0, 3000.0])
+def test_overflowing_moments_raise_instead_of_passing(q):
+    # |V|^q overflows to inf: the moment must not come back as inf, and the
+    # contraction check must not pass on an infinite moment.  [1, 2] keeps
+    # 1.5^700 (on the scaled [0.5, 1]) finite and has an exact moment.
+    with pytest.raises(DomainError, match=f"q={q!r}"):
+        check_contraction(np.random.default_rng(1).standard_normal((3, 3)), q)
+    with pytest.raises(DomainError, match=f"q={2 * q!r}"):
+        rademacher_moment([1.0, 2.0], 2 * q)
+    assert rademacher_moment([1.0, 2.0], 700.0).value == pytest.approx(3.0, rel=2e-3)
+
+
+def test_complex_chain_bounds_the_norm_by_roots_of_unity():
+    # below the pattern budget the complex chain takes ||S|| from the
+    # root-of-unity enumeration: a sandwich within 1/cos(pi/12)^(m-1) that
+    # holds the ascent's lower bound; the Monte-Carlo links do not move
+    S = generate("steinhaus", 3, 3, COMPLEX, 11)
+    rep = verify_proof_chain(S, 1.5, 2.5, mc_samples=20_000, seed=2)
+    lower, upper = _linf_root_bounds(S.coeffs)
+    assert (rep.norm_lower, rep.norm_upper) == (lower, upper)
+    assert rep.norm_upper / rep.norm_lower <= math.cos(math.pi / 12) ** -2 * (1.0 + 1e-12)
+    assert rep.norm_upper >= alternating_max(S, math.inf, seed=3).lower
+    sup = {link.name: link for link in rep.links}["sup_domination"]
+    assert sup.rhs == rep.constant_factor * rep.norm_upper
+    assert rep.passed
+    again = verify_proof_chain(S, 1.5, 2.5, mc_samples=20_000, seed=2)
+    assert again.to_jsonable() == rep.to_jsonable() and again.mc_stderr == rep.mc_stderr
+
+
+def test_complex_chain_over_the_budget_keeps_the_ascent_and_the_mass():
+    # (3, 6): 12^10 root patterns exceed the budget, so the chain bounds ||S||
+    # by the ascent on SeedSequence([seed, 1]) and the coefficient mass, as
+    # before the enumeration existed.  Steinhaus entries have max |c| = 1, so
+    # the chain's power-of-two scaling is the identity.
+    S = generate("steinhaus", 3, 6, COMPLEX, 12)
+    rep = verify_proof_chain(S, 1.5, 2.5, mc_samples=2_000, seed=9, raise_on_failure=False)
+    est = alternating_max(S, math.inf, seed=np.random.SeedSequence([9, 1]))
+    assert rep.norm_lower == est.lower
+    assert rep.norm_upper == crude_upper(S)
+    again = verify_proof_chain(S, 1.5, 2.5, mc_samples=2_000, seed=9, raise_on_failure=False)
+    assert again.to_jsonable() == rep.to_jsonable()
 
 
 def test_chain_complex_monte_carlo_soft():

@@ -319,6 +319,17 @@ def test_non_finite_exponent_is_usage_error(capsys, argv, value):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("t", ["700", "3000"])
+def test_contraction_check_overflowing_moment_is_usage_error(capsys, t):
+    # |chaos|^t overflows: this used to print "moment: inf" and "passed: True"
+    code, out, err = run(
+        capsys, "contraction-check", "--m", "2", "--N", "3", "--t", t, "--seed", "1"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and f"q={float(t)!r}" in err
+
+
 def test_unknown_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["region", "--m", "2", "--lambda0", "1", "--bogus"])

@@ -23,7 +23,15 @@ from hlcert import (
     verify_proof_chain,
 )
 from hlcert import tensor as tensor_module
-from hlcert.norms import _alternating_max_batch, _ascend, _random_starts
+from hlcert.norms import (
+    UNIT_ROOTS,
+    _alternating_max_batch,
+    _ascend,
+    _exact_linf_stack,
+    _linf_root_bounds,
+    _random_starts,
+)
+from hlcert.tensor import _SIGNS, _unit_roots
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
@@ -473,3 +481,58 @@ def test_linf_sandwich_ascent_exact_mass(shape, kind, seed):
     exact = exact_linf_enum(T).lower
     assert lower <= exact * (1.0 + 1e-12)
     assert exact <= crude_upper(T) * (1.0 + 1e-12)
+
+
+@given(
+    shape=st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)]),
+    kind=st.sampled_from(["gaussian", "steinhaus", "signs", "sparse_unit"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_complex_root_enumeration_sandwich(shape, kind, seed):
+    # enum is attained on the l_inf ball, so it is at most the mass (up to
+    # rounding: one-term tensors measure 2.2e-16 above it); the certified
+    # upper bound holds the ascent's lower bound.  The ascent is local, so
+    # enum <= ascent is not a property.
+    m, n = shape
+    T = generate(kind, m, n, COMPLEX, seed)
+    mass = crude_upper(T)
+    enum = float(_exact_linf_stack(T.coeffs[None], _unit_roots(UNIT_ROOTS))[0][0])
+    lower, upper = _linf_root_bounds(T.coeffs)
+    assert enum <= mass * (1.0 + 1e-14)
+    assert lower == min(enum, mass)
+    assert lower <= upper <= mass
+    assert upper >= alternating_max(T, math.inf, restarts=4, seed=seed).lower
+    assert upper <= max(lower, 1e-300) / math.cos(math.pi / UNIT_ROOTS) ** (m - 1) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 5), (3, 3), (4, 2)])
+def test_root_enumeration_with_two_roots_is_the_sign_enumeration(m, n):
+    # the square roots of unity are the signs: the complex core run on a real
+    # tensor gives the exact l_inf norm
+    for seed in range(3):
+        T = generate("gaussian", m, n, REAL, 50 * m + n + seed)
+        roots = _unit_roots(2)
+        assert np.array_equal(roots, [1.0, -1.0]) and roots.dtype == np.complex128
+        exact = exact_linf_enum(T).lower
+        assert _exact_linf_stack(T.coeffs[None], _SIGNS)[0][0] == exact
+        got = _exact_linf_stack(T.coeffs.astype(np.complex128)[None], roots)[0][0]
+        assert got == pytest.approx(exact, rel=1e-13)
+
+
+def test_root_enumeration_budget_and_witness(monkeypatch):
+    # (3, 3) complex: 12^4 root patterns; one below the count raises
+    T = generate("steinhaus", 3, 3, COMPLEX, 4)
+    monkeypatch.setattr(tensor_module, "PATTERN_BUDGET", UNIT_ROOTS**4 - 1)
+    with pytest.raises(BudgetError):
+        _linf_root_bounds(T.coeffs)
+    monkeypatch.setattr(tensor_module, "PATTERN_BUDGET", UNIT_ROOTS**4)
+    lower, upper = _linf_root_bounds(T.coeffs)
+    # the reported pattern index names a grid point attaining the lower bound
+    values, indices = _exact_linf_stack(T.coeffs[None], _unit_roots(UNIT_ROOTS))
+    digits = [(int(indices[0]) // UNIT_ROOTS**b) % UNIT_ROOTS for b in range(4)]
+    roots = _unit_roots(UNIT_ROOTS)
+    z2 = np.array([1.0, roots[digits[0]], roots[digits[1]]])
+    z3 = np.array([1.0, roots[digits[2]], roots[digits[3]]])
+    value = np.abs(np.einsum("abc,b,c->a", T.coeffs, z2, z3)).sum()
+    assert value == pytest.approx(lower, rel=1e-13)

@@ -268,14 +268,18 @@ def test_form_tensor_immutable():
         np.asarray(T.coeffs)[0, 0] = 5.0
 
 
-def _slices_by_patterns(coeffs):
-    # reference: one contraction per enumerated sign pattern, in index order
+def _slices_by_patterns(coeffs, reduced=True):
+    # reference: one contraction per sign pattern, in index order; with
+    # `reduced`, the patterns whose first sign in each slot is +1
     r = coeffs.ndim - 1
     n = coeffs.shape[1]
-    return np.concatenate([
-        contract_trailing_signs(coeffs, signs.reshape(len(signs), r, n))
-        for signs in iter_sign_blocks(n * r)
-    ])
+    cols = n - 1 if reduced else n
+    out = []
+    for signs in iter_sign_blocks(cols * r):
+        full = np.ones((len(signs), r, n))
+        full[:, :, n - cols :] = signs.reshape(len(signs), r, cols)
+        out.append(contract_trailing_signs(coeffs, full))
+    return np.concatenate(out)
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (2, 3), (2, 6), (3, 2), (3, 4), (4, 2), (4, 3)])
@@ -290,9 +294,21 @@ def test_sign_slices_match_per_pattern_contraction(m, n, block, free, monkeypatc
     assert all(len(b) <= block for b in blocks)
     got = np.concatenate(blocks)
     ref = _slices_by_patterns(coeffs)
-    assert got.shape == ref.shape == (2 ** (n * (m - 1)), f)
+    assert got.shape == ref.shape == (2 ** ((n - 1) * (m - 1)), f)
     scale = np.abs(ref).max()
     assert np.abs(got - ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_flipping_a_slot_negates_every_slice_bit_for_bit(m, n):
+    # the symmetry behind the reduced enumeration: pattern index i and i with
+    # every bit of slot k flipped give V and -V, so |V| is the same
+    coeffs = np.random.default_rng(31 * m + n).standard_normal((n,) * m)
+    full = _slices_by_patterns(coeffs, reduced=False)
+    index = np.arange(len(full))
+    for k in range(m - 1):
+        flipped = index ^ (((1 << n) - 1) << (n * k))
+        assert np.array_equal(full[flipped], -full)
 
 
 def test_sign_slices_free_axis_only():
@@ -306,6 +322,7 @@ def test_sign_slices_budget_raises_before_work(monkeypatch):
     # 2^(30*2) patterns: the check must fire at the call, before any block
     with pytest.raises(BudgetError):
         sign_slices(np.zeros((30, 30, 30)))
-    monkeypatch.setattr(tensor_module, "PATTERN_BUDGET", 2**6 - 1)
+    # (3, 3, 3) enumerates 2^((3-1)*2) = 2^4 patterns
+    monkeypatch.setattr(tensor_module, "PATTERN_BUDGET", 2**4 - 1)
     with pytest.raises(BudgetError):
         sign_slices(np.zeros((3, 3, 3)))
