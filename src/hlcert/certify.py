@@ -5,6 +5,8 @@ side against constant * ||T||, and classifies each trial as pass,
 inconclusive (the norm sandwich straddles the threshold), or violation.
 The underlying bound is a proven theorem, so violations always indicate an
 implementation bug; the suite treats them as its primary self-diagnostic.
+The extremal search scores its tensors with the same scorer (`_score`),
+ratio (`_ratio`) and verdict (`_classify`).
 
 Trials are independent: each derives its own seed from (base seed, trial
 index), so reports are byte-identical for a fixed (params, seed, jobs)
@@ -31,7 +33,7 @@ from .norms import (
     _exact_linf_stack,
     alternating_max,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
     crude_upper,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
-    exact_linf_enum,
+    exact_linf_enum,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
 )
 from .special import ScalarField
 from .tensor import (
@@ -39,7 +41,6 @@ from .tensor import (
     _mixed_norms_stack,
     generate,
     mixed_norm,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
-    mixed_norms,
 )
 
 __all__ = [
@@ -56,7 +57,7 @@ __all__ = [
     "sweep_to_csv",
 ]
 
-RATIO_TOL = 1e-9  # absolute tolerance on ratio comparisons against 1
+RATIO_TOL = 1e-9  # relative tolerance of a verdict: violation when lhs > C * upper * (1 + tol)
 BATCH_ELEMENTS = 2**16  # cap on restarts * n^m per ascent batch of trials
 SEARCH_BLOCK = 32  # search candidates scored per vectorized pass
 SEARCH_CHUNK = 1024  # search climb steps per chunk of random draws
@@ -103,22 +104,6 @@ class TrialResult:
     ratio_empirical: float     # lhs / lower, optimistic
     classification: str        # "pass" | "inconclusive" | "violation"
     retried: bool
-
-
-@dataclass(frozen=True)
-class _Setup:
-    """Pickled per-trial context for worker processes."""
-
-    m: int
-    n: int
-    p: float
-    lambda0: float
-    field: ScalarField
-    s: float
-    eta1: float
-    constant: float
-    seed: int
-    config: TrialConfig
 
 
 @dataclass(frozen=True)
@@ -202,11 +187,6 @@ def _admissible_exponents(
     return exps
 
 
-def _lhs_mixed(T: FormTensor, s: float, eta1: float) -> float:
-    # strictest reading: maximum over the fixed index
-    return max(mixed_norms(T, s, eta1))
-
-
 def _classify(lhs: float, c_lower: float, c_upper: float, tol: float) -> str:
     # an overflowed or NaN side proves nothing either way: fail loudly rather
     # than report it as a violation or as inconclusive
@@ -226,47 +206,79 @@ def _classify(lhs: float, c_lower: float, c_upper: float, tol: float) -> str:
     return "inconclusive"
 
 
-def _ratio(lhs: float, bound: float) -> float:
-    return lhs / bound if bound > 0.0 else (1.0 if lhs == 0.0 else math.inf)
+def _exact_bound(exps: ExponentSet) -> bool:
+    """Whether `_score`'s upper bound is ||T|| itself: real forms on l_inf."""
+    return math.isinf(exps.p) and exps.field is ScalarField.REAL
+
+
+def _score(stack: np.ndarray, exps: ExponentSet) -> Tuple[np.ndarray, np.ndarray]:
+    """(lhs, upper) of every tensor of a stack (K,) + (n,)*m, as two (K,) arrays.
+
+    The one scorer of a trial tensor against the bound, for `certify` and
+    `search_extremal`.  lhs is the largest mixed norm over the fixed index
+    (the strictest reading of the left-hand side).  upper bounds ||T||: the
+    exact l_inf norm for real p = inf (`_exact_linf_stack`, one sign
+    enumeration of the whole stack), otherwise the coefficient mass.  A
+    tensor's lhs and mass do not depend on the stack; its l_inf value can
+    differ in the last bit with the stack's width (m = 2, n >= 9), so
+    `certify` scores each trial as a stack of one.  Coefficients must be
+    finite (DomainError, as for `FormTensor`).
+    """
+    if not np.isfinite(stack).all():
+        raise DomainError("coefficients must all be finite")
+    lhs = _mixed_norms_stack(stack, exps.s, exps.eta1).max(axis=1)
+    if _exact_bound(exps):
+        upper = _exact_linf_stack(stack)[0]
+    else:
+        upper = np.abs(stack).reshape(len(stack), -1).sum(axis=1)
+    return lhs, upper
+
+
+def _ratio(lhs: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """lhs / bound elementwise; a zero bound gives 1.0 where lhs is 0 and inf elsewhere."""
+    positive = bound > 0.0
+    if positive.all():   # the common case, in two fewer numpy calls
+        return lhs / bound
+    out = np.where(lhs == 0.0, 1.0, math.inf)
+    np.divide(lhs, bound, out=out, where=positive)
+    return out
 
 
 def _run_batch(args) -> List[TrialResult]:
-    """Trials start..stop-1 of a run: generate, lhs, one ascent, classify, one retry."""
-    setup, start, stop = args
-    cfg = setup.config
-    C = setup.constant
+    """Trials start..stop-1 of a run: generate, score, one ascent, classify, one retry."""
+    exps, n, seed, cfg, start, stop = args
+    C = exps.constant
     trials = range(start, stop)
-    streams = [np.random.SeedSequence([setup.seed, t]) for t in trials]
+    streams = [np.random.SeedSequence([seed, t]) for t in trials]
     spawned = [ss.spawn(3) for ss in streams]        # generate, norm, retry
     kinds = [cfg.kinds[t % len(cfg.kinds)] for t in trials]
     tensors = [
-        generate(kind, setup.m, setup.n, setup.field, gen_ss)
+        generate(kind, exps.m, n, exps.field, gen_ss)
         for kind, (gen_ss, _, _) in zip(kinds, spawned)
     ]
-    lhs = [_lhs_mixed(T, setup.s, setup.eta1) for T in tensors]
-
-    exact = math.isinf(setup.p) and setup.field is ScalarField.REAL
-    if exact:
-        lower = [exact_linf_enum(T).lower for T in tensors]
-        upper = list(lower)
+    # one stack per trial, so that a row does not depend on its batch or on jobs
+    scores = [_score(T.coeffs[None], exps) for T in tensors]
+    lhs = np.concatenate([score[0] for score in scores])
+    upper = np.concatenate([score[1] for score in scores])
+    if _exact_bound(exps):
+        lower = upper.copy()
     else:
         estimates = _alternating_max_batch(
-            tensors, setup.p, cfg.restarts, cfg.max_iters, cfg.tol,
+            tensors, exps.p, cfg.restarts, cfg.max_iters, cfg.tol,
             [norm_ss for _, norm_ss, _ in spawned],
         )
-        lower = [est.lower for est in estimates]
-        upper = [est.upper for est in estimates]
+        lower = np.array([est.lower for est in estimates])
     classes = [
         _classify(lhs[b], C * lower[b], C * upper[b], RATIO_TOL) for b in range(len(tensors))
     ]
 
     retried = [False] * len(tensors)
-    redo = [b for b, c in enumerate(classes) if c == "inconclusive" and not exact]
-    per_batch = _batch_trials(4 * cfg.restarts, setup.n, setup.m)
+    redo = [b for b, c in enumerate(classes) if c == "inconclusive"]
+    per_batch = _batch_trials(4 * cfg.restarts, n, exps.m)
     for i in range(0, len(redo), per_batch):
         part = redo[i : i + per_batch]
         retries = _alternating_max_batch(
-            [tensors[b] for b in part], setup.p, 4 * cfg.restarts, cfg.max_iters, cfg.tol,
+            [tensors[b] for b in part], exps.p, 4 * cfg.restarts, cfg.max_iters, cfg.tol,
             [spawned[b][2] for b in part],
         )
         for b, retry in zip(part, retries):
@@ -274,16 +286,17 @@ def _run_batch(args) -> List[TrialResult]:
             classes[b] = _classify(lhs[b], C * lower[b], C * upper[b], RATIO_TOL)
             retried[b] = True
 
+    conservative, empirical = _ratio(lhs, upper), _ratio(lhs, lower)
     return [
         TrialResult(
             index=t,
             kind=kinds[b],
             seed_entropy=int(streams[b].generate_state(1)[0]),
-            lhs=lhs[b],
-            lower=lower[b],
-            upper=upper[b],
-            ratio_conservative=_ratio(lhs[b], upper[b]),
-            ratio_empirical=_ratio(lhs[b], lower[b]),
+            lhs=float(lhs[b]),
+            lower=float(lower[b]),
+            upper=float(upper[b]),
+            ratio_conservative=float(conservative[b]),
+            ratio_empirical=float(empirical[b]),
             classification=classes[b],
             retried=retried[b],
         )
@@ -307,10 +320,15 @@ def certify(
 ) -> CertificationReport:
     """Certify the mixed-norm bound on `trials` random forms.
 
-    Per trial: draw a tensor (kinds cycled per index), take the maximum
-    mixed norm over the fixed index, bound ||T|| (exact sign enumeration for
-    real p = inf, alternating ascent + coefficient mass otherwise), classify.
-    Inconclusive alternating trials are retried once with 4x restarts.
+    Per trial: draw a tensor (kinds cycled per index) and score it with
+    `_score`, the scorer `search_extremal` uses: lhs is the maximum mixed
+    norm over the fixed index, upper bounds ||T|| (exact sign enumeration
+    for real p = inf, which is also the lower bound; otherwise the
+    coefficient mass, with an alternating ascent for the lower bound).
+    `_classify` gives the verdict: a violation when lhs > C * upper * (1 +
+    RATIO_TOL), relative to the bound.  A zero bound gives ratio 1.0 for a
+    zero lhs (inf otherwise).  Inconclusive trials are retried once with
+    4x restarts.
 
     Trials run in batches of consecutive indices: the restarts of every
     trial in a batch ascend together as one `_ascend` stack, and the
@@ -327,13 +345,11 @@ def certify(
     if cfg.trials < 1:
         raise DomainError("need at least one trial")
     exps = _admissible_exponents(m, n, p, lambda0, field)
-    setup = _Setup(
-        m=m, n=n, p=p, lambda0=lambda0, field=field,
-        s=exps.s, eta1=exps.eta1, constant=exps.constant, seed=seed, config=cfg,
-    )
     start = time.perf_counter()
     size = min(_batch_trials(cfg.restarts, n, m), math.ceil(cfg.trials / cfg.jobs))
-    tasks = [(setup, b, min(b + size, cfg.trials)) for b in range(0, cfg.trials, size)]
+    tasks = [
+        (exps, n, seed, cfg, b, min(b + size, cfg.trials)) for b in range(0, cfg.trials, size)
+    ]
     if cfg.jobs > 1:
         # imported here: the process-pool machinery costs about 2 MB and
         # 15 ms at import, which serial runs never need
@@ -398,24 +414,26 @@ def search_extremal(
     SEARCH_CHUNK steps, so its draws depend only on (seed, t).  The climb
     scores its candidates in speculative blocks of up to SEARCH_BLOCK:
     candidate i of a block is the one the climb would build if the i before
-    it were rejected, all are scored in one `_search_ratios` pass, the first
+    it were rejected, all are scored in one `_score` pass, the first
     one with a higher ratio is kept and the ones after it are discarded
     (they are not counted in `evaluations`).  So the result is the one a
     climb scoring one candidate at a time gives, for any block size (at
-    real p = inf, wherever `_exact_linf_stack` matches `exact_linf_enum`
-    bit for bit).
+    real p = inf, wherever the stacked enumeration of `_score` rounds as a
+    stack of one does).
 
-    The resulting ratio is an empirical lower bound on the best constant and
-    can never exceed the certified constant (else ViolationError: a bug).
+    Candidates are scored by `_score`, the scorer of `certify`: the ratio
+    is lhs / upper(||T||), 1.0 for a zero tensor.  The resulting ratio is
+    an empirical lower bound on the best constant and can never exceed the
+    certified constant C; by `certify`'s verdict, a best ratio above
+    C * (1 + RATIO_TOL) raises ViolationError (a bug).
     """
     seed = _check_seed(seed)
     if budget < 0:
         raise DomainError(f"budget must be >= 0, got {budget}")
     exps = _admissible_exponents(m, n, p, lambda0, field)
-    exact = math.isinf(p) and field is ScalarField.REAL
 
     def ratios(stack: np.ndarray) -> np.ndarray:
-        return _search_ratios(stack, exps.s, exps.eta1, exact)
+        return _ratio(*_score(stack, exps))
 
     start_kind = "signs" if field is ScalarField.REAL else "steinhaus"
     current = generate(start_kind, m, n, field, np.random.SeedSequence([seed, 2])).coeffs
@@ -471,7 +489,8 @@ def search_extremal(
             current_ratio = float(ratios(current[None])[0])
             spent += 1
             step = 1.0
-    if best_ratio > exps.constant + RATIO_TOL:
+    # certify's verdict on the best ratio: lhs against a form of norm 1
+    if _classify(best_ratio, exps.constant, exps.constant, RATIO_TOL) == "violation":
         raise ViolationError(
             f"extremal search found ratio {best_ratio!r} above the certified "
             f"constant {exps.constant!r}: implementation bug"
@@ -482,28 +501,6 @@ def search_extremal(
         evaluations=spent,
         accepted_steps=accepted,
     )
-
-
-def _search_ratios(stack: np.ndarray, s: float, eta1: float, exact: bool) -> np.ndarray:
-    """LHS / upper(||T||) of every tensor of a stack (K,) + (n,)*m, as a (K,) array.
-
-    The LHS is the largest mixed norm over the fixed index (`_lhs_mixed`);
-    the upper bound is the exact l_inf norm for real p = inf, from one
-    sign enumeration of the whole stack, and otherwise the coefficient mass
-    (`crude_upper`).  A zero upper bound gives ratio 0.  Coefficients must
-    be finite (DomainError, as for `FormTensor`).
-    """
-    if not np.isfinite(stack).all():
-        raise DomainError("coefficients must all be finite")
-    K = stack.shape[0]
-    lhs = _mixed_norms_stack(stack, s, eta1).max(axis=1)
-    if exact:
-        upper = _exact_linf_stack(stack)[0]
-    else:
-        upper = np.abs(stack).reshape(K, -1).sum(axis=1)
-    out = np.zeros(K)
-    np.divide(lhs, upper, out=out, where=upper > 0.0)
-    return out
 
 
 class _ClimbDraws:

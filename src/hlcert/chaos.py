@@ -95,8 +95,9 @@ def rademacher_moment(a, q: float) -> ChaosMoment:
     n <= 25) it raises BudgetError before any work.  Runs on a
     divided by the power of two nearest max|a_j| and scales the value back,
     so entries near the floating point limits neither overflow nor underflow.
+    Complex coefficients raise DomainError.
     """
-    a, unit = _unit_scaled(_coefficient_vector(a, q, np.float64))
+    a, unit = _unit_scaled(_coefficient_vector(_real_array(a), q, np.float64))
     # a free axis of length 1 in front makes slot 1 the core's lowest bits
     _, mean, _, _ = _chaos_stats(sign_slices(a[None]), 1, q)
     return ChaosMoment(q=q, value=unit * mean ** (1.0 / q), mode="exact")
@@ -117,6 +118,14 @@ def steinhaus_moment(a, q: float, samples: int = 100_000, seed: int = 0) -> Chao
     return ChaosMoment(
         q=q, value=unit * value, mode="mc", samples=samples, seed=seed, stderr=unit * value_err,
     )
+
+
+def _real_array(a) -> np.ndarray:
+    """a as float64; complex input raises DomainError (a cast would drop the imaginary parts)."""
+    arr = np.asarray(a)
+    if np.iscomplexobj(arr):
+        raise DomainError("real-field checks take real coefficients only")
+    return arr.astype(np.float64)
 
 
 def _coefficient_vector(a, q: float, dtype) -> np.ndarray:
@@ -296,13 +305,14 @@ def check_khinchin(
 
     Real field: exact Rademacher enumeration, violation beyond 1e-12 slack
     (relative to max|a_j|) raises ViolationError (the constant is optimal,
-    so a violation is a bug).  Complex field: Steinhaus Monte Carlo, 3-sigma
-    soft check: a miss is sampling noise as often as a bug, so it returns
-    the report with passed=False instead of raising.
+    so a violation is a bug), and complex coefficients raise DomainError.
+    Complex field: Steinhaus Monte Carlo, 3-sigma soft check: a miss is
+    sampling noise as often as a bug, so it returns the report with
+    passed=False instead of raising.
     """
     seed = _check_seed(seed)
     A = khinchin_A(q, field).value
-    arr = np.asarray(a, dtype=np.float64 if field is ScalarField.REAL else np.complex128)
+    arr = _real_array(a) if field is ScalarField.REAL else np.asarray(a, dtype=np.complex128)
     arr, unit = _unit_scaled(arr)
     if field is ScalarField.REAL:
         moment = rademacher_moment(arr, q)
@@ -356,10 +366,7 @@ def check_contraction(a, t: float) -> ContractionReport:
     relative to the largest coefficient; real coefficients only (complex
     input raises DomainError rather than losing its imaginary parts).
     """
-    arr = np.asarray(a)
-    if np.iscomplexobj(arr):
-        raise DomainError("contraction check supports real coefficients only")
-    arr = arr.astype(np.float64)
+    arr = _real_array(a)
     if arr.ndim < 1:
         raise DomainError("coefficient tensor must have at least one axis")
     if not (1.0 <= t < math.inf):
@@ -567,6 +574,7 @@ def verify_proof_chain(
             sign_slices(coeffs), n, lambda0, linf=True
         )
         norm_upper = norm_lower
+        r_sum = float(col_means.sum() ** (1.0 / lambda0))      # (sum_j R_j^l0)^(1/l0)
         ineq_slack = EXACT_SLACK
     else:
         mode = "mc"
@@ -579,19 +587,15 @@ def verify_proof_chain(
             # too many root patterns: the ascent and the coefficient mass
             est = alternating_max(S, math.inf, seed=np.random.SeedSequence([seed, 1]))
             norm_lower, norm_upper = est.lower, crude_upper(S)
-        total = float(col_means.sum())
-        stderr = (
-            total_stderr * total ** (1.0 / lambda0 - 1.0) / lambda0 if total > 0.0 else 0.0
-        )
+        r_sum, stderr = _power_mean(float(col_means.sum()), total_stderr, lambda0)
         ineq_slack = 3.0 * stderr * factor + MC_SLACK
 
-    r_sum = float(col_means.sum() ** (1.0 / lambda0))          # (sum_j R_j^l0)^(1/l0)
     integral = float(int_mean ** (1.0 / lambda0))
 
     q1 = holder_mid
     q2 = factor * r_sum
     q3 = factor * integral
-    q4 = factor * (norm_upper if mode == "mc" else norm_lower)
+    q4 = factor * norm_upper
 
     links = [
         _ineq_link("holder_interpolation", lhs_chain, q1, EXACT_SLACK),

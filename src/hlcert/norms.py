@@ -46,7 +46,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 class NormMethod(enum.Enum):
     ALTERNATING_MAX = "alternating_max"
     EXACT_SIGN_ENUM = "exact_sign_enum"
-    CRUDE_UPPER = "crude_upper"
 
 
 @dataclass

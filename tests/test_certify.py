@@ -27,8 +27,8 @@ from hlcert import (
 from hlcert.certify import (
     SEARCH_CHUNK,
     _classify,
-    _lhs_mixed,
-    _search_ratios,
+    _ratio,
+    _score,
     report_to_json,
     sweep_to_csv,
     trials_to_csv,
@@ -142,7 +142,7 @@ def _per_trial_rows(m, n, p, lambda0, cfg, seed):
         ss = np.random.SeedSequence([seed, t])
         gen_ss, norm_ss, retry_ss = ss.spawn(3)
         T = generate(cfg.kinds[t % len(cfg.kinds)], m, n, REAL, gen_ss)
-        lhs = _lhs_mixed(T, exps.s, exps.eta1)
+        lhs = max(mixed_norms(T, exps.s, exps.eta1))
         est = alternating_max(
             T, p, restarts=cfg.restarts, max_iters=cfg.max_iters, tol=cfg.tol, seed=norm_ss
         )
@@ -281,7 +281,8 @@ def _reference_climb(m, n, p, lambda0, field, budget, seed):
     def ratio_of(coeffs):
         T = FormTensor(m=m, n=n, field=field, coeffs=coeffs)
         upper = exact_linf_enum(T).lower if exact else crude_upper(T, p)
-        return max(mixed_norms(T, exps.s, exps.eta1)) / upper if upper > 0.0 else 0.0
+        lhs = max(mixed_norms(T, exps.s, exps.eta1))
+        return lhs / upper if upper > 0.0 else (1.0 if lhs == 0.0 else math.inf)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     index, normal = [], []
@@ -385,6 +386,17 @@ def test_search_result_does_not_depend_on_the_block_size(monkeypatch):
         assert results[0] == results[1] == results[2], (m, n, p, field)
 
 
+def _score_exponents(s, eta1, exact):
+    # exponents whose `_score` takes mixed norms at (s, eta1) against the
+    # exact real l_inf bound when `exact`, else against the coefficient mass
+    return replace(exponents(2, 4.0, 1.5, REAL), p=math.inf if exact else 4.0, s=s, eta1=eta1)
+
+
+def _scored_ratios(stack, s, eta1, exact):
+    # the ratios the search ranks a stack by
+    return _ratio(*_score(stack, _score_exponents(s, eta1, exact)))
+
+
 def test_search_block_scores_match_one_tensor_scores():
     # the batched scorer gives each tensor the ratio it gets alone, bit for
     # bit; at real p = inf its upper bound is exact_linf_enum's value
@@ -394,9 +406,10 @@ def test_search_block_scores_match_one_tensor_scores():
         for K in (1, 3, 32):
             stack = rng.standard_normal((K,) + (n,) * m)
             for exact in (True, False):
-                ratios = _search_ratios(stack, exps.s, exps.eta1, exact)
+                ratios = _scored_ratios(stack, exps.s, exps.eta1, exact)
                 for k in range(K):
-                    assert ratios[k] == _search_ratios(stack[k : k + 1], exps.s, exps.eta1, exact)[0]
+                    alone = _scored_ratios(stack[k : k + 1], exps.s, exps.eta1, exact)
+                    assert ratios[k] == alone[0]
             values, _ = _exact_linf_stack(stack)
             for k in range(K):
                 T = FormTensor(m=m, n=n, field=REAL, coeffs=stack[k])
@@ -415,17 +428,58 @@ def test_search_ratio_is_scale_invariant(c, negative, shape, exact, seed):
     m, n = shape
     stack = np.random.default_rng(seed).standard_normal((4,) + (n,) * m)
     c = -c if negative else c
-    base = _search_ratios(stack, 2.0, 4.0, exact)
-    np.testing.assert_allclose(_search_ratios(c * stack, 2.0, 4.0, exact), base, rtol=1e-12)
+    base = _scored_ratios(stack, 2.0, 4.0, exact)
+    np.testing.assert_allclose(_scored_ratios(c * stack, 2.0, 4.0, exact), base, rtol=1e-12)
     # a power of two scales every mixed norm and bound exactly
-    assert np.array_equal(_search_ratios(stack * 2.0**-600, 2.0, 4.0, exact), base)
+    assert np.array_equal(_scored_ratios(stack * 2.0**-600, 2.0, 4.0, exact), base)
 
 
 def test_search_scorer_rejects_non_finite_candidates():
     stack = np.ones((3, 2, 2, 2))
     stack[1, 0, 1, 1] = np.inf
     with pytest.raises(DomainError, match="finite"):
-        _search_ratios(stack, 2.0, 4.0, False)
+        _score(stack, _score_exponents(2.0, 4.0, False))
+
+
+@pytest.mark.parametrize("case", [(3, 3, 4.0, 1.0), (2, 3, math.inf, 2.0), (2, 10, math.inf, 2.0)])
+def test_certify_and_search_score_a_tensor_alike(case, monkeypatch):
+    # a certify trial's lhs, upper and conservative ratio are the search
+    # scorer's values for its tensor, bit for bit, and a budget-0 search
+    # from that tensor reports the same ratio
+    m, n, p, lambda0 = case
+    exps = exponents(m, p, lambda0, REAL)
+    cfg = TrialConfig(trials=6, restarts=2, keep_trials=True)
+    for row in certify(*case, REAL, config=cfg, seed=5).trial_rows:
+        gen_ss = np.random.SeedSequence([5, row.index]).spawn(3)[0]
+        T = generate(row.kind, m, n, REAL, gen_ss)
+        lhs, upper = _score(T.coeffs[None], exps)
+        assert (row.lhs, row.upper) == (lhs[0], upper[0])
+        assert row.ratio_conservative == _ratio(lhs, upper)[0]
+        monkeypatch.setattr(certify_module, "generate", lambda *args, T=T: T)
+        result = search_extremal(*case, REAL, budget=0, seed=1)
+        assert result.ratio_conservative == row.ratio_conservative
+
+
+def test_zero_tensor_scores_one_in_certify_and_search(monkeypatch):
+    def zero(kind, m, n, field, seed):
+        return FormTensor(m=m, n=n, field=field, coeffs=np.zeros((n,) * m))
+
+    monkeypatch.setattr(certify_module, "generate", zero)
+    cfg = TrialConfig(trials=1, restarts=2, keep_trials=True)
+    for case in [(3, 3, 4.0, 1.0), (2, 3, math.inf, 2.0)]:
+        (row,) = certify(*case, REAL, config=cfg, seed=5).trial_rows
+        assert (row.lhs, row.upper, row.ratio_conservative) == (0.0, 0.0, 1.0)
+        assert row.classification == "pass"
+        assert search_extremal(*case, REAL, budget=0, seed=1).ratio_conservative == 1.0
+
+
+def test_certify_linf_rows_do_not_depend_on_jobs():
+    # at m = 2, n >= 9 a wider l_inf stack can round a value differently,
+    # so certify scores each trial alone and its rows stay the same
+    cfg = TrialConfig(trials=60, keep_trials=True)
+    seq = certify(2, 10, math.inf, 2.0, REAL, config=cfg, seed=5)
+    par = certify(2, 10, math.inf, 2.0, REAL, config=replace(cfg, jobs=2), seed=5)
+    assert seq.trial_rows == par.trial_rows
 
 
 def test_search_exact_path():

@@ -399,6 +399,18 @@ def test_contraction_rejects_complex_coefficients():
         check_contraction(arr, 2.0)
 
 
+def test_rademacher_moment_rejects_complex_coefficients():
+    # casting to real gave the moment of [1, 1] and only a ComplexWarning
+    with pytest.raises(DomainError, match="real coefficients only"):
+        rademacher_moment(np.array([1.0 + 2.0j, 1.0]), 2.0)
+
+
+def test_real_khinchin_check_rejects_complex_coefficients():
+    # casting to real checked the real part only
+    with pytest.raises(DomainError, match="real coefficients only"):
+        check_khinchin(np.array([1.0 + 2.0j, 1.0]), 1.5, REAL)
+
+
 def _slice_chaos_stats(coeffs, lambda0):
     # the one statistics loop over the sign-pattern block source
     blocks = chaos_module.sign_slices(coeffs)
