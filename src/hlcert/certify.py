@@ -38,7 +38,7 @@ from .norms import (
 from .special import ScalarField
 from .tensor import (
     FormTensor,
-    _mixed_norms_stack,
+    _mixed_norms_of_magnitudes,
     generate,
     mixed_norm,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
 )
@@ -221,16 +221,21 @@ def _score(stack: np.ndarray, exps: ExponentSet) -> Tuple[np.ndarray, np.ndarray
     enumeration of the whole stack), otherwise the coefficient mass.  A
     tensor's lhs and mass do not depend on the stack; its l_inf value can
     differ in the last bit with the stack's width (m = 2, n >= 9), so
-    `certify` scores each trial as a stack of one.  Coefficients must be
-    finite (DomainError, as for `FormTensor`).
+    `certify` scores each trial as a stack of one.  The magnitudes |stack|
+    and each tensor's largest one are taken once and feed the finiteness
+    check, the mixed norms and the mass.  Coefficients must be finite
+    (DomainError, as for `FormTensor`): a NaN or an infinite entry makes its
+    tensor's largest magnitude non-finite.
     """
-    if not np.isfinite(stack).all():
+    mags = np.abs(stack).reshape(len(stack), -1)
+    top = mags.max(axis=1)
+    if not np.isfinite(top).all():
         raise DomainError("coefficients must all be finite")
-    lhs = _mixed_norms_stack(stack, exps.s, exps.eta1).max(axis=1)
+    lhs = _mixed_norms_of_magnitudes(mags, top, stack.shape, exps.s, exps.eta1).max(axis=1)
     if _exact_bound(exps):
         upper = _exact_linf_stack(stack)[0]
     else:
-        upper = np.abs(stack).reshape(len(stack), -1).sum(axis=1)
+        upper = mags.sum(axis=1)
     return lhs, upper
 
 
@@ -419,7 +424,9 @@ def search_extremal(
     (they are not counted in `evaluations`).  So the result is the one a
     climb scoring one candidate at a time gives, for any block size (at
     real p = inf, wherever the stacked enumeration of `_score` rounds as a
-    stack of one does).
+    stack of one does).  Candidate i of a block that starts after `rejects`
+    rejections steps by step * 0.5 ** ((rejects + i) // 20), a factor read
+    from a table (`_climb_tables`) built once per call for SEARCH_BLOCK.
 
     Candidates are scored by `_score`, the scorer of `certify`: the ratio
     is lhs / upper(||T||), 1.0 for a zero tensor.  The resulting ratio is
@@ -454,6 +461,7 @@ def search_extremal(
         spent = 1
         if baseline_ratio > best_ratio:
             best, best_ratio = unit, baseline_ratio
+    rows, factors = _climb_tables(SEARCH_BLOCK)
     while spent < budget:
         # candidates up to the one whose rejection would collapse the step
         halvings = 1
@@ -461,17 +469,17 @@ def search_extremal(
             halvings += 1
         K = min(SEARCH_BLOCK, budget - spent, 20 * halvings - rejects)
         index, normal = draws.take(taken, K)
-        steps = step * 0.5 ** ((rejects + np.arange(K)) // 20)
+        steps = step * factors[rejects, :K]
         stack = np.repeat(current[None], K, axis=0)
-        stack.reshape(K, -1)[np.arange(K), index] += steps * normal
+        stack.reshape(K, -1)[rows[:K], index] += steps * normal
         block_ratios = ratios(stack)
-        higher = np.flatnonzero(block_ratios > current_ratio)
-        used = int(higher[0]) + 1 if higher.size else K
+        higher = block_ratios > current_ratio
+        i = int(higher.argmax())   # the first higher candidate, or 0 when none is
+        used = i + 1 if higher[i] else K
         spent += used
         taken += used
-        if higher.size:
+        if higher[i]:
             # keep the first higher candidate; the ones after it are discarded
-            i = used - 1
             step, rejects = float(steps[i]), 0
             accepted += 1
             current, current_ratio = stack[i], float(block_ratios[i])
@@ -501,6 +509,18 @@ def search_extremal(
         evaluations=spent,
         accepted_steps=accepted,
     )
+
+
+def _climb_tables(block: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(row indices 0..block-1, step factors) of `search_extremal`'s blocks.
+
+    factors[rejects, i] = 0.5 ** ((rejects + i) // 20) for rejects < 20:
+    candidate i of a block that starts after `rejects` rejections in a row
+    steps by step * factors[rejects, i].  Every factor is a power of two, so
+    that product is exact.
+    """
+    rows = np.arange(block)
+    return rows, 0.5 ** ((np.arange(20)[:, None] + rows) // 20)
 
 
 class _ClimbDraws:

@@ -116,5 +116,8 @@ def khinchin_A(q: float, field: ScalarField) -> KhinchinConstant:
     if q <= solve_q0():
         value = 2.0 ** (0.5 - 1.0 / q)
         return KhinchinConstant(q=q, field=field, value=value, branch=Branch.REAL_LOW)
-    value = math.sqrt(2.0) * (gamma((1.0 + q) / 2.0) / math.sqrt(math.pi)) ** (1.0 / q)
+    if q == 2.0:   # A_2 = 1 exactly (Gamma(3/2) = sqrt(pi)/2); the formula rounds above it
+        value = 1.0
+    else:
+        value = math.sqrt(2.0) * (gamma((1.0 + q) / 2.0) / math.sqrt(math.pi)) ** (1.0 / q)
     return KhinchinConstant(q=q, field=field, value=value, branch=Branch.REAL_HIGH)

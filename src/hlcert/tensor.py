@@ -142,31 +142,48 @@ def _mixed_norms_stack(stack: np.ndarray, s: float, alpha: float) -> np.ndarray:
     underflow, and scaling a tensor by 2^k scales its norms by 2^k bit for
     bit.  Every sum runs over one tensor's own row, in an order that does
     not depend on the rest of the stack, so a tensor's norms are the same
-    in any stack.
+    in any stack.  Each fixed axis sums the rows of its own transposed
+    layout of the stack, so each keeps its own summation order; the row
+    sums of all m axes then go through one chain of powers and one outer
+    sum, which rounds as a chain per axis does.
     """
+    mags = np.abs(stack).reshape(len(stack), -1)
+    return _mixed_norms_of_magnitudes(mags, mags.max(axis=1), stack.shape, s, alpha)
+
+
+def _mixed_norms_of_magnitudes(
+    mags: np.ndarray, top: np.ndarray, shape: Tuple[int, ...], s: float, alpha: float
+) -> np.ndarray:
+    """`_mixed_norms_stack` of a stack of `shape`, given |stack| as (K, n^m) and its row maxima."""
     if not (1.0 <= s < math.inf and 1.0 <= alpha < math.inf):
         raise DomainError("mixed-norm exponents must be finite and >= 1")
-    K, m = stack.shape[0], stack.ndim - 1
-    n = stack.shape[1]
-    mags = np.abs(stack).reshape(K, -1)
-    unit = _nearest_powers_of_two(mags.max(axis=1))
-    powered = ((mags / unit[:, None]) ** s).reshape(stack.shape)
-    norms = np.empty((K, m))
+    K, m, n = shape[0], len(shape) - 1, shape[1]
+    unit = _nearest_powers_of_two(top)
+    powered = ((mags / unit[:, None]) ** s).reshape(shape)
+    sums = np.empty((K, m, n))
     others = list(range(1, m + 1))
     for axis in range(1, m + 1):
         # the fixed axis moved next to the stack axis and the others merged
         # into rows of n^(m-1): a copy, or a view where the merge allows it
         rows = powered.transpose([0, axis] + others[: axis - 1] + others[axis:])
-        per_row = np.add.reduce(rows.reshape(K, n, -1), axis=2) ** (1.0 / s)
-        norms[:, axis - 1] = np.add.reduce(per_row**alpha, axis=1) ** (1.0 / alpha)
-    return norms * unit[:, None]
+        np.add.reduce(rows.reshape(K, n, -1), axis=2, out=sums[:, axis - 1])
+    sums **= 1.0 / s
+    sums **= alpha
+    norms = np.add.reduce(sums, axis=2)
+    norms **= 1.0 / alpha
+    norms *= unit[:, None]
+    return norms
 
 
 def _nearest_powers_of_two(x):
-    """The power of two nearest each x >= 0 on a log scale (at most 2^1023); 1.0 where x = 0."""
+    """The power of two nearest each x >= 0 on a log scale (at most 2^1023); 1.0 where x = 0.
+
+    Takes an array or a 0-d value; every step below works on both.
+    """
     mantissa, exponent = np.frexp(x)   # x = mantissa * 2^exponent, mantissa in [0.5, 1)
-    exponent = np.minimum(exponent - (mantissa < math.sqrt(0.5)), 1023)
-    return np.where(x == 0.0, 1.0, np.ldexp(1.0, exponent))
+    exponent -= mantissa < math.sqrt(0.5)
+    exponent += x == 0.0               # frexp(0) = (0, 0): back to 2^0
+    return np.ldexp(1.0, np.minimum(exponent, 1023))
 
 
 def _unit_scaled(arr: np.ndarray) -> Tuple[np.ndarray, float]:

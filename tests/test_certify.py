@@ -386,6 +386,15 @@ def test_search_result_does_not_depend_on_the_block_size(monkeypatch):
         assert results[0] == results[1] == results[2], (m, n, p, field)
 
 
+def test_climb_step_table_is_the_step_schedule_bit_for_bit():
+    rows, factors = certify_module._climb_tables(certify_module.SEARCH_BLOCK)
+    assert rows.tolist() == list(range(certify_module.SEARCH_BLOCK))
+    for step in (1.0, 0.7364, 3.1e-3):
+        for rejects in range(20):
+            for i in range(certify_module.SEARCH_BLOCK):
+                assert step * factors[rejects, i] == step * 0.5 ** ((rejects + i) // 20)
+
+
 def _score_exponents(s, eta1, exact):
     # exponents whose `_score` takes mixed norms at (s, eta1) against the
     # exact real l_inf bound when `exact`, else against the coefficient mass
@@ -439,6 +448,14 @@ def test_search_scorer_rejects_non_finite_candidates():
     stack[1, 0, 1, 1] = np.inf
     with pytest.raises(DomainError, match="finite"):
         _score(stack, _score_exponents(2.0, 4.0, False))
+    # a NaN or an infinite part of a complex entry is caught alike, for
+    # either bound
+    for bad in (np.nan, -np.inf, complex(np.nan, 0.0), complex(1.0, np.inf)):
+        stack = np.ones((3, 2, 2, 2), dtype=type(bad))
+        stack[2, 1, 0, 1] = bad
+        for exact in (True, False):
+            with pytest.raises(DomainError, match="finite"):
+                _score(stack, _score_exponents(2.0, 4.0, exact))
 
 
 @pytest.mark.parametrize("case", [(3, 3, 4.0, 1.0), (2, 3, math.inf, 2.0), (2, 10, math.inf, 2.0)])

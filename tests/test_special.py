@@ -10,6 +10,7 @@ from hlcert import (
     Branch,
     DomainError,
     ScalarField,
+    exponents,
     gamma,
     khinchin_A,
     solve_q0,
@@ -131,3 +132,11 @@ def test_khinchin_monotone_property(q1, q2, field):
     a_hi = khinchin_A(hi, field).value
     assert a_hi >= a_lo - 1e-12
     assert 0.0 < a_lo <= 1.0 + 1e-12
+
+
+def test_real_khinchin_constant_at_two_is_exactly_one():
+    # A_2 = 1 (Gamma(3/2) = sqrt(pi)/2), so the lambda0 = 2 constant is at
+    # least 1 and the single-coefficient witness of ratio 1 stays below it
+    assert khinchin_A(2.0, ScalarField.REAL).value == 1.0
+    for m in (2, 3, 4):
+        assert exponents(m, math.inf, 2.0, ScalarField.REAL).constant >= 1.0

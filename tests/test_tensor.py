@@ -167,6 +167,59 @@ def test_mixed_norms_share_one_power_bit_for_bit():
         mixed_norms(T, 0.5, 2.0)
 
 
+def _per_axis_mixed_norms(stack, s, alpha):
+    # the reference kernel: every power and outer sum runs once per fixed
+    # axis, on the inner sums of that axis's own transposed layout
+    K, m, n = stack.shape[0], stack.ndim - 1, stack.shape[1]
+    mags = np.abs(stack).reshape(K, -1)
+    unit = tensor_module._nearest_powers_of_two(mags.max(axis=1))
+    powered = ((mags / unit[:, None]) ** s).reshape(stack.shape)
+    norms = np.empty((K, m))
+    others = list(range(1, m + 1))
+    for axis in range(1, m + 1):
+        rows = powered.transpose([0, axis] + others[: axis - 1] + others[axis:])
+        per_row = np.add.reduce(rows.reshape(K, n, -1), axis=2) ** (1.0 / s)
+        norms[:, axis - 1] = np.add.reduce(per_row**alpha, axis=1) ** (1.0 / alpha)
+    return norms * unit[:, None]
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 9), (4, 2), (3, 5)])
+@pytest.mark.parametrize("K", [1, 7, 32])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_mixed_norms_stack_matches_the_per_axis_kernel_bit_for_bit(m, n, K, field):
+    # rows of n^(m-1) >= 8 terms, where the order of the inner sums shows:
+    # each fixed axis sums its own layout, and one chain of powers over all
+    # axes rounds as the per-axis chains do
+    rng = np.random.default_rng(41)
+    shape = (K,) + (n,) * m
+    for scale in (2.0**-900, 1.0, 2.0**900):
+        stack = rng.standard_normal(shape)
+        if field is COMPLEX:
+            stack = stack + 1j * rng.standard_normal(shape)
+        stack = stack * scale
+        for s, alpha in [(2.0, 4.0), (4.0 / 3.0, 1.6), (1.0, 2.0), (3.0, 1.0)]:
+            got = tensor_module._mixed_norms_stack(stack, s, alpha)
+            assert got.tobytes() == _per_axis_mixed_norms(stack, s, alpha).tobytes()
+
+
+@pytest.mark.parametrize(
+    "x, unit",
+    [
+        (0.0, 1.0),
+        (5e-324, 5e-324),                # the smallest subnormal
+        (1.5 * 2.0**1023, 2.0**1023),    # nearest 2^1024: capped
+        # mantissas just below and just above sqrt(1/2)
+        (math.ldexp(np.nextafter(math.sqrt(0.5), 0.0), 7), 64.0),
+        (math.ldexp(np.nextafter(math.sqrt(0.5), 1.0), 7), 128.0),
+    ],
+)
+def test_nearest_power_of_two_of_a_0d_value_matches_a_one_element_array(x, unit):
+    nearest = tensor_module._nearest_powers_of_two
+    alone = nearest(np.float64(x))
+    assert np.ndim(alone) == 0
+    assert float(alone) == nearest(np.array([x]))[0] == unit
+
+
 def test_mixed_norm_huge_entries_finite_without_warning():
     # |coeff|^s of 1e160 overflows unless the tensor is scaled first
     T = _tensor(np.array([[1e160, -1e160], [-1e160, 1e160]]))
