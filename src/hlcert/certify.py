@@ -30,7 +30,10 @@ from .errors import DomainError, ViolationError
 from .exponents import ExponentSet, exponents
 from .norms import (
     _alternating_max_batch,
+    _dual_norms,
     _exact_linf_stack,
+    _magnitudes,
+    _overflowed,
     alternating_max,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
     crude_upper,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
     exact_linf_enum,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
@@ -218,25 +221,27 @@ def _score(stack: np.ndarray, exps: ExponentSet) -> Tuple[np.ndarray, np.ndarray
     `search_extremal`.  lhs is the largest mixed norm over the fixed index
     (the strictest reading of the left-hand side).  upper bounds ||T||: the
     exact l_inf norm for real p = inf (`_exact_linf_stack`, one sign
-    enumeration of the whole stack), otherwise the coefficient mass.  A
-    tensor's lhs and mass do not depend on the stack; its l_inf value can
+    enumeration of the whole stack), otherwise the Hoelder bound
+    `crude_upper(T, p)` = ||coeff||_{p'}, p' = p/(p-1) (the coefficient mass
+    at p = inf).  At finite p, lhs <= ||coeff||_s <= ||coeff||_{p'}, since
+    the outer exponent eta1 >= s >= 2 > p', so lhs / upper <= 1.  A tensor's
+    lhs and Hoelder bound do not depend on the stack; its l_inf value can
     differ in the last bit with the stack's width (m = 2, n >= 9), so
-    `certify` scores each trial as a stack of one.  The magnitudes |stack|
-    and each tensor's largest one are taken once and feed the finiteness
-    check, the mixed norms and the mass.  Coefficients must be finite
-    (DomainError, as for `FormTensor`): a NaN or an infinite entry makes its
-    tensor's largest magnitude non-finite.
+    `certify` scores each real p = inf trial as a stack of one.  The
+    magnitudes |stack| and each tensor's largest one are taken once
+    (`_magnitudes`) and feed the finiteness check, the mixed norms and the
+    bound.  Coefficients must be finite (DomainError, as for `FormTensor`).
+    A complex entry with finite parts whose modulus passes the largest float
+    gives its tensor lhs = upper = inf (both are at least that modulus),
+    which `_classify` refuses; the other tensors score as without it.
     """
-    mags = np.abs(stack).reshape(len(stack), -1)
-    top = mags.max(axis=1)
-    if not np.isfinite(top).all():
-        raise DomainError("coefficients must all be finite")
+    mags, top, over = _magnitudes(stack)
     lhs = _mixed_norms_of_magnitudes(mags, top, stack.shape, exps.s, exps.eta1).max(axis=1)
     if _exact_bound(exps):
         upper = _exact_linf_stack(stack)[0]
     else:
-        upper = mags.sum(axis=1)
-    return lhs, upper
+        upper = _dual_norms(mags, top, exps.p)[0]
+    return _overflowed(lhs, over), _overflowed(upper, over)
 
 
 def _ratio(lhs: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -261,13 +266,16 @@ def _run_batch(args) -> List[TrialResult]:
         generate(kind, exps.m, n, exps.field, gen_ss)
         for kind, (gen_ss, _, _) in zip(kinds, spawned)
     ]
-    # one stack per trial, so that a row does not depend on its batch or on jobs
-    scores = [_score(T.coeffs[None], exps) for T in tensors]
-    lhs = np.concatenate([score[0] for score in scores])
-    upper = np.concatenate([score[1] for score in scores])
+    # a row must not depend on its batch or on jobs: the stacked l_inf
+    # enumeration can round by width, so it scores one stack per trial,
+    # while every row of a Hoelder stack is its own
     if _exact_bound(exps):
+        scores = [_score(T.coeffs[None], exps) for T in tensors]
+        lhs = np.concatenate([score[0] for score in scores])
+        upper = np.concatenate([score[1] for score in scores])
         lower = upper.copy()
     else:
+        lhs, upper = _score(np.stack([T.coeffs for T in tensors]), exps)
         estimates = _alternating_max_batch(
             tensors, exps.p, cfg.restarts, cfg.max_iters, cfg.tol,
             [norm_ss for _, norm_ss, _ in spawned],
@@ -328,14 +336,18 @@ def certify(
     Per trial: draw a tensor (kinds cycled per index) and score it with
     `_score`, the scorer `search_extremal` uses: lhs is the maximum mixed
     norm over the fixed index, upper bounds ||T|| (exact sign enumeration
-    for real p = inf, which is also the lower bound; otherwise the
-    coefficient mass, with an alternating ascent for the lower bound).
-    `_classify` gives the verdict: a violation when lhs > C * upper * (1 +
-    RATIO_TOL), relative to the bound.  A zero bound gives ratio 1.0 for a
-    zero lhs (inf otherwise).  Inconclusive trials are retried once with
-    4x restarts.
+    for real p = inf, which is also the lower bound; otherwise the Hoelder
+    bound `crude_upper(T, p)` = ||coeff||_{p'}, the coefficient mass at
+    p = inf, with an alternating ascent for the lower bound).  `_classify`
+    gives the verdict: a violation when lhs > C * upper * (1 + RATIO_TOL),
+    relative to the bound; the bound's rounding error, about n^m units in
+    the last place, is far inside that tolerance.  A zero bound gives ratio
+    1.0 for a zero lhs (inf otherwise).  Inconclusive trials are retried
+    once with 4x restarts.
 
-    Trials run in batches of consecutive indices: the restarts of every
+    Trials run in batches of consecutive indices: a batch's tensors are
+    scored as one `_score` stack (one stack per trial at real p = inf,
+    whose stacked enumeration can round by width), the restarts of every
     trial in a batch ascend together as one `_ascend` stack, and the
     batch's inconclusive trials are retried as one more.  A batch holds as
     many trials as keep restarts * n^m <= 2^16 coefficients gathered per
@@ -429,10 +441,13 @@ def search_extremal(
     from a table (`_climb_tables`) built once per call for SEARCH_BLOCK.
 
     Candidates are scored by `_score`, the scorer of `certify`: the ratio
-    is lhs / upper(||T||), 1.0 for a zero tensor.  The resulting ratio is
-    an empirical lower bound on the best constant and can never exceed the
-    certified constant C; by `certify`'s verdict, a best ratio above
-    C * (1 + RATIO_TOL) raises ViolationError (a bug).
+    is lhs / upper(||T||), 1.0 for a zero tensor, with upper the exact
+    l_inf norm at real p = inf and the Hoelder bound ||coeff||_{p'}
+    otherwise.  At finite p the ratio stays <= 1, since lhs <= ||coeff||_s
+    <= ||coeff||_{p'} for s >= 2 > p'.  The resulting ratio is an empirical
+    lower bound on the best constant and can never exceed the certified
+    constant C; by `certify`'s verdict, a best ratio above C * (1 +
+    RATIO_TOL) raises ViolationError (a bug).
     """
     seed = _check_seed(seed)
     if budget < 0:

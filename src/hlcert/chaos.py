@@ -417,7 +417,10 @@ def check_multiple_khinchin(
     R is the exact L_{lambda0} norm of the (m-1)-fold Rademacher chaos with
     the slice's coefficients.  j1 restricts the check to one slice (an
     integer in [1, n], checked before any work); by default every slice is
-    checked.  Real field only.
+    checked.  Real field only.  As in `verify_proof_chain`, the check runs on
+    T scaled by a power of two to max|coeff| about 1 (so |chaos|^lambda0
+    neither overflows nor underflows, and the slack tolerance is relative to
+    the largest coefficient), and the rows are scaled back to the units of T.
     """
     if T.field is not ScalarField.REAL:
         raise DomainError("exact multiple-Khinchin check supports the real field only")
@@ -429,9 +432,10 @@ def check_multiple_khinchin(
         raise DomainError(f"j1 must be an integer in [1, {T.n}], got {j1!r}")
     A = khinchin_A(lambda0, ScalarField.REAL).value
     constant = A ** (-(T.m - 1))
-    col_means, _, _, _ = _chaos_stats(sign_slices(T.coeffs), T.n, lambda0)
+    coeffs, unit = _unit_scaled(T.coeffs)
+    col_means, _, _, _ = _chaos_stats(sign_slices(coeffs), T.n, lambda0)
     R = col_means ** (1.0 / lambda0)
-    flat = T.coeffs.reshape(T.n, -1)
+    flat = coeffs.reshape(T.n, -1)
     l2 = np.sqrt((flat**2).sum(axis=1))
     indices = range(1, T.n + 1) if j1 is None else [j1]
     rows: List[dict] = []
@@ -440,6 +444,7 @@ def check_multiple_khinchin(
         rhs = float(constant * R[j - 1])
         slack = rhs - lhs
         passed = slack >= -EXACT_SLACK
+        lhs, rhs, slack = unit * lhs, unit * rhs, unit * slack
         rows.append({"j1": j, "lhs": lhs, "rhs": rhs, "slack": slack, "passed": passed})
         if not passed:
             raise ViolationError(
@@ -586,7 +591,7 @@ def verify_proof_chain(
         except BudgetError:
             # too many root patterns: the ascent and the coefficient mass
             est = alternating_max(S, math.inf, seed=np.random.SeedSequence([seed, 1]))
-            norm_lower, norm_upper = est.lower, crude_upper(S)
+            norm_lower, norm_upper = est.lower, crude_upper(S, math.inf)
         r_sum, stderr = _power_mean(float(col_means.sum()), total_stderr, lambda0)
         ineq_slack = 3.0 * stderr * factor + MC_SLACK
 

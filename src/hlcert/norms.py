@@ -1,12 +1,12 @@
 """Lower and upper bounds on the operator norm of an m-linear form over l_p balls.
 
 Lower bounds come with an explicit witness tuple of unit vectors; upper
-bounds are the crude coefficient-mass bound (valid for every p >= 1) or,
-on l_inf, the vertex enumeration of `hlcert.tensor._vertex_slices` in all
-slots but the first, which is closed in l_1-dual form: exact over the sign
-vectors for real forms (`exact_linf_enum`), and within cos(pi/K)^-(m-1)
-over the K = UNIT_ROOTS roots of unity for complex ones
-(`_linf_root_bounds`).
+bounds are the Hoelder bound ||T|| <= ||coeff||_{p'} (`crude_upper`, valid
+for every p >= 1; the coefficient mass at p = inf) or, on l_inf, the vertex
+enumeration of `hlcert.tensor._vertex_slices` in all slots but the first,
+which is closed in l_1-dual form: exact over the sign vectors for real
+forms (`exact_linf_enum`), and within cos(pi/K)^-(m-1) over the K =
+UNIT_ROOTS roots of unity for complex ones (`_linf_root_bounds`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
 
 UNIT_ROOTS = 12              # K: complex l_inf slots are enumerated over the K-th roots of unity
 _UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST = 5e-324           # the smallest positive float
 
 
 class NormMethod(enum.Enum):
@@ -101,11 +102,10 @@ def dual_norm_linear(c: np.ndarray, p: float) -> Tuple[Union[float, np.ndarray],
     row exactly as the 1-D call on that row gives it.  A zero c (or zero
     row) gives value 0 and the first basis vector.
 
-    For finite p > 1 each row is scaled by its largest magnitude, r = |c| /
-    max|c| (so nothing overflows), and x is proportional to
-    phase(c) * r^(p'-1).  Since (p'-1) p = p', |x|^p = r^(p'-1) * r = r^p':
-    the one power r^(p'-1) gives both the value's sum S = sum r^p', with
-    value = max|c| * S^(1/p'), and the witness's norm S^(1/p).
+    The values are `_dual_norms` of |c|.  For finite p > 1, x is
+    proportional to phase(c) * r^(p'-1) with r = |c| / max|c|: since
+    (p'-1) p = p', |x|^p = r^(p'-1) * r = r^p', so the one power r^(p'-1)
+    gives both the value's sum S = sum r^p' and the witness's norm S^(1/p).
     """
     if p < 1.0:
         raise DomainError(f"p must be >= 1 or inf, got {p}")
@@ -119,22 +119,14 @@ def dual_norm_linear(c: np.ndarray, p: float) -> Tuple[Union[float, np.ndarray],
     top = mags.max(axis=-1)
     zero = top == 0.0
     has_zero = zero.any()
+    values, weight, total = _dual_norms(mags, top, p)
     if math.isinf(p):
-        values = mags.sum(axis=-1)
         x = _phase(c)
     elif p == 1.0:
         j = np.argmax(mags, axis=-1)[..., None]
-        values = top
         x = np.zeros_like(c)
         np.put_along_axis(x, j, _phase(np.take_along_axis(c, j, axis=-1)), axis=-1)
     else:
-        pp = p / (p - 1.0)
-        if has_zero:
-            top[zero] = 1.0
-        ratio = mags / top[..., None]
-        weight = ratio ** (pp - 1.0)
-        total = (weight * ratio).sum(axis=-1)  # >= 1 on a nonzero row, 0 on a zero row
-        values = top * total ** (1.0 / pp)
         norm = total ** (1.0 / p)
         if has_zero:
             norm[zero] = 1.0
@@ -147,11 +139,79 @@ def dual_norm_linear(c: np.ndarray, p: float) -> Tuple[Union[float, np.ndarray],
     return values, x
 
 
-def crude_upper(T: FormTensor, p: float = 1.0) -> float:
-    """Coefficient mass sum_J |coeff[J]|: an upper bound on ||T|| for every p >= 1."""
+def _dual_norms(
+    mags: np.ndarray, top: np.ndarray, p: float
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """||row||_{p'} of every row of a magnitude stack (..., N), given its row maxima `top`.
+
+    p' = p/(p-1): p = inf gives the row sums, p = 1 the row maxima.  For
+    finite p > 1 each row is scaled by its largest magnitude, r = mags /
+    top (so nothing overflows), and value = top * S^(1/p') with S = sum
+    r^(p'-1) * r, which is >= 1 on a nonzero row and 0 on a zero row.
+    Returns (values, weight, S), weight = r^(p'-1); the last two (which
+    `dual_norm_linear` turns into its witness) are None for p = 1 or inf.
+    Every row's arithmetic is its own, so a row's value does not depend on
+    the stack.
+    """
+    if math.isinf(p):
+        return mags.sum(axis=-1), None, None
+    if p == 1.0:
+        return top, None, None
+    pp = p / (p - 1.0)
+    # a zero row divides by the smallest positive float: r = 0 and value 0,
+    # while every nonzero row keeps its own maximum
+    ratio = mags / np.maximum(top, _SMALLEST)[..., None]
+    weight = ratio ** (pp - 1.0)
+    total = (weight * ratio).sum(axis=-1)
+    return top * total ** (1.0 / pp), weight, total
+
+
+def _magnitudes(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """|stack| of a stack (K,) + (n,)*m as (K, n^m), its row maxima, and the overflowed rows.
+
+    A complex entry with finite parts can have |z| above the largest float.
+    Every norm and bound of its tensor is at least |z|, so each is inf in
+    floating point: such a tensor's row is returned as zeros, and the third
+    value is the boolean mask of these rows (None when there is none, the
+    common path), for `_overflowed` to set their results to inf.  The other
+    rows do not depend on them.  Non-finite coefficients raise DomainError.
+    """
+    mags = np.abs(stack).reshape(len(stack), -1)
+    top = mags.max(axis=1)
+    if np.isfinite(top).all():
+        return mags, top, None
+    if not np.isfinite(stack).all():
+        raise DomainError("coefficients must all be finite")
+    over = ~np.isfinite(top)
+    mags[over] = 0.0
+    top[over] = 0.0
+    return mags, top, over
+
+
+def _overflowed(values: np.ndarray, over: Optional[np.ndarray]) -> np.ndarray:
+    """values, one per tensor, with inf at the rows `_magnitudes` found overflowed."""
+    return values if over is None else np.where(over, math.inf, values)
+
+
+def _hoelder_bounds(stack: np.ndarray, p: float) -> np.ndarray:
+    """`crude_upper(T, p)` of every tensor T of a stack (K,) + (n,)*m, as a (K,) array."""
+    mags, top, over = _magnitudes(stack)
+    return _overflowed(_dual_norms(mags, top, p)[0], over)
+
+
+def crude_upper(T: FormTensor, p: float = math.inf) -> float:
+    """Hoelder bound ||T|| <= ||coeff||_{p'} on (l_p^n)^m, p' = p/(p-1).
+
+    x_1 (x) ... (x) x_m has l_p norm prod ||x_i||_p = 1 on unit vectors, so
+    |T(x_1, ..., x_m)| = |<coeff, x_1 (x) ... (x) x_m>| <= ||coeff||_{p'}:
+    the norm of T as a linear form on l_p^(n^m), exact on rank-one tensors.
+    p = inf (the default) gives the coefficient mass sum_J |coeff[J]|, p = 1
+    the largest |coeff[J]|.  The one-tensor case of `_hoelder_bounds`, the
+    bound `certify` and `search_extremal` score with.
+    """
     if p < 1.0:
         raise DomainError(f"p must be >= 1 or inf, got {p}")
-    return float(np.abs(T.coeffs).sum())
+    return float(_hoelder_bounds(T.coeffs[None], p)[0])
 
 
 def _random_starts(
@@ -266,15 +326,16 @@ def alternating_max(
     """Lower-bound ||T|| by block-coordinate ascent from random restarts.
 
     Fixing all arguments but one reduces the problem to an exact linear dual
-    norm, so each sweep is monotone.  The upper bound is the crude
-    coefficient mass.  The restarts' unit starting tuples come from one
-    stream of `seed` (`_random_starts`) and ascend together as one batch;
-    the result is their max (the first restart attaining it), so it is
-    deterministic.  This is the one-tensor case of the batch that `certify`
-    runs over many trials at once (`_alternating_max_batch`): every restart
-    gives the same value bit for bit in either.  Needs m >= 2 (a form with
-    m = 1 is a linear functional, whose norm `dual_norm_linear` gives
-    exactly).
+    norm, so each sweep is monotone.  The upper bound is the Hoelder bound
+    `crude_upper(T, p)`, ||coeff||_{p'} (the coefficient mass at p = inf),
+    which also caps the lower one against rounding.  The restarts' unit
+    starting tuples come from one stream of `seed` (`_random_starts`) and
+    ascend together as one batch; the result is their max (the first
+    restart attaining it), so it is deterministic.  This is the one-tensor
+    case of the batch that `certify` runs over many trials at once
+    (`_alternating_max_batch`): every restart gives the same value bit for
+    bit in either.  Needs m >= 2 (a form with m = 1 is a linear functional,
+    whose norm `dual_norm_linear` gives exactly).
     """
     return _alternating_max_batch([T], p, restarts, max_iters, tol, [seed])[0]
 
@@ -305,10 +366,11 @@ def _alternating_max_batch(
     stack = np.stack([T.coeffs for T in tensors])
     vectors = [np.concatenate([s[k] for s in starts]) for k in range(first.m)]
     values, vectors, converged = _ascend(stack, vectors, p, max_iters, tol)
+    uppers = _hoelder_bounds(stack, p)
     estimates = []
-    for b, T in enumerate(tensors):
-        # the best restart (the first attaining the max), capped by the mass
-        upper = crude_upper(T, p)
+    for b in range(len(tensors)):
+        # the best restart (the first attaining the max), capped by the bound
+        upper = float(uppers[b])
         best = b * restarts + int(np.argmax(values[b * restarts : (b + 1) * restarts]))
         estimates.append(NormEstimate(
             lower=min(float(values[best]), upper),

@@ -397,7 +397,8 @@ def test_climb_step_table_is_the_step_schedule_bit_for_bit():
 
 def _score_exponents(s, eta1, exact):
     # exponents whose `_score` takes mixed norms at (s, eta1) against the
-    # exact real l_inf bound when `exact`, else against the coefficient mass
+    # exact real l_inf bound when `exact`, else against the Hoelder bound at
+    # p = 4
     return replace(exponents(2, 4.0, 1.5, REAL), p=math.inf if exact else 4.0, s=s, eta1=eta1)
 
 
@@ -456,6 +457,44 @@ def test_search_scorer_rejects_non_finite_candidates():
         for exact in (True, False):
             with pytest.raises(DomainError, match="finite"):
                 _score(stack, _score_exponents(2.0, 4.0, exact))
+
+
+@pytest.mark.parametrize("p, lambda0", [(4.0, 1.0), (math.inf, 2.0)])
+def test_scorer_overflows_a_modulus_past_the_largest_float_to_inf(p, lambda0):
+    # finite parts, |z| about 2.1e308: a valid FormTensor whose lhs and bound
+    # are at least |z|, so both read inf and cannot be classified, while the
+    # rest of its stack scores as it does alone
+    exps = exponents(3, p, lambda0, COMPLEX)
+    ordinary = generate("gaussian", 3, 2, COMPLEX, 3).coeffs
+    big = ordinary.copy()
+    big[1, 0, 1] = 1.5e308 + 1.5e308j
+    FormTensor(m=3, n=2, field=COMPLEX, coeffs=big)
+    lhs, upper = _score(np.stack([ordinary, big, ordinary]), exps)
+    alone_lhs, alone_upper = _score(ordinary[None], exps)
+    assert lhs.tolist() == [alone_lhs[0], math.inf, alone_lhs[0]]
+    assert upper.tolist() == [alone_upper[0], math.inf, alone_upper[0]]
+    C = exps.constant
+    with pytest.raises(DomainError, match="non-finite"):
+        _classify(lhs[1], C * upper[1], C * upper[1], certify_module.RATIO_TOL)
+
+
+def test_a_constant_four_times_too_small_is_reported_at_every_trial(monkeypatch):
+    # the self-diagnostic at (3, 2, 4, 1.2): against the Hoelder bound a
+    # constant 4x too small is a violation at all 200 trials (35 against the
+    # coefficient mass), and the right constant gives no violation and no
+    # inconclusive trial
+    cfg = TrialConfig(trials=200)
+    report = certify(3, 2, 4.0, 1.2, REAL, config=cfg, seed=7)
+    assert (report.violations, report.inconclusive) == (0, 0)
+    admissible = certify_module._admissible_exponents
+
+    def mutated(*args):
+        exps = admissible(*args)
+        return replace(exps, constant=0.25 * exps.constant)
+
+    monkeypatch.setattr(certify_module, "_admissible_exponents", mutated)
+    report = certify(3, 2, 4.0, 1.2, REAL, config=cfg, seed=7)
+    assert report.violations == 200
 
 
 @pytest.mark.parametrize("case", [(3, 3, 4.0, 1.0), (2, 3, math.inf, 2.0), (2, 10, math.inf, 2.0)])

@@ -544,6 +544,22 @@ def test_multiple_khinchin_single_slice():
     assert len(rep.rows) == 1 and rep.rows[0]["j1"] == 2
 
 
+@pytest.mark.parametrize("k", [660, -660])
+def test_multiple_khinchin_rows_scale_by_powers_of_two(k):
+    # the check runs on T scaled to max|coeff| about 1, like the chain: at
+    # 2^660 |chaos|^2 would overflow, at 2^-660 the squares would vanish and
+    # pass vacuously with lhs = rhs = 0
+    T = generate("gaussian", 3, 3, REAL, 41)
+    scaled = FormTensor(m=3, n=3, field=REAL, coeffs=T.coeffs * 2.0**k)
+    for lam in (1.3, 2.0):
+        base = check_multiple_khinchin(T, lam).rows
+        rows = check_multiple_khinchin(scaled, lam).rows
+        for row, ref in zip(rows, base):
+            assert row["passed"] and row["lhs"] > 0.0
+            for key in ("lhs", "rhs", "slack"):
+                assert row[key] == math.ldexp(ref[key], k)
+
+
 @pytest.mark.parametrize("j1", [99, 0, -1, 2.0, "2"])
 def test_multiple_khinchin_checks_j1_before_enumerating(j1):
     # 2^(13*2) sign patterns exceed the budget: a bad j1 must be reported as

@@ -28,6 +28,7 @@ from hlcert.norms import (
     _alternating_max_batch,
     _ascend,
     _exact_linf_stack,
+    _hoelder_bounds,
     _linf_root_bounds,
     _random_starts,
 )
@@ -187,7 +188,7 @@ def test_alternating_rank_one_p2():
     T = _tensor(np.ones((2, 2)))
     est = alternating_max(T, 2.0, restarts=8, seed=2)
     assert est.lower == pytest.approx(2.0, rel=1e-10)
-    assert est.upper == 4.0  # crude coefficient mass, loose here
+    assert est.upper == 2.0  # the Hoelder bound ||coeff||_2, exact on a rank-one tensor
 
 
 def test_rank_one_closed_form_oracle():
@@ -373,6 +374,103 @@ def test_crude_upper_examples():
     assert crude_upper(generate("sparse_unit", 2, 3, REAL, 2)) == 1.0
     assert crude_upper(_tensor(np.eye(2))) == 2.0
     assert crude_upper(_tensor(np.ones((2, 2)))) == 4.0
+    # the Hoelder bound ||coeff||_{p'}: ones(2, 2) = (1, 1) (x) (1, 1) has
+    # norm ||(1, 1)||_{p'}^2 = 2^(2/p'), e.g. 2 at p = 2
+    assert crude_upper(_tensor(np.ones((2, 2))), 2.0) == 2.0
+    assert crude_upper(_tensor(np.eye(2)), 1.0) == 1.0
+    with pytest.raises(DomainError):
+        crude_upper(_tensor(np.eye(2)), 0.5)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_crude_upper_mass_and_max_at_the_ends(field):
+    # p = inf (the default) is the coefficient mass bit for bit, p = 1 the
+    # largest coefficient: the norm on l_1, where the ball's extreme points
+    # are the basis vectors
+    rng = np.random.default_rng(5)
+    for m, n in [(2, 2), (2, 5), (3, 3), (4, 2)]:
+        T = generate("gaussian", m, n, field, int(rng.integers(2**32)))
+        mass = float(np.abs(T.coeffs).sum())
+        assert crude_upper(T) == crude_upper(T, math.inf) == mass
+        assert crude_upper(T, 1.0) == float(np.abs(T.coeffs).max())
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0, 8.0])
+def test_crude_upper_is_exact_on_rank_one_tensors(field, p):
+    # ||a_1 (x) ... (x) a_m|| = prod ||a_i||_{p'}, and so is the coefficient
+    # tensor's l_{p'} norm
+    rng = np.random.default_rng(int(10 * p))
+    for m, n in [(2, 3), (3, 2), (3, 4)]:
+        factors = [rng.standard_normal(n) for _ in range(m)]
+        if field is COMPLEX:
+            factors = [a + 1j * rng.standard_normal(n) for a in factors]
+        coeffs = factors[0]
+        for a in factors[1:]:
+            coeffs = np.multiply.outer(coeffs, a)
+        T = _tensor(coeffs, field)
+        expected = math.prod(dual_norm_linear(a, p)[0] for a in factors)
+        assert crude_upper(T, p) == pytest.approx(expected, rel=1e-13)
+        est = alternating_max(T, p, restarts=4, seed=m)
+        assert est.lower == pytest.approx(est.upper, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0, math.inf])
+@pytest.mark.parametrize("k", [-600, 600])
+def test_crude_upper_scales_by_powers_of_two_bit_for_bit(p, k):
+    rng = np.random.default_rng(k + 3000)
+    for field in (REAL, COMPLEX):
+        T = generate("gaussian", 3, 3, field, int(rng.integers(2**32)))
+        scaled = FormTensor(m=3, n=3, field=field, coeffs=math.ldexp(1.0, k) * T.coeffs)
+        assert crude_upper(scaled, p) == math.ldexp(crude_upper(T, p), k)
+    unit = generate("sparse_unit", 3, 3, REAL, 1)
+    assert crude_upper(unit, p) == 1.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0, math.inf])
+def test_stacked_dual_norms_are_crude_upper_bit_for_bit(p):
+    # one call over a stack gives every tensor the bound it gets alone, and
+    # the ascent caps and reports that bound
+    rng = np.random.default_rng(17)
+    for field in (REAL, COMPLEX):
+        tensors = [generate("gaussian", 3, 3, field, int(rng.integers(2**32))) for _ in range(33)]
+        tensors.append(_tensor(np.zeros((3, 3, 3)), field))
+        values = _hoelder_bounds(np.stack([T.coeffs for T in tensors]), p)
+        assert values.tolist() == [crude_upper(T, p) for T in tensors]
+        if p > 1.0:
+            seeds = list(range(len(tensors)))
+            estimates = _alternating_max_batch(tensors, p, 2, 50, 1e-10, seeds)
+            assert [est.upper for est in estimates] == values.tolist()
+
+
+def test_crude_upper_of_a_modulus_past_the_largest_float():
+    # finite parts, |z| about 2.1e308: the bound overflows to inf at every p
+    # (the norm is at least |z|) without a NaN from inf / inf
+    T = _tensor(np.full((2, 2), 1.5e308 + 1.5e308j), COMPLEX)
+    for p in (1.0, 1.5, 4.0, math.inf):
+        assert crude_upper(T, p) == math.inf
+
+
+@given(
+    shape=st.sampled_from([(2, 2), (2, 4), (3, 2), (3, 3)]),
+    field=st.sampled_from([REAL, COMPLEX]),
+    p=st.sampled_from([1.5, 2.0, 4.0, 8.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_hoelder_bound_holds_the_ascent_and_is_below_the_mass(shape, field, p, seed):
+    # ascent lower <= ||coeff||_{p'} <= mass; the ascent's lower bound is
+    # capped by the bound, so its witness's value is checked too: the bound
+    # must hold every value the form attains on unit vectors
+    m, n = shape
+    T = generate("gaussian", m, n, field, seed)
+    upper = crude_upper(T, p)
+    est = alternating_max(T, p, restarts=4, seed=seed)
+    assert est.upper == upper
+    assert est.lower <= upper * (1.0 + 1e-12) <= crude_upper(T) * (1.0 + 1e-12)
+    for x in est.witness:
+        assert (np.abs(x) ** p).sum() ** (1.0 / p) == pytest.approx(1.0, rel=1e-12)
+    assert abs(evaluate(T, est.witness)) <= upper * (1.0 + 1e-12)
 
 
 def test_alternating_never_exceeds_exact():
