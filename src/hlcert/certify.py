@@ -30,8 +30,8 @@ from .errors import DomainError, ViolationError
 from .exponents import ExponentSet, exponents
 from .norms import (
     _alternating_max_batch,
-    _dual_norms,
     _exact_linf_stack,
+    _hoelder_bounds,
     _magnitudes,
     _overflowed,
     alternating_max,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
@@ -227,21 +227,21 @@ def _score(stack: np.ndarray, exps: ExponentSet) -> Tuple[np.ndarray, np.ndarray
     the outer exponent eta1 >= s >= 2 > p', so lhs / upper <= 1.  A tensor's
     lhs and Hoelder bound do not depend on the stack; its l_inf value can
     differ in the last bit with the stack's width (m = 2, n >= 9), so
-    `certify` scores each real p = inf trial as a stack of one.  The
-    magnitudes |stack| and each tensor's largest one are taken once
-    (`_magnitudes`) and feed the finiteness check, the mixed norms and the
-    bound.  Coefficients must be finite (DomainError, as for `FormTensor`).
+    `certify` scores each trial as a stack of one.  The magnitudes |stack|
+    and each tensor's largest one are taken once (`_magnitudes`) and feed
+    the finiteness check, the mixed norms and the bound.  Coefficients must
+    be finite (DomainError, as for `FormTensor`).
     A complex entry with finite parts whose modulus passes the largest float
     gives its tensor lhs = upper = inf (both are at least that modulus),
     which `_classify` refuses; the other tensors score as without it.
     """
     mags, top, over = _magnitudes(stack)
     lhs = _mixed_norms_of_magnitudes(mags, top, stack.shape, exps.s, exps.eta1).max(axis=1)
-    if _exact_bound(exps):
+    if _exact_bound(exps):   # real, so no row overflowed
         upper = _exact_linf_stack(stack)[0]
     else:
-        upper = _dual_norms(mags, top, exps.p)[0]
-    return _overflowed(lhs, over), _overflowed(upper, over)
+        upper = _hoelder_bounds(mags, top, over, exps.p)
+    return _overflowed(lhs, over), upper
 
 
 def _ratio(lhs: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -266,16 +266,13 @@ def _run_batch(args) -> List[TrialResult]:
         generate(kind, exps.m, n, exps.field, gen_ss)
         for kind, (gen_ss, _, _) in zip(kinds, spawned)
     ]
-    # a row must not depend on its batch or on jobs: the stacked l_inf
-    # enumeration can round by width, so it scores one stack per trial,
-    # while every row of a Hoelder stack is its own
+    # one stack per trial, so that a row does not depend on its batch or on jobs
+    scores = [_score(T.coeffs[None], exps) for T in tensors]
+    lhs = np.concatenate([score[0] for score in scores])
+    upper = np.concatenate([score[1] for score in scores])
     if _exact_bound(exps):
-        scores = [_score(T.coeffs[None], exps) for T in tensors]
-        lhs = np.concatenate([score[0] for score in scores])
-        upper = np.concatenate([score[1] for score in scores])
         lower = upper.copy()
     else:
-        lhs, upper = _score(np.stack([T.coeffs for T in tensors]), exps)
         estimates = _alternating_max_batch(
             tensors, exps.p, cfg.restarts, cfg.max_iters, cfg.tol,
             [norm_ss for _, norm_ss, _ in spawned],
@@ -345,9 +342,7 @@ def certify(
     1.0 for a zero lhs (inf otherwise).  Inconclusive trials are retried
     once with 4x restarts.
 
-    Trials run in batches of consecutive indices: a batch's tensors are
-    scored as one `_score` stack (one stack per trial at real p = inf,
-    whose stacked enumeration can round by width), the restarts of every
+    Trials run in batches of consecutive indices: the restarts of every
     trial in a batch ascend together as one `_ascend` stack, and the
     batch's inconclusive trials are retried as one more.  A batch holds as
     many trials as keep restarts * n^m <= 2^16 coefficients gathered per

@@ -193,9 +193,10 @@ def _overflowed(values: np.ndarray, over: Optional[np.ndarray]) -> np.ndarray:
     return values if over is None else np.where(over, math.inf, values)
 
 
-def _hoelder_bounds(stack: np.ndarray, p: float) -> np.ndarray:
-    """`crude_upper(T, p)` of every tensor T of a stack (K,) + (n,)*m, as a (K,) array."""
-    mags, top, over = _magnitudes(stack)
+def _hoelder_bounds(
+    mags: np.ndarray, top: np.ndarray, over: Optional[np.ndarray], p: float
+) -> np.ndarray:
+    """`crude_upper(T, p)` of every tensor T of a stack, from its `_magnitudes` (mags, top, over)."""
     return _overflowed(_dual_norms(mags, top, p)[0], over)
 
 
@@ -211,7 +212,7 @@ def crude_upper(T: FormTensor, p: float = math.inf) -> float:
     """
     if p < 1.0:
         raise DomainError(f"p must be >= 1 or inf, got {p}")
-    return float(_hoelder_bounds(T.coeffs[None], p)[0])
+    return float(_hoelder_bounds(*_magnitudes(T.coeffs[None]), p)[0])
 
 
 def _random_starts(
@@ -366,7 +367,7 @@ def _alternating_max_batch(
     stack = np.stack([T.coeffs for T in tensors])
     vectors = [np.concatenate([s[k] for s in starts]) for k in range(first.m)]
     values, vectors, converged = _ascend(stack, vectors, p, max_iters, tol)
-    uppers = _hoelder_bounds(stack, p)
+    uppers = _hoelder_bounds(*_magnitudes(stack), p)
     estimates = []
     for b in range(len(tensors)):
         # the best restart (the first attaining the max), capped by the bound
