@@ -29,11 +29,10 @@ from .chaos import _check_seed
 from .errors import DomainError, ViolationError
 from .exponents import ExponentSet, exponents
 from .norms import (
-    _alternating_max_batch,
+    _best_restarts,
+    _check_ascent_settings,
     _exact_linf_stack,
     _hoelder_bounds,
-    _magnitudes,
-    _overflowed,
     alternating_max,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
     crude_upper,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
     exact_linf_enum,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
@@ -41,7 +40,9 @@ from .norms import (
 from .special import ScalarField
 from .tensor import (
     FormTensor,
+    _magnitudes,
     _mixed_norms_of_magnitudes,
+    _overflowed,
     generate,
     mixed_norm,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
 )
@@ -85,12 +86,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if not self.kinds:
             raise DomainError("kinds must name at least one generator kind")
-        if self.restarts < 1:
-            raise DomainError("restarts must be >= 1")
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be >= 1")
-        if not self.tol >= 0.0:   # written so that NaN fails too
-            raise DomainError(f"tol must be >= 0, got {self.tol!r}")
+        _check_ascent_settings(self.restarts, self.max_iters, self.tol)
         if self.jobs < 1:
             raise DomainError("jobs must be >= 1")
 
@@ -262,37 +258,35 @@ def _run_batch(args) -> List[TrialResult]:
     streams = [np.random.SeedSequence([seed, t]) for t in trials]
     spawned = [ss.spawn(3) for ss in streams]        # generate, norm, retry
     kinds = [cfg.kinds[t % len(cfg.kinds)] for t in trials]
-    tensors = [
-        generate(kind, exps.m, n, exps.field, gen_ss)
+    stack = np.stack([
+        generate(kind, exps.m, n, exps.field, gen_ss).coeffs
         for kind, (gen_ss, _, _) in zip(kinds, spawned)
-    ]
+    ])
     # one stack per trial, so that a row does not depend on its batch or on jobs
-    scores = [_score(T.coeffs[None], exps) for T in tensors]
-    lhs = np.concatenate([score[0] for score in scores])
-    upper = np.concatenate([score[1] for score in scores])
+    scores = [_score(stack[b : b + 1], exps) for b in range(len(stack))]
+    lhs, upper = np.concatenate(scores, axis=1)
     if _exact_bound(exps):
         lower = upper.copy()
     else:
-        estimates = _alternating_max_batch(
-            tensors, exps.p, cfg.restarts, cfg.max_iters, cfg.tol,
+        lower = _best_restarts(
+            stack, upper, exps.p, cfg.restarts, cfg.max_iters, cfg.tol,
             [norm_ss for _, norm_ss, _ in spawned],
-        )
-        lower = np.array([est.lower for est in estimates])
+        )[0]
     classes = [
-        _classify(lhs[b], C * lower[b], C * upper[b], RATIO_TOL) for b in range(len(tensors))
+        _classify(lhs[b], C * lower[b], C * upper[b], RATIO_TOL) for b in range(len(stack))
     ]
 
-    retried = [False] * len(tensors)
+    retried = [False] * len(stack)
     redo = [b for b, c in enumerate(classes) if c == "inconclusive"]
     per_batch = _batch_trials(4 * cfg.restarts, n, exps.m)
     for i in range(0, len(redo), per_batch):
         part = redo[i : i + per_batch]
-        retries = _alternating_max_batch(
-            [tensors[b] for b in part], exps.p, 4 * cfg.restarts, cfg.max_iters, cfg.tol,
+        retries = _best_restarts(
+            stack[part], upper[part], exps.p, 4 * cfg.restarts, cfg.max_iters, cfg.tol,
             [spawned[b][2] for b in part],
-        )
+        )[0]
         for b, retry in zip(part, retries):
-            lower[b] = max(lower[b], retry.lower)
+            lower[b] = max(lower[b], retry)
             classes[b] = _classify(lhs[b], C * lower[b], C * upper[b], RATIO_TOL)
             retried[b] = True
 
@@ -611,6 +605,8 @@ def sweep_lambda0(
     certification run and reports its conservative max ratio.
     """
     seed = _check_seed(seed)
+    if trials < 0:
+        raise DomainError(f"trials must be >= 0, got {trials}")
     rows: List[SweepRow] = []
     for lam in grid:
         exp = exponents(m, p, lam, field, strict=False)

@@ -23,6 +23,8 @@ from .special import ScalarField
 from .tensor import (
     _SIGNS,
     FormTensor,
+    _magnitudes,
+    _overflowed,
     _unit_roots,
     _vertex_rows,
     _vertex_slices,
@@ -107,7 +109,7 @@ def dual_norm_linear(c: np.ndarray, p: float) -> Tuple[Union[float, np.ndarray],
     (p'-1) p = p', |x|^p = r^(p'-1) * r = r^p', so the one power r^(p'-1)
     gives both the value's sum S = sum r^p' and the witness's norm S^(1/p).
     """
-    if p < 1.0:
+    if not p >= 1.0:   # written so that NaN fails too
         raise DomainError(f"p must be >= 1 or inf, got {p}")
     c = np.asarray(c)
     single = c.ndim == 1
@@ -166,33 +168,6 @@ def _dual_norms(
     return top * total ** (1.0 / pp), weight, total
 
 
-def _magnitudes(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """|stack| of a stack (K,) + (n,)*m as (K, n^m), its row maxima, and the overflowed rows.
-
-    A complex entry with finite parts can have |z| above the largest float.
-    Every norm and bound of its tensor is at least |z|, so each is inf in
-    floating point: such a tensor's row is returned as zeros, and the third
-    value is the boolean mask of these rows (None when there is none, the
-    common path), for `_overflowed` to set their results to inf.  The other
-    rows do not depend on them.  Non-finite coefficients raise DomainError.
-    """
-    mags = np.abs(stack).reshape(len(stack), -1)
-    top = mags.max(axis=1)
-    if np.isfinite(top).all():
-        return mags, top, None
-    if not np.isfinite(stack).all():
-        raise DomainError("coefficients must all be finite")
-    over = ~np.isfinite(top)
-    mags[over] = 0.0
-    top[over] = 0.0
-    return mags, top, over
-
-
-def _overflowed(values: np.ndarray, over: Optional[np.ndarray]) -> np.ndarray:
-    """values, one per tensor, with inf at the rows `_magnitudes` found overflowed."""
-    return values if over is None else np.where(over, math.inf, values)
-
-
 def _hoelder_bounds(
     mags: np.ndarray, top: np.ndarray, over: Optional[np.ndarray], p: float
 ) -> np.ndarray:
@@ -210,7 +185,7 @@ def crude_upper(T: FormTensor, p: float = math.inf) -> float:
     the largest |coeff[J]|.  The one-tensor case of `_hoelder_bounds`, the
     bound `certify` and `search_extremal` score with.
     """
-    if p < 1.0:
+    if not p >= 1.0:   # written so that NaN fails too
         raise DomainError(f"p must be >= 1 or inf, got {p}")
     return float(_hoelder_bounds(*_magnitudes(T.coeffs[None]), p)[0])
 
@@ -276,14 +251,12 @@ def _ascend(
     # slot k contracts the other slots from the last one down, as one stack
     # of matrix-vector products per slot: row r's arithmetic is the same
     # whatever the other rows hold, so a row's result does not depend on
-    # the batch it runs in.  Only the first product reads the tensor: with
-    # B > 1 each row gathers its own tensor's matrix for it, and with B = 1
-    # the one matrix broadcasts over the rows.
+    # the batch it runs in.  Only the first product reads the tensor: each
+    # row gathers its own tensor's matrix for it.
     plans = []
     for k in range(m):
         others = [i for i in range(m - 1, -1, -1) if i != k]
-        matrix = np.moveaxis(stack, 1 + k, 1).reshape(B, -1, n)
-        plans.append((others, matrix if B > 1 else matrix[0]))
+        plans.append((others, np.moveaxis(stack, 1 + k, 1).reshape(B, -1, n)))
     owner = np.repeat(np.arange(B), R // B)   # the tensor of each active row
     out = [np.array(v) for v in vectors]
     current = list(out)
@@ -293,9 +266,7 @@ def _ascend(
     active = np.arange(R)
     for _ in range(max_iters):
         for k, (others, matrix) in enumerate(plans):
-            if B > 1:
-                matrix = matrix[owner]
-            acc = np.matmul(matrix, current[others[0]][:, :, None])[..., 0]
+            acc = np.matmul(matrix[owner], current[others[0]][:, :, None])[..., 0]
             for i in others[1:]:
                 acc = np.matmul(acc.reshape(len(acc), -1, n), current[i][:, :, None])[..., 0]
             value, current[k] = dual_norm_linear(acc, p)
@@ -332,56 +303,58 @@ def alternating_max(
     which also caps the lower one against rounding.  The restarts' unit
     starting tuples come from one stream of `seed` (`_random_starts`) and
     ascend together as one batch; the result is their max (the first
-    restart attaining it), so it is deterministic.  This is the one-tensor
-    case of the batch that `certify` runs over many trials at once
-    (`_alternating_max_batch`): every restart gives the same value bit for
-    bit in either.  Needs m >= 2 (a form with m = 1 is a linear functional,
-    whose norm `dual_norm_linear` gives exactly).
+    restart attaining it), so it is deterministic.  The one-tensor case of
+    `_best_restarts`, which `certify` runs over many trials at once.  Needs
+    m >= 2 (for m = 1, `dual_norm_linear` is exact), p > 1 and the settings
+    `TrialConfig` accepts.
     """
-    return _alternating_max_batch([T], p, restarts, max_iters, tol, [seed])[0]
-
-
-def _alternating_max_batch(
-    tensors: Sequence[FormTensor],
-    p: float,
-    restarts: int,
-    max_iters: int,
-    tol: float,
-    seeds: Sequence,
-) -> List[NormEstimate]:
-    """`alternating_max(tensors[b], ..., seed=seeds[b])` for every b, as one ascent.
-
-    The tensors share (m, n, field).  Their restarts run as the rows of one
-    `_ascend` batch, trial-major, and each row's arithmetic does not depend
-    on the batch, so every estimate is the same whatever the batch holds.
-    """
-    first = tensors[0]
-    if first.m < 2:
+    if T.m < 2:
         raise DomainError("need an m-linear form with m >= 2")
-    if not (p > 1.0):
+    if not p > 1.0:
         raise DomainError(f"alternating_max needs p > 1 (or inf), got {p}")
+    _check_ascent_settings(restarts, max_iters, tol)
+    upper = crude_upper(T, p)
+    lower, witness, converged = _best_restarts(
+        T.coeffs[None], [upper], p, restarts, max_iters, tol, [seed]
+    )
+    return NormEstimate(
+        lower=float(lower[0]),
+        upper=upper,
+        method=NormMethod.ALTERNATING_MAX,
+        restarts=restarts,
+        converged=bool(converged[0]),
+        witness=tuple(v[0] for v in witness),
+    )
+
+
+def _check_ascent_settings(restarts: int, max_iters: int, tol: float) -> None:
+    """DomainError unless restarts >= 1, max_iters >= 1 and tol >= 0 (NaN fails)."""
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
-    cx = first.field is ScalarField.COMPLEX
-    starts = [_random_starts(seed, restarts, first.m, first.n, p, cx) for seed in seeds]
-    stack = np.stack([T.coeffs for T in tensors])
-    vectors = [np.concatenate([s[k] for s in starts]) for k in range(first.m)]
+    if max_iters < 1:
+        raise DomainError("max_iters must be >= 1")
+    if not tol >= 0.0:   # written so that NaN fails too
+        raise DomainError(f"tol must be >= 0, got {tol!r}")
+
+
+def _best_restarts(
+    stack: np.ndarray, caps, p: float, restarts: int, max_iters: int, tol: float, seeds: Sequence
+) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
+    """The best restart of every tensor of a stack (B,) + (n,)*m, as arrays; unchecked settings.
+
+    Tensor b's restarts start from `_random_starts(seeds[b], ...)` and ascend
+    as rows of one `_ascend` batch, whose rows do not depend on each other.
+    Returns (lower, witness, converged): tensor b's best restart (the first
+    attaining its max) gives lower[b], capped by caps[b] against rounding,
+    witness[k][b] in slot k and converged[b].
+    """
+    B, m, n = stack.shape[0], stack.ndim - 1, stack.shape[1]
+    starts = [_random_starts(seed, restarts, m, n, p, np.iscomplexobj(stack)) for seed in seeds]
+    vectors = [np.concatenate([s[k] for s in starts]) for k in range(m)]
     values, vectors, converged = _ascend(stack, vectors, p, max_iters, tol)
-    uppers = _hoelder_bounds(*_magnitudes(stack), p)
-    estimates = []
-    for b in range(len(tensors)):
-        # the best restart (the first attaining the max), capped by the bound
-        upper = float(uppers[b])
-        best = b * restarts + int(np.argmax(values[b * restarts : (b + 1) * restarts]))
-        estimates.append(NormEstimate(
-            lower=min(float(values[best]), upper),
-            upper=upper,
-            method=NormMethod.ALTERNATING_MAX,
-            restarts=restarts,
-            converged=bool(converged[best]),
-            witness=tuple(v[best] for v in vectors),
-        ))
-    return estimates
+    best = np.arange(B) * restarts + values.reshape(B, restarts).argmax(axis=1)
+    lower = np.minimum(values[best], caps)
+    return lower, [v[best] for v in vectors], converged[best]
 
 
 def exact_linf_enum(T: FormTensor) -> NormEstimate:

@@ -3,10 +3,11 @@
 A form T on the n-dimensional l_p space (m arguments) is stored as the dense
 array coeff[j1, ..., jm] = T(e_j1, ..., e_jm), row-major with j1 slowest.
 Desk scale: n <= 32, m <= 4 keeps n^m small, so everything is plain numpy.
-The mixed norms have one kernel, `_mixed_norms_stack`, over a stack of
-tensors; `mixed_norm` and `mixed_norms` are its one-tensor case.  It works on
-each tensor divided by the power of two nearest its largest magnitude, the
-scaling rule the chaos checks share (`_unit_scaled`).
+A stack's magnitudes are taken one way, `_magnitudes` (with `_overflowed`
+for a complex modulus past the largest float), and the mixed norms have one
+kernel over them, `_mixed_norms_of_magnitudes`, with `mixed_norm(s)` its
+one-tensor case.  The kernel divides each tensor by the power of two nearest
+its largest magnitude, the scaling rule the chaos checks share (`_unit_scaled`).
 
 This module also hosts the vertex enumeration shared by the exact norms
 and the chaos-moment code.  `_vertex_slices` is the one enumeration core:
@@ -33,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,12 +129,44 @@ def mixed_norm(T: FormTensor, fixed_index: int, s: float, alpha: float) -> float
 
 
 def mixed_norms(T: FormTensor, s: float, alpha: float) -> List[float]:
-    """[mixed_norm(T, i, s, alpha) for i = 1..m]: the one-tensor case of `_mixed_norms_stack`."""
-    return _mixed_norms_stack(T.coeffs[None], s, alpha)[0].tolist()
+    """[mixed_norm(T, i, s, alpha) for i = 1..m]: the one-tensor case of the kernel."""
+    stack = T.coeffs[None]
+    mags, top, over = _magnitudes(stack)
+    norms = _mixed_norms_of_magnitudes(mags, top, stack.shape, s, alpha)[0]
+    return _overflowed(norms, over).tolist()   # over, if any, is (1,): it covers all m norms
 
 
-def _mixed_norms_stack(stack: np.ndarray, s: float, alpha: float) -> np.ndarray:
-    """Mixed norms of every tensor of a stack (K,) + (n,)*m, as a (K, m) array.
+def _magnitudes(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """|stack| of a stack (K,) + (n,)*m as (K, n^m), its row maxima, and the overflowed rows.
+
+    A complex entry with finite parts can have |z| above the largest float.
+    Every norm and bound of its tensor is at least |z|, so each is inf in
+    floating point: such a tensor's row is returned as zeros, and the third
+    value is the boolean mask of these rows (None when there is none, the
+    common path), for `_overflowed` to set their results to inf.  The other
+    rows do not depend on them.  Non-finite coefficients raise DomainError.
+    """
+    mags = np.abs(stack).reshape(len(stack), -1)
+    top = mags.max(axis=1)
+    if np.isfinite(top).all():
+        return mags, top, None
+    if not np.isfinite(stack).all():
+        raise DomainError("coefficients must all be finite")
+    over = ~np.isfinite(top)
+    mags[over] = 0.0
+    top[over] = 0.0
+    return mags, top, over
+
+
+def _overflowed(values: np.ndarray, over: Optional[np.ndarray]) -> np.ndarray:
+    """values, one per tensor, with inf at the rows `_magnitudes` found overflowed."""
+    return values if over is None else np.where(over, math.inf, values)
+
+
+def _mixed_norms_of_magnitudes(
+    mags: np.ndarray, top: np.ndarray, shape: Tuple[int, ...], s: float, alpha: float
+) -> np.ndarray:
+    """Mixed norms of a stack of `shape` (K,) + (n,)*m from its `_magnitudes`, as (K, m).
 
     Row k, column i is `mixed_norm` of stack[k] at fixed index i + 1.  Each
     tensor is divided by the power of two nearest its largest magnitude (an
@@ -147,14 +180,6 @@ def _mixed_norms_stack(stack: np.ndarray, s: float, alpha: float) -> np.ndarray:
     sums of all m axes then go through one chain of powers and one outer
     sum, which rounds as a chain per axis does.
     """
-    mags = np.abs(stack).reshape(len(stack), -1)
-    return _mixed_norms_of_magnitudes(mags, mags.max(axis=1), stack.shape, s, alpha)
-
-
-def _mixed_norms_of_magnitudes(
-    mags: np.ndarray, top: np.ndarray, shape: Tuple[int, ...], s: float, alpha: float
-) -> np.ndarray:
-    """`_mixed_norms_stack` of a stack of `shape`, given |stack| as (K, n^m) and its row maxima."""
     if not (1.0 <= s < math.inf and 1.0 <= alpha < math.inf):
         raise DomainError("mixed-norm exponents must be finite and >= 1")
     K, m, n = shape[0], len(shape) - 1, shape[1]

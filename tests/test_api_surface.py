@@ -9,8 +9,13 @@ patch instead.
 
 import dataclasses
 import inspect
+import math
+
+import numpy as np
+import pytest
 
 import hlcert
+from hlcert import DomainError, ScalarField, TrialConfig, generate
 from hlcert import tensor as tensor_module
 
 PUBLIC_PARAMETERS = {
@@ -73,3 +78,52 @@ def test_enumeration_core_takes_the_pinned_parameters():
 def test_trial_config_has_the_pinned_fields():
     fields = tuple(f.name for f in dataclasses.fields(hlcert.TrialConfig))
     assert fields == TRIAL_CONFIG_FIELDS
+
+
+# a valid call of every public entry point, small enough to run in the suite
+_T = generate("gaussian", 3, 2, ScalarField.REAL, 1)
+VALID_CALLS = {
+    "alternating_max": dict(T=_T, p=4.0, restarts=2, max_iters=5, tol=1e-10, seed=1),
+    "certify": dict(m=3, n=2, p=4.0, lambda0=1.0, config=TrialConfig(trials=1, restarts=2), seed=1),
+    "check_contraction": dict(a=[1.0, 2.0], t=3.0),
+    "check_khinchin": dict(a=[1.0, 2.0], q=1.5, samples=100, seed=1),
+    "check_multiple_khinchin": dict(T=_T, lambda0=1.0),
+    "classical_exponents": dict(m=3, p=4.0),
+    "crude_upper": dict(T=_T, p=4.0),
+    "dual_norm_linear": dict(c=np.array([1.0, 2.0]), p=4.0),
+    "evaluate": dict(T=_T, vectors=[np.ones(2)] * 3),
+    "exact_linf_enum": dict(T=_T),
+    "exponents": dict(m=3, p=4.0, lambda0=1.0),
+    "gamma": dict(x=2.5),
+    "generate": dict(kind="gaussian", m=3, n=2, field=ScalarField.REAL, seed=1),
+    "khinchin_A": dict(q=1.5, field=ScalarField.REAL),
+    "mixed_norm": dict(T=_T, fixed_index=1, s=2.0, alpha=3.0),
+    "rademacher_moment": dict(a=[1.0, 2.0], q=3.0),
+    "region": dict(m=3, lambda0=1.0),
+    "search_extremal": dict(m=3, n=2, p=4.0, lambda0=1.0, budget=2, seed=1),
+    "steinhaus_moment": dict(a=[1.0, 2.0], q=3.0, samples=100, seed=1),
+    "sweep_lambda0": dict(m=3, p=4.0, n=2, grid=(1.0,), trials=1, seed=1),
+    "tensor_from_json": dict(text=hlcert.tensor_to_json(_T)),
+    "tensor_to_json": dict(T=_T),
+    "transfer": dict(tp=hlcert.TransferProblem([4.0] * 3, [math.inf] * 3, lambda0=1.0, s=2.0)),
+    "verify_proof_chain": dict(S=_T, lambda0=1.5, s=2.5, mc_samples=100, seed=1),
+}
+
+FLOAT_PARAMETERS = [
+    (name, param)
+    for name in PUBLIC_PARAMETERS
+    for param, spec in inspect.signature(getattr(hlcert, name)).parameters.items()
+    if spec.annotation in ("float", float)
+]
+
+
+@pytest.mark.parametrize("name", sorted(VALID_CALLS))
+def test_the_valid_calls_run(name):
+    getattr(hlcert, name)(**VALID_CALLS[name])
+
+
+@pytest.mark.parametrize("name, param", FLOAT_PARAMETERS)
+def test_a_nan_float_parameter_raises_domain_error(name, param):
+    # a NaN must never turn into a silent NaN result or a vacuous verdict
+    with pytest.raises(DomainError):
+        getattr(hlcert, name)(**{**VALID_CALLS[name], param: math.nan})

@@ -376,6 +376,17 @@ def test_search_negative_budget_is_usage_error(capsys):
     assert err.startswith("error: budget must be >= 0")
 
 
+def test_sweep_negative_trials_is_usage_error(capsys):
+    # used to exit 0 and print the table with no certification
+    code, out, err = run(
+        capsys, "sweep", "--m", "3", "--p", "4", "--grid", "1,1.2", "--trials", "-3",
+        "--seed", "1",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: trials must be >= 0")
+
+
 def test_hlcert_jobs_zero_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("HLCERT_JOBS", "0")
     for argv in (

@@ -14,6 +14,7 @@ from hlcert import (
     FormTensor,
     NormMethod,
     ScalarField,
+    TrialConfig,
     alternating_max,
     crude_upper,
     dual_norm_linear,
@@ -25,15 +26,14 @@ from hlcert import (
 from hlcert import tensor as tensor_module
 from hlcert.norms import (
     UNIT_ROOTS,
-    _alternating_max_batch,
     _ascend,
+    _best_restarts,
     _exact_linf_stack,
     _hoelder_bounds,
     _linf_root_bounds,
-    _magnitudes,
     _random_starts,
 )
-from hlcert.tensor import _SIGNS, _unit_roots
+from hlcert.tensor import _SIGNS, _magnitudes, _unit_roots
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
@@ -166,6 +166,20 @@ def test_subnormal_complex_entries_give_finite_bounds():
     chain = verify_proof_chain(T, 1.5, 2.0, mc_samples=2_000, seed=3)
     assert chain.passed and math.isfinite(chain.norm_lower)
     assert chain.norm_lower <= chain.norm_upper
+
+
+@pytest.mark.parametrize("setting", [
+    {"restarts": 0}, {"max_iters": 0}, {"max_iters": -1}, {"tol": math.nan}, {"tol": -1e-10},
+])
+def test_alternating_max_rejects_what_trial_config_rejects(setting):
+    # max_iters <= 0 used to return lower = 0.0 (a vacuous bound) and a NaN
+    # or negative tol was accepted; the message is TrialConfig's
+    T = generate("gaussian", 3, 2, REAL, 1)
+    with pytest.raises(DomainError) as from_config:
+        TrialConfig(**setting)
+    with pytest.raises(DomainError) as from_ascent:
+        alternating_max(T, 4.0, seed=1, **setting)
+    assert str(from_ascent.value) == str(from_config.value)
 
 
 def test_alternating_sparse_unit_exact():
@@ -315,17 +329,22 @@ def test_batched_ascent_matches_single_tensor_calls(m, n, field, p):
 
 
 def test_batch_entry_matches_alternating_max():
+    # every tensor of a stack gets the best restart, capped lower bound and
+    # convergence flag that alternating_max gives it alone, bit for bit
     rng = np.random.default_rng(67)
     for field in (REAL, COMPLEX):
         for p in (4.0, math.inf):
             tensors = [generate("gaussian", 3, 3, field, int(rng.integers(2**32))) for _ in range(4)]
             seeds = [np.random.SeedSequence([9, b]) for b in range(4)]
-            batch = _alternating_max_batch(tensors, p, 6, 500, 1e-10, seeds)
-            for T, seed, est in zip(tensors, seeds, batch):
+            caps = [crude_upper(T, p) for T in tensors]
+            stack = np.stack([T.coeffs for T in tensors])
+            lower, witness, converged = _best_restarts(stack, caps, p, 6, 500, 1e-10, seeds)
+            for b, (T, seed) in enumerate(zip(tensors, seeds)):
                 single = alternating_max(T, p, restarts=6, seed=seed)
-                assert est.to_jsonable() == single.to_jsonable()
-                for a, b in zip(est.witness, single.witness):
-                    assert np.array_equal(a, b)
+                assert lower[b].tobytes() == np.float64(single.lower).tobytes()
+                assert converged[b] == single.converged
+                for k in range(3):
+                    assert np.array_equal(witness[k][b], single.witness[k])
 
 
 def test_monotone_ascent_trace():
@@ -439,9 +458,9 @@ def test_stacked_dual_norms_are_crude_upper_bit_for_bit(p):
         values = _hoelder_bounds(*_magnitudes(np.stack([T.coeffs for T in tensors])), p)
         assert values.tolist() == [crude_upper(T, p) for T in tensors]
         if p > 1.0:
-            seeds = list(range(len(tensors)))
-            estimates = _alternating_max_batch(tensors, p, 2, 50, 1e-10, seeds)
-            assert [est.upper for est in estimates] == values.tolist()
+            assert [alternating_max(T, p, 2, 50, seed=1).upper for T in tensors] == (
+                values.tolist()
+            )
 
 
 def test_crude_upper_of_a_modulus_past_the_largest_float():
