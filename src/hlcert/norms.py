@@ -251,12 +251,14 @@ def _ascend(
     # slot k contracts the other slots from the last one down, as one stack
     # of matrix-vector products per slot: row r's arithmetic is the same
     # whatever the other rows hold, so a row's result does not depend on
-    # the batch it runs in.  Only the first product reads the tensor: each
-    # row gathers its own tensor's matrix for it.
+    # the batch it runs in.  Only the first product reads the tensor: with
+    # B > 1 each row gathers its own tensor's matrix for it, and with B = 1
+    # the one matrix broadcasts over the rows, read in place.
     plans = []
     for k in range(m):
         others = [i for i in range(m - 1, -1, -1) if i != k]
-        plans.append((others, np.moveaxis(stack, 1 + k, 1).reshape(B, -1, n)))
+        matrix = np.moveaxis(stack, 1 + k, 1).reshape(B, -1, n)
+        plans.append((others, matrix if B > 1 else matrix[0]))
     owner = np.repeat(np.arange(B), R // B)   # the tensor of each active row
     out = [np.array(v) for v in vectors]
     current = list(out)
@@ -266,7 +268,9 @@ def _ascend(
     active = np.arange(R)
     for _ in range(max_iters):
         for k, (others, matrix) in enumerate(plans):
-            acc = np.matmul(matrix[owner], current[others[0]][:, :, None])[..., 0]
+            if B > 1:
+                matrix = matrix[owner]
+            acc = np.matmul(matrix, current[others[0]][:, :, None])[..., 0]
             for i in others[1:]:
                 acc = np.matmul(acc.reshape(len(acc), -1, n), current[i][:, :, None])[..., 0]
             value, current[k] = dual_norm_linear(acc, p)
