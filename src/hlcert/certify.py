@@ -33,6 +33,8 @@ from .norms import (
     _check_ascent_settings,
     _exact_linf_stack,
     _hoelder_bounds,
+    _interpolation_bounds,
+    _root_count,
     alternating_max,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
     crude_upper,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
     exact_linf_enum,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
@@ -225,7 +227,9 @@ def _score(stack: np.ndarray, exps: ExponentSet) -> Tuple[np.ndarray, np.ndarray
     differ in the last bit with the stack's width (m = 2, n >= 9), so
     `certify` scores each trial as a stack of one.  The magnitudes |stack|
     and each tensor's largest one are taken once (`_magnitudes`) and feed
-    the finiteness check, the mixed norms and the bound.  Coefficients must
+    the finiteness check, the mixed norms and the bound.  The search ranks
+    by this bound, as its throughput lives in this pass; `certify`
+    tightens it per trial with `_interpolation_bounds`.  Coefficients must
     be finite (DomainError, as for `FormTensor`).
     A complex entry with finite parts whose modulus passes the largest float
     gives its tensor lhs = upper = inf (both are at least that modulus),
@@ -251,12 +255,21 @@ def _ratio(lhs: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
 
 def _run_batch(args) -> List[TrialResult]:
-    """Trials start..stop-1 of a run: generate, score, one ascent, classify, one retry."""
+    """Trials start..stop-1 of a run: generate, score, bound, one ascent, classify, stage 2.
+
+    At finite p the scorer's Hoelder bound is tightened by
+    `_interpolation_bounds` on the whole batch (stage 1), and the trials
+    still inconclusive after the ascent get the same bound with the l_inf
+    side also capped by the root enumeration at K = `_root_count(m, n)`
+    roots of unity (stage 2, marked `retried`; none when no K fits).
+    """
     exps, n, seed, cfg, start, stop = args
     C = exps.constant
     trials = range(start, stop)
     streams = [np.random.SeedSequence([seed, t]) for t in trials]
-    spawned = [ss.spawn(3) for ss in streams]        # generate, norm, retry
+    # generate, norm, and a third stream that is no longer drawn from; the
+    # spawn count stays 3 so that the first two streams do not move
+    spawned = [ss.spawn(3) for ss in streams]
     kinds = [cfg.kinds[t % len(cfg.kinds)] for t in trials]
     stack = np.stack([
         generate(kind, exps.m, n, exps.field, gen_ss).coeffs
@@ -264,10 +277,11 @@ def _run_batch(args) -> List[TrialResult]:
     ])
     # one stack per trial, so that a row does not depend on its batch or on jobs
     scores = [_score(stack[b : b + 1], exps) for b in range(len(stack))]
-    lhs, upper = np.concatenate(scores, axis=1)
+    lhs, hoelder = np.concatenate(scores, axis=1)
     if _exact_bound(exps):
-        lower = upper.copy()
+        upper, lower = hoelder, hoelder.copy()
     else:
+        upper = _interpolation_bounds(stack, hoelder, exps.p)
         lower = _best_restarts(
             stack, upper, exps.p, cfg.restarts, cfg.max_iters, cfg.tol,
             [norm_ss for _, norm_ss, _ in spawned],
@@ -278,15 +292,11 @@ def _run_batch(args) -> List[TrialResult]:
 
     retried = [False] * len(stack)
     redo = [b for b, c in enumerate(classes) if c == "inconclusive"]
-    per_batch = _batch_trials(4 * cfg.restarts, n, exps.m)
-    for i in range(0, len(redo), per_batch):
-        part = redo[i : i + per_batch]
-        retries = _best_restarts(
-            stack[part], upper[part], exps.p, 4 * cfg.restarts, cfg.max_iters, cfg.tol,
-            [spawned[b][2] for b in part],
-        )[0]
-        for b, retry in zip(part, retries):
-            lower[b] = max(lower[b], retry)
+    roots = _root_count(exps.m, n)
+    if redo and math.isfinite(exps.p) and roots is not None:
+        upper[redo] = _interpolation_bounds(stack[redo], hoelder[redo], exps.p, roots)
+        lower[redo] = np.minimum(lower[redo], upper[redo])
+        for b in redo:
             classes[b] = _classify(lhs[b], C * lower[b], C * upper[b], RATIO_TOL)
             retried[b] = True
 
@@ -329,20 +339,29 @@ def certify(
     norm over the fixed index, upper bounds ||T|| (exact sign enumeration
     for real p = inf, which is also the lower bound; otherwise the Hoelder
     bound `crude_upper(T, p)` = ||coeff||_{p'}, the coefficient mass at
-    p = inf, with an alternating ascent for the lower bound).  `_classify`
-    gives the verdict: a violation when lhs > C * upper * (1 + RATIO_TOL),
-    relative to the bound; the bound's rounding error, about n^m units in
-    the last place, is far inside that tolerance.  A zero bound gives ratio
-    1.0 for a zero lhs (inf otherwise).  Inconclusive trials are retried
-    once with 4x restarts.
+    p = inf, with an alternating ascent for the lower bound).  At finite p
+    the upper bound is then tightened to min(Hoelder, sigma^(2/p) *
+    U^(1-2/p)), the certified interpolation bound of
+    `_interpolation_bounds` (stage 1), which also caps the ascent.
+    `_classify` gives the verdict: a violation when lhs > C * upper * (1 +
+    RATIO_TOL), relative to the bound; the bound's rounding error, about
+    n^m units in the last place, is far inside that tolerance.  A zero
+    bound gives ratio 1.0 for a zero lhs (inf otherwise).  A finite-p trial
+    still inconclusive gets stage 2: the same bound with its l_inf side
+    also capped by the root enumeration at K = `_root_count(m, n)` roots of
+    unity (none past K = 4 at 2^18 patterns), and the row is marked
+    `retried`.  With a right constant no trial is inconclusive, so stage 2
+    does not run.
 
-    Trials run in batches of consecutive indices: the restarts of every
-    trial in a batch ascend together as one `_ascend` stack, and the
-    batch's inconclusive trials are retried as one more.  A batch holds as
+    Trials run in batches of consecutive indices: stage 1 bounds every
+    trial of a batch in one call, the restarts of every trial in a batch
+    ascend together as one `_ascend` stack, and the batch's inconclusive
+    trials get stage 2 in one more call.  A batch holds as
     many trials as keep restarts * n^m <= 2^16 coefficients gathered per
     slot product (at least one trial; fewer when jobs > 1, so that every
-    worker gets a batch).  Each restart's arithmetic does not depend on its
-    batch, so the trial rows are the same for any batching and any jobs.
+    worker gets a batch).  Each restart's arithmetic and each trial's bound
+    do not depend on the batch, so the trial rows are the same for any
+    batching and any jobs.
     A serial run (jobs=1) is fast; jobs > 1 hands whole batches to worker
     processes and is optional.  jobs < 1 raises DomainError.
     """

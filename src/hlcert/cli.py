@@ -43,6 +43,8 @@ EXIT_VIOLATION = 2
 _CSV_HELP = """\
 What --format csv writes:
   verify      : trial,kind,seed,ratio_conservative,ratio_empirical,classification,retried
+                (retried is 1 where a trial left inconclusive got the second
+                upper-bound stage, the root-of-unity l_inf cap)
   sweep       : lambda0,s,eta1,constant,admissible,extrapolated,max_ratio_conservative
   chain-check : the text report (one line per link, then norm_lower,
                 norm_upper, passed and any first_failure)

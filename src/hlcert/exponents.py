@@ -154,9 +154,10 @@ class TransferProblem:
         for k, (pk, qk) in enumerate(zip(self.p_list, self.q_list), start=1):
             if not (1.0 <= pk < qk):
                 raise DomainError(f"need 1 <= p_{k} < q_{k} <= inf, got p={pk}, q={qk}")
-        if self.lambda0 < 1.0:
+        # written so that NaN fails too
+        if not self.lambda0 >= 1.0:
             raise DomainError(f"lambda0 must be >= 1, got {self.lambda0}")
-        if self.s < 1.0:
+        if not self.s >= 1.0:
             raise DomainError(f"s must be >= 1, got {self.s}")
 
     @property

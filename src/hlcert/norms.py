@@ -2,16 +2,20 @@
 
 Lower bounds come with an explicit witness tuple of unit vectors; upper
 bounds are the Hoelder bound ||T|| <= ||coeff||_{p'} (`crude_upper`, valid
-for every p >= 1; the coefficient mass at p = inf) or, on l_inf, the vertex
-enumeration of `hlcert.tensor._vertex_slices` in all slots but the first,
-which is closed in l_1-dual form: exact over the sign vectors for real
-forms (`exact_linf_enum`), and within cos(pi/K)^-(m-1) over the K =
-UNIT_ROOTS roots of unity for complex ones (`_linf_root_bounds`).
+for every p >= 1; the coefficient mass at p = inf), for 2 <= p < inf the
+smaller of it and the interpolation bound sigma^(2/p) * U^(1-2/p) between
+l_2 and l_inf (`_interpolation_bounds`, the upper bound of `certify` and
+`alternating_max`) or, on l_inf, the vertex enumeration of
+`hlcert.tensor._vertex_slices` in all slots but the first, which is closed
+in l_1-dual form: exact over the sign vectors for real forms
+(`exact_linf_enum`), and within cos(pi/K)^-(m-1) over the K-th roots of
+unity for complex ones (`_linf_root_bounds`, K = UNIT_ROOTS by default).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Sequence, Tuple, Union
@@ -24,6 +28,7 @@ from .tensor import (
     _SIGNS,
     FormTensor,
     _magnitudes,
+    _nearest_powers_of_two,
     _overflowed,
     _unit_roots,
     _vertex_rows,
@@ -44,6 +49,11 @@ __all__ = [
 UNIT_ROOTS = 12              # K: complex l_inf slots are enumerated over the K-th roots of unity
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST = 5e-324           # the smallest positive float
+_ROUND_UP = 1.0 + 2.0**-50   # 1 + 8u: above the rounding error of a root, a power or a product
+_UNDERFLOW = 2.0**-1000      # per-coefficient slack for what underflows near magnitude 1
+_ROOT_COUNTS = (12, 8, 6, 4)  # the K that `_root_count` tries, largest first
+_ROOT_PATTERNS = 2**18       # `_root_count`'s cap on K^((n-1)(m-1))
+_MU_MARGIN = 4               # mu of `_interpolation_bounds` is (1 + 4 (n+1) u) times LAPACK's
 
 
 class NormMethod(enum.Enum):
@@ -190,6 +200,96 @@ def crude_upper(T: FormTensor, p: float = math.inf) -> float:
     return float(_hoelder_bounds(*_magnitudes(T.coeffs[None]), p)[0])
 
 
+def _interpolation_bounds(
+    stack: np.ndarray, hoelder, p: float, roots: Optional[int] = None
+) -> np.ndarray:
+    """min(Hoelder, sigma^(2/p) * U^(1-2/p)) for every tensor of a stack (B,) + (n,)*m.
+
+    `hoelder` holds each tensor's `crude_upper(T, p)` and comes back as it
+    is unless 2 <= p < inf.  Multilinear complex Riesz-Thorin with constant
+    1 (Bergh-Loefstroem, Interpolation Spaces, Thm 4.4.1) bounds ||T|| on
+    l_p by ||T||_2^(2/p) * ||T||_inf^(1-2/p), the complex norms on l_2 and
+    l_inf, and a real form's norm is at most its complexification's.
+
+    * sigma >= ||T||_2 is the smallest, over the slots k, of the largest
+      singular value of the n x n^(m-1) flattening A along slot k: the
+      other slots' vectors form a product of l_2 norm 1.  sigma^2 is
+      bounded by a Cholesky test of mu*I - A A^H (Rump, "Verification of
+      positive definiteness", BIT 46, 2006), with mu just above LAPACK's
+      largest eigenvalue, plus the test's backward error (gamma_{n+1} times
+      the trace) and the Gram matrix's rounding (below 2 gamma_{N+2}
+      ||A||_F^2, N = n^(m-1)).  One `eigvalsh` and one `cholesky` call
+      cover every tensor and slot; where the test fails, ||A||_F^2 serves.
+    * U >= ||T||_inf is min(mass, n^(m/2) * sigma), as the l_inf unit ball
+      lies in the l_2 ball of radius sqrt(n).  With `roots` = K it is also
+      capped by `_linf_root_bounds` at the K-th roots of unity.
+
+    Each tensor is first divided by the power of two nearest its largest
+    magnitude (an exact scaling; what underflows is covered by a slack of
+    2^-1000 per coefficient), so nothing overflows and the bound of 2^k T
+    is 2^k times that of T, bit for bit.  The product is taken as U *
+    (sigma / U)^a with a = 2/p rounded to the side that raises it, and
+    every sum, power and product is rounded outward.  A tensor's bound does
+    not depend on the stack: every Gram matrix, eigenvalue and
+    factorization is its own.  A tensor whose modulus overflows (see
+    `_magnitudes`) gets inf.
+    """
+    hoelder = np.asarray(hoelder, dtype=np.float64)
+    if not 2.0 <= p < math.inf:
+        return hoelder
+    B, m, n = stack.shape[0], stack.ndim - 1, stack.shape[1]
+    size, u = n**m, _UNIT_ROUNDOFF
+    mags, top, over = _magnitudes(stack)
+    unit = _nearest_powers_of_two(top)
+    scaled = stack / unit.reshape((B,) + (1,) * m)
+    mags = mags / unit[:, None]
+    if over is not None:
+        scaled[over] = 0.0
+    frobenius = (mags * mags).sum(axis=1)[:, None]     # ||A||_F^2, the same for every slot
+    flats = np.take(scaled.reshape(B, -1), _flattenings(m, n), axis=1)   # (B, m, n, N)
+    gram = np.matmul(flats, flats.conj().swapaxes(-1, -2))             # (B, m, n, n)
+    mu = np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0) * (1.0 + _MU_MARGIN * (n + 1) * u)
+    passed = _cholesky_passes(mu[..., None, None] * np.eye(n) - gram)
+    # on success: mu, the test's backward error gamma_{n+1}/(1-gamma_{n+1})
+    # * n * mu, the rounding of mu - g_ii, and the Gram matrix's rounding
+    # (2 gamma_{N+2}, which also covers complex products)
+    squares = np.where(
+        passed,
+        mu * (1.0 + (n * (n + 2) + 1) * u) + (2 * n ** (m - 1) + 8) * u * frobenius,
+        frobenius * (1.0 + (2 * size + 4) * u),
+    )
+    slack = size * _UNDERFLOW
+    sigma = (np.sqrt(squares).min(axis=1) + slack) * _ROUND_UP
+    mass = (mags.sum(axis=1) * (1.0 + 2 * size * u) + slack) * _ROUND_UP
+    linf = np.minimum(mass, float(n) ** (0.5 * m) * _ROUND_UP * sigma * _ROUND_UP)
+    if roots is not None:
+        for b in range(B):
+            linf[b] = min(linf[b], _linf_root_bounds(scaled[b], roots)[1] + slack)
+    ratio = sigma / linf
+    theta = 2.0 / p
+    exponent = np.where(ratio <= 1.0, np.nextafter(theta, 0.0), np.nextafter(theta, 1.0))
+    bound = linf * ratio**exponent * _ROUND_UP * unit
+    return _overflowed(np.minimum(hoelder, bound), over)
+
+
+@functools.lru_cache(maxsize=None)
+def _flattenings(m: int, n: int) -> np.ndarray:
+    """Flat indices (m, n, n^(m-1)) of an (n,)*m tensor: row j of slice k lists T[..., j, ...], j in slot k."""
+    flat = np.arange(n**m).reshape((n,) * m)
+    return np.stack([np.moveaxis(flat, k, 0).reshape(n, -1) for k in range(m)])
+
+
+def _cholesky_passes(matrices: np.ndarray) -> np.ndarray:
+    """Whether LAPACK's Cholesky factorization succeeds on each matrix of a stack (..., n, n)."""
+    try:
+        np.linalg.cholesky(matrices)
+    except np.linalg.LinAlgError:
+        if matrices.ndim == 2:
+            return np.array(False)
+        return np.array([_cholesky_passes(a) for a in matrices])
+    return np.ones(matrices.shape[:-2], dtype=bool)
+
+
 def _random_starts(
     seed, restarts: int, m: int, n: int, p: float, complex_field: bool
 ) -> List[np.ndarray]:
@@ -302,13 +402,15 @@ def alternating_max(
     """Lower-bound ||T|| by block-coordinate ascent from random restarts.
 
     Fixing all arguments but one reduces the problem to an exact linear dual
-    norm, so each sweep is monotone.  The upper bound is the Hoelder bound
-    `crude_upper(T, p)`, ||coeff||_{p'} (the coefficient mass at p = inf),
-    which also caps the lower one against rounding.  The restarts' unit
-    starting tuples come from one stream of `seed` (`_random_starts`) and
-    ascend together as one batch; the result is their max (the first
-    restart attaining it), so it is deterministic.  The one-tensor case of
-    `_best_restarts`, which `certify` runs over many trials at once.  Needs
+    norm, so each sweep is monotone.  The upper bound is `certify`'s stage 1
+    bound, `_interpolation_bounds`: the Hoelder bound `crude_upper(T, p)`
+    (the coefficient mass at p = inf), or for 2 <= p < inf the smaller
+    interpolation bound.  It also caps the lower one against rounding.
+    The restarts' unit starting tuples come from one stream of `seed`
+    (`_random_starts`) and ascend together as one batch; the result is
+    their max (the first restart attaining it), so it is deterministic.
+    The one-tensor case of `_best_restarts`, which `certify` runs over many
+    trials at once.  Needs
     m >= 2 (for m = 1, `dual_norm_linear` is exact), p > 1 and the settings
     `TrialConfig` accepts.
     """
@@ -317,7 +419,7 @@ def alternating_max(
     if not p > 1.0:
         raise DomainError(f"alternating_max needs p > 1 (or inf), got {p}")
     _check_ascent_settings(restarts, max_iters, tol)
-    upper = crude_upper(T, p)
+    upper = float(_interpolation_bounds(T.coeffs[None], [crude_upper(T, p)], p)[0])
     lower, witness, converged = _best_restarts(
         T.coeffs[None], [upper], p, restarts, max_iters, tol, [seed]
     )
@@ -427,10 +529,22 @@ def _exact_linf_stack(
     return best, best_index
 
 
-def _linf_root_bounds(coeffs: np.ndarray) -> Tuple[float, float]:
+def _root_count(m: int, n: int) -> Optional[int]:
+    """K for `_linf_root_bounds` at shape (m, n) within a fixed cost, or None.
+
+    The largest of 12, 8, 6 and 4 with K^((n-1)(m-1)) <= 2^18 patterns:
+    K = 12 up to (3, 3) and (4, 2), 8 at (3, 4) and (4, 3), 4 at (3, 5) and
+    (4, 4), and None past them.
+    """
+    digits = (n - 1) * (m - 1)
+    return next((K for K in _ROOT_COUNTS if K**digits <= _ROOT_PATTERNS), None)
+
+
+def _linf_root_bounds(coeffs: np.ndarray, K: int = UNIT_ROOTS) -> Tuple[float, float]:
     """Certified lower <= ||T|| <= upper on (l_inf^n)^m for complex coefficients.
 
-    Slots 2..m are enumerated over the UNIT_ROOTS-th roots of unity, first
+    A real tensor is bounded as its complexification.  Slots 2..m are
+    enumerated over the K-th roots of unity (K even), first
     entries 1 (`_exact_linf_stack`, K^((n-1)(m-1)) patterns, BudgetError
     before any work over PATTERN_BUDGET), and slot 1 is closed by the l_1
     sum: the best value `enum` is attained on the ball, so it is the lower
@@ -447,9 +561,9 @@ def _linf_root_bounds(coeffs: np.ndarray) -> Tuple[float, float]:
     capped by the mass.
     """
     m, n = coeffs.ndim, coeffs.shape[0]
-    enum = float(_exact_linf_stack(coeffs[None], _unit_roots(UNIT_ROOTS))[0][0])
+    enum = float(_exact_linf_stack(coeffs[None], _unit_roots(K))[0][0])
     mass = float(np.abs(coeffs).sum())
     k = n ** (m - 1) + n + 8 * m
     gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-    divisor = math.cos(math.pi / UNIT_ROOTS) ** (m - 1) * (1.0 - 2 * (m + 3) * _UNIT_ROUNDOFF)
+    divisor = math.cos(math.pi / K) ** (m - 1) * (1.0 - 2 * (m + 3) * _UNIT_ROUNDOFF)
     return min(enum, mass), min(mass, (enum + gamma * mass) / divisor)

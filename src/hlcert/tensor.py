@@ -212,7 +212,12 @@ def _nearest_powers_of_two(x):
 
 
 def _unit_scaled(arr: np.ndarray) -> Tuple[np.ndarray, float]:
-    """arr divided by the power of two nearest max|arr| (an exact scaling), and that power."""
+    """arr divided by the power of two nearest max|arr| (an exact scaling), and that power.
+
+    Non-finite entries raise DomainError, before any caller enumerates.
+    """
+    if not np.isfinite(arr).all():
+        raise DomainError("coefficients must all be finite")
     unit = float(_nearest_powers_of_two(np.abs(arr).max(initial=0.0)))
     return arr / unit, unit
 

@@ -33,7 +33,7 @@ from hlcert.certify import (
     sweep_to_csv,
     trials_to_csv,
 )
-from hlcert.norms import _exact_linf_stack
+from hlcert.norms import _exact_linf_stack, _interpolation_bounds, _root_count
 from hlcert.tensor import mixed_norms
 
 certify_module = importlib.import_module("hlcert.certify")
@@ -132,31 +132,31 @@ def test_certify_jobs_invariant():
     assert seq.max_ratio_empirical == par.max_ratio_empirical
 
 
-def _per_trial_rows(m, n, p, lambda0, cfg, seed):
+def _per_trial_rows(m, n, p, lambda0, cfg, seed, factor=1.0):
     # reference: the certify pipeline one trial at a time through the public
-    # alternating_max, with the same streams (generate, norm, retry)
+    # alternating_max (whose upper bound is stage 1's) and a one-tensor
+    # stage 2, with the same streams (generate, norm); factor scales C
     exps = exponents(m, p, lambda0, REAL)
-    C = exps.constant
+    C = factor * exps.constant
     rows = []
     for t in range(cfg.trials):
         ss = np.random.SeedSequence([seed, t])
-        gen_ss, norm_ss, retry_ss = ss.spawn(3)
+        gen_ss, norm_ss, _ = ss.spawn(3)
         T = generate(cfg.kinds[t % len(cfg.kinds)], m, n, REAL, gen_ss)
         lhs = max(mixed_norms(T, exps.s, exps.eta1))
         est = alternating_max(
             T, p, restarts=cfg.restarts, max_iters=cfg.max_iters, tol=cfg.tol, seed=norm_ss
         )
-        lower = est.lower
-        classification = _classify(lhs, C * lower, C * est.upper, certify_module.RATIO_TOL)
+        lower, upper = est.lower, est.upper
+        classification = _classify(lhs, C * lower, C * upper, certify_module.RATIO_TOL)
         retried = classification == "inconclusive"
         if retried:
-            retry = alternating_max(
-                T, p, restarts=4 * cfg.restarts, max_iters=cfg.max_iters, tol=cfg.tol,
-                seed=retry_ss,
-            )
-            lower = max(lower, retry.lower)
-            classification = _classify(lhs, C * lower, C * est.upper, certify_module.RATIO_TOL)
-        rows.append((t, int(ss.generate_state(1)[0]), lhs, lower, est.upper,
+            upper = float(_interpolation_bounds(
+                T.coeffs[None], [crude_upper(T, p)], p, _root_count(m, n)
+            )[0])
+            lower = min(lower, upper)
+            classification = _classify(lhs, C * lower, C * upper, certify_module.RATIO_TOL)
+        rows.append((t, int(ss.generate_state(1)[0]), lhs, lower, upper,
                      classification, retried))
     return rows
 
@@ -180,17 +180,32 @@ def test_certify_batches_match_serial_and_jobs():
     assert _row_tuples(seq) == _per_trial_rows(3, 3, 4.0, 1.0, cfg, 31)
 
 
-def test_certify_batched_retry_matches_per_trial_retry(monkeypatch):
-    # two sweeps of two restarts and a shifted pass threshold leave many
-    # trials inconclusive, so their 4x retries run as one batch
-    monkeypatch.setattr(certify_module, "RATIO_TOL", -0.5)
-    cfg = TrialConfig(trials=60, restarts=2, max_iters=2, keep_trials=True)
-    report = certify(3, 2, 4.0, 1.2, REAL, config=cfg, seed=3)
-    rows = _row_tuples(report)
+def _scaled_constant(monkeypatch, factor):
+    # the self-diagnostic's mutation: certify against factor * C
+    admissible = certify_module._admissible_exponents
+
+    def mutated(*args):
+        exps = admissible(*args)
+        return replace(exps, constant=factor * exps.constant)
+
+    monkeypatch.setattr(certify_module, "_admissible_exponents", mutated)
+
+
+def test_certify_stage_two_matches_the_per_trial_stage_two(monkeypatch):
+    # a constant 4x too small leaves many trials inconclusive after stage 1;
+    # stage 2 (the root-capped bound) runs on them as one call, resolves
+    # some, never loosens a bound, and gives every row its per-trial value
+    _scaled_constant(monkeypatch, 0.25)
+    cfg = TrialConfig(trials=60, keep_trials=True)
+    rows = _row_tuples(certify(3, 3, 4.0, 1.0, REAL, config=cfg, seed=3))
     retried = [r for r in rows if r[-1]]
     assert len(retried) >= 10
-    assert any(r[5] != "inconclusive" for r in retried)   # some retries resolve
-    assert rows == _per_trial_rows(3, 2, 4.0, 1.2, cfg, 3)
+    assert any(r[5] == "violation" for r in retried)   # stage 2 resolves some
+    assert rows == _per_trial_rows(3, 3, 4.0, 1.0, cfg, 3, factor=0.25)
+    exps = exponents(3, 4.0, 1.0, REAL)
+    for t, *_, upper, _, _ in retried:
+        T = generate(cfg.kinds[t % 2], 3, 3, REAL, np.random.SeedSequence([3, t]).spawn(3)[0])
+        assert upper <= _interpolation_bounds(T.coeffs[None], _score(T.coeffs[None], exps)[1], 4.0)[0]
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -497,11 +512,36 @@ def test_a_constant_four_times_too_small_is_reported_at_every_trial(monkeypatch)
     assert report.violations == 200
 
 
+@pytest.mark.parametrize(
+    "case, factor, hoelder_violations", [((3, 3, 4.0, 1.0), 0.25, 0), ((3, 2, 4.0, 1.2), 0.5, 1)]
+)
+def test_a_constant_too_small_is_caught_through_the_interpolation_bound(
+    case, factor, hoelder_violations, monkeypatch
+):
+    # against the Hoelder bound alone, x0.25 at (3, 3, 4, 1) gave 0
+    # violations (and 197 inconclusive trials of 200), and x0.5 at (3, 2, 4,
+    # 1.2) gave 1; the interpolation bound catches more in both
+    _scaled_constant(monkeypatch, factor)
+    report = certify(*case, REAL, config=TrialConfig(trials=200), seed=7)
+    assert report.violations > hoelder_violations
+
+
+@pytest.mark.parametrize(
+    "case", [(3, 3, 4.0, 1.0), (3, 2, 4.0, 1.2), (4, 3, 4.5, 1.0), (3, 3, math.inf, 2.0)]
+)
+def test_the_right_constant_leaves_no_violation_and_no_inconclusive_trial(case):
+    cfg = TrialConfig(trials=200, keep_trials=True)
+    report = certify(*case, REAL, config=cfg, seed=7)
+    assert (report.violations, report.inconclusive) == (0, 0)
+    assert not any(row.retried for row in report.trial_rows)   # stage 2 never ran
+
+
 @pytest.mark.parametrize("case", [(3, 3, 4.0, 1.0), (2, 3, math.inf, 2.0), (2, 10, math.inf, 2.0)])
 def test_certify_and_search_score_a_tensor_alike(case, monkeypatch):
-    # a certify trial's lhs, upper and conservative ratio are the search
-    # scorer's values for its tensor, bit for bit, and a budget-0 search
-    # from that tensor reports the same ratio
+    # a certify trial's lhs is the search scorer's for its tensor, bit for
+    # bit, and its upper bound is the scorer's tightened by the stage that
+    # ran (the scorer's itself at real p = inf); a budget-0 search from that
+    # tensor reports the scorer's ratio
     m, n, p, lambda0 = case
     exps = exponents(m, p, lambda0, REAL)
     cfg = TrialConfig(trials=6, restarts=2, keep_trials=True)
@@ -509,11 +549,15 @@ def test_certify_and_search_score_a_tensor_alike(case, monkeypatch):
         gen_ss = np.random.SeedSequence([5, row.index]).spawn(3)[0]
         T = generate(row.kind, m, n, REAL, gen_ss)
         lhs, upper = _score(T.coeffs[None], exps)
-        assert (row.lhs, row.upper) == (lhs[0], upper[0])
-        assert row.ratio_conservative == _ratio(lhs, upper)[0]
+        roots = _root_count(m, n) if row.retried else None
+        bound = _interpolation_bounds(T.coeffs[None], upper, p, roots)
+        assert (row.lhs, row.upper) == (lhs[0], bound[0])
+        assert row.ratio_conservative == _ratio(lhs, bound)[0]
         monkeypatch.setattr(certify_module, "generate", lambda *args, T=T: T)
         result = search_extremal(*case, REAL, budget=0, seed=1)
-        assert result.ratio_conservative == row.ratio_conservative
+        assert result.ratio_conservative == _ratio(lhs, upper)[0]
+        if math.isinf(p):
+            assert result.ratio_conservative == row.ratio_conservative
 
 
 def test_zero_tensor_scores_one_in_certify_and_search(monkeypatch):

@@ -93,6 +93,27 @@ def test_moments_reject_non_finite_exponents(q):
         steinhaus_moment([1.0, 1.0j], q, samples=100)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficients_raise_before_any_enumeration(bad, monkeypatch):
+    # rademacher_moment([nan, 1], 2) used to run its whole enumeration and
+    # then report "|chaos|^q overflows at q=2.0"
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(chaos_module, "sign_slices", no_enumeration)
+    monkeypatch.setattr(chaos_module, "_steinhaus_slices", no_enumeration)
+    calls = [
+        lambda: rademacher_moment([bad, 1.0], 2.0),
+        lambda: steinhaus_moment([bad, 1.0j], 2.0, samples=100),
+        lambda: check_khinchin([bad, 1.0], 2.0),
+        lambda: check_khinchin([bad, 1.0j], 2.0, field=ScalarField.COMPLEX, samples=100),
+        lambda: check_contraction(np.array([[bad, 1.0], [1.0, 1.0]]), 2.0),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="coefficients must all be finite"):
+            call()
+
+
 def test_moment_monotone_in_q():
     rng = np.random.default_rng(9)
     for _ in range(5):

@@ -68,6 +68,17 @@ def test_transfer_hypothesis_failure_is_usage_error(capsys):
     assert "deficiency" in err
 
 
+@pytest.mark.parametrize("flag, field", [("--s", "s"), ("--lambda0", "lambda0")])
+def test_transfer_nan_input_is_usage_error_naming_the_field(capsys, flag, field):
+    # "--s nan" used to print "s = nan must be >= eta2 = 2"
+    argv = {"--p-list": "4,4,4", "--q-list": "inf,inf,inf", "--lambda0": "1", "--s": "2"}
+    argv[flag] = "nan"
+    code, out, err = run(capsys, "transfer", *[x for kv in argv.items() for x in kv])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"{field} must be >= 1, got nan" in err
+
+
 def test_classical_command(capsys):
     code, out, _ = run(capsys, "classical", "--m", "2", "--p", "inf", "--format", "json")
     assert code == EXIT_OK

@@ -191,6 +191,15 @@ def test_transfer_worked_example():
     assert result.eta2 == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("field, values", [("lambda0", (math.nan, 2.0)), ("s", (1.0, math.nan))])
+def test_transfer_problem_rejects_a_nan_lambda0_or_s(field, values):
+    # NaN passed the "< 1" checks and surfaced as a TransferHypothesisError
+    # with "1/lambda0 = nan"; it is a bad input, named as such
+    lambda0, s = values
+    with pytest.raises(DomainError, match=f"{field} must be >= 1, got nan"):
+        transfer(TransferProblem([4.0] * 3, [math.inf] * 3, lambda0=lambda0, s=s))
+
+
 def test_transfer_hypothesis_errors_name_condition():
     # deficiency too large: sum(1/2) * 3 = 1.5 >= 1/1
     with pytest.raises(TransferHypothesisError, match="deficiency"):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hlcert import (
@@ -23,6 +23,7 @@ from hlcert import (
     generate,
     verify_proof_chain,
 )
+from hlcert import norms as norms_module
 from hlcert import tensor as tensor_module
 from hlcert.norms import (
     UNIT_ROOTS,
@@ -30,8 +31,10 @@ from hlcert.norms import (
     _best_restarts,
     _exact_linf_stack,
     _hoelder_bounds,
+    _interpolation_bounds,
     _linf_root_bounds,
     _random_starts,
+    _root_count,
 )
 from hlcert.tensor import _SIGNS, _magnitudes, _unit_roots
 
@@ -479,18 +482,21 @@ def test_crude_upper_of_a_modulus_past_the_largest_float():
 )
 @settings(max_examples=60, deadline=None)
 def test_hoelder_bound_holds_the_ascent_and_is_below_the_mass(shape, field, p, seed):
-    # ascent lower <= ||coeff||_{p'} <= mass; the ascent's lower bound is
-    # capped by the bound, so its witness's value is checked too: the bound
-    # must hold every value the form attains on unit vectors
+    # ascent lower <= the ascent's upper <= ||coeff||_{p'} <= mass (equal to
+    # the Hoelder bound below p = 2, at most it from p = 2 on); the ascent's
+    # lower bound is capped by its upper one, so its witness's value is
+    # checked too: the bound must hold every value the form attains on unit
+    # vectors
     m, n = shape
     T = generate("gaussian", m, n, field, seed)
     upper = crude_upper(T, p)
     est = alternating_max(T, p, restarts=4, seed=seed)
-    assert est.upper == upper
-    assert est.lower <= upper * (1.0 + 1e-12) <= crude_upper(T) * (1.0 + 1e-12)
+    assert est.upper == upper if p < 2.0 else est.upper <= upper
+    assert est.lower <= est.upper * (1.0 + 1e-12)
+    assert upper <= crude_upper(T) * (1.0 + 1e-12)
     for x in est.witness:
         assert (np.abs(x) ** p).sum() ** (1.0 / p) == pytest.approx(1.0, rel=1e-12)
-    assert abs(evaluate(T, est.witness)) <= upper * (1.0 + 1e-12)
+    assert abs(evaluate(T, est.witness)) <= est.upper * (1.0 + 1e-12)
 
 
 def test_alternating_never_exceeds_exact():
@@ -654,3 +660,130 @@ def test_root_enumeration_budget_and_witness(monkeypatch):
     z3 = np.array([1.0, roots[digits[2]], roots[digits[3]]])
     value = np.abs(np.einsum("abc,b,c->a", T.coeffs, z2, z3)).sum()
     assert value == pytest.approx(lower, rel=1e-13)
+
+
+@given(
+    shape=st.sampled_from([(2, 3), (2, 5), (3, 2), (3, 3), (4, 2)]),
+    field=st.sampled_from([REAL, COMPLEX]),
+    kind=st.sampled_from(["gaussian", "signs", "sparse_unit", "steinhaus"]),
+    p=st.sampled_from([2.5, 3.0, 4.0, 8.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_interpolation_bound_holds_a_64_restart_ascent(shape, field, kind, p, seed):
+    # both stages bound ||T|| from above, so neither falls below the best of
+    # 64 restarts (capped by the Hoelder bound only), and stage 2 only
+    # tightens stage 1
+    assume(not (kind == "steinhaus" and field is REAL))
+    m, n = shape
+    T = generate(kind, m, n, field, seed)
+    hoelder = [crude_upper(T, p)]
+    first = _interpolation_bounds(T.coeffs[None], hoelder, p)[0]
+    second = _interpolation_bounds(T.coeffs[None], hoelder, p, _root_count(m, n))[0]
+    assert second <= first <= hoelder[0]
+    lower = _best_restarts(T.coeffs[None], hoelder, p, 64, 500, 1e-10, [seed])[0][0]
+    assert lower <= second
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 8.0])
+def test_interpolation_bound_of_a_single_coefficient_is_at_least_one(p):
+    # ||T|| = sigma = the mass = 1: the formula unrounded gave
+    # 0.9999999999999998 here, so this checks the outward rounding
+    for m, n in [(2, 3), (2, 5), (3, 2), (3, 3), (4, 2)]:
+        for field in (REAL, COMPLEX):
+            T = generate("sparse_unit", m, n, field, m + n)
+            for roots in (None, _root_count(m, n)):
+                bound = _interpolation_bounds(T.coeffs[None], [math.inf], p, roots)[0]
+                assert 1.0 <= bound <= 1.0 + 1e-13
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_interpolation_bound_at_p2_is_the_largest_singular_value(field, n):
+    # at m = 2 and p = 2 the bound is sigma, the exact bilinear norm, plus
+    # the certified margins: O(n^2) units of roundoff (20 to 100 units in
+    # the last place measured at these n)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        A = rng.standard_normal((n, n))
+        if field is COMPLEX:
+            A = A + 1j * rng.standard_normal((n, n))
+        sigma = np.linalg.svd(A, compute_uv=False)[0]
+        bound = _interpolation_bounds(A[None], [math.inf], 2.0)[0]
+        assert sigma <= bound <= sigma * (1.0 + 1e-13)
+
+
+@pytest.mark.parametrize("k", [-600, 7, 600])
+def test_interpolation_bound_scales_by_powers_of_two_bit_for_bit(k):
+    # every tensor is scaled to magnitude about 1 first, so 2^k T gets 2^k
+    # times the bound of T (given inf Hoelder bounds, so that the min does
+    # not hide the interpolation bound)
+    rng = np.random.default_rng(k + 4000)
+    for field in (REAL, COMPLEX):
+        for m, n in [(2, 3), (3, 3), (4, 2)]:
+            stack = np.stack([
+                generate("gaussian", m, n, field, int(rng.integers(2**32))).coeffs
+                for _ in range(4)
+            ])
+            big = math.ldexp(1.0, k) * stack
+            for p, roots in [(2.0, None), (3.0, None), (4.0, _root_count(m, n))]:
+                small = _interpolation_bounds(stack, np.full(4, math.inf), p, roots)
+                large = _interpolation_bounds(big, np.full(4, math.inf), p, roots)
+                assert large.tolist() == [math.ldexp(b, k) for b in small]
+
+
+def test_interpolation_bound_of_a_tensor_does_not_depend_on_its_stack():
+    # one eigvalsh and one cholesky call cover the stack, and each tensor
+    # gets the bound it gets alone; a zero tensor fails the Cholesky test
+    # (mu = 0) and gets 0 from the Frobenius fallback and the Hoelder bound,
+    # a complex modulus past the largest float gets inf
+    rng = np.random.default_rng(71)
+    for field in (REAL, COMPLEX):
+        tensors = [generate("gaussian", 3, 3, field, int(rng.integers(2**32))).coeffs for _ in range(6)]
+        tensors.append(np.zeros((3, 3, 3)))
+        if field is COMPLEX:
+            tensors.append(np.full((3, 3, 3), 1.5e308 + 1.5e308j))
+        stack = np.stack(tensors)
+        hoelder = _hoelder_bounds(*_magnitudes(stack), 4.0)
+        bounds = _interpolation_bounds(stack, hoelder, 4.0)
+        alone = [_interpolation_bounds(stack[b : b + 1], hoelder[b : b + 1], 4.0)[0]
+                 for b in range(len(stack))]
+        assert bounds.tolist() == alone
+        assert bounds[6] == 0.0
+        assert (bounds[:6] < hoelder[:6]).all()
+        if field is COMPLEX:
+            assert bounds[7] == math.inf
+
+
+def test_a_failed_cholesky_test_falls_back_to_the_frobenius_norm(monkeypatch):
+    # sigma <= ||A||_F: still a bound, only a looser one
+    T = generate("gaussian", 3, 3, REAL, 5)
+    tight = _interpolation_bounds(T.coeffs[None], [math.inf], 4.0)[0]
+    monkeypatch.setattr(
+        norms_module, "_cholesky_passes", lambda H: np.zeros(H.shape[:-2], dtype=bool)
+    )
+    loose = _interpolation_bounds(T.coeffs[None], [math.inf], 4.0)[0]
+    frobenius = float(np.sqrt((T.coeffs**2).sum()))
+    linf = min(float(np.abs(T.coeffs).sum()), 3.0**1.5 * frobenius)
+    assert tight < loose
+    assert loose == pytest.approx(frobenius**0.5 * linf**0.5, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, math.inf])
+def test_interpolation_bound_outside_p_2_to_inf_is_the_hoelder_bound(p):
+    # Riesz-Thorin between l_2 and l_inf covers 2 <= p < inf only
+    stack = np.stack([generate("gaussian", 3, 3, REAL, s).coeffs for s in range(3)])
+    hoelder = _hoelder_bounds(*_magnitudes(stack), p)
+    assert _interpolation_bounds(stack, hoelder, p).tolist() == hoelder.tolist()
+
+
+def test_root_count_is_the_largest_k_within_2_to_the_18_patterns():
+    table = {(m, n): _root_count(m, n) for m in (2, 3, 4) for n in range(1, 7)}
+    assert [table[3, n] for n in range(1, 7)] == [12, 12, 12, 8, 4, None]
+    assert [table[4, n] for n in range(1, 7)] == [12, 12, 8, 4, None, None]
+    for (m, n), K in table.items():
+        digits = (n - 1) * (m - 1)
+        if K is None:
+            assert 4**digits > 2**18
+        else:
+            assert K**digits <= 2**18 and all(k**digits > 2**18 for k in (12, 8, 6) if k > K)
