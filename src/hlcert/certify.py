@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .chaos import _check_seed
-from .errors import DomainError, ViolationError
+from .errors import DomainError, ViolationError, _check_integer
 from .exponents import ExponentSet, exponents
 from .norms import (
     _best_restarts,
@@ -88,9 +88,9 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if not self.kinds:
             raise DomainError("kinds must name at least one generator kind")
+        _check_integer("trials", self.trials, 1)
         _check_ascent_settings(self.restarts, self.max_iters, self.tol)
-        if self.jobs < 1:
-            raise DomainError("jobs must be >= 1")
+        _check_integer("jobs", self.jobs, 1)
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,7 @@ def _admissible_exponents(
             f"(m={m}, p={p}, lambda0={lambda0}) is inadmissible: "
             f"need lambda0*m = {reg.lower:g} < p <= {reg.upper:g}"
         )
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _check_integer("n", n, 1)
     return exps
 
 
@@ -267,24 +266,22 @@ def _run_batch(args) -> List[TrialResult]:
     C = exps.constant
     trials = range(start, stop)
     streams = [np.random.SeedSequence([seed, t]) for t in trials]
-    # generate, norm, and a third stream that is no longer drawn from; the
-    # spawn count stays 3 so that the first two streams do not move
-    spawned = [ss.spawn(3) for ss in streams]
+    spawned = [ss.spawn(2) for ss in streams]   # generate, norm
     kinds = [cfg.kinds[t % len(cfg.kinds)] for t in trials]
     stack = np.stack([
         generate(kind, exps.m, n, exps.field, gen_ss).coeffs
-        for kind, (gen_ss, _, _) in zip(kinds, spawned)
+        for kind, (gen_ss, _) in zip(kinds, spawned)
     ])
     # one stack per trial, so that a row does not depend on its batch or on jobs
     scores = [_score(stack[b : b + 1], exps) for b in range(len(stack))]
-    lhs, hoelder = np.concatenate(scores, axis=1)
+    lhs, upper = np.concatenate(scores, axis=1)
     if _exact_bound(exps):
-        upper, lower = hoelder, hoelder.copy()
+        lower = upper.copy()
     else:
-        upper = _interpolation_bounds(stack, hoelder, exps.p)
+        upper = _interpolation_bounds(stack, exps.p)
         lower = _best_restarts(
             stack, upper, exps.p, cfg.restarts, cfg.max_iters, cfg.tol,
-            [norm_ss for _, norm_ss, _ in spawned],
+            [norm_ss for _, norm_ss in spawned],
         )[0]
     classes = [
         _classify(lhs[b], C * lower[b], C * upper[b], RATIO_TOL) for b in range(len(stack))
@@ -294,7 +291,7 @@ def _run_batch(args) -> List[TrialResult]:
     redo = [b for b, c in enumerate(classes) if c == "inconclusive"]
     roots = _root_count(exps.m, n)
     if redo and math.isfinite(exps.p) and roots is not None:
-        upper[redo] = _interpolation_bounds(stack[redo], hoelder[redo], exps.p, roots)
+        upper[redo] = _interpolation_bounds(stack[redo], exps.p, roots)
         lower[redo] = np.minimum(lower[redo], upper[redo])
         for b in redo:
             classes[b] = _classify(lhs[b], C * lower[b], C * upper[b], RATIO_TOL)
@@ -367,8 +364,6 @@ def certify(
     """
     seed = _check_seed(seed)
     cfg = config or TrialConfig()
-    if cfg.trials < 1:
-        raise DomainError("need at least one trial")
     exps = _admissible_exponents(m, n, p, lambda0, field)
     start = time.perf_counter()
     size = min(_batch_trials(cfg.restarts, n, m), math.ceil(cfg.trials / cfg.jobs))
@@ -458,8 +453,7 @@ def search_extremal(
     RATIO_TOL) raises ViolationError (a bug).
     """
     seed = _check_seed(seed)
-    if budget < 0:
-        raise DomainError(f"budget must be >= 0, got {budget}")
+    _check_integer("budget", budget, 0)
     exps = _admissible_exponents(m, n, p, lambda0, field)
 
     def ratios(stack: np.ndarray) -> np.ndarray:
@@ -624,8 +618,8 @@ def sweep_lambda0(
     certification run and reports its conservative max ratio.
     """
     seed = _check_seed(seed)
-    if trials < 0:
-        raise DomainError(f"trials must be >= 0, got {trials}")
+    _check_integer("n", n, 1)
+    _check_integer("trials", trials, 0)
     rows: List[SweepRow] = []
     for lam in grid:
         exp = exponents(m, p, lam, field, strict=False)

@@ -21,8 +21,8 @@ Seeds follow one rule, `_check_seed`, at every entry point (here
 is an integer in [0, 2^32), anything else raises DomainError.  The
 Monte-Carlo samples come from SeedSequence([seed, 0]), so results are
 reproducible per (parameters, seed).  The complex chain bounds ||S|| on
-l_inf by the root-of-unity enumeration `_linf_root_bounds`; only over the
-pattern budget does it fall back to an ascent, from SeedSequence([seed, 1]),
+l_inf by `_linf_root_bounds` at K = `hlcert.norms._root_count(m, n)`; only
+where no K fits does it fall back to an ascent, from SeedSequence([seed, 1]),
 and the coefficient mass.
 
 Both sides of every inequality checked here are 1-homogeneous in the
@@ -41,9 +41,10 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, ViolationError
+from .errors import DomainError, ViolationError, _check_integer
+from .norms import _linf_root_bounds, _root_count, alternating_max
 # exact_linf_enum and crude_upper are tracer shims: bench/tracer.py wraps them here
-from .norms import _linf_root_bounds, alternating_max, crude_upper, exact_linf_enum  # noqa: F401
+from .norms import crude_upper, exact_linf_enum  # noqa: F401
 from .special import ScalarField, khinchin_A
 from .tensor import (
     FormTensor,
@@ -112,6 +113,7 @@ def steinhaus_moment(a, q: float, samples: int = 100_000, seed: int = 0) -> Chao
     its standard error back.
     """
     seed = _check_seed(seed)
+    _check_integer("samples", samples, 2)
     a, unit = _unit_scaled(_coefficient_vector(a, q, np.complex128))
     _, mean, stderr, _ = _chaos_stats(_steinhaus_slices(a[None], samples, seed), 1, q)
     value, value_err = _power_mean(mean, stderr, q)
@@ -203,11 +205,9 @@ def _steinhaus_slices(coeffs: np.ndarray, samples: int, seed: int) -> Iterator[n
     m of a block is closed by one matrix product against
     coeffs.reshape(-1, n).T, carried out as a real GEMM on the interleaved
     real and imaginary parts (`_complex_gemm_operand`); the slots before it
-    by a per-sample einsum.  samples must be an integer >= 2 (DomainError
-    at the first block).
+    by a per-sample einsum.  samples is an integer >= 2, which the public
+    callers check.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise DomainError(f"samples must be an integer >= 2, got {samples!r}")
     f, r, n = coeffs.shape[0], coeffs.ndim - 1, coeffs.shape[-1]
     last = _complex_gemm_operand(coeffs.reshape(-1, n).T)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
@@ -308,9 +308,10 @@ def check_khinchin(
     so a violation is a bug), and complex coefficients raise DomainError.
     Complex field: Steinhaus Monte Carlo, 3-sigma soft check: a miss is
     sampling noise as often as a bug, so it returns the report with
-    passed=False instead of raising.
+    passed=False instead of raising.  samples is checked in both fields.
     """
     seed = _check_seed(seed)
+    _check_integer("samples", samples, 2)
     A = khinchin_A(q, field).value
     arr = _real_array(a) if field is ScalarField.REAL else np.asarray(a, dtype=np.complex128)
     arr, unit = _unit_scaled(arr)
@@ -428,8 +429,8 @@ def check_multiple_khinchin(
         raise DomainError("need an m-linear form with m >= 2")
     if not (1.0 <= lambda0 <= 2.0):
         raise DomainError(f"lambda0 must lie in [1, 2], got {lambda0}")
-    if j1 is not None and not (isinstance(j1, (int, np.integer)) and 1 <= j1 <= T.n):
-        raise DomainError(f"j1 must be an integer in [1, {T.n}], got {j1!r}")
+    if j1 is not None:
+        _check_integer("j1", j1, 1, T.n)
     A = khinchin_A(lambda0, ScalarField.REAL).value
     constant = A ** (-(T.m - 1))
     coeffs, unit = _unit_scaled(T.coeffs)
@@ -534,9 +535,9 @@ def verify_proof_chain(
     sign patterns; failures raise ViolationError naming the link (unless
     raise_on_failure=False).  Complex field: Steinhaus Monte Carlo from
     SeedSequence([seed, 0]) with 3-sigma soft checks; nothing raises on
-    noise.  ||S|| is bounded by `_linf_root_bounds` (a sandwich within
-    cos(pi/12)^-(m-1)), and sup_domination compares against its upper end;
-    over the pattern budget, by an alternating ascent from
+    noise.  ||S|| is bounded by `_linf_root_bounds` at K = `_root_count(m, n)`
+    (a sandwich within cos(pi/K)^-(m-1)), and sup_domination compares against
+    its upper end; where no K fits, by an alternating ascent from
     SeedSequence([seed, 1]) and the coefficient mass.  The links are
     checked on S scaled by a power of two to max|coeff| about 1, so the
     absolute slacks are relative to the largest coefficient; reported values
@@ -544,8 +545,8 @@ def verify_proof_chain(
     """
     if S.m < 2:
         raise DomainError("need an m-linear form with m >= 2")
-    if not (1 <= index <= S.m):
-        raise DomainError(f"index must lie in [1, {S.m}], got {index}")
+    _check_integer("index", index, 1, S.m)
+    _check_integer("mc_samples", mc_samples, 2)
     if not (2.0 <= s < math.inf):
         raise DomainError(f"the interpolation step needs a finite s >= 2, got {s}")
     if not (1.0 <= lambda0 <= 2.0):
@@ -586,9 +587,10 @@ def verify_proof_chain(
         col_means, int_mean, total_stderr, _ = _chaos_stats(
             _steinhaus_slices(coeffs, mc_samples, seed), n, lambda0
         )
-        try:
-            norm_lower, norm_upper = _linf_root_bounds(S.coeffs)
-        except BudgetError:
+        roots = _root_count(m, n)
+        if roots is not None:
+            norm_lower, norm_upper = _linf_root_bounds(S.coeffs, roots)
+        else:
             # too many root patterns: the ascent and the coefficient mass
             est = alternating_max(S, math.inf, seed=np.random.SeedSequence([seed, 1]))
             norm_lower, norm_upper = est.lower, est.upper

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule that raises one."""
+
+import numbers
+from typing import Optional
 
 
 class DomainError(ValueError):
@@ -24,3 +27,18 @@ class ViolationError(RuntimeError):
     violation always signals an implementation bug, never a counterexample.
     The CLI maps this to exit code 2.
     """
+
+
+def _check_integer(name: str, value, low: int, high: Optional[int] = None) -> None:
+    """The one rule for an integer parameter: DomainError unless low <= value (<= high).
+
+    An int or numpy integer passes; a float (even 2.0), a string or None does
+    not, so a bad count or index is named at the public edge instead of
+    failing deep in a run.
+    """
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if high is None and value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise DomainError(f"{name} must lie in [{low}, {high}], got {value!r}")

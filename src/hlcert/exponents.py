@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DomainError, SingularExponentError, TransferHypothesisError
+from .errors import DomainError, SingularExponentError, TransferHypothesisError, _check_integer
 from .special import ScalarField, khinchin_A
 
 __all__ = [
@@ -56,7 +56,7 @@ def region(m: int, lambda0: float) -> Region:
     window is reported as (2m, inf], tagged extrapolated downstream.  The
     window is nonempty iff lambda0*m > 2.
     """
-    _check_m(m)
+    _check_integer("m", m, 2)
     _check_lambda0(lambda0)
     lower = lambda0 * m
     if lambda0 == 2.0:
@@ -102,7 +102,7 @@ def exponents(
     p = lambda0*(m-1) (s undefined).  With strict=False the singular pieces
     come back as NaN instead, which is what sweep tabulation wants.
     """
-    _check_m(m)
+    _check_integer("m", m, 2)
     _check_lambda0(lambda0)
     if not (p > 0.0):
         raise DomainError(f"p must be positive or inf, got {p}")
@@ -223,7 +223,7 @@ def classical_exponents(m: int, p: float) -> ClassicalExponents:
     p = inf returns the m-linear limit exponent 2m/(m+1).  At p = 2m both
     regimes apply and both formulas give the same value 2.
     """
-    _check_m(m)
+    _check_integer("m", m, 2)
     if not (p > m):
         raise DomainError(f"classical exponents need p > m, got p={p}, m={m}")
     hl_high = None
@@ -236,11 +236,6 @@ def classical_exponents(m: int, p: float) -> ClassicalExponents:
     if p <= 2 * m:
         hl_low = p / (p - m)
     return ClassicalExponents(m=m, p=p, hl_high=hl_high, hl_low=hl_low)
-
-
-def _check_m(m: int) -> None:
-    if not isinstance(m, int) or m < 2:
-        raise DomainError(f"m must be an integer >= 2, got {m!r}")
 
 
 def _check_lambda0(lambda0: float) -> None:

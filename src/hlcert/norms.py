@@ -9,7 +9,7 @@ l_2 and l_inf (`_interpolation_bounds`, the upper bound of `certify` and
 `hlcert.tensor._vertex_slices` in all slots but the first, which is closed
 in l_1-dual form: exact over the sign vectors for real forms
 (`exact_linf_enum`), and within cos(pi/K)^-(m-1) over the K-th roots of
-unity for complex ones (`_linf_root_bounds`, K = UNIT_ROOTS by default).
+unity for complex ones (`_linf_root_bounds` at K = `_root_count(m, n)`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_integer
 from .special import ScalarField
 from .tensor import (
     _SIGNS,
@@ -46,7 +46,6 @@ __all__ = [
     "exact_linf_enum",
 ]
 
-UNIT_ROOTS = 12              # K: complex l_inf slots are enumerated over the K-th roots of unity
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST = 5e-324           # the smallest positive float
 _ROUND_UP = 1.0 + 2.0**-50   # 1 + 8u: above the rounding error of a root, a power or a product
@@ -122,6 +121,8 @@ def dual_norm_linear(c: np.ndarray, p: float) -> Tuple[Union[float, np.ndarray],
     if not p >= 1.0:   # written so that NaN fails too
         raise DomainError(f"p must be >= 1 or inf, got {p}")
     c = np.asarray(c)
+    if c.ndim == 0 or c.shape[-1] == 0:
+        raise DomainError(f"c must have at least one entry on its last axis, got shape {c.shape}")
     single = c.ndim == 1
     if single:
         # a 1-row stack, so that every call runs the same array arithmetic
@@ -200,13 +201,11 @@ def crude_upper(T: FormTensor, p: float = math.inf) -> float:
     return float(_hoelder_bounds(*_magnitudes(T.coeffs[None]), p)[0])
 
 
-def _interpolation_bounds(
-    stack: np.ndarray, hoelder, p: float, roots: Optional[int] = None
-) -> np.ndarray:
+def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = None) -> np.ndarray:
     """min(Hoelder, sigma^(2/p) * U^(1-2/p)) for every tensor of a stack (B,) + (n,)*m.
 
-    `hoelder` holds each tensor's `crude_upper(T, p)` and comes back as it
-    is unless 2 <= p < inf.  Multilinear complex Riesz-Thorin with constant
+    Each tensor's Hoelder bound, `crude_upper(T, p)` bit for bit, is the
+    result unless 2 <= p < inf.  Multilinear complex Riesz-Thorin with constant
     1 (Bergh-Loefstroem, Interpolation Spaces, Thm 4.4.1) bounds ||T|| on
     l_p by ||T||_2^(2/p) * ||T||_inf^(1-2/p), the complex norms on l_2 and
     l_inf, and a real form's norm is at most its complexification's.
@@ -234,12 +233,12 @@ def _interpolation_bounds(
     factorization is its own.  A tensor whose modulus overflows (see
     `_magnitudes`) gets inf.
     """
-    hoelder = np.asarray(hoelder, dtype=np.float64)
+    mags, top, over = _magnitudes(stack)
+    hoelder = _hoelder_bounds(mags, top, over, p)
     if not 2.0 <= p < math.inf:
         return hoelder
     B, m, n = stack.shape[0], stack.ndim - 1, stack.shape[1]
     size, u = n**m, _UNIT_ROUNDOFF
-    mags, top, over = _magnitudes(stack)
     unit = _nearest_powers_of_two(top)
     scaled = stack / unit.reshape((B,) + (1,) * m)
     mags = mags / unit[:, None]
@@ -397,7 +396,7 @@ def alternating_max(
     restarts: int = 32,
     max_iters: int = 500,
     tol: float = 1e-10,
-    seed=None,
+    seed=0,
 ) -> NormEstimate:
     """Lower-bound ||T|| by block-coordinate ascent from random restarts.
 
@@ -407,8 +406,9 @@ def alternating_max(
     (the coefficient mass at p = inf), or for 2 <= p < inf the smaller
     interpolation bound.  It also caps the lower one against rounding.
     The restarts' unit starting tuples come from one stream of `seed`
-    (`_random_starts`) and ascend together as one batch; the result is
-    their max (the first restart attaining it), so it is deterministic.
+    (`_random_starts`; 0 by default, like every other entry point, so two
+    calls with the same arguments agree) and ascend together as one batch;
+    the result is their max (the first restart attaining it).
     The one-tensor case of `_best_restarts`, which `certify` runs over many
     trials at once.  Needs
     m >= 2 (for m = 1, `dual_norm_linear` is exact), p > 1 and the settings
@@ -419,7 +419,7 @@ def alternating_max(
     if not p > 1.0:
         raise DomainError(f"alternating_max needs p > 1 (or inf), got {p}")
     _check_ascent_settings(restarts, max_iters, tol)
-    upper = float(_interpolation_bounds(T.coeffs[None], [crude_upper(T, p)], p)[0])
+    upper = float(_interpolation_bounds(T.coeffs[None], p)[0])
     lower, witness, converged = _best_restarts(
         T.coeffs[None], [upper], p, restarts, max_iters, tol, [seed]
     )
@@ -434,11 +434,9 @@ def alternating_max(
 
 
 def _check_ascent_settings(restarts: int, max_iters: int, tol: float) -> None:
-    """DomainError unless restarts >= 1, max_iters >= 1 and tol >= 0 (NaN fails)."""
-    if restarts < 1:
-        raise DomainError("restarts must be >= 1")
-    if max_iters < 1:
-        raise DomainError("max_iters must be >= 1")
+    """DomainError unless restarts and max_iters are integers >= 1 and tol >= 0 (NaN fails)."""
+    _check_integer("restarts", restarts, 1)
+    _check_integer("max_iters", max_iters, 1)
     if not tol >= 0.0:   # written so that NaN fails too
         raise DomainError(f"tol must be >= 0, got {tol!r}")
 
@@ -532,15 +530,17 @@ def _exact_linf_stack(
 def _root_count(m: int, n: int) -> Optional[int]:
     """K for `_linf_root_bounds` at shape (m, n) within a fixed cost, or None.
 
-    The largest of 12, 8, 6 and 4 with K^((n-1)(m-1)) <= 2^18 patterns:
-    K = 12 up to (3, 3) and (4, 2), 8 at (3, 4) and (4, 3), 4 at (3, 5) and
-    (4, 4), and None past them.
+    The one rule for the roots of unity that bound a complex l_inf norm, in
+    `verify_proof_chain` and in `certify`'s stage 2 alike: the largest of
+    12, 8, 6 and 4 with K^((n-1)(m-1)) <= 2^18 patterns.  K = 12 up to
+    (2, 6), (3, 3) and (4, 2); 8 at (2, 7), (3, 4) and (4, 3); 4 at (2, 8)
+    to (2, 10), (3, 5), (4, 4) and (5, 3); None past them.
     """
     digits = (n - 1) * (m - 1)
     return next((K for K in _ROOT_COUNTS if K**digits <= _ROOT_PATTERNS), None)
 
 
-def _linf_root_bounds(coeffs: np.ndarray, K: int = UNIT_ROOTS) -> Tuple[float, float]:
+def _linf_root_bounds(coeffs: np.ndarray, K: int) -> Tuple[float, float]:
     """Certified lower <= ||T|| <= upper on (l_inf^n)^m for complex coefficients.
 
     A real tensor is bounded as its complexification.  Slots 2..m are

@@ -38,7 +38,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, _check_integer
 from .special import ScalarField
 
 __all__ = [
@@ -123,8 +123,7 @@ def mixed_norm(T: FormTensor, fixed_index: int, s: float, alpha: float) -> float
     s and alpha must be finite and >= 1.  Collapses to the flat l_s norm
     when alpha = s.  Entry i - 1 of `mixed_norms`, bit for bit.
     """
-    if not (1 <= fixed_index <= T.m):
-        raise DomainError(f"fixed_index must lie in [1, {T.m}], got {fixed_index}")
+    _check_integer("fixed_index", fixed_index, 1, T.m)
     return mixed_norms(T, s, alpha)[fixed_index - 1]
 
 
@@ -232,6 +231,8 @@ def generate(kind: str, m: int, n: int, field: ScalarField, seed) -> FormTensor:
     """
     if kind not in GENERATE_KINDS:
         raise DomainError(f"unknown generator kind {kind!r}; choose from {GENERATE_KINDS}")
+    _check_integer("m", m, 1)
+    _check_integer("n", n, 1)
     size = n**m
     if size > MAX_ENTRIES:
         raise BudgetError(f"n^m = {size} exceeds the entry budget {MAX_ENTRIES}")

@@ -127,3 +127,31 @@ def test_a_nan_float_parameter_raises_domain_error(name, param):
     # a NaN must never turn into a silent NaN result or a vacuous verdict
     with pytest.raises(DomainError):
         getattr(hlcert, name)(**{**VALID_CALLS[name], param: math.nan})
+
+
+INT_PARAMETERS = [
+    (name, param)
+    for name in PUBLIC_PARAMETERS
+    for param, spec in inspect.signature(getattr(hlcert, name)).parameters.items()
+    if spec.annotation in ("int", int, "Optional[int]")
+]
+
+
+@pytest.mark.parametrize("name, param", INT_PARAMETERS)
+def test_a_non_integer_int_parameter_raises_domain_error(name, param):
+    # a count or an index that is not an integer is named at the public
+    # edge, not met as a TypeError deep in the run
+    with pytest.raises(DomainError):
+        getattr(hlcert, name)(**{**VALID_CALLS[name], param: 1.5})
+
+
+@pytest.mark.parametrize("field", ["trials", "restarts", "max_iters", "jobs"])
+def test_a_non_integer_trial_config_count_raises_domain_error(field):
+    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        TrialConfig(**{field: 1.5})
+
+
+@pytest.mark.parametrize("c", [np.array([]), np.zeros((3, 0)), np.array(2.0)])
+def test_dual_norm_of_no_entries_raises_domain_error(c):
+    with pytest.raises(DomainError):
+        hlcert.dual_norm_linear(c, 4.0)

@@ -141,7 +141,7 @@ def _per_trial_rows(m, n, p, lambda0, cfg, seed, factor=1.0):
     rows = []
     for t in range(cfg.trials):
         ss = np.random.SeedSequence([seed, t])
-        gen_ss, norm_ss, _ = ss.spawn(3)
+        gen_ss, norm_ss = ss.spawn(2)
         T = generate(cfg.kinds[t % len(cfg.kinds)], m, n, REAL, gen_ss)
         lhs = max(mixed_norms(T, exps.s, exps.eta1))
         est = alternating_max(
@@ -151,9 +151,7 @@ def _per_trial_rows(m, n, p, lambda0, cfg, seed, factor=1.0):
         classification = _classify(lhs, C * lower, C * upper, certify_module.RATIO_TOL)
         retried = classification == "inconclusive"
         if retried:
-            upper = float(_interpolation_bounds(
-                T.coeffs[None], [crude_upper(T, p)], p, _root_count(m, n)
-            )[0])
+            upper = float(_interpolation_bounds(T.coeffs[None], p, _root_count(m, n))[0])
             lower = min(lower, upper)
             classification = _classify(lhs, C * lower, C * upper, certify_module.RATIO_TOL)
         rows.append((t, int(ss.generate_state(1)[0]), lhs, lower, upper,
@@ -202,10 +200,9 @@ def test_certify_stage_two_matches_the_per_trial_stage_two(monkeypatch):
     assert len(retried) >= 10
     assert any(r[5] == "violation" for r in retried)   # stage 2 resolves some
     assert rows == _per_trial_rows(3, 3, 4.0, 1.0, cfg, 3, factor=0.25)
-    exps = exponents(3, 4.0, 1.0, REAL)
     for t, *_, upper, _, _ in retried:
-        T = generate(cfg.kinds[t % 2], 3, 3, REAL, np.random.SeedSequence([3, t]).spawn(3)[0])
-        assert upper <= _interpolation_bounds(T.coeffs[None], _score(T.coeffs[None], exps)[1], 4.0)[0]
+        T = generate(cfg.kinds[t % 2], 3, 3, REAL, np.random.SeedSequence([3, t]).spawn(2)[0])
+        assert upper <= _interpolation_bounds(T.coeffs[None], 4.0)[0]
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -546,11 +543,11 @@ def test_certify_and_search_score_a_tensor_alike(case, monkeypatch):
     exps = exponents(m, p, lambda0, REAL)
     cfg = TrialConfig(trials=6, restarts=2, keep_trials=True)
     for row in certify(*case, REAL, config=cfg, seed=5).trial_rows:
-        gen_ss = np.random.SeedSequence([5, row.index]).spawn(3)[0]
+        gen_ss = np.random.SeedSequence([5, row.index]).spawn(2)[0]
         T = generate(row.kind, m, n, REAL, gen_ss)
         lhs, upper = _score(T.coeffs[None], exps)
         roots = _root_count(m, n) if row.retried else None
-        bound = _interpolation_bounds(T.coeffs[None], upper, p, roots)
+        bound = upper if math.isinf(p) else _interpolation_bounds(T.coeffs[None], p, roots)
         assert (row.lhs, row.upper) == (lhs[0], bound[0])
         assert row.ratio_conservative == _ratio(lhs, bound)[0]
         monkeypatch.setattr(certify_module, "generate", lambda *args, T=T: T)

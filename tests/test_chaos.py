@@ -32,7 +32,9 @@ from hlcert import (
 )
 from hlcert import chaos as chaos_module
 from hlcert import tensor as tensor_module
-from hlcert.norms import _linf_root_bounds, alternating_max, crude_upper, exact_linf_enum
+from hlcert.norms import (
+    _linf_root_bounds, _root_count, alternating_max, crude_upper, exact_linf_enum,
+)
 from hlcert.tensor import contract_trailing_signs, iter_sign_blocks
 
 REAL = ScalarField.REAL
@@ -770,15 +772,18 @@ def test_overflowing_moments_raise_instead_of_passing(q):
     assert rademacher_moment([1.0, 2.0], 700.0).value == pytest.approx(3.0, rel=2e-3)
 
 
-def test_complex_chain_bounds_the_norm_by_roots_of_unity():
-    # below the pattern budget the complex chain takes ||S|| from the
-    # root-of-unity enumeration: a sandwich within 1/cos(pi/12)^(m-1) that
-    # holds the ascent's lower bound; the Monte-Carlo links do not move
-    S = generate("steinhaus", 3, 3, COMPLEX, 11)
+@pytest.mark.parametrize("m, n, K", [(3, 3, 12), (2, 7, 8), (3, 4, 8), (3, 5, 4)])
+def test_complex_chain_bounds_the_norm_by_roots_of_unity(m, n, K):
+    # wherever _root_count gives a K, the complex chain takes ||S|| from the
+    # enumeration over the K-th roots of unity, the K of certify's stage 2:
+    # a sandwich within 1/cos(pi/K)^(m-1) that holds the ascent's lower
+    # bound; the Monte-Carlo links do not move
+    assert _root_count(m, n) == K
+    S = generate("steinhaus", m, n, COMPLEX, 11)
     rep = verify_proof_chain(S, 1.5, 2.5, mc_samples=20_000, seed=2)
-    lower, upper = _linf_root_bounds(S.coeffs)
+    lower, upper = _linf_root_bounds(S.coeffs, K)
     assert (rep.norm_lower, rep.norm_upper) == (lower, upper)
-    assert rep.norm_upper / rep.norm_lower <= math.cos(math.pi / 12) ** -2 * (1.0 + 1e-12)
+    assert rep.norm_upper / rep.norm_lower <= math.cos(math.pi / K) ** (1 - m) * (1.0 + 1e-12)
     assert rep.norm_upper >= alternating_max(S, math.inf, seed=3).lower
     sup = {link.name: link for link in rep.links}["sup_domination"]
     assert sup.rhs == rep.constant_factor * rep.norm_upper

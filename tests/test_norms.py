@@ -26,7 +26,6 @@ from hlcert import (
 from hlcert import norms as norms_module
 from hlcert import tensor as tensor_module
 from hlcert.norms import (
-    UNIT_ROOTS,
     _ascend,
     _best_restarts,
     _exact_linf_stack,
@@ -173,6 +172,7 @@ def test_subnormal_complex_entries_give_finite_bounds():
 
 @pytest.mark.parametrize("setting", [
     {"restarts": 0}, {"max_iters": 0}, {"max_iters": -1}, {"tol": math.nan}, {"tol": -1e-10},
+    {"restarts": 1.5}, {"max_iters": 2.0},
 ])
 def test_alternating_max_rejects_what_trial_config_rejects(setting):
     # max_iters <= 0 used to return lower = 0.0 (a vacuous bound) and a NaN
@@ -183,6 +183,15 @@ def test_alternating_max_rejects_what_trial_config_rejects(setting):
     with pytest.raises(DomainError) as from_ascent:
         alternating_max(T, 4.0, seed=1, **setting)
     assert str(from_ascent.value) == str(from_config.value)
+
+
+def test_alternating_max_is_reproducible_by_default():
+    # the default seed is 0, as at every other entry point: no OS entropy
+    T = generate("gaussian", 3, 3, REAL, 4)
+    first, second = alternating_max(T, 4.0), alternating_max(T, 4.0)
+    assert (first.lower, first.upper) == (second.lower, second.upper)
+    assert all(np.array_equal(a, b) for a, b in zip(first.witness, second.witness))
+    assert first.lower == alternating_max(T, 4.0, seed=0).lower
 
 
 def test_alternating_sparse_unit_exact():
@@ -621,13 +630,13 @@ def test_complex_root_enumeration_sandwich(shape, kind, seed):
     m, n = shape
     T = generate(kind, m, n, COMPLEX, seed)
     mass = crude_upper(T)
-    enum = float(_exact_linf_stack(T.coeffs[None], _unit_roots(UNIT_ROOTS))[0][0])
-    lower, upper = _linf_root_bounds(T.coeffs)
+    enum = float(_exact_linf_stack(T.coeffs[None], _unit_roots(12))[0][0])
+    lower, upper = _linf_root_bounds(T.coeffs, 12)
     assert enum <= mass * (1.0 + 1e-14)
     assert lower == min(enum, mass)
     assert lower <= upper <= mass
     assert upper >= alternating_max(T, math.inf, restarts=4, seed=seed).lower
-    assert upper <= max(lower, 1e-300) / math.cos(math.pi / UNIT_ROOTS) ** (m - 1) * (1.0 + 1e-12)
+    assert upper <= max(lower, 1e-300) / math.cos(math.pi / 12) ** (m - 1) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (2, 5), (3, 3), (4, 2)])
@@ -647,15 +656,15 @@ def test_root_enumeration_with_two_roots_is_the_sign_enumeration(m, n):
 def test_root_enumeration_budget_and_witness(monkeypatch):
     # (3, 3) complex: 12^4 root patterns; one below the count raises
     T = generate("steinhaus", 3, 3, COMPLEX, 4)
-    monkeypatch.setattr(tensor_module, "PATTERN_BUDGET", UNIT_ROOTS**4 - 1)
+    monkeypatch.setattr(tensor_module, "PATTERN_BUDGET", 12**4 - 1)
     with pytest.raises(BudgetError):
-        _linf_root_bounds(T.coeffs)
-    monkeypatch.setattr(tensor_module, "PATTERN_BUDGET", UNIT_ROOTS**4)
-    lower, upper = _linf_root_bounds(T.coeffs)
+        _linf_root_bounds(T.coeffs, 12)
+    monkeypatch.setattr(tensor_module, "PATTERN_BUDGET", 12**4)
+    lower, upper = _linf_root_bounds(T.coeffs, 12)
     # the reported pattern index names a grid point attaining the lower bound
-    values, indices = _exact_linf_stack(T.coeffs[None], _unit_roots(UNIT_ROOTS))
-    digits = [(int(indices[0]) // UNIT_ROOTS**b) % UNIT_ROOTS for b in range(4)]
-    roots = _unit_roots(UNIT_ROOTS)
+    values, indices = _exact_linf_stack(T.coeffs[None], _unit_roots(12))
+    digits = [(int(indices[0]) // 12**b) % 12 for b in range(4)]
+    roots = _unit_roots(12)
     z2 = np.array([1.0, roots[digits[0]], roots[digits[1]]])
     z3 = np.array([1.0, roots[digits[2]], roots[digits[3]]])
     value = np.abs(np.einsum("abc,b,c->a", T.coeffs, z2, z3)).sum()
@@ -678,28 +687,36 @@ def test_interpolation_bound_holds_a_64_restart_ascent(shape, field, kind, p, se
     m, n = shape
     T = generate(kind, m, n, field, seed)
     hoelder = [crude_upper(T, p)]
-    first = _interpolation_bounds(T.coeffs[None], hoelder, p)[0]
-    second = _interpolation_bounds(T.coeffs[None], hoelder, p, _root_count(m, n))[0]
+    first = _interpolation_bounds(T.coeffs[None], p)[0]
+    second = _interpolation_bounds(T.coeffs[None], p, _root_count(m, n))[0]
     assert second <= first <= hoelder[0]
     lower = _best_restarts(T.coeffs[None], hoelder, p, 64, 500, 1e-10, [seed])[0][0]
     assert lower <= second
 
 
+@pytest.fixture
+def without_hoelder(monkeypatch):
+    # an inf Hoelder bound, so that the min does not hide the interpolation bound
+    monkeypatch.setattr(
+        norms_module, "_hoelder_bounds", lambda mags, top, over, p: np.full(len(mags), math.inf)
+    )
+
+
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 8.0])
-def test_interpolation_bound_of_a_single_coefficient_is_at_least_one(p):
+def test_interpolation_bound_of_a_single_coefficient_is_at_least_one(p, without_hoelder):
     # ||T|| = sigma = the mass = 1: the formula unrounded gave
     # 0.9999999999999998 here, so this checks the outward rounding
     for m, n in [(2, 3), (2, 5), (3, 2), (3, 3), (4, 2)]:
         for field in (REAL, COMPLEX):
             T = generate("sparse_unit", m, n, field, m + n)
             for roots in (None, _root_count(m, n)):
-                bound = _interpolation_bounds(T.coeffs[None], [math.inf], p, roots)[0]
+                bound = _interpolation_bounds(T.coeffs[None], p, roots)[0]
                 assert 1.0 <= bound <= 1.0 + 1e-13
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_interpolation_bound_at_p2_is_the_largest_singular_value(field, n):
+def test_interpolation_bound_at_p2_is_the_largest_singular_value(field, n, without_hoelder):
     # at m = 2 and p = 2 the bound is sigma, the exact bilinear norm, plus
     # the certified margins: O(n^2) units of roundoff (20 to 100 units in
     # the last place measured at these n)
@@ -709,15 +726,14 @@ def test_interpolation_bound_at_p2_is_the_largest_singular_value(field, n):
         if field is COMPLEX:
             A = A + 1j * rng.standard_normal((n, n))
         sigma = np.linalg.svd(A, compute_uv=False)[0]
-        bound = _interpolation_bounds(A[None], [math.inf], 2.0)[0]
+        bound = _interpolation_bounds(A[None], 2.0)[0]
         assert sigma <= bound <= sigma * (1.0 + 1e-13)
 
 
 @pytest.mark.parametrize("k", [-600, 7, 600])
-def test_interpolation_bound_scales_by_powers_of_two_bit_for_bit(k):
+def test_interpolation_bound_scales_by_powers_of_two_bit_for_bit(k, without_hoelder):
     # every tensor is scaled to magnitude about 1 first, so 2^k T gets 2^k
-    # times the bound of T (given inf Hoelder bounds, so that the min does
-    # not hide the interpolation bound)
+    # times the bound of T
     rng = np.random.default_rng(k + 4000)
     for field in (REAL, COMPLEX):
         for m, n in [(2, 3), (3, 3), (4, 2)]:
@@ -727,42 +743,50 @@ def test_interpolation_bound_scales_by_powers_of_two_bit_for_bit(k):
             ])
             big = math.ldexp(1.0, k) * stack
             for p, roots in [(2.0, None), (3.0, None), (4.0, _root_count(m, n))]:
-                small = _interpolation_bounds(stack, np.full(4, math.inf), p, roots)
-                large = _interpolation_bounds(big, np.full(4, math.inf), p, roots)
+                small = _interpolation_bounds(stack, p, roots)
+                large = _interpolation_bounds(big, p, roots)
                 assert large.tolist() == [math.ldexp(b, k) for b in small]
 
 
-def test_interpolation_bound_of_a_tensor_does_not_depend_on_its_stack():
+@pytest.mark.parametrize("p", [2.5, 4.0, 4.5, 8.0])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_interpolation_bound_of_a_tensor_does_not_depend_on_its_stack(p, field):
     # one eigvalsh and one cholesky call cover the stack, and each tensor
-    # gets the bound it gets alone; a zero tensor fails the Cholesky test
-    # (mu = 0) and gets 0 from the Frobenius fallback and the Hoelder bound,
-    # a complex modulus past the largest float gets inf
+    # gets the bound it gets alone, its own Hoelder bound included; a zero
+    # tensor fails the Cholesky test (mu = 0) and gets 0 from the Frobenius
+    # fallback and the Hoelder bound, a complex modulus past the largest
+    # float gets inf
     rng = np.random.default_rng(71)
-    for field in (REAL, COMPLEX):
-        tensors = [generate("gaussian", 3, 3, field, int(rng.integers(2**32))).coeffs for _ in range(6)]
-        tensors.append(np.zeros((3, 3, 3)))
+    for m, n in [(2, 3), (2, 9), (3, 2), (3, 3), (4, 3)]:
+        tensors = [
+            math.exp(float(rng.uniform(-30.0, 30.0)))
+            * generate("gaussian", m, n, field, int(rng.integers(2**32))).coeffs
+            for _ in range(6)
+        ]
+        tensors.append(np.zeros((n,) * m))
         if field is COMPLEX:
-            tensors.append(np.full((3, 3, 3), 1.5e308 + 1.5e308j))
+            tensors.append(np.full((n,) * m, 1.5e308 + 1.5e308j))
         stack = np.stack(tensors)
-        hoelder = _hoelder_bounds(*_magnitudes(stack), 4.0)
-        bounds = _interpolation_bounds(stack, hoelder, 4.0)
-        alone = [_interpolation_bounds(stack[b : b + 1], hoelder[b : b + 1], 4.0)[0]
-                 for b in range(len(stack))]
+        bounds = _interpolation_bounds(stack, p)
+        alone = [_interpolation_bounds(stack[b : b + 1], p)[0] for b in range(len(stack))]
         assert bounds.tolist() == alone
         assert bounds[6] == 0.0
-        assert (bounds[:6] < hoelder[:6]).all()
+        hoelder = [crude_upper(FormTensor(m, n, field, t), p) for t in tensors[:6]]
+        assert (bounds[:6] <= hoelder).all()
+        if n**m >= 27:   # on the smallest shapes the Hoelder bound can win
+            assert (bounds[:6] < hoelder).all()
         if field is COMPLEX:
             assert bounds[7] == math.inf
 
 
-def test_a_failed_cholesky_test_falls_back_to_the_frobenius_norm(monkeypatch):
+def test_a_failed_cholesky_test_falls_back_to_the_frobenius_norm(monkeypatch, without_hoelder):
     # sigma <= ||A||_F: still a bound, only a looser one
     T = generate("gaussian", 3, 3, REAL, 5)
-    tight = _interpolation_bounds(T.coeffs[None], [math.inf], 4.0)[0]
+    tight = _interpolation_bounds(T.coeffs[None], 4.0)[0]
     monkeypatch.setattr(
         norms_module, "_cholesky_passes", lambda H: np.zeros(H.shape[:-2], dtype=bool)
     )
-    loose = _interpolation_bounds(T.coeffs[None], [math.inf], 4.0)[0]
+    loose = _interpolation_bounds(T.coeffs[None], 4.0)[0]
     frobenius = float(np.sqrt((T.coeffs**2).sum()))
     linf = min(float(np.abs(T.coeffs).sum()), 3.0**1.5 * frobenius)
     assert tight < loose
@@ -770,11 +794,15 @@ def test_a_failed_cholesky_test_falls_back_to_the_frobenius_norm(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, math.inf])
-def test_interpolation_bound_outside_p_2_to_inf_is_the_hoelder_bound(p):
-    # Riesz-Thorin between l_2 and l_inf covers 2 <= p < inf only
-    stack = np.stack([generate("gaussian", 3, 3, REAL, s).coeffs for s in range(3)])
-    hoelder = _hoelder_bounds(*_magnitudes(stack), p)
-    assert _interpolation_bounds(stack, hoelder, p).tolist() == hoelder.tolist()
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_interpolation_bound_outside_p_2_to_inf_is_the_hoelder_bound(p, field):
+    # Riesz-Thorin between l_2 and l_inf covers 2 <= p < inf only: there
+    # the bound is each tensor's crude_upper, bit for bit, in any stack
+    tensors = [generate("gaussian", 3, 3, field, s) for s in range(5)]
+    stack = np.stack([T.coeffs for T in tensors])
+    for roots in (None, 12):
+        bounds = _interpolation_bounds(stack, p, roots)
+        assert bounds.tolist() == [crude_upper(T, p) for T in tensors]
 
 
 def test_root_count_is_the_largest_k_within_2_to_the_18_patterns():
