@@ -11,11 +11,12 @@ ratio (`_ratio`) and verdict (`_classify`).
 Trials are independent: each derives its own seed from (base seed, trial
 index), so reports are byte-identical for a fixed (params, seed, jobs)
 triple regardless of scheduling.  Every entry point here checks its seed by
-the one rule of `hlcert.chaos`: an integer in [0, 2^32), else DomainError.
+the one rule of `hlcert.errors`: an integer in [0, 2^32), else DomainError.
 """
 
 from __future__ import annotations
 
+import enum
 import io
 import json
 import math
@@ -25,8 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chaos import _check_seed
-from .errors import DomainError, ViolationError, _check_integer
+from .errors import DomainError, ViolationError, _check_integer, _check_seed
 from .exponents import ExponentSet, exponents
 from .norms import (
     _best_restarts,
@@ -134,7 +134,7 @@ class CertificationReport:
         return {
             "m": self.m,
             "n": self.n,
-            "p": _encode_p(self.p),
+            "p": _encode(self.p),
             "lambda0": self.lambda0,
             "field": self.field.value,
             "s": self.s,
@@ -151,8 +151,13 @@ class CertificationReport:
         }
 
 
-def _encode_p(p: float):
-    return "inf" if math.isinf(p) else p
+def _encode(value):
+    """value made strict JSON: an enum gives its value, an infinite float "inf" or "-inf"."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0.0 else "-inf"
+    return value
 
 
 def report_to_json(report: CertificationReport) -> str:
@@ -187,7 +192,8 @@ def _admissible_exponents(
     return exps
 
 
-def _classify(lhs: float, c_lower: float, c_upper: float, tol: float) -> str:
+def _classify(lhs: float, c_lower: float, c_upper: float) -> str:
+    """The verdict on lhs against c_lower <= C ||T|| <= c_upper, within RATIO_TOL read per call."""
     # an overflowed or NaN side proves nothing either way: fail loudly rather
     # than report it as a violation or as inconclusive
     if not all(math.isfinite(x) for x in (lhs, c_lower, c_upper)):
@@ -196,12 +202,12 @@ def _classify(lhs: float, c_lower: float, c_upper: float, tol: float) -> str:
             f"c_lower={c_lower!r}, c_upper={c_upper!r}"
         )
     if c_upper <= 0.0:
-        return "pass" if lhs <= tol else "violation"
-    if lhs / c_upper > 1.0 + tol:
+        return "pass" if lhs <= RATIO_TOL else "violation"
+    if lhs / c_upper > 1.0 + RATIO_TOL:
         return "violation"
-    if c_lower > 0.0 and lhs / c_lower <= 1.0 + tol:
+    if c_lower > 0.0 and lhs / c_lower <= 1.0 + RATIO_TOL:
         return "pass"
-    if c_lower <= 0.0 and lhs <= tol:
+    if c_lower <= 0.0 and lhs <= RATIO_TOL:
         return "pass"
     return "inconclusive"
 
@@ -256,11 +262,11 @@ def _ratio(lhs: np.ndarray, bound: np.ndarray) -> np.ndarray:
 def _run_batch(args) -> List[TrialResult]:
     """Trials start..stop-1 of a run: generate, score, bound, one ascent, classify, stage 2.
 
-    At finite p the scorer's Hoelder bound is tightened by
-    `_interpolation_bounds` on the whole batch (stage 1), and the trials
-    still inconclusive after the ascent get the same bound with the l_inf
-    side also capped by the root enumeration at K = `_root_count(m, n)`
-    roots of unity (stage 2, marked `retried`; none when no K fits).
+    Off real p = inf, the ascent (`_best_restarts`) also gives the stage 1
+    bound, `_interpolation_bounds` of the whole batch, in place of the
+    scorer's Hoelder bound; trials still inconclusive after it get the same
+    bound with the l_inf side also capped by the root enumeration at K =
+    `_root_count(m, n)` roots of unity (stage 2, `retried`; none if no K fits).
     """
     exps, n, seed, cfg, start, stop = args
     C = exps.constant
@@ -278,14 +284,11 @@ def _run_batch(args) -> List[TrialResult]:
     if _exact_bound(exps):
         lower = upper.copy()
     else:
-        upper = _interpolation_bounds(stack, exps.p)
-        lower = _best_restarts(
-            stack, upper, exps.p, cfg.restarts, cfg.max_iters, cfg.tol,
+        lower, upper = _best_restarts(
+            stack, exps.p, cfg.restarts, cfg.max_iters, cfg.tol,
             [norm_ss for _, norm_ss in spawned],
-        )[0]
-    classes = [
-        _classify(lhs[b], C * lower[b], C * upper[b], RATIO_TOL) for b in range(len(stack))
-    ]
+        )[:2]
+    classes = [_classify(lhs[b], C * lower[b], C * upper[b]) for b in range(len(stack))]
 
     retried = [False] * len(stack)
     redo = [b for b, c in enumerate(classes) if c == "inconclusive"]
@@ -294,7 +297,7 @@ def _run_batch(args) -> List[TrialResult]:
         upper[redo] = _interpolation_bounds(stack[redo], exps.p, roots)
         lower[redo] = np.minimum(lower[redo], upper[redo])
         for b in redo:
-            classes[b] = _classify(lhs[b], C * lower[b], C * upper[b], RATIO_TOL)
+            classes[b] = _classify(lhs[b], C * lower[b], C * upper[b])
             retried[b] = True
 
     conservative, empirical = _ratio(lhs, upper), _ratio(lhs, lower)
@@ -515,7 +518,7 @@ def search_extremal(
             spent += 1
             step = 1.0
     # certify's verdict on the best ratio: lhs against a form of norm 1
-    if _classify(best_ratio, exps.constant, exps.constant, RATIO_TOL) == "violation":
+    if _classify(best_ratio, exps.constant, exps.constant) == "violation":
         raise ViolationError(
             f"extremal search found ratio {best_ratio!r} above the certified "
             f"constant {exps.constant!r}: implementation bug"

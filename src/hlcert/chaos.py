@@ -15,8 +15,8 @@ half-angle form z = ((1 - t^2) + 2i*t) / (1 + t^2) with t = tan(pi*u)
 (within 2.7e-16 of exp(2*pi*i*u)) and closes the last slot of a block with
 one GEMM.  The loop takes row and column sums as products with ones vectors.
 
-Seeds follow one rule, `_check_seed`, at every entry point (here
-`steinhaus_moment`, `check_khinchin` and `verify_proof_chain`; in
+Seeds follow one rule, `hlcert.errors._check_seed`, at every entry point
+(here `steinhaus_moment`, `check_khinchin` and `verify_proof_chain`; in
 `hlcert.certify` `certify`, `search_extremal` and `sweep_lambda0`): a seed
 is an integer in [0, 2^32), anything else raises DomainError.  The
 Monte-Carlo samples come from SeedSequence([seed, 0]), so results are
@@ -41,8 +41,9 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ViolationError, _check_integer
-from .norms import _linf_root_bounds, _root_count, alternating_max
+from .errors import DomainError, ViolationError, _check_integer, _check_seed
+from .exponents import _check_lambda0
+from .norms import _check_multilinear, _linf_root_bounds, _root_count, alternating_max
 # exact_linf_enum and crude_upper are tracer shims: bench/tracer.py wraps them here
 from .norms import crude_upper, exact_linf_enum  # noqa: F401
 from .special import ScalarField, khinchin_A
@@ -99,9 +100,14 @@ def rademacher_moment(a, q: float) -> ChaosMoment:
     Complex coefficients raise DomainError.
     """
     a, unit = _unit_scaled(_coefficient_vector(_real_array(a), q, np.float64))
+    return ChaosMoment(q=q, value=unit * _rademacher_norm(a, q), mode="exact")
+
+
+def _rademacher_norm(a: np.ndarray, q: float) -> float:
+    """The value of `rademacher_moment` on a checked, unit-scaled vector a."""
     # a free axis of length 1 in front makes slot 1 the core's lowest bits
-    _, mean, _, _ = _chaos_stats(sign_slices(a[None]), 1, q)
-    return ChaosMoment(q=q, value=unit * mean ** (1.0 / q), mode="exact")
+    _, mean, _, _ = _chaos_stats(sign_slices(a[None]), q)
+    return mean ** (1.0 / q)
 
 
 def steinhaus_moment(a, q: float, samples: int = 100_000, seed: int = 0) -> ChaosMoment:
@@ -115,11 +121,16 @@ def steinhaus_moment(a, q: float, samples: int = 100_000, seed: int = 0) -> Chao
     seed = _check_seed(seed)
     _check_integer("samples", samples, 2)
     a, unit = _unit_scaled(_coefficient_vector(a, q, np.complex128))
-    _, mean, stderr, _ = _chaos_stats(_steinhaus_slices(a[None], samples, seed), 1, q)
-    value, value_err = _power_mean(mean, stderr, q)
+    value, value_err = _steinhaus_norm(a, q, samples, seed)
     return ChaosMoment(
         q=q, value=unit * value, mode="mc", samples=samples, seed=seed, stderr=unit * value_err,
     )
+
+
+def _steinhaus_norm(a: np.ndarray, q: float, samples: int, seed: int) -> Tuple[float, float]:
+    """(value, standard error) of `steinhaus_moment` on a checked, unit-scaled vector a."""
+    _, mean, stderr, _ = _chaos_stats(_steinhaus_slices(a[None], samples, seed), q)
+    return _power_mean(mean, stderr, q)
 
 
 def _real_array(a) -> np.ndarray:
@@ -139,21 +150,10 @@ def _coefficient_vector(a, q: float, dtype) -> np.ndarray:
     return a
 
 
-def _check_seed(seed) -> int:
-    """The one seed rule: an integer in [0, 2^32), else DomainError.
-
-    SeedSequence hashes an integer as 32-bit words, so [seed + 2^32, k]
-    would hash like [seed, k + 1] and streams of different seeds collide.
-    """
-    if isinstance(seed, (int, np.integer)) and 0 <= seed < 2**32:
-        return int(seed)
-    raise DomainError(f"seed must be a non-negative integer below 2**32, got {seed!r}")
-
-
 def _chaos_stats(
-    blocks: Iterable[np.ndarray], f: int, q: float, linf: bool = False
+    blocks: Iterable[np.ndarray], q: float, linf: bool = False
 ) -> Tuple[np.ndarray, float, float, Optional[float]]:
-    """Statistics of W[k, j] = |V[k, j]|^q over blocks V (K, f) of chaos slices.
+    """Statistics of W[k, j] = |V[k, j]|^q over blocks V (K, f) of chaos slices, any width f.
 
     The one accumulation loop of this module.  Row k of a block is one sign
     pattern (from `sign_slices`) or one Monte-Carlo sample (from
@@ -167,8 +167,7 @@ def _chaos_stats(
     naming q when |V|^q or the square of a row sum overflows: the moments
     would be inf, and a check would compare against an infinite bound.
     """
-    ones_f = np.ones(f)
-    col_total = np.zeros(f)
+    col_total = 0.0   # the first block's column sums (all >= 0) replace it bit for bit
     row_total = 0.0
     row_sq = 0.0
     sup = 0.0
@@ -178,6 +177,7 @@ def _chaos_stats(
     with np.errstate(over="ignore"):
         for V in blocks:
             W = np.abs(V)
+            ones_f = np.ones(W.shape[1])
             if linf:
                 sup = max(sup, float((W @ ones_f).max()))
             W **= q
@@ -309,19 +309,20 @@ def check_khinchin(
     Complex field: Steinhaus Monte Carlo, 3-sigma soft check: a miss is
     sampling noise as often as a bug, so it returns the report with
     passed=False instead of raising.  samples is checked in both fields.
+    The vector is checked and scaled once, for both sides and the moment.
     """
     seed = _check_seed(seed)
     _check_integer("samples", samples, 2)
     A = khinchin_A(q, field).value
     arr = _real_array(a) if field is ScalarField.REAL else np.asarray(a, dtype=np.complex128)
     arr, unit = _unit_scaled(arr)
+    arr = _coefficient_vector(arr, q, arr.dtype)
     if field is ScalarField.REAL:
-        moment = rademacher_moment(arr, q)
+        mode, mid, stderr, slack = "exact", _rademacher_norm(arr, q), None, EXACT_SLACK
     else:
-        moment = steinhaus_moment(arr, q, samples=samples, seed=seed)
+        mid, stderr = _steinhaus_norm(arr, q, samples, seed)
+        mode, slack = "mc", 3.0 * stderr + MC_SLACK
     lhs = A * float(np.sqrt((np.abs(arr) ** 2).sum()))
-    mid = moment.value
-    slack = EXACT_SLACK if moment.mode == "exact" else 3.0 * (moment.stderr or 0.0) + MC_SLACK
     passed = mid >= lhs - slack
     if not passed and field is ScalarField.REAL:
         raise ViolationError(
@@ -330,8 +331,8 @@ def check_khinchin(
         )
     ratio = mid / lhs if lhs > 0.0 else 1.0
     return KhinchinReport(
-        q=q, field=field, lhs=unit * lhs, mid=unit * mid, ratio=ratio, mode=moment.mode,
-        passed=passed, stderr=None if moment.stderr is None else unit * moment.stderr,
+        q=q, field=field, lhs=unit * lhs, mid=unit * mid, ratio=ratio, mode=mode,
+        passed=passed, stderr=None if stderr is None else unit * stderr,
     )
 
 
@@ -376,7 +377,7 @@ def check_contraction(a, t: float) -> ContractionReport:
     if len(sizes) != 1:
         raise DomainError(f"coefficient tensor must be cubical, got shape {arr.shape}")
     arr, unit = _unit_scaled(arr)
-    _, mean, _, _ = _chaos_stats(sign_slices(arr[None]), 1, t)
+    _, mean, _, _ = _chaos_stats(sign_slices(arr[None]), t)
     moment = mean ** (1.0 / t)
     max_coeff = float(np.abs(arr).max())
     passed = max_coeff <= moment + EXACT_SLACK
@@ -425,16 +426,14 @@ def check_multiple_khinchin(
     """
     if T.field is not ScalarField.REAL:
         raise DomainError("exact multiple-Khinchin check supports the real field only")
-    if T.m < 2:
-        raise DomainError("need an m-linear form with m >= 2")
-    if not (1.0 <= lambda0 <= 2.0):
-        raise DomainError(f"lambda0 must lie in [1, 2], got {lambda0}")
+    _check_multilinear(T)
+    _check_lambda0(lambda0)
     if j1 is not None:
         _check_integer("j1", j1, 1, T.n)
     A = khinchin_A(lambda0, ScalarField.REAL).value
     constant = A ** (-(T.m - 1))
     coeffs, unit = _unit_scaled(T.coeffs)
-    col_means, _, _, _ = _chaos_stats(sign_slices(coeffs), T.n, lambda0)
+    col_means, _, _, _ = _chaos_stats(sign_slices(coeffs), lambda0)
     R = col_means ** (1.0 / lambda0)
     flat = coeffs.reshape(T.n, -1)
     l2 = np.sqrt((flat**2).sum(axis=1))
@@ -543,14 +542,12 @@ def verify_proof_chain(
     absolute slacks are relative to the largest coefficient; reported values
     are in the units of S.
     """
-    if S.m < 2:
-        raise DomainError("need an m-linear form with m >= 2")
+    _check_multilinear(S)
     _check_integer("index", index, 1, S.m)
     _check_integer("mc_samples", mc_samples, 2)
     if not (2.0 <= s < math.inf):
         raise DomainError(f"the interpolation step needs a finite s >= 2, got {s}")
-    if not (1.0 <= lambda0 <= 2.0):
-        raise DomainError(f"lambda0 must lie in [1, 2], got {lambda0}")
+    _check_lambda0(lambda0)
     seed = _check_seed(seed)
 
     # every chain quantity is 1-homogeneous in S: run the chain on S divided
@@ -576,16 +573,14 @@ def verify_proof_chain(
     stderr = None
     if S.field is ScalarField.REAL:
         mode = "exact"
-        col_means, int_mean, _, norm_lower = _chaos_stats(
-            sign_slices(coeffs), n, lambda0, linf=True
-        )
+        col_means, int_mean, _, norm_lower = _chaos_stats(sign_slices(coeffs), lambda0, linf=True)
         norm_upper = norm_lower
         r_sum = float(col_means.sum() ** (1.0 / lambda0))      # (sum_j R_j^l0)^(1/l0)
         ineq_slack = EXACT_SLACK
     else:
         mode = "mc"
         col_means, int_mean, total_stderr, _ = _chaos_stats(
-            _steinhaus_slices(coeffs, mc_samples, seed), n, lambda0
+            _steinhaus_slices(coeffs, mc_samples, seed), lambda0
         )
         roots = _root_count(m, n)
         if roots is not None:

@@ -9,6 +9,7 @@ input, which sampling noise can also fail).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from typing import List, Optional
 
 from .certify import (
     TrialConfig,
+    _encode,
     certify,
     report_to_json,
     search_extremal,
@@ -25,12 +27,13 @@ from .certify import (
     sweep_to_csv,
     trials_to_csv,
 )
-from .chaos import _check_seed, check_contraction, check_khinchin, verify_proof_chain
+from .chaos import check_contraction, check_khinchin, verify_proof_chain
 from .errors import (
     BudgetError,
     DomainError,
     TransferHypothesisError,
     ViolationError,
+    _check_seed,
 )
 from .exponents import TransferProblem, classical_exponents, exponents, region, transfer
 from .special import ScalarField, khinchin_A, solve_q0
@@ -100,6 +103,12 @@ def _resolve_seed(args) -> tuple[int, bool]:
         # seed goes to `generate` unchecked
         return _check_seed(args.seed), False
     return random.SystemRandom().randrange(2**32), True
+
+
+def _result_payload(result, **extra) -> dict:
+    """The fields of a result dataclass in declaration order, then `extra`, each `_encode`d."""
+    payload = {**dataclasses.asdict(result), **extra}
+    return {key: _encode(value) for key, value in payload.items()}
 
 
 def _emit(payload: dict, fmt: str, header: Optional[str] = None) -> None:
@@ -240,46 +249,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_constants(args) -> int:
     field = ScalarField.parse(args.field)
-    const = khinchin_A(args.q, field)
-    payload = {
-        "q": const.q,
-        "field": const.field.value,
-        "value": const.value,
-        "branch": const.branch.value,
-        "q0": solve_q0(),
-    }
-    _emit(payload, args.format)
+    _emit(_result_payload(khinchin_A(args.q, field), q0=solve_q0()), args.format)
     return EXIT_OK
 
 
 def _cmd_region(args) -> int:
     reg = region(args.m, args.lambda0)
-    payload = {
-        "m": reg.m,
-        "lambda0": reg.lambda0,
-        "lower": reg.lower,
-        "upper": "inf" if math.isinf(reg.upper) else reg.upper,
-        "empty": reg.empty,
-    }
-    _emit(payload, args.format)
+    _emit(_result_payload(reg, empty=reg.empty), args.format)
     return EXIT_OK
 
 
 def _cmd_exponents(args) -> int:
     field = ScalarField.parse(args.field)
     exps = exponents(args.m, _parse_p(args.p), args.lambda0, field)
-    payload = {
-        "m": exps.m,
-        "p": "inf" if math.isinf(exps.p) else exps.p,
-        "lambda0": exps.lambda0,
-        "field": exps.field.value,
-        "s": exps.s,
-        "eta1": exps.eta1,
-        "constant": exps.constant,
-        "admissible": exps.admissible,
-        "extrapolated": exps.extrapolated,
-    }
-    _emit(payload, args.format)
+    _emit(_result_payload(exps), args.format)
     return EXIT_OK
 
 
@@ -290,21 +273,12 @@ def _cmd_transfer(args) -> int:
         lambda0=args.lambda0,
         s=args.s,
     )
-    result = transfer(tp)
-    payload = {"eta1": result.eta1, "eta2": result.eta2, "deficiency": result.deficiency}
-    _emit(payload, args.format)
+    _emit(_result_payload(transfer(tp)), args.format)
     return EXIT_OK
 
 
 def _cmd_classical(args) -> int:
-    res = classical_exponents(args.m, _parse_p(args.p))
-    payload = {
-        "m": res.m,
-        "p": "inf" if math.isinf(res.p) else res.p,
-        "hl_high": res.hl_high,
-        "hl_low": res.hl_low,
-    }
-    _emit(payload, args.format)
+    _emit(_result_payload(classical_exponents(args.m, _parse_p(args.p))), args.format)
     return EXIT_OK
 
 

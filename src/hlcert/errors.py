@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer rule that raises one."""
+"""Exception types shared across the package, and the integer and seed rules that raise one."""
 
 import numbers
 from typing import Optional
@@ -42,3 +42,14 @@ def _check_integer(name: str, value, low: int, high: Optional[int] = None) -> No
         raise DomainError(f"{name} must be >= {low}, got {value!r}")
     if high is not None and not low <= value <= high:
         raise DomainError(f"{name} must lie in [{low}, {high}], got {value!r}")
+
+
+def _check_seed(seed) -> int:
+    """The one seed rule: an integer in [0, 2^32), else DomainError; returns it as an int.
+
+    SeedSequence hashes an integer as 32-bit words, so [seed + 2^32, k]
+    would hash like [seed, k + 1] and streams of different seeds collide.
+    """
+    if isinstance(seed, numbers.Integral) and 0 <= seed < 2**32:
+        return int(seed)
+    raise DomainError(f"seed must be a non-negative integer below 2**32, got {seed!r}")

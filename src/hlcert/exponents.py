@@ -239,5 +239,6 @@ def classical_exponents(m: int, p: float) -> ClassicalExponents:
 
 
 def _check_lambda0(lambda0: float) -> None:
+    """The one lambda0 rule, here and in `hlcert.chaos`: DomainError unless 1 <= lambda0 <= 2."""
     if not (1.0 <= lambda0 <= 2.0):
         raise DomainError(f"lambda0 must lie in [1, 2], got {lambda0}")

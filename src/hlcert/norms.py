@@ -118,8 +118,7 @@ def dual_norm_linear(c: np.ndarray, p: float) -> Tuple[Union[float, np.ndarray],
     (p'-1) p = p', |x|^p = r^(p'-1) * r = r^p', so the one power r^(p'-1)
     gives both the value's sum S = sum r^p' and the witness's norm S^(1/p).
     """
-    if not p >= 1.0:   # written so that NaN fails too
-        raise DomainError(f"p must be >= 1 or inf, got {p}")
+    _check_p(p)
     c = np.asarray(c)
     if c.ndim == 0 or c.shape[-1] == 0:
         raise DomainError(f"c must have at least one entry on its last axis, got shape {c.shape}")
@@ -150,6 +149,12 @@ def dual_norm_linear(c: np.ndarray, p: float) -> Tuple[Union[float, np.ndarray],
     if single:
         return float(values[0]), x[0]
     return values, x
+
+
+def _check_p(p: float) -> None:
+    """The one rule for the p of an l_p ball: DomainError unless p >= 1 (inf passes, NaN fails)."""
+    if not p >= 1.0:   # written so that NaN fails too
+        raise DomainError(f"p must be >= 1 or inf, got {p}")
 
 
 def _dual_norms(
@@ -196,8 +201,7 @@ def crude_upper(T: FormTensor, p: float = math.inf) -> float:
     the largest |coeff[J]|.  The one-tensor case of `_hoelder_bounds`, the
     bound `certify` and `search_extremal` score with.
     """
-    if not p >= 1.0:   # written so that NaN fails too
-        raise DomainError(f"p must be >= 1 or inf, got {p}")
+    _check_p(p)
     return float(_hoelder_bounds(*_magnitudes(T.coeffs[None]), p)[0])
 
 
@@ -401,36 +405,39 @@ def alternating_max(
     """Lower-bound ||T|| by block-coordinate ascent from random restarts.
 
     Fixing all arguments but one reduces the problem to an exact linear dual
-    norm, so each sweep is monotone.  The upper bound is `certify`'s stage 1
-    bound, `_interpolation_bounds`: the Hoelder bound `crude_upper(T, p)`
-    (the coefficient mass at p = inf), or for 2 <= p < inf the smaller
-    interpolation bound.  It also caps the lower one against rounding.
-    The restarts' unit starting tuples come from one stream of `seed`
-    (`_random_starts`; 0 by default, like every other entry point, so two
-    calls with the same arguments agree) and ascend together as one batch;
-    the result is their max (the first restart attaining it).
-    The one-tensor case of `_best_restarts`, which `certify` runs over many
-    trials at once.  Needs
-    m >= 2 (for m = 1, `dual_norm_linear` is exact), p > 1 and the settings
-    `TrialConfig` accepts.
+    norm, so each sweep is monotone.  The restarts' unit starting tuples
+    come from one stream of `seed` (`_random_starts`; 0 by default, like
+    every other entry point, so two calls with the same arguments agree)
+    and ascend together as one batch; the result is their max (the first
+    restart attaining it).  The one-tensor case of `_best_restarts`, which
+    `certify` runs over many trials at once and which also gives the upper
+    bound: `certify`'s stage 1 bound, `_interpolation_bounds` (the Hoelder
+    bound `crude_upper(T, p)`, the coefficient mass at p = inf, or for
+    2 <= p < inf the smaller interpolation bound), which caps the lower one
+    against rounding.  Needs m >= 2 (for m = 1, `dual_norm_linear` is
+    exact), p > 1 and the settings `TrialConfig` accepts.
     """
-    if T.m < 2:
-        raise DomainError("need an m-linear form with m >= 2")
+    _check_multilinear(T)
     if not p > 1.0:
         raise DomainError(f"alternating_max needs p > 1 (or inf), got {p}")
     _check_ascent_settings(restarts, max_iters, tol)
-    upper = float(_interpolation_bounds(T.coeffs[None], p)[0])
-    lower, witness, converged = _best_restarts(
-        T.coeffs[None], [upper], p, restarts, max_iters, tol, [seed]
+    lower, upper, witness, converged = _best_restarts(
+        T.coeffs[None], p, restarts, max_iters, tol, [seed]
     )
     return NormEstimate(
         lower=float(lower[0]),
-        upper=upper,
+        upper=float(upper[0]),
         method=NormMethod.ALTERNATING_MAX,
         restarts=restarts,
         converged=bool(converged[0]),
         witness=tuple(v[0] for v in witness),
     )
+
+
+def _check_multilinear(T: FormTensor) -> None:
+    """DomainError unless T is an m-linear form with m >= 2."""
+    if T.m < 2:
+        raise DomainError("need an m-linear form with m >= 2")
 
 
 def _check_ascent_settings(restarts: int, max_iters: int, tol: float) -> None:
@@ -442,23 +449,25 @@ def _check_ascent_settings(restarts: int, max_iters: int, tol: float) -> None:
 
 
 def _best_restarts(
-    stack: np.ndarray, caps, p: float, restarts: int, max_iters: int, tol: float, seeds: Sequence
-) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
-    """The best restart of every tensor of a stack (B,) + (n,)*m, as arrays; unchecked settings.
+    stack: np.ndarray, p: float, restarts: int, max_iters: int, tol: float, seeds: Sequence
+) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray], np.ndarray]:
+    """The stage 1 sandwich of every tensor of a stack (B,) + (n,)*m; unchecked settings.
 
-    Tensor b's restarts start from `_random_starts(seeds[b], ...)` and ascend
-    as rows of one `_ascend` batch, whose rows do not depend on each other.
-    Returns (lower, witness, converged): tensor b's best restart (the first
-    attaining its max) gives lower[b], capped by caps[b] against rounding,
-    witness[k][b] in slot k and converged[b].
+    upper is the stage 1 bound `_interpolation_bounds(stack, p)`.  Tensor
+    b's restarts start from `_random_starts(seeds[b], ...)` and ascend as
+    rows of one `_ascend` batch, whose rows do not depend on each other.
+    Returns (lower, upper, witness, converged): tensor b's best restart (the
+    first attaining its max) gives lower[b], capped by upper[b] against
+    rounding, witness[k][b] in slot k and converged[b].
     """
+    upper = _interpolation_bounds(stack, p)
     B, m, n = stack.shape[0], stack.ndim - 1, stack.shape[1]
     starts = [_random_starts(seed, restarts, m, n, p, np.iscomplexobj(stack)) for seed in seeds]
     vectors = [np.concatenate([s[k] for s in starts]) for k in range(m)]
     values, vectors, converged = _ascend(stack, vectors, p, max_iters, tol)
     best = np.arange(B) * restarts + values.reshape(B, restarts).argmax(axis=1)
-    lower = np.minimum(values[best], caps)
-    return lower, [v[best] for v in vectors], converged[best]
+    lower = np.minimum(values[best], upper)
+    return lower, upper, [v[best] for v in vectors], converged[best]
 
 
 def exact_linf_enum(T: FormTensor) -> NormEstimate:

@@ -85,8 +85,7 @@ class FormTensor:
                 f"coefficient count {arr.size} != n^m = {self.n**self.m}"
             )
         arr = arr.reshape((self.n,) * self.m).copy()
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("coefficients must all be finite")
+        _check_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -149,12 +148,17 @@ def _magnitudes(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Optional[np.
     top = mags.max(axis=1)
     if np.isfinite(top).all():
         return mags, top, None
-    if not np.isfinite(stack).all():
-        raise DomainError("coefficients must all be finite")
+    _check_finite(stack)
     over = ~np.isfinite(top)
     mags[over] = 0.0
     top[over] = 0.0
     return mags, top, over
+
+
+def _check_finite(coeffs: np.ndarray) -> None:
+    """The one finiteness rule for coefficients: DomainError unless every entry is finite."""
+    if not np.isfinite(coeffs).all():
+        raise DomainError("coefficients must all be finite")
 
 
 def _overflowed(values: np.ndarray, over: Optional[np.ndarray]) -> np.ndarray:
@@ -215,8 +219,7 @@ def _unit_scaled(arr: np.ndarray) -> Tuple[np.ndarray, float]:
 
     Non-finite entries raise DomainError, before any caller enumerates.
     """
-    if not np.isfinite(arr).all():
-        raise DomainError("coefficients must all be finite")
+    _check_finite(arr)
     unit = float(_nearest_powers_of_two(np.abs(arr).max(initial=0.0)))
     return arr / unit, unit
 

@@ -43,11 +43,11 @@ COMPLEX = ScalarField.COMPLEX
 
 
 def test_classify_thresholds():
-    assert _classify(1.0, 2.0, 3.0, 1e-9) == "pass"
-    assert _classify(2.5, 2.0, 3.0, 1e-9) == "inconclusive"
-    assert _classify(3.5, 2.0, 3.0, 1e-9) == "violation"
-    assert _classify(0.0, 0.0, 0.0, 1e-9) == "pass"
-    assert _classify(1.0, 0.0, 0.0, 1e-9) == "violation"
+    assert _classify(1.0, 2.0, 3.0) == "pass"
+    assert _classify(2.5, 2.0, 3.0) == "inconclusive"
+    assert _classify(3.5, 2.0, 3.0) == "violation"
+    assert _classify(0.0, 0.0, 0.0) == "pass"
+    assert _classify(1.0, 0.0, 0.0) == "violation"
 
 
 @pytest.mark.parametrize(
@@ -63,7 +63,7 @@ def test_classify_thresholds():
 )
 def test_classify_rejects_non_finite(lhs, c_lower, c_upper):
     with pytest.raises(DomainError, match="non-finite"):
-        _classify(lhs, c_lower, c_upper, 1e-9)
+        _classify(lhs, c_lower, c_upper)
 
 
 def test_certify_sparse_unit_ratio_exactly_one():
@@ -74,6 +74,22 @@ def test_certify_sparse_unit_ratio_exactly_one():
         assert row.ratio_conservative == 1.0
         assert row.ratio_empirical == 1.0
         assert row.classification == "pass"
+
+
+def test_a_patched_ratio_tol_flips_a_borderline_verdict(monkeypatch):
+    # a sparse unit tensor scores lhs = lower = upper; against a constant
+    # 1 / (1 + 1e-6) it is a violation within the default RATIO_TOL and a
+    # pass within 1e-3, so `_classify` must read the constant at each call
+    admissible = certify_module._admissible_exponents
+    monkeypatch.setattr(
+        certify_module, "_admissible_exponents",
+        lambda *args: replace(admissible(*args), constant=1.0 / (1.0 + 1e-6)),
+    )
+    cfg = TrialConfig(trials=4, kinds=("sparse_unit",), restarts=2)
+    assert certify(3, 2, 4.0, 1.0, REAL, config=cfg, seed=5).violations == 4
+    monkeypatch.setattr(certify_module, "RATIO_TOL", 1e-3)
+    report = certify(3, 2, 4.0, 1.0, REAL, config=cfg, seed=5)
+    assert (report.violations, report.inconclusive) == (0, 0)
 
 
 def test_certify_small_run_no_violations():
@@ -148,12 +164,12 @@ def _per_trial_rows(m, n, p, lambda0, cfg, seed, factor=1.0):
             T, p, restarts=cfg.restarts, max_iters=cfg.max_iters, tol=cfg.tol, seed=norm_ss
         )
         lower, upper = est.lower, est.upper
-        classification = _classify(lhs, C * lower, C * upper, certify_module.RATIO_TOL)
+        classification = _classify(lhs, C * lower, C * upper)
         retried = classification == "inconclusive"
         if retried:
             upper = float(_interpolation_bounds(T.coeffs[None], p, _root_count(m, n))[0])
             lower = min(lower, upper)
-            classification = _classify(lhs, C * lower, C * upper, certify_module.RATIO_TOL)
+            classification = _classify(lhs, C * lower, C * upper)
         rows.append((t, int(ss.generate_state(1)[0]), lhs, lower, upper,
                      classification, retried))
     return rows
@@ -487,7 +503,7 @@ def test_scorer_overflows_a_modulus_past_the_largest_float_to_inf(p, lambda0):
     assert upper.tolist() == [alone_upper[0], math.inf, alone_upper[0]]
     C = exps.constant
     with pytest.raises(DomainError, match="non-finite"):
-        _classify(lhs[1], C * upper[1], C * upper[1], certify_module.RATIO_TOL)
+        _classify(lhs[1], C * upper[1], C * upper[1])
 
 
 def test_a_constant_four_times_too_small_is_reported_at_every_trial(monkeypatch):

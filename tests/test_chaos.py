@@ -201,7 +201,7 @@ def test_steinhaus_phases_match_the_complex_exponential():
 def _steinhaus_stats(coeffs, q, samples, seed):
     # the one statistics loop over the Monte-Carlo block source
     blocks = chaos_module._steinhaus_slices(coeffs, samples, seed)
-    return chaos_module._chaos_stats(blocks, coeffs.shape[0], q)
+    return chaos_module._chaos_stats(blocks, q)
 
 
 def _steinhaus_stats_by_samples(coeffs, q, samples, seed):
@@ -307,6 +307,31 @@ def test_check_khinchin_scales_with_the_vector(c):
     assert rep.lhs == pytest.approx(abs(c) * unit.lhs, rel=1e-12)
     assert rep.mid == pytest.approx(abs(c) * unit.mid, rel=1e-12)
     assert rep.ratio == pytest.approx(unit.ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("top", [3.0, 1.5e308])
+def test_check_khinchin_scales_once_and_reports_the_public_moments(top, monkeypatch):
+    # the vector is checked and unit-scaled once and the moment's core runs
+    # on it, so mid and stderr are the public moments bit for bit, also past
+    # max|a| = 2^1023 * sqrt(2), where the scaling stops at 2^1023 and a
+    # second scaling (by 2) would change the last bit
+    a = top * np.array([1.0, -0.6, 0.3])
+    z = a * np.exp(2j * np.arange(3))
+    assert check_khinchin(a, 1.5, REAL).mid == rademacher_moment(a, 1.5).value
+    report = check_khinchin(z, 1.5, COMPLEX, samples=500, seed=3)
+    moment = steinhaus_moment(z, 1.5, samples=500, seed=3)
+    assert (report.mid, report.stderr) == (moment.value, moment.stderr)
+    scaled = []
+    unit_scaled = chaos_module._unit_scaled
+
+    def counted(arr):
+        scaled.append(arr)
+        return unit_scaled(arr)
+
+    monkeypatch.setattr(chaos_module, "_unit_scaled", counted)
+    check_khinchin(a, 1.5, REAL)
+    check_khinchin(z, 1.5, COMPLEX, samples=500, seed=3)
+    assert len(scaled) == 2
 
 
 def test_check_khinchin_complex_soft():
@@ -437,7 +462,7 @@ def test_real_khinchin_check_rejects_complex_coefficients():
 def _slice_chaos_stats(coeffs, lambda0):
     # the one statistics loop over the sign-pattern block source
     blocks = chaos_module.sign_slices(coeffs)
-    return chaos_module._chaos_stats(blocks, coeffs.shape[0], lambda0, linf=True)
+    return chaos_module._chaos_stats(blocks, lambda0, linf=True)
 
 
 def _slice_chaos_stats_by_patterns(coeffs, lambda0):

@@ -454,3 +454,37 @@ def test_domain_error_exits_one(capsys):
 def test_invalid_p_string(capsys):
     code, _, err = run(capsys, "exponents", "--m", "3", "--p", "four", "--lambda0", "1")
     assert code == EXIT_USAGE
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--q", "1.5"],
+    ["region", "--m", "2", "--lambda0", "2"],
+    ["exponents", "--m", "3", "--p", "inf", "--lambda0", "2"],
+    ["transfer", "--p-list", "2,2", "--q-list", "inf,inf", "--lambda0", "1", "--s", "2"],
+    ["classical", "--m", "3", "--p", "inf"],
+    ["verify", "--m", "3", "--n", "2", "--p", "inf", "--lambda0", "2", "--trials", "2",
+     "--restarts", "2", "--seed", "1"],
+    ["search", "--m", "3", "--n", "2", "--p", "inf", "--lambda0", "2", "--budget", "2",
+     "--seed", "1"],
+    ["sweep", "--m", "3", "--p", "inf", "--grid", "1:2:3", "--trials", "1", "--seed", "1"],
+    ["khinchin-check", "--a", "1,2", "--q", "1.5", "--seed", "1"],
+    ["contraction-check", "--t", "2", "--seed", "1"],
+    ["chain-check", "--lambda0", "1", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_json_output_is_strict_json(capsys, argv):
+    # an infinite value prints as "inf": strict parsers reject Infinity
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    json.loads(out, parse_constant=_reject_constant)
+
+
+def test_transfer_json_prints_an_infinite_eta1_as_inf(capsys):
+    _, out, _ = run(
+        capsys, "transfer", "--p-list", "2,2", "--q-list", "inf,inf", "--lambda0", "1",
+        "--s", "2", "--format", "json",
+    )
+    assert out == '{"deficiency": 1.0, "eta1": "inf", "eta2": 2.0}\n'

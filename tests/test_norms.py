@@ -340,10 +340,11 @@ def test_batched_ascent_matches_single_tensor_calls(m, n, field, p):
                 assert np.array_equal(batched[1][k][rows], vectors[k])
 
 
-def test_batch_entry_matches_alternating_max():
-    # every tensor of a stack gets the best restart, capped lower bound and
-    # convergence flag that alternating_max gives it alone, bit for bit; a
-    # cap below the ascent's value is what the lower bound reports
+def test_batch_entry_matches_alternating_max(monkeypatch):
+    # every tensor of a stack gets the best restart, stage 1 bound, capped
+    # lower bound and convergence flag that alternating_max gives it alone,
+    # bit for bit; a stage 1 bound below the ascent's value is what the
+    # lower bound reports
     rng = np.random.default_rng(67)
     for field in (REAL, COMPLEX):
         for p in (4.0, math.inf):
@@ -351,16 +352,20 @@ def test_batch_entry_matches_alternating_max():
             seeds = [np.random.SeedSequence([9, b]) for b in range(4)]
             caps = [crude_upper(T, p) for T in tensors]
             stack = np.stack([T.coeffs for T in tensors])
-            lower, witness, converged = _best_restarts(stack, caps, p, 6, 500, 1e-10, seeds)
+            lower, upper, witness, converged = _best_restarts(stack, p, 6, 500, 1e-10, seeds)
+            assert np.array_equal(upper, _interpolation_bounds(stack, p))
             for b, (T, seed) in enumerate(zip(tensors, seeds)):
                 single = alternating_max(T, p, restarts=6, seed=seed)
                 assert lower[b].tobytes() == np.float64(single.lower).tobytes()
+                assert upper[b].tobytes() == np.float64(single.upper).tobytes()
                 assert converged[b] == single.converged
                 for k in range(3):
                     assert np.array_equal(witness[k][b], single.witness[k])
-            assert np.all(lower <= caps)
+            assert np.all(lower <= upper) and np.all(upper <= caps)
             low_caps = lower / 2
-            capped = _best_restarts(stack, low_caps, p, 6, 500, 1e-10, seeds)[0]
+            with monkeypatch.context() as patch:
+                patch.setattr(norms_module, "_interpolation_bounds", lambda stack, p: low_caps)
+                capped = _best_restarts(stack, p, 6, 500, 1e-10, seeds)[0]
             assert np.array_equal(capped, low_caps)
 
 
@@ -681,16 +686,17 @@ def test_root_enumeration_budget_and_witness(monkeypatch):
 @settings(max_examples=80, deadline=None)
 def test_interpolation_bound_holds_a_64_restart_ascent(shape, field, kind, p, seed):
     # both stages bound ||T|| from above, so neither falls below the best of
-    # 64 restarts (capped by the Hoelder bound only), and stage 2 only
-    # tightens stage 1
+    # 64 restarts (capped by the Hoelder bound only: a cap by the bound under
+    # test would hold by construction), and stage 2 only tightens stage 1
     assume(not (kind == "steinhaus" and field is REAL))
     m, n = shape
     T = generate(kind, m, n, field, seed)
-    hoelder = [crude_upper(T, p)]
+    hoelder = crude_upper(T, p)
     first = _interpolation_bounds(T.coeffs[None], p)[0]
     second = _interpolation_bounds(T.coeffs[None], p, _root_count(m, n))[0]
-    assert second <= first <= hoelder[0]
-    lower = _best_restarts(T.coeffs[None], hoelder, p, 64, 500, 1e-10, [seed])[0][0]
+    assert second <= first <= hoelder
+    starts = _random_starts(seed, 64, m, n, p, field is COMPLEX)
+    lower = min(_ascend(T.coeffs[None], starts, p, 500, 1e-10)[0].max(), hoelder)
     assert lower <= second
 
 
