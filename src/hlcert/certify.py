@@ -227,15 +227,13 @@ def _score(stack: np.ndarray, exps: ExponentSet) -> Tuple[np.ndarray, np.ndarray
     enumeration of the whole stack), otherwise the Hoelder bound
     `crude_upper(T, p)` = ||coeff||_{p'}, p' = p/(p-1) (the coefficient mass
     at p = inf).  At finite p, lhs <= ||coeff||_s <= ||coeff||_{p'}, since
-    the outer exponent eta1 >= s >= 2 > p', so lhs / upper <= 1.  A tensor's
-    lhs and Hoelder bound do not depend on the stack; its l_inf value can
-    differ in the last bit with the stack's width (m = 2, n >= 9), so
-    `certify` scores each trial as a stack of one.  The magnitudes |stack|
-    and each tensor's largest one are taken once (`_magnitudes`) and feed
-    the finiteness check, the mixed norms and the bound.  The search ranks
-    by this bound, as its throughput lives in this pass; `certify`
-    tightens it per trial with `_interpolation_bounds`.  Coefficients must
-    be finite (DomainError, as for `FormTensor`).
+    the outer exponent eta1 >= s >= 2 > p', so lhs / upper <= 1.  A
+    tensor's lhs and upper bound are the ones it gets alone, in any stack.
+    The magnitudes |stack| and each tensor's largest one are taken once
+    (`_magnitudes`) and feed the finiteness check, the mixed norms and the
+    bound.  The search ranks by this bound, as its throughput lives in this
+    pass; `certify` tightens it per trial with `_interpolation_bounds`.
+    Coefficients must be finite (DomainError, as for `FormTensor`).
     A complex entry with finite parts whose modulus passes the largest float
     gives its tensor lhs = upper = inf (both are at least that modulus),
     which `_classify` refuses; the other tensors score as without it.
@@ -262,11 +260,14 @@ def _ratio(lhs: np.ndarray, bound: np.ndarray) -> np.ndarray:
 def _run_batch(args) -> List[TrialResult]:
     """Trials start..stop-1 of a run: generate, score, bound, one ascent, classify, stage 2.
 
-    Off real p = inf, the ascent (`_best_restarts`) also gives the stage 1
-    bound, `_interpolation_bounds` of the whole batch, in place of the
-    scorer's Hoelder bound; trials still inconclusive after it get the same
-    bound with the l_inf side also capped by the root enumeration at K =
-    `_root_count(m, n)` roots of unity (stage 2, `retried`; none if no K fits).
+    The batch is scored by one `_score` call.  Off real p = inf, the ascent
+    (`_best_restarts`) also gives the stage 1 bound, `_interpolation_bounds`
+    of the whole batch, in place of the scorer's Hoelder bound; trials still
+    inconclusive after it get the same bound with the l_inf side also capped
+    by the root enumeration at K = `_root_count(m, n)` roots of unity (stage
+    2, `retried`, one call for all of them; none if no K fits).  Every step
+    gives a trial the values it gets alone, so its row does not depend on
+    the batch.
     """
     exps, n, seed, cfg, start, stop = args
     C = exps.constant
@@ -278,9 +279,7 @@ def _run_batch(args) -> List[TrialResult]:
         generate(kind, exps.m, n, exps.field, gen_ss).coeffs
         for kind, (gen_ss, _) in zip(kinds, spawned)
     ])
-    # one stack per trial, so that a row does not depend on its batch or on jobs
-    scores = [_score(stack[b : b + 1], exps) for b in range(len(stack))]
-    lhs, upper = np.concatenate(scores, axis=1)
+    lhs, upper = _score(stack, exps)
     if _exact_bound(exps):
         lower = upper.copy()
     else:
@@ -353,15 +352,15 @@ def certify(
     `retried`.  With a right constant no trial is inconclusive, so stage 2
     does not run.
 
-    Trials run in batches of consecutive indices: stage 1 bounds every
-    trial of a batch in one call, the restarts of every trial in a batch
-    ascend together as one `_ascend` stack, and the batch's inconclusive
-    trials get stage 2 in one more call.  A batch holds as
-    many trials as keep restarts * n^m <= 2^16 coefficients gathered per
-    slot product (at least one trial; fewer when jobs > 1, so that every
-    worker gets a batch).  Each restart's arithmetic and each trial's bound
-    do not depend on the batch, so the trial rows are the same for any
-    batching and any jobs.
+    Trials run in batches of consecutive indices: one `_score` call scores
+    every trial of a batch, stage 1 bounds them in one call, the restarts
+    of every trial in a batch ascend together as one `_ascend` stack, and
+    the batch's inconclusive trials get stage 2 in one more call.  A batch
+    holds as many trials as keep restarts * n^m <= 2^16 coefficients
+    gathered per slot product (at least one trial; fewer when jobs > 1, so
+    that every worker gets a batch).  Each trial's scores, bounds and
+    restarts are the ones it gets alone, so the trial rows are the same for
+    any batching and any jobs.
     A serial run (jobs=1) is fast; jobs > 1 hands whole batches to worker
     processes and is optional.  jobs < 1 raises DomainError.
     """
@@ -439,12 +438,12 @@ def search_extremal(
     candidate i of a block is the one the climb would build if the i before
     it were rejected, all are scored in one `_score` pass, the first
     one with a higher ratio is kept and the ones after it are discarded
-    (they are not counted in `evaluations`).  So the result is the one a
-    climb scoring one candidate at a time gives, for any block size (at
-    real p = inf, wherever the stacked enumeration of `_score` rounds as a
-    stack of one does).  Candidate i of a block that starts after `rejects`
-    rejections steps by step * 0.5 ** ((rejects + i) // 20), a factor read
-    from a table (`_climb_tables`) built once per call for SEARCH_BLOCK.
+    (they are not counted in `evaluations`).  `_score` gives each
+    candidate the ratio it gets alone, so the result is the one a climb
+    scoring one candidate at a time gives, for any block size.  Candidate i
+    of a block that starts after `rejects` rejections steps by step * 0.5
+    ** ((rejects + i) // 20), a factor read from a table (`_climb_tables`)
+    built once per call for SEARCH_BLOCK.
 
     Candidates are scored by `_score`, the scorer of `certify`: the ratio
     is lhs / upper(||T||), 1.0 for a zero tensor, with upper the exact

@@ -584,7 +584,8 @@ def verify_proof_chain(
         )
         roots = _root_count(m, n)
         if roots is not None:
-            norm_lower, norm_upper = _linf_root_bounds(S.coeffs, roots)
+            lower, upper = _linf_root_bounds(S.coeffs[None], roots)
+            norm_lower, norm_upper = float(lower[0]), float(upper[0])
         else:
             # too many root patterns: the ascent and the coefficient mass
             est = alternating_max(S, math.inf, seed=np.random.SeedSequence([seed, 1]))

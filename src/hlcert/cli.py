@@ -21,7 +21,6 @@ from .certify import (
     TrialConfig,
     _encode,
     certify,
-    report_to_json,
     search_extremal,
     sweep_lambda0,
     sweep_to_csv,
@@ -299,18 +298,15 @@ def _cmd_verify(args) -> int:
     )
     header = f"# seed: {seed}" if drawn else None
     if args.format == "csv":
+        # one row per trial, not key,value rows
         if header:
             print(header)
         print(trials_to_csv(report.trial_rows), end="")
-    elif args.format == "json":
-        print(report_to_json(report))
     else:
-        if header:
-            print(header)
         payload = report.to_jsonable()
-        payload["elapsed_seconds"] = round(report.elapsed_seconds, 3)
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+        if args.format == "text":
+            payload["elapsed_seconds"] = round(report.elapsed_seconds, 3)
+        _emit(payload, args.format, header)
     return EXIT_VIOLATION if report.violations > 0 else EXIT_OK
 
 
@@ -398,8 +394,9 @@ def _cmd_chain_check(args) -> int:
     )
     header = f"# seed: {seed}" if drawn else None
     if args.format == "json":
-        print(json.dumps(report.to_jsonable(), sort_keys=True))
+        _emit(report.to_jsonable(), args.format)
     else:
+        # one line per link, in chain order
         if header:
             print(header)
         for link in report.links:

@@ -232,10 +232,11 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
     2^-1000 per coefficient), so nothing overflows and the bound of 2^k T
     is 2^k times that of T, bit for bit.  The product is taken as U *
     (sigma / U)^a with a = 2/p rounded to the side that raises it, and
-    every sum, power and product is rounded outward.  A tensor's bound does
-    not depend on the stack: every Gram matrix, eigenvalue and
-    factorization is its own.  A tensor whose modulus overflows (see
-    `_magnitudes`) gets inf.
+    every sum, power and product is rounded outward.  A tensor's bound is
+    the one it gets alone, in any stack: every Gram matrix, eigenvalue,
+    factorization and root enumeration is its own, and one
+    `_linf_root_bounds` call covers the stack.  A tensor whose modulus
+    overflows (see `_magnitudes`) gets inf.
     """
     mags, top, over = _magnitudes(stack)
     hoelder = _hoelder_bounds(mags, top, over, p)
@@ -266,8 +267,7 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
     mass = (mags.sum(axis=1) * (1.0 + 2 * size * u) + slack) * _ROUND_UP
     linf = np.minimum(mass, float(n) ** (0.5 * m) * _ROUND_UP * sigma * _ROUND_UP)
     if roots is not None:
-        for b in range(B):
-            linf[b] = min(linf[b], _linf_root_bounds(scaled[b], roots)[1] + slack)
+        linf = np.minimum(linf, _linf_root_bounds(scaled, roots)[1] + slack)
     ratio = sigma / linf
     theta = 2.0 / p
     exponent = np.where(ratio <= 1.0, np.nextafter(theta, 0.0), np.nextafter(theta, 1.0))
@@ -510,29 +510,23 @@ def _exact_linf_stack(
     (slots 2..m over `roots`, first entries 1) of sum_j1 |T(e_j1, z_2, ...,
     z_m)|: with the signs, the exact l_inf norm of a real tensor; with the
     roots of unity, the lower end of `_linf_root_bounds`.  One pass
-    enumerates every tensor at once: the stack axis and the first slot
-    merge into one free axis of length K*n, and tensor k owns columns k*n ..
-    k*n + n - 1 of every block.  Returns (values (K,), pattern indices
-    (K,)), each index the first pattern attaining its tensor's maximum.
-    Each tensor's value is the one `exact_linf_enum` gives on it alone
-    wherever the BLAS products round every column alike: bit for bit at
-    every shape tested except m = 2 with n >= 9, where about one value in
-    500 differs in the last bit.
+    enumerates every tensor of the stack.  Returns (values (K,), pattern
+    indices (K,)), each index the first pattern attaining its tensor's
+    maximum; a tensor's value and index are the ones it gets alone.
     """
-    K, n = stack.shape[0], stack.shape[1]
+    K = stack.shape[0]
     best = np.full(K, -1.0)
     best_index = np.zeros(K, dtype=np.int64)
-    columns = np.arange(K)
+    tensors = np.arange(K)
     start = 0
-    free = stack.reshape((K * n,) + stack.shape[2:])
-    for slices in _vertex_slices(free, roots):
-        values = np.abs(slices).reshape(len(slices), K, n).sum(axis=2)
-        k = np.argmax(values, axis=0)
-        top = values[k, columns]
+    for slices in _vertex_slices(stack, roots):
+        values = np.abs(slices).sum(axis=2)
+        k = np.argmax(values, axis=1)
+        top = values[tensors, k]
         better = top > best
         best[better] = top[better]
         best_index[better] = start + k[better]
-        start += len(slices)
+        start += slices.shape[1]
     return best, best_index
 
 
@@ -549,8 +543,8 @@ def _root_count(m: int, n: int) -> Optional[int]:
     return next((K for K in _ROOT_COUNTS if K**digits <= _ROOT_PATTERNS), None)
 
 
-def _linf_root_bounds(coeffs: np.ndarray, K: int) -> Tuple[float, float]:
-    """Certified lower <= ||T|| <= upper on (l_inf^n)^m for complex coefficients.
+def _linf_root_bounds(stack: np.ndarray, K: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Certified lower <= ||T|| <= upper on (l_inf^n)^m of every tensor T of a stack (B,) + (n,)*m.
 
     A real tensor is bounded as its complexification.  Slots 2..m are
     enumerated over the K-th roots of unity (K even), first
@@ -567,12 +561,13 @@ def _linf_root_bounds(coeffs: np.ndarray, K: int) -> Tuple[float, float]:
     products and the sums, gamma = k*u / (1 - k*u) with u = 2^-53 and k =
     n^(m-1) + n + 8m (the terms of an entry, of its row sum, and eight
     roundings per slot), divides by cos(pi/K)^(m-1) rounded down, and is
-    capped by the mass.
+    capped by the mass.  Returns (lower (B,), upper (B,)); a tensor's
+    bounds are the ones it gets alone.
     """
-    m, n = coeffs.ndim, coeffs.shape[0]
-    enum = float(_exact_linf_stack(coeffs[None], _unit_roots(K))[0][0])
-    mass = float(np.abs(coeffs).sum())
+    m, n = stack.ndim - 1, stack.shape[1]
+    enum = _exact_linf_stack(stack, _unit_roots(K))[0]
+    mass = np.abs(stack).reshape(len(stack), -1).sum(axis=1)
     k = n ** (m - 1) + n + 8 * m
     gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
     divisor = math.cos(math.pi / K) ** (m - 1) * (1.0 - 2 * (m + 3) * _UNIT_ROUNDOFF)
-    return min(enum, mass), min(mass, (enum + gamma * mass) / divisor)
+    return np.minimum(enum, mass), np.minimum(mass, (enum + gamma * mass) / divisor)

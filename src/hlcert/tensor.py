@@ -11,18 +11,20 @@ its largest magnitude, the scaling rule the chaos checks share (`_unit_scaled`).
 
 This module also hosts the vertex enumeration shared by the exact norms
 and the chaos-moment code.  `_vertex_slices` is the one enumeration core:
-for a tensor with a free first axis it yields the slices T(., z_2, ...,
-z_m) for every vertex pattern, in pattern-index order (slot 2 holds the
-lowest digits).  Each slot's vector has first entry 1 and its other n - 1
-entries range over a set of unimodular values: the signs for real forms
-(`sign_slices`), the K-th roots of unity for complex ones
-(`_unit_roots`).  Multiplying a whole slot by a unimodular scalar does the
-same to T, so these patterns give every Rademacher moment and l_inf norm of
-the full set.  The core factorizes the work: slots 3..m are contracted once
-per batch of outer patterns by one matrix product against their Kronecker
-vertex rows, and slot 2 is closed by one matmul against a precomputed
-table of its vertex vectors (split by linearity into a table part and a
-per-batch offset when the table would exceed the block).
+for a stack of tensors, each with a free first axis, it yields every
+tensor's slices T(., z_2, ..., z_m) for every vertex pattern, in
+pattern-index order (slot 2 holds the lowest digits).  Each tensor of the
+stack is contracted by products of the shape it gets alone, so its slices
+are the same bit for bit in any stack.  Each slot's vector has first
+entry 1 and its other n - 1 entries range over a set of unimodular values:
+the signs for real forms (`sign_slices`), the K-th roots of unity for
+complex ones (`_unit_roots`).  Multiplying a whole slot by a unimodular
+scalar does the same to T, so these patterns give every Rademacher moment
+and l_inf norm of the full set.  The core factorizes the work: slots 3..m
+are contracted once per batch of outer patterns by one matrix product
+against their Kronecker vertex rows, and slot 2 is closed by one matmul
+against a precomputed table of its vertex vectors (split by linearity into
+a table part and a per-batch offset when the table would exceed the block).
 `iter_sign_blocks` enumerates raw sign patterns in blocks and
 `contract_trailing_signs` contracts per-pattern vectors; the latter closes
 the exact norm's witness slice and serves the tests' per-pattern
@@ -318,13 +320,13 @@ def sign_slices(coeffs: np.ndarray) -> Iterator[np.ndarray]:
     is +1), so slot 2 holds the lowest bits.  Blocks of shape (K, f) with
     K <= DEFAULT_BLOCK come in index order; a tensor with only the free axis
     yields coeffs itself as its single empty pattern.  The sign case of
-    `_vertex_slices`.
+    `_vertex_slices`, on a stack of one.
 
     Raises BudgetError when the call is made, before any work, if the
     pattern count exceeds PATTERN_BUDGET.  Both constants are read at call
     time.
     """
-    return _vertex_slices(coeffs, _SIGNS)
+    return (V[0] for V in _vertex_slices(np.asarray(coeffs)[None], _SIGNS))
 
 
 def _unit_roots(K: int) -> np.ndarray:
@@ -337,33 +339,37 @@ def _unit_roots(K: int) -> np.ndarray:
     return np.concatenate([half, -half])
 
 
-def _vertex_slices(coeffs: np.ndarray, roots: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield V[k, j] = T(e_j, z_2, ..., z_m) for every vertex pattern k.
+def _vertex_slices(stack: np.ndarray, roots: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield V[t, k, j] = T_t(e_j, z_2, ..., z_m) for every tensor t and vertex pattern k.
 
-    The one enumeration core.  Each enumerated slot's vector z_i has first
-    entry 1 and its other n - 1 entries range over `roots` (K values): the
-    signs (-1, +1) for real forms, `_unit_roots(K)` for complex ones, so
-    K^((n-1)(m-1)) patterns.  Digit b (base K) of the pattern index k picks
-    roots[digit] for entry 1 + b % (n-1) of slot 2 + b // (n-1); the layout
-    of coeffs and of the blocks is that of `sign_slices`.  Raises
-    BudgetError, before any work, over PATTERN_BUDGET patterns.
+    The one enumeration core.  stack has shape (T, f, n, ..., n): T tensors,
+    each with a free first axis of any length f and m - 1 enumerated slots.
+    Each enumerated slot's vector z_i has first entry 1 and its other n - 1
+    entries range over `roots` (K values): the signs (-1, +1) for real
+    forms, `_unit_roots(K)` for complex ones, so K^((n-1)(m-1)) patterns.
+    Digit b (base K) of the pattern index k picks roots[digit] for entry
+    1 + b % (n-1) of slot 2 + b // (n-1).  Blocks of shape (T, P, f), with P
+    <= DEFAULT_BLOCK patterns whatever T is, come in index order.  Every
+    product contracts each tensor with the shape it has alone, so V[t] is
+    the same bit for bit for any T.  Raises BudgetError, before any work,
+    over PATTERN_BUDGET patterns.
     """
-    coeffs = np.asarray(coeffs)
-    r = coeffs.ndim - 1
-    digits = (coeffs.shape[1] - 1) * r if r else 0
+    stack = np.asarray(stack)
+    r = stack.ndim - 2
+    digits = (stack.shape[2] - 1) * r if r else 0
     if len(roots) ** digits > PATTERN_BUDGET:
         raise BudgetError(
             f"{len(roots)}^{digits} vertex patterns exceed the budget {PATTERN_BUDGET}"
         )
-    return _vertex_blocks(coeffs, roots, DEFAULT_BLOCK)
+    return _vertex_blocks(stack, roots, DEFAULT_BLOCK)
 
 
-def _vertex_blocks(coeffs: np.ndarray, roots: np.ndarray, block: int) -> Iterator[np.ndarray]:
-    r = coeffs.ndim - 1
+def _vertex_blocks(stack: np.ndarray, roots: np.ndarray, block: int) -> Iterator[np.ndarray]:
+    r = stack.ndim - 2
     if r == 0:
-        yield coeffs[None]
+        yield stack[:, None]
         return
-    f, n, K = coeffs.shape[0], coeffs.shape[1], len(roots)
+    T, f, n, K = stack.shape[0], stack.shape[1], stack.shape[2], len(roots)
     free = n - 1
     # slot 2 splits into its first entry and `low` free entries, closed by
     # one table of vertex rows, and free - low entries that join the outer
@@ -374,9 +380,10 @@ def _vertex_blocks(coeffs: np.ndarray, roots: np.ndarray, block: int) -> Iterato
     rows = K**low
     table = np.ones((rows, 1 + low), dtype=roots.dtype)
     table[:, 1:] = _vertex_rows(roots, low, 0, rows)
-    # row J (a product of trailing indices) holds C[j1, j2, J] at column
-    # (j2, j1), so weights @ trailing gives slab[b, j2, j1]
-    trailing = coeffs.reshape(f, n, -1).transpose(2, 1, 0).reshape(-1, n * f)
+    # row J of tensor t (a product of trailing indices) holds C[j1, j2, J]
+    # at column (j2, j1), so weights @ trailing[t] gives slab[t, b, j2, j1];
+    # each product below broadcasts over the tensors, one matrix per tensor
+    trailing = stack.reshape(T, f, n, -1).transpose(0, 3, 2, 1).reshape(T, -1, n * f)
     outer_digits = free * r - low
     total = K**outer_digits
     per_batch = max(1, block // rows)
@@ -389,11 +396,11 @@ def _vertex_blocks(coeffs: np.ndarray, roots: np.ndarray, block: int) -> Iterato
             a = free - low + i * free
             slot = np.concatenate((ones, outer[:, a : a + free]), axis=1)
             weights = (weights[:, :, None] * slot[:, None, :]).reshape(B, -1)
-        slab = (weights @ trailing).reshape(B, n, f)
-        V = np.matmul(table, slab[:, : 1 + low])               # (B, rows, f)
+        slab = np.matmul(weights, trailing).reshape(T, B, n, f)
+        V = np.matmul(table, slab[:, :, : 1 + low])            # (T, B, rows, f)
         if low < free:
-            V += np.matmul(outer[:, None, : free - low], slab[:, 1 + low :])
-        yield V.reshape(-1, f)
+            V += np.matmul(outer[:, None, : free - low], slab[:, :, 1 + low :])
+        yield V.reshape(T, -1, f)
 
 
 def _vertex_rows(roots: np.ndarray, digits: int, start: int, stop: int) -> np.ndarray:

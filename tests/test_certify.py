@@ -406,7 +406,9 @@ def test_search_matches_sequential_reference_climb():
 
 
 def test_search_result_does_not_depend_on_the_block_size(monkeypatch):
-    for m, n, p, lambda0, field in SEARCH_CASES:
+    # (2, 10) at real p = inf: every candidate's l_inf value is the one it
+    # gets alone, whatever the block's width
+    for m, n, p, lambda0, field in SEARCH_CASES + [(2, 10, math.inf, 2.0, REAL)]:
         results = []
         for block in (1, 7, certify_module.SEARCH_BLOCK):
             monkeypatch.setattr(certify_module, "SEARCH_BLOCK", block)
@@ -437,11 +439,13 @@ def _scored_ratios(stack, s, eta1, exact):
 
 def test_search_block_scores_match_one_tensor_scores():
     # the batched scorer gives each tensor the ratio it gets alone, bit for
-    # bit; at real p = inf its upper bound is exact_linf_enum's value
-    rng = np.random.default_rng(23)
-    for m, n in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (4, 2)]:
+    # bit; at real p = inf its upper bound is exact_linf_enum's value.  The
+    # draws of seed 25 include a (2, 12) tensor whose value an enumeration
+    # that merges the stack into one wide free axis rounds differently
+    rng = np.random.default_rng(25)
+    for m, n in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (4, 2), (2, 9), (2, 10), (2, 12)]:
         exps = exponents(m, math.inf, 2.0 if m == 2 else 1.5, REAL)
-        for K in (1, 3, 32):
+        for K in (1, 3, 33):
             stack = rng.standard_normal((K,) + (n,) * m)
             for exact in (True, False):
                 ratios = _scored_ratios(stack, exps.s, exps.eta1, exact)

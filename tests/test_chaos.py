@@ -806,7 +806,7 @@ def test_complex_chain_bounds_the_norm_by_roots_of_unity(m, n, K):
     assert _root_count(m, n) == K
     S = generate("steinhaus", m, n, COMPLEX, 11)
     rep = verify_proof_chain(S, 1.5, 2.5, mc_samples=20_000, seed=2)
-    lower, upper = _linf_root_bounds(S.coeffs, K)
+    (lower,), (upper,) = _linf_root_bounds(S.coeffs[None], K)
     assert (rep.norm_lower, rep.norm_upper) == (lower, upper)
     assert rep.norm_upper / rep.norm_lower <= math.cos(math.pi / K) ** (1 - m) * (1.0 + 1e-12)
     assert rep.norm_upper >= alternating_max(S, math.inf, seed=3).lower

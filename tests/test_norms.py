@@ -636,7 +636,7 @@ def test_complex_root_enumeration_sandwich(shape, kind, seed):
     T = generate(kind, m, n, COMPLEX, seed)
     mass = crude_upper(T)
     enum = float(_exact_linf_stack(T.coeffs[None], _unit_roots(12))[0][0])
-    lower, upper = _linf_root_bounds(T.coeffs, 12)
+    (lower,), (upper,) = _linf_root_bounds(T.coeffs[None], 12)
     assert enum <= mass * (1.0 + 1e-14)
     assert lower == min(enum, mass)
     assert lower <= upper <= mass
@@ -658,14 +658,49 @@ def test_root_enumeration_with_two_roots_is_the_sign_enumeration(m, n):
         assert got == pytest.approx(exact, rel=1e-13)
 
 
+@pytest.mark.parametrize("m, n, K", [(3, 3, 12), (2, 7, 8)])
+def test_root_enumeration_of_a_tensor_does_not_depend_on_its_stack(m, n, K):
+    # each tensor of a 33-tensor stack gets the value and the best pattern
+    # it gets alone, bit for bit
+    rng = np.random.default_rng(10 * m + n)
+    kinds = ["gaussian", "steinhaus", "signs"]
+    stack = np.stack([
+        generate(kinds[b % 3], m, n, COMPLEX, int(rng.integers(2**32))).coeffs for b in range(33)
+    ])
+    values, indices = _exact_linf_stack(stack, _unit_roots(K))
+    for b in range(len(stack)):
+        value, index = _exact_linf_stack(stack[b : b + 1], _unit_roots(K))
+        assert (values[b], indices[b]) == (value[0], index[0])
+
+
+def test_root_bounds_of_a_stack_are_its_one_tensor_bounds():
+    # a 33-tensor stack, real and complex tensors and a zero tensor, at the
+    # K of (3, 3): both ends equal the one-tensor calls bit for bit
+    rng = np.random.default_rng(97)
+    K = _root_count(3, 3)
+    tensors = [
+        generate(kind, 3, 3, COMPLEX, int(rng.integers(2**32))).coeffs
+        for kind in ["gaussian", "steinhaus", "sparse_unit"] * 10
+    ]
+    tensors += [generate("gaussian", 3, 3, REAL, 5).coeffs.astype(np.complex128)] * 2
+    tensors.append(np.zeros((3, 3, 3), dtype=np.complex128))
+    stack = np.stack(tensors)
+    lower, upper = _linf_root_bounds(stack, K)
+    assert lower.shape == upper.shape == (33,)
+    for b in range(len(stack)):
+        (alone_lower,), (alone_upper,) = _linf_root_bounds(stack[b : b + 1], K)
+        assert (lower[b], upper[b]) == (alone_lower, alone_upper)
+    assert lower[32] == upper[32] == 0.0
+
+
 def test_root_enumeration_budget_and_witness(monkeypatch):
     # (3, 3) complex: 12^4 root patterns; one below the count raises
     T = generate("steinhaus", 3, 3, COMPLEX, 4)
     monkeypatch.setattr(tensor_module, "PATTERN_BUDGET", 12**4 - 1)
     with pytest.raises(BudgetError):
-        _linf_root_bounds(T.coeffs, 12)
+        _linf_root_bounds(T.coeffs[None], 12)
     monkeypatch.setattr(tensor_module, "PATTERN_BUDGET", 12**4)
-    lower, upper = _linf_root_bounds(T.coeffs, 12)
+    (lower,), (upper,) = _linf_root_bounds(T.coeffs[None], 12)
     # the reported pattern index names a grid point attaining the lower bound
     values, indices = _exact_linf_stack(T.coeffs[None], _unit_roots(12))
     digits = [(int(indices[0]) // 12**b) % 12 for b in range(4)]
@@ -773,16 +808,20 @@ def test_interpolation_bound_of_a_tensor_does_not_depend_on_its_stack(p, field):
         if field is COMPLEX:
             tensors.append(np.full((n,) * m, 1.5e308 + 1.5e308j))
         stack = np.stack(tensors)
-        bounds = _interpolation_bounds(stack, p)
-        alone = [_interpolation_bounds(stack[b : b + 1], p)[0] for b in range(len(stack))]
-        assert bounds.tolist() == alone
-        assert bounds[6] == 0.0
-        hoelder = [crude_upper(FormTensor(m, n, field, t), p) for t in tensors[:6]]
-        assert (bounds[:6] <= hoelder).all()
-        if n**m >= 27:   # on the smallest shapes the Hoelder bound can win
-            assert (bounds[:6] < hoelder).all()
-        if field is COMPLEX:
-            assert bounds[7] == math.inf
+        for roots in (None, _root_count(m, n)):
+            # with roots, stage 2: one root enumeration of the whole stack
+            bounds = _interpolation_bounds(stack, p, roots)
+            alone = [
+                _interpolation_bounds(stack[b : b + 1], p, roots)[0] for b in range(len(stack))
+            ]
+            assert bounds.tolist() == alone
+            assert bounds[6] == 0.0
+            hoelder = [crude_upper(FormTensor(m, n, field, t), p) for t in tensors[:6]]
+            assert (bounds[:6] <= hoelder).all()
+            if n**m >= 27:   # on the smallest shapes the Hoelder bound can win
+                assert (bounds[:6] < hoelder).all()
+            if field is COMPLEX:
+                assert bounds[7] == math.inf
 
 
 def test_a_failed_cholesky_test_falls_back_to_the_frobenius_norm(monkeypatch, without_hoelder):
