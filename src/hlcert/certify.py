@@ -16,17 +16,16 @@ the one rule of `hlcert.errors`: an integer in [0, 2^32), else DomainError.
 
 from __future__ import annotations
 
-import enum
 import io
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ViolationError, _check_integer, _check_seed
+from .errors import DomainError, ViolationError, _check_integer, _check_seed, _jsonable
 from .exponents import ExponentSet, exponents
 from .norms import (
     _best_restarts,
@@ -125,39 +124,13 @@ class CertificationReport:
     max_ratio_empirical: float
     seed: int
     jobs: int
-    elapsed_seconds: float
-    trial_rows: Tuple[TrialResult, ...] = ()
+    # elapsed_seconds is wall-clock noise, left out of the JSON so reports
+    # with identical (params, seed, jobs) are byte-identical
+    elapsed_seconds: float = dataclass_field(metadata={"json": False})
+    trial_rows: Tuple[TrialResult, ...] = dataclass_field(default=(), metadata={"json": False})
 
     def to_jsonable(self) -> dict:
-        # elapsed_seconds is wall-clock noise and is deliberately left out so
-        # reports with identical (params, seed, jobs) are byte-identical
-        return {
-            "m": self.m,
-            "n": self.n,
-            "p": _encode(self.p),
-            "lambda0": self.lambda0,
-            "field": self.field.value,
-            "s": self.s,
-            "eta1": self.eta1,
-            "constant": self.constant,
-            "extrapolated": self.extrapolated,
-            "trials": self.trials,
-            "violations": self.violations,
-            "inconclusive": self.inconclusive,
-            "max_ratio_conservative": self.max_ratio_conservative,
-            "max_ratio_empirical": self.max_ratio_empirical,
-            "seed": self.seed,
-            "jobs": self.jobs,
-        }
-
-
-def _encode(value):
-    """value made strict JSON: an enum gives its value, an infinite float "inf" or "-inf"."""
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0.0 else "-inf"
-    return value
+        return _jsonable(self)
 
 
 def report_to_json(report: CertificationReport) -> str:
@@ -588,19 +561,7 @@ class SweepRow:
     max_ratio_conservative: Optional[float]
 
     def to_jsonable(self) -> dict:
-        return {
-            "lambda0": self.lambda0,
-            "s": _none_if_nan(self.s),
-            "eta1": _none_if_nan(self.eta1),
-            "constant": _none_if_nan(self.constant),
-            "admissible": self.admissible,
-            "extrapolated": self.extrapolated,
-            "max_ratio_conservative": self.max_ratio_conservative,
-        }
-
-
-def _none_if_nan(x: float) -> Optional[float]:
-    return None if (isinstance(x, float) and math.isnan(x)) else x
+        return _jsonable(self)
 
 
 def sweep_lambda0(

@@ -36,12 +36,12 @@ relative to the largest coefficient.  The moments `rademacher_moment` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ViolationError, _check_integer, _check_seed
+from .errors import DomainError, ViolationError, _check_integer, _check_seed, _jsonable
 from .exponents import _check_lambda0
 from .norms import _check_multilinear, _linf_root_bounds, _root_count, alternating_max
 # exact_linf_enum and crude_upper are tracer shims: bench/tracer.py wraps them here
@@ -282,16 +282,7 @@ class KhinchinReport:
     stderr: Optional[float] = None
 
     def to_jsonable(self) -> dict:
-        return {
-            "q": self.q,
-            "field": self.field.value,
-            "lhs": self.lhs,
-            "mid": self.mid,
-            "ratio": self.ratio,
-            "mode": self.mode,
-            "passed": self.passed,
-            "stderr": self.stderr,
-        }
+        return _jsonable(self)
 
 
 def check_khinchin(
@@ -349,15 +340,7 @@ class ContractionReport:
     passed: bool
 
     def to_jsonable(self) -> dict:
-        return {
-            "m": self.m,
-            "N": self.N,
-            "t": self.t,
-            "max_coeff": self.max_coeff,
-            "moment": self.moment,
-            "ratio": self.ratio,
-            "passed": self.passed,
-        }
+        return _jsonable(self)
 
 
 def check_contraction(a, t: float) -> ContractionReport:
@@ -403,12 +386,7 @@ class MultipleKhinchinReport:
     passed: bool
 
     def to_jsonable(self) -> dict:
-        return {
-            "lambda0": self.lambda0,
-            "constant": self.constant,
-            "rows": list(self.rows),
-            "passed": self.passed,
-        }
+        return _jsonable(self)
 
 
 def check_multiple_khinchin(
@@ -461,17 +439,11 @@ class ChainLink:
     lhs: float
     rhs: float
     slack: float
-    passed: bool
-    kind: str = "inequality"  # or "equality"
+    passed: bool = dataclass_field(metadata={"json": "pass"})
+    kind: str = dataclass_field(default="inequality", metadata={"json": False})  # or "equality"
 
     def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "pass": self.passed,
-        }
+        return _jsonable(self)
 
 
 @dataclass(frozen=True)
@@ -489,22 +461,10 @@ class ChainReport:
     norm_upper: float
     passed: bool
     first_failure: Optional[str] = None
-    mc_stderr: Optional[float] = None
+    mc_stderr: Optional[float] = dataclass_field(default=None, metadata={"json": False})
 
     def to_jsonable(self) -> dict:
-        return {
-            "lambda0": self.lambda0,
-            "s": self.s,
-            "index": self.index,
-            "field": self.field.value,
-            "mode": self.mode,
-            "links": [link.to_jsonable() for link in self.links],
-            "constant_factor": self.constant_factor,
-            "norm_lower": self.norm_lower,
-            "norm_upper": self.norm_upper,
-            "passed": self.passed,
-            "first_failure": self.first_failure,
-        }
+        return _jsonable(self)
 
 
 def verify_proof_chain(

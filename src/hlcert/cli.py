@@ -9,7 +9,6 @@ input, which sampling noise can also fail).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -19,7 +18,6 @@ from typing import List, Optional
 
 from .certify import (
     TrialConfig,
-    _encode,
     certify,
     search_extremal,
     sweep_lambda0,
@@ -33,6 +31,7 @@ from .errors import (
     TransferHypothesisError,
     ViolationError,
     _check_seed,
+    _jsonable,
 )
 from .exponents import TransferProblem, classical_exponents, exponents, region, transfer
 from .special import ScalarField, khinchin_A, solve_q0
@@ -105,9 +104,8 @@ def _resolve_seed(args) -> tuple[int, bool]:
 
 
 def _result_payload(result, **extra) -> dict:
-    """The fields of a result dataclass in declaration order, then `extra`, each `_encode`d."""
-    payload = {**dataclasses.asdict(result), **extra}
-    return {key: _encode(value) for key, value in payload.items()}
+    """The fields of a result dataclass in declaration order, then `extra`, by `_jsonable`."""
+    return {**_jsonable(result), **_jsonable(extra)}
 
 
 def _emit(payload: dict, fmt: str, header: Optional[str] = None) -> None:

@@ -1,5 +1,11 @@
-"""Exception types shared across the package, and the integer and seed rules that raise one."""
+"""Exception types shared across the package, the integer and seed rules that raise one, and
+the one JSON rule of every result (`_jsonable`, behind each `to_jsonable` and the CLI's
+payloads): fields in declaration order, NaN as null, +-inf as "inf" / "-inf".
+"""
 
+import dataclasses
+import enum
+import math
 import numbers
 from typing import Optional
 
@@ -53,3 +59,31 @@ def _check_seed(seed) -> int:
     if isinstance(seed, numbers.Integral) and 0 <= seed < 2**32:
         return int(seed)
     raise DomainError(f"seed must be a non-negative integer below 2**32, got {seed!r}")
+
+
+def _jsonable(value):
+    """The one JSON rule for a result: `value` as plain, strict JSON data.
+
+    A dataclass gives its fields in declaration order: a field whose
+    metadata sets "json" to False is left out, and one that sets it to a
+    string is renamed to that key.  Dicts keep their keys, tuples and lists
+    become lists, an enum gives its value, NaN becomes None (JSON null) and
+    an infinite float "inf" or "-inf", so `json.dumps` never writes NaN or
+    Infinity.  Anything else is returned as it is.
+    """
+    if dataclasses.is_dataclass(value):
+        out = {}
+        for f in dataclasses.fields(value):
+            key = f.metadata.get("json", f.name)
+            if key is not False:
+                out[key] = _jsonable(getattr(value, f.name))
+        return out
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else ("inf" if value > 0.0 else "-inf")
+    return value

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, _check_integer
+from .errors import DomainError, _check_integer, _jsonable
 from .special import ScalarField
 from .tensor import (
     _SIGNS,
@@ -73,20 +73,16 @@ class NormEstimate:
     method: NormMethod
     restarts: int
     converged: bool
-    witness: Tuple[np.ndarray, ...] = dataclass_field(default=(), repr=False)
+    witness: Tuple[np.ndarray, ...] = dataclass_field(
+        default=(), repr=False, metadata={"json": False}
+    )
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:
             raise ValueError(f"estimate lower {self.lower} > upper {self.upper}")
 
     def to_jsonable(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "method": self.method.value,
-            "restarts": self.restarts,
-            "converged": self.converged,
-        }
+        return _jsonable(self)
 
 
 def _phase(c: np.ndarray) -> np.ndarray:
@@ -510,17 +506,20 @@ def _exact_linf_stack(
     (slots 2..m over `roots`, first entries 1) of sum_j1 |T(e_j1, z_2, ...,
     z_m)|: with the signs, the exact l_inf norm of a real tensor; with the
     roots of unity, the lower end of `_linf_root_bounds`.  One pass
-    enumerates every tensor of the stack.  Returns (values (K,), pattern
-    indices (K,)), each index the first pattern attaining its tensor's
-    maximum; a tensor's value and index are the ones it gets alone.
+    enumerates every tensor of the stack.  A row sum is a product with a
+    ones vector, as in `hlcert.chaos._chaos_stats`, so the real chain's
+    norm is this value bit for bit.  Returns (values (K,), pattern indices
+    (K,)), each index the first pattern attaining its tensor's maximum; a
+    tensor's value and index are the ones it gets alone.
     """
     K = stack.shape[0]
     best = np.full(K, -1.0)
     best_index = np.zeros(K, dtype=np.int64)
     tensors = np.arange(K)
+    ones = np.ones(stack.shape[1])
     start = 0
     for slices in _vertex_slices(stack, roots):
-        values = np.abs(slices).sum(axis=2)
+        values = np.abs(slices) @ ones
         k = np.argmax(values, axis=1)
         top = values[tensors, k]
         better = top > best

@@ -707,6 +707,18 @@ def test_chain_norm_is_exact_enum_in_one_pass(monkeypatch, m, n):
         assert rep.norm_lower == pytest.approx(expected, rel=1e-12)
 
 
+def test_real_chain_norm_is_exact_linf_enum_bit_for_bit():
+    # one vertex-value rule: the chain's `_chaos_stats` and `_exact_linf_stack`
+    # both take a pattern's row sum as |V| @ ones, so the two exact norms agree
+    # to the last bit (a power-of-two scaling is exact)
+    rng = np.random.default_rng(5)
+    for m, n in [(3, 8), (2, 9), (3, 5), (4, 4), (2, 12), (3, 2), (2, 2)]:
+        for _ in range(30):
+            S = generate("gaussian", m, n, REAL, rng)
+            rep = verify_proof_chain(S, 1.5, 2.5, index=1)
+            assert rep.norm_lower == exact_linf_enum(S).lower
+
+
 @pytest.mark.parametrize("c", [1e160, -1e160, 1e-200, 3.0, 2.0**-700])
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_chain_scales_with_the_tensor(c, field):

@@ -290,6 +290,18 @@ def test_restart_prefix():
                 assert lower32 >= lower8
 
 
+def test_every_restart_runs_to_its_own_convergence():
+    # certify's trial 41 of (3, 6, 4, 1) at seed 23 with gaussian tensors:
+    # after sweep 23, restart 25 sits 15.9% below an already converged
+    # earlier restart and gains 9.2e-7 of its value per sweep, then converges
+    # at sweep 61 3.9% above it.  A rule that stops a trailing restart early
+    # loses this bound.
+    gen, norm = np.random.SeedSequence([23, 41]).spawn(2)
+    T = generate("gaussian", 3, 6, REAL, gen)
+    assert alternating_max(T, 4.0, restarts=32, seed=norm).lower == 18.075921143393835
+    assert alternating_max(T, 4.0, restarts=25, seed=norm).lower == 17.396201078217736
+
+
 def test_random_starts_are_one_stream():
     # pins the stream: one default_rng(seed) draw of every restart's normals,
     # restart-major, real and imaginary parts in the restart's own block
