@@ -43,7 +43,6 @@ from .tensor import (
     FormTensor,
     _magnitudes,
     _mixed_norms_of_magnitudes,
-    _overflowed,
     generate,
     mixed_norm,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
 )
@@ -206,18 +205,16 @@ def _score(stack: np.ndarray, exps: ExponentSet) -> Tuple[np.ndarray, np.ndarray
     (`_magnitudes`) and feed the finiteness check, the mixed norms and the
     bound.  The search ranks by this bound, as its throughput lives in this
     pass; `certify` tightens it per trial with `_interpolation_bounds`.
-    Coefficients must be finite (DomainError, as for `FormTensor`).
-    A complex entry with finite parts whose modulus passes the largest float
-    gives its tensor lhs = upper = inf (both are at least that modulus),
-    which `_classify` refuses; the other tensors score as without it.
+    Coefficients must be finite, a complex modulus included (DomainError,
+    the rule of `FormTensor`).
     """
-    mags, top, over = _magnitudes(stack)
+    mags, top = _magnitudes(stack)
     lhs = _mixed_norms_of_magnitudes(mags, top, stack.shape, exps.s, exps.eta1).max(axis=1)
-    if _exact_bound(exps):   # real, so no row overflowed
+    if _exact_bound(exps):
         upper = _exact_linf_stack(stack)[0]
     else:
-        upper = _hoelder_bounds(mags, top, over, exps.p)
-    return _overflowed(lhs, over), upper
+        upper = _hoelder_bounds(mags, top, exps.p)
+    return lhs, upper
 
 
 def _ratio(lhs: np.ndarray, bound: np.ndarray) -> np.ndarray:

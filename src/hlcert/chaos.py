@@ -75,6 +75,7 @@ EXACT_SLACK = 1e-12       # absolute slack on exactly-enumerated inequalities
 EQUALITY_RTOL = 1e-10     # relative tolerance on chain equality links
 MC_SLACK = 1e-9           # absolute widening added to 3-sigma soft checks
 MC_BLOCK = 4096           # Monte-Carlo samples drawn per numpy batch
+_SMALLEST_NORMAL = 2.0**-1022   # below it a float loses relative accuracy
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def rademacher_moment(a, q: float) -> ChaosMoment:
 
 
 def _rademacher_norm(a: np.ndarray, q: float) -> float:
-    """The value of `rademacher_moment` on a checked, unit-scaled vector a."""
+    """The L_q norm of the full chaos of a checked, unit-scaled vector or cubical tensor a."""
     # a free axis of length 1 in front makes slot 1 the core's lowest bits
     _, mean, _, _ = _chaos_stats(sign_slices(a[None]), q)
     return mean ** (1.0 / q)
@@ -145,9 +146,14 @@ def _coefficient_vector(a, q: float, dtype) -> np.ndarray:
     a = np.asarray(a, dtype=dtype)
     if a.ndim != 1 or a.size == 0:
         raise DomainError("coefficient vector must be one-dimensional and nonempty")
-    if not (1.0 <= q < math.inf):
-        raise DomainError(f"q must be finite and >= 1, got {q}")
+    _check_moment_exponent("q", q)
     return a
+
+
+def _check_moment_exponent(name: str, value: float) -> None:
+    """The one rule for a moment's exponent: DomainError unless finite and >= 1 (NaN fails)."""
+    if not (1.0 <= value < math.inf):
+        raise DomainError(f"{name} must be finite and >= 1, got {value}")
 
 
 def _chaos_stats(
@@ -164,19 +170,24 @@ def _chaos_stats(
     the exact norm on l_inf^n (sign vectors are the ball's extreme points,
     the l_1 dual closes the free slot), whichever axis of the form is free.
     Column and row sums are products with ones vectors.  Raises DomainError
-    naming q when |V|^q or the square of a row sum overflows: the moments
-    would be inf, and a check would compare against an infinite bound.
+    naming q when |V|^q or the square of a row sum overflows (the moments
+    would be inf), or when some |V| > 0 and the mean of the row sums is
+    below 2^-1022, where it has lost its relative accuracy (all of it at 0);
+    at or above it, what underflows costs at most 2^-53 of the mean.  Either
+    way a check would compare against a wrong bound.
     """
     col_total = 0.0   # the first block's column sums (all >= 0) replace it bit for bit
     row_total = 0.0
     row_sq = 0.0
     sup = 0.0
     count = 0
+    positive = False   # some |V| > 0
     # an overflow is reported once, after the loop: the sums of nonnegative
     # terms then hold inf
     with np.errstate(over="ignore"):
         for V in blocks:
             W = np.abs(V)
+            positive = positive or bool(W.any())
             ones_f = np.ones(W.shape[1])
             if linf:
                 sup = max(sup, float((W @ ones_f).max()))
@@ -186,11 +197,12 @@ def _chaos_stats(
             row_total += float(row_sums.sum())
             row_sq += float(row_sums @ row_sums)
             count += len(W)
-    if not math.isfinite(row_sq):
-        raise DomainError(
-            f"|chaos|^q overflows at q={q!r}: the moment statistics are not finite"
-        )
     mean = row_total / count
+    if not math.isfinite(row_sq) or (positive and mean < _SMALLEST_NORMAL):
+        raise DomainError(
+            f"|chaos|^q overflows or underflows at q={q!r}: the moment statistics "
+            "would be inf or inaccurate"
+        )
     var = max(row_sq / count - mean**2, 0.0)
     return col_total / count, mean, math.sqrt(var / count), sup if linf else None
 
@@ -354,14 +366,12 @@ def check_contraction(a, t: float) -> ContractionReport:
     arr = _real_array(a)
     if arr.ndim < 1:
         raise DomainError("coefficient tensor must have at least one axis")
-    if not (1.0 <= t < math.inf):
-        raise DomainError(f"t must be finite and >= 1, got {t}")
+    _check_moment_exponent("t", t)
     sizes = set(arr.shape)
     if len(sizes) != 1:
         raise DomainError(f"coefficient tensor must be cubical, got shape {arr.shape}")
     arr, unit = _unit_scaled(arr)
-    _, mean, _, _ = _chaos_stats(sign_slices(arr[None]), t)
-    moment = mean ** (1.0 / t)
+    moment = _rademacher_norm(arr, t)
     max_coeff = float(np.abs(arr).max())
     passed = max_coeff <= moment + EXACT_SLACK
     if not passed:

@@ -29,7 +29,6 @@ from .tensor import (
     FormTensor,
     _magnitudes,
     _nearest_powers_of_two,
-    _overflowed,
     _unit_roots,
     _vertex_rows,
     _vertex_slices,
@@ -78,7 +77,7 @@ class NormEstimate:
     )
 
     def __post_init__(self) -> None:
-        if self.lower > self.upper:
+        if not self.lower <= self.upper:   # written so that a NaN bound fails too
             raise ValueError(f"estimate lower {self.lower} > upper {self.upper}")
 
     def to_jsonable(self) -> dict:
@@ -180,11 +179,9 @@ def _dual_norms(
     return top * total ** (1.0 / pp), weight, total
 
 
-def _hoelder_bounds(
-    mags: np.ndarray, top: np.ndarray, over: Optional[np.ndarray], p: float
-) -> np.ndarray:
-    """`crude_upper(T, p)` of every tensor T of a stack, from its `_magnitudes` (mags, top, over)."""
-    return _overflowed(_dual_norms(mags, top, p)[0], over)
+def _hoelder_bounds(mags: np.ndarray, top: np.ndarray, p: float) -> np.ndarray:
+    """`crude_upper(T, p)` of every tensor T of a stack, from its `_magnitudes` (mags, top)."""
+    return _dual_norms(mags, top, p)[0]
 
 
 def crude_upper(T: FormTensor, p: float = math.inf) -> float:
@@ -231,11 +228,11 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
     every sum, power and product is rounded outward.  A tensor's bound is
     the one it gets alone, in any stack: every Gram matrix, eigenvalue,
     factorization and root enumeration is its own, and one
-    `_linf_root_bounds` call covers the stack.  A tensor whose modulus
-    overflows (see `_magnitudes`) gets inf.
+    `_linf_root_bounds` call covers the stack.  Coefficients must be finite,
+    moduli included (DomainError, by `_magnitudes`).
     """
-    mags, top, over = _magnitudes(stack)
-    hoelder = _hoelder_bounds(mags, top, over, p)
+    mags, top = _magnitudes(stack)
+    hoelder = _hoelder_bounds(mags, top, p)
     if not 2.0 <= p < math.inf:
         return hoelder
     B, m, n = stack.shape[0], stack.ndim - 1, stack.shape[1]
@@ -243,8 +240,6 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
     unit = _nearest_powers_of_two(top)
     scaled = stack / unit.reshape((B,) + (1,) * m)
     mags = mags / unit[:, None]
-    if over is not None:
-        scaled[over] = 0.0
     frobenius = (mags * mags).sum(axis=1)[:, None]     # ||A||_F^2, the same for every slot
     flats = np.take(scaled.reshape(B, -1), _flattenings(m, n), axis=1)   # (B, m, n, N)
     gram = np.matmul(flats, flats.conj().swapaxes(-1, -2))             # (B, m, n, n)
@@ -268,7 +263,7 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
     theta = 2.0 / p
     exponent = np.where(ratio <= 1.0, np.nextafter(theta, 0.0), np.nextafter(theta, 1.0))
     bound = linf * ratio**exponent * _ROUND_UP * unit
-    return _overflowed(np.minimum(hoelder, bound), over)
+    return np.minimum(hoelder, bound)
 
 
 @functools.lru_cache(maxsize=None)

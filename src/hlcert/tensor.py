@@ -3,11 +3,14 @@
 A form T on the n-dimensional l_p space (m arguments) is stored as the dense
 array coeff[j1, ..., jm] = T(e_j1, ..., e_jm), row-major with j1 slowest.
 Desk scale: n <= 32, m <= 4 keeps n^m small, so everything is plain numpy.
-A stack's magnitudes are taken one way, `_magnitudes` (with `_overflowed`
-for a complex modulus past the largest float), and the mixed norms have one
-kernel over them, `_mixed_norms_of_magnitudes`, with `mixed_norm(s)` its
-one-tensor case.  The kernel divides each tensor by the power of two nearest
-its largest magnitude, the scaling rule the chaos checks share (`_unit_scaled`).
+Coefficients pass one finiteness rule, `_check_finite`, where they enter:
+every entry and its modulus must be finite, so a complex entry with finite
+parts whose modulus passes the largest float is refused like a NaN.  A
+stack's magnitudes are taken one way, `_magnitudes`, and the mixed norms
+have one kernel over them, `_mixed_norms_of_magnitudes`, with
+`mixed_norm(s)` its one-tensor case.  The kernel divides each tensor by the
+power of two nearest its largest magnitude, the scaling rule the chaos
+checks share (`_unit_scaled`).
 
 This module also hosts the vertex enumeration shared by the exact norms
 and the chaos-moment code.  `_vertex_slices` is the one enumeration core:
@@ -36,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -131,41 +134,30 @@ def mixed_norm(T: FormTensor, fixed_index: int, s: float, alpha: float) -> float
 def mixed_norms(T: FormTensor, s: float, alpha: float) -> List[float]:
     """[mixed_norm(T, i, s, alpha) for i = 1..m]: the one-tensor case of the kernel."""
     stack = T.coeffs[None]
-    mags, top, over = _magnitudes(stack)
-    norms = _mixed_norms_of_magnitudes(mags, top, stack.shape, s, alpha)[0]
-    return _overflowed(norms, over).tolist()   # over, if any, is (1,): it covers all m norms
+    mags, top = _magnitudes(stack)
+    return _mixed_norms_of_magnitudes(mags, top, stack.shape, s, alpha)[0].tolist()
 
 
-def _magnitudes(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """|stack| of a stack (K,) + (n,)*m as (K, n^m), its row maxima, and the overflowed rows.
+def _magnitudes(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """|stack| of a stack (K,) + (n,)*m as (K, n^m), and its row maxima.
 
-    A complex entry with finite parts can have |z| above the largest float.
-    Every norm and bound of its tensor is at least |z|, so each is inf in
-    floating point: such a tensor's row is returned as zeros, and the third
-    value is the boolean mask of these rows (None when there is none, the
-    common path), for `_overflowed` to set their results to inf.  The other
-    rows do not depend on them.  Non-finite coefficients raise DomainError.
+    A row maximum that is not finite raises DomainError (`_check_finite`):
+    a NaN or infinite part, or a complex modulus past the largest float.
     """
     mags = np.abs(stack).reshape(len(stack), -1)
     top = mags.max(axis=1)
-    if np.isfinite(top).all():
-        return mags, top, None
-    _check_finite(stack)
-    over = ~np.isfinite(top)
-    mags[over] = 0.0
-    top[over] = 0.0
-    return mags, top, over
+    if not np.isfinite(top).all():
+        _check_finite(stack)
+    return mags, top
 
 
 def _check_finite(coeffs: np.ndarray) -> None:
-    """The one finiteness rule for coefficients: DomainError unless every entry is finite."""
-    if not np.isfinite(coeffs).all():
+    """The one finiteness rule for coefficients: DomainError unless every entry is finite.
+
+    So must a complex entry's modulus, which can pass the largest float with finite parts.
+    """
+    if not np.isfinite(np.abs(coeffs) if np.iscomplexobj(coeffs) else coeffs).all():
         raise DomainError("coefficients must all be finite")
-
-
-def _overflowed(values: np.ndarray, over: Optional[np.ndarray]) -> np.ndarray:
-    """values, one per tensor, with inf at the rows `_magnitudes` found overflowed."""
-    return values if over is None else np.where(over, math.inf, values)
 
 
 def _mixed_norms_of_magnitudes(

@@ -1,6 +1,7 @@
 """End-to-end certification, extremal search, and sweeps."""
 
 import importlib
+import json
 import math
 from dataclasses import replace
 
@@ -16,13 +17,16 @@ from hlcert import (
     TrialConfig,
     alternating_max,
     certify,
+    check_khinchin,
     crude_upper,
     exact_linf_enum,
     exponents,
     generate,
     mixed_norm,
     search_extremal,
+    steinhaus_moment,
     sweep_lambda0,
+    tensor_from_json,
 )
 from hlcert.certify import (
     SEARCH_CHUNK,
@@ -492,22 +496,37 @@ def test_search_scorer_rejects_non_finite_candidates():
 
 
 @pytest.mark.parametrize("p, lambda0", [(4.0, 1.0), (math.inf, 2.0)])
-def test_scorer_overflows_a_modulus_past_the_largest_float_to_inf(p, lambda0):
-    # finite parts, |z| about 2.1e308: a valid FormTensor whose lhs and bound
-    # are at least |z|, so both read inf and cannot be classified, while the
-    # rest of its stack scores as it does alone
+def test_scorer_refuses_a_modulus_past_the_largest_float(p, lambda0):
+    # finite parts, |z| about 2.1e308: every norm and bound of its tensor
+    # would be inf, so a raw stack holding it is refused as FormTensor
+    # refuses the tensor
     exps = exponents(3, p, lambda0, COMPLEX)
     ordinary = generate("gaussian", 3, 2, COMPLEX, 3).coeffs
     big = ordinary.copy()
     big[1, 0, 1] = 1.5e308 + 1.5e308j
-    FormTensor(m=3, n=2, field=COMPLEX, coeffs=big)
-    lhs, upper = _score(np.stack([ordinary, big, ordinary]), exps)
-    alone_lhs, alone_upper = _score(ordinary[None], exps)
-    assert lhs.tolist() == [alone_lhs[0], math.inf, alone_lhs[0]]
-    assert upper.tolist() == [alone_upper[0], math.inf, alone_upper[0]]
-    C = exps.constant
-    with pytest.raises(DomainError, match="non-finite"):
-        _classify(lhs[1], C * upper[1], C * upper[1])
+    with pytest.raises(DomainError, match="coefficients must all be finite"):
+        _score(np.stack([ordinary, big, ordinary]), exps)
+
+
+def test_a_modulus_past_the_largest_float_is_refused_where_it_enters():
+    # the one finiteness rule holds every entry's modulus: these used to
+    # give inf norms, a NaN ascent bound, or a misleading |chaos|^q error
+    big = 1.5e308 + 1.5e308j
+    coeffs = np.ones((2, 2), dtype=complex)
+    coeffs[0, 1] = big
+    text = json.dumps({"m": 2, "n": 2, "field": "complex",
+                       "coeffs": [[big.real, big.imag], [1, 0], [0, 1], [1, 1]]})
+    calls = [
+        lambda: FormTensor(m=2, n=2, field=COMPLEX, coeffs=coeffs),
+        lambda: tensor_from_json(text),
+        lambda: steinhaus_moment([big, 1.0], 1.5, samples=100),
+        lambda: check_khinchin([big, 1.0], 1.5, COMPLEX, samples=100),
+        lambda: _score(coeffs[None], exponents(2, 4.0, 1.0, COMPLEX)),
+        lambda: _interpolation_bounds(coeffs[None], 4.0, _root_count(2, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="coefficients must all be finite"):
+            call()
 
 
 def test_a_constant_four_times_too_small_is_reported_at_every_trial(monkeypatch):

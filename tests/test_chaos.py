@@ -809,6 +809,66 @@ def test_overflowing_moments_raise_instead_of_passing(q):
     assert rademacher_moment([1.0, 2.0], 700.0).value == pytest.approx(3.0, rel=2e-3)
 
 
+def test_underflowing_moments_raise_instead_of_a_false_violation():
+    # every |chaos|^t of [0.75, 0.1] underflows to 0 at t = 1e4: the moment
+    # used to read 0.0 (true value about 0.85) and the contraction check
+    # raised a false ViolationError
+    with pytest.raises(DomainError, match="q=10000.0"):
+        check_contraction([0.75, 0.1], 1e4)
+    with pytest.raises(DomainError, match="q=10000.0"):
+        rademacher_moment([0.75, 0.1], 1e4)
+    with pytest.raises(DomainError, match="q=10000.0"):
+        steinhaus_moment([0.75, 0.1], 1e4, samples=100)
+    # at t = 2000 the mean is about 1e-141, a normal float: the moment is
+    # 0.85 * 2^(-1/2000) up to the 0.65^2000 term
+    report = check_contraction([0.75, 0.1], 2000.0)
+    assert report.moment == pytest.approx(0.85 * 0.5 ** (1.0 / 2000.0), rel=1e-12)
+    # nothing was positive, so nothing underflowed
+    assert rademacher_moment([0.0, 0.0], 1e4).value == 0.0
+
+
+_FINITE_SHAPES = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+@given(
+    shape=st.sampled_from(_FINITE_SHAPES),
+    field=st.sampled_from([REAL, COMPLEX]),
+    k=st.integers(min_value=-900, max_value=900),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_every_result_is_finite_or_the_call_raises(shape, field, k, seed):
+    # a Gaussian tensor scaled by 2^k: each public norm, bound and check
+    # returns finite values or raises DomainError, never inf or NaN
+    m, n = shape
+    coeffs = math.ldexp(1.0, k) * generate("gaussian", m, n, field, seed).coeffs
+    T = FormTensor(m=m, n=n, field=field, coeffs=coeffs)
+    calls = [
+        lambda: [crude_upper(T, 4.0), crude_upper(T, math.inf)],
+        lambda: tensor_module.mixed_norms(T, 2.0, 3.0),
+        lambda: _estimate_values(alternating_max(T, 4.0, restarts=2)),
+        lambda: _estimate_values(alternating_max(T, math.inf, restarts=2)),
+        lambda: _chain_values(verify_proof_chain(T, 1.5, 2.5, mc_samples=200, seed=1)),
+    ]
+    if field is REAL:
+        calls.append(lambda: _estimate_values(exact_linf_enum(T)))
+    for call in calls:
+        try:
+            values = call()
+        except DomainError:
+            continue
+        assert all(math.isfinite(v) for v in values), values
+
+
+def _estimate_values(est):
+    return [est.lower, est.upper]
+
+
+def _chain_values(report):
+    links = [v for link in report.links for v in (link.lhs, link.rhs, link.slack)]
+    return links + [report.constant_factor, report.norm_lower, report.norm_upper]
+
+
 @pytest.mark.parametrize("m, n, K", [(3, 3, 12), (2, 7, 8), (3, 4, 8), (3, 5, 4)])
 def test_complex_chain_bounds_the_norm_by_roots_of_unity(m, n, K):
     # wherever _root_count gives a K, the complex chain takes ||S|| from the

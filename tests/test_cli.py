@@ -341,6 +341,19 @@ def test_contraction_check_overflowing_moment_is_usage_error(capsys, t):
     assert err.startswith("error:") and f"q={float(t)!r}" in err
 
 
+def test_contraction_check_underflowing_moment_is_usage_error(capsys, tmp_path):
+    # |chaos|^t underflows to 0: this used to exit 2 with "VIOLATION" and an
+    # L_10000.0 norm of 0.0, while the true norm is about 0.85
+    path = tmp_path / "v.json"
+    path.write_text('{"m": 1, "n": 2, "field": "real", "coeffs": [0.75, 0.1]}')
+    code, out, err = run(
+        capsys, "contraction-check", "--tensor", str(path), "--t", "10000", "--seed", "1"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "q=10000.0" in err
+
+
 def test_unknown_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["region", "--m", "2", "--lambda0", "1", "--bogus"])

@@ -12,6 +12,7 @@ from hlcert import (
     BudgetError,
     DomainError,
     FormTensor,
+    NormEstimate,
     NormMethod,
     ScalarField,
     TrialConfig,
@@ -492,12 +493,25 @@ def test_stacked_dual_norms_are_crude_upper_bit_for_bit(p):
         assert values.tolist() == [crude_upper(T, p) for T in tensors]
 
 
-def test_crude_upper_of_a_modulus_past_the_largest_float():
-    # finite parts, |z| about 2.1e308: the bound overflows to inf at every p
-    # (the norm is at least |z|) without a NaN from inf / inf
-    T = _tensor(np.full((2, 2), 1.5e308 + 1.5e308j), COMPLEX)
-    for p in (1.0, 1.5, 4.0, math.inf):
-        assert crude_upper(T, p) == math.inf
+@pytest.mark.parametrize("lower, upper", [(math.nan, 1.0), (1.0, math.nan), (2.0, 1.0)])
+def test_norm_estimate_refuses_a_bound_pair_out_of_order(lower, upper):
+    # lower > upper is False when either is NaN, so a NaN bound used to pass
+    with pytest.raises(ValueError, match="estimate lower"):
+        NormEstimate(
+            lower=lower, upper=upper, method=NormMethod.ALTERNATING_MAX, restarts=1,
+            converged=True,
+        )
+
+
+def test_hoelder_bound_of_a_modulus_past_the_largest_float_is_refused():
+    # finite parts, |z| about 2.1e308: the bound would be inf at every p (the
+    # norm is at least |z|), so no tensor holds it and no stack's
+    # magnitudes are taken
+    coeffs = np.full((2, 2), 1.5e308 + 1.5e308j)
+    with pytest.raises(DomainError, match="coefficients must all be finite"):
+        _tensor(coeffs, COMPLEX)
+    with pytest.raises(DomainError, match="coefficients must all be finite"):
+        _magnitudes(coeffs[None])
 
 
 @given(
@@ -751,7 +765,7 @@ def test_interpolation_bound_holds_a_64_restart_ascent(shape, field, kind, p, se
 def without_hoelder(monkeypatch):
     # an inf Hoelder bound, so that the min does not hide the interpolation bound
     monkeypatch.setattr(
-        norms_module, "_hoelder_bounds", lambda mags, top, over, p: np.full(len(mags), math.inf)
+        norms_module, "_hoelder_bounds", lambda mags, top, p: np.full(len(mags), math.inf)
     )
 
 
@@ -807,8 +821,7 @@ def test_interpolation_bound_of_a_tensor_does_not_depend_on_its_stack(p, field):
     # one eigvalsh and one cholesky call cover the stack, and each tensor
     # gets the bound it gets alone, its own Hoelder bound included; a zero
     # tensor fails the Cholesky test (mu = 0) and gets 0 from the Frobenius
-    # fallback and the Hoelder bound, a complex modulus past the largest
-    # float gets inf
+    # fallback and the Hoelder bound
     rng = np.random.default_rng(71)
     for m, n in [(2, 3), (2, 9), (3, 2), (3, 3), (4, 3)]:
         tensors = [
@@ -817,8 +830,6 @@ def test_interpolation_bound_of_a_tensor_does_not_depend_on_its_stack(p, field):
             for _ in range(6)
         ]
         tensors.append(np.zeros((n,) * m))
-        if field is COMPLEX:
-            tensors.append(np.full((n,) * m, 1.5e308 + 1.5e308j))
         stack = np.stack(tensors)
         for roots in (None, _root_count(m, n)):
             # with roots, stage 2: one root enumeration of the whole stack
@@ -832,8 +843,18 @@ def test_interpolation_bound_of_a_tensor_does_not_depend_on_its_stack(p, field):
             assert (bounds[:6] <= hoelder).all()
             if n**m >= 27:   # on the smallest shapes the Hoelder bound can win
                 assert (bounds[:6] < hoelder).all()
-            if field is COMPLEX:
-                assert bounds[7] == math.inf
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 4.0, math.inf])
+def test_interpolation_bound_of_a_modulus_past_the_largest_float_is_refused(p):
+    # finite parts, |z| about 2.1e308: a raw stack holding it is refused,
+    # whatever else the stack holds and with or without the root cap
+    ordinary = generate("gaussian", 3, 3, COMPLEX, 5).coeffs
+    big = ordinary.copy()
+    big[2, 0, 1] = 1.5e308 + 1.5e308j
+    for roots in (None, _root_count(3, 3)):
+        with pytest.raises(DomainError, match="coefficients must all be finite"):
+            _interpolation_bounds(np.stack([ordinary, big]), p, roots)
 
 
 def test_a_failed_cholesky_test_falls_back_to_the_frobenius_norm(monkeypatch, without_hoelder):
