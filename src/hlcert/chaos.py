@@ -30,7 +30,9 @@ coefficients, so the checks run on the input divided by the power of two
 nearest its largest coefficient (an exact scaling) and scale the reported
 values back: nothing overflows or underflows, and the absolute slacks are
 relative to the largest coefficient.  The moments `rademacher_moment` and
-`steinhaus_moment` follow the same rule.
+`steinhaus_moment` follow the same rule.  The chain computes no mixed sum
+of its own: its left-hand side is `hlcert.tensor.mixed_norm`, the value
+`verify` scores, and an s at which that sum overflows raises DomainError.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .special import ScalarField, khinchin_A
 from .tensor import (
     FormTensor,
     _unit_scaled,
+    mixed_norm,
     # kept as module attributes: bench/tracer.py wraps them here
     contract_trailing_signs,  # noqa: F401
     iter_sign_blocks,  # noqa: F401
@@ -510,7 +513,10 @@ def verify_proof_chain(
     SeedSequence([seed, 1]) and the coefficient mass.  The links are
     checked on S scaled by a power of two to max|coeff| about 1, so the
     absolute slacks are relative to the largest coefficient; reported values
-    are in the units of S.
+    are in the units of S.  The lhs of holder_interpolation and overall_bound
+    is `mixed_norm(S, index, s, lambda0)` bit for bit; where that sum
+    overflows (s past about 2000) it raises DomainError, before any
+    enumeration.
     """
     _check_multilinear(S)
     _check_integer("index", index, 1, S.m)
@@ -522,8 +528,9 @@ def verify_proof_chain(
 
     # every chain quantity is 1-homogeneous in S: run the chain on S divided
     # by the power of two nearest max|coeff| (an exact scaling), so |S|^s
-    # neither overflows nor underflows and the absolute slacks are relative
-    # to the largest coefficient, then scale the reported values back
+    # overflows only at an s past about 2000 (where `mixed_norm` raises) and
+    # the absolute slacks are relative to the largest coefficient, then
+    # scale the reported values back
     scaled, unit = _unit_scaled(S.coeffs)
     S = FormTensor(m=S.m, n=S.n, field=S.field, coeffs=scaled)
     coeffs = np.moveaxis(S.coeffs, index - 1, 0)
@@ -532,8 +539,8 @@ def verify_proof_chain(
     A = khinchin_A(lambda0, S.field).value
     factor = A ** (-2.0 * (m - 1) / s)
 
+    lhs_chain = mixed_norm(S, index, s, lambda0)
     flat = np.abs(coeffs.reshape(n, -1))
-    lhs_chain = float(((flat**s).sum(axis=1) ** (lambda0 / s)).sum() ** (1.0 / lambda0))
     l2 = np.sqrt((flat**2).sum(axis=1))
     mx = flat.max(axis=1)
     holder_mid = float(

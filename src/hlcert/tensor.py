@@ -8,9 +8,12 @@ every entry and its modulus must be finite, so a complex entry with finite
 parts whose modulus passes the largest float is refused like a NaN.  A
 stack's magnitudes are taken one way, `_magnitudes`, and the mixed norms
 have one kernel over them, `_mixed_norms_of_magnitudes`, with
-`mixed_norm(s)` its one-tensor case.  The kernel divides each tensor by the
-power of two nearest its largest magnitude, the scaling rule the chaos
-checks share (`_unit_scaled`).
+`mixed_norm(s)` its one-tensor case: the scorer in `hlcert.certify` runs the
+kernel on its stack, and the proof chain in `hlcert.chaos` reads
+`mixed_norm`.  The kernel divides each tensor by the power of two nearest
+its largest magnitude, the scaling rule the chaos checks share
+(`_unit_scaled`); entries then reach about sqrt(2), so a large s or alpha
+can still overflow, and `mixed_norms` raises then rather than return inf.
 
 This module also hosts the vertex enumeration shared by the exact norms
 and the chaos-moment code.  `_vertex_slices` is the one enumeration core:
@@ -132,10 +135,19 @@ def mixed_norm(T: FormTensor, fixed_index: int, s: float, alpha: float) -> float
 
 
 def mixed_norms(T: FormTensor, s: float, alpha: float) -> List[float]:
-    """[mixed_norm(T, i, s, alpha) for i = 1..m]: the one-tensor case of the kernel."""
+    """[mixed_norm(T, i, s, alpha) for i = 1..m]: the one-tensor case of the kernel.
+
+    A norm that overflows (|c|^s past s of about 2000, or the outer power at
+    an alpha of a few thousand, on the kernel's scale) raises DomainError
+    naming s and alpha, so no result is inf.
+    """
     stack = T.coeffs[None]
     mags, top = _magnitudes(stack)
-    return _mixed_norms_of_magnitudes(mags, top, stack.shape, s, alpha)[0].tolist()
+    with np.errstate(over="ignore"):
+        norms = _mixed_norms_of_magnitudes(mags, top, stack.shape, s, alpha)[0]
+    if not np.isfinite(norms).all():
+        raise DomainError(f"mixed norms overflow at s={s}, alpha={alpha}")
+    return norms.tolist()
 
 
 def _magnitudes(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

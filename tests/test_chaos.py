@@ -23,6 +23,7 @@ from hlcert import (
     exponents,
     generate,
     khinchin_A,
+    mixed_norm,
     rademacher_moment,
     search_extremal,
     solve_q0,
@@ -827,31 +828,66 @@ def test_underflowing_moments_raise_instead_of_a_false_violation():
     assert rademacher_moment([0.0, 0.0], 1e4).value == 0.0
 
 
-_FINITE_SHAPES = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("kind, field", [("gaussian", REAL), ("steinhaus", COMPLEX)])
+def test_chain_lhs_is_mixed_norm_bit_for_bit(m, kind, field):
+    # the chain's lambda0-mixed l_s sum is `mixed_norm` of the caller's
+    # tensor, not a formula of its own: the (3, 3) Gaussian of seed 1 at
+    # index 1 used to give 4.52121395565488 against 4.521213955654881
+    S = generate(kind, m, 3, field, 1)
+    for s in (2.5, 7.0):
+        for index in range(1, m + 1):
+            rep = verify_proof_chain(S, 1.5, s, index=index, mc_samples=200, seed=1)
+            links = {link.name: link for link in rep.links}
+            expected = mixed_norm(S, index, s, 1.5)
+            assert links["holder_interpolation"].lhs == expected
+            assert links["overall_bound"].lhs == expected
+
+
+def test_chain_overflow_is_a_domain_error_not_a_violation():
+    # the largest entry is 2.71, about 1.36 on the chain's unit scale, so the
+    # l_s sum overflows at s = 1e4: the chain used to compare an inf lhs and
+    # raise ViolationError on the holder_interpolation link
+    g = generate("gaussian", 3, 3, REAL, 1)
+    with pytest.raises(DomainError, match=r"mixed norms overflow at s=10000.0, alpha=1.5"):
+        verify_proof_chain(g, 1.5, 1e4)
+    assert verify_proof_chain(g, 1.5, 1000.0).passed
+
+
+_FINITE_SHAPES = [(3, 1), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 
 
 @given(
     shape=st.sampled_from(_FINITE_SHAPES),
     field=st.sampled_from([REAL, COMPLEX]),
     k=st.integers(min_value=-900, max_value=900),
+    log_x=st.floats(min_value=0.0, max_value=4.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=80, deadline=None)
-def test_every_result_is_finite_or_the_call_raises(shape, field, k, seed):
-    # a Gaussian tensor scaled by 2^k: each public norm, bound and check
-    # returns finite values or raises DomainError, never inf or NaN
+def test_every_result_is_finite_or_the_call_raises(shape, field, k, log_x, seed):
+    # a Gaussian tensor scaled by 2^k and an exponent x, log-uniform in
+    # [1, 1e4]: each public norm, bound, moment and check returns finite
+    # values or raises DomainError, never inf or NaN, and warns of nothing
     m, n = shape
+    x = 10.0**log_x
     coeffs = math.ldexp(1.0, k) * generate("gaussian", m, n, field, seed).coeffs
     T = FormTensor(m=m, n=n, field=field, coeffs=coeffs)
+    row = T.coeffs.reshape(n, -1)[0]
     calls = [
         lambda: [crude_upper(T, 4.0), crude_upper(T, math.inf)],
         lambda: tensor_module.mixed_norms(T, 2.0, 3.0),
+        lambda: tensor_module.mixed_norms(T, x, 3.0),
+        lambda: tensor_module.mixed_norms(T, 2.0, x),
         lambda: _estimate_values(alternating_max(T, 4.0, restarts=2)),
         lambda: _estimate_values(alternating_max(T, math.inf, restarts=2)),
-        lambda: _chain_values(verify_proof_chain(T, 1.5, 2.5, mc_samples=200, seed=1)),
+        lambda: _chain_values(verify_proof_chain(T, 1.5, max(x, 2.0), mc_samples=200, seed=1)),
+        lambda: _moment_values(steinhaus_moment(row, x, samples=200, seed=1)),
     ]
     if field is REAL:
         calls.append(lambda: _estimate_values(exact_linf_enum(T)))
+        calls.append(lambda: _moment_values(rademacher_moment(row, x)))
+        calls.append(lambda: _contraction_values(check_contraction(T.coeffs, x)))
     for call in calls:
         try:
             values = call()
@@ -867,6 +903,14 @@ def _estimate_values(est):
 def _chain_values(report):
     links = [v for link in report.links for v in (link.lhs, link.rhs, link.slack)]
     return links + [report.constant_factor, report.norm_lower, report.norm_upper]
+
+
+def _moment_values(moment):
+    return [moment.value] + ([] if moment.stderr is None else [moment.stderr])
+
+
+def _contraction_values(report):
+    return [report.max_coeff, report.moment, report.ratio]
 
 
 @pytest.mark.parametrize("m, n, K", [(3, 3, 12), (2, 7, 8), (3, 4, 8), (3, 5, 4)])

@@ -290,6 +290,22 @@ def test_chain_check_huge_tensor_passes(capsys, tmp_path):
     assert payload["norm_lower"] == 2e160
 
 
+def test_chain_check_overflowing_lhs_is_usage_error(capsys, tmp_path):
+    # the l_s sum of this Gaussian tensor overflows at s = 1e4: the chain used
+    # to report a false VIOLATION (exit 2) on an inf holder_interpolation lhs
+    from hlcert import ScalarField, generate, tensor_to_json
+
+    path = tmp_path / "g.json"
+    path.write_text(tensor_to_json(generate("gaussian", 3, 3, ScalarField.REAL, 1)))
+    code, out, err = run(
+        capsys, "chain-check", "--tensor", str(path), "--lambda0", "1.5", "--s", "10000",
+        "--seed", "1",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "mixed norms overflow" in err
+
+
 def test_chain_check_negative_seed_is_usage_error(capsys, tmp_path):
     # a real chain draws nothing, but the seed rule holds for every chain
     path = tmp_path / "signs.json"

@@ -179,6 +179,21 @@ def test_mixed_norms_of_a_modulus_past_the_largest_float_are_refused():
         tensor_module._magnitudes(np.stack([coeffs.real, coeffs]))
 
 
+def test_mixed_norm_refuses_an_overflow_instead_of_returning_inf():
+    # the largest entry of this tensor is 2.71, about 1.36 after the kernel's
+    # power-of-two scaling, so its 3000th power passes the largest float:
+    # mixed_norm used to return inf after an overflow warning
+    g = generate("gaussian", 3, 3, REAL, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"mixed norms overflow at s=3000.0, alpha=1.5"):
+            mixed_norm(g, 1, 3000.0, 1.5)
+        # the outer power overflows in the same way at a large alpha
+        with pytest.raises(DomainError, match="mixed norms overflow"):
+            mixed_norms(g, 2.0, 5000.0)
+        assert math.isfinite(mixed_norm(g, 1, 1000.0, 1.5))
+
+
 def _per_axis_mixed_norms(stack, s, alpha):
     # the reference kernel: every power and outer sum runs once per fixed
     # axis, on the inner sums of that axis's own transposed layout
