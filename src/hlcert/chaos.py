@@ -32,7 +32,7 @@ values back: nothing overflows or underflows, and the absolute slacks are
 relative to the largest coefficient.  The moments `rademacher_moment` and
 `steinhaus_moment` follow the same rule.  The chain computes no mixed sum
 of its own: its left-hand side is `hlcert.tensor.mixed_norm`, the value
-`verify` scores, and an s at which that sum overflows raises DomainError.
+`verify` scores, finite at every s.
 """
 
 from __future__ import annotations
@@ -514,9 +514,7 @@ def verify_proof_chain(
     checked on S scaled by a power of two to max|coeff| about 1, so the
     absolute slacks are relative to the largest coefficient; reported values
     are in the units of S.  The lhs of holder_interpolation and overall_bound
-    is `mixed_norm(S, index, s, lambda0)` bit for bit; where that sum
-    overflows (s past about 2000) it raises DomainError, before any
-    enumeration.
+    is `mixed_norm(S, index, s, lambda0)` bit for bit, finite at every s.
     """
     _check_multilinear(S)
     _check_integer("index", index, 1, S.m)
@@ -527,10 +525,9 @@ def verify_proof_chain(
     seed = _check_seed(seed)
 
     # every chain quantity is 1-homogeneous in S: run the chain on S divided
-    # by the power of two nearest max|coeff| (an exact scaling), so |S|^s
-    # overflows only at an s past about 2000 (where `mixed_norm` raises) and
-    # the absolute slacks are relative to the largest coefficient, then
-    # scale the reported values back
+    # by the power of two nearest max|coeff| (an exact scaling), so the
+    # absolute slacks are relative to the largest coefficient, then scale
+    # the reported values back
     scaled, unit = _unit_scaled(S.coeffs)
     S = FormTensor(m=S.m, n=S.n, field=S.field, coeffs=scaled)
     coeffs = np.moveaxis(S.coeffs, index - 1, 0)

@@ -15,7 +15,6 @@ unity for complex ones (`_linf_root_bounds` at K = `_root_count(m, n)`).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Sequence, Tuple, Union
@@ -26,7 +25,9 @@ from .errors import DomainError, _check_integer, _jsonable
 from .special import ScalarField
 from .tensor import (
     _SIGNS,
+    _SMALLEST,
     FormTensor,
+    _flattenings,
     _magnitudes,
     _nearest_powers_of_two,
     _unit_roots,
@@ -46,7 +47,6 @@ __all__ = [
 ]
 
 _UNIT_ROUNDOFF = 2.0**-53
-_SMALLEST = 5e-324           # the smallest positive float
 _ROUND_UP = 1.0 + 2.0**-50   # 1 + 8u: above the rounding error of a root, a power or a product
 _UNDERFLOW = 2.0**-1000      # per-coefficient slack for what underflows near magnitude 1
 _ROOT_COUNTS = (12, 8, 6, 4)  # the K that `_root_count` tries, largest first
@@ -216,6 +216,9 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
       the trace) and the Gram matrix's rounding (below 2 gamma_{N+2}
       ||A||_F^2, N = n^(m-1)).  One `eigvalsh` and one `cholesky` call
       cover every tensor and slot; where the test fails, ||A||_F^2 serves.
+      Every flattening comes from one gather through
+      `hlcert.tensor._flattenings`, the index the mixed-norm kernel reads;
+      its transposed result holds each slot's A.
     * U >= ||T||_inf is min(mass, n^(m/2) * sigma), as the l_inf unit ball
       lies in the l_2 ball of radius sqrt(n).  With `roots` = K it is also
       capped by `_linf_root_bounds` at the K-th roots of unity.
@@ -241,7 +244,8 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
     scaled = stack / unit.reshape((B,) + (1,) * m)
     mags = mags / unit[:, None]
     frobenius = (mags * mags).sum(axis=1)[:, None]     # ||A||_F^2, the same for every slot
-    flats = np.take(scaled.reshape(B, -1), _flattenings(m, n), axis=1)   # (B, m, n, N)
+    terms = np.take(scaled.reshape(B, -1), _flattenings(m, n), axis=1)     # (B, N, n, m)
+    flats = terms.transpose(0, 3, 2, 1)                                    # (B, m, n, N)
     gram = np.matmul(flats, flats.conj().swapaxes(-1, -2))             # (B, m, n, n)
     mu = np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0) * (1.0 + _MU_MARGIN * (n + 1) * u)
     passed = _cholesky_passes(mu[..., None, None] * np.eye(n) - gram)
@@ -264,13 +268,6 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
     exponent = np.where(ratio <= 1.0, np.nextafter(theta, 0.0), np.nextafter(theta, 1.0))
     bound = linf * ratio**exponent * _ROUND_UP * unit
     return np.minimum(hoelder, bound)
-
-
-@functools.lru_cache(maxsize=None)
-def _flattenings(m: int, n: int) -> np.ndarray:
-    """Flat indices (m, n, n^(m-1)) of an (n,)*m tensor: row j of slice k lists T[..., j, ...], j in slot k."""
-    flat = np.arange(n**m).reshape((n,) * m)
-    return np.stack([np.moveaxis(flat, k, 0).reshape(n, -1) for k in range(m)])
 
 
 def _cholesky_passes(matrices: np.ndarray) -> np.ndarray:

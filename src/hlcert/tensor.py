@@ -10,10 +10,11 @@ stack's magnitudes are taken one way, `_magnitudes`, and the mixed norms
 have one kernel over them, `_mixed_norms_of_magnitudes`, with
 `mixed_norm(s)` its one-tensor case: the scorer in `hlcert.certify` runs the
 kernel on its stack, and the proof chain in `hlcert.chaos` reads
-`mixed_norm`.  The kernel divides each tensor by the power of two nearest
-its largest magnitude, the scaling rule the chaos checks share
-(`_unit_scaled`); entries then reach about sqrt(2), so a large s or alpha
-can still overflow, and `mixed_norms` raises then rather than return inf.
+`mixed_norm`.  The kernel gathers every row of every fixed index at once
+through the slot-flattening index `_flattenings`, which the interpolation
+bound in `hlcert.norms` reads too, and scales each power sum by its own
+largest term, so no s or alpha overflows or underflows it: `mixed_norms`
+raises only where a norm itself passes the largest float.
 
 This module also hosts the vertex enumeration shared by the exact norms
 and the chaos-moment code.  `_vertex_slices` is the one enumeration core:
@@ -39,6 +40,7 @@ references.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -70,6 +72,7 @@ PATTERN_BUDGET = 2**24    # enumeration budget, in vertex patterns
 DEFAULT_BLOCK = 4096      # vertex patterns contracted per numpy batch
 
 _SIGNS = np.array([-1.0, 1.0])   # the vertex values of a real l_inf slot
+_SMALLEST = 5e-324               # the smallest positive float
 
 GENERATE_KINDS = ("gaussian", "signs", "sparse_unit", "steinhaus")
 
@@ -137,14 +140,16 @@ def mixed_norm(T: FormTensor, fixed_index: int, s: float, alpha: float) -> float
 def mixed_norms(T: FormTensor, s: float, alpha: float) -> List[float]:
     """[mixed_norm(T, i, s, alpha) for i = 1..m]: the one-tensor case of the kernel.
 
-    A norm that overflows (|c|^s past s of about 2000, or the outer power at
-    an alpha of a few thousand, on the kernel's scale) raises DomainError
-    naming s and alpha, so no result is inf.
+    Finite at every s and alpha, since each power sum is scaled by its own
+    largest term.  A norm past the largest float (the 2 x 2 tensor of
+    1.5e308 at s = alpha = 2) raises DomainError naming s and alpha, so no
+    result is inf.
     """
     stack = T.coeffs[None]
-    mags, top = _magnitudes(stack)
-    with np.errstate(over="ignore"):
-        norms = _mixed_norms_of_magnitudes(mags, top, stack.shape, s, alpha)[0]
+    mags, _ = _magnitudes(stack)
+    # inf / inf in the outer scaling gives NaN: both mean an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _mixed_norms_of_magnitudes(mags, stack.shape, s, alpha)[0]
     if not np.isfinite(norms).all():
         raise DomainError(f"mixed norms overflow at s={s}, alpha={alpha}")
     return norms.tolist()
@@ -173,40 +178,62 @@ def _check_finite(coeffs: np.ndarray) -> None:
 
 
 def _mixed_norms_of_magnitudes(
-    mags: np.ndarray, top: np.ndarray, shape: Tuple[int, ...], s: float, alpha: float
+    mags: np.ndarray, shape: Tuple[int, ...], s: float, alpha: float
 ) -> np.ndarray:
     """Mixed norms of a stack of `shape` (K,) + (n,)*m from its `_magnitudes`, as (K, m).
 
-    Row k, column i is `mixed_norm` of stack[k] at fixed index i + 1.  Each
-    tensor is divided by the power of two nearest its largest magnitude (an
-    exact scaling; the norm is 1-homogeneous) and its norms are scaled back,
-    so entries near the floating point limits neither overflow nor
-    underflow, and scaling a tensor by 2^k scales its norms by 2^k bit for
-    bit.  Every sum runs over one tensor's own row, in an order that does
-    not depend on the rest of the stack, so a tensor's norms are the same
-    in any stack.  Each fixed axis sums the rows of its own transposed
-    layout of the stack, so each keeps its own summation order; the row
-    sums of all m axes then go through one chain of powers and one outer
-    sum, which rounds as a chain per axis does.
+    Row k, column i is `mixed_norm` of stack[k] at fixed index i + 1.  One
+    gather through `_flattenings` lays the magnitudes out as (n^(m-1)
+    terms, n rows, m axes, K tensors).  Each row is divided by its own
+    largest term, raised to s, summed, rooted and multiplied back; the
+    outer l_alpha sum over the rows is scaled the same way by its largest
+    row value (the per-row rule of the Hoelder bound, `_dual_norms` in
+    `hlcert.norms`).  So every power lies in [0, 1] and a nonzero row's
+    sum in [1, n^(m-1)] before its root: no step overflows unless the norm
+    itself does, and none underflows to a wrong value, whatever s and
+    alpha.  Tensors lie innermost, so every max and sum over terms or rows
+    runs slice by slice, in flat-index order, for each tensor alone: a
+    tensor's norms are the same in any stack.
     """
     if not (1.0 <= s < math.inf and 1.0 <= alpha < math.inf):
         raise DomainError("mixed-norm exponents must be finite and >= 1")
-    K, m, n = shape[0], len(shape) - 1, shape[1]
-    unit = _nearest_powers_of_two(top)
-    powered = ((mags / unit[:, None]) ** s).reshape(shape)
-    sums = np.empty((K, m, n))
-    others = list(range(1, m + 1))
-    for axis in range(1, m + 1):
-        # the fixed axis moved next to the stack axis and the others merged
-        # into rows of n^(m-1): a copy, or a view where the merge allows it
-        rows = powered.transpose([0, axis] + others[: axis - 1] + others[axis:])
-        np.add.reduce(rows.reshape(K, n, -1), axis=2, out=sums[:, axis - 1])
-    sums **= 1.0 / s
-    sums **= alpha
-    norms = np.add.reduce(sums, axis=2)
-    norms **= 1.0 / alpha
-    norms *= unit[:, None]
-    return norms
+    m, n = len(shape) - 1, shape[1]
+    terms = np.take(mags.T, _flattenings(m, n), axis=0)   # (n^(m-1), n, m, K)
+    rows = _scaled_power_sums(terms, s)                     # (n, m, K)
+    return _scaled_power_sums(rows, alpha).T
+
+
+def _scaled_power_sums(x: np.ndarray, q: float) -> np.ndarray:
+    """The l_q norms along axis 0 of x >= 0, each sum scaled by its own largest term.
+
+    Overwrites x.
+    """
+    top = np.maximum.reduce(x, axis=0)
+    # a zero sum divides by the smallest positive float, not 0: its terms
+    # stay 0, while every nonzero sum keeps its own largest term
+    x /= np.maximum(top, _SMALLEST)
+    x **= q
+    total = np.add.reduce(x, axis=0)
+    total **= 1.0 / q
+    total *= top
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _flattenings(m: int, n: int) -> np.ndarray:
+    """Flat indices (n^(m-1), n, m) of an (n,)*m tensor: the rows of every slot's flattening.
+
+    [t, j, k] is term t of the row T[..., j, ...] with j in slot k, the
+    terms in flat-index order.  Terms lie outermost, so a gather through it
+    puts a stack's tensors innermost.  Every caller shares the array and
+    none writes to it; it stays writable, since `np.take` copies a
+    read-only index on every call.
+    """
+    flat = np.arange(n**m).reshape((n,) * m)
+    index = np.empty((n ** (m - 1), n, m), dtype=np.intp)
+    for k in range(m):
+        index[:, :, k] = np.moveaxis(flat, k, 0).reshape(n, -1).T
+    return index
 
 
 def _nearest_powers_of_two(x):

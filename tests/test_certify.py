@@ -114,6 +114,18 @@ def test_certify_exact_path_no_inconclusive():
     assert report.constant == pytest.approx(1.0, abs=1e-12)
 
 
+def test_certify_at_a_large_outer_exponent_classifies_every_trial():
+    # p = 3.001 is admissible with eta1 about 3001: the scorer's mixed norms
+    # used to overflow at that power, and certify raised "cannot classify
+    # non-finite values: lhs=inf" after an overflow warning
+    cfg = TrialConfig(trials=50, keep_trials=True)
+    report = certify(3, 3, 3.001, 1.0, REAL, config=cfg, seed=7)
+    assert report.eta1 > 3000.0
+    assert report.violations == 0
+    assert report.inconclusive == 0
+    assert all(math.isfinite(row.lhs) and row.lhs > 0.0 for row in report.trial_rows)
+
+
 def test_certify_conservative_below_empirical_per_trial():
     cfg = TrialConfig(trials=30, restarts=4, keep_trials=True)
     report = certify(2, 3, 4.0, 1.5, REAL, config=cfg, seed=3)

@@ -142,25 +142,42 @@ def test_mixed_norm_permutation_consistency(perm, n, seed, s, alpha):
         assert got == pytest.approx(base[perm[i]], rel=1e-13)
 
 
+def _scaled_power_sum(values, q):
+    # (sum of (v / largest)^q, largest) for one row of values >= 0: the
+    # powers as one array power, then summed one by one in their order
+    top = values.max()
+    total = 0.0
+    for term in (values / (top + (top == 0.0))) ** q:
+        total += term
+    return total, top
+
+
+def _reference_mixed_norms(coeffs, s, alpha):
+    # the kernel's arithmetic for one tensor and one fixed axis at a time:
+    # each row T[..., j, ...] (other indices in flat-index order) and then
+    # the outer sum over j scaled by its own largest term; roots are array
+    # powers, as in the kernel (numpy's scalar power can differ in the last
+    # digit)
+    m, n = coeffs.ndim, coeffs.shape[0]
+    norms = []
+    for axis in range(m):
+        rows = np.moveaxis(np.abs(coeffs), axis, 0).reshape(n, -1)
+        sums, tops = map(np.array, zip(*(_scaled_power_sum(row, s) for row in rows)))
+        total, top = _scaled_power_sum(sums ** (1.0 / s) * tops, alpha)
+        norms.append(float((np.array([total]) ** (1.0 / alpha) * top)[0]))
+    return norms
+
+
 def test_mixed_norms_share_one_power_bit_for_bit():
-    # one |coeff|^s for all m fixed indices gives, bit for bit, what raising
-    # each index's own (n, n^(m-1)) layout to the s-th power gives, both on
-    # the tensor divided by the power of two nearest its largest magnitude
+    # mixed_norms of one tensor is, bit for bit, the per-axis reference:
+    # every row and the outer sum scaled by its own largest term (a single
+    # nonzero entry leaves zero rows, whose norms are 0)
     rng = np.random.default_rng(17)
     for m, n in [(1, 5), (2, 4), (3, 3), (4, 2)]:
-        for field in (REAL, ScalarField.COMPLEX):
-            T = generate("gaussian", m, n, field, int(rng.integers(2**32)))
-            mantissa, exponent = math.frexp(float(np.abs(T.coeffs).max()))
-            unit = 2.0 ** (exponent - (mantissa < math.sqrt(0.5)))
+        for field, kind in itertools.product((REAL, COMPLEX), ("gaussian", "sparse_unit")):
+            T = generate(kind, m, n, field, int(rng.integers(2**32)))
             for s, alpha in [(2.0, 4.0), (1.3, 2.7), (3.0, 1.0)]:
-                expected = []
-                for i in range(m):
-                    flat = np.moveaxis(T.coeffs, i, 0).reshape(n, -1)
-                    per_row = ((np.abs(flat) / unit) ** s).sum(axis=1) ** (1.0 / s)
-                    # the outer root of a 1-element array: numpy's array power,
-                    # which can differ in the last digit from a scalar's
-                    total = (per_row**alpha).sum(keepdims=True)
-                    expected.append(unit * float((total ** (1.0 / alpha))[0]))
+                expected = _reference_mixed_norms(T.coeffs, s, alpha)
                 assert mixed_norms(T, s, alpha) == expected
                 assert expected == [mixed_norm(T, i, s, alpha) for i in range(1, m + 1)]
     with pytest.raises(DomainError):
@@ -179,35 +196,59 @@ def test_mixed_norms_of_a_modulus_past_the_largest_float_are_refused():
         tensor_module._magnitudes(np.stack([coeffs.real, coeffs]))
 
 
-def test_mixed_norm_refuses_an_overflow_instead_of_returning_inf():
-    # the largest entry of this tensor is 2.71, about 1.36 after the kernel's
-    # power-of-two scaling, so its 3000th power passes the largest float:
-    # mixed_norm used to return inf after an overflow warning
+def test_mixed_norm_of_one_entry_is_that_entry_at_any_exponent():
+    # the kernel used to scale the tensor by the power of two nearest its
+    # largest entry, so [2.5] reached 1.25 and its 1e4-th power overflowed,
+    # and [1.5] reached 0.75 and every power underflowed to a norm of 0.0
+    assert mixed_norm(_tensor([2.5]), 1, 1e4, 1e4) == 2.5
+    assert mixed_norm(_tensor([2.5]), 1, 1e4, 1.5) == 2.5
+    assert mixed_norm(_tensor([1.5]), 1, 1e4, 1e4) == 1.5
+    assert mixed_norm(_tensor([1.5]), 1, 3000.0, 1.5) == 1.5
+
+
+def _log_domain_mixed_norm(coeffs, axis, s, alpha):
+    # each l_q sum as log(largest) + log(fsum(exp(q (log v - log largest)))) / q
+    def log_norm(logs, q):
+        top = max(logs)
+        return top + math.log(math.fsum(math.exp(q * (v - top)) for v in logs)) / q
+
+    n = coeffs.shape[0]
+    rows = np.moveaxis(np.abs(coeffs), axis, 0).reshape(n, -1)
+    return math.exp(log_norm([log_norm([math.log(v) for v in row], s) for row in rows], alpha))
+
+
+def test_mixed_norms_at_large_exponents_match_a_log_domain_reference():
+    # the largest entry is 2.71: its 3000th power overflowed on the old
+    # kernel's scale, and mixed_norms raised where the norm is about 3.5
     g = generate("gaussian", 3, 3, REAL, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError, match=r"mixed norms overflow at s=3000.0, alpha=1.5"):
-            mixed_norm(g, 1, 3000.0, 1.5)
-        # the outer power overflows in the same way at a large alpha
-        with pytest.raises(DomainError, match="mixed norms overflow"):
-            mixed_norms(g, 2.0, 5000.0)
-        assert math.isfinite(mixed_norm(g, 1, 1000.0, 1.5))
+    for axis, got in enumerate(mixed_norms(g, 3000.0, 1.5)):
+        assert got == pytest.approx(_log_domain_mixed_norm(g.coeffs, axis, 3000.0, 1.5), rel=1e-12)
 
 
-def _per_axis_mixed_norms(stack, s, alpha):
-    # the reference kernel: every power and outer sum runs once per fixed
-    # axis, on the inner sums of that axis's own transposed layout
-    K, m, n = stack.shape[0], stack.ndim - 1, stack.shape[1]
-    mags = np.abs(stack).reshape(K, -1)
-    unit = tensor_module._nearest_powers_of_two(mags.max(axis=1))
-    powered = ((mags / unit[:, None]) ** s).reshape(stack.shape)
-    norms = np.empty((K, m))
-    others = list(range(1, m + 1))
-    for axis in range(1, m + 1):
-        rows = powered.transpose([0, axis] + others[: axis - 1] + others[axis:])
-        per_row = np.add.reduce(rows.reshape(K, n, -1), axis=2) ** (1.0 / s)
-        norms[:, axis - 1] = np.add.reduce(per_row**alpha, axis=1) ** (1.0 / alpha)
-    return norms * unit[:, None]
+def test_mixed_norms_of_subnormal_entries_scale_with_the_tensor():
+    # every entry of 2^-1030 T is subnormal: each row divides by its own
+    # largest entry, so the norms are 2^-1030 times those of T (a zero-row
+    # guard at the smallest normal float would divide by 2^-1022 and give
+    # norms about a million times too small)
+    T = _tensor(np.array([[3.0, 1.0], [2.0, 0.5]]))
+    tiny = _tensor(T.coeffs * 2.0**-1030)
+    for s, alpha in [(2.0, 3.0), (4.0, 1.5), (3000.0, 1.5)]:
+        for axis, got in enumerate(mixed_norms(tiny, s, alpha)):
+            expected = _log_domain_mixed_norm(T.coeffs, axis, s, alpha)
+            assert got == pytest.approx(expected * 2.0**-1030, rel=1e-12, abs=0.0)
+            assert mixed_norms(T, s, alpha)[axis] == pytest.approx(expected, rel=1e-12)
+
+
+def test_mixed_norms_raise_only_a_true_overflow():
+    # every norm of this tensor passes the largest float, so the call raises;
+    # inf / inf in the outer scaling gives NaN, and neither warns
+    T = _tensor(np.full((2, 2), 1.5e308))
+    with pytest.raises(DomainError, match=r"mixed norms overflow at s=2.0, alpha=2.0"):
+        mixed_norms(T, 2.0, 2.0)
+    with pytest.raises(DomainError, match="mixed norms overflow"):
+        mixed_norm(T, 1, 2.0, 2.0)
+    # a third of that magnitude stays below it
+    assert mixed_norms(_tensor(np.full((2, 2), 0.5e308)), 2.0, 2.0) == pytest.approx([1e308] * 2)
 
 
 @pytest.mark.parametrize("m, n", [(3, 3), (2, 9), (4, 2), (3, 5)])
@@ -215,8 +256,7 @@ def _per_axis_mixed_norms(stack, s, alpha):
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_mixed_norms_stack_matches_the_per_axis_kernel_bit_for_bit(m, n, K, field):
     # rows of n^(m-1) >= 8 terms, where the order of the inner sums shows:
-    # each fixed axis sums its own layout, and one chain of powers over all
-    # axes rounds as the per-axis chains do
+    # every tensor of the stack gets the per-axis reference's norms
     rng = np.random.default_rng(41)
     shape = (K,) + (n,) * m
     for scale in (2.0**-900, 1.0, 2.0**900):
@@ -225,9 +265,33 @@ def test_mixed_norms_stack_matches_the_per_axis_kernel_bit_for_bit(m, n, K, fiel
             stack = stack + 1j * rng.standard_normal(shape)
         stack = stack * scale
         for s, alpha in [(2.0, 4.0), (4.0 / 3.0, 1.6), (1.0, 2.0), (3.0, 1.0)]:
-            mags, top = tensor_module._magnitudes(stack)
-            got = tensor_module._mixed_norms_of_magnitudes(mags, top, stack.shape, s, alpha)
-            assert got.tobytes() == _per_axis_mixed_norms(stack, s, alpha).tobytes()
+            mags, _ = tensor_module._magnitudes(stack)
+            got = tensor_module._mixed_norms_of_magnitudes(mags, stack.shape, s, alpha)
+            expected = [_reference_mixed_norms(coeffs, s, alpha) for coeffs in stack]
+            assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("m, n", [(2, 9), (2, 12), (3, 5), (4, 3)])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_mixed_norms_of_a_stack_are_each_tensors_alone(m, n, field):
+    # the same tensors in stacks of 1, 2, 5 and 32: a tensor's norms do not
+    # depend on what else the stack holds
+    rng = np.random.default_rng(43)
+    shape = (32,) + (n,) * m
+    for scale in (2.0**-900, 2.0**900):
+        stack = rng.standard_normal(shape)
+        if field is COMPLEX:
+            stack = stack + 1j * rng.standard_normal(shape)
+        stack = stack * scale
+        for s, alpha in [(2.0, 4.0), (4.0 / 3.0, 1.6), (3000.0, 1.5)]:
+            def norms(part):
+                mags, _ = tensor_module._magnitudes(part)
+                return tensor_module._mixed_norms_of_magnitudes(mags, part.shape, s, alpha)
+
+            alone = np.concatenate([norms(stack[k : k + 1]) for k in range(32)])
+            for K in (2, 5, 32):
+                stacked = np.concatenate([norms(stack[k : k + K]) for k in range(0, 32, K)])
+                assert stacked.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize(
