@@ -7,7 +7,8 @@ whose first sign in each slot is +1: flipping a whole slot negates the
 chaos, so the rest repeat their |chaos|.  Steinhaus quantities have no
 finite extreme-point set and are estimated by Monte Carlo with reported
 standard errors; checks on those are 3-sigma soft checks, never hard
-asserts.  Both feed one accumulation loop, `_chaos_stats`, and differ only
+asserts.  Both feed one accumulation loop, `_chaos_stats`, the source of
+every chaos L_q norm here, and differ only
 in where its blocks of chaos slices come from: `sign_slices` yields the
 sign patterns, `_steinhaus_slices` draws
 MC_BLOCK = 4096 samples of uniforms per block, makes each a phase by the
@@ -30,9 +31,12 @@ coefficients, so the checks run on the input divided by the power of two
 nearest its largest coefficient (an exact scaling) and scale the reported
 values back: nothing overflows or underflows, and the absolute slacks are
 relative to the largest coefficient.  The moments `rademacher_moment` and
-`steinhaus_moment` follow the same rule.  The chain computes no mixed sum
-of its own: its left-hand side is `hlcert.tensor.mixed_norm`, the value
-`verify` scores, finite at every s.
+`steinhaus_moment` follow the same rule.  Every power sum of |chaos|^q is
+scaled by its running largest term, the rule of the mixed norms
+(`hlcert.tensor._scaled_power_sums`), so every moment and check is finite
+at every exponent q >= 1.  The chain computes no mixed sum of its own: its
+left-hand side is `hlcert.tensor.mixed_norm`, the value `verify` scores,
+finite at every s.
 """
 
 from __future__ import annotations
@@ -50,7 +54,9 @@ from .norms import _check_multilinear, _linf_root_bounds, _root_count, alternati
 from .norms import crude_upper, exact_linf_enum  # noqa: F401
 from .special import ScalarField, khinchin_A
 from .tensor import (
+    _SMALLEST,
     FormTensor,
+    _scaled_power_sums,
     _unit_scaled,
     mixed_norm,
     # kept as module attributes: bench/tracer.py wraps them here
@@ -78,7 +84,6 @@ EXACT_SLACK = 1e-12       # absolute slack on exactly-enumerated inequalities
 EQUALITY_RTOL = 1e-10     # relative tolerance on chain equality links
 MC_SLACK = 1e-9           # absolute widening added to 3-sigma soft checks
 MC_BLOCK = 4096           # Monte-Carlo samples drawn per numpy batch
-_SMALLEST_NORMAL = 2.0**-1022   # below it a float loses relative accuracy
 
 
 @dataclass(frozen=True)
@@ -110,8 +115,7 @@ def rademacher_moment(a, q: float) -> ChaosMoment:
 def _rademacher_norm(a: np.ndarray, q: float) -> float:
     """The L_q norm of the full chaos of a checked, unit-scaled vector or cubical tensor a."""
     # a free axis of length 1 in front makes slot 1 the core's lowest bits
-    _, mean, _, _ = _chaos_stats(sign_slices(a[None]), q)
-    return mean ** (1.0 / q)
+    return _chaos_stats(sign_slices(a[None]), q)[1]
 
 
 def steinhaus_moment(a, q: float, samples: int = 100_000, seed: int = 0) -> ChaosMoment:
@@ -133,8 +137,7 @@ def steinhaus_moment(a, q: float, samples: int = 100_000, seed: int = 0) -> Chao
 
 def _steinhaus_norm(a: np.ndarray, q: float, samples: int, seed: int) -> Tuple[float, float]:
     """(value, standard error) of `steinhaus_moment` on a checked, unit-scaled vector a."""
-    _, mean, stderr, _ = _chaos_stats(_steinhaus_slices(a[None], samples, seed), q)
-    return _power_mean(mean, stderr, q)
+    return _chaos_stats(_steinhaus_slices(a[None], samples, seed), q)[1:3]
 
 
 def _real_array(a) -> np.ndarray:
@@ -162,52 +165,61 @@ def _check_moment_exponent(name: str, value: float) -> None:
 def _chaos_stats(
     blocks: Iterable[np.ndarray], q: float, linf: bool = False
 ) -> Tuple[np.ndarray, float, float, Optional[float]]:
-    """Statistics of W[k, j] = |V[k, j]|^q over blocks V (K, f) of chaos slices, any width f.
+    """L_q norms of the chaoses V[k, j] over blocks V (K, f) of chaos slices, any width f.
 
     The one accumulation loop of this module.  Row k of a block is one sign
     pattern (from `sign_slices`) or one Monte-Carlo sample (from
     `_steinhaus_slices`); column j is the chaos with the coefficients of
-    slice j.  Returns the mean of W per column, the mean of the row sums
-    sum_j W[k, j], the standard error of that mean, and, when linf is set,
-    max_k sum_j |V[k, j]| (else None).  Over the sign patterns the last is
-    the exact norm on l_inf^n (sign vectors are the ball's extreme points,
-    the l_1 dual closes the free slot), whichever axis of the form is free.
-    Column and row sums are products with ones vectors.  Raises DomainError
-    naming q when |V|^q or the square of a row sum overflows (the moments
-    would be inf), or when some |V| > 0 and the mean of the row sums is
-    below 2^-1022, where it has lost its relative accuracy (all of it at 0);
-    at or above it, what underflows costs at most 2^-53 of the mean.  Either
-    way a check would compare against a wrong bound.
+    slice j.  Returns the L_q norm of each column, the L_q norm of the whole
+    chaos (the q-th root of the mean of the row sums sum_j |V[k, j]|^q), its
+    standard error by the delta method, and, when linf is set, max_k sum_j
+    |V[k, j]| (else None).  Over the sign patterns the last is the exact
+    norm on l_inf^n (sign vectors are the ball's extreme points, the l_1
+    dual closes the free slot), whichever axis of the form is free; it is
+    taken before any scaling, so it is `hlcert.norms._exact_linf_stack`'s
+    value bit for bit.  Column and row sums are products with ones vectors.
+
+    The power sums follow the rule of `hlcert.tensor._scaled_power_sums`:
+    every |V| is divided by the largest |V| seen so far before it is raised
+    to q, and when a larger one arrives the running sums are multiplied by
+    (old / new)^q.  So every power lies in [0, 1], the whole chaos's mean
+    is at least 1 / count, and no q overflows or underflows it.  The columns
+    share that one scale: powers below 2^-1022 of top^q lose accuracy, so a
+    column's norm is exact to about top * 2^(-1022/q) absolute (2^-511 top
+    at q = 2, the largest exponent of the callers with several columns).
     """
+    top = 0.0         # the largest |V| so far: the sums below are in units of top^q
     col_total = 0.0   # the first block's column sums (all >= 0) replace it bit for bit
     row_total = 0.0
     row_sq = 0.0
     sup = 0.0
     count = 0
-    positive = False   # some |V| > 0
-    # an overflow is reported once, after the loop: the sums of nonnegative
-    # terms then hold inf
-    with np.errstate(over="ignore"):
-        for V in blocks:
-            W = np.abs(V)
-            positive = positive or bool(W.any())
-            ones_f = np.ones(W.shape[1])
-            if linf:
-                sup = max(sup, float((W @ ones_f).max()))
-            W **= q
-            col_total += np.ones(len(W)) @ W
-            row_sums = W @ ones_f
-            row_total += float(row_sums.sum())
-            row_sq += float(row_sums @ row_sums)
-            count += len(W)
+    for V in blocks:
+        W = np.abs(V)
+        ones_f = np.ones(W.shape[1])
+        if linf:
+            sup = max(sup, float((W @ ones_f).max()))
+        peak = float(W.max())
+        if peak > top:
+            shrink = (top / peak) ** q
+            col_total *= shrink
+            row_total *= shrink
+            row_sq *= shrink * shrink
+            top = peak
+        # an all-zero start divides by the smallest positive float: its powers stay 0
+        W /= max(top, _SMALLEST)
+        W **= q
+        col_total += np.ones(len(W)) @ W
+        row_sums = W @ ones_f
+        row_total += float(row_sums.sum())
+        row_sq += float(row_sums @ row_sums)
+        count += len(W)
     mean = row_total / count
-    if not math.isfinite(row_sq) or (positive and mean < _SMALLEST_NORMAL):
-        raise DomainError(
-            f"|chaos|^q overflows or underflows at q={q!r}: the moment statistics "
-            "would be inf or inaccurate"
-        )
     var = max(row_sq / count - mean**2, 0.0)
-    return col_total / count, mean, math.sqrt(var / count), sup if linf else None
+    norm = top * mean ** (1.0 / q)
+    # delta method for mean^(1/q); an all-zero chaos has no spread
+    err = math.sqrt(var / count) * norm / (q * mean) if mean > 0.0 else 0.0
+    return top * (col_total / count) ** (1.0 / q), norm, err, sup if linf else None
 
 
 def _steinhaus_slices(coeffs: np.ndarray, samples: int, seed: int) -> Iterator[np.ndarray]:
@@ -273,14 +285,6 @@ def _complex_gemm_operand(C: np.ndarray) -> np.ndarray:
     M[1::2, 0::2] = -C.imag
     M[1::2, 1::2] = C.real
     return M
-
-
-def _power_mean(mean: float, stderr: float, q: float) -> Tuple[float, float]:
-    # delta method for mean^(1/q)
-    if mean <= 0.0:
-        return 0.0, stderr
-    value = mean ** (1.0 / q)
-    return value, stderr * value / (q * mean)
 
 
 @dataclass(frozen=True)
@@ -411,9 +415,9 @@ def check_multiple_khinchin(
     the slice's coefficients.  j1 restricts the check to one slice (an
     integer in [1, n], checked before any work); by default every slice is
     checked.  Real field only.  As in `verify_proof_chain`, the check runs on
-    T scaled by a power of two to max|coeff| about 1 (so |chaos|^lambda0
-    neither overflows nor underflows, and the slack tolerance is relative to
-    the largest coefficient), and the rows are scaled back to the units of T.
+    T scaled by a power of two to max|coeff| about 1 (so the slack tolerance
+    is relative to the largest coefficient), and the rows are scaled back to
+    the units of T.
     """
     if T.field is not ScalarField.REAL:
         raise DomainError("exact multiple-Khinchin check supports the real field only")
@@ -424,8 +428,7 @@ def check_multiple_khinchin(
     A = khinchin_A(lambda0, ScalarField.REAL).value
     constant = A ** (-(T.m - 1))
     coeffs, unit = _unit_scaled(T.coeffs)
-    col_means, _, _, _ = _chaos_stats(sign_slices(coeffs), lambda0)
-    R = col_means ** (1.0 / lambda0)
+    R = _chaos_stats(sign_slices(coeffs), lambda0)[0]
     flat = coeffs.reshape(T.n, -1)
     l2 = np.sqrt((flat**2).sum(axis=1))
     indices = range(1, T.n + 1) if j1 is None else [j1]
@@ -547,13 +550,12 @@ def verify_proof_chain(
     stderr = None
     if S.field is ScalarField.REAL:
         mode = "exact"
-        col_means, int_mean, _, norm_lower = _chaos_stats(sign_slices(coeffs), lambda0, linf=True)
+        R, integral, _, norm_lower = _chaos_stats(sign_slices(coeffs), lambda0, linf=True)
         norm_upper = norm_lower
-        r_sum = float(col_means.sum() ** (1.0 / lambda0))      # (sum_j R_j^l0)^(1/l0)
         ineq_slack = EXACT_SLACK
     else:
         mode = "mc"
-        col_means, int_mean, total_stderr, _ = _chaos_stats(
+        R, integral, stderr, _ = _chaos_stats(
             _steinhaus_slices(coeffs, mc_samples, seed), lambda0
         )
         roots = _root_count(m, n)
@@ -564,10 +566,8 @@ def verify_proof_chain(
             # too many root patterns: the ascent and the coefficient mass
             est = alternating_max(S, math.inf, seed=np.random.SeedSequence([seed, 1]))
             norm_lower, norm_upper = est.lower, est.upper
-        r_sum, stderr = _power_mean(float(col_means.sum()), total_stderr, lambda0)
         ineq_slack = 3.0 * stderr * factor + MC_SLACK
-
-    integral = float(int_mean ** (1.0 / lambda0))
+    r_sum = float(_scaled_power_sums(R, lambda0))        # (sum_j R_j^l0)^(1/l0)
 
     q1 = holder_mid
     q2 = factor * r_sum

@@ -27,9 +27,11 @@ from .tensor import (
     _SIGNS,
     _SMALLEST,
     FormTensor,
+    _finite_norms,
     _flattenings,
     _magnitudes,
     _nearest_powers_of_two,
+    _scaled_power_sums,
     _unit_roots,
     _vertex_rows,
     _vertex_slices,
@@ -192,10 +194,13 @@ def crude_upper(T: FormTensor, p: float = math.inf) -> float:
     the norm of T as a linear form on l_p^(n^m), exact on rank-one tensors.
     p = inf (the default) gives the coefficient mass sum_J |coeff[J]|, p = 1
     the largest |coeff[J]|.  The one-tensor case of `_hoelder_bounds`, the
-    bound `certify` and `search_extremal` score with.
+    bound `certify` and `search_extremal` score with.  A bound past the
+    largest float raises DomainError (`_finite_norms`).
     """
     _check_p(p)
-    return float(_hoelder_bounds(*_magnitudes(T.coeffs[None]), p)[0])
+    with np.errstate(over="ignore"):
+        bound = _hoelder_bounds(*_magnitudes(T.coeffs[None]), p)
+    return float(_finite_norms(bound, "Hoelder bounds", f"p={p}")[0])
 
 
 def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = None) -> np.ndarray:
@@ -291,7 +296,8 @@ def _random_starts(
     (restarts, 2, m, n) for complex forms, whose real and imaginary parts
     come from the same restart's block.  So the first R restarts of a larger
     run are the R restarts of a smaller one.  Each vector is then scaled to
-    the unit l_p sphere (p = inf: the phases of its entries).
+    the unit l_p sphere (p = inf: the phases of its entries) by the l_p
+    norm of `hlcert.tensor._scaled_power_sums`.
     """
     rng = np.random.default_rng(seed)
     if complex_field:
@@ -308,12 +314,9 @@ def _random_starts(
             x[zero], mags[zero] = 1.0, 1.0
         x = x / mags
     else:
-        norm = (np.abs(x) ** p).sum(axis=-1, keepdims=True) ** (1.0 / p)
-        zero = norm[..., 0] == 0.0
-        if zero.any():
-            norm[zero] = 1.0
-            x[zero] = np.eye(1, n, dtype=x.dtype)[0]
-        x = x / norm
+        # each l_p sum scaled by its own largest entry, so no p overflows
+        # or underflows it (a norm is 0 only where every draw of a row is)
+        x = x / _scaled_power_sums(np.abs(x).T, p).T[..., None]
     return [x[:, k] for k in range(m)]
 
 
@@ -446,9 +449,11 @@ def _best_restarts(
     rows of one `_ascend` batch, whose rows do not depend on each other.
     Returns (lower, upper, witness, converged): tensor b's best restart (the
     first attaining its max) gives lower[b], capped by upper[b] against
-    rounding, witness[k][b] in slot k and converged[b].
+    rounding, witness[k][b] in slot k and converged[b].  An upper bound past
+    the largest float raises DomainError (`_finite_norms`) before the ascent.
     """
-    upper = _interpolation_bounds(stack, p)
+    with np.errstate(over="ignore"):
+        upper = _finite_norms(_interpolation_bounds(stack, p), "stage 1 bounds", f"p={p}")
     B, m, n = stack.shape[0], stack.ndim - 1, stack.shape[1]
     starts = [_random_starts(seed, restarts, m, n, p, np.iscomplexobj(stack)) for seed in seeds]
     vectors = [np.concatenate([s[k] for s in starts]) for k in range(m)]
@@ -467,13 +472,15 @@ def exact_linf_enum(T: FormTensor) -> NormEstimate:
     `sign_slices`) and the first slot is closed in l_1-dual form: value =
     max over patterns of sum_j1 |T(e_j1, eps2, ..., epsm)|.  Over
     `hlcert.tensor.PATTERN_BUDGET` patterns it raises BudgetError before any
-    work.
+    work; a norm past the largest float raises DomainError (`_finite_norms`).
     """
     if T.field is not ScalarField.REAL:
         raise DomainError("exact l_inf enumeration supports the real field only")
     r, free = T.m - 1, T.n - 1
-    values, indices = _exact_linf_stack(T.coeffs[None])
-    best, best_index = float(values[0]), int(indices[0])
+    with np.errstate(over="ignore"):
+        values, indices = _exact_linf_stack(T.coeffs[None])
+    best = float(_finite_norms(values, "l_inf norms", "p=inf")[0])
+    best_index = int(indices[0])
     # rebuild the witness from the best pattern index
     signs = np.ones((1, r, T.n))
     signs[0, :, 1:] = _vertex_rows(_SIGNS, free * r, best_index, best_index + 1).reshape(r, free)

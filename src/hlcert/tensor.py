@@ -150,9 +150,20 @@ def mixed_norms(T: FormTensor, s: float, alpha: float) -> List[float]:
     # inf / inf in the outer scaling gives NaN: both mean an overflow
     with np.errstate(over="ignore", invalid="ignore"):
         norms = _mixed_norms_of_magnitudes(mags, stack.shape, s, alpha)[0]
+    return _finite_norms(norms, "mixed norms", f"s={s}, alpha={alpha}").tolist()
+
+
+def _finite_norms(norms: np.ndarray, what: str, where: str) -> np.ndarray:
+    """norms, unless one is past the largest float: then DomainError "<what> overflow at <where>".
+
+    The one overflow rule for norm results (`mixed_norms`, and in
+    `hlcert.norms` `crude_upper`, `exact_linf_enum` and the stage 1 bound of
+    `alternating_max`): each is computed with numpy's overflow warning off
+    and refused here, so none returns inf or NaN.
+    """
     if not np.isfinite(norms).all():
-        raise DomainError(f"mixed norms overflow at s={s}, alpha={alpha}")
-    return norms.tolist()
+        raise DomainError(f"{what} overflow at {where}")
+    return norms
 
 
 def _magnitudes(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -202,7 +202,16 @@ def test_steinhaus_phases_match_the_complex_exponential():
 def _steinhaus_stats(coeffs, q, samples, seed):
     # the one statistics loop over the Monte-Carlo block source
     blocks = chaos_module._steinhaus_slices(coeffs, samples, seed)
-    return chaos_module._chaos_stats(blocks, q)
+    return _as_means(chaos_module._chaos_stats(blocks, q), q)
+
+
+def _as_means(stats, q):
+    # `_chaos_stats` gives L_q norms and the delta-method error of the whole
+    # chaos's; the references give means of |chaos|^q and the standard error
+    # of the row-sum mean
+    col_norms, norm, err, linf = stats
+    mean = norm**q
+    return col_norms**q, mean, err * q * mean / norm if norm > 0.0 else err, linf
 
 
 def _steinhaus_stats_by_samples(coeffs, q, samples, seed):
@@ -463,7 +472,7 @@ def test_real_khinchin_check_rejects_complex_coefficients():
 def _slice_chaos_stats(coeffs, lambda0):
     # the one statistics loop over the sign-pattern block source
     blocks = chaos_module.sign_slices(coeffs)
-    return chaos_module._chaos_stats(blocks, lambda0, linf=True)
+    return _as_means(chaos_module._chaos_stats(blocks, lambda0, linf=True), lambda0)
 
 
 def _slice_chaos_stats_by_patterns(coeffs, lambda0):
@@ -798,34 +807,55 @@ def test_chaos_entry_points_share_one_seed_rule(seed):
         check_khinchin([1.0, 1.0j], 1.5, COMPLEX, samples=100, seed=seed)
 
 
+def _log_domain_moment(a, t):
+    # the L_t norm of sum_ij eps_i delta_j a_ij over all sign patterns, by a
+    # log-sum-exp with math.fsum: no power of |chaos| is formed
+    n1, n2 = a.shape
+    logs = [
+        t * math.log(abs(float(np.array(e) @ a @ np.array(d))))
+        for e in itertools.product((1.0, -1.0), repeat=n1)
+        for d in itertools.product((1.0, -1.0), repeat=n2)
+    ]
+    top = max(logs)
+    mean = math.fsum(math.exp(v - top) for v in logs) / len(logs)
+    return math.exp((top + math.log(mean)) / t)
+
+
 @pytest.mark.parametrize("q", [700.0, 3000.0])
-def test_overflowing_moments_raise_instead_of_passing(q):
-    # |V|^q overflows to inf: the moment must not come back as inf, and the
-    # contraction check must not pass on an infinite moment.  [1, 2] keeps
-    # 1.5^700 (on the scaled [0.5, 1]) finite and has an exact moment.
-    with pytest.raises(DomainError, match=f"q={q!r}"):
-        check_contraction(np.random.default_rng(1).standard_normal((3, 3)), q)
-    with pytest.raises(DomainError, match=f"q={2 * q!r}"):
-        rademacher_moment([1.0, 2.0], 2 * q)
-    assert rademacher_moment([1.0, 2.0], 700.0).value == pytest.approx(3.0, rel=2e-3)
+def test_moments_at_large_exponents_match_their_closed_forms(q):
+    # |V|^q overflowed here, and the moments raised DomainError; each power
+    # sum is now scaled by its running largest term, so they pass.  The
+    # chaos +-1 +-2 has the moment ((3^t + 1) / 2)^(1/t), written so that
+    # no power overflows.
+    a = np.random.default_rng(1).standard_normal((3, 3))
+    report = check_contraction(a, q)
+    assert report.passed
+    assert report.moment == pytest.approx(_log_domain_moment(a, q), rel=1e-12)
+    for t in (2 * q, 2000.0):
+        want = 3.0 * math.exp((math.log1p(3.0**-t) - math.log(2.0)) / t)
+        assert rademacher_moment([1.0, 2.0], t).value == pytest.approx(want, rel=1e-12)
+    value = rademacher_moment([1.0, 2.0], 2000.0).value
+    assert value == pytest.approx(2.998960459378228, rel=1e-12)
 
 
-def test_underflowing_moments_raise_instead_of_a_false_violation():
+def test_moments_whose_powers_underflow_match_their_closed_form():
     # every |chaos|^t of [0.75, 0.1] underflows to 0 at t = 1e4: the moment
-    # used to read 0.0 (true value about 0.85) and the contraction check
-    # raised a false ViolationError
-    with pytest.raises(DomainError, match="q=10000.0"):
-        check_contraction([0.75, 0.1], 1e4)
-    with pytest.raises(DomainError, match="q=10000.0"):
-        rademacher_moment([0.75, 0.1], 1e4)
-    with pytest.raises(DomainError, match="q=10000.0"):
-        steinhaus_moment([0.75, 0.1], 1e4, samples=100)
-    # at t = 2000 the mean is about 1e-141, a normal float: the moment is
-    # 0.85 * 2^(-1/2000) up to the 0.65^2000 term
+    # once read 0.0 and the contraction check raised a false ViolationError,
+    # then both raised DomainError.  The moment is
+    # 0.85 * ((1 + (0.65 / 0.85)^t) / 2)^(1/t).
+    t = 1e4
+    want = 0.85 * ((1.0 + (0.65 / 0.85) ** t) / 2.0) ** (1.0 / t)
+    assert want == pytest.approx(0.8499410845315305, rel=1e-12)
+    assert check_contraction([0.75, 0.1], t).moment == pytest.approx(want, rel=1e-12)
+    assert rademacher_moment([0.75, 0.1], t).value == pytest.approx(want, rel=1e-12)
+    # no sampled |chaos| exceeds 0.85, and 100 samples at t = 1e4 give at
+    # least 100^(-1/t) = 0.99954 of the largest
+    mc = steinhaus_moment([0.75, 0.1], t, samples=100)
+    assert 0.8 < mc.value <= 0.85 and math.isfinite(mc.stderr)
+    # at t = 2000 the moment is 0.85 * 2^(-1/2000) up to the 0.65^2000 term
     report = check_contraction([0.75, 0.1], 2000.0)
     assert report.moment == pytest.approx(0.85 * 0.5 ** (1.0 / 2000.0), rel=1e-12)
-    # nothing was positive, so nothing underflowed
-    assert rademacher_moment([0.0, 0.0], 1e4).value == 0.0
+    assert rademacher_moment([0.0, 0.0], t).value == 0.0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -870,10 +900,10 @@ _FINITE_SHAPES = [(3, 1), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 @settings(max_examples=80, deadline=None)
 def test_every_result_is_finite_or_the_call_raises(shape, field, k, log_x, seed):
     # a Gaussian tensor scaled by 2^k and an exponent x, log-uniform in
-    # [1, 1e4]: each public norm, bound, moment and check returns finite
-    # values or raises DomainError, never inf or NaN, and warns of nothing;
-    # the mixed norms, also at s = x and alpha = 1.5 as in the chain, are
-    # always finite
+    # [1, 1e4]: each public norm and bound returns finite values or raises
+    # DomainError, never inf or NaN, and warns of nothing; the mixed norms
+    # (also at s = x and alpha = 1.5, as in the chain), the moments, the
+    # contraction check and the chain are always finite
     m, n = shape
     x = 10.0**log_x
     coeffs = math.ldexp(1.0, k) * generate("gaussian", m, n, field, seed).coeffs
@@ -882,17 +912,23 @@ def test_every_result_is_finite_or_the_call_raises(shape, field, k, log_x, seed)
     for s, alpha in [(2.0, 3.0), (x, 3.0), (2.0, x), (x, 1.5)]:
         values = tensor_module.mixed_norms(T, s, alpha)
         assert all(math.isfinite(v) for v in values), (s, alpha, values)
+    finite = [
+        _chain_values(verify_proof_chain(T, 1.5, max(x, 2.0), mc_samples=200, seed=1)),
+        _moment_values(steinhaus_moment(row, x, samples=200, seed=1)),
+    ]
+    if field is REAL:
+        finite.append(_moment_values(rademacher_moment(row, x)))
+        finite.append(_contraction_values(check_contraction(T.coeffs, x)))
+    for values in finite:
+        assert all(math.isfinite(v) for v in values), values
     calls = [
         lambda: [crude_upper(T, 4.0), crude_upper(T, math.inf)],
         lambda: _estimate_values(alternating_max(T, 4.0, restarts=2)),
         lambda: _estimate_values(alternating_max(T, math.inf, restarts=2)),
-        lambda: _chain_values(verify_proof_chain(T, 1.5, max(x, 2.0), mc_samples=200, seed=1)),
-        lambda: _moment_values(steinhaus_moment(row, x, samples=200, seed=1)),
+        lambda: _estimate_values(alternating_max(T, max(x, 1.5), restarts=2)),
     ]
     if field is REAL:
         calls.append(lambda: _estimate_values(exact_linf_enum(T)))
-        calls.append(lambda: _moment_values(rademacher_moment(row, x)))
-        calls.append(lambda: _contraction_values(check_contraction(T.coeffs, x)))
     for call in calls:
         try:
             values = call()
@@ -916,6 +952,26 @@ def _moment_values(moment):
 
 def _contraction_values(report):
     return [report.max_coeff, report.moment, report.ratio]
+
+
+def test_norms_past_the_largest_float_raise():
+    # every coefficient 1e308: the Hoelder bounds and the l_inf norm came
+    # back as inf with overflow warnings, and the ascent raised a bare
+    # ValueError ("estimate lower nan > upper inf"); its stage 1 bound is
+    # already past the largest float, so it refuses before the ascent
+    T = FormTensor(m=2, n=3, field=REAL, coeffs=np.full((3, 3), 1e308))
+    with pytest.raises(DomainError, match=r"Hoelder bounds overflow at p=inf"):
+        crude_upper(T)
+    with pytest.raises(DomainError, match=r"Hoelder bounds overflow at p=4.0"):
+        crude_upper(T, 4.0)
+    with pytest.raises(DomainError, match=r"l_inf norms overflow at p=inf"):
+        exact_linf_enum(T)
+    for p in (4.0, math.inf):
+        with pytest.raises(DomainError, match=f"stage 1 bounds overflow at p={p}"):
+            alternating_max(T, p)
+    # 1e307 stays below the largest float: the l_inf norm is the mass
+    small = FormTensor(m=2, n=3, field=REAL, coeffs=np.full((3, 3), 1e307))
+    assert exact_linf_enum(small).lower == pytest.approx(9e307, rel=1e-15)
 
 
 @pytest.mark.parametrize("m, n, K", [(3, 3, 12), (2, 7, 8), (3, 4, 8), (3, 5, 4)])

@@ -347,27 +347,38 @@ def test_non_finite_exponent_is_usage_error(capsys, argv, value):
 
 
 @pytest.mark.parametrize("t", ["700", "3000"])
-def test_contraction_check_overflowing_moment_is_usage_error(capsys, t):
-    # |chaos|^t overflows: this used to print "moment: inf" and "passed: True"
+def test_contraction_check_at_a_large_exponent_passes(capsys, t):
+    # |chaos|^t overflowed here: this printed "moment: inf" and "passed:
+    # True", then exited 1 with a usage error; it now passes with the
+    # library's finite moment
+    from hlcert import ScalarField, check_contraction, generate
+
     code, out, err = run(
-        capsys, "contraction-check", "--m", "2", "--N", "3", "--t", t, "--seed", "1"
+        capsys, "contraction-check", "--m", "2", "--N", "3", "--t", t, "--seed", "1",
+        "--format", "json",
     )
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err.startswith("error:") and f"q={float(t)!r}" in err
+    assert code == EXIT_OK
+    assert err == ""
+    want = check_contraction(generate("gaussian", 2, 3, ScalarField.REAL, 1).coeffs, float(t))
+    assert json.loads(out) == json.loads(json.dumps(want.to_jsonable()))
+    assert want.passed and np.isfinite(want.moment)
 
 
-def test_contraction_check_underflowing_moment_is_usage_error(capsys, tmp_path):
-    # |chaos|^t underflows to 0: this used to exit 2 with "VIOLATION" and an
-    # L_10000.0 norm of 0.0, while the true norm is about 0.85
+def test_contraction_check_with_underflowing_powers_passes(capsys, tmp_path):
+    # |chaos|^t underflows to 0: this exited 2 with "VIOLATION" and an
+    # L_10000.0 norm of 0.0, then 1 with a usage error; the moment is
+    # 0.85 * ((1 + (0.65 / 0.85)^t) / 2)^(1/t)
     path = tmp_path / "v.json"
     path.write_text('{"m": 1, "n": 2, "field": "real", "coeffs": [0.75, 0.1]}')
     code, out, err = run(
-        capsys, "contraction-check", "--tensor", str(path), "--t", "10000", "--seed", "1"
+        capsys, "contraction-check", "--tensor", str(path), "--t", "10000", "--seed", "1",
+        "--format", "json",
     )
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err.startswith("error:") and "q=10000.0" in err
+    assert code == EXIT_OK
+    assert err == ""
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert report["moment"] == pytest.approx(0.8499410845315305, rel=1e-12)
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -318,11 +318,29 @@ def test_random_starts_are_one_stream():
                 if math.isinf(p):
                     expected = x / np.abs(x)
                 else:
-                    expected = x / ((np.abs(x) ** p).sum(axis=-1, keepdims=True) ** (1.0 / p))
+                    # the l_p norm with each sum scaled by its largest entry
+                    mags = np.abs(x)
+                    top = mags.max(axis=-1, keepdims=True)
+                    norm = ((mags / top) ** p).sum(axis=-1, keepdims=True) ** (1.0 / p) * top
+                    expected = x / norm
                 starts = _random_starts(seed, 6, 3, 4, p, cx)
                 assert len(starts) == 3
                 for k in range(3):
                     assert np.array_equal(starts[k], expected[:, k])
+
+
+@pytest.mark.parametrize("p", [700.0, 2000.0, 1e6])
+@pytest.mark.parametrize("cx", [False, True])
+def test_random_starts_at_large_p_are_distinct_unit_vectors(p, cx):
+    # the raw sum of |x|^p overflowed from p of about 700 on: the rows
+    # started at 0 or at e_1 (13 of 32 rows at zero at p = 2000, 8 distinct
+    # starts at p = 1e6), with an overflow warning
+    for v in _random_starts(3, 32, 3, 3, p, cx):
+        mags = np.abs(v)
+        top = mags.max(axis=1)
+        norms = top * ((mags / top[:, None]) ** p).sum(axis=1) ** (1.0 / p)
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
+        assert len(np.unique(v, axis=0)) == 32
 
 
 @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 2)])
