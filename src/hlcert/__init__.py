@@ -58,7 +58,6 @@ from .special import (
     Branch,
     KhinchinConstant,
     ScalarField,
-    gamma,
     khinchin_A,
     solve_q0,
 )

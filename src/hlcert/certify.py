@@ -20,7 +20,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -570,26 +570,24 @@ def sweep_lambda0(
     n: int,
     field: ScalarField = ScalarField.REAL,
     grid: Sequence[float] = (),
-    trials: int = 0,
     seed: int = 0,
     config: Optional[TrialConfig] = None,
 ) -> List[SweepRow]:
     """Tabulate exponents, constants, and admissibility over a lambda0 grid.
 
     Inadmissible rows are emitted rather than skipped (singular pieces as
-    NaN).  With trials > 0 each admissible row also gets a small
-    certification run and reports its conservative max ratio.
+    NaN).  With a config, each admissible row also gets a certification run
+    with that config, as it is, and reports its conservative max ratio;
+    without one the sweep is the table only.
     """
     seed = _check_seed(seed)
     _check_integer("n", n, 1)
-    _check_integer("trials", trials, 0)
     rows: List[SweepRow] = []
     for lam in grid:
         exp = exponents(m, p, lam, field, strict=False)
         ratio: Optional[float] = None
-        if exp.admissible and trials > 0:
-            cfg = replace(config or TrialConfig(), trials=trials)
-            report = certify(m, n, p, lam, field, config=cfg, seed=seed)
+        if exp.admissible and config is not None:
+            report = certify(m, n, p, lam, field, config=config, seed=seed)
             ratio = report.max_ratio_conservative
         rows.append(
             SweepRow(
@@ -605,15 +603,18 @@ def sweep_lambda0(
     return rows
 
 
+def _csv_cell(x) -> str:
+    """The one CSV cell rule: a null (None or NaN) is an empty cell, a float its repr."""
+    if x is None or (isinstance(x, float) and math.isnan(x)):
+        return ""
+    return repr(x) if isinstance(x, float) else str(x)
+
+
 def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
     out = io.StringIO()
     out.write("lambda0,s,eta1,constant,admissible,extrapolated,max_ratio_conservative\n")
+    cell = _csv_cell
     for r in rows:
-        def cell(x) -> str:
-            if x is None or (isinstance(x, float) and math.isnan(x)):
-                return ""
-            return repr(x) if isinstance(x, float) else str(x)
-
         out.write(
             f"{cell(r.lambda0)},{cell(r.s)},{cell(r.eta1)},{cell(r.constant)},"
             f"{int(r.admissible)},{int(r.extrapolated)},{cell(r.max_ratio_conservative)}\n"

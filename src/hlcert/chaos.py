@@ -406,15 +406,12 @@ class MultipleKhinchinReport:
         return _jsonable(self)
 
 
-def check_multiple_khinchin(
-    T: FormTensor, lambda0: float, j1: Optional[int] = None
-) -> MultipleKhinchinReport:
-    """Check (sum_{other indices} |T|^2)^(1/2) <= A^{-(m-1)} R per first-index slice.
+def check_multiple_khinchin(T: FormTensor, lambda0: float) -> MultipleKhinchinReport:
+    """Check (sum_{other indices} |T|^2)^(1/2) <= A^{-(m-1)} R for every first-index slice.
 
     R is the exact L_{lambda0} norm of the (m-1)-fold Rademacher chaos with
-    the slice's coefficients.  j1 restricts the check to one slice (an
-    integer in [1, n], checked before any work); by default every slice is
-    checked.  Real field only.  As in `verify_proof_chain`, the check runs on
+    the slice's coefficients; one enumeration gives every slice's R.  Real
+    field only.  As in `verify_proof_chain`, the check runs on
     T scaled by a power of two to max|coeff| about 1 (so the slack tolerance
     is relative to the largest coefficient), and the rows are scaled back to
     the units of T.
@@ -423,17 +420,14 @@ def check_multiple_khinchin(
         raise DomainError("exact multiple-Khinchin check supports the real field only")
     _check_multilinear(T)
     _check_lambda0(lambda0)
-    if j1 is not None:
-        _check_integer("j1", j1, 1, T.n)
     A = khinchin_A(lambda0, ScalarField.REAL).value
     constant = A ** (-(T.m - 1))
     coeffs, unit = _unit_scaled(T.coeffs)
     R = _chaos_stats(sign_slices(coeffs), lambda0)[0]
     flat = coeffs.reshape(T.n, -1)
     l2 = np.sqrt((flat**2).sum(axis=1))
-    indices = range(1, T.n + 1) if j1 is None else [j1]
     rows: List[dict] = []
-    for j in indices:
+    for j in range(1, T.n + 1):
         lhs = float(l2[j - 1])
         rhs = float(constant * R[j - 1])
         slack = rhs - lhs

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import random
 import sys
 from typing import List, Optional
 
 from .certify import (
     TrialConfig,
+    _csv_cell,
     certify,
     search_extremal,
     sweep_lambda0,
@@ -30,6 +29,7 @@ from .errors import (
     DomainError,
     TransferHypothesisError,
     ViolationError,
+    _check_integer,
     _check_seed,
     _jsonable,
 )
@@ -50,6 +50,7 @@ What --format csv writes:
   chain-check : the text report (one line per link, then norm_lower,
                 norm_upper, passed and any first_failure)
   others      : key,value rows
+A null (JSON null) is an empty cell.
 Where a report prints a drawn seed (--seed omitted), its "# seed: N" line comes first.
 """
 
@@ -61,17 +62,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_p(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
+def _parse_float(text: str, flag: str) -> float:
+    """A number or 'inf' given to `flag`; DomainError naming the flag otherwise."""
     try:
         return float(text)
     except ValueError:
-        raise DomainError(f"cannot parse p value {text!r}") from None
+        raise DomainError(f"cannot parse {flag} value {text!r}") from None
 
 
-def _parse_floats(text: str) -> List[float]:
-    return [_parse_p(part) for part in text.split(",") if part.strip()]
+def _parse_floats(text: str, flag: str) -> List[float]:
+    return [_parse_float(part, flag) for part in text.split(",") if part.strip()]
 
 
 def _parse_grid(text: str) -> List[float]:
@@ -80,19 +80,14 @@ def _parse_grid(text: str) -> List[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise DomainError(f"grid spec must be start:stop:count, got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = _parse_float(parts[0], "--grid"), _parse_float(parts[1], "--grid")
+        count = int(parts[2])
         if count < 1:
             return []
         if count == 1:
             return [start]
         return [start + (stop - start) * i / (count - 1) for i in range(count)]
-    return _parse_floats(text)
-
-
-def _default_jobs() -> str:
-    # a string default goes through --jobs' own int parsing when the flag is
-    # absent, so a bad HLCERT_JOBS fails exactly like the same --jobs value
-    return os.environ.get("HLCERT_JOBS") or "1"
+    return _parse_floats(text, "--grid")
 
 
 def _resolve_seed(args) -> tuple[int, bool]:
@@ -117,7 +112,7 @@ def _emit(payload: dict, fmt: str, header: Optional[str] = None) -> None:
     if fmt == "csv":
         print("key,value")
         for key in sorted(payload):
-            print(f"{key},{payload[key]}")
+            print(f"{key},{_csv_cell(payload[key])}")
         return
     for key, value in payload.items():
         print(f"{key}: {value}")
@@ -204,9 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # only the certification runs spread trials over worker processes
     for p in (v, w):
-        p.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help="worker processes, >= 1 (env HLCERT_JOBS overrides the "
-                            "default 1); optional, serial runs are fast")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, >= 1; optional, serial runs are fast")
 
     k = sub.add_parser("khinchin-check", help="check A_q*l2(a) <= chaos L_q norm")
     k.add_argument("--a", type=str, required=True, help="comma list of coefficients")
@@ -229,10 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--m", type=int, default=2)
     ch.add_argument("--n", type=int, default=2)
     ch.add_argument("--lambda0", type=float, required=True)
-    ch.add_argument("--s", type=float, default=None,
-                    help="inner exponent >= 2; defaults from --p when given, else 2")
-    ch.add_argument("--p", type=str, default=None,
-                    help="derive s from the (m, p, lambda0) exponent formulas")
+    inner = ch.add_mutually_exclusive_group()
+    inner.add_argument("--s", type=float, default=None,
+                       help="inner exponent >= 2 (default 2)")
+    inner.add_argument("--p", type=str, default=None,
+                       help="derive s from the (m, p, lambda0) exponent formulas instead")
     ch.add_argument("--i", type=int, default=1, help="fixed index, 1-based")
     ch.add_argument("--field", default="real")
     ch.add_argument("--kind", default="signs", choices=("gaussian", "signs", "steinhaus"))
@@ -258,15 +253,15 @@ def _cmd_region(args) -> int:
 
 def _cmd_exponents(args) -> int:
     field = ScalarField.parse(args.field)
-    exps = exponents(args.m, _parse_p(args.p), args.lambda0, field)
+    exps = exponents(args.m, _parse_float(args.p, "--p"), args.lambda0, field)
     _emit(_result_payload(exps), args.format)
     return EXIT_OK
 
 
 def _cmd_transfer(args) -> int:
     tp = TransferProblem(
-        p_list=_parse_floats(args.p_list),
-        q_list=_parse_floats(args.q_list),
+        p_list=_parse_floats(args.p_list, "--p-list"),
+        q_list=_parse_floats(args.q_list, "--q-list"),
         lambda0=args.lambda0,
         s=args.s,
     )
@@ -275,7 +270,7 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_classical(args) -> int:
-    _emit(_result_payload(classical_exponents(args.m, _parse_p(args.p))), args.format)
+    _emit(_result_payload(classical_exponents(args.m, _parse_float(args.p, "--p"))), args.format)
     return EXIT_OK
 
 
@@ -292,7 +287,7 @@ def _cmd_verify(args) -> int:
         keep_trials=(args.format == "csv"),
     )
     report = certify(
-        args.m, args.n, _parse_p(args.p), args.lambda0, field, config=cfg, seed=seed,
+        args.m, args.n, _parse_float(args.p, "--p"), args.lambda0, field, config=cfg, seed=seed,
     )
     header = f"# seed: {seed}" if drawn else None
     if args.format == "csv":
@@ -312,7 +307,7 @@ def _cmd_search(args) -> int:
     seed, drawn = _resolve_seed(args)
     field = ScalarField.parse(args.field)
     result = search_extremal(
-        args.m, args.n, _parse_p(args.p), args.lambda0, field,
+        args.m, args.n, _parse_float(args.p, "--p"), args.lambda0, field,
         budget=args.budget, seed=seed,
     )
     if args.dump_tensor:
@@ -331,10 +326,12 @@ def _cmd_search(args) -> int:
 def _cmd_sweep(args) -> int:
     seed, drawn = _resolve_seed(args)
     field = ScalarField.parse(args.field)
-    cfg = TrialConfig(jobs=args.jobs)
+    _check_integer("trials", args.trials, 0)
+    _check_integer("jobs", args.jobs, 1)   # also with --trials 0, which runs no workers
+    cfg = TrialConfig(trials=args.trials, jobs=args.jobs) if args.trials > 0 else None
     rows = sweep_lambda0(
-        args.m, _parse_p(args.p), args.n, field,
-        grid=_parse_grid(args.grid), trials=args.trials, seed=seed, config=cfg,
+        args.m, _parse_float(args.p, "--p"), args.n, field,
+        grid=_parse_grid(args.grid), seed=seed, config=cfg,
     )
     header = f"# seed: {seed}" if (drawn and args.trials > 0) else None
     if args.format == "json":
@@ -352,7 +349,7 @@ def _cmd_khinchin_check(args) -> int:
     if field is ScalarField.COMPLEX:
         a = [complex(part) for part in args.a.split(",") if part.strip()]
     else:
-        a = _parse_floats(args.a)
+        a = _parse_floats(args.a, "--a")
     report = check_khinchin(a, args.q, field, samples=args.samples, seed=seed)
     _emit(report.to_jsonable(), args.format, header=f"# seed: {seed}" if drawn else None)
     return EXIT_OK if report.passed else EXIT_VIOLATION
@@ -380,12 +377,10 @@ def _cmd_chain_check(args) -> int:
             S = tensor_from_json(fh.read())
     else:
         S = generate(args.kind, args.m, args.n, field, seed)
-    if args.s is not None:
-        s = args.s
-    elif args.p is not None:
-        s = exponents(S.m, _parse_p(args.p), args.lambda0, field).s
+    if args.p is not None:
+        s = exponents(S.m, _parse_float(args.p, "--p"), args.lambda0, field).s
     else:
-        s = 2.0
+        s = 2.0 if args.s is None else args.s
     report = verify_proof_chain(
         S, args.lambda0, s, index=args.i,
         mc_samples=args.samples, seed=seed, raise_on_failure=False,

@@ -9,6 +9,8 @@ import math
 import numbers
 from typing import Optional
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """Input lies outside the supported mathematical domain."""
@@ -59,6 +61,18 @@ def _check_seed(seed) -> int:
     if isinstance(seed, numbers.Integral) and 0 <= seed < 2**32:
         return int(seed)
     raise DomainError(f"seed must be a non-negative integer below 2**32, got {seed!r}")
+
+
+def _seed_source(seed):
+    """What a stream is drawn from: a numpy SeedSequence or Generator as it is, else `_check_seed`.
+
+    The library's own callers pass SeedSequences derived from a checked
+    seed; a caller's integer goes through the one seed rule, and anything
+    else (None, a negative, a float) raises DomainError there.
+    """
+    if isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        return seed
+    return _check_seed(seed)
 
 
 def _jsonable(value):

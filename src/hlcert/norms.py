@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, _check_integer, _jsonable
+from .errors import DomainError, _check_integer, _jsonable, _seed_source
 from .special import ScalarField
 from .tensor import (
     _SIGNS,
@@ -406,14 +406,16 @@ def alternating_max(
     bound `crude_upper(T, p)`, the coefficient mass at p = inf, or for
     2 <= p < inf the smaller interpolation bound), which caps the lower one
     against rounding.  Needs m >= 2 (for m = 1, `dual_norm_linear` is
-    exact), p > 1 and the settings `TrialConfig` accepts.
+    exact), p > 1, the settings `TrialConfig` accepts and a seed by
+    `_seed_source`: an integer in [0, 2^32) or a numpy SeedSequence or
+    Generator.
     """
     _check_multilinear(T)
     if not p > 1.0:
         raise DomainError(f"alternating_max needs p > 1 (or inf), got {p}")
     _check_ascent_settings(restarts, max_iters, tol)
     lower, upper, witness, converged = _best_restarts(
-        T.coeffs[None], p, restarts, max_iters, tol, [seed]
+        T.coeffs[None], p, restarts, max_iters, tol, [_seed_source(seed)]
     )
     return NormEstimate(
         lower=float(lower[0]),

@@ -1,5 +1,6 @@
-"""Gamma evaluation and the optimal lower Khinchin constants.
+"""The optimal lower Khinchin constants and the scalar field they are taken over.
 
+Gamma values come from `math.gamma`: every argument here lies in [1, 2].
 The real-scalar constant switches branch at a crossover point q0 in (1, 2),
 the unique root below 2 of Gamma((q+1)/2) = sqrt(pi)/2.  Below q0 the
 constant is 2^(1/2 - 1/q); above it the gamma expression takes over, and the
@@ -21,11 +22,8 @@ __all__ = [
     "ScalarField",
     "Branch",
     "KhinchinConstant",
-    "gamma",
     "solve_q0",
     "khinchin_A",
-    "GAMMA_MIN",
-    "GAMMA_MAX",
 ]
 
 
@@ -61,20 +59,6 @@ class KhinchinConstant:
     branch: Branch
 
 
-GAMMA_MIN = 0.1
-GAMMA_MAX = 50.0
-
-
-def gamma(x: float) -> float:
-    """Gamma function on [0.1, 50]: `math.gamma`, behind the domain check.
-
-    Raises DomainError outside the supported range.
-    """
-    if not (GAMMA_MIN <= x <= GAMMA_MAX):
-        raise DomainError(f"gamma supported on [{GAMMA_MIN}, {GAMMA_MAX}], got {x}")
-    return math.gamma(x)
-
-
 _SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
 
 
@@ -87,7 +71,7 @@ def solve_q0() -> float:
     interior root near 1.847.  Deterministic: bisects to 1e-13 bracket width.
     """
     def f(q: float) -> float:
-        return gamma((q + 1.0) / 2.0) - _SQRT_PI_HALF
+        return math.gamma((q + 1.0) / 2.0) - _SQRT_PI_HALF
 
     lo, hi = 1.0, 1.95
     # f(lo) > 0 > f(hi); keep the invariant while halving
@@ -111,7 +95,7 @@ def khinchin_A(q: float, field: ScalarField) -> KhinchinConstant:
     if not (1.0 <= q <= 2.0):
         raise DomainError(f"khinchin_A supported on q in [1, 2], got {q}")
     if field is ScalarField.COMPLEX:
-        value = gamma((q + 2.0) / 2.0) ** (1.0 / q)
+        value = math.gamma((q + 2.0) / 2.0) ** (1.0 / q)
         return KhinchinConstant(q=q, field=field, value=value, branch=Branch.COMPLEX)
     if q <= solve_q0():
         value = 2.0 ** (0.5 - 1.0 / q)
@@ -119,5 +103,5 @@ def khinchin_A(q: float, field: ScalarField) -> KhinchinConstant:
     if q == 2.0:   # A_2 = 1 exactly (Gamma(3/2) = sqrt(pi)/2); the formula rounds above it
         value = 1.0
     else:
-        value = math.sqrt(2.0) * (gamma((1.0 + q) / 2.0) / math.sqrt(math.pi)) ** (1.0 / q)
+        value = math.sqrt(2.0) * (math.gamma((1.0 + q) / 2.0) / math.sqrt(math.pi)) ** (1.0 / q)
     return KhinchinConstant(q=q, field=field, value=value, branch=Branch.REAL_HIGH)

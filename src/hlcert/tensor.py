@@ -48,7 +48,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, _check_integer
+from .errors import BudgetError, DomainError, _check_integer, _seed_source
 from .special import ScalarField
 
 __all__ = [
@@ -274,7 +274,8 @@ def generate(kind: str, m: int, n: int, field: ScalarField, seed) -> FormTensor:
     kinds: 'gaussian' (standard normals, independent re/im when complex),
     'signs' (+-1 entries), 'sparse_unit' (a single 1 at a random position),
     'steinhaus' (unimodular complex entries; complex field only).  More
-    than MAX_ENTRIES coefficients raise BudgetError.
+    than MAX_ENTRIES coefficients raise BudgetError.  seed is an integer in
+    [0, 2^32) or a numpy SeedSequence or Generator (`_seed_source`).
     """
     if kind not in GENERATE_KINDS:
         raise DomainError(f"unknown generator kind {kind!r}; choose from {GENERATE_KINDS}")
@@ -283,7 +284,7 @@ def generate(kind: str, m: int, n: int, field: ScalarField, seed) -> FormTensor:
     size = n**m
     if size > MAX_ENTRIES:
         raise BudgetError(f"n^m = {size} exceeds the entry budget {MAX_ENTRIES}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_source(seed))
     shape = (n,) * m
     if kind == "gaussian":
         coeffs = rng.standard_normal(shape)

@@ -23,14 +23,13 @@ PUBLIC_PARAMETERS = {
     "certify": ("m", "n", "p", "lambda0", "field", "config", "seed"),
     "check_contraction": ("a", "t"),
     "check_khinchin": ("a", "q", "field", "samples", "seed"),
-    "check_multiple_khinchin": ("T", "lambda0", "j1"),
+    "check_multiple_khinchin": ("T", "lambda0"),
     "classical_exponents": ("m", "p"),
     "crude_upper": ("T", "p"),
     "dual_norm_linear": ("c", "p"),
     "evaluate": ("T", "vectors"),
     "exact_linf_enum": ("T",),
     "exponents": ("m", "p", "lambda0", "field", "strict"),
-    "gamma": ("x",),
     "generate": ("kind", "m", "n", "field", "seed"),
     "khinchin_A": ("q", "field"),
     "mixed_norm": ("T", "fixed_index", "s", "alpha"),
@@ -38,7 +37,7 @@ PUBLIC_PARAMETERS = {
     "region": ("m", "lambda0"),
     "search_extremal": ("m", "n", "p", "lambda0", "field", "budget", "seed"),
     "steinhaus_moment": ("a", "q", "samples", "seed"),
-    "sweep_lambda0": ("m", "p", "n", "field", "grid", "trials", "seed", "config"),
+    "sweep_lambda0": ("m", "p", "n", "field", "grid", "seed", "config"),
     "tensor_from_json": ("text",),
     "tensor_to_json": ("T",),
     "transfer": ("tp",),
@@ -94,7 +93,6 @@ VALID_CALLS = {
     "evaluate": dict(T=_T, vectors=[np.ones(2)] * 3),
     "exact_linf_enum": dict(T=_T),
     "exponents": dict(m=3, p=4.0, lambda0=1.0),
-    "gamma": dict(x=2.5),
     "generate": dict(kind="gaussian", m=3, n=2, field=ScalarField.REAL, seed=1),
     "khinchin_A": dict(q=1.5, field=ScalarField.REAL),
     "mixed_norm": dict(T=_T, fixed_index=1, s=2.0, alpha=3.0),
@@ -102,7 +100,9 @@ VALID_CALLS = {
     "region": dict(m=3, lambda0=1.0),
     "search_extremal": dict(m=3, n=2, p=4.0, lambda0=1.0, budget=2, seed=1),
     "steinhaus_moment": dict(a=[1.0, 2.0], q=3.0, samples=100, seed=1),
-    "sweep_lambda0": dict(m=3, p=4.0, n=2, grid=(1.0,), trials=1, seed=1),
+    "sweep_lambda0": dict(
+        m=3, p=4.0, n=2, grid=(1.0,), seed=1, config=TrialConfig(trials=1, restarts=2),
+    ),
     "tensor_from_json": dict(text=hlcert.tensor_to_json(_T)),
     "tensor_to_json": dict(T=_T),
     "transfer": dict(tp=hlcert.TransferProblem([4.0] * 3, [math.inf] * 3, lambda0=1.0, s=2.0)),

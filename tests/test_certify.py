@@ -692,13 +692,30 @@ def test_sweep_empty_grid():
 
 def test_sweep_with_trials_fills_ratio():
     rows = sweep_lambda0(
-        3, 4.0, 2, REAL, grid=[1.0, 1.2], trials=5, seed=3,
-        config=TrialConfig(restarts=2),
+        3, 4.0, 2, REAL, grid=[1.0, 1.2], seed=3,
+        config=TrialConfig(trials=5, restarts=2),
     )
     for row in rows:
         assert row.admissible
         assert row.max_ratio_conservative is not None
         assert 0.0 < row.max_ratio_conservative <= row.constant + 1e-9
+
+
+def test_sweep_certifies_every_admissible_row_with_the_config_as_given():
+    # a config that does not set trials runs its own count; it used to be
+    # ignored unless trials= was passed beside it
+    cfg = TrialConfig(trials=5, restarts=2)
+    rows = sweep_lambda0(3, 4.0, 2, REAL, grid=[1.0, 1.2, 1.9], seed=3, config=cfg)
+    assert [row.admissible for row in rows] == [True, True, False]
+    for row in rows[:2]:
+        report = certify(3, 2, 4.0, row.lambda0, REAL, config=cfg, seed=3)
+        assert row.max_ratio_conservative == report.max_ratio_conservative
+    assert rows[2].max_ratio_conservative is None
+    # without a config the sweep is the table only
+    assert all(
+        row.max_ratio_conservative is None
+        for row in sweep_lambda0(3, 4.0, 2, REAL, grid=[1.0, 1.2], seed=3)
+    )
 
 
 def test_sweep_window_formula():

@@ -184,6 +184,41 @@ def test_sweep_csv(capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["khinchin-check", "--a", "1,x", "--q", "1.5", "--seed", "1"], "--a"),
+    (["transfer", "--p-list", "4,x", "--q-list", "inf,inf", "--lambda0", "1", "--s", "2"],
+     "--p-list"),
+    (["transfer", "--p-list", "4,4", "--q-list", "inf,x", "--lambda0", "1", "--s", "2"],
+     "--q-list"),
+    (["sweep", "--m", "2", "--p", "4", "--grid", "1,x"], "--grid"),
+    (["sweep", "--m", "2", "--p", "4", "--grid", "1:x:3"], "--grid"),
+    (["exponents", "--m", "3", "--p", "x", "--lambda0", "1"], "--p"),
+])
+def test_a_number_that_does_not_parse_is_named_by_its_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: cannot parse {flag} value 'x'\n"
+
+
+@pytest.mark.parametrize("argv, empty", [
+    (["classical", "--m", "2", "--p", "inf"], "hl_low"),
+    (["khinchin-check", "--a", "1,1", "--q", "1", "--seed", "1"], "stderr"),
+])
+def test_key_value_csv_prints_a_null_as_an_empty_cell(capsys, argv, empty):
+    # the rule of the sweep's CSV: the JSON null is an empty cell, not "None"
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "key,value"
+    rows = dict(line.split(",", 1) for line in lines[1:])
+    assert list(rows) == sorted(rows)
+    assert rows[empty] == ""
+    assert "None" not in out
+    _, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert json.loads(json_out)[empty] is None
+
+
 def test_sweep_grid_spec(capsys):
     code, out, _ = run(
         capsys, "sweep", "--m", "3", "--p", "4", "--grid", "1:2:5", "--format", "json",
@@ -272,6 +307,15 @@ def test_chain_check_command(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert len(payload["links"]) == 5
+
+
+def test_chain_check_takes_s_or_p_not_both(capsys):
+    # --s used to win silently over --p, with exit 0
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chain-check", "--m", "3", "--n", "2", "--lambda0", "1.5",
+              "--s", "3", "--p", "5", "--seed", "9"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "argument --p: not allowed with argument --s" in capsys.readouterr().err
 
 
 def test_chain_check_huge_tensor_passes(capsys, tmp_path):
@@ -438,38 +482,12 @@ def test_sweep_negative_trials_is_usage_error(capsys):
     assert err.startswith("error: trials must be >= 0")
 
 
-def test_hlcert_jobs_zero_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("HLCERT_JOBS", "0")
-    for argv in (
-        ["verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
-         "--trials", "2", "--seed", "1"],
-        ["sweep", "--m", "2", "--p", "4", "--grid", "1.0,1.5"],
-    ):
-        code, _, err = run(capsys, *argv)
-        assert code == EXIT_USAGE
-        assert "jobs must be >= 1" in err
-
-
-def test_hlcert_jobs_non_integer_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("HLCERT_JOBS", "abc")
+def test_jobs_non_integer_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
-              "--trials", "2", "--seed", "1"])
+              "--trials", "2", "--seed", "1", "--jobs", "abc"])
     assert excinfo.value.code == EXIT_USAGE
     assert "argument --jobs: invalid int value: 'abc'" in capsys.readouterr().err
-    # subcommands without --jobs do not read it
-    code, _, _ = run(capsys, "constants", "--q", "2")
-    assert code == EXIT_OK
-
-
-def test_hlcert_jobs_sets_the_default(capsys, monkeypatch):
-    monkeypatch.setenv("HLCERT_JOBS", "2")
-    code, out, _ = run(
-        capsys, "verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
-        "--trials", "2", "--seed", "1", "--format", "json",
-    )
-    assert code == EXIT_OK
-    assert json.loads(out)["jobs"] == 2
 
 
 @pytest.mark.parametrize("command", [

@@ -911,3 +911,20 @@ def test_root_count_is_the_largest_k_within_2_to_the_18_patterns():
             assert 4**digits > 2**18
         else:
             assert K**digits <= 2**18 and all(k**digits > 2**18 for k in (12, 8, 6) if k > K)
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5, 2**40, "1"])
+def test_alternating_max_refuses_a_bad_seed(seed):
+    T = generate("gaussian", 2, 2, REAL, 1)
+    with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+        alternating_max(T, 4.0, restarts=2, seed=seed)
+
+
+def test_alternating_max_seed_spellings_draw_one_stream():
+    # an integer, its SeedSequence and its Generator start the same restarts,
+    # the ones `_best_restarts` draws from the integer
+    T = generate("gaussian", 3, 2, REAL, 5)
+    lower, upper = _best_restarts(T.coeffs[None], 4.0, 4, 500, 1e-10, [7])[:2]
+    for seed in (7, np.random.SeedSequence(7), np.random.default_rng(7)):
+        est = alternating_max(T, 4.0, restarts=4, seed=seed)
+        assert (est.lower, est.upper) == (float(lower[0]), float(upper[0]))

@@ -1,4 +1,4 @@
-"""Gamma accuracy, the crossover root, and the Khinchin constants."""
+"""The crossover root and the Khinchin constants."""
 
 import math
 
@@ -11,7 +11,6 @@ from hlcert import (
     DomainError,
     ScalarField,
     exponents,
-    gamma,
     khinchin_A,
     solve_q0,
 )
@@ -19,44 +18,10 @@ from hlcert import (
 SQRT_PI = math.sqrt(math.pi)
 
 
-def test_gamma_anchors():
-    assert gamma(1.0) == pytest.approx(1.0, rel=1e-12)
-    assert gamma(0.5) == pytest.approx(SQRT_PI, rel=1e-12)
-    assert gamma(1.5) == pytest.approx(SQRT_PI / 2.0, rel=1e-12)
-
-
-def test_gamma_accuracy_against_stdlib():
-    # math.gamma is correctly rounded to ~1 ulp and serves as the oracle
-    worst = 0.0
-    for i in range(20000):
-        x = 0.1 + (50.0 - 0.1) * i / 19999
-        rel = abs(gamma(x) - math.gamma(x)) / math.gamma(x)
-        worst = max(worst, rel)
-    assert worst <= 1e-12
-
-
-def test_gamma_reflection_identity():
-    # Gamma(x) * Gamma(1-x) = pi / sin(pi x); exercises the reflection path x < 0.5
-    for i in range(1, 80):
-        x = 0.1 + 0.8 * i / 80
-        lhs = gamma(x) * gamma(1.0 - x)
-        rhs = math.pi / math.sin(math.pi * x)
-        assert lhs == pytest.approx(rhs, rel=1e-11)
-
-
-def test_gamma_domain_errors():
-    with pytest.raises(DomainError):
-        gamma(0.05)
-    with pytest.raises(DomainError):
-        gamma(50.5)
-    with pytest.raises(DomainError):
-        gamma(-1.0)
-
-
 def test_q0_location_and_defining_equation():
     q0 = solve_q0()
     assert 1.84 < q0 < 1.85
-    assert abs(gamma((q0 + 1.0) / 2.0) - SQRT_PI / 2.0) <= 1e-12
+    assert abs(math.gamma((q0 + 1.0) / 2.0) - SQRT_PI / 2.0) <= 1e-12
 
 
 def test_q0_deterministic():
@@ -89,7 +54,7 @@ def test_khinchin_branch_tags():
 def test_khinchin_branch_continuity_at_q0():
     q0 = solve_q0()
     low = 2.0 ** (0.5 - 1.0 / q0)
-    high = math.sqrt(2.0) * (gamma((1.0 + q0) / 2.0) / SQRT_PI) ** (1.0 / q0)
+    high = math.sqrt(2.0) * (math.gamma((1.0 + q0) / 2.0) / SQRT_PI) ** (1.0 / q0)
     assert abs(low - high) <= 1e-9
 
 

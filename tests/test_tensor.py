@@ -366,6 +366,26 @@ def test_generate_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.coeffs, c.coeffs)
 
 
+@pytest.mark.parametrize("seed", [None, -1, 1.5, 2**32, 2**40, "1"])
+def test_generate_refuses_a_bad_seed(seed):
+    # None would draw OS entropy and 2**40 would hash like another seed's
+    # stream: the one seed rule refuses both, as it does at every entry point
+    with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+        generate("gaussian", 2, 2, REAL, seed)
+
+
+def test_generate_streams_are_default_rng_of_the_seed():
+    # an integer, a SeedSequence and a Generator draw the stream they did
+    # before the seed rule was applied
+    shape = (3, 3)
+    expected = np.random.default_rng(7).standard_normal(shape)
+    for seed in (7, np.uint32(7), np.random.SeedSequence(7), np.random.default_rng(7)):
+        assert np.array_equal(generate("gaussian", 2, 3, REAL, seed).coeffs, expected)
+    ss = np.random.SeedSequence([7, 3])
+    signs = np.random.default_rng(ss).integers(0, 2, size=shape) * 2.0 - 1.0
+    assert np.array_equal(generate("signs", 2, 3, REAL, ss).coeffs, signs)
+
+
 def test_generate_steinhaus_unimodular():
     T = generate("steinhaus", 2, 3, COMPLEX, 5)
     assert np.allclose(np.abs(T.coeffs), 1.0, atol=1e-12)
