@@ -42,7 +42,9 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
 _CSV_HELP = """\
-What --format csv writes:
+What --format writes: json is the report alone (sorted keys); text and csv
+put a drawn seed's "# seed: N" line first (--seed omitted), then the report,
+where a null (JSON null) is an empty value.  csv writes:
   verify      : trial,kind,seed,ratio_conservative,ratio_empirical,classification,retried
                 (retried is 1 where a trial left inconclusive got the second
                 upper-bound stage, the root-of-unity l_inf cap)
@@ -50,8 +52,7 @@ What --format csv writes:
   chain-check : the text report (one line per link, then norm_lower,
                 norm_upper, passed and any first_failure)
   others      : key,value rows
-A null (JSON null) is an empty cell.
-Where a report prints a drawn seed (--seed omitted), its "# seed: N" line comes first.
+A number that does not parse is an error naming its flag.
 """
 
 
@@ -62,16 +63,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_float(text: str, flag: str) -> float:
-    """A number or 'inf' given to `flag`; DomainError naming the flag otherwise."""
+def _parse_number(text: str, flag: str, kind=float):
+    """A `kind` (float, int or complex) given to `flag`; DomainError naming the flag otherwise."""
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
         raise DomainError(f"cannot parse {flag} value {text!r}") from None
 
 
-def _parse_floats(text: str, flag: str) -> List[float]:
-    return [_parse_float(part, flag) for part in text.split(",") if part.strip()]
+def _parse_numbers(text: str, flag: str, kind=float) -> list:
+    return [_parse_number(part, flag, kind) for part in text.split(",") if part.strip()]
 
 
 def _parse_grid(text: str) -> List[float]:
@@ -80,22 +81,29 @@ def _parse_grid(text: str) -> List[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise DomainError(f"grid spec must be start:stop:count, got {text!r}")
-        start, stop = _parse_float(parts[0], "--grid"), _parse_float(parts[1], "--grid")
-        count = int(parts[2])
+        start, stop = _parse_number(parts[0], "--grid"), _parse_number(parts[1], "--grid")
+        count = _parse_number(parts[2], "--grid", int)
         if count < 1:
             return []
         if count == 1:
             return [start]
         return [start + (stop - start) * i / (count - 1) for i in range(count)]
-    return _parse_floats(text, "--grid")
+    return _parse_numbers(text, "--grid")
 
 
-def _resolve_seed(args) -> tuple[int, bool]:
-    if getattr(args, "seed", None) is not None:
-        # the library's one seed rule, also for contraction-check, whose
-        # seed goes to `generate` unchecked
-        return _check_seed(args.seed), False
-    return random.SystemRandom().randrange(2**32), True
+def _resolve_seed(args) -> tuple[int, Optional[str]]:
+    """(seed, header): the header `# seed: N` heads text and CSV only when the seed was drawn."""
+    if args.seed is not None:
+        # the library's one seed rule, before any work, also where a
+        # --tensor file leaves the seed unused
+        return _check_seed(args.seed), None
+    seed = random.SystemRandom().randrange(2**32)
+    return seed, f"# seed: {seed}"
+
+
+def _read_tensor(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return tensor_from_json(fh.read())
 
 
 def _result_payload(result, **extra) -> dict:
@@ -103,19 +111,42 @@ def _result_payload(result, **extra) -> dict:
     return {**_jsonable(result), **_jsonable(extra)}
 
 
-def _emit(payload: dict, fmt: str, header: Optional[str] = None) -> None:
+def _emit(payload, fmt: str, header: Optional[str] = None, table: Optional[str] = None) -> None:
+    """The one output rule: JSON is the payload alone; text and CSV print the
+    header, if any, then `table` (complete lines), if any, else key/value rows,
+    where a null is an empty value."""
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True))
         return
     if header:
         print(header)
-    if fmt == "csv":
+    if table is not None:
+        print(table, end="")
+    elif fmt == "csv":
         print("key,value")
         for key in sorted(payload):
             print(f"{key},{_csv_cell(payload[key])}")
-        return
-    for key, value in payload.items():
-        print(f"{key}: {value}")
+    else:
+        for key, value in payload.items():
+            print(f"{key}: {_csv_cell(value)}")
+
+
+# the form flags: each is required unless the subparser, or this table, gives a default
+_FORM_FLAGS = {
+    "m": {"type": int},
+    "n": {"type": int},
+    "p": {"type": str, "help": "a number, or 'inf'"},
+    "lambda0": {"type": float},
+    "field": {"default": "real"},
+}
+
+
+def _form_args(parser, *names: str, **defaults) -> None:
+    for name in names:
+        spec = {**_FORM_FLAGS[name]}
+        if name in defaults:
+            spec["default"] = defaults[name]
+        parser.add_argument(f"--{name}", required="default" not in spec, **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,19 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("constants", help="Khinchin constant A_q and the crossover q0")
     c.add_argument("--q", type=float, required=True)
-    c.add_argument("--field", default="real")
+    _form_args(c, "field")
     common(c, seed=False)
 
     r = sub.add_parser("region", help="admissible p-window for (m, lambda0)")
-    r.add_argument("--m", type=int, required=True)
-    r.add_argument("--lambda0", type=float, required=True)
+    _form_args(r, "m", "lambda0")
     common(r, seed=False)
 
     e = sub.add_parser("exponents", help="s, eta1, constant, admissibility for (m, p, lambda0)")
-    e.add_argument("--m", type=int, required=True)
-    e.add_argument("--p", type=str, required=True, help="a number, or 'inf'")
-    e.add_argument("--lambda0", type=float, required=True)
-    e.add_argument("--field", default="real")
+    _form_args(e, "m", "p", "lambda0", "field")
     common(e, seed=False)
 
     t = sub.add_parser("transfer", help="general exponent transfer with hypothesis checking")
@@ -158,16 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(t, seed=False)
 
     cl = sub.add_parser("classical", help="classical summability exponents for (m, p)")
-    cl.add_argument("--m", type=int, required=True)
-    cl.add_argument("--p", type=str, required=True)
+    _form_args(cl, "m", "p")
     common(cl, seed=False)
 
     v = sub.add_parser("verify", help="Monte-Carlo certification of the mixed-norm bound")
-    v.add_argument("--m", type=int, required=True)
-    v.add_argument("--n", type=int, required=True)
-    v.add_argument("--p", type=str, required=True)
-    v.add_argument("--lambda0", type=float, required=True)
-    v.add_argument("--field", default="real")
+    _form_args(v, "m", "n", "p", "lambda0", "field")
     v.add_argument("--trials", type=int, default=1000)
     v.add_argument("--restarts", type=int, default=32)
     v.add_argument("--max-iters", type=int, default=500)
@@ -177,21 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(v)
 
     s = sub.add_parser("search", help="hill-climb for extremal ratio tensors")
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--p", type=str, required=True)
-    s.add_argument("--lambda0", type=float, required=True)
-    s.add_argument("--field", default="real")
+    _form_args(s, "m", "n", "p", "lambda0", "field")
     s.add_argument("--budget", type=int, default=500)
     s.add_argument("--dump-tensor", type=str, default=None,
                    help="write the best tensor to this JSON file")
     common(s)
 
     w = sub.add_parser("sweep", help="tabulate exponents/constants over a lambda0 grid")
-    w.add_argument("--m", type=int, required=True)
-    w.add_argument("--p", type=str, required=True)
-    w.add_argument("--n", type=int, default=2)
-    w.add_argument("--field", default="real")
+    _form_args(w, "m", "p", "n", "field", n=2)
     w.add_argument("--grid", type=str, required=True, help="start:stop:count or comma list")
     w.add_argument("--trials", type=int, default=0,
                    help="per-row certification trials (0 = table only)")
@@ -205,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("khinchin-check", help="check A_q*l2(a) <= chaos L_q norm")
     k.add_argument("--a", type=str, required=True, help="comma list of coefficients")
     k.add_argument("--q", type=float, required=True)
-    k.add_argument("--field", default="real")
+    _form_args(k, "field")
     k.add_argument("--samples", type=int, default=100_000,
                    help="Monte-Carlo samples (complex field)")
     common(k)
@@ -220,16 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(cc)
 
     ch = sub.add_parser("chain-check", help="verify every step of the mixed-sum proof chain")
-    ch.add_argument("--m", type=int, default=2)
-    ch.add_argument("--n", type=int, default=2)
-    ch.add_argument("--lambda0", type=float, required=True)
+    _form_args(ch, "m", "n", "lambda0", m=2, n=2)
     inner = ch.add_mutually_exclusive_group()
     inner.add_argument("--s", type=float, default=None,
                        help="inner exponent >= 2 (default 2)")
     inner.add_argument("--p", type=str, default=None,
                        help="derive s from the (m, p, lambda0) exponent formulas instead")
     ch.add_argument("--i", type=int, default=1, help="fixed index, 1-based")
-    ch.add_argument("--field", default="real")
+    _form_args(ch, "field")
     ch.add_argument("--kind", default="signs", choices=("gaussian", "signs", "steinhaus"))
     ch.add_argument("--samples", type=int, default=100_000,
                     help="Monte-Carlo samples (complex field)")
@@ -253,15 +266,15 @@ def _cmd_region(args) -> int:
 
 def _cmd_exponents(args) -> int:
     field = ScalarField.parse(args.field)
-    exps = exponents(args.m, _parse_float(args.p, "--p"), args.lambda0, field)
+    exps = exponents(args.m, _parse_number(args.p, "--p"), args.lambda0, field)
     _emit(_result_payload(exps), args.format)
     return EXIT_OK
 
 
 def _cmd_transfer(args) -> int:
     tp = TransferProblem(
-        p_list=_parse_floats(args.p_list, "--p-list"),
-        q_list=_parse_floats(args.q_list, "--q-list"),
+        p_list=_parse_numbers(args.p_list, "--p-list"),
+        q_list=_parse_numbers(args.q_list, "--q-list"),
         lambda0=args.lambda0,
         s=args.s,
     )
@@ -270,13 +283,14 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_classical(args) -> int:
-    _emit(_result_payload(classical_exponents(args.m, _parse_float(args.p, "--p"))), args.format)
+    _emit(_result_payload(classical_exponents(args.m, _parse_number(args.p, "--p"))), args.format)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    seed, drawn = _resolve_seed(args)
+    seed, header = _resolve_seed(args)
     field = ScalarField.parse(args.field)
+    csv = args.format == "csv"
     cfg = TrialConfig(
         trials=args.trials,
         kinds=tuple(part.strip() for part in args.kinds.split(",") if part.strip()),
@@ -284,30 +298,24 @@ def _cmd_verify(args) -> int:
         max_iters=args.max_iters,
         tol=args.tol,
         jobs=args.jobs,
-        keep_trials=(args.format == "csv"),
+        keep_trials=csv,
     )
     report = certify(
-        args.m, args.n, _parse_float(args.p, "--p"), args.lambda0, field, config=cfg, seed=seed,
+        args.m, args.n, _parse_number(args.p, "--p"), args.lambda0, field, config=cfg, seed=seed,
     )
-    header = f"# seed: {seed}" if drawn else None
-    if args.format == "csv":
-        # one row per trial, not key,value rows
-        if header:
-            print(header)
-        print(trials_to_csv(report.trial_rows), end="")
-    else:
-        payload = report.to_jsonable()
-        if args.format == "text":
-            payload["elapsed_seconds"] = round(report.elapsed_seconds, 3)
-        _emit(payload, args.format, header)
+    payload = report.to_jsonable()
+    if args.format == "text":
+        payload["elapsed_seconds"] = round(report.elapsed_seconds, 3)
+    # CSV is one row per trial, not key,value rows
+    _emit(payload, args.format, header, table=trials_to_csv(report.trial_rows) if csv else None)
     return EXIT_VIOLATION if report.violations > 0 else EXIT_OK
 
 
 def _cmd_search(args) -> int:
-    seed, drawn = _resolve_seed(args)
+    seed, header = _resolve_seed(args)
     field = ScalarField.parse(args.field)
     result = search_extremal(
-        args.m, args.n, _parse_float(args.p, "--p"), args.lambda0, field,
+        args.m, args.n, _parse_number(args.p, "--p"), args.lambda0, field,
         budget=args.budget, seed=seed,
     )
     if args.dump_tensor:
@@ -319,88 +327,71 @@ def _cmd_search(args) -> int:
         "evaluations": result.evaluations,
         "accepted_steps": result.accepted_steps,
     }
-    _emit(payload, args.format, header=f"# seed: {seed}" if drawn else None)
+    _emit(payload, args.format, header)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    seed, drawn = _resolve_seed(args)
+    seed, header = _resolve_seed(args)
     field = ScalarField.parse(args.field)
     _check_integer("trials", args.trials, 0)
     _check_integer("jobs", args.jobs, 1)   # also with --trials 0, which runs no workers
     cfg = TrialConfig(trials=args.trials, jobs=args.jobs) if args.trials > 0 else None
     rows = sweep_lambda0(
-        args.m, _parse_float(args.p, "--p"), args.n, field,
+        args.m, _parse_number(args.p, "--p"), args.n, field,
         grid=_parse_grid(args.grid), seed=seed, config=cfg,
     )
-    header = f"# seed: {seed}" if (drawn and args.trials > 0) else None
-    if args.format == "json":
-        print(json.dumps([row.to_jsonable() for row in rows], sort_keys=True))
-    else:
-        if header:
-            print(header)
-        print(sweep_to_csv(rows), end="")
+    # the table alone draws nothing, so only a certifying sweep prints its seed
+    _emit([row.to_jsonable() for row in rows], args.format,
+          header if cfg else None, table=sweep_to_csv(rows))
     return EXIT_OK
 
 
 def _cmd_khinchin_check(args) -> int:
-    seed, drawn = _resolve_seed(args)
+    seed, header = _resolve_seed(args)
     field = ScalarField.parse(args.field)
-    if field is ScalarField.COMPLEX:
-        a = [complex(part) for part in args.a.split(",") if part.strip()]
-    else:
-        a = _parse_floats(args.a, "--a")
+    a = _parse_numbers(args.a, "--a", complex if field is ScalarField.COMPLEX else float)
     report = check_khinchin(a, args.q, field, samples=args.samples, seed=seed)
-    _emit(report.to_jsonable(), args.format, header=f"# seed: {seed}" if drawn else None)
+    _emit(report.to_jsonable(), args.format, header)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
 def _cmd_contraction_check(args) -> int:
-    seed, drawn = _resolve_seed(args)
+    seed, header = _resolve_seed(args)
     if args.tensor:
-        with open(args.tensor, encoding="utf-8") as fh:
-            T = tensor_from_json(fh.read())
-        coeffs = T.coeffs
+        T = _read_tensor(args.tensor)
     else:
         T = generate(args.kind, args.m, args.N, ScalarField.REAL, seed)
-        coeffs = T.coeffs
-    report = check_contraction(coeffs, args.t)
-    _emit(report.to_jsonable(), args.format, header=f"# seed: {seed}" if drawn else None)
+    _emit(check_contraction(T.coeffs, args.t).to_jsonable(), args.format, header)
     return EXIT_OK
 
 
 def _cmd_chain_check(args) -> int:
-    seed, drawn = _resolve_seed(args)
+    seed, header = _resolve_seed(args)
     field = ScalarField.parse(args.field)
     if args.tensor:
-        with open(args.tensor, encoding="utf-8") as fh:
-            S = tensor_from_json(fh.read())
+        S = _read_tensor(args.tensor)
     else:
         S = generate(args.kind, args.m, args.n, field, seed)
     if args.p is not None:
-        s = exponents(S.m, _parse_float(args.p, "--p"), args.lambda0, field).s
+        s = exponents(S.m, _parse_number(args.p, "--p"), args.lambda0, field).s
     else:
         s = 2.0 if args.s is None else args.s
     report = verify_proof_chain(
         S, args.lambda0, s, index=args.i,
         mc_samples=args.samples, seed=seed, raise_on_failure=False,
     )
-    header = f"# seed: {seed}" if drawn else None
-    if args.format == "json":
-        _emit(report.to_jsonable(), args.format)
-    else:
-        # one line per link, in chain order
-        if header:
-            print(header)
-        for link in report.links:
-            status = "pass" if link.passed else "FAIL"
-            print(f"{link.name}: lhs={link.lhs!r} rhs={link.rhs!r} "
-                  f"slack={link.slack:.3e} [{status}]")
-        print(f"norm_lower: {report.norm_lower!r}")
-        print(f"norm_upper: {report.norm_upper!r}")
-        print(f"passed: {report.passed}")
-        if report.first_failure:
-            print(f"first_failure: {report.first_failure}")
+    # text and CSV: one line per link, in chain order, then the verdict
+    lines = [
+        f"{link.name}: lhs={link.lhs!r} rhs={link.rhs!r} slack={link.slack:.3e} "
+        f"[{'pass' if link.passed else 'FAIL'}]"
+        for link in report.links
+    ]
+    lines += [f"norm_lower: {report.norm_lower!r}", f"norm_upper: {report.norm_upper!r}",
+              f"passed: {report.passed}"]
+    if report.first_failure:
+        lines.append(f"first_failure: {report.first_failure}")
+    _emit(report.to_jsonable(), args.format, header, table="".join(f"{line}\n" for line in lines))
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 

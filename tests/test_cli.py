@@ -1,11 +1,17 @@
 """CLI surface: flags, formats, exit codes, seed reporting."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hlcert.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from hlcert.cli import _COMMANDS, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -193,6 +199,8 @@ def test_sweep_csv(capsys):
     (["sweep", "--m", "2", "--p", "4", "--grid", "1,x"], "--grid"),
     (["sweep", "--m", "2", "--p", "4", "--grid", "1:x:3"], "--grid"),
     (["exponents", "--m", "3", "--p", "x", "--lambda0", "1"], "--p"),
+    (["sweep", "--m", "2", "--p", "4", "--grid", "1:2:x"], "--grid"),
+    (["khinchin-check", "--field", "complex", "--a", "1,x", "--q", "1.5", "--seed", "1"], "--a"),
 ])
 def test_a_number_that_does_not_parse_is_named_by_its_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
@@ -217,6 +225,73 @@ def test_key_value_csv_prints_a_null_as_an_empty_cell(capsys, argv, empty):
     assert "None" not in out
     _, json_out, _ = run(capsys, *argv, "--format", "json")
     assert json.loads(json_out)[empty] is None
+
+
+def test_a_grid_count_that_is_not_an_integer_is_named_by_its_flag(capsys):
+    code, out, err = run(capsys, "sweep", "--m", "2", "--p", "4", "--grid", "1:2:2.5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: cannot parse --grid value '2.5'\n"
+
+
+@pytest.mark.parametrize("argv, empty", [
+    (["classical", "--m", "2", "--p", "inf"], "hl_low"),
+    (["classical", "--m", "2", "--p", "3"], "hl_high"),
+    (["khinchin-check", "--a", "1,1", "--q", "1", "--seed", "1"], "stderr"),
+])
+def test_text_prints_a_null_as_an_empty_value(capsys, argv, empty):
+    # the CSV cell rule: a null is an empty value, never "None"
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert f"{empty}: \n" in out
+    assert "None" not in out
+
+
+# one seeded run of each command that takes --seed; each is cheap
+_SEEDED = {
+    "verify": ["verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
+               "--trials", "2", "--restarts", "2"],
+    "search": ["search", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1", "--budget", "10"],
+    "sweep": ["sweep", "--m", "3", "--p", "4", "--grid", "1,1.5", "--trials", "1"],
+    "khinchin-check": ["khinchin-check", "--a", "1,2,3", "--q", "1.5"],
+    "contraction-check": ["contraction-check", "--m", "2", "--N", "3", "--t", "2"],
+    "chain-check": ["chain-check", "--lambda0", "1"],
+}
+
+
+def _without_elapsed(out):
+    # verify's text report carries its wall-clock time
+    return [line for line in out.splitlines() if not line.startswith("elapsed_seconds:")]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("command", list(_SEEDED))
+def test_a_drawn_seed_heads_text_and_csv_and_reproduces_the_run(capsys, command, fmt):
+    code, out, _ = run(capsys, *_SEEDED[command], "--format", fmt)
+    assert code == EXIT_OK
+    header, *rest = _without_elapsed(out)
+    assert header.startswith("# seed: ")
+    seed = header[len("# seed: "):]
+    assert 0 <= int(seed) < 2**32
+    code, again, _ = run(capsys, *_SEEDED[command], "--seed", seed, "--format", fmt)
+    assert code == EXIT_OK
+    assert _without_elapsed(again) == rest
+    assert rest
+
+
+@pytest.mark.parametrize("command", list(_SEEDED))
+def test_json_with_a_drawn_seed_is_the_payload_alone(capsys, command):
+    code, out, _ = run(capsys, *_SEEDED[command], "--format", "json")
+    assert code == EXIT_OK
+    assert "# seed" not in out
+    json.loads(out)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_a_table_only_sweep_prints_no_seed_header(capsys, fmt):
+    code, out, _ = run(capsys, "sweep", "--m", "3", "--p", "4", "--grid", "1,1.5", "--format", fmt)
+    assert code == EXIT_OK
+    assert out.startswith("lambda0,")
 
 
 def test_sweep_grid_spec(capsys):
@@ -546,3 +621,25 @@ def test_transfer_json_prints_an_infinite_eta1_as_inf(capsys):
         "--s", "2", "--format", "json",
     )
     assert out == '{"deficiency": 1.0, "eta1": "inf", "eta2": 2.0}\n'
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["constants", "--q", "2"], EXIT_OK, "stdout", "q0"),
+    (["verify", "--m", "3", "--n", "2", "--p", "2", "--lambda0", "1", "--seed", "1"],
+     EXIT_USAGE, "stderr", "error:"),
+])
+def test_python_m_hlcert_runs_main_in_a_fresh_process(argv, code, stream, text):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "hlcert", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code
+    assert text in getattr(proc, stream)
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_command_help_formats_and_exits_zero(capsys, command):
+    # argparse formats a help string only when asked
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: hlcert {command}")
