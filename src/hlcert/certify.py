@@ -63,7 +63,6 @@ __all__ = [
 
 RATIO_TOL = 1e-9  # relative tolerance of a verdict: violation when lhs > C * upper * (1 + tol)
 BATCH_ELEMENTS = 2**16  # cap on restarts * n^m per ascent batch of trials
-SEARCH_BLOCK = 32  # search candidates scored per vectorized pass
 SEARCH_CHUNK = 1024  # search climb steps per chunk of random draws
 
 
@@ -206,18 +205,24 @@ def _score(stack: np.ndarray, exps: ExponentSet) -> Tuple[np.ndarray, np.ndarray
     bound; the mixed norms scale each power sum by its own largest term, so
     a large s or eta1 (about 3001 at m = 3, p = 3.001, lambda0 = 1)
     neither overflows nor underflows.  The search ranks by this bound, as
-    its throughput lives in this pass; `certify` tightens it per trial with
-    `_interpolation_bounds`.
+    its throughput lives in this pass; at finite p `certify` takes the lhs
+    alone (`_lhs`) and bounds with `_interpolation_bounds`, which is
+    never above this bound.
     Coefficients must be finite, a complex modulus included (DomainError,
     the rule of `FormTensor`).
     """
     mags, top = _magnitudes(stack)
-    lhs = _mixed_norms_of_magnitudes(mags, stack.shape, exps.s, exps.eta1).max(axis=1)
+    lhs = _lhs(mags, stack.shape, exps)
     if _exact_bound(exps):
         upper = _exact_linf_stack(stack)[0]
     else:
         upper = _hoelder_bounds(mags, top, exps.p)
     return lhs, upper
+
+
+def _lhs(mags: np.ndarray, shape: Tuple[int, ...], exps: ExponentSet) -> np.ndarray:
+    """`_score`'s lhs of a stack of `shape` from its `_magnitudes`: the largest mixed norm."""
+    return _mixed_norms_of_magnitudes(mags, shape, exps.s, exps.eta1).max(axis=1)
 
 
 def _ratio(lhs: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -233,14 +238,15 @@ def _ratio(lhs: np.ndarray, bound: np.ndarray) -> np.ndarray:
 def _run_batch(args) -> List[TrialResult]:
     """Trials start..stop-1 of a run: generate, score, bound, one ascent, classify, stage 2.
 
-    The batch is scored by one `_score` call.  Off real p = inf, the ascent
-    (`_best_restarts`) also gives the stage 1 bound, `_interpolation_bounds`
-    of the whole batch, in place of the scorer's Hoelder bound; trials still
-    inconclusive after it get the same bound with the l_inf side also capped
-    by the root enumeration at K = `_root_count(m, n)` roots of unity (stage
-    2, `retried`, one call for all of them; none if no K fits).  Every step
-    gives a trial the values it gets alone, so its row does not depend on
-    the batch.
+    At real p = inf one `_score` call gives the batch's lhs and exact
+    bound.  Elsewhere `_lhs` gives the batch's lhs (`_score`'s, without its
+    Hoelder bound), and the ascent (`_best_restarts`) gives the stage 1
+    bound, `_interpolation_bounds` of the whole batch, which is at most the
+    Hoelder bound; trials still inconclusive after it get the same bound
+    with the l_inf side also capped by the root enumeration at K =
+    `_root_count(m, n)` roots of unity (stage 2, `retried`, one call for all
+    of them; none if no K fits).  Every step gives a trial the values it
+    gets alone, so its row does not depend on the batch.
     """
     exps, n, seed, cfg, start, stop = args
     C = exps.constant
@@ -252,10 +258,11 @@ def _run_batch(args) -> List[TrialResult]:
         generate(kind, exps.m, n, exps.field, gen_ss).coeffs
         for kind, (gen_ss, _) in zip(kinds, spawned)
     ])
-    lhs, upper = _score(stack, exps)
     if _exact_bound(exps):
+        lhs, upper = _score(stack, exps)
         lower = upper.copy()
     else:
+        lhs = _lhs(_magnitudes(stack)[0], stack.shape, exps)
         lower, upper = _best_restarts(
             stack, exps.p, cfg.restarts, cfg.max_iters, cfg.tol,
             [norm_ss for _, norm_ss in spawned],
@@ -325,8 +332,8 @@ def certify(
     `retried`.  With a right constant no trial is inconclusive, so stage 2
     does not run.
 
-    Trials run in batches of consecutive indices: one `_score` call scores
-    every trial of a batch, stage 1 bounds them in one call, the restarts
+    Trials run in batches of consecutive indices: one call scores every
+    trial of a batch, stage 1 bounds them in one call, the restarts
     of every trial in a batch ascend together as one `_ascend` stack, and
     the batch's inconclusive trials get stage 2 in one more call.  A batch
     holds as many trials as keep restarts * n^m <= 2^16 coefficients
@@ -406,17 +413,15 @@ def search_extremal(
 
     Climb step t draws a flat index and a normal (two when complex, for the
     real and imaginary parts) from SeedSequence([seed, 1]), in chunks of
-    SEARCH_CHUNK steps, so its draws depend only on (seed, t).  The climb
-    scores its candidates in speculative blocks of up to SEARCH_BLOCK:
-    candidate i of a block is the one the climb would build if the i before
-    it were rejected, all are scored in one `_score` pass, the first
-    one with a higher ratio is kept and the ones after it are discarded
-    (they are not counted in `evaluations`).  `_score` gives each
-    candidate the ratio it gets alone, so the result is the one a climb
-    scoring one candidate at a time gives, for any block size.  Candidate i
-    of a block that starts after `rejects` rejections steps by step * 0.5
-    ** ((rejects + i) // 20), a factor read from a table (`_climb_tables`)
-    built once per call for SEARCH_BLOCK.
+    SEARCH_CHUNK steps, so its draws depend only on (seed, t).  Every block
+    of candidates starts after an acceptance, a halving or a restart, and
+    holds the candidates left at the current step: min(20, budget left),
+    candidate i being the one the climb would build if the i before it
+    were rejected.  All are scored in one `_score` pass; the first one with
+    a higher ratio is kept at the same step and the ones after it are
+    discarded (they are not counted in `evaluations`), while 20 rejections
+    halve the step.  `_score` gives each candidate the ratio it gets alone,
+    so the result is the one a climb scoring one candidate at a time gives.
 
     Candidates are scored by `_score`, the scorer of `certify`: the ratio
     is lhs / upper(||T||), 1.0 for a zero tensor, with upper the exact
@@ -440,8 +445,8 @@ def search_extremal(
     best, best_ratio = current, current_ratio
 
     draws = _ClimbDraws(seed, n**m, field is ScalarField.COMPLEX)
+    rows = np.arange(20)
     step = 1.0
-    rejects = 0
     accepted = 0
     restarts = 0
     spent = 0
@@ -453,17 +458,12 @@ def search_extremal(
         spent = 1
         if baseline_ratio > best_ratio:
             best, best_ratio = unit, baseline_ratio
-    rows, factors = _climb_tables(SEARCH_BLOCK)
     while spent < budget:
-        # candidates up to the one whose rejection would collapse the step
-        halvings = 1
-        while step * 0.5**halvings >= 1e-3:
-            halvings += 1
-        K = min(SEARCH_BLOCK, budget - spent, 20 * halvings - rejects)
+        # the candidates left at this step: 20 rejections halve it
+        K = min(20, budget - spent)
         index, normal = draws.take(taken, K)
-        steps = step * factors[rejects, :K]
         stack = np.repeat(current[None], K, axis=0)
-        stack.reshape(K, -1)[rows[:K], index] += steps * normal
+        stack.reshape(K, -1)[rows[:K], index] += step * normal
         block_ratios = ratios(stack)
         higher = block_ratios > current_ratio
         i = int(higher.argmax())   # the first higher candidate, or 0 when none is
@@ -472,15 +472,13 @@ def search_extremal(
         taken += used
         if higher[i]:
             # keep the first higher candidate; the ones after it are discarded
-            step, rejects = float(steps[i]), 0
             accepted += 1
             current, current_ratio = stack[i], float(block_ratios[i])
             if current_ratio > best_ratio:
                 best, best_ratio = current, current_ratio
             continue
-        # K rejections; the last one may collapse the step
-        step *= 0.5 ** ((rejects + K) // 20)
-        rejects = (rejects + K) % 20
+        # K rejections: 20 halve the step, fewer end the budget
+        step *= 0.5
         if step < 1e-3 and spent < budget:
             restarts += 1
             current = generate(
@@ -501,18 +499,6 @@ def search_extremal(
         evaluations=spent,
         accepted_steps=accepted,
     )
-
-
-def _climb_tables(block: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(row indices 0..block-1, step factors) of `search_extremal`'s blocks.
-
-    factors[rejects, i] = 0.5 ** ((rejects + i) // 20) for rejects < 20:
-    candidate i of a block that starts after `rejects` rejections in a row
-    steps by step * factors[rejects, i].  Every factor is a power of two, so
-    that product is exact.
-    """
-    rows = np.arange(block)
-    return rows, 0.5 ** ((np.arange(20)[:, None] + rows) // 20)
 
 
 class _ClimbDraws:

@@ -43,7 +43,8 @@ EXIT_VIOLATION = 2
 
 _CSV_HELP = """\
 What --format writes: json is the report alone (sorted keys); text and csv
-put a drawn seed's "# seed: N" line first (--seed omitted), then the report,
+put a drawn seed's "# seed: N" line first (--seed omitted, and only where
+the seed feeds a random tensor or a Monte-Carlo stream), then the report,
 where a null (JSON null) is an empty value.  csv writes:
   verify      : trial,kind,seed,ratio_conservative,ratio_empirical,classification,retried
                 (retried is 1 where a trial left inconclusive got the second
@@ -92,7 +93,10 @@ def _parse_grid(text: str) -> List[float]:
 
 
 def _resolve_seed(args) -> tuple[int, Optional[str]]:
-    """(seed, header): the header `# seed: N` heads text and CSV only when the seed was drawn."""
+    """(seed, header): the header `# seed: N` when the seed was drawn, else None.
+
+    A command prints the header only where the seed feeds `generate` or a
+    Monte-Carlo stream."""
     if args.seed is not None:
         # the library's one seed rule, before any work, also where a
         # --tensor file leaves the seed unused
@@ -352,7 +356,8 @@ def _cmd_khinchin_check(args) -> int:
     field = ScalarField.parse(args.field)
     a = _parse_numbers(args.a, "--a", complex if field is ScalarField.COMPLEX else float)
     report = check_khinchin(a, args.q, field, samples=args.samples, seed=seed)
-    _emit(report.to_jsonable(), args.format, header)
+    # the real check enumerates exactly: no stream reads the seed
+    _emit(report.to_jsonable(), args.format, header if field is ScalarField.COMPLEX else None)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
@@ -362,7 +367,8 @@ def _cmd_contraction_check(args) -> int:
         T = _read_tensor(args.tensor)
     else:
         T = generate(args.kind, args.m, args.N, ScalarField.REAL, seed)
-    _emit(check_contraction(T.coeffs, args.t).to_jsonable(), args.format, header)
+    _emit(check_contraction(T.coeffs, args.t).to_jsonable(), args.format,
+          None if args.tensor else header)
     return EXIT_OK
 
 
@@ -391,7 +397,10 @@ def _cmd_chain_check(args) -> int:
               f"passed: {report.passed}"]
     if report.first_failure:
         lines.append(f"first_failure: {report.first_failure}")
-    _emit(report.to_jsonable(), args.format, header, table="".join(f"{line}\n" for line in lines))
+    # a real chain on a given tensor is exact: no stream reads the seed
+    uses_seed = not args.tensor or S.field is ScalarField.COMPLEX
+    _emit(report.to_jsonable(), args.format, header if uses_seed else None,
+          table="".join(f"{line}\n" for line in lines))
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 

@@ -401,11 +401,12 @@ SEARCH_CASES = [
 
 
 def test_search_matches_sequential_reference_climb():
-    # the speculative blocks follow the one-candidate-at-a-time climb bit for
-    # bit: the same tensor bytes, ratio, evaluations == budget and accepted
-    # steps.  The budget-2500 climb of every case restarts at least once, and
-    # a budget that runs out exactly at a step collapse leaves no room for
-    # the restart.
+    # the blocks follow the one-candidate-at-a-time climb bit for bit: the
+    # same tensor bytes, ratio, evaluations == budget and accepted steps.
+    # Budgets 19, 20 and 21 end inside, at and just past the first block of
+    # 20; the budget-2500 climb of every case restarts at least once, and a
+    # budget that runs out exactly at a step collapse leaves no room for the
+    # restart.
     def check(case, seed, budget):
         expected, collapses = _reference_climb(*case, budget, seed)
         result = search_extremal(*case, budget=budget, seed=seed)
@@ -413,32 +414,32 @@ def test_search_matches_sequential_reference_climb():
         assert result.evaluations == budget
         return collapses
 
-    for case in SEARCH_CASES:
-        for seed, budget in [(3, 0), (3, 1), (5, 2), (11, 60)]:
+    for case in SEARCH_CASES + [(2, 10, math.inf, 2.0, REAL)]:
+        for seed, budget in [(3, 0), (3, 1), (5, 2), (13, 19), (13, 20), (13, 21), (11, 60)]:
             check(case, seed, budget)
         collapses = check(case, 7, 2500)
         assert collapses, case
         check(case, 7, collapses[0])
 
 
-def test_search_result_does_not_depend_on_the_block_size(monkeypatch):
-    # (2, 10) at real p = inf: every candidate's l_inf value is the one it
-    # gets alone, whatever the block's width
+def test_score_gives_every_candidate_its_values_alone_at_every_block_width():
+    # a block of the climb is a stack of up to 20 candidates, each the
+    # current tensor with one coefficient moved; in stacks of any width,
+    # every candidate's (lhs, upper) is the one it gets alone, bit for bit
+    rng = np.random.default_rng(19)
     for m, n, p, lambda0, field in SEARCH_CASES + [(2, 10, math.inf, 2.0, REAL)]:
-        results = []
-        for block in (1, 7, certify_module.SEARCH_BLOCK):
-            monkeypatch.setattr(certify_module, "SEARCH_BLOCK", block)
-            results.append(_fields(search_extremal(m, n, p, lambda0, field, budget=700, seed=19)))
-        assert results[0] == results[1] == results[2], (m, n, p, field)
-
-
-def test_climb_step_table_is_the_step_schedule_bit_for_bit():
-    rows, factors = certify_module._climb_tables(certify_module.SEARCH_BLOCK)
-    assert rows.tolist() == list(range(certify_module.SEARCH_BLOCK))
-    for step in (1.0, 0.7364, 3.1e-3):
-        for rejects in range(20):
-            for i in range(certify_module.SEARCH_BLOCK):
-                assert step * factors[rejects, i] == step * 0.5 ** ((rejects + i) // 20)
+        exps = exponents(m, p, lambda0, field)
+        current = generate("gaussian", m, n, field, 19).coeffs
+        steps = 2.0 ** -rng.integers(0, 11, 32) * rng.standard_normal(32)
+        if field is COMPLEX:
+            steps = steps * np.exp(2j * np.pi * rng.random(32))
+        stack = np.repeat(current[None], 32, axis=0)
+        stack.reshape(32, -1)[np.arange(32), rng.integers(0, n**m, 32)] += steps
+        alone = [_score(stack[k : k + 1], exps) for k in range(32)]
+        for width in (1, 7, 20, 32):
+            lhs, upper = _score(stack[:width], exps)
+            for k in range(width):
+                assert (lhs[k], upper[k]) == (alone[k][0][0], alone[k][1][0]), (m, n, p, width, k)
 
 
 def _score_exponents(s, eta1, exact):

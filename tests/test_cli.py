@@ -253,7 +253,8 @@ _SEEDED = {
                "--trials", "2", "--restarts", "2"],
     "search": ["search", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1", "--budget", "10"],
     "sweep": ["sweep", "--m", "3", "--p", "4", "--grid", "1,1.5", "--trials", "1"],
-    "khinchin-check": ["khinchin-check", "--a", "1,2,3", "--q", "1.5"],
+    "khinchin-check": ["khinchin-check", "--a", "1,2,3", "--q", "1.5", "--field", "complex",
+                       "--samples", "2000"],
     "contraction-check": ["contraction-check", "--m", "2", "--N", "3", "--t", "2"],
     "chain-check": ["chain-check", "--lambda0", "1"],
 }
@@ -292,6 +293,26 @@ def test_a_table_only_sweep_prints_no_seed_header(capsys, fmt):
     code, out, _ = run(capsys, "sweep", "--m", "3", "--p", "4", "--grid", "1,1.5", "--format", fmt)
     assert code == EXIT_OK
     assert out.startswith("lambda0,")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("command", ["contraction-check", "khinchin-check", "chain-check"])
+def test_a_run_whose_seed_feeds_no_stream_prints_no_seed_header(capsys, tmp_path, command, fmt):
+    # a tensor file skips `generate`, and the real khinchin check and the
+    # real chain enumerate exactly, so a drawn seed changes nothing
+    path = tmp_path / "signs.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "field": "real", "coeffs": [1, 1, 1, -1]}))
+    argv = {
+        "contraction-check": ["contraction-check", "--t", "2", "--tensor", str(path)],
+        "khinchin-check": ["khinchin-check", "--a", "1,2,3", "--q", "1.5"],
+        "chain-check": ["chain-check", "--lambda0", "1", "--tensor", str(path)],
+    }[command]
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == EXIT_OK
+    assert "# seed" not in out
+    code, seeded, _ = run(capsys, *argv, "--seed", "1", "--format", fmt)
+    assert code == EXIT_OK
+    assert seeded == out
 
 
 def test_sweep_grid_spec(capsys):
