@@ -28,8 +28,8 @@ import numpy as np
 from .errors import DomainError, ViolationError, _check_integer, _check_seed, _jsonable
 from .exponents import ExponentSet, exponents
 from .norms import (
+    _RESTARTS,
     _best_restarts,
-    _check_ascent_settings,
     _exact_linf_stack,
     _hoelder_bounds,
     _interpolation_bounds,
@@ -41,6 +41,7 @@ from .norms import (
 from .special import ScalarField
 from .tensor import (
     FormTensor,
+    _check_kinds,
     _magnitudes,
     _mixed_norms_of_magnitudes,
     generate,
@@ -64,29 +65,30 @@ __all__ = [
 RATIO_TOL = 1e-9  # relative tolerance of a verdict: violation when lhs > C * upper * (1 + tol)
 BATCH_ELEMENTS = 2**16  # cap on restarts * n^m per ascent batch of trials
 SEARCH_CHUNK = 1024  # search climb steps per chunk of random draws
+SEARCH_BUDGET = 500  # search_extremal's default budget, and the CLI's --budget
 
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Knobs of a certification run; defaults match the CLI.
+    """Knobs of a certification run; the CLI's `verify` reads its defaults here.
 
     Every `certify` and `sweep_lambda0` run passes through this check, so a
-    bad setting raises DomainError before any work.
+    bad setting raises DomainError before any work; `certify` also refuses
+    a kind its field cannot hold ('steinhaus' on the real field) before
+    any batch.  The ascent's convergence rule is not a setting: each
+    restart runs to its own convergence (`hlcert.norms._best_restarts`).
     """
 
     trials: int = 1000
     kinds: Tuple[str, ...] = ("gaussian", "signs")  # cycled per trial index
-    restarts: int = 32
-    max_iters: int = 500
-    tol: float = 1e-10
+    restarts: int = _RESTARTS
     jobs: int = 1
     keep_trials: bool = False
 
     def __post_init__(self) -> None:
-        if not self.kinds:
-            raise DomainError("kinds must name at least one generator kind")
+        _check_kinds(self.kinds)
         _check_integer("trials", self.trials, 1)
-        _check_ascent_settings(self.restarts, self.max_iters, self.tol)
+        _check_integer("restarts", self.restarts, 1)
         _check_integer("jobs", self.jobs, 1)
 
 
@@ -264,8 +266,7 @@ def _run_batch(args) -> List[TrialResult]:
     else:
         lhs = _lhs(_magnitudes(stack)[0], stack.shape, exps)
         lower, upper = _best_restarts(
-            stack, exps.p, cfg.restarts, cfg.max_iters, cfg.tol,
-            [norm_ss for _, norm_ss in spawned],
+            stack, exps.p, cfg.restarts, [norm_ss for _, norm_ss in spawned]
         )[:2]
     classes = [_classify(lhs[b], C * lower[b], C * upper[b]) for b in range(len(stack))]
 
@@ -346,6 +347,7 @@ def certify(
     """
     seed = _check_seed(seed)
     cfg = config or TrialConfig()
+    _check_kinds(cfg.kinds, field)
     exps = _admissible_exponents(m, n, p, lambda0, field)
     start = time.perf_counter()
     size = min(_batch_trials(cfg.restarts, n, m), math.ceil(cfg.trials / cfg.jobs))
@@ -396,7 +398,7 @@ def search_extremal(
     p: float,
     lambda0: float,
     field: ScalarField = ScalarField.REAL,
-    budget: int = 500,
+    budget: int = SEARCH_BUDGET,
     seed: int = 0,
 ) -> SearchResult:
     """Hill-climb tensors to maximize LHS / upper(||T||).

@@ -84,6 +84,7 @@ EXACT_SLACK = 1e-12       # absolute slack on exactly-enumerated inequalities
 EQUALITY_RTOL = 1e-10     # relative tolerance on chain equality links
 MC_SLACK = 1e-9           # absolute widening added to 3-sigma soft checks
 MC_BLOCK = 4096           # Monte-Carlo samples drawn per numpy batch
+MC_SAMPLES = 100_000      # Monte-Carlo samples of a run: the default of every entry point here
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ def _rademacher_norm(a: np.ndarray, q: float) -> float:
     return _chaos_stats(sign_slices(a[None]), q)[1]
 
 
-def steinhaus_moment(a, q: float, samples: int = 100_000, seed: int = 0) -> ChaosMoment:
+def steinhaus_moment(a, q: float, samples: int = MC_SAMPLES, seed: int = 0) -> ChaosMoment:
     """Monte-Carlo L_q norm of sum_j z_j a_j with independent unimodular z_j.
 
     The one-column case of `_steinhaus_slices`, so its samples are the
@@ -260,12 +261,13 @@ def _steinhaus_phases(u: np.ndarray) -> np.ndarray:
     """
     t = np.tan(np.multiply(u, math.pi, out=u), out=u)
     t2 = t * t
+    d = t2 + 1.0
+    np.subtract(1.0, t2, out=t2)
+    # the parts are computed in contiguous memory and each is copied into the
+    # strided layout once: ufuncs on the strided views ran slower
     parts = np.empty(u.shape + (2,))          # the complex128 memory layout
-    np.subtract(1.0, t2, out=parts[..., 0])
-    np.multiply(t, 2.0, out=parts[..., 1])
-    t2 += 1.0
-    for i in range(2):
-        np.divide(parts[..., i], t2, out=parts[..., i])
+    parts[..., 0] = np.divide(t2, d, out=t2)
+    parts[..., 1] = np.divide(np.multiply(t, 2.0, out=t), d, out=t)
     return parts.view(np.complex128)[..., 0]
 
 
@@ -308,7 +310,7 @@ def check_khinchin(
     a,
     q: float,
     field: ScalarField = ScalarField.REAL,
-    samples: int = 100_000,
+    samples: int = MC_SAMPLES,
     seed: int = 0,
 ) -> KhinchinReport:
     """Check A_q * (sum |a_j|^2)^(1/2) <= chaos L_q norm.
@@ -482,7 +484,7 @@ def verify_proof_chain(
     lambda0: float,
     s: float,
     index: int = 1,
-    mc_samples: int = 100_000,
+    mc_samples: int = MC_SAMPLES,
     seed: int = 0,
     raise_on_failure: bool = True,
 ) -> ChainReport:

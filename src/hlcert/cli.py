@@ -14,7 +14,10 @@ import random
 import sys
 from typing import List, Optional
 
+import numpy as np
+
 from .certify import (
+    SEARCH_BUDGET,
     TrialConfig,
     _csv_cell,
     certify,
@@ -23,7 +26,7 @@ from .certify import (
     sweep_to_csv,
     trials_to_csv,
 )
-from .chaos import check_contraction, check_khinchin, verify_proof_chain
+from .chaos import MC_SAMPLES, check_contraction, check_khinchin, verify_proof_chain
 from .errors import (
     BudgetError,
     DomainError,
@@ -85,7 +88,7 @@ def _parse_grid(text: str) -> List[float]:
         start, stop = _parse_number(parts[0], "--grid"), _parse_number(parts[1], "--grid")
         count = _parse_number(parts[2], "--grid", int)
         if count < 1:
-            return []
+            raise DomainError(f"--grid count must be >= 1, got {count}")
         if count == 1:
             return [start]
         return [start + (stop - start) * i / (count - 1) for i in range(count)]
@@ -103,6 +106,16 @@ def _resolve_seed(args) -> tuple[int, Optional[str]]:
         return _check_seed(args.seed), None
     seed = random.SystemRandom().randrange(2**32)
     return seed, f"# seed: {seed}"
+
+
+def _tensor_stream(seed: int) -> np.random.SeedSequence:
+    """The stream of a command's random tensor: SeedSequence([seed, 2]).
+
+    The library's streams of those commands are [seed, 0] (Monte-Carlo
+    samples) and [seed, 1] (an ascent), so the tensor shares no draws with
+    them; an integer seed to `generate` would be the [seed, 0] stream.
+    """
+    return np.random.SeedSequence([seed, 2])
 
 
 def _read_tensor(path: str):
@@ -194,17 +207,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="Monte-Carlo certification of the mixed-norm bound")
     _form_args(v, "m", "n", "p", "lambda0", "field")
-    v.add_argument("--trials", type=int, default=1000)
-    v.add_argument("--restarts", type=int, default=32)
-    v.add_argument("--max-iters", type=int, default=500)
-    v.add_argument("--tol", type=float, default=1e-10)
-    v.add_argument("--kinds", type=str, default="gaussian,signs",
+    v.add_argument("--trials", type=int, default=TrialConfig.trials)
+    v.add_argument("--restarts", type=int, default=TrialConfig.restarts)
+    v.add_argument("--kinds", type=str, default=",".join(TrialConfig.kinds),
                    help="comma list cycled per trial")
     common(v)
 
     s = sub.add_parser("search", help="hill-climb for extremal ratio tensors")
     _form_args(s, "m", "n", "p", "lambda0", "field")
-    s.add_argument("--budget", type=int, default=500)
+    s.add_argument("--budget", type=int, default=SEARCH_BUDGET)
     s.add_argument("--dump-tensor", type=str, default=None,
                    help="write the best tensor to this JSON file")
     common(s)
@@ -225,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--a", type=str, required=True, help="comma list of coefficients")
     k.add_argument("--q", type=float, required=True)
     _form_args(k, "field")
-    k.add_argument("--samples", type=int, default=100_000,
+    k.add_argument("--samples", type=int, default=MC_SAMPLES,
                    help="Monte-Carlo samples (complex field)")
     common(k)
 
@@ -248,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--i", type=int, default=1, help="fixed index, 1-based")
     _form_args(ch, "field")
     ch.add_argument("--kind", default="signs", choices=("gaussian", "signs", "steinhaus"))
-    ch.add_argument("--samples", type=int, default=100_000,
+    ch.add_argument("--samples", type=int, default=MC_SAMPLES,
                     help="Monte-Carlo samples (complex field)")
     ch.add_argument("--tensor", type=str, default=None, help="JSON tensor file instead of random")
     common(ch)
@@ -299,8 +310,6 @@ def _cmd_verify(args) -> int:
         trials=args.trials,
         kinds=tuple(part.strip() for part in args.kinds.split(",") if part.strip()),
         restarts=args.restarts,
-        max_iters=args.max_iters,
-        tol=args.tol,
         jobs=args.jobs,
         keep_trials=csv,
     )
@@ -366,7 +375,7 @@ def _cmd_contraction_check(args) -> int:
     if args.tensor:
         T = _read_tensor(args.tensor)
     else:
-        T = generate(args.kind, args.m, args.N, ScalarField.REAL, seed)
+        T = generate(args.kind, args.m, args.N, ScalarField.REAL, _tensor_stream(seed))
     _emit(check_contraction(T.coeffs, args.t).to_jsonable(), args.format,
           None if args.tensor else header)
     return EXIT_OK
@@ -378,7 +387,7 @@ def _cmd_chain_check(args) -> int:
     if args.tensor:
         S = _read_tensor(args.tensor)
     else:
-        S = generate(args.kind, args.m, args.n, field, seed)
+        S = generate(args.kind, args.m, args.n, field, _tensor_stream(seed))
     if args.p is not None:
         s = exponents(S.m, _parse_number(args.p, "--p"), args.lambda0, field).s
     else:

@@ -54,6 +54,9 @@ _UNDERFLOW = 2.0**-1000      # per-coefficient slack for what underflows near ma
 _ROOT_COUNTS = (12, 8, 6, 4)  # the K that `_root_count` tries, largest first
 _ROOT_PATTERNS = 2**18       # `_root_count`'s cap on K^((n-1)(m-1))
 _MU_MARGIN = 4               # mu of `_interpolation_bounds` is (1 + 4 (n+1) u) times LAPACK's
+_RESTARTS = 32               # `alternating_max`'s restarts, and `TrialConfig`'s
+_SWEEP_CAP = 500             # `_best_restarts` stops a row after this many sweeps ...
+_FREEZE_TOL = 1e-10          # ... or once a sweep raises its value by at most this, relative
 
 
 class NormMethod(enum.Enum):
@@ -385,14 +388,7 @@ def _ascend(
     return values, out, converged
 
 
-def alternating_max(
-    T: FormTensor,
-    p: float,
-    restarts: int = 32,
-    max_iters: int = 500,
-    tol: float = 1e-10,
-    seed=0,
-) -> NormEstimate:
+def alternating_max(T: FormTensor, p: float, restarts: int = _RESTARTS, seed=0) -> NormEstimate:
     """Lower-bound ||T|| by block-coordinate ascent from random restarts.
 
     Fixing all arguments but one reduces the problem to an exact linear dual
@@ -406,16 +402,17 @@ def alternating_max(
     bound `crude_upper(T, p)`, the coefficient mass at p = inf, or for
     2 <= p < inf the smaller interpolation bound), which caps the lower one
     against rounding.  Needs m >= 2 (for m = 1, `dual_norm_linear` is
-    exact), p > 1, the settings `TrialConfig` accepts and a seed by
-    `_seed_source`: an integer in [0, 2^32) or a numpy SeedSequence or
-    Generator.
+    exact), p > 1, an integer restarts >= 1 and a seed by `_seed_source`:
+    an integer in [0, 2^32), which is the stream of SeedSequence([seed, 0]),
+    or a numpy SeedSequence or Generator.  Every restart runs to its own
+    convergence (`_best_restarts`).
     """
     _check_multilinear(T)
     if not p > 1.0:
         raise DomainError(f"alternating_max needs p > 1 (or inf), got {p}")
-    _check_ascent_settings(restarts, max_iters, tol)
+    _check_integer("restarts", restarts, 1)
     lower, upper, witness, converged = _best_restarts(
-        T.coeffs[None], p, restarts, max_iters, tol, [_seed_source(seed)]
+        T.coeffs[None], p, restarts, [_seed_source(seed)]
     )
     return NormEstimate(
         lower=float(lower[0]),
@@ -433,22 +430,17 @@ def _check_multilinear(T: FormTensor) -> None:
         raise DomainError("need an m-linear form with m >= 2")
 
 
-def _check_ascent_settings(restarts: int, max_iters: int, tol: float) -> None:
-    """DomainError unless restarts and max_iters are integers >= 1 and tol >= 0 (NaN fails)."""
-    _check_integer("restarts", restarts, 1)
-    _check_integer("max_iters", max_iters, 1)
-    if not tol >= 0.0:   # written so that NaN fails too
-        raise DomainError(f"tol must be >= 0, got {tol!r}")
-
-
 def _best_restarts(
-    stack: np.ndarray, p: float, restarts: int, max_iters: int, tol: float, seeds: Sequence
+    stack: np.ndarray, p: float, restarts: int, seeds: Sequence
 ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray], np.ndarray]:
-    """The stage 1 sandwich of every tensor of a stack (B,) + (n,)*m; unchecked settings.
+    """The stage 1 sandwich of every tensor of a stack (B,) + (n,)*m; restarts unchecked.
 
     upper is the stage 1 bound `_interpolation_bounds(stack, p)`.  Tensor
     b's restarts start from `_random_starts(seeds[b], ...)` and ascend as
     rows of one `_ascend` batch, whose rows do not depend on each other.
+    The convergence rule is this module's, not the caller's: each row
+    freezes on its own once a sweep gains at most `_FREEZE_TOL` relative,
+    or stops after `_SWEEP_CAP` sweeps (no early stop across restarts).
     Returns (lower, upper, witness, converged): tensor b's best restart (the
     first attaining its max) gives lower[b], capped by upper[b] against
     rounding, witness[k][b] in slot k and converged[b].  An upper bound past
@@ -459,7 +451,7 @@ def _best_restarts(
     B, m, n = stack.shape[0], stack.ndim - 1, stack.shape[1]
     starts = [_random_starts(seed, restarts, m, n, p, np.iscomplexobj(stack)) for seed in seeds]
     vectors = [np.concatenate([s[k] for s in starts]) for k in range(m)]
-    values, vectors, converged = _ascend(stack, vectors, p, max_iters, tol)
+    values, vectors, converged = _ascend(stack, vectors, p, _SWEEP_CAP, _FREEZE_TOL)
     best = np.arange(B) * restarts + values.reshape(B, restarts).argmax(axis=1)
     lower = np.minimum(values[best], upper)
     return lower, upper, [v[best] for v in vectors], converged[best]

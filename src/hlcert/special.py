@@ -37,7 +37,7 @@ class ScalarField(enum.Enum):
     def parse(cls, text: str) -> "ScalarField":
         try:
             return cls(text.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):   # AttributeError: not a string
             raise DomainError(f"unknown scalar field {text!r}; use 'real' or 'complex'") from None
 
 

@@ -44,7 +44,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -268,6 +268,20 @@ def _unit_scaled(arr: np.ndarray) -> Tuple[np.ndarray, float]:
     return arr / unit, unit
 
 
+def _check_kinds(kinds: Tuple[str, ...], field: Optional[ScalarField] = None) -> None:
+    """The one rule for generator kinds: DomainError unless a nonempty tuple of GENERATE_KINDS.
+
+    With a field, each kind must be one that field holds: 'steinhaus' needs the complex field.
+    """
+    if not (isinstance(kinds, tuple) and kinds):
+        raise DomainError(f"kinds must name at least one generator kind in a tuple, got {kinds!r}")
+    for kind in kinds:
+        if kind not in GENERATE_KINDS:
+            raise DomainError(f"unknown generator kind {kind!r}; choose from {GENERATE_KINDS}")
+        if kind == "steinhaus" and field not in (None, ScalarField.COMPLEX):
+            raise DomainError("steinhaus coefficients require the complex field")
+
+
 def generate(kind: str, m: int, n: int, field: ScalarField, seed) -> FormTensor:
     """Draw a trial tensor, deterministically for a given seed.
 
@@ -275,10 +289,10 @@ def generate(kind: str, m: int, n: int, field: ScalarField, seed) -> FormTensor:
     'signs' (+-1 entries), 'sparse_unit' (a single 1 at a random position),
     'steinhaus' (unimodular complex entries; complex field only).  More
     than MAX_ENTRIES coefficients raise BudgetError.  seed is an integer in
-    [0, 2^32) or a numpy SeedSequence or Generator (`_seed_source`).
+    [0, 2^32), which is the stream of SeedSequence([seed, 0]), or a numpy
+    SeedSequence or Generator (`_seed_source`).
     """
-    if kind not in GENERATE_KINDS:
-        raise DomainError(f"unknown generator kind {kind!r}; choose from {GENERATE_KINDS}")
+    _check_kinds((kind,), field)
     _check_integer("m", m, 1)
     _check_integer("n", n, 1)
     size = n**m
@@ -292,18 +306,13 @@ def generate(kind: str, m: int, n: int, field: ScalarField, seed) -> FormTensor:
             coeffs = coeffs + 1j * rng.standard_normal(shape)
     elif kind == "signs":
         coeffs = rng.integers(0, 2, size=shape) * 2.0 - 1.0
-        if field is ScalarField.COMPLEX:
-            coeffs = coeffs.astype(np.complex128)
     elif kind == "sparse_unit":
         coeffs = np.zeros(shape)
         flat_index = int(rng.integers(0, size))
         coeffs.flat[flat_index] = 1.0
-        if field is ScalarField.COMPLEX:
-            coeffs = coeffs.astype(np.complex128)
-    else:  # steinhaus
-        if field is not ScalarField.COMPLEX:
-            raise DomainError("steinhaus coefficients require the complex field")
+    else:  # steinhaus, on the complex field
         coeffs = np.exp(2j * math.pi * rng.random(shape))
+    # FormTensor casts real draws to the complex field's dtype
     return FormTensor(m=m, n=n, field=field, coeffs=coeffs)
 
 
@@ -324,15 +333,28 @@ def tensor_to_json(T: FormTensor) -> str:
 
 
 def tensor_from_json(text: str) -> FormTensor:
-    """Inverse of tensor_to_json."""
+    """Inverse of tensor_to_json.
+
+    Any other document raises DomainError naming what is wrong: the keys
+    missing from it (all four when it is not a JSON object), a value that
+    is not a number, or complex coeffs that are not [re, im] pairs.
+    """
     obj = json.loads(text)
+    keys = ("m", "n", "field", "coeffs")
+    missing = [key for key in keys if not isinstance(obj, dict) or key not in obj]
+    if missing:
+        raise DomainError(f"a tensor is a JSON object with keys {keys}, missing {missing}")
     field = ScalarField.parse(obj["field"])
-    raw = obj["coeffs"]
+    try:
+        flat = np.array(obj["coeffs"], dtype=np.float64)
+        m, n = int(obj["m"]), int(obj["n"])
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"tensor m, n and coeffs must be numbers: {exc}") from None
     if field is ScalarField.COMPLEX:
-        flat = np.array([complex(re, im) for re, im in raw], dtype=np.complex128)
-    else:
-        flat = np.array(raw, dtype=np.float64)
-    return FormTensor(m=int(obj["m"]), n=int(obj["n"]), field=field, coeffs=flat)
+        if flat.ndim != 2 or flat.shape[1] != 2:
+            raise DomainError(f"complex coeffs must be [re, im] pairs, got {obj['coeffs']!r:.60}")
+        flat = flat.view(np.complex128)[:, 0]   # each pair's memory is its complex128
+    return FormTensor(m=m, n=n, field=field, coeffs=flat)
 
 
 def iter_sign_blocks(nbits: int, block: int = DEFAULT_BLOCK) -> Iterator[np.ndarray]:

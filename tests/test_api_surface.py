@@ -19,7 +19,7 @@ from hlcert import DomainError, ScalarField, TrialConfig, generate
 from hlcert import tensor as tensor_module
 
 PUBLIC_PARAMETERS = {
-    "alternating_max": ("T", "p", "restarts", "max_iters", "tol", "seed"),
+    "alternating_max": ("T", "p", "restarts", "seed"),
     "certify": ("m", "n", "p", "lambda0", "field", "config", "seed"),
     "check_contraction": ("a", "t"),
     "check_khinchin": ("a", "q", "field", "samples", "seed"),
@@ -52,7 +52,7 @@ ENUMERATION_PARAMETERS = {
     "contract_trailing_signs": ("coeffs", "signs"),
 }
 
-TRIAL_CONFIG_FIELDS = ("trials", "kinds", "restarts", "max_iters", "tol", "jobs", "keep_trials")
+TRIAL_CONFIG_FIELDS = ("trials", "kinds", "restarts", "jobs", "keep_trials")
 
 
 def _parameters(fn):
@@ -82,7 +82,7 @@ def test_trial_config_has_the_pinned_fields():
 # a valid call of every public entry point, small enough to run in the suite
 _T = generate("gaussian", 3, 2, ScalarField.REAL, 1)
 VALID_CALLS = {
-    "alternating_max": dict(T=_T, p=4.0, restarts=2, max_iters=5, tol=1e-10, seed=1),
+    "alternating_max": dict(T=_T, p=4.0, restarts=2, seed=1),
     "certify": dict(m=3, n=2, p=4.0, lambda0=1.0, config=TrialConfig(trials=1, restarts=2), seed=1),
     "check_contraction": dict(a=[1.0, 2.0], t=3.0),
     "check_khinchin": dict(a=[1.0, 2.0], q=1.5, samples=100, seed=1),
@@ -145,7 +145,7 @@ def test_a_non_integer_int_parameter_raises_domain_error(name, param):
         getattr(hlcert, name)(**{**VALID_CALLS[name], param: 1.5})
 
 
-@pytest.mark.parametrize("field", ["trials", "restarts", "max_iters", "jobs"])
+@pytest.mark.parametrize("field", ["trials", "restarts", "jobs"])
 def test_a_non_integer_trial_config_count_raises_domain_error(field):
     with pytest.raises(DomainError, match=f"{field} must be an integer"):
         TrialConfig(**{field: 1.5})

@@ -176,9 +176,7 @@ def _per_trial_rows(m, n, p, lambda0, cfg, seed, factor=1.0):
         gen_ss, norm_ss = ss.spawn(2)
         T = generate(cfg.kinds[t % len(cfg.kinds)], m, n, REAL, gen_ss)
         lhs = max(mixed_norms(T, exps.s, exps.eta1))
-        est = alternating_max(
-            T, p, restarts=cfg.restarts, max_iters=cfg.max_iters, tol=cfg.tol, seed=norm_ss
-        )
+        est = alternating_max(T, p, restarts=cfg.restarts, seed=norm_ss)
         lower, upper = est.lower, est.upper
         classification = _classify(lhs, C * lower, C * upper)
         retried = classification == "inconclusive"
@@ -246,9 +244,8 @@ def test_certify_rejects_jobs_below_one(jobs):
 @pytest.mark.parametrize("setting, message", [
     ({"kinds": ()}, "kinds must name at least one"),       # was ZeroDivisionError
     ({"restarts": 0}, "restarts must be >= 1"),            # was ZeroDivisionError
-    ({"max_iters": 0}, "max_iters must be >= 1"),          # was all inconclusive, ratio inf
-    ({"tol": math.nan}, "tol must be >= 0"),
-    ({"tol": -1e-10}, "tol must be >= 0"),
+    ({"kinds": "gaussian"}, "kinds must name at least one"),  # was "unknown kind 'g'"
+    ({"kinds": ("gaussian", "bogus")}, "unknown generator kind 'bogus'"),
 ])
 def test_trial_config_rejects_bad_run_settings(setting, message):
     # every certify and sweep_lambda0 run builds its TrialConfig, directly
@@ -257,6 +254,23 @@ def test_trial_config_rejects_bad_run_settings(setting, message):
         certify(3, 2, 4.0, 1.0, REAL, config=TrialConfig(trials=2, **setting), seed=1)
     with pytest.raises(DomainError, match=message):
         replace(TrialConfig(), **setting)
+
+
+@pytest.mark.parametrize("kinds", [
+    ("gaussian", "bogus"), "gaussian", (), ("gaussian", "steinhaus"), ("steinhaus",),
+])
+def test_a_bad_kind_raises_before_any_batch(monkeypatch, kinds):
+    # at (3, 16) a batch is one trial: a kind that generate refuses used to
+    # fail only after the batches before it had run their full ascent
+    # (steinhaus, which the real field cannot hold, is refused by certify)
+    batches = []
+    monkeypatch.setattr(certify_module, "_run_batch", batches.append)
+    with pytest.raises(DomainError):
+        certify(3, 16, 4.0, 1.0, REAL, config=TrialConfig(trials=4, kinds=kinds), seed=1)
+    with pytest.raises(DomainError):
+        sweep_lambda0(3, 4.0, 16, REAL, grid=(1.0, 1.1), seed=1,
+                      config=TrialConfig(trials=4, kinds=kinds))
+    assert batches == []
 
 
 def test_search_rejects_a_negative_budget():

@@ -1024,3 +1024,14 @@ def test_interpolation_exact_on_single_support():
     lhs = (v**s).sum() ** (1.0 / s)
     rhs = ((v**2).sum() ** 0.5) ** theta * v.max() ** (1.0 - theta)
     assert lhs == pytest.approx(rhs, rel=1e-14)
+
+
+def test_check_contraction_refuses_a_scalar():
+    with pytest.raises(DomainError, match="must have at least one axis"):
+        check_contraction(np.array(2.0), 2.0)
+
+
+def test_check_multiple_khinchin_refuses_a_complex_tensor():
+    T = generate("steinhaus", 2, 2, ScalarField.COMPLEX, 1)
+    with pytest.raises(DomainError, match="supports the real field only"):
+        check_multiple_khinchin(T, 1.0)

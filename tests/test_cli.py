@@ -1,5 +1,6 @@
 """CLI surface: flags, formats, exit codes, seed reporting."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hlcert.cli import _COMMANDS, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from hlcert import (
+    TrialConfig,
+    alternating_max,
+    check_khinchin,
+    search_extremal,
+    steinhaus_moment,
+    verify_proof_chain,
+)
+from hlcert import cli as cli_module
+from hlcert.cli import _COMMANDS, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -324,6 +334,26 @@ def test_sweep_grid_spec(capsys):
     assert [row["lambda0"] for row in payload] == [1.0, 1.25, 1.5, 1.75, 2.0]
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("1:2:-3", "--grid count must be >= 1, got -3\n"),   # printed an empty table, exit 0
+    ("1:2:0", "--grid count must be >= 1, got 0\n"),
+    ("1:2", "grid spec must be start:stop:count, got '1:2'\n"),
+])
+def test_sweep_grid_spec_without_rows_is_usage_error(capsys, grid, message):
+    code, out, err = run(capsys, "sweep", "--m", "3", "--p", "4", "--grid", grid)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_sweep_grid_spec_of_one_row_is_its_start(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--m", "3", "--p", "4", "--grid", "1.5:2:1", "--format", "json",
+    )
+    assert code == EXIT_OK
+    assert [row["lambda0"] for row in json.loads(out)] == [1.5]
+
+
 def test_khinchin_check_huge_coefficients_pass(capsys):
     # A_q * l2 overflows at these entries unless the check runs on a scaled copy
     code, out, _ = run(
@@ -378,6 +408,59 @@ def test_contraction_check_command(capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"m": 2, "n": 2, "field": "real"},
+     "a tensor is a JSON object with keys ('m', 'n', 'field', 'coeffs'), missing ['coeffs']"),
+    ([1, 0, 0, 1], "a tensor is a JSON object with keys ('m', 'n', 'field', 'coeffs'), "
+                   "missing ['m', 'n', 'field', 'coeffs']"),
+    ({"m": 2, "n": 2, "field": "complex", "coeffs": [1, 0, 0, 1]},
+     "complex coeffs must be [re, im] pairs, got [1, 0, 0, 1]"),
+    ({"m": 2, "n": 2, "field": "complex", "coeffs": [[1, 0], [0, 0], [0, 0], 1]},
+     "tensor m, n and coeffs must be numbers"),
+    ({"m": 2, "n": 2, "field": "real", "coeffs": [1, {}, 0, 1]},
+     "tensor m, n and coeffs must be numbers"),
+    ({"m": None, "n": 2, "field": "real", "coeffs": [1, 0, 0, 1]},
+     "tensor m, n and coeffs must be numbers"),
+    ({"m": 2, "n": 2, "field": 1, "coeffs": [1, 0, 0, 1]}, "unknown scalar field 1"),
+])
+def test_a_malformed_tensor_file_is_usage_error(capsys, tmp_path, document, message):
+    # a missing key or a bad entry escaped main as a KeyError or TypeError traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    for argv in (["chain-check", "--lambda0", "1.5"], ["contraction-check", "--t", "2"]):
+        code, out, err = run(capsys, *argv, "--tensor", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
+
+def test_a_cli_tensor_draws_nothing_the_monte_carlo_samples_draw(capsys, monkeypatch):
+    # the tensor came from generate(..., seed), the stream SeedSequence([seed, 0])
+    # that the samples read: at seed 7 its 27 steinhaus phases were the
+    # first samples' phases.  It is now the stream [seed, 2].
+    from hlcert import ScalarField, generate
+    from hlcert.chaos import _steinhaus_phases
+
+    seen = []
+
+    def chain(S, *args, **kwargs):
+        seen.append(S)
+        return verify_proof_chain(S, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "verify_proof_chain", chain)
+    code, _, _ = run(
+        capsys, "chain-check", "--m", "3", "--n", "3", "--lambda0", "1.5", "--field", "complex",
+        "--kind", "steinhaus", "--samples", "100", "--seed", "7", "--format", "json",
+    )
+    assert code == EXIT_OK
+    (S,) = seen
+    stream = np.random.default_rng(np.random.SeedSequence([7, 0]))
+    phases = _steinhaus_phases(stream.random(27))
+    assert np.abs(S.coeffs.reshape(-1) - phases).min() > 1e-3
+    drawn = generate("steinhaus", 3, 3, ScalarField.COMPLEX, np.random.SeedSequence([7, 2]))
+    assert np.array_equal(S.coeffs, drawn.coeffs)
 
 
 def test_contraction_check_from_tensor_file(tmp_path, capsys):
@@ -499,7 +582,8 @@ def test_contraction_check_at_a_large_exponent_passes(capsys, t):
     )
     assert code == EXIT_OK
     assert err == ""
-    want = check_contraction(generate("gaussian", 2, 3, ScalarField.REAL, 1).coeffs, float(t))
+    T = generate("gaussian", 2, 3, ScalarField.REAL, np.random.SeedSequence([1, 2]))
+    want = check_contraction(T.coeffs, float(t))
     assert json.loads(out) == json.loads(json.dumps(want.to_jsonable()))
     assert want.passed and np.isfinite(want.moment)
 
@@ -543,9 +627,7 @@ def test_jobs_below_one_is_usage_error(capsys, jobs):
 @pytest.mark.parametrize("flags, message", [
     (["--kinds", ","], "kinds must name at least one"),
     (["--restarts", "0"], "restarts must be >= 1"),
-    (["--max-iters", "0"], "max_iters must be >= 1"),
-    (["--tol", "nan"], "tol must be >= 0"),
-    (["--tol=-1e-10"], "tol must be >= 0"),
+    (["--kinds", "gaussian,bogus"], "unknown generator kind 'bogus'"),
 ])
 def test_verify_bad_run_settings_are_usage_errors(capsys, flags, message):
     code, out, err = run(
@@ -555,6 +637,41 @@ def test_verify_bad_run_settings_are_usage_errors(capsys, flags, message):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("flag, value", [("--max-iters", "5"), ("--tol", "1e-3")])
+def test_the_ascent_convergence_rule_is_not_a_flag(capsys, flag, value):
+    # every restart runs to its own convergence, by hlcert.norms' own rule
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
+              "--trials", "2", "--seed", "1", flag, value])
+    assert excinfo.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def _parser_defaults(command):
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    return {a.dest: a.default for a in subparsers.choices[command]._actions}
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # each run default is written once, in the library, and the flags read it
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    verify = _parser_defaults("verify")
+    config = TrialConfig()
+    assert (verify["trials"], verify["restarts"], verify["jobs"]) == (
+        config.trials, config.restarts, config.jobs
+    )
+    assert tuple(verify["kinds"].split(",")) == config.kinds
+    assert config.restarts == default(alternating_max, "restarts")
+    assert _parser_defaults("search")["budget"] == default(search_extremal, "budget")
+    samples = default(verify_proof_chain, "mc_samples")
+    assert _parser_defaults("chain-check")["samples"] == samples
+    assert _parser_defaults("khinchin-check")["samples"] == samples
+    assert default(check_khinchin, "samples") == samples
+    assert default(steinhaus_moment, "samples") == samples
 
 
 def test_search_negative_budget_is_usage_error(capsys):

@@ -239,3 +239,9 @@ def test_classical_domain_error():
         classical_exponents(2, 2.0)
     with pytest.raises(DomainError):
         classical_exponents(3, 2.5)
+
+
+@pytest.mark.parametrize("p_list, q_list", [([], []), ([2.0], [])])
+def test_transfer_problem_needs_equal_nonempty_lists(p_list, q_list):
+    with pytest.raises(DomainError, match="must be nonempty and of equal length"):
+        TransferProblem(p_list=p_list, q_list=q_list, lambda0=1.0, s=2.0)

@@ -105,3 +105,9 @@ def test_real_khinchin_constant_at_two_is_exactly_one():
     assert khinchin_A(2.0, ScalarField.REAL).value == 1.0
     for m in (2, 3, 4):
         assert exponents(m, math.inf, 2.0, ScalarField.REAL).constant >= 1.0
+
+
+@pytest.mark.parametrize("text", ["quaternion", "", 1, None])
+def test_an_unknown_scalar_field_raises_domain_error(text):
+    with pytest.raises(DomainError, match="unknown scalar field"):
+        ScalarField.parse(text)

@@ -491,3 +491,12 @@ def test_sign_slices_budget_raises_before_work(monkeypatch):
     monkeypatch.setattr(tensor_module, "PATTERN_BUDGET", 2**4 - 1)
     with pytest.raises(BudgetError):
         sign_slices(np.zeros((3, 3, 3)))
+
+
+def test_iter_sign_blocks_refuses_a_negative_width_or_too_many_patterns():
+    with pytest.raises(DomainError, match="nbits must be nonnegative"):
+        next(iter_sign_blocks(-1))
+    bits = tensor_module.PATTERN_BUDGET.bit_length()   # 2^bits > PATTERN_BUDGET
+    with pytest.raises(BudgetError, match=f"2\\^{bits} patterns exceed the budget"):
+        next(iter_sign_blocks(bits))
+
