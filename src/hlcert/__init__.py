@@ -20,10 +20,8 @@ from .chaos import (
     ChaosMoment,
     ContractionReport,
     KhinchinReport,
-    MultipleKhinchinReport,
     check_contraction,
     check_khinchin,
-    check_multiple_khinchin,
     rademacher_moment,
     steinhaus_moment,
     verify_proof_chain,

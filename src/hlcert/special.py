@@ -41,6 +41,19 @@ class ScalarField(enum.Enum):
             raise DomainError(f"unknown scalar field {text!r}; use 'real' or 'complex'") from None
 
 
+def _check_field(field) -> None:
+    """The one field rule: DomainError unless field is a ScalarField.
+
+    A string such as 'complex' would otherwise run as the real field, since
+    every branch tests `field is ScalarField.COMPLEX`; text goes through
+    `ScalarField.parse` first.
+    """
+    if not isinstance(field, ScalarField):
+        raise DomainError(
+            f"field must be a ScalarField, got {field!r}; ScalarField.parse reads text"
+        )
+
+
 class Branch(enum.Enum):
     """Which closed form produced a Khinchin constant."""
 
@@ -90,8 +103,10 @@ def khinchin_A(q: float, field: ScalarField) -> KhinchinConstant:
     Real scalars: 2^(1/2 - 1/q) up to the crossover q0, the gamma branch
     sqrt(2)*(Gamma((1+q)/2)/sqrt(pi))^(1/q) beyond it (the branches agree at
     q0, where the low branch is returned).  Complex scalars (Steinhaus):
-    Gamma((q+2)/2)^(1/q).
+    Gamma((q+2)/2)^(1/q).  A field that is not a ScalarField raises
+    DomainError (`_check_field`).
     """
+    _check_field(field)
     if not (1.0 <= q <= 2.0):
         raise DomainError(f"khinchin_A supported on q in [1, 2], got {q}")
     if field is ScalarField.COMPLEX:

@@ -49,7 +49,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetError, DomainError, _check_integer, _seed_source
-from .special import ScalarField
+from .special import ScalarField, _check_field
 
 __all__ = [
     "FormTensor",
@@ -87,13 +87,15 @@ class FormTensor:
     coeffs: np.ndarray  # shape (n,)*m, float64 or complex128, read-only
 
     def __post_init__(self) -> None:
+        _check_field(self.field)
         if self.m < 1 or self.n < 1:
             raise DomainError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
         dtype = np.complex128 if self.field is ScalarField.COMPLEX else np.float64
         arr = np.asarray(self.coeffs, dtype=dtype)
         if arr.size != self.n**self.m:
             raise DomainError(
-                f"coefficient count {arr.size} != n^m = {self.n**self.m}"
+                # n^m unexpanded: a large m has more digits than str(int) prints
+                f"coefficient count {arr.size} != n^m = {self.n}^{self.m}"
             )
         arr = arr.reshape((self.n,) * self.m).copy()
         _check_finite(arr)
@@ -336,8 +338,10 @@ def tensor_from_json(text: str) -> FormTensor:
     """Inverse of tensor_to_json.
 
     Any other document raises DomainError naming what is wrong: the keys
-    missing from it (all four when it is not a JSON object), a value that
-    is not a number, or complex coeffs that are not [re, im] pairs.
+    missing from it (all four when it is not a JSON object), an m or n that
+    is not a JSON integer, or coeffs that are not a flat list of numbers
+    (real field) or of [re, im] pairs of numbers (complex field).  Strings
+    and booleans are not numbers.
     """
     obj = json.loads(text)
     keys = ("m", "n", "field", "coeffs")
@@ -345,16 +349,29 @@ def tensor_from_json(text: str) -> FormTensor:
     if missing:
         raise DomainError(f"a tensor is a JSON object with keys {keys}, missing {missing}")
     field = ScalarField.parse(obj["field"])
-    try:
-        flat = np.array(obj["coeffs"], dtype=np.float64)
-        m, n = int(obj["m"]), int(obj["n"])
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"tensor m, n and coeffs must be numbers: {exc}") from None
+    m, n, raw = obj["m"], obj["n"], obj["coeffs"]
+    if not (type(m) is int and type(n) is int):   # true and false load as bool
+        raise DomainError(f"tensor m and n must be JSON integers, got m={m!r}, n={n!r}")
     if field is ScalarField.COMPLEX:
-        if flat.ndim != 2 or flat.shape[1] != 2:
-            raise DomainError(f"complex coeffs must be [re, im] pairs, got {obj['coeffs']!r:.60}")
-        flat = flat.view(np.complex128)[:, 0]   # each pair's memory is its complex128
+        entry_ok, what = _is_json_pair, "[re, im] pairs of numbers"
+    else:
+        entry_ok, what = _is_json_number, "numbers"
+    if not (isinstance(raw, list) and all(entry_ok(c) for c in raw)):
+        raise DomainError(f"{field.value} coeffs must be a flat list of {what}, got {raw!r:.60}")
+    flat = np.array(raw, dtype=np.float64)
+    if field is ScalarField.COMPLEX:
+        flat = flat.reshape(-1, 2).view(np.complex128)[:, 0]   # each pair's memory is its complex128
     return FormTensor(m=m, n=n, field=field, coeffs=flat)
+
+
+def _is_json_number(value) -> bool:
+    """True for a JSON number: json.loads gives exactly an int or a float (true and false are bool)."""
+    return type(value) in (int, float)
+
+
+def _is_json_pair(value) -> bool:
+    """True for a JSON [re, im] pair of numbers."""
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_json_number, value))
 
 
 def iter_sign_blocks(nbits: int, block: int = DEFAULT_BLOCK) -> Iterator[np.ndarray]:

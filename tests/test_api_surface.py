@@ -23,7 +23,6 @@ PUBLIC_PARAMETERS = {
     "certify": ("m", "n", "p", "lambda0", "field", "config", "seed"),
     "check_contraction": ("a", "t"),
     "check_khinchin": ("a", "q", "field", "samples", "seed"),
-    "check_multiple_khinchin": ("T", "lambda0"),
     "classical_exponents": ("m", "p"),
     "crude_upper": ("T", "p"),
     "dual_norm_linear": ("c", "p"),
@@ -86,7 +85,6 @@ VALID_CALLS = {
     "certify": dict(m=3, n=2, p=4.0, lambda0=1.0, config=TrialConfig(trials=1, restarts=2), seed=1),
     "check_contraction": dict(a=[1.0, 2.0], t=3.0),
     "check_khinchin": dict(a=[1.0, 2.0], q=1.5, samples=100, seed=1),
-    "check_multiple_khinchin": dict(T=_T, lambda0=1.0),
     "classical_exponents": dict(m=3, p=4.0),
     "crude_upper": dict(T=_T, p=4.0),
     "dual_norm_linear": dict(c=np.array([1.0, 2.0]), p=4.0),
@@ -155,3 +153,28 @@ def test_a_non_integer_trial_config_count_raises_domain_error(field):
 def test_dual_norm_of_no_entries_raises_domain_error(c):
     with pytest.raises(DomainError):
         hlcert.dual_norm_linear(c, 4.0)
+
+
+FIELD_ENTRY_POINTS = sorted(
+    name for name in PUBLIC_PARAMETERS
+    if "field" in inspect.signature(getattr(hlcert, name)).parameters
+)
+
+
+def test_the_field_entry_points_are_found():
+    assert FIELD_ENTRY_POINTS == [
+        "certify", "check_khinchin", "exponents", "generate", "khinchin_A",
+        "search_extremal", "sweep_lambda0",
+    ]
+
+
+@pytest.mark.parametrize("name", FIELD_ENTRY_POINTS + ["FormTensor"])
+def test_a_field_that_is_not_a_scalar_field_raises_domain_error(name):
+    # every branch tests `field is ScalarField.COMPLEX`, so the text
+    # 'complex' ran as the real field: the real constant, float64 tensors
+    if name == "FormTensor":
+        call = lambda: hlcert.FormTensor(m=2, n=2, field="complex", coeffs=np.ones(4))
+    else:
+        call = lambda: getattr(hlcert, name)(**{**VALID_CALLS[name], "field": "complex"})
+    with pytest.raises(DomainError, match="field must be a ScalarField"):
+        call()

@@ -19,7 +19,6 @@ from hlcert import (
     certify,
     check_contraction,
     check_khinchin,
-    check_multiple_khinchin,
     exponents,
     generate,
     khinchin_A,
@@ -518,10 +517,6 @@ def test_reduced_enumeration_matches_the_full_one(m, n, block, free, monkeypatch
     if free == "n":
         T = _tensor(coeffs)
         assert exact_linf_enum(T).lower == pytest.approx(mags.sum(axis=1).max(), rel=1e-13)
-        A = khinchin_A(q, REAL).value
-        R = (mags**q).mean(axis=0) ** (1.0 / q)
-        rows = check_multiple_khinchin(T, q).rows
-        np.testing.assert_allclose([row["rhs"] for row in rows], A ** (1 - m) * R, rtol=1e-13)
     else:
         moment = (mags[:, 0] ** q).mean() ** (1.0 / q)
         got = rademacher_moment(coeffs[0], q) if m == 2 else check_contraction(coeffs[0], q)
@@ -553,73 +548,108 @@ def test_slice_column_is_the_full_chaos_moment_of_its_slice(f, m, n, q):
         )
 
 
-def test_multiple_khinchin_m2_reduces_to_khinchin():
-    rng = np.random.default_rng(71)
-    T = generate("gaussian", 2, 4, REAL, int(rng.integers(2**32)))
-    lam = 1.3
-    A = khinchin_A(lam, REAL).value
-    rep = check_multiple_khinchin(T, lam)
-    for row in rep.rows:
-        a = np.asarray(T.coeffs)[row["j1"] - 1]
-        lhs = float(np.sqrt((a**2).sum()))
-        rhs = rademacher_moment(a, lam).value / A
-        assert row["lhs"] == pytest.approx(lhs, rel=1e-12)
-        assert row["rhs"] == pytest.approx(rhs, rel=1e-12)
-
-
-def test_multiple_khinchin_m3_brute_force_oracle():
-    T = generate("signs", 3, 2, REAL, 5)
-    lam = 1.0
-    A = khinchin_A(lam, REAL).value
-    rep = check_multiple_khinchin(T, lam)
-    arr = np.asarray(T.coeffs)
-    for row in rep.rows:
-        j1 = row["j1"] - 1
+def _worst_slice_by_patterns(S, index, lam, s):
+    # independent oracle for the real chain's multiple_khinchin link: per
+    # slice j of the chosen index, R_j over all 2^(n(m-1)) sign patterns by
+    # explicit loops, then the first slice of least slack A^{-2(m-1)/s} R_j - h_j
+    C = np.moveaxis(np.asarray(S.coeffs), index - 1, 0)
+    m, n = S.m, S.n
+    factor = khinchin_A(lam, REAL).value ** (-2.0 * (m - 1) / s)
+    theta = 2.0 / s
+    h, rhs = [], []
+    for row in C:
         total = 0.0
-        for e1, e2, d1, d2 in itertools.product([-1.0, 1.0], repeat=4):
-            val = (
-                e1 * d1 * arr[j1, 0, 0] + e1 * d2 * arr[j1, 0, 1]
-                + e2 * d1 * arr[j1, 1, 0] + e2 * d2 * arr[j1, 1, 1]
+        for flat_signs in itertools.product([-1.0, 1.0], repeat=n * (m - 1)):
+            eps = np.reshape(flat_signs, (m - 1, n))
+            chaos = sum(
+                row[idx] * math.prod(eps[k, a] for k, a in enumerate(idx))
+                for idx in np.ndindex(row.shape)
             )
-            total += abs(val) ** lam
-        R = (total / 16.0) ** (1.0 / lam)
-        assert row["rhs"] == pytest.approx(R / A**2, rel=1e-12)
-        assert row["lhs"] == pytest.approx(
-            float(np.sqrt((arr[j1] ** 2).sum())), rel=1e-12
-        )
-        assert row["passed"]
+            total += abs(chaos) ** lam
+        R = (total / 2 ** (n * (m - 1))) ** (1.0 / lam)
+        l2 = math.sqrt(sum(c * c for c in row.flat))
+        mx = max(abs(c) for c in row.flat)
+        h.append(l2**theta * mx ** (1.0 - theta))
+        rhs.append(factor * R)
+    j = min(range(n), key=lambda k: rhs[k] - h[k])
+    return h[j], rhs[j]
 
 
-def test_multiple_khinchin_sparse_unit_trivial():
-    T = generate("sparse_unit", 3, 2, REAL, 9)
-    rep = check_multiple_khinchin(T, 1.5)
-    assert rep.passed
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("lam, s", [(1.3, 2.5), (1.0, 2.0)])
+def test_chain_khinchin_link_is_the_worst_slice(m, n, lam, s):
+    # at m = 2 each R_j is the Khinchin moment of row j, at s = 2 the link
+    # is l2_j <= A^{-(m-1)} R_j itself; every index is a separate slicing
+    S = generate("gaussian", m, n, REAL, 100 * m + n)
+    for index in range(1, m + 1):
+        link = verify_proof_chain(S, lam, s, index=index).links[1]
+        lhs, rhs = _worst_slice_by_patterns(S, index, lam, s)
+        assert link.name == "multiple_khinchin" and link.passed
+        assert link.lhs == pytest.approx(lhs, rel=1e-12)
+        assert link.rhs == pytest.approx(rhs, rel=1e-12)
+        assert link.slack == link.rhs - link.lhs
+
+
+def test_chain_khinchin_link_catches_a_wrong_constant_in_one_slice(monkeypatch):
+    # rows (1, 1) and (1, 0) at lambda0 = 1, s = 2: row 1 is extremal for
+    # Khinchin's inequality, so A_1 * 1.01 breaks its bound, while row 2's
+    # room keeps the summed bound; a chain that checks only the sum passed
+    right = chaos_module.khinchin_A
+
+    def too_large(q, field):
+        constant = right(q, field)
+        return replace(constant, value=1.01 * constant.value)
+
+    monkeypatch.setattr(chaos_module, "khinchin_A", too_large)
+    S = _tensor([[1.0, 1.0], [1.0, 0.0]])
+    rep = verify_proof_chain(S, 1.0, 2.0, raise_on_failure=False)
+    assert rep.first_failure == "multiple_khinchin"
+    link = rep.links[1]
+    assert link.lhs == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert link.rhs == pytest.approx(math.sqrt(2.0) / 1.01, rel=1e-15)
+    # the summed form holds: sum_j h_j (holder's rhs) <= A^-1 sum_j R_j (fubini's lhs)
+    assert rep.links[0].rhs < rep.links[2].lhs
+    assert all(other.passed for other in rep.links if other.name != "multiple_khinchin")
+    with pytest.raises(ViolationError, match="'multiple_khinchin' failed"):
+        verify_proof_chain(S, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("m, n", [(3, 8), (2, 3), (3, 3), (4, 2), (2, 8), (3, 4)])
+def test_every_real_chain_passes_slice_by_slice(m, n):
+    # with the right constant no slice fails, at any index
+    for kind in ("gaussian", "signs", "sparse_unit"):
+        S = generate(kind, m, n, REAL, 10 * m + n)
+        for lam, s in ((1.0, 2.0), (1.5, 2.5), (2.0, 2.0), (1.2, 3.0)):
+            for index in range(1, m + 1):
+                assert verify_proof_chain(S, lam, s, index=index).passed
 
 
 @pytest.mark.parametrize("k", [660, -660])
-def test_multiple_khinchin_rows_scale_by_powers_of_two(k):
-    # the check runs on T scaled to max|coeff| about 1, like the chain: at
-    # 2^660 |chaos|^2 would overflow, at 2^-660 the squares would vanish and
-    # pass vacuously with lhs = rhs = 0
-    T = generate("gaussian", 3, 3, REAL, 41)
-    scaled = FormTensor(m=3, n=3, field=REAL, coeffs=T.coeffs * 2.0**k)
-    for lam in (1.3, 2.0):
-        base = check_multiple_khinchin(T, lam).rows
-        rows = check_multiple_khinchin(scaled, lam).rows
-        for row, ref in zip(rows, base):
-            assert row["passed"] and row["lhs"] > 0.0
-            for key in ("lhs", "rhs", "slack"):
-                assert row[key] == math.ldexp(ref[key], k)
+def test_chain_khinchin_link_scales_by_powers_of_two(k):
+    # the chain runs on S scaled to max|coeff| about 1: at 2^660 |chaos|^2
+    # would overflow, at 2^-660 the squares would vanish and pass vacuously
+    # with lhs = rhs = 0
+    S = generate("gaussian", 3, 3, REAL, 41)
+    scaled = FormTensor(m=3, n=3, field=REAL, coeffs=S.coeffs * 2.0**k)
+    for lam, s in ((1.3, 2.5), (2.0, 2.0)):
+        base = verify_proof_chain(S, lam, s).links[1]
+        link = verify_proof_chain(scaled, lam, s).links[1]
+        assert link.passed and link.lhs > 0.0
+        for key in ("lhs", "rhs", "slack"):
+            assert getattr(link, key) == math.ldexp(getattr(base, key), k)
 
 
 def test_chain_sparse_unit_all_links():
     S = generate("sparse_unit", 2, 2, REAL, 3)
     rep = verify_proof_chain(S, 2.0, 2.0)
     assert rep.passed
-    # at lambda0 = 2 the constant factor is 1 and every quantity collapses to |c|
+    # at lambda0 = 2 the constant factor is 1 and every quantity collapses to
+    # |c|; the multiple_khinchin link is the first slice of least slack, here
+    # the zero row (coefficient at [1, 1]), which ties the other at slack 0
     for link in rep.links:
-        assert link.lhs == pytest.approx(1.0, abs=1e-12)
-        assert link.rhs == pytest.approx(1.0, abs=1e-12)
+        want = 0.0 if link.name == "multiple_khinchin" else 1.0
+        assert link.lhs == pytest.approx(want, abs=1e-12)
+        assert link.rhs == pytest.approx(want, abs=1e-12)
 
 
 def test_chain_sign_matrix_frozen_values():
@@ -1029,9 +1059,3 @@ def test_interpolation_exact_on_single_support():
 def test_check_contraction_refuses_a_scalar():
     with pytest.raises(DomainError, match="must have at least one axis"):
         check_contraction(np.array(2.0), 2.0)
-
-
-def test_check_multiple_khinchin_refuses_a_complex_tensor():
-    T = generate("steinhaus", 2, 2, ScalarField.COMPLEX, 1)
-    with pytest.raises(DomainError, match="supports the real field only"):
-        check_multiple_khinchin(T, 1.0)

@@ -416,13 +416,13 @@ def test_contraction_check_command(capsys):
     ([1, 0, 0, 1], "a tensor is a JSON object with keys ('m', 'n', 'field', 'coeffs'), "
                    "missing ['m', 'n', 'field', 'coeffs']"),
     ({"m": 2, "n": 2, "field": "complex", "coeffs": [1, 0, 0, 1]},
-     "complex coeffs must be [re, im] pairs, got [1, 0, 0, 1]"),
+     "complex coeffs must be a flat list of [re, im] pairs of numbers, got [1, 0, 0, 1]"),
     ({"m": 2, "n": 2, "field": "complex", "coeffs": [[1, 0], [0, 0], [0, 0], 1]},
-     "tensor m, n and coeffs must be numbers"),
+     "complex coeffs must be a flat list of [re, im] pairs of numbers"),
     ({"m": 2, "n": 2, "field": "real", "coeffs": [1, {}, 0, 1]},
-     "tensor m, n and coeffs must be numbers"),
+     "real coeffs must be a flat list of numbers"),
     ({"m": None, "n": 2, "field": "real", "coeffs": [1, 0, 0, 1]},
-     "tensor m, n and coeffs must be numbers"),
+     "tensor m and n must be JSON integers, got m=None, n=2"),
     ({"m": 2, "n": 2, "field": 1, "coeffs": [1, 0, 0, 1]}, "unknown scalar field 1"),
 ])
 def test_a_malformed_tensor_file_is_usage_error(capsys, tmp_path, document, message):

@@ -418,6 +418,36 @@ def test_json_round_trip_complex():
     assert np.array_equal(back.coeffs, T.coeffs)
 
 
+@pytest.mark.parametrize("document, message", [
+    ({"m": 2.7, "n": 2, "field": "real", "coeffs": [1, 0, 0, 1]}, "m and n must be JSON integers"),
+    ({"m": 2, "n": "2", "field": "real", "coeffs": [1, 0, 0, 1]}, "m and n must be JSON integers"),
+    ({"m": True, "n": 4, "field": "real", "coeffs": [1, 0, 0, 1]}, "m and n must be JSON integers"),
+    ({"m": 2, "n": 2, "field": "real", "coeffs": [[1, "0.5"], [0, 1]]},
+     "real coeffs must be a flat list of numbers"),
+    ({"m": 2, "n": 2, "field": "real", "coeffs": [1, True, 0, 1]},
+     "real coeffs must be a flat list of numbers"),
+    ({"m": 1, "n": 2, "field": "complex", "coeffs": [["1", "0.5"], [True, 1]]},
+     "complex coeffs must be a flat list of \\[re, im\\] pairs of numbers"),
+    # a complex file labelled real: its 4 pairs are not a real 2x2x2 tensor
+    ({"m": 3, "n": 2, "field": "real", "coeffs": [[1, 0], [0, 1], [1, 1], [0, 0]]},
+     "real coeffs must be a flat list of numbers"),
+], ids=["m-float", "n-string", "m-bool", "real-nested-string", "real-bool", "complex-string-bool",
+        "complex-labelled-real"])
+def test_tensor_json_takes_only_json_numbers(document, message):
+    # each of these loaded: m = 2.7 as 2, numeric strings and booleans as
+    # floats, nested lists as the real field's coefficient tensor
+    with pytest.raises(DomainError, match=message):
+        tensor_from_json(json.dumps(document))
+
+
+def test_a_huge_m_is_a_domain_error():
+    # n^m at m = 10^5 has 47713 digits: formatting it in the message raised
+    # ValueError past Python's 4300-digit limit for int to str
+    text = json.dumps({"m": 10**5, "n": 3, "field": "real", "coeffs": [1.0]})
+    with pytest.raises(DomainError, match=r"coefficient count 1 != n\^m = 3\^100000"):
+        tensor_from_json(text)
+
+
 def test_form_tensor_validation():
     with pytest.raises(DomainError):
         FormTensor(m=2, n=2, field=REAL, coeffs=np.ones(3))
