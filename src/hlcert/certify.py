@@ -5,8 +5,10 @@ side against constant * ||T||, and classifies each trial as pass,
 inconclusive (the norm sandwich straddles the threshold), or violation.
 The underlying bound is a proven theorem, so violations always indicate an
 implementation bug; the suite treats them as its primary self-diagnostic.
-The extremal search scores its tensors with the same scorer (`_score`),
-ratio (`_ratio`) and verdict (`_classify`).
+A lambda0 sweep certifies all its rows in one such run: each trial is drawn
+and bounded once and scored against every row.  The extremal search scores
+its tensors with `_score`, whose left-hand side (`_lhs`), ratio (`_ratio`)
+and verdict (`_classify`) are the certification run's.
 
 Trials are independent: each derives its own seed from (base seed, trial
 index), so reports are byte-identical for a fixed (params, seed, jobs)
@@ -21,12 +23,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, ViolationError, _check_integer, _check_seed, _jsonable
-from .exponents import ExponentSet, exponents
+from .exponents import ExponentSet, exponents, region
 from .norms import (
     _RESTARTS,
     _best_restarts,
@@ -42,6 +44,7 @@ from .special import ScalarField
 from .tensor import (
     FormTensor,
     _check_kinds,
+    _entry_count,
     _magnitudes,
     _mixed_norms_of_magnitudes,
     generate,
@@ -154,8 +157,6 @@ def _admissible_exponents(
 ) -> ExponentSet:
     exps = exponents(m, p, lambda0, field)
     if not exps.admissible:
-        from .exponents import region
-
         reg = region(m, lambda0)
         raise DomainError(
             f"(m={m}, p={p}, lambda0={lambda0}) is inadmissible: "
@@ -186,16 +187,16 @@ def _classify(lhs: float, c_lower: float, c_upper: float) -> str:
 
 
 def _exact_bound(exps: ExponentSet) -> bool:
-    """Whether `_score`'s upper bound is ||T|| itself: real forms on l_inf."""
+    """Whether `_score` and `certify` bound a tensor by ||T|| itself: real forms on l_inf."""
     return math.isinf(exps.p) and exps.field is ScalarField.REAL
 
 
 def _score(stack: np.ndarray, exps: ExponentSet) -> Tuple[np.ndarray, np.ndarray]:
     """(lhs, upper) of every tensor of a stack (K,) + (n,)*m, as two (K,) arrays.
 
-    The one scorer of a trial tensor against the bound, for `certify` and
-    `search_extremal`.  lhs is the largest mixed norm over the fixed index
-    (the strictest reading of the left-hand side).  upper bounds ||T||: the
+    The scorer of `search_extremal`.  lhs is the largest mixed norm over the
+    fixed index (the strictest reading of the left-hand side), the lhs of
+    every `certify` trial too (`_lhs`).  upper bounds ||T||: the
     exact l_inf norm for real p = inf (`_exact_linf_stack`, one sign
     enumeration of the whole stack), otherwise the Hoelder bound
     `crude_upper(T, p)` = ||coeff||_{p'}, p' = p/(p-1) (the coefficient mass
@@ -207,9 +208,9 @@ def _score(stack: np.ndarray, exps: ExponentSet) -> Tuple[np.ndarray, np.ndarray
     bound; the mixed norms scale each power sum by its own largest term, so
     a large s or eta1 (about 3001 at m = 3, p = 3.001, lambda0 = 1)
     neither overflows nor underflows.  The search ranks by this bound, as
-    its throughput lives in this pass; at finite p `certify` takes the lhs
-    alone (`_lhs`) and bounds with `_interpolation_bounds`, which is
-    never above this bound.
+    its throughput lives in this pass; `certify` bounds with the same exact
+    norm at real p = inf and elsewhere with `_interpolation_bounds`, which
+    is never above this bound.
     Coefficients must be finite, a complex modulus included (DomainError,
     the rule of `FormTensor`).
     """
@@ -237,70 +238,93 @@ def _ratio(lhs: np.ndarray, bound: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_batch(args) -> List[TrialResult]:
-    """Trials start..stop-1 of a run: generate, score, bound, one ascent, classify, stage 2.
+def _run_batch(args) -> List[List[TrialResult]]:
+    """Trials start..stop-1 of a run, scored against every row: one list of trial rows per row.
 
-    At real p = inf one `_score` call gives the batch's lhs and exact
-    bound.  Elsewhere `_lhs` gives the batch's lhs (`_score`'s, without its
-    Hoelder bound), and the ascent (`_best_restarts`) gives the stage 1
-    bound, `_interpolation_bounds` of the whole batch, which is at most the
-    Hoelder bound; trials still inconclusive after it get the same bound
-    with the l_inf side also capped by the root enumeration at K =
-    `_root_count(m, n)` roots of unity (stage 2, `retried`, one call for all
-    of them; none if no K fits).  Every step gives a trial the values it
-    gets alone, so its row does not depend on the batch.
+    The rows are `ExponentSet`s that share (m, p, field), one per lambda0.
+    A trial's tensor, stream and bounds never involve lambda0, so the batch
+    is drawn once, its `_magnitudes` taken once, and its bounds computed
+    once: at real p = inf the exact l_inf norm (`_exact_linf_stack`, one
+    sign enumeration of the whole stack), which is both bounds; elsewhere
+    the stage 1 sandwich of the ascent (`_best_restarts`), whose upper bound
+    is `_interpolation_bounds` of the whole batch, at most the Hoelder
+    bound.  Then each row does what a one-row run does: its lhs (`_lhs`,
+    `_score`'s), its verdicts (`_classify` against its constant), and
+    stage 2 on the trials it alone finds inconclusive: the same bound with
+    the l_inf side also capped by the root enumeration at K =
+    `_root_count(m, n)` roots of unity (one call for all of them, `retried`;
+    none if no K fits).  Every step gives a trial the values it gets alone,
+    so its row does not depend on the batch or on the other rows.
     """
-    exps, n, seed, cfg, start, stop = args
-    C = exps.constant
+    rows, n, seed, cfg, start, stop = args
+    m, p, field = rows[0].m, rows[0].p, rows[0].field
     trials = range(start, stop)
     streams = [np.random.SeedSequence([seed, t]) for t in trials]
     spawned = [ss.spawn(2) for ss in streams]   # generate, norm
     kinds = [cfg.kinds[t % len(cfg.kinds)] for t in trials]
     stack = np.stack([
-        generate(kind, exps.m, n, exps.field, gen_ss).coeffs
-        for kind, (gen_ss, _) in zip(kinds, spawned)
+        generate(kind, m, n, field, gen_ss).coeffs for kind, (gen_ss, _) in zip(kinds, spawned)
     ])
-    if _exact_bound(exps):
-        lhs, upper = _score(stack, exps)
-        lower = upper.copy()
+    mags = _magnitudes(stack)[0]
+    if _exact_bound(rows[0]):
+        lower = upper = _exact_linf_stack(stack)[0]
     else:
-        lhs = _lhs(_magnitudes(stack)[0], stack.shape, exps)
-        lower, upper = _best_restarts(
-            stack, exps.p, cfg.restarts, [norm_ss for _, norm_ss in spawned]
-        )[:2]
-    classes = [_classify(lhs[b], C * lower[b], C * upper[b]) for b in range(len(stack))]
-
-    retried = [False] * len(stack)
-    redo = [b for b, c in enumerate(classes) if c == "inconclusive"]
-    roots = _root_count(exps.m, n)
-    if redo and math.isfinite(exps.p) and roots is not None:
-        upper[redo] = _interpolation_bounds(stack[redo], exps.p, roots)
-        lower[redo] = np.minimum(lower[redo], upper[redo])
-        for b in redo:
-            classes[b] = _classify(lhs[b], C * lower[b], C * upper[b])
-            retried[b] = True
-
-    conservative, empirical = _ratio(lhs, upper), _ratio(lhs, lower)
-    return [
-        TrialResult(
-            index=t,
-            kind=kinds[b],
-            seed_entropy=int(streams[b].generate_state(1)[0]),
-            lhs=float(lhs[b]),
-            lower=float(lower[b]),
-            upper=float(upper[b]),
-            ratio_conservative=float(conservative[b]),
-            ratio_empirical=float(empirical[b]),
-            classification=classes[b],
-            retried=retried[b],
-        )
-        for b, t in enumerate(trials)
-    ]
+        lower, upper = _best_restarts(stack, p, cfg.restarts, [ss for _, ss in spawned])[:2]
+    entropy = [int(ss.generate_state(1)[0]) for ss in streams]
+    roots = _root_count(m, n) if math.isfinite(p) else None
+    results = []
+    for exps in rows:
+        C = exps.constant
+        lhs = _lhs(mags, stack.shape, exps)
+        lo, up = lower, upper
+        classes = [_classify(lhs[b], C * lo[b], C * up[b]) for b in range(len(stack))]
+        retried = [c == "inconclusive" and roots is not None for c in classes]
+        if any(retried):
+            redo = np.flatnonzero(retried)
+            up = upper.copy()
+            up[redo] = _interpolation_bounds(stack[redo], p, roots)
+            lo = np.minimum(lower, up)
+            # the other trials keep their bounds, and so their verdicts
+            classes = [_classify(lhs[b], C * lo[b], C * up[b]) for b in range(len(stack))]
+        conservative, empirical = _ratio(lhs, up), _ratio(lhs, lo)
+        results.append([
+            TrialResult(
+                index=t, kind=kinds[b], seed_entropy=entropy[b],
+                lhs=float(lhs[b]), lower=float(lo[b]), upper=float(up[b]),
+                ratio_conservative=float(conservative[b]), ratio_empirical=float(empirical[b]),
+                classification=classes[b], retried=retried[b],
+            )
+            for b, t in enumerate(trials)
+        ])
+    return results
 
 
-def _batch_trials(rows: int, n: int, m: int) -> int:
-    """Trials per ascent batch: as many as keep rows * n^m <= BATCH_ELEMENTS, at least one."""
-    return max(1, BATCH_ELEMENTS // (rows * n**m))
+def _run_batches(
+    rows: List[ExponentSet], n: int, seed: int, cfg: TrialConfig
+) -> Iterator[List[List[TrialResult]]]:
+    """Every `_run_batch` result of a run over `rows`, in trial order.
+
+    Checks, before any batch, that each of `cfg.kinds` is one the rows'
+    field holds and that n^m is within `hlcert.tensor.MAX_ENTRIES`
+    (`_entry_count`).  A batch holds as many consecutive trials as keep
+    restarts * n^m <= BATCH_ELEMENTS coefficients gathered per slot product
+    (at least one trial; fewer when jobs > 1, so that every worker gets a
+    batch).  jobs > 1 hands whole batches to one pool of worker processes
+    for the run; the results come back in trial order, one batch at a time.
+    """
+    _check_kinds(cfg.kinds, rows[0].field)
+    per_batch = max(1, BATCH_ELEMENTS // (cfg.restarts * _entry_count(rows[0].m, n)))
+    size = min(per_batch, math.ceil(cfg.trials / cfg.jobs))
+    tasks = [(rows, n, seed, cfg, b, min(b + size, cfg.trials)) for b in range(0, cfg.trials, size)]
+    if cfg.jobs > 1:
+        # imported here: the process-pool machinery costs about 2 MB and
+        # 15 ms at import, which serial runs never need
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            yield from pool.map(_run_batch, tasks)
+    else:
+        yield from map(_run_batch, tasks)
 
 
 def certify(
@@ -314,67 +338,46 @@ def certify(
 ) -> CertificationReport:
     """Certify the mixed-norm bound on `trials` random forms.
 
-    Per trial: draw a tensor (kinds cycled per index) and score it with
-    `_score`, the scorer `search_extremal` uses: lhs is the maximum mixed
-    norm over the fixed index, upper bounds ||T|| (exact sign enumeration
-    for real p = inf, which is also the lower bound; otherwise the Hoelder
-    bound `crude_upper(T, p)` = ||coeff||_{p'}, the coefficient mass at
-    p = inf, with an alternating ascent for the lower bound).  At finite p
-    the upper bound is then tightened to min(Hoelder, sigma^(2/p) *
-    U^(1-2/p)), the certified interpolation bound of
-    `_interpolation_bounds` (stage 1), which also caps the ascent.
-    `_classify` gives the verdict: a violation when lhs > C * upper * (1 +
-    RATIO_TOL), relative to the bound; the bound's rounding error, about
-    n^m units in the last place, is far inside that tolerance.  A zero
-    bound gives ratio 1.0 for a zero lhs (inf otherwise).  A finite-p trial
-    still inconclusive gets stage 2: the same bound with its l_inf side
-    also capped by the root enumeration at K = `_root_count(m, n)` roots of
-    unity (none past K = 4 at 2^18 patterns), and the row is marked
-    `retried`.  With a right constant no trial is inconclusive, so stage 2
-    does not run.
+    Per trial: draw a tensor (kinds cycled per index), take its lhs, the
+    maximum mixed norm over the fixed index (`_lhs`, the left-hand side of
+    `_score`, which `search_extremal` scores with), and bound ||T||: exactly
+    at real p = inf (sign enumeration, both bounds), otherwise by the
+    alternating ascent for the lower bound and for the upper bound the
+    certified interpolation bound min(Hoelder, sigma^(2/p) * U^(1-2/p)) of
+    `_interpolation_bounds` (stage 1; the Hoelder bound `crude_upper(T, p)`
+    = ||coeff||_{p'} unless 2 <= p < inf, the coefficient mass at p = inf),
+    which also caps the ascent.  `_classify` gives the verdict: a violation
+    when lhs > C * upper * (1 + RATIO_TOL), relative to the bound; the
+    bound's rounding error, about n^m units in the last place, is far
+    inside that tolerance.  A zero bound gives ratio 1.0 for a zero lhs
+    (inf otherwise).  A finite-p trial still inconclusive gets stage 2:
+    the same bound with its l_inf side also capped by the root enumeration
+    at K = `_root_count(m, n)` roots of unity (none past K = 4 at 2^18
+    patterns), and the row is marked `retried`.  With a right constant no
+    trial is inconclusive, so stage 2 does not run.
 
-    Trials run in batches of consecutive indices: one call scores every
-    trial of a batch, stage 1 bounds them in one call, the restarts
-    of every trial in a batch ascend together as one `_ascend` stack, and
-    the batch's inconclusive trials get stage 2 in one more call.  A batch
-    holds as many trials as keep restarts * n^m <= 2^16 coefficients
-    gathered per slot product (at least one trial; fewer when jobs > 1, so
-    that every worker gets a batch).  Each trial's scores, bounds and
-    restarts are the ones it gets alone, so the trial rows are the same for
-    any batching and any jobs.
+    The one-row case of the run `sweep_lambda0` makes over every row
+    (`_run_batches`, `_run_batch`): trials run in batches of consecutive
+    indices, each batch drawn, bounded and scored in a few vectorized calls
+    (the restarts of every trial in a batch ascend together as one `_ascend`
+    stack).  Each trial's scores, bounds and restarts are the ones it gets
+    alone, so the trial rows are the same for any batching and any jobs.
     A serial run (jobs=1) is fast; jobs > 1 hands whole batches to worker
     processes and is optional.  jobs < 1 raises DomainError.
     """
     seed = _check_seed(seed)
     cfg = config or TrialConfig()
-    _check_kinds(cfg.kinds, field)
     exps = _admissible_exponents(m, n, p, lambda0, field)
     start = time.perf_counter()
-    size = min(_batch_trials(cfg.restarts, n, m), math.ceil(cfg.trials / cfg.jobs))
-    tasks = [
-        (exps, n, seed, cfg, b, min(b + size, cfg.trials)) for b in range(0, cfg.trials, size)
-    ]
-    if cfg.jobs > 1:
-        # imported here: the process-pool machinery costs about 2 MB and
-        # 15 ms at import, which serial runs never need
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            batches = list(pool.map(_run_batch, tasks))
-    else:
-        batches = [_run_batch(task) for task in tasks]
-    results = [row for batch in batches for row in batch]
+    results = [row for batch in _run_batches([exps], n, seed, cfg) for row in batch[0]]
     elapsed = time.perf_counter() - start
-
-    violations = sum(1 for r in results if r.classification == "violation")
-    inconclusive = sum(1 for r in results if r.classification == "inconclusive")
     return CertificationReport(
         m=m, n=n, p=p, lambda0=lambda0, field=field,
         s=exps.s, eta1=exps.eta1, constant=exps.constant,
         extrapolated=exps.extrapolated,
         trials=cfg.trials,
-        violations=violations,
-        inconclusive=inconclusive,
+        violations=sum(r.classification == "violation" for r in results),
+        inconclusive=sum(r.classification == "inconclusive" for r in results),
         max_ratio_conservative=max(r.ratio_conservative for r in results),
         max_ratio_empirical=max(r.ratio_empirical for r in results),
         seed=seed,
@@ -425,7 +428,7 @@ def search_extremal(
     halve the step.  `_score` gives each candidate the ratio it gets alone,
     so the result is the one a climb scoring one candidate at a time gives.
 
-    Candidates are scored by `_score`, the scorer of `certify`: the ratio
+    Candidates are scored by `_score`, with the lhs of `certify`: the ratio
     is lhs / upper(||T||), 1.0 for a zero tensor, with upper the exact
     l_inf norm at real p = inf and the Hoelder bound ||coeff||_{p'}
     otherwise.  At finite p the ratio stays <= 1, since lhs <= ||coeff||_s
@@ -564,31 +567,31 @@ def sweep_lambda0(
     """Tabulate exponents, constants, and admissibility over a lambda0 grid.
 
     Inadmissible rows are emitted rather than skipped (singular pieces as
-    NaN).  With a config, each admissible row also gets a certification run
-    with that config, as it is, and reports its conservative max ratio;
-    without one the sweep is the table only.
+    NaN).  With a config, every admissible row is certified with that
+    config, as it is, and reports its conservative max ratio, the one
+    `certify` at its lambda0 reports; without one the sweep is the table
+    only.  The admissible rows share one run (`_run_batches`): each trial is
+    drawn and bounded once and scored against every row, and each batch is
+    folded into the rows' running maxima, so the sweep holds one batch of
+    trial rows at a time.
     """
     seed = _check_seed(seed)
     _check_integer("n", n, 1)
-    rows: List[SweepRow] = []
-    for lam in grid:
-        exp = exponents(m, p, lam, field, strict=False)
-        ratio: Optional[float] = None
-        if exp.admissible and config is not None:
-            report = certify(m, n, p, lam, field, config=config, seed=seed)
-            ratio = report.max_ratio_conservative
-        rows.append(
-            SweepRow(
-                lambda0=lam,
-                s=exp.s,
-                eta1=exp.eta1,
-                constant=exp.constant,
-                admissible=exp.admissible,
-                extrapolated=exp.extrapolated,
-                max_ratio_conservative=ratio,
-            )
+    table = [exponents(m, p, lam, field, strict=False) for lam in grid]
+    scored = [i for i, exps in enumerate(table) if exps.admissible] if config is not None else []
+    best = {i: -math.inf for i in scored}
+    if scored:
+        for batch in _run_batches([table[i] for i in scored], n, seed, config):
+            for i, trial_rows in zip(scored, batch):
+                best[i] = max(best[i], *(r.ratio_conservative for r in trial_rows))
+    return [
+        SweepRow(
+            lambda0=exps.lambda0, s=exps.s, eta1=exps.eta1, constant=exps.constant,
+            admissible=exps.admissible, extrapolated=exps.extrapolated,
+            max_ratio_conservative=best.get(i),
         )
-    return rows
+        for i, exps in enumerate(table)
+    ]
 
 
 def _csv_cell(x) -> str:

@@ -40,11 +40,11 @@ class ViolationError(RuntimeError):
 def _check_integer(name: str, value, low: int, high: Optional[int] = None) -> None:
     """The one rule for an integer parameter: DomainError unless low <= value (<= high).
 
-    An int or numpy integer passes; a float (even 2.0), a string or None does
-    not, so a bad count or index is named at the public edge instead of
-    failing deep in a run.
+    An int or numpy integer passes; a bool (True is an int to Python), a
+    float (even 2.0), a string or None does not, so a bad count or index is
+    named at the public edge instead of failing deep in a run.
     """
-    if not isinstance(value, numbers.Integral):
+    if not _is_integer(value):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if high is None and value < low:
         raise DomainError(f"{name} must be >= {low}, got {value!r}")
@@ -52,13 +52,18 @@ def _check_integer(name: str, value, low: int, high: Optional[int] = None) -> No
         raise DomainError(f"{name} must lie in [{low}, {high}], got {value!r}")
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer by `_check_integer`'s rule: an int or numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_seed(seed) -> int:
-    """The one seed rule: an integer in [0, 2^32), else DomainError; returns it as an int.
+    """The one seed rule: an integer in [0, 2^32) by `_is_integer`, else DomainError; returns it as an int.
 
     SeedSequence hashes an integer as 32-bit words, so [seed + 2^32, k]
     would hash like [seed, k + 1] and streams of different seeds collide.
     """
-    if isinstance(seed, numbers.Integral) and 0 <= seed < 2**32:
+    if _is_integer(seed) and 0 <= seed < 2**32:
         return int(seed)
     raise DomainError(f"seed must be a non-negative integer below 2**32, got {seed!r}")
 

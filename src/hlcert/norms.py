@@ -267,7 +267,7 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
     )
     slack = size * _UNDERFLOW
     sigma = (np.sqrt(squares).min(axis=1) + slack) * _ROUND_UP
-    mass = (mags.sum(axis=1) * (1.0 + 2 * size * u) + slack) * _ROUND_UP
+    mass = _certified_mass(mags.sum(axis=1), size)
     linf = np.minimum(mass, float(n) ** (0.5 * m) * _ROUND_UP * sigma * _ROUND_UP)
     if roots is not None:
         linf = np.minimum(linf, _linf_root_bounds(scaled, roots)[1] + slack)
@@ -276,6 +276,19 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
     exponent = np.where(ratio <= 1.0, np.nextafter(theta, 0.0), np.nextafter(theta, 1.0))
     bound = linf * ratio**exponent * _ROUND_UP * unit
     return np.minimum(hoelder, bound)
+
+
+def _certified_mass(mass: np.ndarray, size: int) -> np.ndarray:
+    """Upper bounds on the exact masses of tensors of `size` coefficients, from their float sums `mass`.
+
+    The float sum of `size` magnitudes, each within u of its exact value
+    (exact for real entries), is within (2 size - 1) u of the exact mass,
+    relative, so it is rounded outward; a slack of 2^-1000 per coefficient
+    also covers what underflows when `_interpolation_bounds` scales a
+    tensor to magnitude about 1.  The one certified mass of the
+    l_inf bounds, `_interpolation_bounds` and `_linf_root_bounds`.
+    """
+    return (mass * (1.0 + 2 * size * _UNIT_ROUNDOFF) + size * _UNDERFLOW) * _ROUND_UP
 
 
 def _cholesky_passes(matrices: np.ndarray) -> np.ndarray:
@@ -553,7 +566,9 @@ def _linf_root_bounds(stack: np.ndarray, K: int) -> Tuple[np.ndarray, np.ndarray
     products and the sums, gamma = k*u / (1 - k*u) with u = 2^-53 and k =
     n^(m-1) + n + 8m (the terms of an entry, of its row sum, and eight
     roundings per slot), divides by cos(pi/K)^(m-1) rounded down, and is
-    capped by the mass.  Returns (lower (B,), upper (B,)); a tensor's
+    capped by the mass rounded outward (`_certified_mass`: the float sum can
+    fall below the exact mass, which is ||T|| for a tensor of nonnegative
+    coefficients).  Returns (lower (B,), upper (B,)); a tensor's
     bounds are the ones it gets alone.
     """
     m, n = stack.ndim - 1, stack.shape[1]
@@ -562,4 +577,5 @@ def _linf_root_bounds(stack: np.ndarray, K: int) -> Tuple[np.ndarray, np.ndarray
     k = n ** (m - 1) + n + 8 * m
     gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
     divisor = math.cos(math.pi / K) ** (m - 1) * (1.0 - 2 * (m + 3) * _UNIT_ROUNDOFF)
-    return np.minimum(enum, mass), np.minimum(mass, (enum + gamma * mass) / divisor)
+    upper = (enum + gamma * mass) / divisor
+    return np.minimum(enum, mass), np.minimum(_certified_mass(mass, n**m), upper)

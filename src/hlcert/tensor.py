@@ -88,11 +88,11 @@ class FormTensor:
 
     def __post_init__(self) -> None:
         _check_field(self.field)
-        if self.m < 1 or self.n < 1:
-            raise DomainError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
+        _check_integer("m", self.m, 1)
+        _check_integer("n", self.n, 1)
         dtype = np.complex128 if self.field is ScalarField.COMPLEX else np.float64
         arr = np.asarray(self.coeffs, dtype=dtype)
-        if arr.size != self.n**self.m:
+        if _power_exceeds(self.n, self.m, arr.size) or self.n**self.m != arr.size:
             raise DomainError(
                 # n^m unexpanded: a large m has more digits than str(int) prints
                 f"coefficient count {arr.size} != n^m = {self.n}^{self.m}"
@@ -270,6 +270,30 @@ def _unit_scaled(arr: np.ndarray) -> Tuple[np.ndarray, float]:
     return arr / unit, unit
 
 
+def _power_exceeds(n: int, m: int, limit: int) -> bool:
+    """Whether n^m > limit, for integers n, m >= 1 and limit >= 0: the one size rule for n^m.
+
+    Bit lengths decide before any power.  With b the bit length of n and L
+    that of limit, n^m >= 2^(m (b - 1)), so m (b - 1) >= L settles it at
+    once; otherwise m < L (or n = 1), and the exact power is below 2^(2L).
+    So a huge m is refused at once, where computing n^m first stalls.
+    """
+    return (n > 1 and m * (int(n).bit_length() - 1) >= limit.bit_length()) or n**m > limit
+
+
+def _entry_count(m: int, n: int) -> int:
+    """n^m, the coefficient count of an (n,)*m tensor, for integers m, n >= 1.
+
+    More than MAX_ENTRIES (read at call time) raise BudgetError, decided by
+    `_power_exceeds` before any large power; the message names n and m
+    without expanding n^m, which can pass Python's 4300-digit limit for
+    printing an int.
+    """
+    if _power_exceeds(n, m, MAX_ENTRIES):
+        raise BudgetError(f"n^m = {n}^{m} exceeds the entry budget {MAX_ENTRIES}")
+    return n**m
+
+
 def _check_kinds(kinds: Tuple[str, ...], field: Optional[ScalarField] = None) -> None:
     """The one rule for generator kinds: DomainError unless a nonempty tuple of GENERATE_KINDS.
 
@@ -297,9 +321,7 @@ def generate(kind: str, m: int, n: int, field: ScalarField, seed) -> FormTensor:
     _check_kinds((kind,), field)
     _check_integer("m", m, 1)
     _check_integer("n", n, 1)
-    size = n**m
-    if size > MAX_ENTRIES:
-        raise BudgetError(f"n^m = {size} exceeds the entry budget {MAX_ENTRIES}")
+    size = _entry_count(m, n)
     rng = np.random.default_rng(_seed_source(seed))
     shape = (n,) * m
     if kind == "gaussian":

@@ -143,10 +143,31 @@ def test_a_non_integer_int_parameter_raises_domain_error(name, param):
         getattr(hlcert, name)(**{**VALID_CALLS[name], param: 1.5})
 
 
+# the seeds of generate and alternating_max are unannotated: they also take
+# a numpy SeedSequence or Generator, and an integer by the one seed rule
+BOOL_PARAMETERS = INT_PARAMETERS + [("alternating_max", "seed"), ("generate", "seed")]
+
+
+@pytest.mark.parametrize("name, param", BOOL_PARAMETERS)
+def test_a_bool_int_parameter_raises_domain_error(name, param):
+    # True is an int to Python: it ran as 1, or failed deep in numpy
+    with pytest.raises(DomainError):
+        getattr(hlcert, name)(**{**VALID_CALLS[name], param: True})
+
+
 @pytest.mark.parametrize("field", ["trials", "restarts", "jobs"])
 def test_a_non_integer_trial_config_count_raises_domain_error(field):
     with pytest.raises(DomainError, match=f"{field} must be an integer"):
         TrialConfig(**{field: 1.5})
+    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        TrialConfig(**{field: True})
+
+
+@pytest.mark.parametrize("dims", [{"m": True}, {"n": True}, {"m": 2.0}, {"n": 2.0}])
+def test_a_form_tensor_takes_integer_dimensions(dims):
+    # m = 2.0 raised a bare TypeError from reshape; m = True made a 1-linear form
+    with pytest.raises(DomainError, match="must be an integer"):
+        hlcert.FormTensor(**{"m": 2, "n": 2, **dims}, field=ScalarField.REAL, coeffs=np.ones(4))
 
 
 @pytest.mark.parametrize("c", [np.array([]), np.zeros((3, 0)), np.array(2.0)])

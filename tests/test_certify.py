@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlcert import (
+    BudgetError,
     DomainError,
     FormTensor,
     ScalarField,
@@ -270,6 +271,21 @@ def test_a_bad_kind_raises_before_any_batch(monkeypatch, kinds):
     with pytest.raises(DomainError):
         sweep_lambda0(3, 4.0, 16, REAL, grid=(1.0, 1.1), seed=1,
                       config=TrialConfig(trials=4, kinds=kinds))
+    assert batches == []
+
+
+def test_a_huge_m_is_refused_before_any_batch(monkeypatch):
+    # n^m = 3^(10^6) is refused on bit lengths before the batch sizing
+    # computes it: it used to raise ValueError (an int past 4300 digits in
+    # the budget message), and took 5.3 s to do so at m = 10^7
+    batches = []
+    monkeypatch.setattr(certify_module, "_run_batch", batches.append)
+    cfg = TrialConfig(trials=2)
+    for m in (10**6, 10**7):
+        with pytest.raises(BudgetError, match=rf"n\^m = 3\^{m} exceeds the entry budget"):
+            certify(m, 3, math.inf, 2.0, REAL, config=cfg)
+        with pytest.raises(BudgetError, match=rf"n\^m = 3\^{m} exceeds the entry budget"):
+            sweep_lambda0(m, math.inf, 3, REAL, grid=(2.0,), config=cfg)
     assert batches == []
 
 
@@ -731,6 +747,46 @@ def test_sweep_certifies_every_admissible_row_with_the_config_as_given():
         row.max_ratio_conservative is None
         for row in sweep_lambda0(3, 4.0, 2, REAL, grid=[1.0, 1.2], seed=3)
     )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("factor", [1.0, 0.25])
+def test_every_sweep_row_is_its_certify_run_bit_for_bit(factor, jobs, monkeypatch):
+    # the sweep bounds each trial once for all rows; each row's max ratio is
+    # still the one certify at its lambda0 reports.  A constant 4x too small
+    # leaves trials inconclusive, so stage 2 runs, on each row's own trials
+    plain = certify_module.exponents
+
+    def scaled(*args, **kwargs):
+        exps = plain(*args, **kwargs)
+        return replace(exps, constant=factor * exps.constant)
+
+    monkeypatch.setattr(certify_module, "exponents", scaled)
+    cfg = TrialConfig(trials=12, jobs=jobs, keep_trials=True)
+    grid = (1.0, 1.1, 1.2, 1.3, 1.4)
+    rows = sweep_lambda0(3, 4.0, 3, REAL, grid=grid, seed=5, config=cfg)
+    assert [row.admissible for row in rows] == [True, True, True, True, False]
+    retried = 0
+    for row in rows[:4]:
+        report = certify(3, 3, 4.0, row.lambda0, REAL, config=cfg, seed=5)
+        assert row.max_ratio_conservative == report.max_ratio_conservative
+        retried += sum(trial.retried for trial in report.trial_rows)
+    assert (retried > 0) == (factor < 1.0)
+
+
+def test_a_certified_sweep_draws_each_trial_once(monkeypatch):
+    # every row scores the same draws: trials tensors, not rows * trials
+    draws = []
+
+    def counted(*args):
+        draws.append(args[0])
+        return generate(*args)
+
+    monkeypatch.setattr(certify_module, "generate", counted)
+    rows = sweep_lambda0(3, 4.0, 2, REAL, grid=(1.0, 1.1, 1.2), seed=3,
+                         config=TrialConfig(trials=7, restarts=2))
+    assert all(row.max_ratio_conservative is not None for row in rows)
+    assert len(draws) == 7
 
 
 def test_sweep_window_formula():

@@ -190,6 +190,22 @@ def test_search_dump_tensor(tmp_path, capsys):
     assert len(payload["coeffs"]) == 4
 
 
+def test_a_huge_m_is_a_budget_error(capsys):
+    # it printed Python's "Exceeds the limit (4300 digits) for integer string conversion"
+    code, out, err = run(capsys, "verify", "--m", "1000000", "--n", "3", "--p", "inf", "--lambda0", "2")
+    assert (code, out) == (1, "")
+    assert "n^m = 3^1000000 exceeds the entry budget" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_a_certified_sweep_prints_the_same_bytes_on_any_jobs(capsys, fmt):
+    argv = ["sweep", "--m", "3", "--p", "4", "--n", "3", "--grid", "1:2:11",
+            "--trials", "20", "--seed", "4", "--format", fmt]
+    serial = run(capsys, *argv, "--jobs", "1")
+    assert serial == run(capsys, *argv, "--jobs", "2")
+    assert serial[0] == 0
+
+
 def test_sweep_csv(capsys):
     code, out, _ = run(
         capsys, "sweep", "--m", "2", "--p", "4", "--grid", "1.0,1.5,2.0",

@@ -22,7 +22,13 @@ from hlcert import (
     tensor_to_json,
 )
 from hlcert import tensor as tensor_module
-from hlcert.tensor import contract_trailing_signs, iter_sign_blocks, mixed_norms, sign_slices
+from hlcert.tensor import (
+    _power_exceeds,
+    contract_trailing_signs,
+    iter_sign_blocks,
+    mixed_norms,
+    sign_slices,
+)
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
@@ -446,6 +452,19 @@ def test_a_huge_m_is_a_domain_error():
     text = json.dumps({"m": 10**5, "n": 3, "field": "real", "coeffs": [1.0]})
     with pytest.raises(DomainError, match=r"coefficient count 1 != n\^m = 3\^100000"):
         tensor_from_json(text)
+
+
+def test_a_huge_m_is_refused_by_the_entry_budget():
+    # generating n^m = 3^(10^6) coefficients raised Python's ValueError for
+    # printing an int of more than 4300 digits
+    with pytest.raises(BudgetError, match=r"n\^m = 3\^1000000 exceeds the entry budget"):
+        generate("gaussian", 10**6, 3, REAL, 1)
+
+
+def test_power_exceeds_is_the_exact_comparison():
+    for n, m in itertools.product([1, 2, 3, 7, 8, 31, 32, 1000, 2**20 + 1], range(1, 30)):
+        for limit in [0, 1, 8, 10**7, n**m - 1, n**m, 2**64]:
+            assert _power_exceeds(n, m, limit) == (n**m > limit), (n, m, limit)
 
 
 def test_form_tensor_validation():
