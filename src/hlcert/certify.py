@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 RATIO_TOL = 1e-9  # relative tolerance of a verdict: violation when lhs > C * upper * (1 + tol)
-BATCH_ELEMENTS = 2**16  # cap on restarts * n^m per ascent batch of trials
+BATCH_ELEMENTS = 2**11  # cap on the coefficients (n^m per trial) of an ascent batch
 SEARCH_CHUNK = 1024  # search climb steps per chunk of random draws
 SEARCH_BUDGET = 500  # search_extremal's default budget, and the CLI's --budget
 
@@ -78,20 +78,19 @@ class TrialConfig:
     Every `certify` and `sweep_lambda0` run passes through this check, so a
     bad setting raises DomainError before any work; `certify` also refuses
     a kind its field cannot hold ('steinhaus' on the real field) before
-    any batch.  The ascent's convergence rule is not a setting: each
-    restart runs to its own convergence (`hlcert.norms._best_restarts`).
+    any batch.  The ascent's restart count (32) and convergence rule are
+    not settings but private constants of `hlcert.norms`: each trial runs
+    `_RESTARTS` restarts, each to its own convergence (`_best_restarts`).
     """
 
     trials: int = 1000
     kinds: Tuple[str, ...] = ("gaussian", "signs")  # cycled per trial index
-    restarts: int = _RESTARTS
     jobs: int = 1
     keep_trials: bool = False
 
     def __post_init__(self) -> None:
         _check_kinds(self.kinds)
         _check_integer("trials", self.trials, 1)
-        _check_integer("restarts", self.restarts, 1)
         _check_integer("jobs", self.jobs, 1)
 
 
@@ -210,7 +209,7 @@ def _score(stack: np.ndarray, exps: ExponentSet) -> Tuple[np.ndarray, np.ndarray
     neither overflows nor underflows.  The search ranks by this bound, as
     its throughput lives in this pass; `certify` bounds with the same exact
     norm at real p = inf and elsewhere with `_interpolation_bounds`, which
-    is never above this bound.
+    is never above this bound rounded outward.
     Coefficients must be finite, a complex modulus included (DomainError,
     the rule of `FormTensor`).
     """
@@ -248,7 +247,7 @@ def _run_batch(args) -> List[List[TrialResult]]:
     sign enumeration of the whole stack), which is both bounds; elsewhere
     the stage 1 sandwich of the ascent (`_best_restarts`), whose upper bound
     is `_interpolation_bounds` of the whole batch, at most the Hoelder
-    bound.  Then each row does what a one-row run does: its lhs (`_lhs`,
+    bound rounded outward.  Then each row does what a one-row run does: its lhs (`_lhs`,
     `_score`'s), its verdicts (`_classify` against its constant), and
     stage 2 on the trials it alone finds inconclusive: the same bound with
     the l_inf side also capped by the root enumeration at K =
@@ -269,7 +268,7 @@ def _run_batch(args) -> List[List[TrialResult]]:
     if _exact_bound(rows[0]):
         lower = upper = _exact_linf_stack(stack)[0]
     else:
-        lower, upper = _best_restarts(stack, p, cfg.restarts, [ss for _, ss in spawned])[:2]
+        lower, upper = _best_restarts(stack, p, _RESTARTS, [ss for _, ss in spawned])[:2]
     entropy = [int(ss.generate_state(1)[0]) for ss in streams]
     roots = _root_count(m, n) if math.isfinite(p) else None
     results = []
@@ -307,13 +306,14 @@ def _run_batches(
     Checks, before any batch, that each of `cfg.kinds` is one the rows'
     field holds and that n^m is within `hlcert.tensor.MAX_ENTRIES`
     (`_entry_count`).  A batch holds as many consecutive trials as keep
-    restarts * n^m <= BATCH_ELEMENTS coefficients gathered per slot product
-    (at least one trial; fewer when jobs > 1, so that every worker gets a
-    batch).  jobs > 1 hands whole batches to one pool of worker processes
+    their coefficients, n^m each, within BATCH_ELEMENTS (at least one
+    trial; fewer when jobs > 1, so that every worker gets a batch): with
+    the 32 restarts of each trial, at most 2^16 coefficients are gathered
+    per slot product.  jobs > 1 hands whole batches to one pool of worker processes
     for the run; the results come back in trial order, one batch at a time.
     """
     _check_kinds(cfg.kinds, rows[0].field)
-    per_batch = max(1, BATCH_ELEMENTS // (cfg.restarts * _entry_count(rows[0].m, n)))
+    per_batch = max(1, BATCH_ELEMENTS // _entry_count(rows[0].m, n))
     size = min(per_batch, math.ceil(cfg.trials / cfg.jobs))
     tasks = [(rows, n, seed, cfg, b, min(b + size, cfg.trials)) for b in range(0, cfg.trials, size)]
     if cfg.jobs > 1:
@@ -345,8 +345,8 @@ def certify(
     alternating ascent for the lower bound and for the upper bound the
     certified interpolation bound min(Hoelder, sigma^(2/p) * U^(1-2/p)) of
     `_interpolation_bounds` (stage 1; the Hoelder bound `crude_upper(T, p)`
-    = ||coeff||_{p'} unless 2 <= p < inf, the coefficient mass at p = inf),
-    which also caps the ascent.  `_classify` gives the verdict: a violation
+    = ||coeff||_{p'} rounded outward unless 2 <= p < inf, the coefficient
+    mass at p = inf), which also caps the ascent.  `_classify` gives the verdict: a violation
     when lhs > C * upper * (1 + RATIO_TOL), relative to the bound; the
     bound's rounding error, about n^m units in the last place, is far
     inside that tolerance.  A zero bound gives ratio 1.0 for a zero lhs

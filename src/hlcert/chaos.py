@@ -519,7 +519,7 @@ def verify_proof_chain(
             lower, upper = _linf_root_bounds(S.coeffs[None], roots)
             norm_lower, norm_upper = float(lower[0]), float(upper[0])
         else:
-            # too many root patterns: the ascent and the coefficient mass
+            # too many root patterns: the ascent and the certified coefficient mass
             est = alternating_max(S, math.inf, seed=np.random.SeedSequence([seed, 1]))
             norm_lower, norm_upper = est.lower, est.upper
         ineq_slack = 3.0 * stderr * factor + MC_SLACK

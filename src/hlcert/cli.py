@@ -37,6 +37,7 @@ from .errors import (
     _jsonable,
 )
 from .exponents import TransferProblem, classical_exponents, exponents, region, transfer
+from .norms import _RESTARTS
 from .special import ScalarField, khinchin_A, solve_q0
 from .tensor import generate, tensor_from_json, tensor_to_json
 
@@ -205,10 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
     _form_args(cl, "m", "p")
     common(cl, seed=False)
 
-    v = sub.add_parser("verify", help="Monte-Carlo certification of the mixed-norm bound")
+    v = sub.add_parser("verify", help="Monte-Carlo certification of the mixed-norm bound "
+                       f"({_RESTARTS} ascent restarts per trial)")
     _form_args(v, "m", "n", "p", "lambda0", "field")
     v.add_argument("--trials", type=int, default=TrialConfig.trials)
-    v.add_argument("--restarts", type=int, default=TrialConfig.restarts)
     v.add_argument("--kinds", type=str, default=",".join(TrialConfig.kinds),
                    help="comma list cycled per trial")
     common(v)
@@ -306,13 +307,8 @@ def _cmd_verify(args) -> int:
     seed, header = _resolve_seed(args)
     field = ScalarField.parse(args.field)
     csv = args.format == "csv"
-    cfg = TrialConfig(
-        trials=args.trials,
-        kinds=tuple(part.strip() for part in args.kinds.split(",") if part.strip()),
-        restarts=args.restarts,
-        jobs=args.jobs,
-        keep_trials=csv,
-    )
+    kinds = tuple(part.strip() for part in args.kinds.split(",") if part.strip())
+    cfg = TrialConfig(trials=args.trials, kinds=kinds, jobs=args.jobs, keep_trials=csv)
     report = certify(
         args.m, args.n, _parse_number(args.p, "--p"), args.lambda0, field, config=cfg, seed=seed,
     )

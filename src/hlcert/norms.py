@@ -4,8 +4,8 @@ Lower bounds come with an explicit witness tuple of unit vectors; upper
 bounds are the Hoelder bound ||T|| <= ||coeff||_{p'} (`crude_upper`, valid
 for every p >= 1; the coefficient mass at p = inf), for 2 <= p < inf the
 smaller of it and the interpolation bound sigma^(2/p) * U^(1-2/p) between
-l_2 and l_inf (`_interpolation_bounds`, the upper bound of `certify` and
-`alternating_max`) or, on l_inf, the vertex enumeration of
+l_2 and l_inf (`_interpolation_bounds`, rounded outward, the upper bound of
+`certify` and `alternating_max`) or, on l_inf, the vertex enumeration of
 `hlcert.tensor._vertex_slices` in all slots but the first, which is closed
 in l_1-dual form: exact over the sign vectors for real forms
 (`exact_linf_enum`), and within cos(pi/K)^-(m-1) over the K-th roots of
@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, _check_integer, _jsonable, _seed_source
+from .errors import DomainError, _jsonable, _seed_source
 from .special import ScalarField
 from .tensor import (
     _SIGNS,
@@ -54,7 +54,7 @@ _UNDERFLOW = 2.0**-1000      # per-coefficient slack for what underflows near ma
 _ROOT_COUNTS = (12, 8, 6, 4)  # the K that `_root_count` tries, largest first
 _ROOT_PATTERNS = 2**18       # `_root_count`'s cap on K^((n-1)(m-1))
 _MU_MARGIN = 4               # mu of `_interpolation_bounds` is (1 + 4 (n+1) u) times LAPACK's
-_RESTARTS = 32               # `alternating_max`'s restarts, and `TrialConfig`'s
+_RESTARTS = 32               # restarts per tensor of `alternating_max` and `certify`
 _SWEEP_CAP = 500             # `_best_restarts` stops a row after this many sweeps ...
 _FREEZE_TOL = 1e-10          # ... or once a sweep raises its value by at most this, relative
 
@@ -170,6 +170,20 @@ def _dual_norms(
     `dual_norm_linear` turns into its witness) are None for p = 1 or inf.
     Every row's arithmetic is its own, so a row's value does not depend on
     the stack.
+
+    Error bound at finite p, for rows of N magnitudes each within 2u of its
+    exact value (u = 2^-53; exact for real entries) and a power within 8u:
+    the value is within (3N + 70) u of the exact ||row||_{p'}, relative,
+    plus 2^-1075 where it is subnormal.  The scaling by top cancels, and the
+    terms' relative errors pass through the 1/p' root: 3u from the ratio,
+    8u + u from the power and the product, (N - 1) u from the sum of
+    nonnegative terms, 8u + u + 3u ln N from the root (its computed
+    exponent included) and the product by top.  The computed exponent
+    p'' = 1 + fl(fl(p') - 1) is within 4u p' of p', which moves a term r^p'
+    by at most 4u p' r^p' |ln r| <= 4u / e, and S >= 1: another 1.5 N u;
+    ratios that underflow move S by less than N 2^-1021.
+    `_interpolation_bounds` rounds the values outward by this bound (at
+    p = inf by `_certified_mass`'s, at p = 1 a magnitude's 2u suffices).
     """
     if math.isinf(p):
         return mags.sum(axis=-1), None, None
@@ -197,7 +211,8 @@ def crude_upper(T: FormTensor, p: float = math.inf) -> float:
     the norm of T as a linear form on l_p^(n^m), exact on rank-one tensors.
     p = inf (the default) gives the coefficient mass sum_J |coeff[J]|, p = 1
     the largest |coeff[J]|.  The one-tensor case of `_hoelder_bounds`, the
-    bound `certify` and `search_extremal` score with.  A bound past the
+    bound `search_extremal` ranks with; it is not rounded outward, as the
+    stage 1 bound of `_interpolation_bounds` is.  A bound past the
     largest float raises DomainError (`_finite_norms`).
     """
     _check_p(p)
@@ -209,8 +224,11 @@ def crude_upper(T: FormTensor, p: float = math.inf) -> float:
 def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = None) -> np.ndarray:
     """min(Hoelder, sigma^(2/p) * U^(1-2/p)) for every tensor of a stack (B,) + (n,)*m.
 
-    Each tensor's Hoelder bound, `crude_upper(T, p)` bit for bit, is the
-    result unless 2 <= p < inf.  Multilinear complex Riesz-Thorin with constant
+    Each tensor's Hoelder bound `crude_upper(T, p)`, rounded outward (at
+    p = inf by `_certified_mass`, elsewhere by the error bound of
+    `_dual_norms`), is the result unless 2 <= p < inf: the float value
+    fell below the exact ||T|| of rank-one tensors and of nonnegative ones
+    at p = inf.  Multilinear complex Riesz-Thorin with constant
     1 (Bergh-Loefstroem, Interpolation Spaces, Thm 4.4.1) bounds ||T|| on
     l_p by ||T||_2^(2/p) * ||T||_inf^(1-2/p), the complex norms on l_2 and
     l_inf, and a real form's norm is at most its complexification's.
@@ -243,11 +261,16 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
     moduli included (DomainError, by `_magnitudes`).
     """
     mags, top = _magnitudes(stack)
+    size, u = mags.shape[1], _UNIT_ROUNDOFF
     hoelder = _hoelder_bounds(mags, top, p)
+    if math.isinf(p):   # a zero tensor keeps its bound 0
+        hoelder = np.where(hoelder > 0.0, _certified_mass(hoelder, size), 0.0)
+    else:   # `_dual_norms`'s error bound, plus 2^-1073 (at most the value) for a subnormal one
+        tiny = np.minimum(hoelder, 2 * _SMALLEST)
+        hoelder = (hoelder * (1.0 + (3 * size + 70) * u) + tiny) * _ROUND_UP
     if not 2.0 <= p < math.inf:
         return hoelder
     B, m, n = stack.shape[0], stack.ndim - 1, stack.shape[1]
-    size, u = n**m, _UNIT_ROUNDOFF
     unit = _nearest_powers_of_two(top)
     scaled = stack / unit.reshape((B,) + (1,) * m)
     mags = mags / unit[:, None]
@@ -401,37 +424,37 @@ def _ascend(
     return values, out, converged
 
 
-def alternating_max(T: FormTensor, p: float, restarts: int = _RESTARTS, seed=0) -> NormEstimate:
+def alternating_max(T: FormTensor, p: float, seed=0) -> NormEstimate:
     """Lower-bound ||T|| by block-coordinate ascent from random restarts.
 
     Fixing all arguments but one reduces the problem to an exact linear dual
-    norm, so each sweep is monotone.  The restarts' unit starting tuples
-    come from one stream of `seed` (`_random_starts`; 0 by default, like
-    every other entry point, so two calls with the same arguments agree)
-    and ascend together as one batch; the result is their max (the first
-    restart attaining it).  The one-tensor case of `_best_restarts`, which
-    `certify` runs over many trials at once and which also gives the upper
-    bound: `certify`'s stage 1 bound, `_interpolation_bounds` (the Hoelder
-    bound `crude_upper(T, p)`, the coefficient mass at p = inf, or for
-    2 <= p < inf the smaller interpolation bound), which caps the lower one
-    against rounding.  Needs m >= 2 (for m = 1, `dual_norm_linear` is
-    exact), p > 1, an integer restarts >= 1 and a seed by `_seed_source`:
-    an integer in [0, 2^32), which is the stream of SeedSequence([seed, 0]),
-    or a numpy SeedSequence or Generator.  Every restart runs to its own
-    convergence (`_best_restarts`).
+    norm, so each sweep is monotone.  The `_RESTARTS` (32) restarts' unit
+    starting tuples come from one stream of `seed` (`_random_starts`; 0 by
+    default, like every other entry point, so two calls with the same
+    arguments agree) and ascend together as one batch; the result is their
+    max (the first restart attaining it).  The one-tensor case of
+    `_best_restarts`, which `certify` runs over many trials at once and
+    which also gives the upper bound: `certify`'s stage 1 bound,
+    `_interpolation_bounds` (the Hoelder bound ||coeff||_{p'}, rounded
+    outward, or for 2 <= p < inf the smaller interpolation bound), which
+    caps the lower one against rounding.  Needs m >= 2 (for m = 1,
+    `dual_norm_linear` is exact), p > 1 and a seed by `_seed_source`: an
+    integer in [0, 2^32), which is the stream of SeedSequence([seed, 0]),
+    or a numpy SeedSequence or Generator.  The restart count is not a
+    setting, and every restart runs to its own convergence
+    (`_best_restarts`).
     """
     _check_multilinear(T)
     if not p > 1.0:
         raise DomainError(f"alternating_max needs p > 1 (or inf), got {p}")
-    _check_integer("restarts", restarts, 1)
     lower, upper, witness, converged = _best_restarts(
-        T.coeffs[None], p, restarts, [_seed_source(seed)]
+        T.coeffs[None], p, _RESTARTS, [_seed_source(seed)]
     )
     return NormEstimate(
         lower=float(lower[0]),
         upper=float(upper[0]),
         method=NormMethod.ALTERNATING_MAX,
-        restarts=restarts,
+        restarts=_RESTARTS,
         converged=bool(converged[0]),
         witness=tuple(v[0] for v in witness),
     )
@@ -446,14 +469,17 @@ def _check_multilinear(T: FormTensor) -> None:
 def _best_restarts(
     stack: np.ndarray, p: float, restarts: int, seeds: Sequence
 ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray], np.ndarray]:
-    """The stage 1 sandwich of every tensor of a stack (B,) + (n,)*m; restarts unchecked.
+    """The stage 1 sandwich of every tensor of a stack (B,) + (n,)*m.
 
     upper is the stage 1 bound `_interpolation_bounds(stack, p)`.  Tensor
-    b's restarts start from `_random_starts(seeds[b], ...)` and ascend as
-    rows of one `_ascend` batch, whose rows do not depend on each other.
-    The convergence rule is this module's, not the caller's: each row
-    freezes on its own once a sweep gains at most `_FREEZE_TOL` relative,
-    or stops after `_SWEEP_CAP` sweeps (no early stop across restarts).
+    b's `restarts` restarts start from `_random_starts(seeds[b], ...)` and
+    ascend as rows of one `_ascend` batch, whose rows do not depend on each
+    other.  The restart count and the convergence rule are this module's,
+    not a setting: `alternating_max` and `certify` pass `_RESTARTS`, and
+    `restarts` (unchecked) stays an argument for tests and shorter runs,
+    as `_ascend` keeps `max_iters`.  Each row freezes on its own once a
+    sweep gains at most `_FREEZE_TOL` relative, or stops after `_SWEEP_CAP`
+    sweeps (no early stop across restarts).
     Returns (lower, upper, witness, converged): tensor b's best restart (the
     first attaining its max) gives lower[b], capped by upper[b] against
     rounding, witness[k][b] in slot k and converged[b].  An upper bound past

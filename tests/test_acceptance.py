@@ -153,7 +153,7 @@ def test_criterion_7_norm_oracle_agreement():
             n = int(rng.integers(2, 4))
             T = generate("gaussian", 2, n, REAL, int(rng.integers(2**32)))
             exact = exact_linf_enum(T).lower
-            est = alternating_max(T, math.inf, restarts=50, seed=int(rng.integers(2**32)))
+            est = alternating_max(T, math.inf, seed=int(rng.integers(2**32)))
             assert est.lower <= exact + 1e-12
             if abs(est.lower - exact) <= 1e-9 * max(1.0, exact):
                 agree += 1
@@ -165,7 +165,7 @@ SEED_E2E = 20240601
 
 def test_criterion_8_end_to_end():
     with criterion(8, "end-to-end certification", 30.0):
-        cfg = TrialConfig(trials=1000, restarts=8)
+        cfg = TrialConfig(trials=1000)
         for lam in (1.0, 1.2):
             for n in (2, 3):
                 report = certify(3, n, 4.0, lam, REAL, config=cfg, seed=SEED_E2E)
@@ -181,7 +181,7 @@ def test_criterion_8_end_to_end():
 
 def test_criterion_9_determinism():
     with criterion(9, "byte-identical reports", 300.0):
-        cfg = TrialConfig(trials=1000, restarts=8)
+        cfg = TrialConfig(trials=1000)
         a = report_to_json(certify(3, 2, 4.0, 1.0, REAL, config=cfg, seed=SEED_E2E))
         b = report_to_json(certify(3, 2, 4.0, 1.0, REAL, config=cfg, seed=SEED_E2E))
         assert a == b

@@ -4,7 +4,8 @@ Every setting a caller can pass is listed here, so adding, renaming or
 removing one is a visible change to this file.  Values that no caller
 needs to set are module constants (`hlcert.tensor.PATTERN_BUDGET`,
 `DEFAULT_BLOCK`, `MAX_ENTRIES`, `hlcert.certify.RATIO_TOL`), which tests
-patch instead.
+patch instead; the ascent's restart count (`hlcert.norms._RESTARTS`) is
+private, and only `_best_restarts` takes another.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ from hlcert import DomainError, ScalarField, TrialConfig, generate
 from hlcert import tensor as tensor_module
 
 PUBLIC_PARAMETERS = {
-    "alternating_max": ("T", "p", "restarts", "seed"),
+    "alternating_max": ("T", "p", "seed"),
     "certify": ("m", "n", "p", "lambda0", "field", "config", "seed"),
     "check_contraction": ("a", "t"),
     "check_khinchin": ("a", "q", "field", "samples", "seed"),
@@ -51,7 +52,7 @@ ENUMERATION_PARAMETERS = {
     "contract_trailing_signs": ("coeffs", "signs"),
 }
 
-TRIAL_CONFIG_FIELDS = ("trials", "kinds", "restarts", "jobs", "keep_trials")
+TRIAL_CONFIG_FIELDS = ("trials", "kinds", "jobs", "keep_trials")
 
 
 def _parameters(fn):
@@ -78,11 +79,21 @@ def test_trial_config_has_the_pinned_fields():
     assert fields == TRIAL_CONFIG_FIELDS
 
 
+def test_the_restart_count_is_not_a_setting():
+    # TrialConfig.restarts and alternating_max's restarts are gone: every
+    # ascent runs the 32 restarts of `hlcert.norms._RESTARTS`
+    with pytest.raises(TypeError):
+        TrialConfig(restarts=4)
+    with pytest.raises(TypeError):
+        hlcert.alternating_max(_T, 4.0, restarts=4)
+    assert hlcert.alternating_max(_T, 4.0).restarts == 32
+
+
 # a valid call of every public entry point, small enough to run in the suite
 _T = generate("gaussian", 3, 2, ScalarField.REAL, 1)
 VALID_CALLS = {
-    "alternating_max": dict(T=_T, p=4.0, restarts=2, seed=1),
-    "certify": dict(m=3, n=2, p=4.0, lambda0=1.0, config=TrialConfig(trials=1, restarts=2), seed=1),
+    "alternating_max": dict(T=_T, p=4.0, seed=1),
+    "certify": dict(m=3, n=2, p=4.0, lambda0=1.0, config=TrialConfig(trials=1), seed=1),
     "check_contraction": dict(a=[1.0, 2.0], t=3.0),
     "check_khinchin": dict(a=[1.0, 2.0], q=1.5, samples=100, seed=1),
     "classical_exponents": dict(m=3, p=4.0),
@@ -99,7 +110,7 @@ VALID_CALLS = {
     "search_extremal": dict(m=3, n=2, p=4.0, lambda0=1.0, budget=2, seed=1),
     "steinhaus_moment": dict(a=[1.0, 2.0], q=3.0, samples=100, seed=1),
     "sweep_lambda0": dict(
-        m=3, p=4.0, n=2, grid=(1.0,), seed=1, config=TrialConfig(trials=1, restarts=2),
+        m=3, p=4.0, n=2, grid=(1.0,), seed=1, config=TrialConfig(trials=1),
     ),
     "tensor_from_json": dict(text=hlcert.tensor_to_json(_T)),
     "tensor_to_json": dict(T=_T),
@@ -155,7 +166,7 @@ def test_a_bool_int_parameter_raises_domain_error(name, param):
         getattr(hlcert, name)(**{**VALID_CALLS[name], param: True})
 
 
-@pytest.mark.parametrize("field", ["trials", "restarts", "jobs"])
+@pytest.mark.parametrize("field", ["trials", "jobs"])
 def test_a_non_integer_trial_config_count_raises_domain_error(field):
     with pytest.raises(DomainError, match=f"{field} must be an integer"):
         TrialConfig(**{field: 1.5})

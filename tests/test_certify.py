@@ -72,11 +72,15 @@ def test_classify_rejects_non_finite(lhs, c_lower, c_upper):
 
 
 def test_certify_sparse_unit_ratio_exactly_one():
-    cfg = TrialConfig(trials=10, kinds=("sparse_unit",), restarts=2, keep_trials=True)
+    # lhs = lower = ||T|| = 1; the stage 1 bound is certified, so rounded
+    # outward: the float Hoelder bound 1 rounded up, or the smaller
+    # interpolation bound, a few units in the last place above 1
+    cfg = TrialConfig(trials=10, kinds=("sparse_unit",), keep_trials=True)
     report = certify(3, 2, 4.0, 1.0, REAL, config=cfg, seed=5)
     assert report.violations == 0
     for row in report.trial_rows:
-        assert row.ratio_conservative == 1.0
+        assert (row.lhs, row.lower) == (1.0, 1.0) and 1.0 < row.upper < 1.0 + 1e-14
+        assert row.ratio_conservative == 1.0 / row.upper
         assert row.ratio_empirical == 1.0
         assert row.classification == "pass"
 
@@ -90,7 +94,7 @@ def test_a_patched_ratio_tol_flips_a_borderline_verdict(monkeypatch):
         certify_module, "_admissible_exponents",
         lambda *args: replace(admissible(*args), constant=1.0 / (1.0 + 1e-6)),
     )
-    cfg = TrialConfig(trials=4, kinds=("sparse_unit",), restarts=2)
+    cfg = TrialConfig(trials=4, kinds=("sparse_unit",))
     assert certify(3, 2, 4.0, 1.0, REAL, config=cfg, seed=5).violations == 4
     monkeypatch.setattr(certify_module, "RATIO_TOL", 1e-3)
     report = certify(3, 2, 4.0, 1.0, REAL, config=cfg, seed=5)
@@ -98,7 +102,7 @@ def test_a_patched_ratio_tol_flips_a_borderline_verdict(monkeypatch):
 
 
 def test_certify_small_run_no_violations():
-    cfg = TrialConfig(trials=60, restarts=8)
+    cfg = TrialConfig(trials=60)
     report = certify(3, 2, 4.0, 1.0, REAL, config=cfg, seed=11)
     assert report.violations == 0
     assert report.trials == 60
@@ -128,7 +132,7 @@ def test_certify_at_a_large_outer_exponent_classifies_every_trial():
 
 
 def test_certify_conservative_below_empirical_per_trial():
-    cfg = TrialConfig(trials=30, restarts=4, keep_trials=True)
+    cfg = TrialConfig(trials=30, keep_trials=True)
     report = certify(2, 3, 4.0, 1.5, REAL, config=cfg, seed=3)
     for row in report.trial_rows:
         assert row.ratio_conservative <= row.ratio_empirical + 1e-15
@@ -143,7 +147,7 @@ def test_certify_inadmissible_raises():
 
 
 def test_certify_deterministic_reports():
-    cfg = TrialConfig(trials=16, restarts=4)
+    cfg = TrialConfig(trials=16)
     a = report_to_json(certify(3, 2, 4.0, 1.2, REAL, config=cfg, seed=21))
     b = report_to_json(certify(3, 2, 4.0, 1.2, REAL, config=cfg, seed=21))
     assert a == b
@@ -152,11 +156,11 @@ def test_certify_deterministic_reports():
 
 
 def test_certify_jobs_invariant():
-    base = TrialConfig(trials=8, restarts=2)
+    base = TrialConfig(trials=8)
     seq = certify(3, 2, 4.0, 1.0, REAL, config=base, seed=9)
     par = certify(
         3, 2, 4.0, 1.0, REAL,
-        config=TrialConfig(trials=8, restarts=2, jobs=2), seed=9,
+        config=TrialConfig(trials=8, jobs=2), seed=9,
     )
     # jobs is recorded, so compare the per-trial content instead of raw JSON
     assert seq.violations == par.violations
@@ -177,7 +181,7 @@ def _per_trial_rows(m, n, p, lambda0, cfg, seed, factor=1.0):
         gen_ss, norm_ss = ss.spawn(2)
         T = generate(cfg.kinds[t % len(cfg.kinds)], m, n, REAL, gen_ss)
         lhs = max(mixed_norms(T, exps.s, exps.eta1))
-        est = alternating_max(T, p, restarts=cfg.restarts, seed=norm_ss)
+        est = alternating_max(T, p, seed=norm_ss)
         lower, upper = est.lower, est.upper
         classification = _classify(lhs, C * lower, C * upper)
         retried = classification == "inconclusive"
@@ -244,7 +248,6 @@ def test_certify_rejects_jobs_below_one(jobs):
 
 @pytest.mark.parametrize("setting, message", [
     ({"kinds": ()}, "kinds must name at least one"),       # was ZeroDivisionError
-    ({"restarts": 0}, "restarts must be >= 1"),            # was ZeroDivisionError
     ({"kinds": "gaussian"}, "kinds must name at least one"),  # was "unknown kind 'g'"
     ({"kinds": ("gaussian", "bogus")}, "unknown generator kind 'bogus'"),
 ])
@@ -295,7 +298,7 @@ def test_search_rejects_a_negative_budget():
 
 
 def test_trial_csv_layout():
-    cfg = TrialConfig(trials=4, restarts=2, keep_trials=True)
+    cfg = TrialConfig(trials=4, keep_trials=True)
     report = certify(3, 2, 4.0, 1.0, REAL, config=cfg, seed=2)
     text = trials_to_csv(report.trial_rows)
     lines = text.strip().splitlines()
@@ -623,7 +626,7 @@ def test_certify_and_search_score_a_tensor_alike(case, monkeypatch):
     # tensor reports the scorer's ratio
     m, n, p, lambda0 = case
     exps = exponents(m, p, lambda0, REAL)
-    cfg = TrialConfig(trials=6, restarts=2, keep_trials=True)
+    cfg = TrialConfig(trials=6, keep_trials=True)
     for row in certify(*case, REAL, config=cfg, seed=5).trial_rows:
         gen_ss = np.random.SeedSequence([5, row.index]).spawn(2)[0]
         T = generate(row.kind, m, n, REAL, gen_ss)
@@ -644,7 +647,7 @@ def test_zero_tensor_scores_one_in_certify_and_search(monkeypatch):
         return FormTensor(m=m, n=n, field=field, coeffs=np.zeros((n,) * m))
 
     monkeypatch.setattr(certify_module, "generate", zero)
-    cfg = TrialConfig(trials=1, restarts=2, keep_trials=True)
+    cfg = TrialConfig(trials=1, keep_trials=True)
     for case in [(3, 3, 4.0, 1.0), (2, 3, math.inf, 2.0)]:
         (row,) = certify(*case, REAL, config=cfg, seed=5).trial_rows
         assert (row.lhs, row.upper, row.ratio_conservative) == (0.0, 0.0, 1.0)
@@ -675,7 +678,7 @@ def test_search_reaches_unit_ratio_window():
 
 def test_lambda1_certification_constant_thresholds():
     # the lambda0 = 1 runs certify against the recovered constant
-    cfg = TrialConfig(trials=25, restarts=4)
+    cfg = TrialConfig(trials=25)
     for m, p in [(3, 4.0), (4, 5.0), (4, 6.0)]:
         report = certify(m, 2, p, 1.0, REAL, config=cfg, seed=13)
         expected = 2.0 ** ((m - 1) * (p - m + 1) / p)
@@ -684,13 +687,13 @@ def test_lambda1_certification_constant_thresholds():
 
 
 def test_certify_gaussian_trials_seed7():
-    cfg = TrialConfig(trials=1000, kinds=("gaussian",), restarts=4)
+    cfg = TrialConfig(trials=1000, kinds=("gaussian",))
     report = certify(3, 2, 4.0, 1.0, REAL, config=cfg, seed=7)
     assert report.violations == 0
 
 
 def test_certify_complex_field():
-    cfg = TrialConfig(trials=30, kinds=("gaussian", "steinhaus"), restarts=8)
+    cfg = TrialConfig(trials=30, kinds=("gaussian", "steinhaus"))
     report = certify(
         2, 3, 4.0, 1.5, ScalarField.COMPLEX, config=cfg, seed=31,
     )
@@ -724,7 +727,7 @@ def test_sweep_empty_grid():
 def test_sweep_with_trials_fills_ratio():
     rows = sweep_lambda0(
         3, 4.0, 2, REAL, grid=[1.0, 1.2], seed=3,
-        config=TrialConfig(trials=5, restarts=2),
+        config=TrialConfig(trials=5),
     )
     for row in rows:
         assert row.admissible
@@ -735,7 +738,7 @@ def test_sweep_with_trials_fills_ratio():
 def test_sweep_certifies_every_admissible_row_with_the_config_as_given():
     # a config that does not set trials runs its own count; it used to be
     # ignored unless trials= was passed beside it
-    cfg = TrialConfig(trials=5, restarts=2)
+    cfg = TrialConfig(trials=5)
     rows = sweep_lambda0(3, 4.0, 2, REAL, grid=[1.0, 1.2, 1.9], seed=3, config=cfg)
     assert [row.admissible for row in rows] == [True, True, False]
     for row in rows[:2]:
@@ -784,7 +787,7 @@ def test_a_certified_sweep_draws_each_trial_once(monkeypatch):
 
     monkeypatch.setattr(certify_module, "generate", counted)
     rows = sweep_lambda0(3, 4.0, 2, REAL, grid=(1.0, 1.1, 1.2), seed=3,
-                         config=TrialConfig(trials=7, restarts=2))
+                         config=TrialConfig(trials=7))
     assert all(row.max_ratio_conservative is not None for row in rows)
     assert len(draws) == 7
 
@@ -818,7 +821,7 @@ def test_sweep_csv_layout():
 def test_report_json_round_trip():
     import json
 
-    cfg = TrialConfig(trials=4, restarts=2)
+    cfg = TrialConfig(trials=4)
     report = certify(2, 3, math.inf, 2.0, REAL, config=cfg, seed=1)
     text = report_to_json(report)
     payload = json.loads(text)

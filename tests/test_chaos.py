@@ -33,7 +33,8 @@ from hlcert import (
 from hlcert import chaos as chaos_module
 from hlcert import tensor as tensor_module
 from hlcert.norms import (
-    _linf_root_bounds, _root_count, alternating_max, crude_upper, exact_linf_enum,
+    _certified_mass, _linf_root_bounds, _root_count, alternating_max, crude_upper,
+    exact_linf_enum,
 )
 from hlcert.tensor import contract_trailing_signs, iter_sign_blocks
 
@@ -938,9 +939,9 @@ def test_every_result_is_finite_or_the_call_raises(shape, field, k, log_x, seed)
         assert all(math.isfinite(v) for v in values), values
     calls = [
         lambda: [crude_upper(T, 4.0), crude_upper(T, math.inf)],
-        lambda: _estimate_values(alternating_max(T, 4.0, restarts=2)),
-        lambda: _estimate_values(alternating_max(T, math.inf, restarts=2)),
-        lambda: _estimate_values(alternating_max(T, max(x, 1.5), restarts=2)),
+        lambda: _estimate_values(alternating_max(T, 4.0)),
+        lambda: _estimate_values(alternating_max(T, math.inf)),
+        lambda: _estimate_values(alternating_max(T, max(x, 1.5))),
     ]
     if field is REAL:
         calls.append(lambda: _estimate_values(exact_linf_enum(T)))
@@ -1011,14 +1012,14 @@ def test_complex_chain_bounds_the_norm_by_roots_of_unity(m, n, K):
 
 def test_complex_chain_over_the_budget_keeps_the_ascent_and_the_mass():
     # (3, 6): 12^10 root patterns exceed the budget, so the chain bounds ||S||
-    # by the ascent on SeedSequence([seed, 1]) and the coefficient mass, as
-    # before the enumeration existed.  Steinhaus entries have max |c| = 1, so
-    # the chain's power-of-two scaling is the identity.
+    # by the ascent on SeedSequence([seed, 1]) and the coefficient mass
+    # rounded outward, as before the enumeration existed.  Steinhaus entries
+    # have max |c| = 1, so the chain's power-of-two scaling is the identity.
     S = generate("steinhaus", 3, 6, COMPLEX, 12)
     rep = verify_proof_chain(S, 1.5, 2.5, mc_samples=2_000, seed=9, raise_on_failure=False)
     est = alternating_max(S, math.inf, seed=np.random.SeedSequence([9, 1]))
     assert rep.norm_lower == est.lower
-    assert rep.norm_upper == crude_upper(S)
+    assert rep.norm_upper == _certified_mass(np.array([crude_upper(S)]), S.size)[0]
     again = verify_proof_chain(S, 1.5, 2.5, mc_samples=2_000, seed=9, raise_on_failure=False)
     assert again.to_jsonable() == rep.to_jsonable()
 

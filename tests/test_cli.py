@@ -12,7 +12,6 @@ import pytest
 
 from hlcert import (
     TrialConfig,
-    alternating_max,
     check_khinchin,
     search_extremal,
     steinhaus_moment,
@@ -106,7 +105,7 @@ def test_classical_command(capsys):
 def test_verify_json(capsys):
     code, out, _ = run(
         capsys, "verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
-        "--trials", "10", "--restarts", "2", "--seed", "5", "--format", "json",
+        "--trials", "10", "--seed", "5", "--format", "json",
     )
     assert code == EXIT_OK
     payload = json.loads(out)
@@ -118,7 +117,7 @@ def test_verify_json(capsys):
 def test_verify_deterministic_bytes(capsys):
     argv = [
         "verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
-        "--trials", "8", "--restarts", "2", "--seed", "5", "--format", "json",
+        "--trials", "8", "--seed", "5", "--format", "json",
     ]
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
@@ -128,7 +127,7 @@ def test_verify_deterministic_bytes(capsys):
 def test_verify_csv(capsys):
     code, out, _ = run(
         capsys, "verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
-        "--trials", "4", "--restarts", "2", "--seed", "5", "--format", "csv",
+        "--trials", "4", "--seed", "5", "--format", "csv",
     )
     assert code == EXIT_OK
     lines = out.strip().splitlines()
@@ -139,7 +138,7 @@ def test_verify_csv(capsys):
 def test_verify_draws_and_prints_seed(capsys):
     code, out, _ = run(
         capsys, "verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
-        "--trials", "2", "--restarts", "2",
+        "--trials", "2",
     )
     assert code == EXIT_OK
     assert out.startswith("# seed: ")
@@ -276,7 +275,7 @@ def test_text_prints_a_null_as_an_empty_value(capsys, argv, empty):
 # one seeded run of each command that takes --seed; each is cheap
 _SEEDED = {
     "verify": ["verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
-               "--trials", "2", "--restarts", "2"],
+               "--trials", "2"],
     "search": ["search", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1", "--budget", "10"],
     "sweep": ["sweep", "--m", "3", "--p", "4", "--grid", "1,1.5", "--trials", "1"],
     "khinchin-check": ["khinchin-check", "--a", "1,2,3", "--q", "1.5", "--field", "complex",
@@ -642,7 +641,7 @@ def test_jobs_below_one_is_usage_error(capsys, jobs):
 
 @pytest.mark.parametrize("flags, message", [
     (["--kinds", ","], "kinds must name at least one"),
-    (["--restarts", "0"], "restarts must be >= 1"),
+    (["--trials", "0"], "trials must be >= 1"),
     (["--kinds", "gaussian,bogus"], "unknown generator kind 'bogus'"),
 ])
 def test_verify_bad_run_settings_are_usage_errors(capsys, flags, message):
@@ -655,9 +654,12 @@ def test_verify_bad_run_settings_are_usage_errors(capsys, flags, message):
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("flag, value", [("--max-iters", "5"), ("--tol", "1e-3")])
+@pytest.mark.parametrize(
+    "flag, value", [("--max-iters", "5"), ("--tol", "1e-3"), ("--restarts", "2")]
+)
 def test_the_ascent_convergence_rule_is_not_a_flag(capsys, flag, value):
-    # every restart runs to its own convergence, by hlcert.norms' own rule
+    # every restart runs to its own convergence, by hlcert.norms' own rule,
+    # and the restart count is that module's too
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--m", "3", "--n", "2", "--p", "4", "--lambda0", "1",
               "--trials", "2", "--seed", "1", flag, value])
@@ -677,11 +679,8 @@ def test_cli_defaults_are_the_library_defaults():
 
     verify = _parser_defaults("verify")
     config = TrialConfig()
-    assert (verify["trials"], verify["restarts"], verify["jobs"]) == (
-        config.trials, config.restarts, config.jobs
-    )
+    assert (verify["trials"], verify["jobs"]) == (config.trials, config.jobs)
     assert tuple(verify["kinds"].split(",")) == config.kinds
-    assert config.restarts == default(alternating_max, "restarts")
     assert _parser_defaults("search")["budget"] == default(search_extremal, "budget")
     samples = default(verify_proof_chain, "mc_samples")
     assert _parser_defaults("chain-check")["samples"] == samples
@@ -754,7 +753,7 @@ def _reject_constant(name):
     ["transfer", "--p-list", "2,2", "--q-list", "inf,inf", "--lambda0", "1", "--s", "2"],
     ["classical", "--m", "3", "--p", "inf"],
     ["verify", "--m", "3", "--n", "2", "--p", "inf", "--lambda0", "2", "--trials", "2",
-     "--restarts", "2", "--seed", "1"],
+     "--seed", "1"],
     ["search", "--m", "3", "--n", "2", "--p", "inf", "--lambda0", "2", "--budget", "2",
      "--seed", "1"],
     ["sweep", "--m", "3", "--p", "inf", "--grid", "1:2:3", "--trials", "1", "--seed", "1"],

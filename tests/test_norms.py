@@ -16,7 +16,6 @@ from hlcert import (
     NormEstimate,
     NormMethod,
     ScalarField,
-    TrialConfig,
     alternating_max,
     crude_upper,
     dual_norm_linear,
@@ -28,6 +27,7 @@ from hlcert import (
 from hlcert import norms as norms_module
 from hlcert import tensor as tensor_module
 from hlcert.norms import (
+    _RESTARTS,
     _ascend,
     _best_restarts,
     _certified_mass,
@@ -47,6 +47,16 @@ COMPLEX = ScalarField.COMPLEX
 def _tensor(coeffs, field=REAL):
     arr = np.asarray(coeffs)
     return FormTensor(m=arr.ndim, n=arr.shape[0], field=field, coeffs=arr)
+
+
+def _rounded_hoelder(T, p):
+    # stage 1's Hoelder bound: crude_upper rounded outward, at p = inf by the
+    # certified mass, elsewhere by (3 n^m + 70) units of 2^-53 and a slack of
+    # 2^-1073 (at most the value), then 1 + 2^-50
+    h = crude_upper(T, p)
+    if math.isinf(p):
+        return float(_certified_mass(np.array([h]), T.size)[0]) if h > 0.0 else 0.0
+    return (h * (1.0 + (3 * T.size + 70) * 2.0**-53) + min(h, 2 * 5e-324)) * (1.0 + 2.0**-50)
 
 
 def _brute_force_linf(T):
@@ -163,26 +173,14 @@ def test_subnormal_complex_entries_give_finite_bounds():
     coeffs[1] = 1e-310 * (1 + 1j)
     T = _tensor(coeffs, COMPLEX)
     for p in (4.0, math.inf):
-        est = alternating_max(T, p, restarts=4, seed=0)
+        est = alternating_max(T, p, seed=0)
         assert math.isfinite(est.lower) and 0.0 < est.lower <= est.upper
     D = _tensor(np.array([[1.0, 0.0], [0.0, 1e-310j]]), COMPLEX)
-    est = alternating_max(D, 4.0, restarts=4, seed=0)
+    est = alternating_max(D, 4.0, seed=0)
     assert math.isfinite(est.lower) and est.lower <= est.upper
     chain = verify_proof_chain(T, 1.5, 2.0, mc_samples=2_000, seed=3)
     assert chain.passed and math.isfinite(chain.norm_lower)
     assert chain.norm_lower <= chain.norm_upper
-
-
-@pytest.mark.parametrize("setting", [{"restarts": 0}, {"restarts": -1}, {"restarts": 1.5}])
-def test_alternating_max_rejects_what_trial_config_rejects(setting):
-    # restarts is the one ascent setting a caller passes; both check it by
-    # the one integer rule, with the same message
-    T = generate("gaussian", 3, 2, REAL, 1)
-    with pytest.raises(DomainError) as from_config:
-        TrialConfig(**setting)
-    with pytest.raises(DomainError) as from_ascent:
-        alternating_max(T, 4.0, seed=1, **setting)
-    assert str(from_ascent.value) == str(from_config.value)
 
 
 def test_alternating_max_is_reproducible_by_default():
@@ -197,7 +195,7 @@ def test_alternating_max_is_reproducible_by_default():
 def test_alternating_sparse_unit_exact():
     for p in (1.5, 2.0, math.inf):
         T = generate("sparse_unit", 2, 3, REAL, 11)
-        est = alternating_max(T, p, restarts=4, seed=0)
+        est = alternating_max(T, p, seed=0)
         assert est.lower == pytest.approx(1.0, abs=1e-12)
         assert est.upper == pytest.approx(1.0, abs=1e-12)
 
@@ -206,16 +204,17 @@ def test_alternating_identity_linf_matches_enum():
     T = _tensor(np.eye(2))
     oracle = exact_linf_enum(T)
     assert oracle.lower == 2.0
-    est = alternating_max(T, math.inf, restarts=16, seed=1)
+    est = alternating_max(T, math.inf, seed=1)
     assert est.lower == pytest.approx(2.0, abs=1e-10)
 
 
 def test_alternating_rank_one_p2():
     # rank-one tensor: norm factors into dual norms of the two vectors
     T = _tensor(np.ones((2, 2)))
-    est = alternating_max(T, 2.0, restarts=8, seed=2)
+    est = alternating_max(T, 2.0, seed=2)
     assert est.lower == pytest.approx(2.0, rel=1e-10)
-    assert est.upper == 2.0  # the Hoelder bound ||coeff||_2, exact on a rank-one tensor
+    # at most the Hoelder bound ||coeff||_2, exact on a rank-one tensor, rounded outward
+    assert 2.0 < est.upper <= _rounded_hoelder(T, 2.0) < 2.0 * (1.0 + 1e-13)
 
 
 def test_rank_one_closed_form_oracle():
@@ -226,7 +225,7 @@ def test_rank_one_closed_form_oracle():
         v = rng.standard_normal(3)
         T = _tensor(np.outer(u, v))
         oracle = (np.abs(u) ** pp).sum() ** (1 / pp) * (np.abs(v) ** pp).sum() ** (1 / pp)
-        est = alternating_max(T, p, restarts=8, seed=3)
+        est = alternating_max(T, p, seed=3)
         assert est.lower == pytest.approx(oracle, rel=1e-9)
 
 
@@ -235,7 +234,7 @@ def test_witness_validity():
     for field, p in itertools.product((REAL, COMPLEX), (1.5, 2.0, 3.0, 4.0, math.inf)):
         for _ in range(5):
             T = generate("gaussian", 3, 3, field, int(rng.integers(2**32)))
-            est = alternating_max(T, p, restarts=4, seed=int(rng.integers(2**32)))
+            est = alternating_max(T, p, seed=int(rng.integers(2**32)))
             assert len(est.witness) == 3
             for x in est.witness:
                 pnorm = (
@@ -285,8 +284,8 @@ def test_restart_prefix():
                 v_few = _ascend(T.coeffs[None], few, p, 500, 1e-10)[0]
                 v_many = _ascend(T.coeffs[None], many, p, 500, 1e-10)[0]
                 assert np.array_equal(v_few, v_many[:8])
-                lower8 = alternating_max(T, p, restarts=8, seed=seed).lower
-                lower32 = alternating_max(T, p, restarts=32, seed=seed).lower
+                lower8 = _best_restarts(T.coeffs[None], p, 8, [seed])[0]
+                lower32 = _best_restarts(T.coeffs[None], p, 32, [seed])[0]
                 assert lower32 >= lower8
 
 
@@ -298,8 +297,8 @@ def test_every_restart_runs_to_its_own_convergence():
     # loses this bound.
     gen, norm = np.random.SeedSequence([23, 41]).spawn(2)
     T = generate("gaussian", 3, 6, REAL, gen)
-    assert alternating_max(T, 4.0, restarts=32, seed=norm).lower == 18.075921143393835
-    assert alternating_max(T, 4.0, restarts=25, seed=norm).lower == 17.396201078217736
+    assert alternating_max(T, 4.0, seed=norm).lower == 18.075921143393835
+    assert _best_restarts(T.coeffs[None], 4.0, 25, [norm])[0][0] == 17.396201078217736
 
 
 def test_random_starts_are_one_stream():
@@ -380,12 +379,12 @@ def test_batch_entry_matches_alternating_max(monkeypatch):
         for p in (4.0, math.inf):
             tensors = [generate("gaussian", 3, 3, field, int(rng.integers(2**32))) for _ in range(4)]
             seeds = [np.random.SeedSequence([9, b]) for b in range(4)]
-            caps = [crude_upper(T, p) for T in tensors]
+            caps = [_rounded_hoelder(T, p) for T in tensors]
             stack = np.stack([T.coeffs for T in tensors])
-            lower, upper, witness, converged = _best_restarts(stack, p, 6, seeds)
+            lower, upper, witness, converged = _best_restarts(stack, p, _RESTARTS, seeds)
             assert np.array_equal(upper, _interpolation_bounds(stack, p))
             for b, (T, seed) in enumerate(zip(tensors, seeds)):
-                single = alternating_max(T, p, restarts=6, seed=seed)
+                single = alternating_max(T, p, seed=seed)
                 assert lower[b].tobytes() == np.float64(single.lower).tobytes()
                 assert upper[b].tobytes() == np.float64(single.upper).tobytes()
                 assert converged[b] == single.converged
@@ -395,7 +394,7 @@ def test_batch_entry_matches_alternating_max(monkeypatch):
             low_caps = lower / 2
             with monkeypatch.context() as patch:
                 patch.setattr(norms_module, "_interpolation_bounds", lambda stack, p: low_caps)
-                capped = _best_restarts(stack, p, 6, seeds)[0]
+                capped = _best_restarts(stack, p, _RESTARTS, seeds)[0]
             assert np.array_equal(capped, low_caps)
 
 
@@ -483,7 +482,7 @@ def test_crude_upper_is_exact_on_rank_one_tensors(field, p):
         T = _tensor(coeffs, field)
         expected = math.prod(dual_norm_linear(a, p)[0] for a in factors)
         assert crude_upper(T, p) == pytest.approx(expected, rel=1e-13)
-        est = alternating_max(T, p, restarts=4, seed=m)
+        est = alternating_max(T, p, seed=m)
         assert est.lower == pytest.approx(est.upper, rel=1e-9)
 
 
@@ -546,8 +545,8 @@ def test_hoelder_bound_holds_the_ascent_and_is_below_the_mass(shape, field, p, s
     # vectors
     m, n = shape
     T = generate("gaussian", m, n, field, seed)
-    upper = crude_upper(T, p)
-    est = alternating_max(T, p, restarts=4, seed=seed)
+    upper = _rounded_hoelder(T, p)
+    est = alternating_max(T, p, seed=seed)
     assert est.upper == upper if p < 2.0 else est.upper <= upper
     assert est.lower <= est.upper * (1.0 + 1e-12)
     assert upper <= crude_upper(T) * (1.0 + 1e-12)
@@ -563,7 +562,7 @@ def test_alternating_never_exceeds_exact():
         n = int(rng.integers(2, 4))
         T = generate("gaussian", 2, n, REAL, int(rng.integers(2**32)))
         exact = exact_linf_enum(T).lower
-        est = alternating_max(T, math.inf, restarts=50, seed=int(rng.integers(2**32)))
+        est = alternating_max(T, math.inf, seed=int(rng.integers(2**32)))
         assert est.lower <= exact + 1e-12
         if abs(est.lower - exact) <= 1e-9 * max(1.0, exact):
             agree += 1
@@ -585,7 +584,7 @@ def test_norms_nondecreasing_in_p(shape, kind, p, seed):
     m, n = shape
     T = generate(kind, m, n, REAL, seed)
     exact_inf = exact_linf_enum(T).lower
-    lower = alternating_max(T, p, restarts=8, seed=seed).lower
+    lower = alternating_max(T, p, seed=seed).lower
     if math.isinf(p):
         assert lower <= exact_inf * (1.0 + 1e-15)
     else:
@@ -603,8 +602,8 @@ def test_alternating_max_scales_by_powers_of_two_bit_for_bit(field, p, k):
         T = generate("gaussian", m, n, field, int(rng.integers(2**32)))
         scaled = FormTensor(m=m, n=n, field=field, coeffs=math.ldexp(1.0, k) * T.coeffs)
         seed = int(rng.integers(2**32))
-        est = alternating_max(T, p, restarts=6, seed=seed)
-        big = alternating_max(scaled, p, restarts=6, seed=seed)
+        est = alternating_max(T, p, seed=seed)
+        big = alternating_max(scaled, p, seed=seed)
         assert big.lower == math.ldexp(est.lower, k)
         assert big.upper == math.ldexp(est.upper, k)
         assert big.converged == est.converged
@@ -629,7 +628,7 @@ def test_m1_dual_closed_form():
     T = FormTensor(m=1, n=4, field=REAL, coeffs=np.array([3.0, -4.0, 0.0, 0.0]))
     # a linear functional: its norm is the closed-form dual norm, not an ascent
     with pytest.raises(DomainError, match="m >= 2"):
-        alternating_max(T, 2.0, restarts=1, seed=0)
+        alternating_max(T, 2.0, seed=0)
     enum = exact_linf_enum(T)
     assert enum.lower == pytest.approx(7.0, rel=1e-14)  # l1 mass on l_inf
 
@@ -638,8 +637,6 @@ def test_alternating_domain_errors():
     T = generate("gaussian", 2, 2, REAL, 1)
     with pytest.raises(DomainError):
         alternating_max(T, 1.0)
-    with pytest.raises(DomainError):
-        alternating_max(T, 2.0, restarts=0)
 
 
 def test_estimates_jsonable():
@@ -658,7 +655,7 @@ def test_linf_sandwich_ascent_exact_mass(shape, kind, seed):
     # at real p = inf: ascent lower bound <= exact norm <= coefficient mass
     m, n = shape
     T = generate(kind, m, n, REAL, seed)
-    lower = alternating_max(T, math.inf, restarts=4, seed=seed).lower
+    lower = alternating_max(T, math.inf, seed=seed).lower
     exact = exact_linf_enum(T).lower
     assert lower <= exact * (1.0 + 1e-12)
     assert exact <= crude_upper(T) * (1.0 + 1e-12)
@@ -684,7 +681,7 @@ def test_complex_root_enumeration_sandwich(shape, kind, seed):
     assert enum <= mass * (1.0 + 1e-14)
     assert lower == min(enum, mass)
     assert lower <= upper <= _certified_mass(np.array([mass]), T.size)[0]
-    assert upper >= alternating_max(T, math.inf, restarts=4, seed=seed).lower
+    assert upper >= alternating_max(T, math.inf, seed=seed).lower
     assert upper <= max(lower, 1e-300) / math.cos(math.pi / 12) ** (m - 1) * (1.0 + 1e-12)
 
 
@@ -781,7 +778,7 @@ def test_interpolation_bound_holds_a_64_restart_ascent(shape, field, kind, p, se
     assume(not (kind == "steinhaus" and field is REAL))
     m, n = shape
     T = generate(kind, m, n, field, seed)
-    hoelder = crude_upper(T, p)
+    hoelder = _rounded_hoelder(T, p)
     first = _interpolation_bounds(T.coeffs[None], p)[0]
     second = _interpolation_bounds(T.coeffs[None], p, _root_count(m, n))[0]
     assert second <= first <= hoelder
@@ -868,7 +865,7 @@ def test_interpolation_bound_of_a_tensor_does_not_depend_on_its_stack(p, field):
             ]
             assert bounds.tolist() == alone
             assert bounds[6] == 0.0
-            hoelder = [crude_upper(FormTensor(m, n, field, t), p) for t in tensors[:6]]
+            hoelder = [_rounded_hoelder(FormTensor(m, n, field, t), p) for t in tensors[:6]]
             assert (bounds[:6] <= hoelder).all()
             if n**m >= 27:   # on the smallest shapes the Hoelder bound can win
                 assert (bounds[:6] < hoelder).all()
@@ -904,12 +901,13 @@ def test_a_failed_cholesky_test_falls_back_to_the_frobenius_norm(monkeypatch, wi
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_interpolation_bound_outside_p_2_to_inf_is_the_hoelder_bound(p, field):
     # Riesz-Thorin between l_2 and l_inf covers 2 <= p < inf only: there
-    # the bound is each tensor's crude_upper, bit for bit, in any stack
+    # the bound is each tensor's crude_upper rounded outward, bit for bit,
+    # in any stack
     tensors = [generate("gaussian", 3, 3, field, s) for s in range(5)]
     stack = np.stack([T.coeffs for T in tensors])
     for roots in (None, 12):
         bounds = _interpolation_bounds(stack, p, roots)
-        assert bounds.tolist() == [crude_upper(T, p) for T in tensors]
+        assert bounds.tolist() == [_rounded_hoelder(T, p) for T in tensors]
 
 
 def test_root_count_is_the_largest_k_within_2_to_the_18_patterns():
@@ -928,14 +926,14 @@ def test_root_count_is_the_largest_k_within_2_to_the_18_patterns():
 def test_alternating_max_refuses_a_bad_seed(seed):
     T = generate("gaussian", 2, 2, REAL, 1)
     with pytest.raises(DomainError, match="seed must be a non-negative integer"):
-        alternating_max(T, 4.0, restarts=2, seed=seed)
+        alternating_max(T, 4.0, seed=seed)
 
 
 def test_alternating_max_seed_spellings_draw_one_stream():
     # an integer, its SeedSequence and its Generator start the same restarts,
     # the ones `_best_restarts` draws from the integer
     T = generate("gaussian", 3, 2, REAL, 5)
-    lower, upper = _best_restarts(T.coeffs[None], 4.0, 4, [7])[:2]
+    lower, upper = _best_restarts(T.coeffs[None], 4.0, _RESTARTS, [7])[:2]
     for seed in (7, np.random.SeedSequence(7), np.random.default_rng(7)):
-        est = alternating_max(T, 4.0, restarts=4, seed=seed)
+        est = alternating_max(T, 4.0, seed=seed)
         assert (est.lower, est.upper) == (float(lower[0]), float(upper[0]))
