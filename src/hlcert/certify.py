@@ -5,6 +5,11 @@ side against constant * ||T||, and classifies each trial as pass,
 inconclusive (the norm sandwich straddles the threshold), or violation.
 The underlying bound is a proven theorem, so violations always indicate an
 implementation bug; the suite treats them as its primary self-diagnostic.
+Every upper bound of ||T|| a trial is classified by is rounded outward: at
+real p = inf the sign enumeration's, by `hlcert.norms._linf_bounds` (the
+l_inf rule of the proof chain and `exact_linf_enum` too), elsewhere
+`_interpolation_bounds`.  Only the search ranks by an unrounded value, the
+float enumeration or the Hoelder bound (`_score`).
 A lambda0 sweep certifies all its rows in one such run: each trial is drawn
 and bounded once and scored against every row.  The extremal search scores
 its tensors with `_score`, whose left-hand side (`_lhs`), ratio (`_ratio`)
@@ -35,6 +40,7 @@ from .norms import (
     _exact_linf_stack,
     _hoelder_bounds,
     _interpolation_bounds,
+    _linf_bounds,
     _root_count,
     alternating_max,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
     crude_upper,  # noqa: F401  (kept as a module attribute: bench/tracer.py wraps it here)
@@ -42,6 +48,7 @@ from .norms import (
 )
 from .special import ScalarField
 from .tensor import (
+    _SIGNS,
     FormTensor,
     _check_kinds,
     _entry_count,
@@ -185,8 +192,8 @@ def _classify(lhs: float, c_lower: float, c_upper: float) -> str:
     return "inconclusive"
 
 
-def _exact_bound(exps: ExponentSet) -> bool:
-    """Whether `_score` and `certify` bound a tensor by ||T|| itself: real forms on l_inf."""
+def _real_linf(exps: ExponentSet) -> bool:
+    """Whether `_score` and `certify` bound a tensor by its sign vertices: real forms on l_inf."""
     return math.isinf(exps.p) and exps.field is ScalarField.REAL
 
 
@@ -195,9 +202,10 @@ def _score(stack: np.ndarray, exps: ExponentSet) -> Tuple[np.ndarray, np.ndarray
 
     The scorer of `search_extremal`.  lhs is the largest mixed norm over the
     fixed index (the strictest reading of the left-hand side), the lhs of
-    every `certify` trial too (`_lhs`).  upper bounds ||T||: the
-    exact l_inf norm for real p = inf (`_exact_linf_stack`, one sign
-    enumeration of the whole stack), otherwise the Hoelder bound
+    every `certify` trial too (`_lhs`).  upper is a ranking value of ||T||,
+    not rounded outward: the float sign enumeration for real p = inf
+    (`_exact_linf_stack`, one pass over the whole stack, within rounding of
+    the l_inf norm), otherwise the Hoelder bound
     `crude_upper(T, p)` = ||coeff||_{p'}, p' = p/(p-1) (the coefficient mass
     at p = inf).  At finite p, lhs <= ||coeff||_s <= ||coeff||_{p'}, since
     the outer exponent eta1 >= s >= 2 > p', so lhs / upper <= 1.  A
@@ -206,16 +214,16 @@ def _score(stack: np.ndarray, exps: ExponentSet) -> Tuple[np.ndarray, np.ndarray
     (`_magnitudes`) and feed the finiteness check, the mixed norms and the
     bound; the mixed norms scale each power sum by its own largest term, so
     a large s or eta1 (about 3001 at m = 3, p = 3.001, lambda0 = 1)
-    neither overflows nor underflows.  The search ranks by this bound, as
-    its throughput lives in this pass; `certify` bounds with the same exact
-    norm at real p = inf and elsewhere with `_interpolation_bounds`, which
-    is never above this bound rounded outward.
+    neither overflows nor underflows.  The search ranks by this value, as
+    its throughput lives in this pass; `certify` bounds with `_linf_bounds`
+    at real p = inf, this enumeration rounded outward, and elsewhere with
+    `_interpolation_bounds`, which is never above this bound rounded outward.
     Coefficients must be finite, a complex modulus included (DomainError,
     the rule of `FormTensor`).
     """
     mags, top = _magnitudes(stack)
     lhs = _lhs(mags, stack.shape, exps)
-    if _exact_bound(exps):
+    if _real_linf(exps):
         upper = _exact_linf_stack(stack)[0]
     else:
         upper = _hoelder_bounds(mags, top, exps.p)
@@ -243,17 +251,18 @@ def _run_batch(args) -> List[List[TrialResult]]:
     The rows are `ExponentSet`s that share (m, p, field), one per lambda0.
     A trial's tensor, stream and bounds never involve lambda0, so the batch
     is drawn once, its `_magnitudes` taken once, and its bounds computed
-    once: at real p = inf the exact l_inf norm (`_exact_linf_stack`, one
-    sign enumeration of the whole stack), which is both bounds; elsewhere
-    the stage 1 sandwich of the ascent (`_best_restarts`), whose upper bound
-    is `_interpolation_bounds` of the whole batch, at most the Hoelder
-    bound rounded outward.  Then each row does what a one-row run does: its lhs (`_lhs`,
-    `_score`'s), its verdicts (`_classify` against its constant), and
-    stage 2 on the trials it alone finds inconclusive: the same bound with
-    the l_inf side also capped by the root enumeration at K =
-    `_root_count(m, n)` roots of unity (one call for all of them, `retried`;
-    none if no K fits).  Every step gives a trial the values it gets alone,
-    so its row does not depend on the batch or on the other rows.
+    once: at real p = inf the l_inf sandwich of one sign enumeration of the
+    whole stack (`_linf_bounds`: the float vertex maximum below, rounded
+    outward above); elsewhere the stage 1 sandwich of the ascent
+    (`_best_restarts`), whose upper bound is `_interpolation_bounds` of the
+    whole batch, at most the Hoelder bound rounded outward.  Then each row
+    does what a one-row run does: its lhs (`_lhs`, `_score`'s), its verdicts
+    (`_classify` against its constant), and stage 2 on the trials it alone
+    finds inconclusive: the same bound with the l_inf side also capped by
+    the root enumeration at K = `_root_count(m, n)` roots of unity (one
+    call for all of them, `retried`; none if no K fits).  Every step gives
+    a trial the values it gets alone, so its row does not depend on the
+    batch or on the other rows.
     """
     rows, n, seed, cfg, start, stop = args
     m, p, field = rows[0].m, rows[0].p, rows[0].field
@@ -265,8 +274,8 @@ def _run_batch(args) -> List[List[TrialResult]]:
         generate(kind, m, n, field, gen_ss).coeffs for kind, (gen_ss, _) in zip(kinds, spawned)
     ])
     mags = _magnitudes(stack)[0]
-    if _exact_bound(rows[0]):
-        lower = upper = _exact_linf_stack(stack)[0]
+    if _real_linf(rows[0]):
+        lower, upper, _ = _linf_bounds(stack, _SIGNS)
     else:
         lower, upper = _best_restarts(stack, p, _RESTARTS, [ss for _, ss in spawned])[:2]
     entropy = [int(ss.generate_state(1)[0]) for ss in streams]
@@ -340,8 +349,10 @@ def certify(
 
     Per trial: draw a tensor (kinds cycled per index), take its lhs, the
     maximum mixed norm over the fixed index (`_lhs`, the left-hand side of
-    `_score`, which `search_extremal` scores with), and bound ||T||: exactly
-    at real p = inf (sign enumeration, both bounds), otherwise by the
+    `_score`, which `search_extremal` scores with), and bound ||T||: at
+    real p = inf by the sign enumeration (`_linf_bounds`: its float value
+    below, rounded outward above, by about (n^(m-1) + n + 8m) * 2^-53 times
+    the coefficient mass), otherwise by the
     alternating ascent for the lower bound and for the upper bound the
     certified interpolation bound min(Hoelder, sigma^(2/p) * U^(1-2/p)) of
     `_interpolation_bounds` (stage 1; the Hoelder bound `crude_upper(T, p)`
@@ -429,8 +440,8 @@ def search_extremal(
     so the result is the one a climb scoring one candidate at a time gives.
 
     Candidates are scored by `_score`, with the lhs of `certify`: the ratio
-    is lhs / upper(||T||), 1.0 for a zero tensor, with upper the exact
-    l_inf norm at real p = inf and the Hoelder bound ||coeff||_{p'}
+    is lhs / upper(||T||), 1.0 for a zero tensor, with upper the float
+    sign enumeration at real p = inf and the Hoelder bound ||coeff||_{p'}
     otherwise.  At finite p the ratio stays <= 1, since lhs <= ||coeff||_s
     <= ||coeff||_{p'} for s >= 2 > p'.  The resulting ratio is an empirical
     lower bound on the best constant and can never exceed the certified

@@ -27,10 +27,13 @@ Seeds follow one rule, `hlcert.errors._check_seed`, at every entry point
 `hlcert.certify` `certify`, `search_extremal` and `sweep_lambda0`): a seed
 is an integer in [0, 2^32), anything else raises DomainError.  The
 Monte-Carlo samples come from SeedSequence([seed, 0]), so results are
-reproducible per (parameters, seed).  The complex chain bounds ||S|| on
-l_inf by `_linf_root_bounds` at K = `hlcert.norms._root_count(m, n)`; only
-where no K fits does it fall back to an ascent, from SeedSequence([seed, 1]),
-and the coefficient mass.
+reproducible per (parameters, seed).  The chain bounds ||S|| on l_inf by
+the one rule of `hlcert.norms._linf_bounds`, a vertex maximum rounded
+outward: the real chain rounds the sign maximum of its own `_chaos_stats`
+pass (`hlcert.norms._rounded_linf`, no second enumeration), the complex
+chain enumerates the K-th roots of unity, K = `hlcert.norms._root_count(m,
+n)`; only where no K fits does it fall back to an ascent, from
+SeedSequence([seed, 1]), and the coefficient mass.
 
 Both sides of every inequality checked here are 1-homogeneous in the
 coefficients, so the checks run on the input divided by the power of two
@@ -55,14 +58,16 @@ import numpy as np
 
 from .errors import DomainError, ViolationError, _check_integer, _check_seed, _jsonable
 from .exponents import _check_lambda0
-from .norms import _check_multilinear, _linf_root_bounds, _root_count, alternating_max
+from .norms import _check_multilinear, _linf_bounds, _root_count, _rounded_linf, alternating_max
 # exact_linf_enum and crude_upper are tracer shims: bench/tracer.py wraps them here
 from .norms import crude_upper, exact_linf_enum  # noqa: F401
 from .special import ScalarField, khinchin_A
 from .tensor import (
+    _SIGNS,
     _SMALLEST,
     FormTensor,
     _scaled_power_sums,
+    _unit_roots,
     _unit_scaled,
     mixed_norm,
     # kept as module attributes: bench/tracer.py wraps them here
@@ -178,10 +183,10 @@ def _chaos_stats(
     slice j.  Returns the L_q norm of each column, the L_q norm of the whole
     chaos (the q-th root of the mean of the row sums sum_j |V[k, j]|^q), its
     standard error by the delta method, and, when linf is set, max_k sum_j
-    |V[k, j]| (else None).  Over the sign patterns the last is the exact
-    norm on l_inf^n (sign vectors are the ball's extreme points, the l_1
-    dual closes the free slot), whichever axis of the form is free; it is
-    taken before any scaling, so it is `hlcert.norms._exact_linf_stack`'s
+    |V[k, j]| (else None).  Over the sign patterns the last is the norm on
+    l_inf^n up to rounding (sign vectors are the ball's extreme points, the
+    l_1 dual closes the free slot), whichever axis of the form is free; it
+    is taken before any scaling, so it is `hlcert.norms._exact_linf_stack`'s
     value bit for bit.  Column and row sums are products with ones vectors.
 
     The power sums follow the rule of `hlcert.tensor._scaled_power_sums`:
@@ -462,15 +467,18 @@ def verify_proof_chain(
          chaos (association identity, checked to 1e-10 relative);
       4. sup_domination: that integral is at most ||S|| on l_inf.
 
-    The final link `overall_bound` composes them.  Real field: everything by
-    exact enumeration, the chaos statistics and ||S|| from one pass over the
-    sign patterns; failures raise ViolationError naming the link (unless
+    The final link `overall_bound` composes them, and sup_domination and
+    overall_bound compare against the upper end of the l_inf sandwich.  Real
+    field: everything by exact enumeration, the chaos statistics and the
+    sign maximum from one pass over the sign patterns, which `_rounded_linf`
+    rounds outward into ||S||'s bounds (the rule of `_linf_bounds`);
+    failures raise ViolationError naming the link (unless
     raise_on_failure=False).  Complex field: Steinhaus Monte Carlo from
     SeedSequence([seed, 0]) with 3-sigma soft checks; nothing raises on
-    noise.  ||S|| is bounded by `_linf_root_bounds` at K = `_root_count(m, n)`
-    (a sandwich within cos(pi/K)^-(m-1)), and sup_domination compares against
-    its upper end; where no K fits, by an alternating ascent from
-    SeedSequence([seed, 1]) and the coefficient mass.  The links are
+    noise.  ||S|| is bounded by `_linf_bounds` at the K-th roots of unity,
+    K = `_root_count(m, n)` (a sandwich within cos(pi/K)^-(m-1)); where no K
+    fits, by an alternating ascent from SeedSequence([seed, 1]) and the
+    coefficient mass.  The links are
     checked on S scaled by a power of two to max|coeff| about 1, so the
     absolute slacks are relative to the largest coefficient; reported values
     are in the units of S.  The lhs of holder_interpolation and overall_bound
@@ -506,8 +514,8 @@ def verify_proof_chain(
     stderr = None
     if S.field is ScalarField.REAL:
         mode = "exact"
-        R, integral, _, norm_lower = _chaos_stats(sign_slices(coeffs), lambda0, linf=True)
-        norm_upper = norm_lower
+        R, integral, _, sup = _chaos_stats(sign_slices(coeffs), lambda0, linf=True)
+        bounds = _rounded_linf(S.coeffs[None], np.array([sup]), _SIGNS)
         ineq_slack = EXACT_SLACK
     else:
         mode = "mc"
@@ -516,13 +524,13 @@ def verify_proof_chain(
         )
         roots = _root_count(m, n)
         if roots is not None:
-            lower, upper = _linf_root_bounds(S.coeffs[None], roots)
-            norm_lower, norm_upper = float(lower[0]), float(upper[0])
+            bounds = _linf_bounds(S.coeffs[None], _unit_roots(roots))
         else:
             # too many root patterns: the ascent and the certified coefficient mass
             est = alternating_max(S, math.inf, seed=np.random.SeedSequence([seed, 1]))
-            norm_lower, norm_upper = est.lower, est.upper
+            bounds = ([est.lower], [est.upper])
         ineq_slack = 3.0 * stderr * factor + MC_SLACK
+    norm_lower, norm_upper = float(bounds[0][0]), float(bounds[1][0])
     rhs = factor * R                                     # slice j's bound A^{-2(m-1)/s} R_j
     r_sum = float(_scaled_power_sums(R, lambda0))        # (sum_j R_j^l0)^(1/l0); overwrites R
 

@@ -7,9 +7,10 @@ smaller of it and the interpolation bound sigma^(2/p) * U^(1-2/p) between
 l_2 and l_inf (`_interpolation_bounds`, rounded outward, the upper bound of
 `certify` and `alternating_max`) or, on l_inf, the vertex enumeration of
 `hlcert.tensor._vertex_slices` in all slots but the first, which is closed
-in l_1-dual form: exact over the sign vectors for real forms
-(`exact_linf_enum`), and within cos(pi/K)^-(m-1) over the K-th roots of
-unity for complex ones (`_linf_root_bounds` at K = `_root_count(m, n)`).
+in l_1-dual form.  One rule, `_linf_bounds`, turns that enumeration into a
+certified sandwich over either vertex set: the sign vectors for real forms
+(`exact_linf_enum`; the float maximum rounded outward), and the K-th roots
+of unity for complex ones, within cos(pi/K)^-(m-1) (K = `_root_count(m, n)`).
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
       its transposed result holds each slot's A.
     * U >= ||T||_inf is min(mass, n^(m/2) * sigma), as the l_inf unit ball
       lies in the l_2 ball of radius sqrt(n).  With `roots` = K it is also
-      capped by `_linf_root_bounds` at the K-th roots of unity.
+      capped by `_linf_bounds` at the K-th roots of unity.
 
     Each tensor is first divided by the power of two nearest its largest
     magnitude (an exact scaling; what underflows is covered by a slack of
@@ -257,7 +258,7 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
     every sum, power and product is rounded outward.  A tensor's bound is
     the one it gets alone, in any stack: every Gram matrix, eigenvalue,
     factorization and root enumeration is its own, and one
-    `_linf_root_bounds` call covers the stack.  Coefficients must be finite,
+    `_linf_bounds` call covers the stack.  Coefficients must be finite,
     moduli included (DomainError, by `_magnitudes`).
     """
     mags, top = _magnitudes(stack)
@@ -293,7 +294,7 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
     mass = _certified_mass(mags.sum(axis=1), size)
     linf = np.minimum(mass, float(n) ** (0.5 * m) * _ROUND_UP * sigma * _ROUND_UP)
     if roots is not None:
-        linf = np.minimum(linf, _linf_root_bounds(scaled, roots)[1] + slack)
+        linf = np.minimum(linf, _linf_bounds(scaled, _unit_roots(roots))[1] + slack)
     ratio = sigma / linf
     theta = 2.0 / p
     exponent = np.where(ratio <= 1.0, np.nextafter(theta, 0.0), np.nextafter(theta, 1.0))
@@ -309,7 +310,7 @@ def _certified_mass(mass: np.ndarray, size: int) -> np.ndarray:
     relative, so it is rounded outward; a slack of 2^-1000 per coefficient
     also covers what underflows when `_interpolation_bounds` scales a
     tensor to magnitude about 1.  The one certified mass of the
-    l_inf bounds, `_interpolation_bounds` and `_linf_root_bounds`.
+    l_inf bounds, `_interpolation_bounds` and `_rounded_linf`.
     """
     return (mass * (1.0 + 2 * size * _UNIT_ROUNDOFF) + size * _UNDERFLOW) * _ROUND_UP
 
@@ -497,22 +498,25 @@ def _best_restarts(
 
 
 def exact_linf_enum(T: FormTensor) -> NormEstimate:
-    """Exact ||T|| on (l_inf^n)^m for real scalars, by sign enumeration.
+    """||T|| on (l_inf^n)^m for real scalars, by sign enumeration, rounded outward.
 
     The l_inf ball's extreme points are sign vectors, and flipping one
     slot's signs only flips the sign of T, so slots 2..m are enumerated over
     the sign vectors with first entry +1 (2^((n-1)(m-1)) patterns, by
-    `sign_slices`) and the first slot is closed in l_1-dual form: value =
-    max over patterns of sum_j1 |T(e_j1, eps2, ..., epsm)|.  Over
+    `_exact_linf_stack`) and the first slot is closed in l_1-dual form:
+    value = max over patterns of sum_j1 |T(e_j1, eps2, ..., epsm)|.  The
+    float value can fall on either side of the exact norm, so it is the
+    lower bound (at most the float mass) and `_linf_bounds` rounds it
+    outward for the upper one; the witness attains the lower bound.  Over
     `hlcert.tensor.PATTERN_BUDGET` patterns it raises BudgetError before any
-    work; a norm past the largest float raises DomainError (`_finite_norms`).
+    work; a bound past the largest float raises DomainError (`_finite_norms`).
     """
     if T.field is not ScalarField.REAL:
         raise DomainError("exact l_inf enumeration supports the real field only")
     r, free = T.m - 1, T.n - 1
     with np.errstate(over="ignore"):
-        values, indices = _exact_linf_stack(T.coeffs[None])
-    best = float(_finite_norms(values, "l_inf norms", "p=inf")[0])
+        lower, upper, indices = _linf_bounds(T.coeffs[None], _SIGNS)
+    bounds = _finite_norms(np.concatenate([lower, upper]), "l_inf norms", "p=inf")
     best_index = int(indices[0])
     # rebuild the witness from the best pattern index
     signs = np.ones((1, r, T.n))
@@ -520,8 +524,8 @@ def exact_linf_enum(T: FormTensor) -> NormEstimate:
     slice_best = contract_trailing_signs(T.coeffs, signs)[0]
     witness = (_phase(slice_best),) + tuple(signs[0])
     return NormEstimate(
-        lower=best,
-        upper=best,
+        lower=float(bounds[0]),
+        upper=float(bounds[1]),
         method=NormMethod.EXACT_SIGN_ENUM,
         restarts=0,
         converged=True,
@@ -536,13 +540,13 @@ def _exact_linf_stack(
 
     For each tensor, the max over the vertex patterns of `_vertex_slices`
     (slots 2..m over `roots`, first entries 1) of sum_j1 |T(e_j1, z_2, ...,
-    z_m)|: with the signs, the exact l_inf norm of a real tensor; with the
-    roots of unity, the lower end of `_linf_root_bounds`.  One pass
-    enumerates every tensor of the stack.  A row sum is a product with a
-    ones vector, as in `hlcert.chaos._chaos_stats`, so the real chain's
-    norm is this value bit for bit.  Returns (values (K,), pattern indices
-    (K,)), each index the first pattern attaining its tensor's maximum; a
-    tensor's value and index are the ones it gets alone.
+    z_m)|, the float vertex maximum that `_linf_bounds` rounds outward
+    (over the signs, the l_inf norm of a real tensor up to rounding).  One
+    pass enumerates every tensor of the stack.  A row sum is a product with
+    a ones vector, as in `hlcert.chaos._chaos_stats`, so the real chain's
+    maximum is this value bit for bit.  Returns (values (K,), pattern
+    indices (K,)), each index the first pattern attaining its tensor's
+    maximum; a tensor's value and index are the ones it gets alone.
     """
     K = stack.shape[0]
     best = np.full(K, -1.0)
@@ -562,7 +566,7 @@ def _exact_linf_stack(
 
 
 def _root_count(m: int, n: int) -> Optional[int]:
-    """K for `_linf_root_bounds` at shape (m, n) within a fixed cost, or None.
+    """K for `_linf_bounds` at shape (m, n) within a fixed cost, or None.
 
     The one rule for the roots of unity that bound a complex l_inf norm, in
     `verify_proof_chain` and in `certify`'s stage 2 alike: the largest of
@@ -574,34 +578,57 @@ def _root_count(m: int, n: int) -> Optional[int]:
     return next((K for K in _ROOT_COUNTS if K**digits <= _ROOT_PATTERNS), None)
 
 
-def _linf_root_bounds(stack: np.ndarray, K: int) -> Tuple[np.ndarray, np.ndarray]:
+def _linf_bounds(stack: np.ndarray, roots: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certified lower <= ||T|| <= upper on (l_inf^n)^m of every tensor T of a stack (B,) + (n,)*m.
 
-    A real tensor is bounded as its complexification.  Slots 2..m are
-    enumerated over the K-th roots of unity (K even), first
-    entries 1 (`_exact_linf_stack`, K^((n-1)(m-1)) patterns, BudgetError
-    before any work over PATTERN_BUDGET), and slot 1 is closed by the l_1
-    sum: the best value `enum` is attained on the ball, so it is the lower
-    bound (capped by the mass, like the ascent's).  The convex hull of the
-    K-th roots contains the disc of radius cos(pi/K), and with the other
-    slots fixed, z_i -> ||T(., ..., z_i, ...)||_1 is convex and
-    1-homogeneous; slot by slot, ||T|| <= enum / cos(pi/K)^(m-1).  Rotating
-    a slot by a root maps the grid onto itself and leaves the value alone,
-    so fixing first entries loses nothing.  The upper bound adds
-    gamma * mass to enum for the rounding of the computed roots, their
-    products and the sums, gamma = k*u / (1 - k*u) with u = 2^-53 and k =
-    n^(m-1) + n + 8m (the terms of an entry, of its row sum, and eight
-    roundings per slot), divides by cos(pi/K)^(m-1) rounded down, and is
-    capped by the mass rounded outward (`_certified_mass`: the float sum can
-    fall below the exact mass, which is ||T|| for a tensor of nonnegative
-    coefficients).  Returns (lower (B,), upper (B,)); a tensor's
-    bounds are the ones it gets alone.
+    The one l_inf bound rule over a vertex enumeration: slots 2..m over
+    `roots`, first entries 1 (`_exact_linf_stack`, BudgetError before any
+    work over PATTERN_BUDGET patterns), slot 1 closed by the l_1 sum, and
+    the float maximum rounded outward by `_rounded_linf`.  `_SIGNS` bound
+    a real form's norm; the K-th roots of unity (`_unit_roots(K)`, K >= 4)
+    that of its complexification, the norm of a complex form.  Each tensor
+    is enumerated divided by the power of two nearest its largest magnitude
+    (an exact scaling), so the mass neither overflows nor underflows and
+    the bounds of 2^k T are 2^k times those of T, bit for bit; scaled back,
+    a bound past the largest float is inf, which the callers refuse.
+    Returns (lower (B,), upper (B,), pattern indices (B,)), each index the
+    first pattern attaining its tensor's maximum (`exact_linf_enum`'s
+    witness); a tensor's values are the ones it gets alone.
     """
-    m, n = stack.ndim - 1, stack.shape[1]
-    enum = _exact_linf_stack(stack, _unit_roots(K))[0]
+    unit = _nearest_powers_of_two(_magnitudes(stack)[1])
+    scaled = stack / unit.reshape((-1,) + (1,) * (stack.ndim - 1))
+    enum, index = _exact_linf_stack(scaled, roots)
+    lower, upper = _rounded_linf(scaled, enum, roots)
+    return lower * unit, upper * unit, index
+
+
+def _rounded_linf(stack: np.ndarray, enum: np.ndarray, roots: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(lower, upper) on ||T||, l_inf, from the float vertex maxima `enum` of a stack over `roots`.
+
+    The outward rounding of `_linf_bounds`, written once so that the real
+    proof chain rounds the maximum of its own `_chaos_stats` pass.  The
+    tensors should be scaled to largest magnitude about 1, as there.  The
+    best vertex value is attained on the ball, so lower = min(enum, mass),
+    capped by the float mass like the ascent's value.  The float value
+    differs from the exact one by the rounding of the computed roots, their
+    products and the sums, at most gamma * mass with gamma = k*u / (1 -
+    k*u), u = 2^-53 and k = n^(m-1) + n + 8m (the terms of an entry, of its
+    row sum, and eight roundings per slot).  The signs are the vertices of
+    the real ball, so for them (K = 2) upper = enum + gamma * mass.  The
+    convex hull of the K-th roots contains the disc of radius cos(pi/K),
+    and with the other slots fixed, z_i -> ||T(., ..., z_i, ...)||_1 is
+    convex and 1-homogeneous; slot by slot, ||T|| <= enum / cos(pi/K)^(m-1),
+    the divisor rounded down.  Rotating a slot by a root maps the grid onto
+    itself and leaves the value alone, so fixing first entries loses
+    nothing.  upper is capped by the mass rounded outward
+    (`_certified_mass`: the float sum can fall below the exact mass, which
+    is ||T|| for a tensor of nonnegative coefficients).
+    """
+    m, n, K = stack.ndim - 1, stack.shape[1], len(roots)
     mass = np.abs(stack).reshape(len(stack), -1).sum(axis=1)
     k = n ** (m - 1) + n + 8 * m
     gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-    divisor = math.cos(math.pi / K) ** (m - 1) * (1.0 - 2 * (m + 3) * _UNIT_ROUNDOFF)
-    upper = (enum + gamma * mass) / divisor
+    # the sign vertices are the real ball's; a disc of roots is rounded down
+    cos = math.cos(math.pi / K) ** (m - 1) * (1.0 - 2 * (m + 3) * _UNIT_ROUNDOFF)
+    upper = (enum + gamma * mass) / (cos if K > 2 else 1.0)
     return np.minimum(enum, mass), np.minimum(_certified_mass(mass, n**m), upper)

@@ -16,7 +16,7 @@ bound in `hlcert.norms` reads too, and scales each power sum by its own
 largest term, so no s or alpha overflows or underflows it: `mixed_norms`
 raises only where a norm itself passes the largest float.
 
-This module also hosts the vertex enumeration shared by the exact norms
+This module also hosts the vertex enumeration shared by the l_inf bounds
 and the chaos-moment code.  `_vertex_slices` is the one enumeration core:
 for a stack of tensors, each with a free first axis, it yields every
 tensor's slices T(., z_2, ..., z_m) for every vertex pattern, in
@@ -34,7 +34,7 @@ against a precomputed table of its vertex vectors (split by linearity into
 a table part and a per-batch offset when the table would exceed the block).
 `iter_sign_blocks` enumerates raw sign patterns in blocks and
 `contract_trailing_signs` contracts per-pattern vectors; the latter closes
-the exact norm's witness slice and serves the tests' per-pattern
+`exact_linf_enum`'s witness slice and serves the tests' per-pattern
 references.
 """
 

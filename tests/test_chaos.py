@@ -33,10 +33,10 @@ from hlcert import (
 from hlcert import chaos as chaos_module
 from hlcert import tensor as tensor_module
 from hlcert.norms import (
-    _certified_mass, _linf_root_bounds, _root_count, alternating_max, crude_upper,
+    _certified_mass, _linf_bounds, _root_count, alternating_max, crude_upper,
     exact_linf_enum,
 )
-from hlcert.tensor import contract_trailing_signs, iter_sign_blocks
+from hlcert.tensor import _unit_roots, contract_trailing_signs, iter_sign_blocks
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
@@ -712,7 +712,7 @@ def test_chain_random_corpus():
 @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 2)])
 def test_chain_norm_is_exact_enum_in_one_pass(monkeypatch, m, n):
     S = generate("gaussian", m, n, REAL, 40 + m)
-    expected = exact_linf_enum(S).lower
+    expected = exact_linf_enum(S)
     calls = []
     core = chaos_module.sign_slices
 
@@ -729,20 +729,39 @@ def test_chain_norm_is_exact_enum_in_one_pass(monkeypatch, m, n):
         calls.clear()
         rep = verify_proof_chain(S, 1.5, 2.5, index=index)
         assert len(calls) == 1
-        assert rep.norm_lower == rep.norm_upper
-        assert rep.norm_lower == pytest.approx(expected, rel=1e-12)
+        assert rep.norm_lower < rep.norm_upper <= rep.norm_lower * (1.0 + 1e-13)
+        assert rep.norm_lower == pytest.approx(expected.lower, rel=1e-12)
+        assert rep.norm_upper == pytest.approx(expected.upper, rel=1e-12)
 
 
 def test_real_chain_norm_is_exact_linf_enum_bit_for_bit():
-    # one vertex-value rule: the chain's `_chaos_stats` and `_exact_linf_stack`
-    # both take a pattern's row sum as |V| @ ones, so the two exact norms agree
-    # to the last bit (a power-of-two scaling is exact)
+    # one l_inf bound rule, `_linf_bounds`, for every reader.  The chain's
+    # `_chaos_stats` and `_exact_linf_stack` both take a pattern's row sum as
+    # |V| @ ones, so the two sign maxima agree to the last bit (a power-of-two
+    # scaling is exact), and `_rounded_linf` rounds both alike: the chain's
+    # sandwich (scaled back) is exact_linf_enum's
     rng = np.random.default_rng(5)
     for m, n in [(3, 8), (2, 9), (3, 5), (4, 4), (2, 12), (3, 2), (2, 2)]:
         for _ in range(30):
             S = generate("gaussian", m, n, REAL, rng)
             rep = verify_proof_chain(S, 1.5, 2.5, index=1)
-            assert rep.norm_lower == exact_linf_enum(S).lower
+            est = exact_linf_enum(S)
+            assert (rep.norm_lower, rep.norm_upper) == (est.lower, est.upper)
+    # a real p = inf certify row's sandwich is exact_linf_enum's of its tensor
+    cfg = TrialConfig(trials=20, keep_trials=True)
+    for m, n in [(3, 5), (2, 9), (4, 2), (3, 3)]:
+        for row in certify(m, n, math.inf, 2.0, REAL, config=cfg, seed=5).trial_rows:
+            gen_ss = np.random.SeedSequence([5, row.index]).spawn(2)[0]
+            est = exact_linf_enum(generate(row.kind, m, n, REAL, gen_ss))
+            assert (row.lower, row.upper) == (est.lower, est.upper)
+    # the complex chain's sandwich is `_linf_bounds` at its K-th roots of unity
+    for m, n in [(3, 3), (2, 7), (3, 4)]:
+        for kind in ("gaussian", "steinhaus"):
+            S = generate(kind, m, n, COMPLEX, rng)
+            S = FormTensor(m=m, n=n, field=COMPLEX, coeffs=3.0 * S.coeffs)
+            rep = verify_proof_chain(S, 1.5, 2.5, mc_samples=2_000, seed=1)
+            (lower,), (upper,), _ = _linf_bounds(S.coeffs[None], _unit_roots(_root_count(m, n)))
+            assert (rep.norm_lower, rep.norm_upper) == (lower, upper)
 
 
 @pytest.mark.parametrize("c", [1e160, -1e160, 1e-200, 3.0, 2.0**-700])
@@ -999,7 +1018,7 @@ def test_complex_chain_bounds_the_norm_by_roots_of_unity(m, n, K):
     assert _root_count(m, n) == K
     S = generate("steinhaus", m, n, COMPLEX, 11)
     rep = verify_proof_chain(S, 1.5, 2.5, mc_samples=20_000, seed=2)
-    (lower,), (upper,) = _linf_root_bounds(S.coeffs[None], K)
+    (lower,), (upper,), _ = _linf_bounds(S.coeffs[None], _unit_roots(K))
     assert (rep.norm_lower, rep.norm_upper) == (lower, upper)
     assert rep.norm_upper / rep.norm_lower <= math.cos(math.pi / K) ** (1 - m) * (1.0 + 1e-12)
     assert rep.norm_upper >= alternating_max(S, math.inf, seed=3).lower

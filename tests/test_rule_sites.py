@@ -1,9 +1,12 @@
-"""Each input rule of hlcert is written once, and so is its JSON rule.
+"""Each input rule of hlcert is written once, and so are its JSON and l_inf bound rules.
 
 A DomainError message names the rule that failed.  When the same message
 head is raised at two call sites, the rule is written twice and the copies
 can drift apart; the second site should call the first one's helper.  In
-the same way every result's `to_jsonable` defers to `hlcert.errors._jsonable`.
+the same way every result's `to_jsonable` defers to `hlcert.errors._jsonable`,
+and every l_inf bound from a vertex enumeration goes through
+`hlcert.norms._linf_bounds`: the raw float maximum `_exact_linf_stack` is
+read only inside `hlcert.norms` and by the search's ranking.
 """
 
 import ast
@@ -60,6 +63,38 @@ def test_the_scan_finds_the_rules():
 def test_every_domain_error_message_is_raised_at_one_site():
     repeated = {head: where for head, where in _domain_error_sites().items() if len(where) > 1}
     assert not repeated, f"one rule written at several sites: {repeated}"
+
+
+def _call_sites(name):
+    """{"module.py:function"} of every call of `name` (a bare or dotted name) in the package.
+
+    A call outside any function is reported as "module.py:<module>".
+    """
+    sites = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split(':')[0]}:{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == name:
+                sites.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(SOURCES.glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.name}:<module>")
+    return sites
+
+
+def test_raw_vertex_maxima_are_read_only_by_the_bound_rule_and_the_ranking():
+    # a caller that took `_exact_linf_stack`'s float value as a bound would
+    # bypass the outward rounding of `_linf_bounds`
+    sites = _call_sites("_exact_linf_stack")
+    assert "norms.py:_linf_bounds" in sites and "certify.py:_score" in sites
+    outside = {site for site in sites if not site.startswith("norms.py:")}
+    assert outside == {"certify.py:_score"}
 
 
 def _to_jsonable_sites():
