@@ -152,8 +152,8 @@ def trials_to_csv(rows: Sequence[TrialResult]) -> str:
     out.write("trial,kind,seed,ratio_conservative,ratio_empirical,classification,retried\n")
     for r in rows:
         out.write(
-            f"{r.index},{r.kind},{r.seed_entropy},{r.ratio_conservative!r},"
-            f"{r.ratio_empirical!r},{r.classification},{int(r.retried)}\n"
+            f"{r.index},{r.kind},{r.seed_entropy},{_csv_cell(r.ratio_conservative)},"
+            f"{_csv_cell(r.ratio_empirical)},{r.classification},{int(r.retried)}\n"
         )
     return out.getvalue()
 

@@ -37,15 +37,19 @@ SeedSequence([seed, 1]), and the coefficient mass.
 
 Both sides of every inequality checked here are 1-homogeneous in the
 coefficients, so the checks run on the input divided by the power of two
-nearest its largest coefficient (an exact scaling) and scale the reported
-values back: nothing overflows or underflows, and the absolute slacks are
-relative to the largest coefficient.  The moments `rademacher_moment` and
-`steinhaus_moment` follow the same rule.  Every power sum of |chaos|^q is
-scaled by its running largest term, the rule of the mixed norms
-(`hlcert.tensor._scaled_power_sums`), so every moment and check is finite
-at every exponent q >= 1.  The chain computes no mixed sum of its own: its
-left-hand side is `hlcert.tensor.mixed_norm`, the value `verify` scores,
-finite at every s.
+nearest its largest coefficient and scale the reported values back:
+nothing overflows or underflows, and the absolute slacks are relative to
+the largest coefficient.  The moments `rademacher_moment` and
+`steinhaus_moment` follow the same rule.  It is the one scaling rule of
+the bounds, `hlcert.tensor._unit_scaled`, on a stack of one
+(`_unit_scaled_one`): exact unless an entry underflows, and a complex
+input's parts are divided separately, so a subnormal power of two does
+not overflow (complex / real multiplies by its reciprocal).  Every power
+sum of |chaos|^q is scaled by its running largest term, the rule of the
+mixed norms (`hlcert.tensor._scaled_power_sums`), so every moment and
+check is finite at every exponent q >= 1.  The chain computes no mixed
+sum of its own: its left-hand side is `hlcert.tensor.mixed_norm`, the
+value `verify` scores, finite at every s.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ def rademacher_moment(a, q: float) -> ChaosMoment:
     so entries near the floating point limits neither overflow nor underflow.
     Complex coefficients raise DomainError.
     """
-    a, unit = _unit_scaled(_coefficient_vector(_real_array(a), q, np.float64))
+    a, unit = _unit_scaled_one(_coefficient_vector(_real_array(a), q, np.float64))
     return ChaosMoment(q=q, value=unit * _rademacher_norm(a, q), mode="exact")
 
 
@@ -138,7 +142,7 @@ def steinhaus_moment(a, q: float, samples: int = MC_SAMPLES, seed: int = 0) -> C
     """
     seed = _check_seed(seed)
     _check_integer("samples", samples, 2)
-    a, unit = _unit_scaled(_coefficient_vector(a, q, np.complex128))
+    a, unit = _unit_scaled_one(_coefficient_vector(a, q, np.complex128))
     value, value_err = _steinhaus_norm(a, q, samples, seed)
     return ChaosMoment(
         q=q, value=unit * value, mode="mc", samples=samples, seed=seed, stderr=unit * value_err,
@@ -156,6 +160,12 @@ def _real_array(a) -> np.ndarray:
     if np.iscomplexobj(arr):
         raise DomainError("real-field checks take real coefficients only")
     return arr.astype(np.float64)
+
+
+def _unit_scaled_one(arr: np.ndarray) -> Tuple[np.ndarray, float]:
+    """`hlcert.tensor._unit_scaled` of one array: (arr scaled, its power of two as a float)."""
+    scaled, unit = _unit_scaled(arr[None])
+    return scaled[0], float(unit[0])
 
 
 def _coefficient_vector(a, q: float, dtype) -> np.ndarray:
@@ -336,8 +346,7 @@ def check_khinchin(
     _check_integer("samples", samples, 2)
     A = khinchin_A(q, field).value
     arr = _real_array(a) if field is ScalarField.REAL else np.asarray(a, dtype=np.complex128)
-    arr, unit = _unit_scaled(arr)
-    arr = _coefficient_vector(arr, q, arr.dtype)
+    arr, unit = _unit_scaled_one(_coefficient_vector(arr, q, arr.dtype))
     if field is ScalarField.REAL:
         mode, mid, stderr, slack = "exact", _rademacher_norm(arr, q), None, EXACT_SLACK
     else:
@@ -382,13 +391,13 @@ def check_contraction(a, t: float) -> ContractionReport:
     input raises DomainError rather than losing its imaginary parts).
     """
     arr = _real_array(a)
-    if arr.ndim < 1:
-        raise DomainError("coefficient tensor must have at least one axis")
+    if arr.ndim < 1 or arr.size == 0:
+        raise DomainError("coefficient tensor must have at least one axis and one entry")
     _check_moment_exponent("t", t)
     sizes = set(arr.shape)
     if len(sizes) != 1:
         raise DomainError(f"coefficient tensor must be cubical, got shape {arr.shape}")
-    arr, unit = _unit_scaled(arr)
+    arr, unit = _unit_scaled_one(arr)
     moment = _rademacher_norm(arr, t)
     max_coeff = float(np.abs(arr).max())
     passed = max_coeff <= moment + EXACT_SLACK
@@ -496,7 +505,7 @@ def verify_proof_chain(
     # by the power of two nearest max|coeff| (an exact scaling), so the
     # absolute slacks are relative to the largest coefficient, then scale
     # the reported values back
-    scaled, unit = _unit_scaled(S.coeffs)
+    scaled, unit = _unit_scaled_one(S.coeffs)
     S = FormTensor(m=S.m, n=S.n, field=S.field, coeffs=scaled)
     coeffs = np.moveaxis(S.coeffs, index - 1, 0)
     m, n = S.m, S.n

@@ -31,9 +31,9 @@ from .tensor import (
     _finite_norms,
     _flattenings,
     _magnitudes,
-    _nearest_powers_of_two,
     _scaled_power_sums,
     _unit_roots,
+    _unit_scaled,
     _vertex_rows,
     _vertex_slices,
     contract_trailing_signs,
@@ -250,56 +250,55 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
       lies in the l_2 ball of radius sqrt(n).  With `roots` = K it is also
       capped by `_linf_bounds` at the K-th roots of unity.
 
-    Each tensor is first divided by the power of two nearest its largest
-    magnitude (an exact scaling; what underflows is covered by a slack of
-    2^-1000 per coefficient), so nothing overflows and the bound of 2^k T
-    is 2^k times that of T, bit for bit.  The product is taken as U *
-    (sigma / U)^a with a = 2/p rounded to the side that raises it, and
-    every sum, power and product is rounded outward.  A tensor's bound is
-    the one it gets alone, in any stack: every Gram matrix, eigenvalue,
-    factorization and root enumeration is its own, and one
-    `_linf_bounds` call covers the stack.  Coefficients must be finite,
-    moduli included (DomainError, by `_magnitudes`).
+    Every bound, the Hoelder one included, is computed on the stack scaled
+    by `hlcert.tensor._unit_scaled` (each tensor divided by the power of two
+    nearest its largest magnitude; what underflows is covered by a slack of
+    2^-1000 per coefficient) and multiplied back once at the end, so
+    nothing overflows before that product and, at every p, the bound of
+    2^k T is 2^k times that of T, bit for bit, wherever both scalings are
+    exact.  The product is taken as U * (sigma / U)^a with a = 2/p rounded
+    to the side that raises it, and every sum, power and product is
+    rounded outward.  A tensor's bound is the one it gets alone, in any
+    stack: every Gram matrix, eigenvalue, factorization and root
+    enumeration is its own, and one `_linf_bounds` call covers the stack.
+    Coefficients must be finite, moduli included (DomainError, by
+    `_magnitudes`).
     """
-    mags, top = _magnitudes(stack)
+    scaled, unit = _unit_scaled(stack)
+    mags, top = _magnitudes(scaled)
     size, u = mags.shape[1], _UNIT_ROUNDOFF
-    hoelder = _hoelder_bounds(mags, top, p)
+    bound = _hoelder_bounds(mags, top, p)
     if math.isinf(p):   # a zero tensor keeps its bound 0
-        hoelder = np.where(hoelder > 0.0, _certified_mass(hoelder, size), 0.0)
-    else:   # `_dual_norms`'s error bound, plus 2^-1073 (at most the value) for a subnormal one
-        tiny = np.minimum(hoelder, 2 * _SMALLEST)
-        hoelder = (hoelder * (1.0 + (3 * size + 70) * u) + tiny) * _ROUND_UP
-    if not 2.0 <= p < math.inf:
-        return hoelder
-    B, m, n = stack.shape[0], stack.ndim - 1, stack.shape[1]
-    unit = _nearest_powers_of_two(top)
-    scaled = stack / unit.reshape((B,) + (1,) * m)
-    mags = mags / unit[:, None]
-    frobenius = (mags * mags).sum(axis=1)[:, None]     # ||A||_F^2, the same for every slot
-    terms = np.take(scaled.reshape(B, -1), _flattenings(m, n), axis=1)     # (B, N, n, m)
-    flats = terms.transpose(0, 3, 2, 1)                                    # (B, m, n, N)
-    gram = np.matmul(flats, flats.conj().swapaxes(-1, -2))             # (B, m, n, n)
-    mu = np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0) * (1.0 + _MU_MARGIN * (n + 1) * u)
-    passed = _cholesky_passes(mu[..., None, None] * np.eye(n) - gram)
-    # on success: mu, the test's backward error gamma_{n+1}/(1-gamma_{n+1})
-    # * n * mu, the rounding of mu - g_ii, and the Gram matrix's rounding
-    # (2 gamma_{N+2}, which also covers complex products)
-    squares = np.where(
-        passed,
-        mu * (1.0 + (n * (n + 2) + 1) * u) + (2 * n ** (m - 1) + 8) * u * frobenius,
-        frobenius * (1.0 + (2 * size + 4) * u),
-    )
-    slack = size * _UNDERFLOW
-    sigma = (np.sqrt(squares).min(axis=1) + slack) * _ROUND_UP
-    mass = _certified_mass(mags.sum(axis=1), size)
-    linf = np.minimum(mass, float(n) ** (0.5 * m) * _ROUND_UP * sigma * _ROUND_UP)
-    if roots is not None:
-        linf = np.minimum(linf, _linf_bounds(scaled, _unit_roots(roots))[1] + slack)
-    ratio = sigma / linf
-    theta = 2.0 / p
-    exponent = np.where(ratio <= 1.0, np.nextafter(theta, 0.0), np.nextafter(theta, 1.0))
-    bound = linf * ratio**exponent * _ROUND_UP * unit
-    return np.minimum(hoelder, bound)
+        bound = np.where(bound > 0.0, _certified_mass(bound, size), 0.0)
+    else:   # `_dual_norms`'s error bound; a nonzero value is at least 2^-1/2
+        bound = bound * (1.0 + (3 * size + 70) * u) * _ROUND_UP
+    if 2.0 <= p < math.inf:
+        B, m, n = stack.shape[0], stack.ndim - 1, stack.shape[1]
+        frobenius = (mags * mags).sum(axis=1)[:, None]     # ||A||_F^2, the same for every slot
+        terms = np.take(scaled.reshape(B, -1), _flattenings(m, n), axis=1)     # (B, N, n, m)
+        flats = terms.transpose(0, 3, 2, 1)                                    # (B, m, n, N)
+        gram = np.matmul(flats, flats.conj().swapaxes(-1, -2))             # (B, m, n, n)
+        mu = np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0) * (1.0 + _MU_MARGIN * (n + 1) * u)
+        passed = _cholesky_passes(mu[..., None, None] * np.eye(n) - gram)
+        # on success: mu, the test's backward error gamma_{n+1}/(1-gamma_{n+1})
+        # * n * mu, the rounding of mu - g_ii, and the Gram matrix's rounding
+        # (2 gamma_{N+2}, which also covers complex products)
+        squares = np.where(
+            passed,
+            mu * (1.0 + (n * (n + 2) + 1) * u) + (2 * n ** (m - 1) + 8) * u * frobenius,
+            frobenius * (1.0 + (2 * size + 4) * u),
+        )
+        slack = size * _UNDERFLOW
+        sigma = (np.sqrt(squares).min(axis=1) + slack) * _ROUND_UP
+        mass = _certified_mass(mags.sum(axis=1), size)
+        linf = np.minimum(mass, float(n) ** (0.5 * m) * _ROUND_UP * sigma * _ROUND_UP)
+        if roots is not None:
+            linf = np.minimum(linf, _linf_bounds(scaled, _unit_roots(roots))[1] + slack)
+        ratio = sigma / linf
+        theta = 2.0 / p
+        exponent = np.where(ratio <= 1.0, np.nextafter(theta, 0.0), np.nextafter(theta, 1.0))
+        bound = np.minimum(bound, linf * ratio**exponent * _ROUND_UP)
+    return bound * unit
 
 
 def _certified_mass(mass: np.ndarray, size: int) -> np.ndarray:
@@ -308,9 +307,11 @@ def _certified_mass(mass: np.ndarray, size: int) -> np.ndarray:
     The float sum of `size` magnitudes, each within u of its exact value
     (exact for real entries), is within (2 size - 1) u of the exact mass,
     relative, so it is rounded outward; a slack of 2^-1000 per coefficient
-    also covers what underflows when `_interpolation_bounds` scales a
-    tensor to magnitude about 1.  The one certified mass of the
-    l_inf bounds, `_interpolation_bounds` and `_rounded_linf`.
+    also covers what underflows when `hlcert.tensor._unit_scaled` scales a
+    tensor to largest magnitude about 1.  Every caller passes the mass of
+    such a scaled tensor, so the slack is always relative to that
+    magnitude.  The one certified mass of the l_inf bounds,
+    `_interpolation_bounds` and `_rounded_linf`.
     """
     return (mass * (1.0 + 2 * size * _UNIT_ROUNDOFF) + size * _UNDERFLOW) * _ROUND_UP
 
@@ -475,12 +476,15 @@ def _best_restarts(
     upper is the stage 1 bound `_interpolation_bounds(stack, p)`.  Tensor
     b's `restarts` restarts start from `_random_starts(seeds[b], ...)` and
     ascend as rows of one `_ascend` batch, whose rows do not depend on each
-    other.  The restart count and the convergence rule are this module's,
-    not a setting: `alternating_max` and `certify` pass `_RESTARTS`, and
-    `restarts` (unchecked) stays an argument for tests and shorter runs,
-    as `_ascend` keeps `max_iters`.  Each row freezes on its own once a
-    sweep gains at most `_FREEZE_TOL` relative, or stops after `_SWEEP_CAP`
-    sweeps (no early stop across restarts).
+    other, on the stack scaled by `hlcert.tensor._unit_scaled`: values
+    about 1 keep the freeze rule relative and no product subnormal, and
+    2^k T gets 2^k times the lower bound of T, bit for bit, wherever both
+    scalings are exact.  The restart count and the convergence rule are
+    this module's, not a setting: `alternating_max` and `certify` pass
+    `_RESTARTS`, and `restarts` (unchecked) stays an argument for tests
+    and shorter runs, as `_ascend` keeps `max_iters`.  Each row freezes on
+    its own once a sweep gains at most `_FREEZE_TOL` relative, or stops
+    after `_SWEEP_CAP` sweeps (no early stop across restarts).
     Returns (lower, upper, witness, converged): tensor b's best restart (the
     first attaining its max) gives lower[b], capped by upper[b] against
     rounding, witness[k][b] in slot k and converged[b].  An upper bound past
@@ -491,9 +495,10 @@ def _best_restarts(
     B, m, n = stack.shape[0], stack.ndim - 1, stack.shape[1]
     starts = [_random_starts(seed, restarts, m, n, p, np.iscomplexobj(stack)) for seed in seeds]
     vectors = [np.concatenate([s[k] for s in starts]) for k in range(m)]
-    values, vectors, converged = _ascend(stack, vectors, p, _SWEEP_CAP, _FREEZE_TOL)
+    scaled, unit = _unit_scaled(stack)
+    values, vectors, converged = _ascend(scaled, vectors, p, _SWEEP_CAP, _FREEZE_TOL)
     best = np.arange(B) * restarts + values.reshape(B, restarts).argmax(axis=1)
-    lower = np.minimum(values[best], upper)
+    lower = np.minimum(values[best] * unit, upper)
     return lower, upper, [v[best] for v in vectors], converged[best]
 
 
@@ -587,16 +592,17 @@ def _linf_bounds(stack: np.ndarray, roots: np.ndarray) -> Tuple[np.ndarray, np.n
     the float maximum rounded outward by `_rounded_linf`.  `_SIGNS` bound
     a real form's norm; the K-th roots of unity (`_unit_roots(K)`, K >= 4)
     that of its complexification, the norm of a complex form.  Each tensor
-    is enumerated divided by the power of two nearest its largest magnitude
-    (an exact scaling), so the mass neither overflows nor underflows and
-    the bounds of 2^k T are 2^k times those of T, bit for bit; scaled back,
-    a bound past the largest float is inf, which the callers refuse.
+    is enumerated as `hlcert.tensor._unit_scaled` scales it (divided by the
+    power of two nearest its largest magnitude, a complex one part by
+    part), so the mass neither overflows nor underflows and the bounds of
+    2^k T are 2^k times those of T, bit for bit, wherever both scalings are
+    exact; scaled back, a bound past the largest float is inf, which the
+    callers refuse.
     Returns (lower (B,), upper (B,), pattern indices (B,)), each index the
     first pattern attaining its tensor's maximum (`exact_linf_enum`'s
     witness); a tensor's values are the ones it gets alone.
     """
-    unit = _nearest_powers_of_two(_magnitudes(stack)[1])
-    scaled = stack / unit.reshape((-1,) + (1,) * (stack.ndim - 1))
+    scaled, unit = _unit_scaled(stack)
     enum, index = _exact_linf_stack(scaled, roots)
     lower, upper = _rounded_linf(scaled, enum, roots)
     return lower * unit, upper * unit, index

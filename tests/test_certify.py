@@ -344,22 +344,49 @@ def test_search_improves_and_respects_bound():
     assert r1.ratio_conservative <= e.constant + 1e-9
 
 
+def _reference_ratio(coeffs, exps, field):
+    """The ratio the search ranks one tensor by, from the one-tensor functions.
+
+    lhs is the largest of `mixed_norms`; the bound is `crude_upper`, or at
+    real p = inf the raw sign enumeration of the tensor alone, the value
+    `_score` ranks by (not `exact_linf_enum(T).lower`, which the float mass
+    caps).
+    """
+    T = FormTensor(m=coeffs.ndim, n=coeffs.shape[0], field=field, coeffs=coeffs)
+    if math.isinf(exps.p) and field is REAL:
+        upper = _exact_linf_stack(coeffs[None])[0][0]
+    else:
+        upper = crude_upper(T, exps.p)
+    lhs = max(mixed_norms(T, exps.s, exps.eta1))
+    return lhs / upper if upper > 0.0 else (1.0 if lhs == 0.0 else math.inf)
+
+
+def test_reference_ratio_ranks_real_linf_by_the_scorer_value():
+    # a (2, 2) Gaussian of default_rng(25) whose float sign enumeration
+    # rounds above its float mass, which caps exact_linf_enum(T).lower:
+    # ranked by that lower bound, the reference climb could part from the
+    # search on such a tensor
+    coeffs = np.random.default_rng(25).standard_normal((37, 2, 2))[5]
+    T = FormTensor(m=2, n=2, field=REAL, coeffs=coeffs)
+    enum = _exact_linf_stack(coeffs[None])[0][0]
+    assert (enum, exact_linf_enum(T).lower) == (1.2524542349604924, 1.2524542349604921)
+    exps = exponents(2, math.inf, 2.0, REAL)
+    scored = _scored_ratios(coeffs[None], exps.s, exps.eta1, True)[0]
+    assert _reference_ratio(coeffs, exps, REAL) == scored
+    assert scored != max(mixed_norms(T, exps.s, exps.eta1)) / exact_linf_enum(T).lower
+
+
 def _reference_climb(m, n, p, lambda0, field, budget, seed):
     """The climb `search_extremal` documents, scoring one candidate at a time.
 
-    Each tensor is scored with the public one-tensor functions (`mixed_norms`
-    and `crude_upper`, or `exact_linf_enum` at real p = inf); climb step t
-    reads the t-th draws of the chunked stream of SeedSequence([seed, 1]).
+    Each tensor is scored alone by `_reference_ratio`; climb step t reads
+    the t-th draws of the chunked stream of SeedSequence([seed, 1]).
     Returns (SearchResult fields, the evaluations spent at each step collapse).
     """
     exps = exponents(m, p, lambda0, field)
-    exact = math.isinf(p) and field is REAL
 
     def ratio_of(coeffs):
-        T = FormTensor(m=m, n=n, field=field, coeffs=coeffs)
-        upper = exact_linf_enum(T).lower if exact else crude_upper(T, p)
-        lhs = max(mixed_norms(T, exps.s, exps.eta1))
-        return lhs / upper if upper > 0.0 else (1.0 if lhs == 0.0 else math.inf)
+        return _reference_ratio(coeffs, exps, field)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     index, normal = [], []

@@ -314,8 +314,8 @@ def test_check_khinchin_scales_with_the_vector(c):
     unit = check_khinchin(base, 1.5, REAL)
     rep = check_khinchin(c * base, 1.5, REAL)
     assert rep.passed
-    assert rep.lhs == pytest.approx(abs(c) * unit.lhs, rel=1e-12)
-    assert rep.mid == pytest.approx(abs(c) * unit.mid, rel=1e-12)
+    assert rep.lhs == pytest.approx(abs(c) * unit.lhs, rel=1e-12, abs=0.0)
+    assert rep.mid == pytest.approx(abs(c) * unit.mid, rel=1e-12, abs=0.0)
     assert rep.ratio == pytest.approx(unit.ratio, rel=1e-12)
 
 
@@ -426,7 +426,7 @@ def test_contraction_scales_with_the_tensor(c, t):
     rep = check_contraction(c * base, t)
     assert rep.passed
     assert rep.max_coeff == c
-    assert rep.moment == pytest.approx(abs(c) * unit.moment, rel=1e-12)
+    assert rep.moment == pytest.approx(abs(c) * unit.moment, rel=1e-12, abs=0.0)
     assert rep.ratio == pytest.approx(unit.ratio, rel=1e-12)
     assert rep.ratio > 1.0
 
@@ -777,10 +777,44 @@ def test_chain_scales_with_the_tensor(c, field):
     assert rep.passed and rep.first_failure is None
     for a, b in zip(rep.links, unit.links):
         assert a.passed == b.passed
-        assert a.lhs == pytest.approx(abs(c) * b.lhs, rel=1e-12)
-        assert a.rhs == pytest.approx(abs(c) * b.rhs, rel=1e-12)
-    assert rep.norm_lower == pytest.approx(abs(c) * unit.norm_lower, rel=1e-12)
-    assert rep.norm_upper == pytest.approx(abs(c) * unit.norm_upper, rel=1e-12)
+        assert a.lhs == pytest.approx(abs(c) * b.lhs, rel=1e-12, abs=0.0)
+        assert a.rhs == pytest.approx(abs(c) * b.rhs, rel=1e-12, abs=0.0)
+    assert rep.norm_lower == pytest.approx(abs(c) * unit.norm_lower, rel=1e-12, abs=0.0)
+    assert rep.norm_upper == pytest.approx(abs(c) * unit.norm_upper, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("k", [-1060, -1030, -1000, 0, 600])
+def test_chain_and_moments_of_extreme_scalings_are_finite_and_scale_bit_for_bit(field, k):
+    # the chain, the moments and the Khinchin check run on their input
+    # scaled by `_unit_scaled`, which divides a complex input's parts
+    # separately: complex / real multiplied by 1/unit, which overflowed
+    # below 2^-1022 into refused finite coefficients, a NaN moment and an
+    # inf lhs (a RuntimeWarning fails the suite).  2^k T is exact (every
+    # entry normal) at k = -1000, 0 and 600
+    T = generate("gaussian", 3, 3, field, 5)
+    S = FormTensor(m=3, n=3, field=field, coeffs=T.coeffs * math.ldexp(1.0, k))
+    exact = k in (-1000, 0, 600)
+    pairs = []
+    for lam, s in ((1.5, 2.5), (2.0, 4.0)):
+        base, rep = (verify_proof_chain(X, lam, s, mc_samples=2_000, seed=3) for X in (T, S))
+        assert rep.passed and rep.norm_lower <= rep.norm_upper
+        pairs += [(base.norm_lower, rep.norm_lower), (base.norm_upper, rep.norm_upper)]
+        pairs += [(a.lhs, b.lhs) for a, b in zip(base.links, rep.links)]
+        pairs += [(a.rhs, b.rhs) for a, b in zip(base.links, rep.links)]
+    a, b = T.coeffs[0, 0], S.coeffs[0, 0]
+    for q in (1.5, 2.5, 4.0):
+        base, moment = (steinhaus_moment(x, q, samples=2_000, seed=3) for x in (a, b))
+        pairs += [(base.value, moment.value), (base.stderr, moment.stderr)]
+    for q in (1.2, 1.5, 2.0):   # the Khinchin constants' range
+        base, check = (check_khinchin(x, q, field, samples=2_000, seed=3) for x in (a, b))
+        assert check.passed
+        pairs += [(base.lhs, check.lhs), (base.mid, check.mid)]
+    for small, large in pairs:
+        assert math.isfinite(large) and large > 0.0
+        # 2^k times T's to three digits, also where 2^k T's entries lose bits
+        assert large == pytest.approx(math.ldexp(small, k), rel=1e-3, abs=0.0)
+        assert large == math.ldexp(small, k) or not exact
 
 
 def test_chain_passes_at_the_largest_doubles():
@@ -1079,3 +1113,10 @@ def test_interpolation_exact_on_single_support():
 def test_check_contraction_refuses_a_scalar():
     with pytest.raises(DomainError, match="must have at least one axis"):
         check_contraction(np.array(2.0), 2.0)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 0)])
+def test_check_contraction_refuses_an_empty_tensor(shape):
+    # the scaling's largest magnitude has no empty case: refused first
+    with pytest.raises(DomainError, match="must have at least one axis and one entry"):
+        check_contraction(np.zeros(shape), 2.0)

@@ -381,6 +381,20 @@ def test_khinchin_check_huge_coefficients_pass(capsys):
     assert payload["lhs"] == pytest.approx(2.0**0.5 * 1e160 * 2.0 ** (0.5 - 1.0 / 1.5))
 
 
+def test_khinchin_check_subnormal_complex_coefficients_pass(capsys):
+    # complex / real multiplies by 1/unit, which overflowed at this subnormal
+    # unit into lhs inf, an empty mid and a false miss (exit 2); the same
+    # vector at 1e-300 passed
+    code, out, err = run(
+        capsys, "khinchin-check", "--a", "3e-310+1e-310j,2e-310-1e-310j", "--q", "1.5",
+        "--field", "complex", "--seed", "1", "--format", "json",
+    )
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert 0.0 < payload["lhs"] <= payload["mid"] < 1e-309
+
+
 def test_khinchin_check_soft_miss_prints_report_and_exits_2(capsys):
     # a complex Monte-Carlo miss (sampling noise at this seed) is reported,
     # not raised, and fails the command like a failed chain-check
@@ -526,6 +540,25 @@ def test_chain_check_huge_tensor_passes(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["norm_lower"] == 2e160
+
+
+def test_chain_check_subnormal_complex_tensor_passes(capsys, tmp_path):
+    # a complex (2, 3) tensor scaled by 2^-1040: its scaling overflowed and
+    # the chain refused the finite coefficients (exit 1)
+    from hlcert import FormTensor, ScalarField, generate, tensor_to_json
+
+    T = generate("gaussian", 2, 3, ScalarField.COMPLEX, 4)
+    tiny = FormTensor(m=2, n=3, field=T.field, coeffs=T.coeffs * 2.0**-1040)
+    path = tmp_path / "tiny.json"
+    path.write_text(tensor_to_json(tiny))
+    code, out, err = run(
+        capsys, "chain-check", "--tensor", str(path), "--lambda0", "1.5", "--s", "2.5",
+        "--seed", "1", "--format", "json",
+    )
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert 0.0 < payload["norm_lower"] <= payload["norm_upper"] < 1e-300
 
 
 def test_chain_check_at_a_large_s_passes(capsys, tmp_path):

@@ -51,12 +51,13 @@ def _tensor(coeffs, field=REAL):
 
 def _rounded_hoelder(T, p):
     # stage 1's Hoelder bound: crude_upper rounded outward, at p = inf by the
-    # certified mass, elsewhere by (3 n^m + 70) units of 2^-53 and a slack of
-    # 2^-1073 (at most the value), then 1 + 2^-50
+    # certified mass, elsewhere by (3 n^m + 70) units of 2^-53, then
+    # 1 + 2^-50; stage 1 rounds T scaled to magnitude about 1, which for a T
+    # of normal magnitude rounds the same bits
     h = crude_upper(T, p)
     if math.isinf(p):
         return float(_certified_mass(np.array([h]), T.size)[0]) if h > 0.0 else 0.0
-    return (h * (1.0 + (3 * T.size + 70) * 2.0**-53) + min(h, 2 * 5e-324)) * (1.0 + 2.0**-50)
+    return h * (1.0 + (3 * T.size + 70) * 2.0**-53) * (1.0 + 2.0**-50)
 
 
 def _brute_force_linf(T):
@@ -181,6 +182,35 @@ def test_subnormal_complex_entries_give_finite_bounds():
     chain = verify_proof_chain(T, 1.5, 2.0, mc_samples=2_000, seed=3)
     assert chain.passed and math.isfinite(chain.norm_lower)
     assert chain.norm_lower <= chain.norm_upper
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("p", [1.5, 2.5, 4.0, math.inf])
+@pytest.mark.parametrize("k", [-1060, -1030, -1000, 0, 600])
+def test_bounds_of_extreme_scalings_are_finite_and_scale_bit_for_bit(field, p, k):
+    # every bound runs on the tensor scaled by `_unit_scaled`, the ascent
+    # and the Hoelder branch at p < 2 and p = inf included: a subnormal
+    # complex tensor does not overflow (complex / real multiplies by
+    # 1/unit), no absolute slack dwarfs a tiny tensor, and an exact 2^k
+    # scaling moves no bit (a RuntimeWarning fails the suite)
+    T = generate("gaussian", 3, 3, field, 5)
+    S = FormTensor(m=3, n=3, field=field, coeffs=T.coeffs * math.ldexp(1.0, k))
+    exact = k in (-1000, 0, 600)   # every entry of 2^k T normal
+    assert exact == (np.abs(S.coeffs).min() >= 2.0**-1022)
+    K = _root_count(3, 3)
+    est, big = alternating_max(T, p), alternating_max(S, p)
+    pairs = [(est.lower, big.lower), (est.upper, big.upper)]
+    for roots in (None, K):
+        pairs.append(tuple(_interpolation_bounds(X.coeffs[None], p, roots)[0] for X in (T, S)))
+        assert big.lower <= pairs[-1][1]
+    linf = [_linf_bounds(X.coeffs[None], _unit_roots(K)) for X in (T, S)]
+    pairs += [(linf[0][0][0], linf[1][0][0]), (linf[0][1][0], linf[1][1][0])]
+    assert big.upper <= pairs[2][1] and pairs[4][1] <= pairs[5][1]
+    for small, large in pairs:
+        assert math.isfinite(large) and large > 0.0
+        # 2^k times T's to three digits, also where 2^k T's entries lose bits
+        assert large == pytest.approx(math.ldexp(small, k), rel=1e-3, abs=0.0)
+        assert large == math.ldexp(small, k) or not exact
 
 
 def test_alternating_max_is_reproducible_by_default():

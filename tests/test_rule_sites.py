@@ -6,7 +6,9 @@ can drift apart; the second site should call the first one's helper.  In
 the same way every result's `to_jsonable` defers to `hlcert.errors._jsonable`,
 and every l_inf bound from a vertex enumeration goes through
 `hlcert.norms._linf_bounds`: the raw float maximum `_exact_linf_stack` is
-read only inside `hlcert.norms` and by the search's ranking.
+read only inside `hlcert.norms` and by the search's ranking.  Every tensor
+is scaled by a power of two through `hlcert.tensor._unit_scaled`, the one
+caller of `_nearest_powers_of_two`.
 """
 
 import ast
@@ -95,6 +97,13 @@ def test_raw_vertex_maxima_are_read_only_by_the_bound_rule_and_the_ranking():
     assert "norms.py:_linf_bounds" in sites and "certify.py:_score" in sites
     outside = {site for site in sites if not site.startswith("norms.py:")}
     assert outside == {"certify.py:_score"}
+
+
+def test_powers_of_two_are_picked_only_by_the_scaling_rule():
+    # a second caller would be a second scaling rule, as the inline copies
+    # in the stage 1 and l_inf bounds were: they divided a complex stack by
+    # a subnormal power of two, which overflows
+    assert _call_sites("_nearest_powers_of_two") == {"tensor.py:_unit_scaled"}
 
 
 def _to_jsonable_sites():
