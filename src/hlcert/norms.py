@@ -250,21 +250,34 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
       lies in the l_2 ball of radius sqrt(n).  With `roots` = K it is also
       capped by `_linf_bounds` at the K-th roots of unity.
 
-    Every bound, the Hoelder one included, is computed on the stack scaled
-    by `hlcert.tensor._unit_scaled` (each tensor divided by the power of two
-    nearest its largest magnitude; what underflows is covered by a slack of
-    2^-1000 per coefficient) and multiplied back once at the end, so
-    nothing overflows before that product and, at every p, the bound of
-    2^k T is 2^k times that of T, bit for bit, wherever both scalings are
-    exact.  The product is taken as U * (sigma / U)^a with a = 2/p rounded
-    to the side that raises it, and every sum, power and product is
-    rounded outward.  A tensor's bound is the one it gets alone, in any
-    stack: every Gram matrix, eigenvalue, factorization and root
-    enumeration is its own, and one `_linf_bounds` call covers the stack.
+    Every bound, the Hoelder one included, is computed by `_stage_1_bounds`
+    on the stack scaled by `hlcert.tensor._unit_scaled` (each tensor
+    divided by the power of two nearest its largest magnitude; what
+    underflows is covered by a slack of 2^-1000 per coefficient) and
+    multiplied back once by `_times_unit`, which rounds a subnormal product
+    up.  So nothing overflows before that product and, at every p, the
+    bound of 2^k T is 2^k times that of T, bit for bit, wherever both
+    scalings are exact.  The product is taken as U * (sigma / U)^a with a =
+    2/p rounded to the side that raises it, and every sum, power and
+    product is rounded outward.  A tensor's bound is the one it gets alone,
+    in any stack: every Gram matrix, eigenvalue, factorization and root
+    enumeration is its own, and one enumeration covers the stack.
     Coefficients must be finite, moduli included (DomainError, by
     `_magnitudes`).
     """
     scaled, unit = _unit_scaled(stack)
+    return _times_unit(_stage_1_bounds(scaled, p, roots), unit)
+
+
+def _stage_1_bounds(scaled: np.ndarray, p: float, roots: Optional[int] = None) -> np.ndarray:
+    """`_interpolation_bounds` of a stack already scaled by `_unit_scaled`, in its units.
+
+    Its magnitudes are taken after the scaling: the modulus of a complex
+    entry with subnormal parts is off by up to 2^-1075, which is not small
+    once divided by a subnormal unit.  The roots cap is `_linf_bounds`'s
+    upper bound without its scaling.  `_best_restarts` scales its stack
+    once for this bound and the ascent.
+    """
     mags, top = _magnitudes(scaled)
     size, u = mags.shape[1], _UNIT_ROUNDOFF
     bound = _hoelder_bounds(mags, top, p)
@@ -273,7 +286,7 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
     else:   # `_dual_norms`'s error bound; a nonzero value is at least 2^-1/2
         bound = bound * (1.0 + (3 * size + 70) * u) * _ROUND_UP
     if 2.0 <= p < math.inf:
-        B, m, n = stack.shape[0], stack.ndim - 1, stack.shape[1]
+        B, m, n = scaled.shape[0], scaled.ndim - 1, scaled.shape[1]
         frobenius = (mags * mags).sum(axis=1)[:, None]     # ||A||_F^2, the same for every slot
         terms = np.take(scaled.reshape(B, -1), _flattenings(m, n), axis=1)     # (B, N, n, m)
         flats = terms.transpose(0, 3, 2, 1)                                    # (B, m, n, N)
@@ -293,12 +306,28 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
         mass = _certified_mass(mags.sum(axis=1), size)
         linf = np.minimum(mass, float(n) ** (0.5 * m) * _ROUND_UP * sigma * _ROUND_UP)
         if roots is not None:
-            linf = np.minimum(linf, _linf_bounds(scaled, _unit_roots(roots))[1] + slack)
+            K = _unit_roots(roots)
+            cap = _rounded_linf(scaled, _exact_linf_stack(scaled, K)[0], K)[1]
+            linf = np.minimum(linf, cap + slack)
         ratio = sigma / linf
         theta = 2.0 / p
         exponent = np.where(ratio <= 1.0, np.nextafter(theta, 0.0), np.nextafter(theta, 1.0))
         bound = np.minimum(bound, linf * ratio**exponent * _ROUND_UP)
-    return bound * unit
+    return bound
+
+
+def _times_unit(bound: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """Upper bounds of stacks scaled by `_unit_scaled`, multiplied back by their units, rounded up.
+
+    A product by a power of two is exact unless it is subnormal, where it
+    rounds to nearest: up to 2^-1075 below the exact value, far more than
+    any relative slack.  So an inexact product (out / unit != bound) moves
+    one float up, and every exact one, the normal range included, stays
+    bit for bit.  A product past the largest float is inf, which the
+    callers refuse.
+    """
+    out = bound * unit
+    return np.nextafter(out, np.where(out / unit == bound, out, math.inf))
 
 
 def _certified_mass(mass: np.ndarray, size: int) -> np.ndarray:
@@ -473,29 +502,32 @@ def _best_restarts(
 ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray], np.ndarray]:
     """The stage 1 sandwich of every tensor of a stack (B,) + (n,)*m.
 
-    upper is the stage 1 bound `_interpolation_bounds(stack, p)`.  Tensor
-    b's `restarts` restarts start from `_random_starts(seeds[b], ...)` and
-    ascend as rows of one `_ascend` batch, whose rows do not depend on each
-    other, on the stack scaled by `hlcert.tensor._unit_scaled`: values
-    about 1 keep the freeze rule relative and no product subnormal, and
-    2^k T gets 2^k times the lower bound of T, bit for bit, wherever both
-    scalings are exact.  The restart count and the convergence rule are
-    this module's, not a setting: `alternating_max` and `certify` pass
-    `_RESTARTS`, and `restarts` (unchecked) stays an argument for tests
-    and shorter runs, as `_ascend` keeps `max_iters`.  Each row freezes on
-    its own once a sweep gains at most `_FREEZE_TOL` relative, or stops
-    after `_SWEEP_CAP` sweeps (no early stop across restarts).
+    The stack is scaled once, by `hlcert.tensor._unit_scaled`, for both
+    bounds.  upper is the stage 1 bound `_interpolation_bounds(stack, p)`,
+    bit for bit (`_stage_1_bounds` of the scaled stack, `_times_unit`).
+    Tensor b's `restarts` restarts start from `_random_starts(seeds[b],
+    ...)` and ascend as rows of one `_ascend` batch on the scaled stack,
+    whose rows do not depend on each other: values about 1 keep the freeze
+    rule relative and no product subnormal, and 2^k T gets 2^k times the
+    lower bound of T, bit for bit, wherever both scalings are exact.  The
+    restart count and the convergence rule are this module's, not a setting:
+    `alternating_max` and `certify` pass `_RESTARTS`, and `restarts`
+    (unchecked) stays an argument for tests and shorter runs, as `_ascend`
+    keeps `max_iters`.  Each row freezes on its own once a sweep gains at
+    most `_FREEZE_TOL` relative, or stops after `_SWEEP_CAP` sweeps (no
+    early stop across restarts).
     Returns (lower, upper, witness, converged): tensor b's best restart (the
     first attaining its max) gives lower[b], capped by upper[b] against
     rounding, witness[k][b] in slot k and converged[b].  An upper bound past
     the largest float raises DomainError (`_finite_norms`) before the ascent.
     """
+    scaled, unit = _unit_scaled(stack)
     with np.errstate(over="ignore"):
-        upper = _finite_norms(_interpolation_bounds(stack, p), "stage 1 bounds", f"p={p}")
+        upper = _times_unit(_stage_1_bounds(scaled, p), unit)
+    upper = _finite_norms(upper, "stage 1 bounds", f"p={p}")
     B, m, n = stack.shape[0], stack.ndim - 1, stack.shape[1]
     starts = [_random_starts(seed, restarts, m, n, p, np.iscomplexobj(stack)) for seed in seeds]
     vectors = [np.concatenate([s[k] for s in starts]) for k in range(m)]
-    scaled, unit = _unit_scaled(stack)
     values, vectors, converged = _ascend(scaled, vectors, p, _SWEEP_CAP, _FREEZE_TOL)
     best = np.arange(B) * restarts + values.reshape(B, restarts).argmax(axis=1)
     lower = np.minimum(values[best] * unit, upper)
@@ -596,7 +628,8 @@ def _linf_bounds(stack: np.ndarray, roots: np.ndarray) -> Tuple[np.ndarray, np.n
     power of two nearest its largest magnitude, a complex one part by
     part), so the mass neither overflows nor underflows and the bounds of
     2^k T are 2^k times those of T, bit for bit, wherever both scalings are
-    exact; scaled back, a bound past the largest float is inf, which the
+    exact.  The upper bound is scaled back by `_times_unit`, which rounds a
+    subnormal product up; a bound past the largest float is inf, which the
     callers refuse.
     Returns (lower (B,), upper (B,), pattern indices (B,)), each index the
     first pattern attaining its tensor's maximum (`exact_linf_enum`'s
@@ -605,7 +638,7 @@ def _linf_bounds(stack: np.ndarray, roots: np.ndarray) -> Tuple[np.ndarray, np.n
     scaled, unit = _unit_scaled(stack)
     enum, index = _exact_linf_stack(scaled, roots)
     lower, upper = _rounded_linf(scaled, enum, roots)
-    return lower * unit, upper * unit, index
+    return lower * unit, _times_unit(upper, unit), index
 
 
 def _rounded_linf(stack: np.ndarray, enum: np.ndarray, roots: np.ndarray) -> Tuple[np.ndarray, ...]:

@@ -271,18 +271,18 @@ def _unit_scaled(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     an entry underflows, and a nonzero scaled tensor's largest magnitude
     lies in [2^-1/2, 2], so nothing computed from it overflows, and 2^k T
     scales to the same tensor as T wherever neither underflows.  A complex
-    stack's parts are divided separately, as in `hlcert.norms._phase`:
-    complex / real multiplies by 1/unit, which overflows where unit is
-    subnormal.
+    stack's parts are divided separately, in place in a copy, as in
+    `hlcert.norms._phase`: complex / real multiplies by 1/unit, which
+    overflows where unit is subnormal.  The way back is
+    `hlcert.norms._times_unit`: an upper bound times a unit rounds to
+    nearest where the product is subnormal, so it rounds that product up.
     """
     unit = _nearest_powers_of_two(_magnitudes(stack)[1])
     shaped = unit.reshape((-1,) + (1,) * (stack.ndim - 1))
-    if np.iscomplexobj(stack):
-        scaled = np.empty_like(stack)
-        scaled.real = stack.real / shaped
-        scaled.imag = stack.imag / shaped
-        return scaled, unit
-    return stack / shaped, unit
+    scaled = np.array(stack)
+    for part in (scaled.real, scaled.imag) if np.iscomplexobj(stack) else (scaled,):
+        part /= shaped
+    return scaled, unit
 
 
 def _power_exceeds(n: int, m: int, limit: int) -> bool:

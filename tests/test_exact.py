@@ -20,11 +20,13 @@ import pytest
 
 from exact import gram_gap_is_psd, is_psd, linf_norm, mass, mass_at_most, power_at_most
 from hlcert import FormTensor, ScalarField, TrialConfig, certify, generate, verify_proof_chain
-from hlcert.norms import _RESTARTS, _best_restarts, _interpolation_bounds, exact_linf_enum
+from hlcert.norms import _RESTARTS, _best_restarts, _interpolation_bounds, _linf_bounds, exact_linf_enum
+from hlcert.tensor import _unit_roots
 
 CONSTANT_SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (2, 5)]
-CONSTANT_PS = [2.5, 3.0, 4.0, 4.5, 5.0, 7.0, 10.0]
-CONSTANTS = [1.0, 3.0, 0.7, 1.1, 2.0**-3]
+CONSTANT_PS = [1.5, 2.5, 3.0, 4.0, 4.5, 5.0, 7.0, 10.0]
+# the last two are subnormal: a bound multiplied back to them rounds to nearest
+CONSTANTS = [1.0, 3.0, 0.7, 1.1, 2.0**-3, 2.0**-1073, 3 * 2.0**-1074]
 
 
 def _diagonal(m, n):
@@ -62,6 +64,15 @@ def test_stage_1_holds_the_norm_of_a_constant_tensor(m, n):
         e = m * (Fraction(p) - 1) / Fraction(p)
         below = [c for c, bound in zip(CONSTANTS, bounds) if not power_at_most(n, e, bound, c)]
         assert below == [], (m, n, p)
+
+
+def test_subnormal_complex_l_inf_bounds_hold_the_norm():
+    # ||c * 1|| = |c| n^m on l_inf: c = (1 + i) 2^-1073 on (2, 2) gives
+    # sqrt(2) 2^-1071, 11.3 times the smallest float, where a bound
+    # multiplied back to the nearest float reads 11
+    stack = np.full((1, 2, 2), (1 + 1j) * 2.0**-1073)
+    uppers = [_interpolation_bounds(stack, math.inf)[0], _linf_bounds(stack, _unit_roots(12))[1][0]]
+    assert [power_at_most(2, Fraction(1, 2), upper, 2.0**-1071) for upper in uppers] == [True, True]
 
 
 def test_stage_1_holds_the_mass_of_nonnegative_complex_tensors():

@@ -38,7 +38,7 @@ from hlcert.norms import (
     _random_starts,
     _root_count,
 )
-from hlcert.tensor import _SIGNS, _magnitudes, _unit_roots
+from hlcert.tensor import _SIGNS, _magnitudes, _unit_roots, _unit_scaled
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
@@ -421,9 +421,11 @@ def test_batch_entry_matches_alternating_max(monkeypatch):
                 for k in range(3):
                     assert np.array_equal(witness[k][b], single.witness[k])
             assert np.all(lower <= upper) and np.all(upper <= caps)
-            low_caps = lower / 2
+            # the stage 1 bound of the scaled stack, which `_best_restarts`
+            # multiplies back by the units
+            low_caps, unit = lower / 2, _unit_scaled(stack)[1]
             with monkeypatch.context() as patch:
-                patch.setattr(norms_module, "_interpolation_bounds", lambda stack, p: low_caps)
+                patch.setattr(norms_module, "_stage_1_bounds", lambda scaled, p: low_caps / unit)
                 capped = _best_restarts(stack, p, _RESTARTS, seeds)[0]
             assert np.array_equal(capped, low_caps)
 
