@@ -31,7 +31,8 @@ reproducible per (parameters, seed).  The chain bounds ||S|| on l_inf by
 the one rule of `hlcert.norms._linf_bounds`, a vertex maximum rounded
 outward: the real chain rounds the sign maximum of its own `_chaos_stats`
 pass (`hlcert.norms._rounded_linf`, no second enumeration), the complex
-chain enumerates the K-th roots of unity, K = `hlcert.norms._root_count(m,
+chain enumerates the K-th roots of unity on the S it has scaled
+(`hlcert.norms._scaled_linf_bounds`), K = `hlcert.norms._root_count(m,
 n)`; only where no K fits does it fall back to an ascent, from
 SeedSequence([seed, 1]), and the coefficient mass.
 
@@ -40,11 +41,9 @@ coefficients, so the checks run on the input divided by the power of two
 nearest its largest coefficient and scale the reported values back:
 nothing overflows or underflows, and the absolute slacks are relative to
 the largest coefficient.  The moments `rademacher_moment` and
-`steinhaus_moment` follow the same rule.  It is the one scaling rule of
-the bounds, `hlcert.tensor._unit_scaled`, on a stack of one
-(`_unit_scaled_one`): exact unless an entry underflows, and a complex
-input's parts are divided separately, so a subnormal power of two does
-not overflow (complex / real multiplies by its reciprocal).  Every power
+`steinhaus_moment` follow the same rule, `hlcert.norms._unit_scaled` on a
+stack of one (`_unit_scaled_one`), and the chain's upper bounds on ||S||
+come back through `hlcert.norms._times_unit`, rounded up.  Every power
 sum of |chaos|^q is scaled by its running largest term, the rule of the
 mixed norms (`hlcert.tensor._scaled_power_sums`), so every moment and
 check is finite at every exponent q >= 1.  The chain computes no mixed
@@ -62,7 +61,8 @@ import numpy as np
 
 from .errors import DomainError, ViolationError, _check_integer, _check_seed, _jsonable
 from .exponents import _check_lambda0
-from .norms import _check_multilinear, _linf_bounds, _root_count, _rounded_linf, alternating_max
+from .norms import _check_multilinear, _root_count, _rounded_linf, _scaled_linf_bounds
+from .norms import _times_unit, _unit_scaled, alternating_max
 # exact_linf_enum and crude_upper are tracer shims: bench/tracer.py wraps them here
 from .norms import crude_upper, exact_linf_enum  # noqa: F401
 from .special import ScalarField, khinchin_A
@@ -72,7 +72,6 @@ from .tensor import (
     FormTensor,
     _scaled_power_sums,
     _unit_roots,
-    _unit_scaled,
     mixed_norm,
     # kept as module attributes: bench/tracer.py wraps them here
     contract_trailing_signs,  # noqa: F401
@@ -163,7 +162,7 @@ def _real_array(a) -> np.ndarray:
 
 
 def _unit_scaled_one(arr: np.ndarray) -> Tuple[np.ndarray, float]:
-    """`hlcert.tensor._unit_scaled` of one array: (arr scaled, its power of two as a float)."""
+    """`hlcert.norms._unit_scaled` of one array: (arr scaled, its power of two as a float)."""
     scaled, unit = _unit_scaled(arr[None])
     return scaled[0], float(unit[0])
 
@@ -484,14 +483,15 @@ def verify_proof_chain(
     failures raise ViolationError naming the link (unless
     raise_on_failure=False).  Complex field: Steinhaus Monte Carlo from
     SeedSequence([seed, 0]) with 3-sigma soft checks; nothing raises on
-    noise.  ||S|| is bounded by `_linf_bounds` at the K-th roots of unity,
-    K = `_root_count(m, n)` (a sandwich within cos(pi/K)^-(m-1)); where no K
-    fits, by an alternating ascent from SeedSequence([seed, 1]) and the
-    coefficient mass.  The links are
-    checked on S scaled by a power of two to max|coeff| about 1, so the
-    absolute slacks are relative to the largest coefficient; reported values
-    are in the units of S.  The lhs of holder_interpolation and overall_bound
-    is `mixed_norm(S, index, s, lambda0)` bit for bit, finite at every s.
+    noise.  ||S|| is bounded by `_scaled_linf_bounds` at the K-th roots of
+    unity, K = `_root_count(m, n)` (a sandwich within cos(pi/K)^-(m-1));
+    where no K fits, by an alternating ascent from SeedSequence([seed, 1])
+    and the coefficient mass.  The links are checked on S scaled by a power
+    of two to max|coeff| about 1, so the absolute slacks are relative to the
+    largest coefficient; reported values are in the units of S, with
+    norm_upper and the rhs of sup_domination and overall_bound rounded up
+    (`_times_unit`).  The lhs of holder_interpolation and overall_bound is
+    `mixed_norm(S, index, s, lambda0)` bit for bit, finite at every s.
     """
     _check_multilinear(S)
     _check_integer("index", index, 1, S.m)
@@ -518,7 +518,7 @@ def verify_proof_chain(
     l2 = np.sqrt((flat**2).sum(axis=1))
     mx = flat.max(axis=1)
     h = (l2**theta) * (mx ** (1.0 - theta))      # each slice's interpolated l_2/max
-    holder_mid = float((h**lambda0).sum() ** (1.0 / lambda0))
+    q1 = float((h**lambda0).sum() ** (1.0 / lambda0))   # their l_lambda0 sum
 
     stderr = None
     if S.field is ScalarField.REAL:
@@ -533,7 +533,7 @@ def verify_proof_chain(
         )
         roots = _root_count(m, n)
         if roots is not None:
-            bounds = _linf_bounds(S.coeffs[None], _unit_roots(roots))
+            bounds = _scaled_linf_bounds(S.coeffs[None], _unit_roots(roots))
         else:
             # too many root patterns: the ascent and the certified coefficient mass
             est = alternating_max(S, math.inf, seed=np.random.SeedSequence([seed, 1]))
@@ -543,7 +543,6 @@ def verify_proof_chain(
     rhs = factor * R                                     # slice j's bound A^{-2(m-1)/s} R_j
     r_sum = float(_scaled_power_sums(R, lambda0))        # (sum_j R_j^l0)^(1/l0); overwrites R
 
-    q1 = holder_mid
     q2 = factor * r_sum
     q3 = factor * integral
     q4 = factor * norm_upper
@@ -566,6 +565,9 @@ def verify_proof_chain(
         replace(link, lhs=unit * link.lhs, rhs=unit * link.rhs, slack=unit * link.slack)
         for link in links
     ]
+    # sup_domination and overall_bound compare against ||S||: their rhs is
+    # an upper bound, rounded up on the way back like norm_upper
+    links[3:] = [replace(link, rhs=float(_times_unit(q4, unit))) for link in links[3:]]
     report = ChainReport(
         lambda0=lambda0,
         s=s,
@@ -575,7 +577,7 @@ def verify_proof_chain(
         links=tuple(links),
         constant_factor=factor,
         norm_lower=unit * norm_lower,
-        norm_upper=unit * norm_upper,
+        norm_upper=float(_times_unit(norm_upper, unit)),
         passed=first_failure is None,
         first_failure=first_failure,
         mc_stderr=None if stderr is None else unit * stderr,

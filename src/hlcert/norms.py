@@ -11,6 +11,11 @@ in l_1-dual form.  One rule, `_linf_bounds`, turns that enumeration into a
 certified sandwich over either vertex set: the sign vectors for real forms
 (`exact_linf_enum`; the float maximum rounded outward), and the K-th roots
 of unity for complex ones, within cos(pi/K)^-(m-1) (K = `_root_count(m, n)`).
+
+Every bound runs on its tensors divided by the power of two nearest their
+largest magnitudes, `_unit_scaled`, and an upper bound is multiplied back
+by `_times_unit`, rounded up: the one scaling rule of the package, which
+the moments and checks of `hlcert.chaos` use too.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .tensor import (
     _magnitudes,
     _scaled_power_sums,
     _unit_roots,
-    _unit_scaled,
     _vertex_rows,
     _vertex_slices,
     contract_trailing_signs,
@@ -251,17 +255,16 @@ def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = No
       capped by `_linf_bounds` at the K-th roots of unity.
 
     Every bound, the Hoelder one included, is computed by `_stage_1_bounds`
-    on the stack scaled by `hlcert.tensor._unit_scaled` (each tensor
-    divided by the power of two nearest its largest magnitude; what
-    underflows is covered by a slack of 2^-1000 per coefficient) and
-    multiplied back once by `_times_unit`, which rounds a subnormal product
-    up.  So nothing overflows before that product and, at every p, the
-    bound of 2^k T is 2^k times that of T, bit for bit, wherever both
-    scalings are exact.  The product is taken as U * (sigma / U)^a with a =
-    2/p rounded to the side that raises it, and every sum, power and
-    product is rounded outward.  A tensor's bound is the one it gets alone,
-    in any stack: every Gram matrix, eigenvalue, factorization and root
-    enumeration is its own, and one enumeration covers the stack.
+    on the stack scaled by `_unit_scaled` (what underflows is covered by a
+    slack of 2^-1000 per coefficient) and multiplied back once by
+    `_times_unit`, which rounds a subnormal product up.  So nothing
+    overflows before that product and, at every p, the bound of 2^k T is
+    2^k times that of T, bit for bit, wherever both scalings are exact.
+    The product is taken as U * (sigma / U)^a with a = 2/p rounded to the
+    side that raises it, and every sum, power and product is rounded
+    outward.  A tensor's bound is the one it gets alone, in any stack:
+    every Gram matrix, eigenvalue, factorization and root enumeration is
+    its own, and one enumeration covers the stack.
     Coefficients must be finite, moduli included (DomainError, by
     `_magnitudes`).
     """
@@ -274,8 +277,8 @@ def _stage_1_bounds(scaled: np.ndarray, p: float, roots: Optional[int] = None) -
 
     Its magnitudes are taken after the scaling: the modulus of a complex
     entry with subnormal parts is off by up to 2^-1075, which is not small
-    once divided by a subnormal unit.  The roots cap is `_linf_bounds`'s
-    upper bound without its scaling.  `_best_restarts` scales its stack
+    once divided by a subnormal unit.  The roots cap is
+    `_scaled_linf_bounds`'s upper bound.  `_best_restarts` scales its stack
     once for this bound and the ascent.
     """
     mags, top = _magnitudes(scaled)
@@ -306,8 +309,7 @@ def _stage_1_bounds(scaled: np.ndarray, p: float, roots: Optional[int] = None) -
         mass = _certified_mass(mags.sum(axis=1), size)
         linf = np.minimum(mass, float(n) ** (0.5 * m) * _ROUND_UP * sigma * _ROUND_UP)
         if roots is not None:
-            K = _unit_roots(roots)
-            cap = _rounded_linf(scaled, _exact_linf_stack(scaled, K)[0], K)[1]
+            cap = _scaled_linf_bounds(scaled, _unit_roots(roots))[1]
             linf = np.minimum(linf, cap + slack)
         ratio = sigma / linf
         theta = 2.0 / p
@@ -316,15 +318,50 @@ def _stage_1_bounds(scaled: np.ndarray, p: float, roots: Optional[int] = None) -
     return bound
 
 
+def _unit_scaled(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each tensor of a stack (B, ...) divided by the power of two nearest its largest magnitude.
+
+    The one scaling rule of the bounds here and the checks in
+    `hlcert.chaos`: returns (scaled, unit (B,)), unit from `_magnitudes`
+    (so a non-finite entry raises DomainError before any caller works) and
+    `_nearest_powers_of_two`.  Dividing by a power of two is exact unless
+    an entry underflows, and a nonzero scaled tensor's largest magnitude
+    lies in [2^-1/2, 2], so nothing computed from it overflows, and 2^k T
+    scales to the same tensor as T wherever neither underflows.  A complex
+    stack's parts are divided separately, in place in a copy, as in
+    `_phase`: complex / real multiplies by 1/unit, which overflows where
+    unit is subnormal.  The way back of an upper bound is `_times_unit`.
+    """
+    unit = _nearest_powers_of_two(_magnitudes(stack)[1])
+    shaped = unit.reshape((-1,) + (1,) * (stack.ndim - 1))
+    scaled = np.array(stack)
+    for part in (scaled.real, scaled.imag) if np.iscomplexobj(stack) else (scaled,):
+        part /= shaped
+    return scaled, unit
+
+
+def _nearest_powers_of_two(x):
+    """The power of two nearest each x >= 0 on a log scale (at most 2^1023); 1.0 where x = 0.
+
+    The unit of `_unit_scaled`, its one caller.  Takes an array or a 0-d
+    value; every step below works on both.
+    """
+    mantissa, exponent = np.frexp(x)   # x = mantissa * 2^exponent, mantissa in [0.5, 1)
+    exponent -= mantissa < math.sqrt(0.5)
+    exponent += x == 0.0               # frexp(0) = (0, 0): back to 2^0
+    return np.ldexp(1.0, np.minimum(exponent, 1023))
+
+
 def _times_unit(bound: np.ndarray, unit: np.ndarray) -> np.ndarray:
     """Upper bounds of stacks scaled by `_unit_scaled`, multiplied back by their units, rounded up.
 
-    A product by a power of two is exact unless it is subnormal, where it
-    rounds to nearest: up to 2^-1075 below the exact value, far more than
-    any relative slack.  So an inexact product (out / unit != bound) moves
-    one float up, and every exact one, the normal range included, stays
-    bit for bit.  A product past the largest float is inf, which the
-    callers refuse.
+    Takes arrays or floats: the proof chain passes its scalars.  A product
+    by a power of two is exact unless it is subnormal, where it rounds to
+    nearest: up to 2^-1075 below the exact value, far more than any
+    relative slack.  So an inexact product (out / unit != bound) moves one
+    float up, and every exact one, the normal range included, stays bit for
+    bit.  A product past the largest float is inf, which the bounds refuse
+    and the proof chain reports.
     """
     out = bound * unit
     return np.nextafter(out, np.where(out / unit == bound, out, math.inf))
@@ -336,11 +373,11 @@ def _certified_mass(mass: np.ndarray, size: int) -> np.ndarray:
     The float sum of `size` magnitudes, each within u of its exact value
     (exact for real entries), is within (2 size - 1) u of the exact mass,
     relative, so it is rounded outward; a slack of 2^-1000 per coefficient
-    also covers what underflows when `hlcert.tensor._unit_scaled` scales a
-    tensor to largest magnitude about 1.  Every caller passes the mass of
-    such a scaled tensor, so the slack is always relative to that
-    magnitude.  The one certified mass of the l_inf bounds,
-    `_interpolation_bounds` and `_rounded_linf`.
+    also covers what underflows when `_unit_scaled` scales a tensor to
+    largest magnitude about 1.  Every caller passes the mass of such a
+    scaled tensor, so the slack is always relative to that magnitude.  The
+    one certified mass of the l_inf bounds, `_interpolation_bounds` and
+    `_rounded_linf`.
     """
     return (mass * (1.0 + 2 * size * _UNIT_ROUNDOFF) + size * _UNDERFLOW) * _ROUND_UP
 
@@ -502,9 +539,9 @@ def _best_restarts(
 ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray], np.ndarray]:
     """The stage 1 sandwich of every tensor of a stack (B,) + (n,)*m.
 
-    The stack is scaled once, by `hlcert.tensor._unit_scaled`, for both
-    bounds.  upper is the stage 1 bound `_interpolation_bounds(stack, p)`,
-    bit for bit (`_stage_1_bounds` of the scaled stack, `_times_unit`).
+    The stack is scaled once, by `_unit_scaled`, for both bounds.  upper
+    is the stage 1 bound `_interpolation_bounds(stack, p)`, bit for bit
+    (`_stage_1_bounds` of the scaled stack, `_times_unit`).
     Tensor b's `restarts` restarts start from `_random_starts(seeds[b],
     ...)` and ascend as rows of one `_ascend` batch on the scaled stack,
     whose rows do not depend on each other: values about 1 keep the freeze
@@ -624,21 +661,28 @@ def _linf_bounds(stack: np.ndarray, roots: np.ndarray) -> Tuple[np.ndarray, np.n
     the float maximum rounded outward by `_rounded_linf`.  `_SIGNS` bound
     a real form's norm; the K-th roots of unity (`_unit_roots(K)`, K >= 4)
     that of its complexification, the norm of a complex form.  Each tensor
-    is enumerated as `hlcert.tensor._unit_scaled` scales it (divided by the
-    power of two nearest its largest magnitude, a complex one part by
-    part), so the mass neither overflows nor underflows and the bounds of
-    2^k T are 2^k times those of T, bit for bit, wherever both scalings are
-    exact.  The upper bound is scaled back by `_times_unit`, which rounds a
-    subnormal product up; a bound past the largest float is inf, which the
-    callers refuse.
+    is enumerated as `_unit_scaled` scales it, so the mass neither
+    overflows nor underflows and the bounds of 2^k T are 2^k times those of
+    T, bit for bit, wherever both scalings are exact.  The upper bound is
+    scaled back by `_times_unit`; a bound past the largest float is inf,
+    which the callers refuse.
     Returns (lower (B,), upper (B,), pattern indices (B,)), each index the
     first pattern attaining its tensor's maximum (`exact_linf_enum`'s
     witness); a tensor's values are the ones it gets alone.
     """
     scaled, unit = _unit_scaled(stack)
-    enum, index = _exact_linf_stack(scaled, roots)
-    lower, upper = _rounded_linf(scaled, enum, roots)
+    lower, upper, index = _scaled_linf_bounds(scaled, roots)
     return lower * unit, _times_unit(upper, unit), index
+
+
+def _scaled_linf_bounds(scaled: np.ndarray, roots: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """`_linf_bounds` of a stack already scaled by `_unit_scaled`, in its units.
+
+    The bound that the roots cap of `_stage_1_bounds` and the complex proof
+    chain read on the stack they have scaled.
+    """
+    enum, index = _exact_linf_stack(scaled, roots)
+    return _rounded_linf(scaled, enum, roots) + (index,)
 
 
 def _rounded_linf(stack: np.ndarray, enum: np.ndarray, roots: np.ndarray) -> Tuple[np.ndarray, ...]:

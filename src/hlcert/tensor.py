@@ -249,42 +249,6 @@ def _flattenings(m: int, n: int) -> np.ndarray:
     return index
 
 
-def _nearest_powers_of_two(x):
-    """The power of two nearest each x >= 0 on a log scale (at most 2^1023); 1.0 where x = 0.
-
-    The unit of `_unit_scaled`, its one caller.  Takes an array or a 0-d
-    value; every step below works on both.
-    """
-    mantissa, exponent = np.frexp(x)   # x = mantissa * 2^exponent, mantissa in [0.5, 1)
-    exponent -= mantissa < math.sqrt(0.5)
-    exponent += x == 0.0               # frexp(0) = (0, 0): back to 2^0
-    return np.ldexp(1.0, np.minimum(exponent, 1023))
-
-
-def _unit_scaled(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Each tensor of a stack (B, ...) divided by the power of two nearest its largest magnitude.
-
-    The one scaling rule of the bounds in `hlcert.norms` and the checks in
-    `hlcert.chaos`: returns (scaled, unit (B,)), unit from `_magnitudes`
-    (so a non-finite entry raises DomainError before any caller works) and
-    `_nearest_powers_of_two`.  Dividing by a power of two is exact unless
-    an entry underflows, and a nonzero scaled tensor's largest magnitude
-    lies in [2^-1/2, 2], so nothing computed from it overflows, and 2^k T
-    scales to the same tensor as T wherever neither underflows.  A complex
-    stack's parts are divided separately, in place in a copy, as in
-    `hlcert.norms._phase`: complex / real multiplies by 1/unit, which
-    overflows where unit is subnormal.  The way back is
-    `hlcert.norms._times_unit`: an upper bound times a unit rounds to
-    nearest where the product is subnormal, so it rounds that product up.
-    """
-    unit = _nearest_powers_of_two(_magnitudes(stack)[1])
-    shaped = unit.reshape((-1,) + (1,) * (stack.ndim - 1))
-    scaled = np.array(stack)
-    for part in (scaled.real, scaled.imag) if np.iscomplexobj(stack) else (scaled,):
-        part /= shaped
-    return scaled, unit
-
-
 def _power_exceeds(n: int, m: int, limit: int) -> bool:
     """Whether n^m > limit, for integers n, m >= 1 and limit >= 0: the one size rule for n^m.
 

@@ -12,6 +12,7 @@ the float Hoelder bound and the float sign enumeration fell below it in
 the last bits.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -75,6 +76,26 @@ def test_subnormal_complex_l_inf_bounds_hold_the_norm():
     assert [power_at_most(2, Fraction(1, 2), upper, 2.0**-1071) for upper in uppers] == [True, True]
 
 
+def test_subnormal_complex_chain_bounds_hold_the_norm():
+    # ||c * 1|| = |c| n^m on l_inf for c = (a + bi) 2^-1074, by the roots of
+    # unity up to (3, 2) and, at (3, 6), where no root count fits, by the
+    # ascent and the mass: norm_upper and the rhs of the two links against
+    # ||S|| are multiplied back to a subnormal, so they must round up.  At
+    # lambda0 = 2 the chain's constant factor is 1, so the rhs is norm_upper
+    below = []
+    for m, n in [(2, 2), (2, 3), (3, 2), (3, 6)]:
+        for a, b in itertools.product(range(1, 6), repeat=2):
+            S = FormTensor(m=m, n=n, field=ScalarField.COMPLEX,
+                           coeffs=np.full((n,) * m, complex(a, b) * 2.0**-1074))
+            chain = verify_proof_chain(S, 2.0, 2.5, mc_samples=200)
+            links = {link.name: link.rhs for link in chain.links}
+            for upper in (chain.norm_upper, links["sup_domination"], links["overall_bound"]):
+                if (Fraction(upper) / (Fraction(2) ** -1074 * n**m)) ** 2 < a * a + b * b:
+                    below.append((m, n, a, b))
+                    break
+    assert below == []
+
+
 def test_stage_1_holds_the_mass_of_nonnegative_complex_tensors():
     # at p = inf a tensor of nonnegative entries has ||T|| = its mass, which
     # the float sum can fall below
@@ -110,19 +131,20 @@ def _linf_shapes():
 
 def test_real_linf_upper_bounds_hold_the_exact_norm():
     # exact_linf_enum's upper bound and a real chain's norm_upper, also at
-    # 2^-600 and 2^600 times the first 20 tensors of each shape
+    # 2^-600, 2^600 and the subnormal 2^-1060 times the first 20 tensors of
+    # each shape.  np.ldexp rounds subnormal coefficients, so the norm is
+    # that of the stored tensor, not 2^k times that of C
     below = []
     for stack in _linf_shapes():
         for b, C in enumerate(stack):
-            norm = linf_norm(C)
-            for k in (0, -600, 600) if b < 20 else (0,):
-                scale = Fraction(2) ** k
+            for k in (0, -600, 600, -1060) if b < 20 else (0,):
                 T = FormTensor(m=C.ndim, n=C.shape[0], field=ScalarField.REAL,
                                coeffs=np.ldexp(C, k))
+                norm = linf_norm(T.coeffs)
                 chain = verify_proof_chain(T, 1.5, 2.5)
                 for name, upper in [("exact_linf_enum", exact_linf_enum(T).upper),
                                     ("chain", chain.norm_upper)]:
-                    if Fraction(upper) < norm * scale:
+                    if Fraction(upper) < norm:
                         below.append((C.shape, b, k, name))
     assert below == []
 

@@ -37,8 +37,9 @@ from hlcert.norms import (
     _linf_bounds,
     _random_starts,
     _root_count,
+    _unit_scaled,
 )
-from hlcert.tensor import _SIGNS, _magnitudes, _unit_roots, _unit_scaled
+from hlcert.tensor import _SIGNS, _magnitudes, _unit_roots
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX

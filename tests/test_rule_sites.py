@@ -7,8 +7,10 @@ the same way every result's `to_jsonable` defers to `hlcert.errors._jsonable`,
 and every l_inf bound from a vertex enumeration goes through
 `hlcert.norms._linf_bounds`: the raw float maximum `_exact_linf_stack` is
 read only inside `hlcert.norms` and by the search's ranking.  Every tensor
-is scaled by a power of two through `hlcert.tensor._unit_scaled`, the one
-caller of `_nearest_powers_of_two`.
+is scaled by a power of two through `hlcert.norms._unit_scaled`, the one
+caller of `_nearest_powers_of_two`, and every upper bound goes back through
+`hlcert.norms._times_unit`, rounded up: no other module picks a power of
+two, steps a float to its neighbour or reads a rounding constant.
 """
 
 import ast
@@ -92,9 +94,9 @@ def _call_sites(name):
 
 def test_raw_vertex_maxima_are_read_only_by_the_bound_rule_and_the_ranking():
     # a caller that took `_exact_linf_stack`'s float value as a bound would
-    # bypass the outward rounding of `_linf_bounds`
+    # bypass the outward rounding of `_linf_bounds` (in `_scaled_linf_bounds`)
     sites = _call_sites("_exact_linf_stack")
-    assert "norms.py:_linf_bounds" in sites and "certify.py:_score" in sites
+    assert "norms.py:_scaled_linf_bounds" in sites and "certify.py:_score" in sites
     outside = {site for site in sites if not site.startswith("norms.py:")}
     assert outside == {"certify.py:_score"}
 
@@ -103,7 +105,36 @@ def test_powers_of_two_are_picked_only_by_the_scaling_rule():
     # a second caller would be a second scaling rule, as the inline copies
     # in the stage 1 and l_inf bounds were: they divided a complex stack by
     # a subnormal power of two, which overflows
-    assert _call_sites("_nearest_powers_of_two") == {"tensor.py:_unit_scaled"}
+    assert _call_sites("_nearest_powers_of_two") == {"norms.py:_unit_scaled"}
+
+
+def _name_sites(name):
+    """{"module.py"} of every module of the package that names `name`, bare or dotted."""
+    sites = set()
+    for path in sorted(SOURCES.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (
+                (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and node.name == name)
+            )
+            if named:
+                sites.add(path.name)
+    return sites
+
+
+def test_the_scaling_and_rounding_rule_lives_in_norms():
+    # a power of two picked, a float stepped or a rounding constant read
+    # elsewhere would be a second copy of the rule, as the proof chain's
+    # plain multiply-back of its upper bound was: it fell below ||S|| for
+    # subnormal S.  `_nearest_powers_of_two` has its own test above
+    for name in ("nextafter", "frexp", "ldexp"):
+        outside = {site for site in _call_sites(name) if not site.startswith("norms.py:")}
+        assert outside == set(), name
+    for name in ("_ROUND_UP", "_UNDERFLOW", "_MU_MARGIN", "_UNIT_ROUNDOFF"):
+        assert _name_sites(name) <= {"norms.py"}, name
+    assert _name_sites("_ROUND_UP") == {"norms.py"}
+    assert "chaos.py:verify_proof_chain" in _call_sites("_times_unit")
 
 
 def _to_jsonable_sites():

@@ -22,6 +22,7 @@ from hlcert import (
     tensor_to_json,
 )
 from hlcert import tensor as tensor_module
+from hlcert.norms import _nearest_powers_of_two
 from hlcert.tensor import (
     _power_exceeds,
     contract_trailing_signs,
@@ -312,10 +313,9 @@ def test_mixed_norms_of_a_stack_are_each_tensors_alone(m, n, field):
     ],
 )
 def test_nearest_power_of_two_of_a_0d_value_matches_a_one_element_array(x, unit):
-    nearest = tensor_module._nearest_powers_of_two
-    alone = nearest(np.float64(x))
+    alone = _nearest_powers_of_two(np.float64(x))
     assert np.ndim(alone) == 0
-    assert float(alone) == nearest(np.array([x]))[0] == unit
+    assert float(alone) == _nearest_powers_of_two(np.array([x]))[0] == unit
 
 
 def test_mixed_norm_huge_entries_finite_without_warning():
