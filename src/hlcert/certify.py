@@ -9,7 +9,7 @@ Every upper bound of ||T|| a trial is classified by is rounded outward: at
 real p = inf the sign enumeration's, by `hlcert.norms._linf_bounds` (the
 l_inf rule of the proof chain and `exact_linf_enum` too), elsewhere
 `_interpolation_bounds`.  Only the search ranks by an unrounded value, the
-float enumeration or the Hoelder bound (`_score`).
+float enumeration or the float Hoelder bound `_hoelder_bounds` (`_score`).
 A lambda0 sweep certifies all its rows in one such run: each trial is drawn
 and bounded once and scored against every row.  The extremal search scores
 its tensors with `_score`, whose left-hand side (`_lhs`), ratio (`_ratio`)
@@ -205,10 +205,11 @@ def _score(stack: np.ndarray, exps: ExponentSet) -> Tuple[np.ndarray, np.ndarray
     every `certify` trial too (`_lhs`).  upper is a ranking value of ||T||,
     not rounded outward: the float sign enumeration for real p = inf
     (`_exact_linf_stack`, one pass over the whole stack, within rounding of
-    the l_inf norm), otherwise the Hoelder bound
-    `crude_upper(T, p)` = ||coeff||_{p'}, p' = p/(p-1) (the coefficient mass
-    at p = inf).  At finite p, lhs <= ||coeff||_s <= ||coeff||_{p'}, since
-    the outer exponent eta1 >= s >= 2 > p', so lhs / upper <= 1.  A
+    the l_inf norm), otherwise the float Hoelder bound `_hoelder_bounds`
+    = ||coeff||_{p'}, p' = p/(p-1) (the coefficient mass at p = inf), which
+    `crude_upper` rounds outward.  At finite p, lhs <= ||coeff||_s <=
+    ||coeff||_{p'}, since the outer exponent eta1 >= s >= 2 > p', so
+    lhs / upper <= 1.  A
     tensor's lhs and upper bound are the ones it gets alone, in any stack.
     The magnitudes |stack| and each tensor's largest one are taken once
     (`_magnitudes`) and feed the finiteness check, the mixed norms and the
@@ -352,12 +353,12 @@ def certify(
     `_score`, which `search_extremal` scores with), and bound ||T||: at
     real p = inf by the sign enumeration (`_linf_bounds`: its float value
     below, rounded outward above, by about (n^(m-1) + n + 8m) * 2^-53 times
-    the coefficient mass), otherwise by the
-    alternating ascent for the lower bound and for the upper bound the
-    certified interpolation bound min(Hoelder, sigma^(2/p) * U^(1-2/p)) of
-    `_interpolation_bounds` (stage 1; the Hoelder bound `crude_upper(T, p)`
-    = ||coeff||_{p'} rounded outward unless 2 <= p < inf, the coefficient
-    mass at p = inf), which also caps the ascent.  `_classify` gives the verdict: a violation
+    the coefficient mass), otherwise by the alternating ascent for the
+    lower bound and for the upper bound the certified interpolation bound
+    min(Hoelder, sigma^(2/p) * U^(1-2/p)) of `_interpolation_bounds`
+    (stage 1, `crude_upper(T, p)`: the Hoelder bound ||coeff||_{p'}
+    rounded outward unless 2 <= p < inf, the coefficient mass at p = inf),
+    which also caps the ascent.  `_classify` gives the verdict: a violation
     when lhs > C * upper * (1 + RATIO_TOL), relative to the bound; the
     bound's rounding error, about n^m units in the last place, is far
     inside that tolerance.  A zero bound gives ratio 1.0 for a zero lhs

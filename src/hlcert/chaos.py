@@ -414,6 +414,19 @@ def check_contraction(a, t: float) -> ContractionReport:
 
 @dataclass(frozen=True)
 class ChainLink:
+    """One link of the proof chain: lhs <= rhs, or lhs = rhs where kind is "equality".
+
+    `verify_proof_chain` decides `passed` on S scaled by a power of two, and
+    `slack` is that scaled rhs - lhs multiplied back by the power: it is not
+    the reported rhs - lhs.  For a subnormal S the products are rounded, the
+    rhs of sup_domination and overall_bound up (`_times_unit`), so a
+    recomputed rhs - lhs can differ from `slack`: (1+i) 2^-1073 on (2, 2) at
+    (lambda0, s) = (1.5, 2.5) reports lhs 6, rhs 13 and slack 6 in the
+    sup_domination link, in units of 2^-1074.  Past the largest float the
+    reported lhs and rhs are inf, and a recomputed difference NaN, while
+    `slack` stays finite.
+    """
+
     name: str
     lhs: float
     rhs: float

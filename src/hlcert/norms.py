@@ -1,21 +1,24 @@
 """Lower and upper bounds on the operator norm of an m-linear form over l_p balls.
 
 Lower bounds come with an explicit witness tuple of unit vectors; upper
-bounds are the Hoelder bound ||T|| <= ||coeff||_{p'} (`crude_upper`, valid
-for every p >= 1; the coefficient mass at p = inf), for 2 <= p < inf the
-smaller of it and the interpolation bound sigma^(2/p) * U^(1-2/p) between
-l_2 and l_inf (`_interpolation_bounds`, rounded outward, the upper bound of
-`certify` and `alternating_max`) or, on l_inf, the vertex enumeration of
-`hlcert.tensor._vertex_slices` in all slots but the first, which is closed
-in l_1-dual form.  One rule, `_linf_bounds`, turns that enumeration into a
-certified sandwich over either vertex set: the sign vectors for real forms
-(`exact_linf_enum`; the float maximum rounded outward), and the K-th roots
-of unity for complex ones, within cos(pi/K)^-(m-1) (K = `_root_count(m, n)`).
+bounds are the Hoelder bound ||T|| <= ||coeff||_{p'} (valid for every
+p >= 1; the coefficient mass at p = inf), rounded outward, for 2 <= p < inf
+the smaller of it and the interpolation bound sigma^(2/p) * U^(1-2/p)
+between l_2 and l_inf (`_interpolation_bounds`, the upper bound of
+`crude_upper`, `certify` and `alternating_max`) or, on l_inf, the vertex
+enumeration of `hlcert.tensor._vertex_slices` in all slots but the first,
+which is closed in l_1-dual form.  One rule, `_linf_bounds`, turns that
+enumeration into a certified sandwich over either vertex set: the sign
+vectors for real forms (`exact_linf_enum`; the float maximum rounded
+outward), and the K-th roots of unity for complex ones, within
+cos(pi/K)^-(m-1) (K = `_root_count(m, n)`).
 
 Every bound runs on its tensors divided by the power of two nearest their
 largest magnitudes, `_unit_scaled`, and an upper bound is multiplied back
 by `_times_unit`, rounded up: the one scaling rule of the package, which
-the moments and checks of `hlcert.chaos` use too.
+the moments and checks of `hlcert.chaos` use too.  So every public upper
+bound (`crude_upper`, `alternating_max`, `exact_linf_enum` and the proof
+chain's `norm_upper`) is rounded outward.
 """
 
 from __future__ import annotations
@@ -204,32 +207,37 @@ def _dual_norms(
 
 
 def _hoelder_bounds(mags: np.ndarray, top: np.ndarray, p: float) -> np.ndarray:
-    """`crude_upper(T, p)` of every tensor T of a stack, from its `_magnitudes` (mags, top)."""
+    """Float Hoelder bounds ||coeff||_{p'} of a stack's tensors, from its `_magnitudes` (mags, top).
+
+    Not rounded outward.  Its two callers: `hlcert.certify._score` ranks by
+    it, and `_stage_1_bounds` rounds it outward.
+    """
     return _dual_norms(mags, top, p)[0]
 
 
 def crude_upper(T: FormTensor, p: float = math.inf) -> float:
-    """Hoelder bound ||T|| <= ||coeff||_{p'} on (l_p^n)^m, p' = p/(p-1).
+    """The certified stage 1 bound on ||T|| over (l_p^n)^m, without the ascent.
 
     x_1 (x) ... (x) x_m has l_p norm prod ||x_i||_p = 1 on unit vectors, so
-    |T(x_1, ..., x_m)| = |<coeff, x_1 (x) ... (x) x_m>| <= ||coeff||_{p'}:
-    the norm of T as a linear form on l_p^(n^m), exact on rank-one tensors.
-    p = inf (the default) gives the coefficient mass sum_J |coeff[J]|, p = 1
-    the largest |coeff[J]|.  The one-tensor case of `_hoelder_bounds`, the
-    bound `search_extremal` ranks with; it is not rounded outward, as the
-    stage 1 bound of `_interpolation_bounds` is.  A bound past the
-    largest float raises DomainError (`_finite_norms`).
+    |T(x_1, ..., x_m)| = |<coeff, x_1 (x) ... (x) x_m>| <= ||coeff||_{p'},
+    p' = p/(p-1): the Hoelder bound, exact on rank-one tensors.  p = inf
+    (the default) gives the coefficient mass sum_J |coeff[J]|, p = 1 the
+    largest |coeff[J]|.  The one-tensor case of `_interpolation_bounds`:
+    the Hoelder bound rounded outward, for 2 <= p < inf the smaller
+    interpolation bound if that is lower.  So it is
+    `alternating_max(T, p).upper`, bit for bit, for every p > 1.  A bound
+    past the largest float raises DomainError (`_finite_norms`).
     """
     _check_p(p)
     with np.errstate(over="ignore"):
-        bound = _hoelder_bounds(*_magnitudes(T.coeffs[None]), p)
+        bound = _interpolation_bounds(T.coeffs[None], p)
     return float(_finite_norms(bound, "Hoelder bounds", f"p={p}")[0])
 
 
 def _interpolation_bounds(stack: np.ndarray, p: float, roots: Optional[int] = None) -> np.ndarray:
     """min(Hoelder, sigma^(2/p) * U^(1-2/p)) for every tensor of a stack (B,) + (n,)*m.
 
-    Each tensor's Hoelder bound `crude_upper(T, p)`, rounded outward (at
+    Each tensor's Hoelder bound `_hoelder_bounds`, rounded outward (at
     p = inf by `_certified_mass`, elsewhere by the error bound of
     `_dual_norms`), is the result unless 2 <= p < inf: the float value
     fell below the exact ||T|| of rank-one tensors and of nonnegative ones

@@ -19,7 +19,6 @@ from hlcert import (
     alternating_max,
     certify,
     check_khinchin,
-    crude_upper,
     exact_linf_enum,
     exponents,
     generate,
@@ -38,8 +37,8 @@ from hlcert.certify import (
     sweep_to_csv,
     trials_to_csv,
 )
-from hlcert.norms import _exact_linf_stack, _interpolation_bounds, _root_count
-from hlcert.tensor import mixed_norms
+from hlcert.norms import _exact_linf_stack, _hoelder_bounds, _interpolation_bounds, _root_count
+from hlcert.tensor import _magnitudes, mixed_norms
 
 certify_module = importlib.import_module("hlcert.certify")
 
@@ -347,8 +346,9 @@ def test_search_improves_and_respects_bound():
 def _reference_ratio(coeffs, exps, field):
     """The ratio the search ranks one tensor by, from the one-tensor functions.
 
-    lhs is the largest of `mixed_norms`; the bound is `crude_upper`, or at
-    real p = inf the raw sign enumeration of the tensor alone, the value
+    lhs is the largest of `mixed_norms`; the bound is the float Hoelder
+    bound `_hoelder_bounds` (not `crude_upper`, which rounds it outward), or
+    at real p = inf the raw sign enumeration of the tensor alone, the value
     `_score` ranks by (not `exact_linf_enum(T).lower`, which the float mass
     caps).
     """
@@ -356,7 +356,7 @@ def _reference_ratio(coeffs, exps, field):
     if math.isinf(exps.p) and field is REAL:
         upper = _exact_linf_stack(coeffs[None])[0][0]
     else:
-        upper = crude_upper(T, exps.p)
+        upper = _hoelder_bounds(*_magnitudes(coeffs[None]), exps.p)[0]
     lhs = max(mixed_norms(T, exps.s, exps.eta1))
     return lhs / upper if upper > 0.0 else (1.0 if lhs == 0.0 else math.inf)
 
@@ -533,7 +533,7 @@ def test_search_block_scores_match_one_tensor_scores():
             values, _ = _exact_linf_stack(stack)
             for k in range(K):
                 T = FormTensor(m=m, n=n, field=REAL, coeffs=stack[k])
-                assert min(values[k], crude_upper(T)) == exact_linf_enum(T).lower
+                assert min(values[k], np.abs(stack[k]).sum()) == exact_linf_enum(T).lower
 
 
 @given(

@@ -20,7 +20,9 @@ import numpy as np
 import pytest
 
 from exact import gram_gap_is_psd, is_psd, linf_norm, mass, mass_at_most, power_at_most
-from hlcert import FormTensor, ScalarField, TrialConfig, certify, generate, verify_proof_chain
+from hlcert import (
+    FormTensor, ScalarField, TrialConfig, certify, crude_upper, generate, verify_proof_chain,
+)
 from hlcert.norms import _RESTARTS, _best_restarts, _interpolation_bounds, _linf_bounds, exact_linf_enum
 from hlcert.tensor import _unit_roots
 
@@ -58,13 +60,15 @@ def test_the_oracle_is_exact():
 
 @pytest.mark.parametrize("m, n", CONSTANT_SHAPES)
 def test_stage_1_holds_the_norm_of_a_constant_tensor(m, n):
-    # ||c * 1|| = c * n^(m/p'), p' = p/(p-1), so m/p' = m (p-1)/p exactly
+    # ||c * 1|| = c * n^(m/p'), p' = p/(p-1), so m/p' = m (p-1)/p exactly;
+    # the stacked stage 1 bound and each tensor's crude_upper must hold it
     stack = np.stack([np.full((n,) * m, c) for c in CONSTANTS])
+    tensors = [FormTensor(m=m, n=n, field=ScalarField.REAL, coeffs=coeffs) for coeffs in stack]
     for p in CONSTANT_PS:
-        bounds = _interpolation_bounds(stack, p)
         e = m * (Fraction(p) - 1) / Fraction(p)
-        below = [c for c, bound in zip(CONSTANTS, bounds) if not power_at_most(n, e, bound, c)]
-        assert below == [], (m, n, p)
+        for bounds in (_interpolation_bounds(stack, p), [crude_upper(T, p) for T in tensors]):
+            below = [c for c, bound in zip(CONSTANTS, bounds) if not power_at_most(n, e, bound, c)]
+            assert below == [], (m, n, p)
 
 
 def test_subnormal_complex_l_inf_bounds_hold_the_norm():
@@ -98,13 +102,18 @@ def test_subnormal_complex_chain_bounds_hold_the_norm():
 
 def test_stage_1_holds_the_mass_of_nonnegative_complex_tensors():
     # at p = inf a tensor of nonnegative entries has ||T|| = its mass, which
-    # the float sum can fall below
+    # the float sum can fall below; the stacked stage 1 bound and each
+    # tensor's crude_upper must hold it
     rng = np.random.default_rng(2024)
     stack = rng.random((2000, 3, 3, 3)) + 0j
-    bounds = _interpolation_bounds(stack, math.inf)
     flat = stack.real.reshape(len(stack), -1)
-    below = [b for b in range(len(stack)) if not mass_at_most(flat[b], bounds[b])]
-    assert below == []
+    alone = [
+        crude_upper(FormTensor(m=3, n=3, field=ScalarField.COMPLEX, coeffs=coeffs))
+        for coeffs in stack
+    ]
+    for bounds in (_interpolation_bounds(stack, math.inf), alone):
+        below = [b for b in range(len(stack)) if not mass_at_most(flat[b], bounds[b])]
+        assert below == []
 
 
 @pytest.mark.parametrize("m, n, p", [(3, 8, 4.0), (4, 5, 4.5), (2, 16, 3.0)])

@@ -50,12 +50,17 @@ def _tensor(coeffs, field=REAL):
     return FormTensor(m=arr.ndim, n=arr.shape[0], field=field, coeffs=arr)
 
 
+def _hoelder(T, p):
+    # the float Hoelder bound ||coeff||_{p'}, not rounded outward
+    return float(_hoelder_bounds(*_magnitudes(T.coeffs[None]), p)[0])
+
+
 def _rounded_hoelder(T, p):
-    # stage 1's Hoelder bound: crude_upper rounded outward, at p = inf by the
-    # certified mass, elsewhere by (3 n^m + 70) units of 2^-53, then
+    # stage 1's Hoelder bound: the float one rounded outward, at p = inf by
+    # the certified mass, elsewhere by (3 n^m + 70) units of 2^-53, then
     # 1 + 2^-50; stage 1 rounds T scaled to magnitude about 1, which for a T
     # of normal magnitude rounds the same bits
-    h = crude_upper(T, p)
+    h = _hoelder(T, p)
     if math.isinf(p):
         return float(_certified_mass(np.array([h]), T.size)[0]) if h > 0.0 else 0.0
     return h * (1.0 + (3 * T.size + 70) * 2.0**-53) * (1.0 + 2.0**-50)
@@ -475,28 +480,41 @@ def test_exact_enum_guards(monkeypatch):
 
 
 def test_crude_upper_examples():
-    assert crude_upper(generate("sparse_unit", 2, 3, REAL, 2)) == 1.0
-    assert crude_upper(_tensor(np.eye(2))) == 2.0
-    assert crude_upper(_tensor(np.ones((2, 2)))) == 4.0
-    # the Hoelder bound ||coeff||_{p'}: ones(2, 2) = (1, 1) (x) (1, 1) has
-    # norm ||(1, 1)||_{p'}^2 = 2^(2/p'), e.g. 2 at p = 2
-    assert crude_upper(_tensor(np.ones((2, 2))), 2.0) == 2.0
-    assert crude_upper(_tensor(np.eye(2)), 1.0) == 1.0
+    # the float Hoelder bound ||coeff||_{p'} is each example's norm:
+    # ones(2, 2) = (1, 1) (x) (1, 1) has norm ||(1, 1)||_{p'}^2 = 2^(2/p'),
+    # e.g. 2 at p = 2, and eye(2) is 1 on l_1.  crude_upper rounds it
+    # outward, so it holds the norm; outside 2 <= p < inf it is the rounded
+    # Hoelder bound
+    examples = [
+        (generate("sparse_unit", 2, 3, REAL, 2), math.inf, 1.0),
+        (_tensor(np.eye(2)), math.inf, 2.0),
+        (_tensor(np.ones((2, 2))), math.inf, 4.0),
+        (_tensor(np.ones((2, 2))), 2.0, 2.0),
+        (_tensor(np.eye(2)), 1.0, 1.0),
+    ]
+    for T, p, norm in examples:
+        assert _hoelder(T, p) == norm
+        assert norm <= crude_upper(T, p) <= _rounded_hoelder(T, p)
+        if not 2.0 <= p < math.inf:
+            assert crude_upper(T, p) == _rounded_hoelder(T, p)
     with pytest.raises(DomainError):
         crude_upper(_tensor(np.eye(2)), 0.5)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_crude_upper_mass_and_max_at_the_ends(field):
-    # p = inf (the default) is the coefficient mass bit for bit, p = 1 the
-    # largest coefficient: the norm on l_1, where the ball's extreme points
-    # are the basis vectors
+    # the float Hoelder bound at p = inf is the coefficient mass bit for
+    # bit, at p = 1 the largest coefficient: the norm on l_1, where the
+    # ball's extreme points are the basis vectors.  crude_upper (p = inf by
+    # default) rounds both outward
     rng = np.random.default_rng(5)
     for m, n in [(2, 2), (2, 5), (3, 3), (4, 2)]:
         T = generate("gaussian", m, n, field, int(rng.integers(2**32)))
         mass = float(np.abs(T.coeffs).sum())
-        assert crude_upper(T) == crude_upper(T, math.inf) == mass
-        assert crude_upper(T, 1.0) == float(np.abs(T.coeffs).max())
+        assert _hoelder(T, math.inf) == mass
+        assert crude_upper(T) == crude_upper(T, math.inf) == _rounded_hoelder(T, math.inf)
+        assert _hoelder(T, 1.0) == float(np.abs(T.coeffs).max())
+        assert crude_upper(T, 1.0) == _rounded_hoelder(T, 1.0)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -527,8 +545,23 @@ def test_crude_upper_scales_by_powers_of_two_bit_for_bit(p, k):
         T = generate("gaussian", 3, 3, field, int(rng.integers(2**32)))
         scaled = FormTensor(m=3, n=3, field=field, coeffs=math.ldexp(1.0, k) * T.coeffs)
         assert crude_upper(scaled, p) == math.ldexp(crude_upper(T, p), k)
+    # a single 1 has norm 1, its float Hoelder bound; crude_upper holds it
     unit = generate("sparse_unit", 3, 3, REAL, 1)
-    assert crude_upper(unit, p) == 1.0
+    assert _hoelder(unit, p) == 1.0
+    assert 1.0 <= crude_upper(unit, p) <= _rounded_hoelder(unit, p)
+
+
+def test_crude_upper_is_the_ascent_s_upper_bound_bit_for_bit():
+    # both are the stage 1 bound of the tensor alone, also where its
+    # coefficients are subnormal
+    rng = np.random.default_rng(37)
+    for field in (REAL, COMPLEX):
+        for m, n in [(2, 3), (3, 3), (4, 2)]:
+            T = generate("gaussian", m, n, field, int(rng.integers(2**32)))
+            for k in (0, -1060):
+                scaled = FormTensor(m=m, n=n, field=field, coeffs=math.ldexp(1.0, k) * T.coeffs)
+                for p in (1.5, 2.0, 4.0, 7.0, math.inf):
+                    assert crude_upper(scaled, p) == alternating_max(scaled, p).upper, (m, n, k, p)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, math.inf])
@@ -538,7 +571,7 @@ def test_stacked_dual_norms_are_crude_upper_bit_for_bit(p):
     for field in (REAL, COMPLEX):
         tensors = [generate("gaussian", 3, 3, field, int(rng.integers(2**32))) for _ in range(33)]
         tensors.append(_tensor(np.zeros((3, 3, 3)), field))
-        values = _hoelder_bounds(*_magnitudes(np.stack([T.coeffs for T in tensors])), p)
+        values = _interpolation_bounds(np.stack([T.coeffs for T in tensors]), p)
         assert values.tolist() == [crude_upper(T, p) for T in tensors]
 
 
@@ -709,7 +742,7 @@ def test_complex_root_enumeration_sandwich(shape, kind, seed):
     # property.
     m, n = shape
     T = generate(kind, m, n, COMPLEX, seed)
-    mass = crude_upper(T)
+    mass = float(np.abs(T.coeffs).sum())
     enum = float(_exact_linf_stack(T.coeffs[None], _unit_roots(12))[0][0])
     (lower,), (upper,), _ = _linf_bounds(T.coeffs[None], _unit_roots(12))
     assert enum <= mass * (1.0 + 1e-14)
@@ -934,9 +967,9 @@ def test_a_failed_cholesky_test_falls_back_to_the_frobenius_norm(monkeypatch, wi
 @pytest.mark.parametrize("p", [1.0, 1.5, math.inf])
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_interpolation_bound_outside_p_2_to_inf_is_the_hoelder_bound(p, field):
-    # Riesz-Thorin between l_2 and l_inf covers 2 <= p < inf only: there
-    # the bound is each tensor's crude_upper rounded outward, bit for bit,
-    # in any stack
+    # Riesz-Thorin between l_2 and l_inf covers 2 <= p < inf only: outside
+    # it the bound is each tensor's float Hoelder bound rounded outward, bit
+    # for bit, in any stack
     tensors = [generate("gaussian", 3, 3, field, s) for s in range(5)]
     stack = np.stack([T.coeffs for T in tensors])
     for roots in (None, 12):

@@ -6,11 +6,13 @@ can drift apart; the second site should call the first one's helper.  In
 the same way every result's `to_jsonable` defers to `hlcert.errors._jsonable`,
 and every l_inf bound from a vertex enumeration goes through
 `hlcert.norms._linf_bounds`: the raw float maximum `_exact_linf_stack` is
-read only inside `hlcert.norms` and by the search's ranking.  Every tensor
-is scaled by a power of two through `hlcert.norms._unit_scaled`, the one
-caller of `_nearest_powers_of_two`, and every upper bound goes back through
-`hlcert.norms._times_unit`, rounded up: no other module picks a power of
-two, steps a float to its neighbour or reads a rounding constant.
+read only inside `hlcert.norms` and by the search's ranking, as the float
+Hoelder bound `_hoelder_bounds` is read only by the stage 1 bound and the
+ranking.  Every tensor is scaled by a power of two through
+`hlcert.norms._unit_scaled`, the one caller of `_nearest_powers_of_two`,
+and every upper bound goes back through `hlcert.norms._times_unit`,
+rounded up: no other module picks a power of two, steps a float to its
+neighbour or reads a rounding constant.
 """
 
 import ast
@@ -99,6 +101,13 @@ def test_raw_vertex_maxima_are_read_only_by_the_bound_rule_and_the_ranking():
     assert "norms.py:_scaled_linf_bounds" in sites and "certify.py:_score" in sites
     outside = {site for site in sites if not site.startswith("norms.py:")}
     assert outside == {"certify.py:_score"}
+
+
+def test_the_float_hoelder_bound_is_read_only_by_stage_1_and_the_ranking():
+    # a caller that returned `_hoelder_bounds`' float value as a bound would
+    # bypass stage 1's outward rounding: that value falls below the exact
+    # norm of many constant and nonnegative tensors
+    assert _call_sites("_hoelder_bounds") == {"norms.py:_stage_1_bounds", "certify.py:_score"}
 
 
 def test_powers_of_two_are_picked_only_by_the_scaling_rule():
