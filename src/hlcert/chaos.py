@@ -54,12 +54,12 @@ value `verify` scores, finite at every s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ViolationError, _check_integer, _check_seed, _jsonable
+from .errors import DomainError, ViolationError, _JsonResult, _check_integer, _check_seed
 from .exponents import _check_lambda0
 from .norms import _check_multilinear, _root_count, _rounded_linf, _scaled_linf_bounds
 from .norms import _times_unit, _unit_scaled, alternating_max
@@ -308,7 +308,7 @@ def _complex_gemm_operand(C: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class KhinchinReport:
+class KhinchinReport(_JsonResult):
     """One Khinchin check: lhs = A_q * l2(a), mid = chaos L_q norm."""
 
     q: float
@@ -319,9 +319,6 @@ class KhinchinReport:
     mode: str
     passed: bool
     stderr: Optional[float] = None
-
-    def to_jsonable(self) -> dict:
-        return _jsonable(self)
 
 
 def check_khinchin(
@@ -366,7 +363,7 @@ def check_khinchin(
 
 
 @dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(_JsonResult):
     """Lemma check: every single chaos coefficient is dominated by the L_t norm."""
 
     m: int
@@ -376,9 +373,6 @@ class ContractionReport:
     moment: float
     ratio: float       # moment / max_coeff
     passed: bool
-
-    def to_jsonable(self) -> dict:
-        return _jsonable(self)
 
 
 def check_contraction(a, t: float) -> ContractionReport:
@@ -413,13 +407,15 @@ def check_contraction(a, t: float) -> ContractionReport:
 
 
 @dataclass(frozen=True)
-class ChainLink:
+class ChainLink(_JsonResult):
     """One link of the proof chain: lhs <= rhs, or lhs = rhs where kind is "equality".
 
-    `verify_proof_chain` decides `passed` on S scaled by a power of two, and
-    `slack` is that scaled rhs - lhs multiplied back by the power: it is not
-    the reported rhs - lhs.  For a subnormal S the products are rounded, the
-    rhs of sup_domination and overall_bound up (`_times_unit`), so a
+    `verify_proof_chain` builds each link once, as it is reported
+    (`_ineq_link`, `_eq_link`): `passed` is decided on S scaled by a power
+    of two, and lhs, rhs and `slack` are the scaled values multiplied back
+    by the power.  So `slack` is the scaled rhs - lhs multiplied back, not
+    the reported rhs - lhs.  For a subnormal S the products are rounded,
+    the rhs of sup_domination and overall_bound up (`_times_unit`), so a
     recomputed rhs - lhs can differ from `slack`: (1+i) 2^-1073 on (2, 2) at
     (lambda0, s) = (1.5, 2.5) reports lhs 6, rhs 13 and slack 6 in the
     sup_domination link, in units of 2^-1074.  Past the largest float the
@@ -434,12 +430,9 @@ class ChainLink:
     passed: bool = dataclass_field(metadata={"json": "pass"})
     kind: str = dataclass_field(default="inequality", metadata={"json": False})  # or "equality"
 
-    def to_jsonable(self) -> dict:
-        return _jsonable(self)
-
 
 @dataclass(frozen=True)
-class ChainReport:
+class ChainReport(_JsonResult):
     """Step-by-step record of the mixed-sum proof chain for one index."""
 
     lambda0: float
@@ -454,9 +447,6 @@ class ChainReport:
     passed: bool
     first_failure: Optional[str] = None
     mc_stderr: Optional[float] = dataclass_field(default=None, metadata={"json": False})
-
-    def to_jsonable(self) -> dict:
-        return _jsonable(self)
 
 
 def verify_proof_chain(
@@ -501,10 +491,13 @@ def verify_proof_chain(
     where no K fits, by an alternating ascent from SeedSequence([seed, 1])
     and the coefficient mass.  The links are checked on S scaled by a power
     of two to max|coeff| about 1, so the absolute slacks are relative to the
-    largest coefficient; reported values are in the units of S, with
-    norm_upper and the rhs of sup_domination and overall_bound rounded up
-    (`_times_unit`).  The lhs of holder_interpolation and overall_bound is
-    `mixed_norm(S, index, s, lambda0)` bit for bit, finite at every s.
+    largest coefficient.  Each link is built once, in the units of S
+    (`_ineq_link`, `_eq_link`): passed from the scaled values, its lhs, rhs
+    and slack multiplied back, and the rhs of sup_domination and
+    overall_bound rounded up (`_times_unit`) where those two links are
+    built, as norm_upper is.  The lhs of holder_interpolation and
+    overall_bound is `mixed_norm(S, index, s, lambda0)` bit for bit, finite
+    at every s.
     """
     _check_multilinear(S)
     _check_integer("index", index, 1, S.m)
@@ -563,31 +556,26 @@ def verify_proof_chain(
     if mode == "exact":
         # the proof bounds every slice before it sums: check the worst one
         j = int(np.argmin(rhs - h))
-        khinchin = _ineq_link("multiple_khinchin", float(h[j]), float(rhs[j]), EXACT_SLACK)
+        khinchin = _ineq_link("multiple_khinchin", float(h[j]), float(rhs[j]), EXACT_SLACK, unit)
     else:
-        khinchin = _ineq_link("multiple_khinchin", q1, q2, ineq_slack)
-    links = [
-        _ineq_link("holder_interpolation", lhs_chain, q1, EXACT_SLACK),
-        khinchin,
-        _eq_link("fubini_substitution", q2, q3),
-        _ineq_link("sup_domination", q3, q4, ineq_slack),
-        _ineq_link("overall_bound", lhs_chain, q4, ineq_slack),
-    ]
-    first_failure = next((link.name for link in links if not link.passed), None)
-    links = [
-        replace(link, lhs=unit * link.lhs, rhs=unit * link.rhs, slack=unit * link.slack)
-        for link in links
-    ]
+        khinchin = _ineq_link("multiple_khinchin", q1, q2, ineq_slack, unit)
     # sup_domination and overall_bound compare against ||S||: their rhs is
     # an upper bound, rounded up on the way back like norm_upper
-    links[3:] = [replace(link, rhs=float(_times_unit(q4, unit))) for link in links[3:]]
+    links = (
+        _ineq_link("holder_interpolation", lhs_chain, q1, EXACT_SLACK, unit),
+        khinchin,
+        _eq_link("fubini_substitution", q2, q3, unit),
+        _ineq_link("sup_domination", q3, q4, ineq_slack, unit, rhs_up=True),
+        _ineq_link("overall_bound", lhs_chain, q4, ineq_slack, unit, rhs_up=True),
+    )
+    first_failure = next((link.name for link in links if not link.passed), None)
     report = ChainReport(
         lambda0=lambda0,
         s=s,
         index=index,
         field=S.field,
         mode=mode,
-        links=tuple(links),
+        links=links,
         constant_factor=factor,
         norm_lower=unit * norm_lower,
         norm_upper=float(_times_unit(norm_upper, unit)),
@@ -604,16 +592,26 @@ def verify_proof_chain(
     return report
 
 
-def _ineq_link(name: str, lhs: float, rhs: float, slack_tol: float) -> ChainLink:
+def _ineq_link(
+    name: str, lhs: float, rhs: float, slack_tol: float, unit: float, rhs_up: bool = False
+) -> ChainLink:
+    """The link lhs <= rhs, passed on the scaled values and reported times `unit`.
+
+    With `rhs_up` the rhs is an upper bound on ||S|| and goes back through
+    `_times_unit`, rounded up; every other value is the plain product.
+    """
     slack = rhs - lhs
-    return ChainLink(name=name, lhs=lhs, rhs=rhs, slack=slack, passed=slack >= -slack_tol)
+    back = float(_times_unit(rhs, unit)) if rhs_up else unit * rhs
+    return ChainLink(
+        name=name, lhs=unit * lhs, rhs=back, slack=unit * slack, passed=slack >= -slack_tol,
+    )
 
 
-def _eq_link(name: str, lhs: float, rhs: float) -> ChainLink:
+def _eq_link(name: str, lhs: float, rhs: float, unit: float) -> ChainLink:
+    """The link lhs = rhs to EQUALITY_RTOL, passed on the scaled values, reported times `unit`."""
     slack = rhs - lhs
     scale = max(abs(lhs), abs(rhs), 1e-30)
     return ChainLink(
-        name=name, lhs=lhs, rhs=rhs, slack=slack,
+        name=name, lhs=unit * lhs, rhs=unit * rhs, slack=unit * slack,
         passed=abs(slack) <= EQUALITY_RTOL * scale, kind="equality",
     )
-

@@ -1,6 +1,7 @@
 """Exception types shared across the package, the integer and seed rules that raise one, and
-the one JSON rule of every result (`_jsonable`, behind each `to_jsonable` and the CLI's
-payloads): fields in declaration order, NaN as null, +-inf as "inf" / "-inf".
+the one JSON rule of every result (`_jsonable`, behind the CLI's payloads and the one
+`to_jsonable`, which each result class inherits from `_JsonResult`): fields in declaration
+order, NaN as null, +-inf as "inf" / "-inf".
 """
 
 import dataclasses
@@ -106,3 +107,10 @@ def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None if math.isnan(value) else ("inf" if value > 0.0 else "-inf")
     return value
+
+
+class _JsonResult:
+    """Base of every result class with a JSON view: its one `to_jsonable`, by `_jsonable`."""
+
+    def to_jsonable(self) -> dict:
+        return _jsonable(self)

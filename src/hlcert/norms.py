@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, _jsonable, _seed_source
+from .errors import DomainError, _JsonResult, _seed_source
 from .special import ScalarField
 from .tensor import (
     _SIGNS,
@@ -73,7 +73,7 @@ class NormMethod(enum.Enum):
 
 
 @dataclass
-class NormEstimate:
+class NormEstimate(_JsonResult):
     """Certified sandwich lower <= ||T|| <= upper with the achieving witness.
 
     The witness is the tuple of unit-norm argument vectors whose evaluation
@@ -92,9 +92,6 @@ class NormEstimate:
     def __post_init__(self) -> None:
         if not self.lower <= self.upper:   # written so that a NaN bound fails too
             raise ValueError(f"estimate lower {self.lower} > upper {self.upper}")
-
-    def to_jsonable(self) -> dict:
-        return _jsonable(self)
 
 
 def _phase(c: np.ndarray) -> np.ndarray:

@@ -127,6 +127,24 @@ def test_the_diagonal_norm_is_sandwiched(m, n, p):
     assert power_at_most(n, 1 - Fraction(m) / Fraction(p), upper[0])
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+def test_the_interpolation_bound_of_the_m2_diagonal_holds_its_norm(n):
+    # at m = 2 the diagonal has sigma = 1 and U = n, so stage 1's
+    # sigma^(2/p) U^(1-2/p) is ||D_n|| = n^(1-2/p) in exact arithmetic: only
+    # the outward rounding keeps the float bound above the norm (28 to 1792
+    # units of 2^-53 at normal scales), and a subnormal bound goes back
+    # rounded up, within 2^-1073 of 2^k ||D_n||
+    scales = [2.0**k for k in (0, 600, -1000, -1060)]
+    stack = np.stack([scale * _diagonal(2, n) for scale in scales])
+    tensors = [FormTensor(m=2, n=n, field=ScalarField.REAL, coeffs=coeffs) for coeffs in stack]
+    for p in [2.5, 3.0, 4.0, 4.5, 7.0, 10.0]:
+        e = 1 - Fraction(2) / Fraction(p)
+        for bounds in (_interpolation_bounds(stack, p), [crude_upper(T, p) for T in tensors]):
+            for scale, bound in zip(scales, bounds):
+                assert power_at_most(n, e, bound, scale), (n, p, scale)
+                assert bound == pytest.approx(scale * n ** float(e), rel=2.0**-40, abs=2.0**-1073)
+
+
 def _linf_shapes():
     # the 300 (3, 3) Gaussians where the float sign enumeration, taken as
     # the upper bound, fell below the exact norm for 163; two other shapes

@@ -3,7 +3,8 @@
 A DomainError message names the rule that failed.  When the same message
 head is raised at two call sites, the rule is written twice and the copies
 can drift apart; the second site should call the first one's helper.  In
-the same way every result's `to_jsonable` defers to `hlcert.errors._jsonable`,
+the same way there is one `to_jsonable`, `hlcert.errors._JsonResult`'s,
+which defers to `hlcert.errors._jsonable` and which every result inherits;
 and every l_inf bound from a vertex enumeration goes through
 `hlcert.norms._linf_bounds`: the raw float maximum `_exact_linf_stack` is
 read only inside `hlcert.norms` and by the search's ranking, as the float
@@ -22,8 +23,8 @@ from collections import defaultdict
 from pathlib import Path
 
 from hlcert import NormMethod
-from hlcert.certify import SweepRow
-from hlcert.chaos import ChainLink
+from hlcert.certify import CertificationReport, SweepRow
+from hlcert.chaos import ChainLink, ChainReport, ContractionReport, KhinchinReport
 from hlcert.norms import NormEstimate
 
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "hlcert"
@@ -157,10 +158,18 @@ def _to_jsonable_sites():
 
 
 def test_every_to_jsonable_is_the_one_json_rule():
+    # a second definition, even a copy of the one line, is a second place
+    # where a result's JSON view could drift from `_jsonable`
     sites = _to_jsonable_sites()
-    assert len(sites) >= 7
-    own = {where: body for where, body in sites.items() if body != ["return _jsonable(self)"]}
-    assert not own, f"to_jsonable with its own JSON rule: {own}"
+    assert len(sites) == 1, f"to_jsonable defined at several sites: {sorted(sites)}"
+    (where, body), = sites.items()
+    assert where.startswith("errors.py:") and body == ["return _jsonable(self)"]
+    results = (
+        NormEstimate, CertificationReport, SweepRow, KhinchinReport, ContractionReport,
+        ChainLink, ChainReport,
+    )
+    methods = {result.to_jsonable for result in results}
+    assert len(methods) == 1 and next(iter(methods)).__module__ == "hlcert.errors"
 
 
 def test_non_finite_results_are_strict_json():
